@@ -25,7 +25,6 @@
 
 use crate::pairs::{PairId, PairStore, SwapNoise};
 use qn_quantum::bell::BellState;
-use qn_quantum::channels;
 use qn_quantum::gates;
 use qn_sim::{NodeId, SimRng, SimTime};
 
@@ -120,15 +119,13 @@ impl PairStore {
                 // locally.
                 let mut joint = a.state().to_density().tensor(&b.state().to_density());
                 let (b_at_na, b_at_nb) = if b0_at_na { (2, 3) } else { (3, 2) };
+                let two = &self.gate_noise(noise).two;
 
                 // Bilateral CNOTs with two-qubit gate noise.
                 for (ctrl, tgt) in [(0usize, b_at_na), (1usize, b_at_nb)] {
                     joint.apply_unitary(&gates::cnot(), &[ctrl, tgt]);
                     if noise.p_two_qubit > 0.0 {
-                        joint.apply_kraus(
-                            &channels::depolarizing_2q(noise.p_two_qubit),
-                            &[ctrl, tgt],
-                        );
+                        joint.apply_kraus(two, &[ctrl, tgt]);
                     }
                 }
                 // Measure the sacrificed qubits in Z.

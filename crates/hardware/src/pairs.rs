@@ -33,6 +33,7 @@ use crate::params::{HardwareParams, ReadoutSpec};
 use qn_quantum::bell::BellState;
 use qn_quantum::channels;
 use qn_quantum::gates::{self, Pauli};
+use qn_quantum::matrix::CMatrix;
 use qn_quantum::measure::swap_circuit_outcome;
 use qn_quantum::pairstate::{BellDiagonal, CondTable, PairState, StateRep};
 use qn_quantum::DensityMatrix;
@@ -179,26 +180,23 @@ pub struct MeasureResult {
     pub reported: bool,
 }
 
-/// Small sorted-`Vec` cache for the conditional-map tables. The key
-/// space is tiny and static per run (one entry per noise parameter set
-/// × circuit orientation), so a binary-searched flat array beats
-/// hashing the key on every swap/distill.
-struct TableCache<K> {
-    entries: Vec<(K, Option<Box<CondTable>>)>,
+/// Small sorted-`Vec` cache for the per-noise-level circuit data
+/// (conditional-map tables, gate-noise Kraus sets). The key space is
+/// tiny and static per run (one entry per noise parameter set ×
+/// circuit orientation), so a binary-searched flat array beats hashing
+/// the key on every swap/distill.
+struct TableCache<K, V> {
+    entries: Vec<(K, V)>,
 }
 
-impl<K: Ord + Copy> TableCache<K> {
+impl<K: Ord + Copy, V> TableCache<K, V> {
     fn new() -> Self {
         TableCache {
             entries: Vec::new(),
         }
     }
 
-    fn get_or_insert(
-        &mut self,
-        key: K,
-        build: impl FnOnce() -> Option<Box<CondTable>>,
-    ) -> Option<&CondTable> {
+    fn get_or_insert(&mut self, key: K, build: impl FnOnce() -> V) -> &V {
         let idx = match self.entries.binary_search_by(|(k, _)| k.cmp(&key)) {
             Ok(i) => i,
             Err(i) => {
@@ -206,8 +204,17 @@ impl<K: Ord + Copy> TableCache<K> {
                 i
             }
         };
-        self.entries[idx].1.as_deref()
+        &self.entries[idx].1
     }
+}
+
+/// The Kraus sets of the gate noise in the dense swap and distillation
+/// circuits at one noise level.
+pub(crate) struct GateNoiseKraus {
+    /// Two-qubit depolarizing after each CNOT.
+    pub(crate) two: Vec<CMatrix>,
+    /// Single-qubit depolarizing after the swap's Hadamard.
+    pub(crate) single: Vec<CMatrix>,
 }
 
 /// All live pairs in the network, stored as a generational slab.
@@ -235,10 +242,13 @@ pub struct PairStore {
     /// noise parameters' bit patterns and the pair orientation
     /// `ia·2+ib`. `None` records a (never expected) X-closure failure:
     /// that noise set permanently uses the dense path.
-    swap_tables: TableCache<(u64, u64, u8)>,
+    swap_tables: TableCache<(u64, u64, u8), Option<Box<CondTable>>>,
     /// Same for the distillation circuit, keyed by noise bits and the
     /// sacrificed pair's orientation.
-    distill_tables: TableCache<(u64, bool)>,
+    distill_tables: TableCache<(u64, bool), Option<Box<CondTable>>>,
+    /// Gate-noise Kraus sets of the dense circuits, keyed by the noise
+    /// parameters' bit patterns.
+    gate_noise: TableCache<(u64, u64), GateNoiseKraus>,
 }
 
 impl Default for PairStore {
@@ -266,6 +276,7 @@ impl PairStore {
             rep,
             swap_tables: TableCache::new(),
             distill_tables: TableCache::new(),
+            gate_noise: TableCache::new(),
         }
     }
 
@@ -650,16 +661,17 @@ impl PairStore {
                 let mut joint = a_state.to_density().tensor(&b_state.to_density());
                 let qa = ia; // control: A's qubit at the node
                 let qb = 2 + ib; // target: B's qubit at the node
+                let kraus = self.gate_noise(noise);
 
                 // Noisy CNOT.
                 joint.apply_unitary(&gates::cnot(), &[qa, qb]);
                 if noise.p_two_qubit > 0.0 {
-                    joint.apply_kraus(&channels::depolarizing_2q(noise.p_two_qubit), &[qa, qb]);
+                    joint.apply_kraus(&kraus.two, &[qa, qb]);
                 }
                 // Noisy H on the control.
                 joint.apply_unitary(&gates::h(), &[qa]);
                 if noise.p_single > 0.0 {
-                    joint.apply_kraus(&channels::depolarizing(noise.p_single), &[qa]);
+                    joint.apply_kraus(&kraus.single, &[qa]);
                 }
                 // Physical measurements: true outcomes collapse the state.
                 let m_control = joint.measure_z(qa, rng.f64());
@@ -742,6 +754,7 @@ impl PairStore {
         let (p2, p1) = (noise.p_two_qubit, noise.p_single);
         self.swap_tables
             .get_or_insert(key, || CondTable::swap(p2, p1, ia, ib).map(Box::new))
+            .as_deref()
     }
 
     /// The cached conditional-map table for the distillation circuit.
@@ -749,6 +762,17 @@ impl PairStore {
         let key = (p_two.to_bits(), b0_at_na);
         self.distill_tables
             .get_or_insert(key, || CondTable::distill(p_two, b0_at_na).map(Box::new))
+            .as_deref()
+    }
+
+    /// The cached gate-noise Kraus sets of the dense circuits at this
+    /// noise level (built on first use).
+    pub(crate) fn gate_noise(&mut self, noise: &SwapNoise) -> &GateNoiseKraus {
+        let key = (noise.p_two_qubit.to_bits(), noise.p_single.to_bits());
+        self.gate_noise.get_or_insert(key, || GateNoiseKraus {
+            two: channels::depolarizing_2q(noise.p_two_qubit),
+            single: channels::depolarizing(noise.p_single),
+        })
     }
 }
 

@@ -1,0 +1,179 @@
+//! The dense swap and distillation circuits of a `StateRep::Dm` pair
+//! store, bit for bit against the same circuits run on the dense
+//! reference of `qn_testkit::dense`: memory decay on every end, the
+//! Pauli-frame corrections, the noisy gates, both Z measurements and the
+//! partial trace. Outcomes must match and every bit of the surviving
+//! pair's state must match, signs of zeros included.
+//!
+//! The input pairs are random mixed states with many exact ±0
+//! components; readout is perfect so the announced outcomes expose the
+//! true ones.
+
+use proptest::prelude::*;
+use qn_hardware::device::QubitId;
+use qn_hardware::pairs::{PairId, PairStore, SwapNoise};
+use qn_hardware::params::ReadoutSpec;
+use qn_hardware::StateRep;
+use qn_quantum::bell::BellState;
+use qn_quantum::matrix::CMatrix;
+use qn_quantum::measure::swap_circuit_outcome;
+use qn_quantum::{channels, gates, PairState};
+use qn_sim::{NodeId, SimDuration, SimRng, SimTime};
+use qn_testkit::dense::{self, random_state, SplitMix};
+
+/// Short memories, so decay is large over the idle times below.
+const T1: f64 = 0.9;
+const T2: f64 = 0.6;
+
+fn noise(p_two_qubit: f64, p_single: f64) -> SwapNoise {
+    SwapNoise {
+        p_two_qubit,
+        p_single,
+        readout: ReadoutSpec {
+            fidelity0: 1.0,
+            fidelity1: 1.0,
+            duration: 0.0,
+        },
+    }
+}
+
+/// A gate-noise probability: none, full, or in between.
+fn strength(r: &mut SplitMix) -> f64 {
+    match r.below(4) {
+        0 => 0.0,
+        1 => 1.0,
+        _ => r.unit(),
+    }
+}
+
+/// The reference of `PairStore::advance` for a pair idle for `dt`
+/// seconds: amplitude damping then dephasing on each end in turn.
+fn decay(mut rho: CMatrix, dt: f64) -> CMatrix {
+    if dt <= 0.0 {
+        return rho;
+    }
+    for end in 0..2 {
+        let gamma = channels::damping_prob(dt, T1);
+        if gamma > 0.0 {
+            rho = dense::apply_kraus(&rho, &channels::amplitude_damping(gamma), &[end]);
+        }
+        let p = channels::dephasing_prob(dt, T2);
+        if p > 0.0 {
+            rho = dense::apply_kraus(&rho, &channels::dephasing(p), &[end]);
+        }
+    }
+    rho
+}
+
+fn dense_state(store: &PairStore, id: PairId) -> CMatrix {
+    match store.get(id).expect("live pair").state() {
+        PairState::Dm(d) => d.matrix().clone(),
+        PairState::Bell(_) => panic!("a Dm store holds dense states"),
+    }
+}
+
+fn create(
+    store: &mut PairStore,
+    state: qn_quantum::DensityMatrix,
+    announced: BellState,
+    ends: [(u32, u32); 2],
+) -> PairId {
+    let end = |(node, qubit): (u32, u32)| (NodeId(node), QubitId(qubit), T1, T2);
+    store.create(
+        SimTime::ZERO,
+        state,
+        announced,
+        [end(ends[0]), end(ends[1])],
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Swap of A (nodes 0–1) and B (nodes 1–2) at node 1, each pair in
+    /// either orientation.
+    #[test]
+    fn dense_swap_matches_reference_circuit(seed in any::<u64>(), idle_us in 0u64..3000) {
+        let mut r = SplitMix(seed);
+        let (ia, ib) = (r.below(2), r.below(2));
+        let noise = noise(strength(&mut r), strength(&mut r));
+        let (a, b) = (random_state(2, &mut r), random_state(2, &mut r));
+        let mut store = PairStore::with_rep(StateRep::Dm);
+        let a_ends = if ia == 1 { [(0, 0), (1, 0)] } else { [(1, 0), (0, 0)] };
+        let b_ends = if ib == 0 { [(1, 1), (2, 0)] } else { [(2, 0), (1, 1)] };
+        let pa = create(&mut store, a.clone(), BellState::PHI_PLUS, a_ends);
+        let pb = create(&mut store, b.clone(), BellState::PSI_MINUS, b_ends);
+        let now = SimTime::ZERO + SimDuration::from_micros(idle_us);
+        let rng_seed = r.next_u64();
+        let res = store.swap(pa, pb, NodeId(1), now, &noise, &mut SimRng::from_seed(rng_seed));
+
+        let dt = now.since(SimTime::ZERO).as_secs_f64();
+        let joint = decay(a.matrix().clone(), dt).kron(&decay(b.matrix().clone(), dt));
+        let (qa, qb) = (ia, 2 + ib);
+        let mut joint = dense::apply_unitary(&joint, &gates::cnot(), &[qa, qb]);
+        if noise.p_two_qubit > 0.0 {
+            let kraus = channels::depolarizing_2q(noise.p_two_qubit);
+            joint = dense::apply_kraus(&joint, &kraus, &[qa, qb]);
+        }
+        joint = dense::apply_unitary(&joint, &gates::h(), &[qa]);
+        if noise.p_single > 0.0 {
+            joint = dense::apply_kraus(&joint, &channels::depolarizing(noise.p_single), &[qa]);
+        }
+        let mut rng = SimRng::from_seed(rng_seed);
+        let (m_control, joint) = dense::measure_z(&joint, qa, rng.f64());
+        let (m_target, joint) = dense::measure_z(&joint, qb, rng.f64());
+        let post = dense::partial_trace(&joint, &[1 - ia, 2 + (1 - ib)]);
+
+        prop_assert_eq!(res.outcome, swap_circuit_outcome(m_control, m_target));
+        prop_assert!(
+            dense::same_bits(&dense_state(&store, res.new_pair), &post),
+            "swap (ia {ia}, ib {ib}, {noise:?}) differs from the reference"
+        );
+    }
+
+    /// BBPSSW round keeping K (nodes 0–1) and sacrificing S between the
+    /// same nodes in either orientation, both in random Bell frames.
+    #[test]
+    fn dense_distill_matches_reference_circuit(seed in any::<u64>(), idle_us in 0u64..3000) {
+        let mut r = SplitMix(seed);
+        let b0_at_na = r.below(2) == 0;
+        let noise = noise(strength(&mut r), 0.0);
+        let frames = [BellState::ALL[r.below(4)], BellState::ALL[r.below(4)]];
+        let (k, s) = (random_state(2, &mut r), random_state(2, &mut r));
+        let mut store = PairStore::with_rep(StateRep::Dm);
+        let s_ends = if b0_at_na { [(0, 1), (1, 1)] } else { [(1, 1), (0, 1)] };
+        let keep = create(&mut store, k.clone(), frames[0], [(0, 0), (1, 0)]);
+        let sacrifice = create(&mut store, s.clone(), frames[1], s_ends);
+        let now = SimTime::ZERO + SimDuration::from_micros(idle_us);
+        let rng_seed = r.next_u64();
+        let res = store.distill(keep, sacrifice, now, &noise, &mut SimRng::from_seed(rng_seed));
+
+        let dt = now.since(SimTime::ZERO).as_secs_f64();
+        let [k, s] = [(k, frames[0]), (s, frames[1])].map(|(state, frame)| {
+            let rho = decay(state.matrix().clone(), dt);
+            match frame.correction_to(BellState::PHI_PLUS) {
+                qn_quantum::Pauli::I => rho,
+                pauli => dense::apply_unitary(&rho, &pauli.matrix(), &[1]),
+            }
+        });
+        let mut joint = k.kron(&s);
+        let (b_at_na, b_at_nb) = if b0_at_na { (2, 3) } else { (3, 2) };
+        for (ctrl, tgt) in [(0, b_at_na), (1, b_at_nb)] {
+            joint = dense::apply_unitary(&joint, &gates::cnot(), &[ctrl, tgt]);
+            if noise.p_two_qubit > 0.0 {
+                let kraus = channels::depolarizing_2q(noise.p_two_qubit);
+                joint = dense::apply_kraus(&joint, &kraus, &[ctrl, tgt]);
+            }
+        }
+        let mut rng = SimRng::from_seed(rng_seed);
+        let (m_na, joint) = dense::measure_z(&joint, b_at_na, rng.f64());
+        let (m_nb, joint) = dense::measure_z(&joint, b_at_nb, rng.f64());
+        let post = dense::partial_trace(&joint, &[0, 1]);
+
+        prop_assert_eq!(res.success, m_na == m_nb);
+        prop_assert!(
+            dense::same_bits(&dense_state(&store, res.kept), &post),
+            "distill (b0_at_na {b0_at_na}, {noise:?}) differs from the reference"
+        );
+    }
+}

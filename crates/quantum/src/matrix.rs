@@ -2,19 +2,21 @@
 //!
 //! The engine only ever manipulates matrices up to 16×16 (four qubits:
 //! two entangled pairs joined for an entanglement swap), so a simple
-//! row-major layout with O(n³) multiplication is the right tool — no
-//! sparsity, no BLAS.
+//! row-major layout with an O(n³) product serves every general product
+//! (purity, expectations, projector probabilities, tests), with no
+//! BLAS. Gates and Kraus operators are not applied through it: the
+//! kernels behind `DensityMatrix::apply_unitary`/`apply_kraus`
+//! (`crate::kernel`) touch only an operator's nonzeros.
 //!
 //! Storage is allocation-free for the hot sizes: matrices of up to 16
 //! entries (every 1- and 2-qubit gate, every Kraus operator, and — most
 //! importantly — every 4×4 pair state) live inline in the struct; only
 //! the 8×8/16×16 joint registers of swap and distillation circuits
-//! spill to the heap, and the in-place kernels ([`CMatrix::mul_into`],
-//! [`CMatrix::mul_dagger_into`]) let callers reuse those buffers across
-//! operations. The inline capacity is deliberately *not* 16×16: a 4 KiB
-//! always-inline matrix would make cloning pair states and building
-//! 16-element Kraus sets far more expensive than the allocations it
-//! avoids.
+//! spill to the heap, and [`CMatrix::reset_zeros`] lets callers reuse
+//! those buffers across operations. The inline capacity is deliberately
+//! *not* 16×16: a 4 KiB always-inline matrix would make cloning pair
+//! states and building 16-element Kraus sets far more expensive than the
+//! allocations it avoids.
 
 use crate::complex::C64;
 use std::fmt;
@@ -328,6 +330,11 @@ impl CMatrix {
     pub fn data(&self) -> &[C64] {
         self.data.as_slice()
     }
+
+    /// Raw row-major data, mutable.
+    pub(crate) fn data_mut(&mut self) -> &mut [C64] {
+        self.data.as_mut_slice()
+    }
 }
 
 /// Expand a `k`-qubit operator onto the given (distinct) target qubits
@@ -335,26 +342,12 @@ impl CMatrix {
 /// significant bit of the operator's index (qubit 0 = MSB, matching
 /// [`crate::gates`]).
 pub fn embed_op(n: usize, op: &CMatrix, targets: &[usize]) -> CMatrix {
-    let mut out = CMatrix::zeros(1 << n, 1 << n);
-    embed_op_into(n, op, targets, &mut out);
-    out
-}
-
-/// [`embed_op`] writing into a caller-provided buffer.
-pub fn embed_op_into(n: usize, op: &CMatrix, targets: &[usize], out: &mut CMatrix) {
     let k = targets.len();
     assert_eq!(op.rows(), 1 << k, "operator size mismatch");
-    assert!(targets.iter().all(|q| *q < n), "target out of range");
-    {
-        let mut seen = 0usize;
-        for q in targets {
-            assert!(seen & (1 << q) == 0, "duplicate target {q}");
-            seen |= 1 << q;
-        }
-    }
+    crate::kernel::assert_distinct(n, targets);
     let dim = 1usize << n;
     let target_mask: usize = targets.iter().map(|q| 1usize << (n - 1 - q)).sum();
-    out.reset_zeros(dim, dim);
+    let mut out = CMatrix::zeros(dim, dim);
     for i in 0..dim {
         // Sub-index of i over the targets (first target = MSB).
         let mut ti = 0usize;
@@ -375,6 +368,7 @@ pub fn embed_op_into(n: usize, op: &CMatrix, targets: &[usize], out: &mut CMatri
             out[(i, j)] = v;
         }
     }
+    out
 }
 
 impl std::ops::Index<(usize, usize)> for CMatrix {

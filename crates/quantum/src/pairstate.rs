@@ -54,7 +54,8 @@ use crate::bell::BellState;
 use crate::channels;
 use crate::complex::C64;
 use crate::gates::{self, Pauli};
-use crate::matrix::{embed_op, CMatrix};
+use crate::kernel;
+use crate::matrix::CMatrix;
 use crate::measure;
 use crate::state::DensityMatrix;
 
@@ -531,11 +532,9 @@ impl PairState {
 // Conditional-map tables for swap / distillation circuits
 // ---------------------------------------------------------------------
 
-/// One gate-or-channel step of a measured two-pair circuit.
-enum CircuitOp {
-    Unitary(CMatrix, Vec<usize>),
-    Kraus(Vec<CMatrix>, Vec<usize>),
-}
+/// One step of a measured two-pair circuit: a Kraus set (a gate is a
+/// set of one) on its target qubits.
+type CircuitOp<'a> = (&'a [CMatrix], &'a [usize]);
 
 /// The exact conditional action of a measured two-pair circuit on
 /// X-state inputs: for each pair of Z outcomes `(m1, m2)` on the two
@@ -561,39 +560,6 @@ fn x_basis() -> [CMatrix; 6] {
     basis[5][(1, 2)] = C64::ONE;
     basis[5][(2, 1)] = C64::ONE;
     basis
-}
-
-/// Partial trace of an `n`-qubit matrix keeping the listed qubits (the
-/// same index math as `DensityMatrix::partial_trace_keep`, usable on
-/// unnormalised matrices).
-fn partial_trace_raw(m: &CMatrix, n: usize, keep: &[usize]) -> CMatrix {
-    let k = keep.len();
-    let rest: Vec<usize> = (0..n).filter(|q| !keep.contains(q)).collect();
-    let kdim = 1usize << k;
-    let rdim = 1usize << rest.len();
-    let mut out = CMatrix::zeros(kdim, kdim);
-    let compose = |a: usize, r: usize| -> usize {
-        let mut idx = 0usize;
-        for (pos, q) in keep.iter().enumerate() {
-            let bit = (a >> (k - 1 - pos)) & 1;
-            idx |= bit << (n - 1 - q);
-        }
-        for (pos, q) in rest.iter().enumerate() {
-            let bit = (r >> (rest.len() - 1 - pos)) & 1;
-            idx |= bit << (n - 1 - q);
-        }
-        idx
-    };
-    for a in 0..kdim {
-        for b in 0..kdim {
-            let mut sum = C64::ZERO;
-            for r in 0..rdim {
-                sum += m[(compose(a, r), compose(b, r))];
-            }
-            out[(a, b)] = sum;
-        }
-    }
-    out
 }
 
 /// Extract `[p00, p01, p10, p11, u, v]` from a (possibly unnormalised)
@@ -650,44 +616,20 @@ impl CondTable {
         let basis = x_basis();
         let mut w = [[[[0.0f64; 6]; 6]; 2]; 2];
         let mut out = [[[[[0.0f64; 6]; 6]; 6]; 2]; 2];
-        let bit = |i: usize, q: usize| (i >> (3 - q)) & 1;
         for a in 0..6 {
             for b in 0..6 {
+                // The inputs are unnormalised, so the raw sandwich: no
+                // trace renormalisation.
                 let mut m = basis[a].kron(&basis[b]);
-                for op in ops {
-                    m = match op {
-                        CircuitOp::Unitary(u, targets) => {
-                            let full = embed_op(4, u, targets);
-                            &(&full * &m) * &full.dagger()
-                        }
-                        CircuitOp::Kraus(set, targets) => {
-                            let mut acc = CMatrix::zeros(16, 16);
-                            for k in set {
-                                let full = embed_op(4, k, targets);
-                                acc = &acc + &(&(&full * &m) * &full.dagger());
-                            }
-                            acc
-                        }
-                    };
+                for (kraus, targets) in ops {
+                    kernel::sandwich(4, &mut m, kraus, targets);
                 }
                 for o1 in 0..2usize {
                     for o2 in 0..2usize {
-                        // Mask = conjugation by the two diagonal
-                        // projectors: keep entries whose row *and*
-                        // column agree with both outcomes.
-                        let mut masked = CMatrix::zeros(16, 16);
-                        for i in 0..16 {
-                            if bit(i, m1) != o1 || bit(i, m2) != o2 {
-                                continue;
-                            }
-                            for j in 0..16 {
-                                if bit(j, m1) != o1 || bit(j, m2) != o2 {
-                                    continue;
-                                }
-                                masked[(i, j)] = m[(i, j)];
-                            }
-                        }
-                        let reduced = partial_trace_raw(&masked, 4, &keep);
+                        let mut masked = m.clone();
+                        kernel::project_z(4, &mut masked, m1, o1 == 1);
+                        kernel::project_z(4, &mut masked, m2, o2 == 1);
+                        let reduced = kernel::partial_trace(&masked, 4, &keep);
                         let coeffs = x_decompose(&reduced)?;
                         w[o1][o2][a][b] = coeffs[0] + coeffs[1] + coeffs[2] + coeffs[3];
                         out[o1][o2][a][b] = coeffs;
@@ -708,11 +650,11 @@ impl CondTable {
         assert!(ia < 2 && ib < 2);
         let qa = ia;
         let qb = 2 + ib;
-        let ops = vec![
-            CircuitOp::Unitary(gates::cnot(), vec![qa, qb]),
-            CircuitOp::Kraus(channels::depolarizing_2q(p_two), vec![qa, qb]),
-            CircuitOp::Unitary(gates::h(), vec![qa]),
-            CircuitOp::Kraus(channels::depolarizing(p_single), vec![qa]),
+        let ops: [CircuitOp; 4] = [
+            (&[gates::cnot()], &[qa, qb]),
+            (&channels::depolarizing_2q(p_two), &[qa, qb]),
+            (&[gates::h()], &[qa]),
+            (&channels::depolarizing(p_single), &[qa]),
         ];
         CondTable::build(&ops, qa, qb, [1 - ia, 2 + (1 - ib)])
     }
@@ -725,11 +667,13 @@ impl CondTable {
     /// `b0_at_na` gives the sacrificed pair's orientation.
     pub fn distill(p_two: f64, b0_at_na: bool) -> Option<CondTable> {
         let (b_na, b_nb) = if b0_at_na { (2, 3) } else { (3, 2) };
-        let ops = vec![
-            CircuitOp::Unitary(gates::cnot(), vec![0, b_na]),
-            CircuitOp::Kraus(channels::depolarizing_2q(p_two), vec![0, b_na]),
-            CircuitOp::Unitary(gates::cnot(), vec![1, b_nb]),
-            CircuitOp::Kraus(channels::depolarizing_2q(p_two), vec![1, b_nb]),
+        let cnot = [gates::cnot()];
+        let noise = channels::depolarizing_2q(p_two);
+        let ops: [CircuitOp; 4] = [
+            (&cnot, &[0, b_na]),
+            (&noise, &[0, b_na]),
+            (&cnot, &[1, b_nb]),
+            (&noise, &[1, b_nb]),
         ];
         CondTable::build(&ops, b_na, b_nb, [0, 1])
     }

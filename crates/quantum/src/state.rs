@@ -10,31 +10,11 @@
 //! and trivially deterministic to test.
 
 use crate::complex::C64;
-use crate::matrix::{embed_op_into, CMatrix};
-use std::cell::RefCell;
+use crate::kernel;
+use crate::matrix::CMatrix;
 
 /// Tolerance for trace/hermiticity sanity checks.
 const EPS: f64 = 1e-9;
-
-/// Reusable per-thread work buffers for the in-place kernels: the hot
-/// paths (`apply_unitary`, `apply_kraus`, `project_z`) allocate nothing
-/// after the first 16×16 operation on a thread. The buffers never nest
-/// (no kernel calls another kernel while holding the borrow).
-struct Scratch {
-    full: CMatrix,
-    tmp: CMatrix,
-    term: CMatrix,
-    acc: CMatrix,
-}
-
-thread_local! {
-    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch {
-        full: CMatrix::zeros(1, 1),
-        tmp: CMatrix::zeros(1, 1),
-        term: CMatrix::zeros(1, 1),
-        acc: CMatrix::zeros(1, 1),
-    });
-}
 
 /// A mixed state of `n` qubits as a 2ⁿ×2ⁿ density matrix.
 ///
@@ -162,37 +142,19 @@ impl DensityMatrix {
     }
 
     /// Apply a unitary to the given target qubits: `ρ ← UρU†`.
-    /// Allocation-free after warm-up: embedding and both products go
-    /// through the per-thread scratch buffers, with arithmetic order
-    /// identical to the textbook `U·ρ·U†` expression.
+    /// The result is bit-identical to the textbook `U·ρ·U†` with `U`
+    /// embedded in the full register, but the kernel touches only `U`'s
+    /// nonzeros (see `crate::kernel`).
     pub fn apply_unitary(&mut self, u: &CMatrix, targets: &[usize]) {
-        SCRATCH.with(|s| {
-            let s = &mut *s.borrow_mut();
-            embed_op_into(self.n, u, targets, &mut s.full);
-            CMatrix::mul_into(&s.full, &self.m, &mut s.tmp);
-            CMatrix::mul_dagger_into(&s.tmp, &s.full, &mut s.acc);
-            std::mem::swap(&mut self.m, &mut s.acc);
-        });
+        kernel::sandwich(self.n, &mut self.m, std::slice::from_ref(u), targets);
     }
 
     /// Apply a Kraus channel `{Kᵢ}` to the given targets:
-    /// `ρ ← Σᵢ KᵢρKᵢ†`. The set must be trace preserving (checked loosely).
-    /// In-place via the scratch buffers; each term is fully formed before
-    /// being accumulated so the summation order (and therefore the exact
-    /// floating-point result) matches the allocating formulation.
+    /// `ρ ← Σᵢ KᵢρKᵢ†`, bit-identical to summing the embedded dense
+    /// sandwiches in set order (see `crate::kernel`), then renormalised
+    /// to unit trace. The set must be trace preserving (checked loosely).
     pub fn apply_kraus(&mut self, kraus: &[CMatrix], targets: &[usize]) {
-        let dim = self.dim();
-        SCRATCH.with(|s| {
-            let s = &mut *s.borrow_mut();
-            s.acc.reset_zeros(dim, dim);
-            for k in kraus {
-                embed_op_into(self.n, k, targets, &mut s.full);
-                CMatrix::mul_into(&s.full, &self.m, &mut s.tmp);
-                CMatrix::mul_dagger_into(&s.tmp, &s.full, &mut s.term);
-                s.acc.add_assign_mat(&s.term);
-            }
-            std::mem::swap(&mut self.m, &mut s.acc);
-        });
+        kernel::sandwich(self.n, &mut self.m, kraus, targets);
         let tr = self.m.trace().re;
         debug_assert!(
             (tr - 1.0).abs() < 1e-6,
@@ -228,62 +190,26 @@ impl DensityMatrix {
     }
 
     /// Project `qubit` onto the Z eigenstate `outcome` and renormalise.
+    /// The projection is a masked copy, bit-identical to `P·ρ·P` with
+    /// the dense projector `P` (see `crate::kernel`).
     /// Panics (debug) if the outcome has ~zero probability.
     pub fn project_z(&mut self, qubit: usize, outcome: bool) {
-        let shift = self.n - 1 - qubit;
-        let dim = self.dim();
-        let want = usize::from(outcome);
-        SCRATCH.with(|s| {
-            let s = &mut *s.borrow_mut();
-            s.full.reset_zeros(dim, dim);
-            for i in 0..dim {
-                if (i >> shift) & 1 == want {
-                    s.full[(i, i)] = C64::ONE;
-                }
-            }
-            CMatrix::mul_into(&s.full, &self.m, &mut s.tmp);
-            CMatrix::mul_into(&s.tmp, &s.full, &mut s.acc);
-            std::mem::swap(&mut self.m, &mut s.acc);
-        });
+        kernel::project_z(self.n, &mut self.m, qubit, outcome);
         let p = self.m.trace().re;
         debug_assert!(p > 1e-12, "projecting onto zero-probability outcome");
         self.m.scale_in_place(1.0 / p.max(1e-300));
     }
 
     /// Partial trace keeping the listed qubits, in the order given.
+    ///
+    /// # Panics
+    /// If `keep` is empty, repeats a qubit or names one outside the
+    /// register.
     pub fn partial_trace_keep(&self, keep: &[usize]) -> DensityMatrix {
-        let n = self.n;
-        let k = keep.len();
-        assert!(k >= 1 && k <= n);
-        let rest: Vec<usize> = (0..n).filter(|q| !keep.contains(q)).collect();
-        let kdim = 1usize << k;
-        let rdim = 1usize << rest.len();
-        let mut out = CMatrix::zeros(kdim, kdim);
-
-        // Build a full index from sub-indices over `keep` and `rest`.
-        let compose = |a: usize, r: usize| -> usize {
-            let mut idx = 0usize;
-            for (pos, q) in keep.iter().enumerate() {
-                let bit = (a >> (k - 1 - pos)) & 1;
-                idx |= bit << (n - 1 - q);
-            }
-            for (pos, q) in rest.iter().enumerate() {
-                let bit = (r >> (rest.len() - 1 - pos)) & 1;
-                idx |= bit << (n - 1 - q);
-            }
-            idx
-        };
-
-        for a in 0..kdim {
-            for b in 0..kdim {
-                let mut sum = C64::ZERO;
-                for r in 0..rdim {
-                    sum += self.m[(compose(a, r), compose(b, r))];
-                }
-                out[(a, b)] = sum;
-            }
+        DensityMatrix {
+            n: keep.len(),
+            m: kernel::partial_trace(&self.m, self.n, keep),
         }
-        DensityMatrix { n: k, m: out }
     }
 
     /// Fidelity against a pure target state: `F = ⟨ψ|ρ|ψ⟩`.
@@ -454,6 +380,19 @@ mod tests {
         let before = rho.clone();
         rho.apply_kraus(&[gates::identity()], &[0]);
         assert!(rho.matrix().approx_eq(before.matrix(), 1e-12));
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate qubit 1")]
+    fn partial_trace_rejects_repeated_qubit() {
+        // Keeping qubit 1 twice would return a "state" of trace 2.
+        let _ = bell_phi_plus().partial_trace_keep(&[1, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn partial_trace_rejects_qubit_outside_register() {
+        let _ = bell_phi_plus().partial_trace_keep(&[2]);
     }
 
     #[test]

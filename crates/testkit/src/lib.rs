@@ -30,13 +30,15 @@
 //!
 //! Ready-made models for the simulator event queue, the link-layer
 //! protocol state machine and the net-layer demultiplexer / routing
-//! table live under [`models`].
+//! table live under [`models`]; [`dense`] is the dense density-matrix
+//! reference the quantum kernels are checked against bit for bit.
 
 use proptest::collection::vec;
 use proptest::strategy::BoxedStrategy;
 use proptest::test_runner::{run_property, Config, TestCaseError};
 use std::fmt;
 
+pub mod dense;
 pub mod models;
 
 /// A subsystem specification: an operation alphabet, a reference model,
