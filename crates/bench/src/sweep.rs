@@ -20,12 +20,23 @@ use qn_hardware::StateRep;
 use qn_routing::{CircuitPlan, CutoffPolicy};
 use qn_sim::{NodeId, SimDuration, SimRng, SimTime};
 
-/// Read an env-var knob with a default.
+/// Read an unsigned env-var knob; unset means `default`.
+///
+/// # Panics
+///
+/// If the variable is set to anything that is not an unsigned integer
+/// (`QNP_RUNS=2x`): a typo'd knob must not silently run the default
+/// sweep, the rule `QNP_THREADS` already follows.
 pub fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    match std::env::var(name) {
+        Err(_) => default,
+        Ok(raw) => raw.parse().unwrap_or_else(|_| {
+            panic!(
+                "invalid {name}={raw:?}: must be an unsigned integer \
+                 (unset it to use the default {default})"
+            )
+        }),
+    }
 }
 
 /// `QNP_RUNS` (seeds per configuration).

@@ -5,8 +5,9 @@
 //! (Algorithms 1–6 of Appendix C, head-end and tail-end) and repeater
 //! rules (Algorithms 7–9).
 //!
-//! The machine is sans-IO and deterministic: all effects are returned as
-//! [`NetOutput`] values, all timing lives in the runtime.
+//! The machine is sans-IO and deterministic: all effects are appended to
+//! a caller-owned list of [`NetOutput`] values, all timing lives in the
+//! runtime.
 
 use crate::demux::SymmetricDemux;
 use crate::events::{NetInput, NetOutput};
@@ -271,6 +272,36 @@ pub(crate) struct Circuit {
     pub state: CircuitState,
 }
 
+/// The circuits installed at one node, keyed by `entry.circuit`: one
+/// short row scanned linearly. A node sits on a handful of live
+/// circuits and teardown removes its entry, so the row never grows
+/// with run length, and nothing hashes on the per-input path.
+#[derive(Default)]
+struct Circuits(Vec<Circuit>);
+
+impl Circuits {
+    fn get(&self, id: CircuitId) -> Option<&Circuit> {
+        self.0.iter().find(|c| c.entry.circuit == id)
+    }
+
+    fn get_mut(&mut self, id: CircuitId) -> Option<&mut Circuit> {
+        self.0.iter_mut().find(|c| c.entry.circuit == id)
+    }
+
+    /// Install `c`, replacing any circuit with the same id.
+    fn insert(&mut self, c: Circuit) {
+        match self.get_mut(c.entry.circuit) {
+            Some(old) => *old = c,
+            None => self.0.push(c),
+        }
+    }
+
+    fn remove(&mut self, id: CircuitId) -> Option<Circuit> {
+        let i = self.0.iter().position(|c| c.entry.circuit == id)?;
+        Some(self.0.swap_remove(i))
+    }
+}
+
 /// Resilience counters: anomalous classical-plane inputs the node
 /// absorbed instead of acting on. All zero on a reliable, in-order
 /// plane; a faulty classical plane (drops, duplicates, reordering,
@@ -328,7 +359,7 @@ impl NodeStats {
 /// The QNP protocol instance at one node.
 pub struct QnpNode {
     node: qn_sim::NodeId,
-    pub(crate) circuits: HashMap<u64, Circuit>,
+    circuits: Circuits,
     /// Resilience counters (see [`NodeStats`]).
     pub stats: NodeStats,
 }
@@ -338,7 +369,7 @@ impl QnpNode {
     pub fn new(node: qn_sim::NodeId) -> Self {
         QnpNode {
             node,
-            circuits: HashMap::new(),
+            circuits: Circuits::default(),
             stats: NodeStats::default(),
         }
     }
@@ -350,37 +381,36 @@ impl QnpNode {
 
     /// Whether a circuit is installed.
     pub fn has_circuit(&self, circuit: CircuitId) -> bool {
-        self.circuits.contains_key(&circuit.0)
+        self.circuits.get(circuit).is_some()
     }
 
     /// The node's role on a circuit, if installed.
     pub fn role(&self, circuit: CircuitId) -> Option<Role> {
-        self.circuits.get(&circuit.0).map(|c| c.entry.role())
+        self.circuits.get(circuit).map(|c| c.entry.role())
     }
 
     /// Zero-copy ingress: validate an encoded data-plane frame as a
     /// borrowed view (`crate::wire::MessageView`) and run the rules on
     /// it, materialising the owned message only here — the single place
-    /// the receive path copies out of the frame buffer. Returns the
-    /// frame's circuit alongside the effects so the runtime can demux
-    /// without re-decoding.
+    /// the receive path copies out of the frame buffer. Appends the
+    /// effects to `out` and returns the frame's circuit so the runtime
+    /// can demux without re-decoding.
     pub fn handle_frame(
         &mut self,
         from_upstream: bool,
         frame: &[u8],
-    ) -> Result<(CircuitId, Vec<NetOutput>), crate::wire::DecodeError> {
+        out: &mut Vec<NetOutput>,
+    ) -> Result<CircuitId, crate::wire::DecodeError> {
         let view = crate::wire::MessageView::parse(frame)?;
         let circuit = view.circuit();
         let msg = view.to_message();
-        Ok((
-            circuit,
-            self.handle(NetInput::Message { from_upstream, msg }),
-        ))
+        self.handle(NetInput::Message { from_upstream, msg }, out);
+        Ok(circuit)
     }
 
-    /// Handle one input, producing the effects for the runtime.
-    pub fn handle(&mut self, input: NetInput) -> Vec<NetOutput> {
-        let mut out = Vec::new();
+    /// Handle one input, appending the effects for the runtime to `out`
+    /// (a caller-owned buffer the runtime reuses across inputs).
+    pub fn handle(&mut self, input: NetInput, out: &mut Vec<NetOutput>) {
         match input {
             NetInput::InstallCircuit { entry } => {
                 let state = match entry.role() {
@@ -392,28 +422,25 @@ impl QnpNode {
                     }
                     Role::Intermediate => CircuitState::Mid(MidState::default()),
                 };
-                self.circuits.insert(
-                    entry.circuit.0,
-                    Circuit {
-                        node: self.node,
-                        entry,
-                        state,
-                    },
-                );
+                self.circuits.insert(Circuit {
+                    node: self.node,
+                    entry,
+                    state,
+                });
             }
             NetInput::TeardownCircuit { circuit } => {
-                if let Some(c) = self.circuits.remove(&circuit.0) {
-                    crate::rules::teardown(circuit, c, &mut out);
+                if let Some(c) = self.circuits.remove(circuit) {
+                    crate::rules::teardown(circuit, c, out);
                 }
             }
             NetInput::UserRequest { circuit, request } => {
-                if let Some(c) = self.circuits.get_mut(&circuit.0) {
-                    crate::rules::endpoint::user_request(circuit, c, request, &mut out);
+                if let Some(c) = self.circuits.get_mut(circuit) {
+                    crate::rules::endpoint::user_request(circuit, c, request, out);
                 }
             }
             NetInput::CancelRequest { circuit, request } => {
-                if let Some(c) = self.circuits.get_mut(&circuit.0) {
-                    crate::rules::endpoint::cancel_request(circuit, c, request, &mut out);
+                if let Some(c) = self.circuits.get_mut(circuit) {
+                    crate::rules::endpoint::cancel_request(circuit, c, request, out);
                 }
             }
             NetInput::LinkPair {
@@ -421,26 +448,26 @@ impl QnpNode {
                 side,
                 info,
             } => {
-                if let Some(c) = self.circuits.get_mut(&circuit.0) {
+                if let Some(c) = self.circuits.get_mut(circuit) {
                     match &mut c.state {
                         CircuitState::Endpoint(_) => {
-                            crate::rules::endpoint::link_rule(circuit, c, info, &mut out)
+                            crate::rules::endpoint::link_rule(circuit, c, info, out)
                         }
                         CircuitState::Mid(_) => {
-                            crate::rules::repeater::link_rule(c, side, info, &mut out)
+                            crate::rules::repeater::link_rule(c, side, info, out)
                         }
                     }
                 }
             }
             NetInput::Message { from_upstream, msg } => {
                 let circuit = msg.circuit();
-                if let Some(c) = self.circuits.get_mut(&circuit.0) {
+                if let Some(c) = self.circuits.get_mut(circuit) {
                     crate::rules::dispatch_message(
                         circuit,
                         c,
                         from_upstream,
                         msg,
-                        &mut out,
+                        out,
                         &mut self.stats,
                     );
                 } else {
@@ -456,10 +483,8 @@ impl QnpNode {
                 outcome,
                 new_handle,
             } => {
-                if let Some(c) = self.circuits.get_mut(&circuit.0) {
-                    crate::rules::repeater::swap_completed(
-                        c, up, down, outcome, new_handle, &mut out,
-                    );
+                if let Some(c) = self.circuits.get_mut(circuit) {
+                    crate::rules::repeater::swap_completed(c, up, down, outcome, new_handle, out);
                 }
             }
             NetInput::MeasureCompleted {
@@ -467,24 +492,17 @@ impl QnpNode {
                 correlator,
                 outcome,
             } => {
-                if let Some(c) = self.circuits.get_mut(&circuit.0) {
-                    crate::rules::endpoint::measure_completed(
-                        circuit, c, correlator, outcome, &mut out,
-                    );
+                if let Some(c) = self.circuits.get_mut(circuit) {
+                    crate::rules::endpoint::measure_completed(circuit, c, correlator, outcome, out);
                 }
             }
             NetInput::TrackTimeout {
                 circuit,
                 correlator,
             } => {
-                if let Some(c) = self.circuits.get_mut(&circuit.0) {
+                if let Some(c) = self.circuits.get_mut(circuit) {
                     if matches!(c.state, CircuitState::Endpoint(_)) {
-                        crate::rules::endpoint::track_timeout(
-                            c,
-                            correlator,
-                            &mut out,
-                            &mut self.stats,
-                        );
+                        crate::rules::endpoint::track_timeout(c, correlator, out, &mut self.stats);
                     }
                 }
             }
@@ -493,13 +511,13 @@ impl QnpNode {
                 side,
                 correlator,
             } => {
-                if let Some(c) = self.circuits.get_mut(&circuit.0) {
+                if let Some(c) = self.circuits.get_mut(circuit) {
                     match &mut c.state {
                         CircuitState::Endpoint(_) => {
                             crate::rules::endpoint::link_orphaned(c, correlator)
                         }
                         CircuitState::Mid(_) => {
-                            crate::rules::repeater::link_orphaned(c, side, correlator, &mut out)
+                            crate::rules::repeater::link_orphaned(c, side, correlator, out)
                         }
                     }
                 }
@@ -509,19 +527,18 @@ impl QnpNode {
                 side,
                 correlator,
             } => {
-                if let Some(c) = self.circuits.get_mut(&circuit.0) {
-                    crate::rules::repeater::cutoff_expired(c, side, correlator, &mut out);
+                if let Some(c) = self.circuits.get_mut(circuit) {
+                    crate::rules::repeater::cutoff_expired(c, side, correlator, out);
                 }
             }
         }
-        out
     }
 
     /// Whether an end-node still holds `correlator` unconfirmed (in
     /// transit between link delivery and TRACK/EXPIRE). Retransmitting
     /// runtimes use this to stop retrying a chain that already resolved.
     pub fn holds_in_transit(&self, circuit: CircuitId, correlator: Correlator) -> bool {
-        match self.circuits.get(&circuit.0).map(|c| &c.state) {
+        match self.circuits.get(circuit).map(|c| &c.state) {
             Some(CircuitState::Endpoint(ep)) => ep.in_transit.contains_key(&correlator),
             _ => false,
         }
@@ -534,7 +551,7 @@ impl QnpNode {
     /// learned of it — nothing will ever free it) from one the protocol
     /// is still working on.
     pub fn knows_pair(&self, circuit: CircuitId, correlator: Correlator) -> bool {
-        match self.circuits.get(&circuit.0).map(|c| &c.state) {
+        match self.circuits.get(circuit).map(|c| &c.state) {
             Some(CircuitState::Endpoint(ep)) => ep.in_transit.contains_key(&correlator),
             Some(CircuitState::Mid(m)) => {
                 m.up_queue.iter().any(|p| p.pair.correlator == correlator)
@@ -549,7 +566,7 @@ impl QnpNode {
 
     /// Test/diagnostic access: number of in-transit pairs at an end-node.
     pub fn in_transit_len(&self, circuit: CircuitId) -> usize {
-        match self.circuits.get(&circuit.0).map(|c| &c.state) {
+        match self.circuits.get(circuit).map(|c| &c.state) {
             Some(CircuitState::Endpoint(ep)) => ep.in_transit.len(),
             _ => 0,
         }
@@ -558,7 +575,7 @@ impl QnpNode {
     /// Test/diagnostic access: queued unswapped pairs at a repeater
     /// (upstream, downstream).
     pub fn queued_pairs(&self, circuit: CircuitId) -> (usize, usize) {
-        match self.circuits.get(&circuit.0).map(|c| &c.state) {
+        match self.circuits.get(circuit).map(|c| &c.state) {
             Some(CircuitState::Mid(m)) => (m.up_queue.len(), m.down_queue.len()),
             _ => (0, 0),
         }
@@ -566,7 +583,7 @@ impl QnpNode {
 
     /// Test/diagnostic access: delivered count of a request at this end.
     pub fn delivered(&self, circuit: CircuitId, request: RequestId) -> u64 {
-        match self.circuits.get(&circuit.0).map(|c| &c.state) {
+        match self.circuits.get(circuit).map(|c| &c.state) {
             Some(CircuitState::Endpoint(ep)) => {
                 ep.requests.get(&request).map(|r| r.delivered).unwrap_or(0)
             }

@@ -80,11 +80,16 @@ pub(crate) fn dispatch_message(
 }
 
 /// Tear down a circuit at this node: release pairs, stop link requests,
-/// notify applications (endpoint only).
+/// notify applications (endpoint only). In-transit pairs are released in
+/// ascending correlator order, so the outputs (and the order in which
+/// the runtime frees their qubits) are a function of the seed, not of
+/// the in-transit map's hasher.
 pub(crate) fn teardown(circuit: CircuitId, c: Circuit, out: &mut Vec<NetOutput>) {
     match c.state {
         CircuitState::Endpoint(ep) => {
-            for (_, it) in ep.in_transit {
+            let mut in_transit: Vec<_> = ep.in_transit.into_iter().collect();
+            in_transit.sort_unstable_by_key(|(correlator, _)| *correlator);
+            for (_, it) in in_transit {
                 if it.delivered_early {
                     out.push(NetOutput::Notify(AppEvent::EarlyPairExpired {
                         request: it.request,

@@ -72,7 +72,8 @@ impl Harness {
                 max_eer: 10.0,
                 cutoff: qn_sim::SimDuration::from_millis(100),
             };
-            let outs = node.handle(NetInput::InstallCircuit { entry });
+            let mut outs = Vec::new();
+            node.handle(NetInput::InstallCircuit { entry }, &mut outs);
             assert!(outs.is_empty(), "install produces no effects");
         }
         Harness {
@@ -195,7 +196,8 @@ impl Harness {
 
     fn drive(&mut self) {
         while let Some((node_idx, input)) = self.queue.pop_front() {
-            let outs = self.nodes[node_idx].handle(input);
+            let mut outs = Vec::new();
+            self.nodes[node_idx].handle(input, &mut outs);
             for out in outs {
                 self.process(node_idx, out);
             }
@@ -877,4 +879,87 @@ fn expire_relays_through_multiple_intermediates() {
     // The head freed its qubit.
     assert!(h.discards.iter().any(|(n, _)| *n == 0));
     assert!(h.deliveries.is_empty());
+}
+
+/// Teardown at an end-node releases its in-transit pairs in ascending
+/// correlator order. The pairs sit in a std `HashMap`, whose hasher is
+/// seeded per instance, so two nodes holding the same pairs must still
+/// emit the same outputs: the order decides which qubits the runtime
+/// frees first, and it must be a function of the seed.
+#[test]
+fn teardown_releases_in_transit_pairs_in_correlator_order() {
+    let teardown = |request_type: RequestType| {
+        let mut node = QnpNode::new(NodeId(0));
+        let mut outs = Vec::new();
+        let entry = RoutingEntry {
+            circuit: VC,
+            upstream: None,
+            downstream: Some(DownstreamHop {
+                node: NodeId(1),
+                label: qn_link::LinkLabel(0),
+                min_fidelity: 0.95,
+                max_lpr: 50.0,
+            }),
+            max_eer: 10.0,
+            cutoff: qn_sim::SimDuration::from_millis(100),
+        };
+        node.handle(NetInput::InstallCircuit { entry }, &mut outs);
+        let request = UserRequest {
+            request_type,
+            ..keep_request(1, 8)
+        };
+        node.handle(
+            NetInput::UserRequest {
+                circuit: VC,
+                request,
+            },
+            &mut outs,
+        );
+        // Announced out of correlator order.
+        for seq in [5u64, 2, 7, 0, 3, 6, 1, 4] {
+            let pair = PairRef {
+                correlator: Correlator {
+                    node_a: NodeId(0),
+                    node_b: NodeId(1),
+                    seq,
+                },
+                handle: PairHandle(seq),
+            };
+            let info = PairInfo {
+                pair,
+                announced: BellState::PHI_PLUS,
+            };
+            node.handle(
+                NetInput::LinkPair {
+                    circuit: VC,
+                    side: LinkSide::Downstream,
+                    info,
+                },
+                &mut outs,
+            );
+        }
+        assert_eq!(node.in_transit_len(VC), 8);
+        outs.clear();
+        node.handle(NetInput::TeardownCircuit { circuit: VC }, &mut outs);
+        outs
+    };
+    for request_type in [RequestType::Keep, RequestType::Early] {
+        let outs = teardown(request_type);
+        assert_eq!(
+            format!("{outs:?}"),
+            format!("{:?}", teardown(request_type)),
+            "{request_type:?}: teardown output depends on the node instance"
+        );
+        let released: Vec<u64> = outs
+            .iter()
+            .filter_map(|out| match out {
+                NetOutput::DiscardPair { pair }
+                | NetOutput::Notify(AppEvent::EarlyPairExpired { pair, .. }) => {
+                    Some(pair.correlator.seq)
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(released, (0..8).collect::<Vec<_>>(), "{request_type:?}");
+    }
 }

@@ -36,7 +36,6 @@
 
 use qn_net::wire::{batch_append, batch_begin};
 use qn_sim::{NodeId, SimDuration, SimRng, SimTime};
-use std::collections::HashMap;
 
 /// Delay model of one hop.
 #[derive(Clone, Copy, Debug)]
@@ -67,9 +66,14 @@ impl ChannelModel {
 /// Enforces the reliable in-order contract across all directed node
 /// pairs: delivery times per `(from, to)` are monotonically
 /// non-decreasing, whatever the sampled latencies.
+///
+/// The last delivery time of each directed hop lives in its sending
+/// node's row, `(to, time)` entries scanned linearly: a node sends to
+/// its few neighbours, so a row is as short as its degree. Rows are
+/// indexed by the sender's id, which networks number densely from 0.
 #[derive(Default)]
 pub struct ReliableDelivery {
-    last_delivery: HashMap<(NodeId, NodeId), SimTime>,
+    last_delivery: Vec<Vec<(NodeId, SimTime)>>,
 }
 
 impl ReliableDelivery {
@@ -90,13 +94,22 @@ impl ReliableDelivery {
         latency: SimDuration,
     ) -> SimTime {
         let natural = now + latency;
-        let entry = self
-            .last_delivery
-            .entry((from, to))
-            .or_insert(SimTime::ZERO);
-        let at = natural.max(*entry);
-        *entry = at;
-        at
+        let i = from.0 as usize;
+        if self.last_delivery.len() <= i {
+            self.last_delivery.resize_with(i + 1, Vec::new);
+        }
+        let row = &mut self.last_delivery[i];
+        match row.iter_mut().find(|(n, _)| *n == to) {
+            Some((_, last)) => {
+                let at = natural.max(*last);
+                *last = at;
+                at
+            }
+            None => {
+                row.push((to, natural));
+                natural
+            }
+        }
     }
 }
 
@@ -284,6 +297,7 @@ pub struct BatchOpen {
 }
 
 struct OpenBatch {
+    id: u64,
     key: (NodeId, NodeId, bool, SimTime),
     buf: Vec<u8>,
 }
@@ -302,8 +316,10 @@ pub struct ClassicalPlane {
     rng_faults: SimRng,
     /// Traffic counters.
     pub stats: ClassicalStats,
-    open_by_key: HashMap<(NodeId, NodeId, bool, SimTime), u64>,
-    open: HashMap<u64, OpenBatch>,
+    /// Scheduled, undrained batches, scanned linearly by key on append
+    /// and by id on take (swap-removed). Their number is what is in
+    /// flight at one instant, not what a run has sent.
+    open: Vec<OpenBatch>,
     next_batch: u64,
     /// Drained batch buffers waiting for reuse.
     pool: Vec<Vec<u8>>,
@@ -321,8 +337,7 @@ impl ClassicalPlane {
             faults,
             rng_faults: SimRng::substream(seed, "classical-faults"),
             stats: ClassicalStats::default(),
-            open_by_key: HashMap::new(),
-            open: HashMap::new(),
+            open: Vec::new(),
             next_batch: 0,
             pool: Vec::new(),
             fault_scratch: Vec::new(),
@@ -431,9 +446,8 @@ impl ClassicalPlane {
     /// The id is single-use: later frames toward the same `(hop, lane,
     /// tick)` open a fresh batch, so a drained batch can never grow.
     pub fn take_batch(&mut self, id: BatchId) -> Option<Vec<u8>> {
-        let open = self.open.remove(&id.0)?;
-        self.open_by_key.remove(&open.key);
-        Some(open.buf)
+        let i = self.open.iter().position(|b| b.id == id.0)?;
+        Some(self.open.swap_remove(i).buf)
     }
 
     /// Return a drained batch buffer for reuse by later batches.
@@ -453,8 +467,7 @@ impl ClassicalPlane {
         frame: &[u8],
     ) -> Option<BatchOpen> {
         let key = (from, to, lane, at);
-        if let Some(&id) = self.open_by_key.get(&key) {
-            let open = self.open.get_mut(&id).expect("open batch for key");
+        if let Some(open) = self.open.iter_mut().find(|b| b.key == key) {
             batch_append(&mut open.buf, frame);
             self.stats.bytes_coalesced += frame.len() as u64;
             None
@@ -464,8 +477,7 @@ impl ClassicalPlane {
             let mut buf = self.pool.pop().unwrap_or_default();
             batch_begin(&mut buf);
             batch_append(&mut buf, frame);
-            self.open_by_key.insert(key, id);
-            self.open.insert(id, OpenBatch { key, buf });
+            self.open.push(OpenBatch { id, key, buf });
             self.stats.batches += 1;
             Some(BatchOpen {
                 id: BatchId(id),

@@ -589,10 +589,12 @@ impl PairRefs {
 
 /// The complete network simulation model.
 pub struct NetworkModel {
-    topology: Topology,
     cfg: RuntimeConfig,
     nodes: Vec<NodeRt>,
     links: Vec<LinkRt>,
+    /// Each node's `(neighbour, link)` row in the topology's adjacency
+    /// order, built once so per-event link lookups are a short scan.
+    node_links: Vec<Vec<(NodeId, LinkId)>>,
     /// All live entangled pairs.
     pub pairs: PairStore,
     /// (node, correlator) -> physical pair currently holding that qubit.
@@ -631,6 +633,8 @@ pub struct NetworkModel {
     /// Shared encode buffer: every outgoing frame (data plane and
     /// signalling) is encoded here instead of a fresh `Vec`.
     scratch: qn_net::wire::ScratchEncoder,
+    /// Reused QNP output buffer (see [`Self::qnp_input`]).
+    outs: Vec<NetOutput>,
     /// Diagnostics: protocol-vs-omniscient state mismatches observed.
     pub state_mismatches: u64,
     /// Diagnostics: pairs released before use.
@@ -664,8 +668,18 @@ impl NetworkModel {
             "node ids must be dense 0..n"
         );
         let mut nodes = Vec::with_capacity(n_nodes);
+        let mut node_links = Vec::with_capacity(n_nodes);
         for id in &node_ids {
             let links = topology.links_of(*id);
+            node_links.push(
+                links
+                    .iter()
+                    .map(|l| {
+                        let spec = topology.link(*l);
+                        (if spec.a == *id { spec.b } else { spec.a }, *l)
+                    })
+                    .collect(),
+            );
             // Per-node hardware params: taken from the first attached link
             // (the paper's evaluations use identical hardware everywhere).
             let params = *topology.link(links[0]).physics.params();
@@ -717,9 +731,9 @@ impl NetworkModel {
             .collect();
         let n_links = links.len();
         NetworkModel {
-            topology,
             nodes,
             links,
+            node_links,
             pairs: PairStore::with_rep(cfg.state_rep),
             qubit_owner: NodeTable::new(n_nodes),
             refs: PairRefs::new(),
@@ -741,6 +755,7 @@ impl NetworkModel {
             rng_msgs: SimRng::substream(seed, "messages"),
             plane: ClassicalPlane::new(seed, cfg.faults),
             scratch: qn_net::wire::ScratchEncoder::new(),
+            outs: Vec::new(),
             cfg,
             state_mismatches: 0,
             discarded_pairs: 0,
@@ -846,10 +861,10 @@ impl NetworkModel {
                 }
             };
             debug_assert_eq!(decoded, entry);
-            let outs = self.nodes[node.0 as usize]
+            self.nodes[node.0 as usize]
                 .qnp
-                .handle(NetInput::InstallCircuit { entry: decoded });
-            debug_assert!(outs.is_empty());
+                .handle(NetInput::InstallCircuit { entry: decoded }, &mut self.outs);
+            debug_assert!(self.outs.is_empty());
         }
         false
     }
@@ -867,10 +882,18 @@ impl NetworkModel {
             .and_then(|c| c.as_ref())
     }
 
+    /// The link joining `a` and `b`, if they are adjacent (`None` for
+    /// unknown node ids too: a corrupted frame can name any).
+    fn hop(&self, a: NodeId, b: NodeId) -> Option<LinkId> {
+        self.node_links
+            .get(a.0 as usize)?
+            .iter()
+            .find(|(n, _)| *n == b)
+            .map(|(_, l)| *l)
+    }
+
     fn link_between(&self, a: NodeId, b: NodeId) -> LinkId {
-        self.topology
-            .link_between(a, b)
-            .expect("circuit hops follow links")
+        self.hop(a, b).expect("circuit hops follow links")
     }
 
     /// The link on `side` of `node` for `circuit`.
@@ -919,8 +942,8 @@ impl NetworkModel {
         self.trace.record(
             ctx.now(),
             TraceKind::Message,
-            format!("{from}"),
-            format!(
+            format_args!("{from}"),
+            format_args!(
                 "{} -> {to} ({})",
                 msg.kind_name(),
                 if downstream { "down" } else { "up" }
@@ -969,7 +992,7 @@ impl NetworkModel {
         downstream: bool,
         encode: impl FnOnce(&mut Vec<u8>),
     ) {
-        let Some(link) = self.topology.link_between(from, to) else {
+        let Some(link) = self.hop(from, to) else {
             return;
         };
         if !self.hop_alive(link, from, to) {
@@ -1246,12 +1269,16 @@ impl NetworkModel {
             }
             // No storage: the electron stays occupied; deliver anyway.
         }
-        let outs = self.nodes[node.0 as usize].qnp.handle(NetInput::LinkPair {
+        self.qnp_input(
+            ctx,
+            node,
             circuit,
-            side,
-            info,
-        });
-        self.process_outputs(ctx, node, circuit, outs);
+            NetInput::LinkPair {
+                circuit,
+                side,
+                info,
+            },
+        );
     }
 
     /// A PAIR_READY frame reached `node` over the wire: resolve it
@@ -1273,7 +1300,7 @@ impl NetworkModel {
         let Some(pid) = self.qubit_owner.get(node, correlator) else {
             return;
         };
-        let Some(link) = self.topology.link_between(pair.id.node_a, pair.id.node_b) else {
+        let Some(link) = self.hop(pair.id.node_a, pair.id.node_b) else {
             return;
         };
         let Some(info) = self.label_map[link.0 as usize]
@@ -1312,16 +1339,16 @@ impl NetworkModel {
                 self.trace.record(
                     ctx.now(),
                     TraceKind::Info,
-                    format!("{to}"),
-                    format!("link request {label} done"),
+                    format_args!("{to}"),
+                    format_args!("link request {label} done"),
                 );
             }
             Ok(LinkEvent::Rejected(label, reason)) => {
                 self.trace.record(
                     ctx.now(),
                     TraceKind::Info,
-                    format!("{to}"),
-                    format!("link request {label} rejected: {reason}"),
+                    format_args!("{to}"),
+                    format_args!("link request {label} rejected: {reason}"),
                 );
             }
             Err(err) => {
@@ -1331,8 +1358,8 @@ impl NetworkModel {
                 self.trace.record(
                     ctx.now(),
                     TraceKind::Info,
-                    format!("{to}"),
-                    format!("undecodable link frame dropped: {err}"),
+                    format_args!("{to}"),
+                    format_args!("undecodable link frame dropped: {err}"),
                 );
             }
         }
@@ -1440,10 +1467,7 @@ impl NetworkModel {
             st.installed[0] = true;
             (st.path[0], st.entries[0], st.path.len() > 1)
         };
-        let outs = self.nodes[head.0 as usize]
-            .qnp
-            .handle(NetInput::InstallCircuit { entry });
-        self.process_outputs(ctx, head, circuit, outs);
+        self.qnp_input(ctx, head, circuit, NetInput::InstallCircuit { entry });
         if more {
             self.send_signal_hop(ctx, circuit, 0);
         }
@@ -1472,8 +1496,8 @@ impl NetworkModel {
                 self.trace.record(
                     ctx.now(),
                     TraceKind::Info,
-                    format!("{to}"),
-                    format!("undecodable signalling frame dropped: {err}"),
+                    format_args!("{to}"),
+                    format_args!("undecodable signalling frame dropped: {err}"),
                 );
                 return;
             }
@@ -1511,10 +1535,7 @@ impl NetworkModel {
                     (first, st.path[i - 1], st.path.len() - 1)
                 };
                 if first {
-                    let outs = self.nodes[to.0 as usize]
-                        .qnp
-                        .handle(NetInput::InstallCircuit { entry });
-                    self.process_outputs(ctx, to, circuit, outs);
+                    self.qnp_input(ctx, to, circuit, NetInput::InstallCircuit { entry });
                     if i < last {
                         self.send_signal_hop(ctx, circuit, i);
                     }
@@ -1539,10 +1560,7 @@ impl NetworkModel {
                     (first, st.path[i - 1], st.path.len() - 1)
                 };
                 if first {
-                    let outs = self.nodes[to.0 as usize]
-                        .qnp
-                        .handle(NetInput::TeardownCircuit { circuit });
-                    self.process_outputs(ctx, to, circuit, outs);
+                    self.qnp_input(ctx, to, circuit, NetInput::TeardownCircuit { circuit });
                     if i < last {
                         self.send_signal_hop(ctx, circuit, i);
                     } else {
@@ -1601,15 +1619,12 @@ impl NetworkModel {
             }
             (st.path[0], st.path.len() > 1)
         };
-        let outs = self.nodes[head.0 as usize]
-            .qnp
-            .handle(NetInput::TeardownCircuit { circuit });
-        self.process_outputs(ctx, head, circuit, outs);
+        self.qnp_input(ctx, head, circuit, NetInput::TeardownCircuit { circuit });
         self.trace.record(
             ctx.now(),
             TraceKind::Info,
-            "signalling".to_string(),
-            format!("{circuit} teardown signalled"),
+            format_args!("signalling"),
+            format_args!("{circuit} teardown signalled"),
         );
         if more {
             self.send_signal_hop(ctx, circuit, 0);
@@ -1663,7 +1678,8 @@ impl NetworkModel {
     /// Re-examine every link attached to `node` (a qubit freed or a
     /// request changed).
     fn poll_links_of(&mut self, ctx: &mut Context<'_, Ev>, node: NodeId) {
-        for link in self.topology.links_of(node) {
+        for i in 0..self.node_links[node.0 as usize].len() {
+            let link = self.node_links[node.0 as usize][i].1;
             self.poll_link(ctx, link);
         }
     }
@@ -1770,8 +1786,8 @@ impl NetworkModel {
         self.trace.record(
             ctx.now(),
             TraceKind::LinkPair,
-            format!("{na}-{nb}"),
-            format!(
+            format_args!("{na}-{nb}"),
+            format_args!(
                 "pair {correlator} ({announced}) after {} attempts",
                 inflight.attempts
             ),
@@ -1886,8 +1902,8 @@ impl NetworkModel {
                     self.trace.record(
                         ctx.now(),
                         TraceKind::Info,
-                        format!("{na}-{nb}"),
-                        format!("link request {label} done"),
+                        format_args!("{na}-{nb}"),
+                        format_args!("link request {label} done"),
                     );
                 }
             }
@@ -1925,27 +1941,48 @@ impl NetworkModel {
         self.trace.record(
             ctx.now(),
             TraceKind::Quantum,
-            format!("{node}"),
-            format!("moved pair end to storage {storage}"),
+            format_args!("{node}"),
+            format_args!("moved pair end to storage {storage}"),
         );
-        let outs = self.nodes[node.0 as usize].qnp.handle(NetInput::LinkPair {
+        self.qnp_input(
+            ctx,
+            node,
             circuit,
-            side,
-            info,
-        });
-        self.process_outputs(ctx, node, circuit, outs);
+            NetInput::LinkPair {
+                circuit,
+                side,
+                info,
+            },
+        );
         self.poll_links_of(ctx, node);
     }
 
-    /// Apply the effects a QNP node requested.
+    /// Run one input through `node`'s QNP and apply its effects. The
+    /// output buffer is the model's own, reused across inputs: taken for
+    /// the call and put back after, so a nested call fills a buffer of
+    /// its own and stays correct.
+    fn qnp_input(
+        &mut self,
+        ctx: &mut Context<'_, Ev>,
+        node: NodeId,
+        circuit: CircuitId,
+        input: NetInput,
+    ) {
+        let mut outs = std::mem::take(&mut self.outs);
+        self.nodes[node.0 as usize].qnp.handle(input, &mut outs);
+        self.process_outputs(ctx, node, circuit, &mut outs);
+        self.outs = outs;
+    }
+
+    /// Apply (and drain) the effects a QNP node requested.
     fn process_outputs(
         &mut self,
         ctx: &mut Context<'_, Ev>,
         node: NodeId,
         circuit: CircuitId,
-        outs: Vec<NetOutput>,
+        outs: &mut Vec<NetOutput>,
     ) {
-        for out in outs {
+        for out in outs.drain(..) {
             match out {
                 NetOutput::SendUpstream(msg) => {
                     self.maybe_arm_track_retry(ctx, node, circuit, false, &msg);
@@ -1998,8 +2035,8 @@ impl NetworkModel {
                                 self.trace.record(
                                     ctx.now(),
                                     TraceKind::Info,
-                                    format!("{node}"),
-                                    format!("link request {l} rejected: {reason}"),
+                                    format_args!("{node}"),
+                                    format_args!("link request {l} rejected: {reason}"),
                                 );
                             }
                         }
@@ -2040,8 +2077,8 @@ impl NetworkModel {
                     self.trace.record(
                         ctx.now(),
                         TraceKind::Quantum,
-                        format!("{node}"),
-                        format!("SWAP start ({} x {})", up.correlator, down.correlator),
+                        format_args!("{node}"),
+                        format_args!("SWAP start ({} x {})", up.correlator, down.correlator),
                     );
                     ctx.schedule_in(
                         SimDuration::from_secs_f64(dur),
@@ -2078,8 +2115,8 @@ impl NetworkModel {
                     self.trace.record(
                         ctx.now(),
                         TraceKind::Discard,
-                        format!("{node}"),
-                        format!("discard {}", pair.correlator),
+                        format_args!("{node}"),
+                        format_args!("discard {}", pair.correlator),
                     );
                     self.release_end(ctx, node, pair.correlator, true);
                 }
@@ -2102,8 +2139,8 @@ impl NetworkModel {
                         self.trace.record(
                             ctx.now(),
                             TraceKind::Quantum,
-                            format!("{node}"),
-                            format!("Pauli {pauli:?} correction on {}", pair.correlator),
+                            format_args!("{node}"),
+                            format_args!("Pauli {pauli:?} correction on {}", pair.correlator),
                         );
                     }
                 }
@@ -2174,8 +2211,8 @@ impl NetworkModel {
         self.trace.record(
             now,
             TraceKind::Delivery,
-            format!("{node}"),
-            format!(
+            format_args!("{node}"),
+            format_args!(
                 "deliver req {} seq {} ({:?})",
                 delivery.request, delivery.sequence, payload
             ),
@@ -2254,19 +2291,21 @@ impl NetworkModel {
         self.trace.record(
             ctx.now(),
             TraceKind::Quantum,
-            format!("{node}"),
-            format!("SWAP done -> {}", res.outcome),
+            format_args!("{node}"),
+            format_args!("SWAP done -> {}", res.outcome),
         );
-        let outs = self.nodes[node.0 as usize]
-            .qnp
-            .handle(NetInput::SwapCompleted {
+        self.qnp_input(
+            ctx,
+            node,
+            circuit,
+            NetInput::SwapCompleted {
                 circuit,
                 up,
                 down,
                 outcome: res.outcome,
                 new_handle: PairHandle(res.new_pair.0),
-            });
-        self.process_outputs(ctx, node, circuit, outs);
+            },
+        );
         self.poll_links_of(ctx, node);
     }
 
@@ -2297,10 +2336,7 @@ impl NetworkModel {
             }
         };
         for node in path {
-            let outs = self.nodes[node.0 as usize]
-                .qnp
-                .handle(NetInput::TeardownCircuit { circuit });
-            self.process_outputs(ctx, node, circuit, outs);
+            self.qnp_input(ctx, node, circuit, NetInput::TeardownCircuit { circuit });
         }
         for row in &mut self.label_map {
             row.retain(|(_, info)| info.circuit != circuit);
@@ -2309,8 +2345,8 @@ impl NetworkModel {
         self.trace.record(
             ctx.now(),
             TraceKind::Info,
-            "signalling".to_string(),
-            format!("{circuit} torn down"),
+            format_args!("signalling"),
+            format_args!("{circuit} torn down"),
         );
     }
 
@@ -2333,8 +2369,8 @@ impl NetworkModel {
         self.trace.record(
             ctx.now(),
             TraceKind::Quantum,
-            format!("{node}"),
-            format!("measure {correlator} in {basis:?} -> {}", result.reported),
+            format_args!("{node}"),
+            format_args!("measure {correlator} in {basis:?} -> {}", result.reported),
         );
         // The measured qubit's slot frees immediately; the pair state
         // stays in the store until both ends are done (correlations!).
@@ -2356,14 +2392,16 @@ impl NetworkModel {
                 self.pairs.discard(pid);
             }
         }
-        let outs = self.nodes[node.0 as usize]
-            .qnp
-            .handle(NetInput::MeasureCompleted {
+        self.qnp_input(
+            ctx,
+            node,
+            circuit,
+            NetInput::MeasureCompleted {
                 circuit,
                 correlator,
                 outcome: result.reported,
-            });
-        self.process_outputs(ctx, node, circuit, outs);
+            },
+        );
         self.poll_links_of(ctx, node);
     }
 
@@ -2385,8 +2423,7 @@ impl NetworkModel {
     /// scrapped through the protocols' expiry machinery.
     fn link_down(&mut self, ctx: &mut Context<'_, Ev>, a: NodeId, b: NodeId) {
         let link = self
-            .topology
-            .link_between(a, b)
+            .hop(a, b)
             .expect("validated fault plan names an existing link");
         if !self.links[link.0 as usize].up {
             return;
@@ -2395,8 +2432,8 @@ impl NetworkModel {
         self.trace.record(
             ctx.now(),
             TraceKind::Info,
-            format!("{a}"),
-            format!("link {a}-{b} DOWN"),
+            format_args!("{a}"),
+            format_args!("link {a}-{b} DOWN"),
         );
         self.refresh_link_activity(ctx, link);
         self.scrap_link_pairs(ctx, link);
@@ -2406,8 +2443,7 @@ impl NetworkModel {
     /// is still crashed) and re-poll for queued work.
     fn link_up(&mut self, ctx: &mut Context<'_, Ev>, a: NodeId, b: NodeId) {
         let link = self
-            .topology
-            .link_between(a, b)
+            .hop(a, b)
             .expect("validated fault plan names an existing link");
         if self.links[link.0 as usize].up {
             return;
@@ -2416,8 +2452,8 @@ impl NetworkModel {
         self.trace.record(
             ctx.now(),
             TraceKind::Info,
-            format!("{a}"),
-            format!("link {a}-{b} UP"),
+            format_args!("{a}"),
+            format_args!("link {a}-{b} UP"),
         );
         self.refresh_link_activity(ctx, link);
     }
@@ -2437,8 +2473,8 @@ impl NetworkModel {
         self.trace.record(
             ctx.now(),
             TraceKind::Info,
-            format!("{node}"),
-            format!("node {node} CRASH"),
+            format_args!("{node}"),
+            format_args!("node {node} CRASH"),
         );
         // Tear down circuits through the node first, while the path
         // metadata is still installed: live path nodes discard their
@@ -2479,9 +2515,7 @@ impl NetworkModel {
         }
         self.link_delivered.drain_row(node);
         // Attached links can no longer generate.
-        for link in self.topology.links_of(node) {
-            self.refresh_link_activity(ctx, link);
-        }
+        self.refresh_links_of(ctx, node);
     }
 
     /// A crashed node restarts with a blank protocol instance and
@@ -2496,10 +2530,16 @@ impl NetworkModel {
         self.trace.record(
             ctx.now(),
             TraceKind::Info,
-            format!("{node}"),
-            format!("node {node} RESTART"),
+            format_args!("{node}"),
+            format_args!("node {node} RESTART"),
         );
-        for link in self.topology.links_of(node) {
+        self.refresh_links_of(ctx, node);
+    }
+
+    /// [`Self::refresh_link_activity`] on every link attached to `node`.
+    fn refresh_links_of(&mut self, ctx: &mut Context<'_, Ev>, node: NodeId) {
+        for i in 0..self.node_links[node.0 as usize].len() {
+            let link = self.node_links[node.0 as usize][i].1;
             self.refresh_link_activity(ctx, link);
         }
     }
@@ -2568,27 +2608,23 @@ impl NetworkModel {
                         } else {
                             LinkSide::Upstream
                         };
-                        let outs = if self.is_intermediate_on(circuit, node) {
+                        let input = if self.is_intermediate_on(circuit, node) {
                             if let Some(ev) = self.cutoff_events.remove(node, correlator) {
                                 ctx.cancel(ev);
                             }
-                            self.nodes[node.0 as usize]
-                                .qnp
-                                .handle(NetInput::CutoffExpired {
-                                    circuit,
-                                    side,
-                                    correlator,
-                                })
+                            NetInput::CutoffExpired {
+                                circuit,
+                                side,
+                                correlator,
+                            }
                         } else {
                             self.cancel_track_expiry(ctx, node, correlator);
-                            self.nodes[node.0 as usize]
-                                .qnp
-                                .handle(NetInput::TrackTimeout {
-                                    circuit,
-                                    correlator,
-                                })
+                            NetInput::TrackTimeout {
+                                circuit,
+                                correlator,
+                            }
                         };
-                        self.process_outputs(ctx, node, circuit, outs);
+                        self.qnp_input(ctx, node, circuit, input);
                     }
                     None => {
                         self.discarded_pairs += 1;
@@ -2628,10 +2664,7 @@ impl NetworkModel {
             if node == dead || !self.nodes[node.0 as usize].up {
                 continue;
             }
-            let outs = self.nodes[node.0 as usize]
-                .qnp
-                .handle(NetInput::TeardownCircuit { circuit });
-            self.process_outputs(ctx, node, circuit, outs);
+            self.qnp_input(ctx, node, circuit, NetInput::TeardownCircuit { circuit });
         }
         self.finish_teardown(circuit);
     }
@@ -2721,12 +2754,14 @@ impl Model for NetworkModel {
                     // in flight may fail here (counted, dropped — the
                     // message is simply lost) or decode into a different
                     // valid message the protocol rules must absorb.
-                    match self.nodes[to.0 as usize]
-                        .qnp
-                        .handle_frame(from_upstream, frame)
-                    {
-                        Ok((circuit, outs)) => {
-                            self.process_outputs(ctx, to, circuit, outs);
+                    let mut outs = std::mem::take(&mut self.outs);
+                    match self.nodes[to.0 as usize].qnp.handle_frame(
+                        from_upstream,
+                        frame,
+                        &mut outs,
+                    ) {
+                        Ok(circuit) => {
+                            self.process_outputs(ctx, to, circuit, &mut outs);
                             // End-to-end TRACK acknowledgement: an
                             // end-node receiving a TRACK (first copy or
                             // duplicate — re-acks recover lost acks)
@@ -2764,11 +2799,12 @@ impl Model for NetworkModel {
                             self.trace.record(
                                 now,
                                 TraceKind::Info,
-                                format!("{to}"),
-                                format!("undecodable frame dropped: {err}"),
+                                format_args!("{to}"),
+                                format_args!("undecodable frame dropped: {err}"),
                             );
                         }
                     }
+                    self.outs = outs;
                 }
                 self.plane.recycle(buf);
             }
@@ -2778,13 +2814,15 @@ impl Model for NetworkModel {
                 correlator,
             } => {
                 self.track_expiry_events.remove(node, correlator);
-                let outs = self.nodes[node.0 as usize]
-                    .qnp
-                    .handle(NetInput::TrackTimeout {
+                self.qnp_input(
+                    ctx,
+                    node,
+                    circuit,
+                    NetInput::TrackTimeout {
                         circuit,
                         correlator,
-                    });
-                self.process_outputs(ctx, node, circuit, outs);
+                    },
+                );
             }
             Ev::OrphanCheck {
                 node,
@@ -2807,18 +2845,20 @@ impl Model for NetworkModel {
                     self.trace.record(
                         now,
                         TraceKind::Discard,
-                        format!("{node}"),
-                        format!("orphaned pair {correlator} reclaimed"),
+                        format_args!("{node}"),
+                        format_args!("orphaned pair {correlator} reclaimed"),
                     );
                     self.release_end(ctx, node, correlator, true);
-                    let outs = self.nodes[node.0 as usize]
-                        .qnp
-                        .handle(NetInput::LinkOrphaned {
+                    self.qnp_input(
+                        ctx,
+                        node,
+                        circuit,
+                        NetInput::LinkOrphaned {
                             circuit,
                             side,
                             correlator,
-                        });
-                    self.process_outputs(ctx, node, circuit, outs);
+                        },
+                    );
                 }
             }
             Ev::GenDone { link } => self.gen_done(ctx, link),
@@ -2841,14 +2881,16 @@ impl Model for NetworkModel {
                 correlator,
             } => {
                 self.cutoff_events.remove(node, correlator);
-                let outs = self.nodes[node.0 as usize]
-                    .qnp
-                    .handle(NetInput::CutoffExpired {
+                self.qnp_input(
+                    ctx,
+                    node,
+                    circuit,
+                    NetInput::CutoffExpired {
                         circuit,
                         side,
                         correlator,
-                    });
-                self.process_outputs(ctx, node, circuit, outs);
+                    },
+                );
             }
             Ev::MoveDone {
                 node,
@@ -2862,17 +2904,21 @@ impl Model for NetworkModel {
             Ev::SubmitRequest { circuit, request } => {
                 let head = self.circuit_rt(circuit).expect("circuit installed").path[0];
                 self.app.submitted.insert((circuit, request.id), ctx.now());
-                let outs = self.nodes[head.0 as usize]
-                    .qnp
-                    .handle(NetInput::UserRequest { circuit, request });
-                self.process_outputs(ctx, head, circuit, outs);
+                self.qnp_input(
+                    ctx,
+                    head,
+                    circuit,
+                    NetInput::UserRequest { circuit, request },
+                );
             }
             Ev::CancelRequest { circuit, request } => {
                 let head = self.circuit_rt(circuit).expect("circuit installed").path[0];
-                let outs = self.nodes[head.0 as usize]
-                    .qnp
-                    .handle(NetInput::CancelRequest { circuit, request });
-                self.process_outputs(ctx, head, circuit, outs);
+                self.qnp_input(
+                    ctx,
+                    head,
+                    circuit,
+                    NetInput::CancelRequest { circuit, request },
+                );
             }
             Ev::TrackRetransmit {
                 node,

@@ -7,7 +7,7 @@
 use qn_hardware::params::{FibreParams, HardwareParams};
 use qn_net::{Address, Demand, RequestId, RequestType, UserRequest};
 use qn_netsim::build::{NetSim, NetworkBuilder};
-use qn_routing::{dumbbell, wide_dumbbell, CutoffPolicy, Dumbbell};
+use qn_routing::{chain, dumbbell, wide_dumbbell, CutoffPolicy, Dumbbell};
 use qn_sim::{NodeId, SimDuration, SimTime};
 
 fn keep(id: u64, head: NodeId, tail: NodeId, f: f64, n: u64) -> UserRequest {
@@ -174,4 +174,44 @@ fn completion_times_are_reproducible() {
         "scenario must complete at least one request"
     );
     assert_eq!(ca, cb);
+}
+
+/// The paper's Fig 6 scenario as `examples/sequence_trace` runs it: one
+/// single-pair request over the 4-node chain, seed 11.
+fn fig6_trace() -> String {
+    let topology = chain(4, HardwareParams::simulation(), FibreParams::lab_2m());
+    let mut sim = NetworkBuilder::new(topology).seed(11).with_trace().build();
+    let vc = sim
+        .open_circuit(NodeId(0), NodeId(3), 0.8, CutoffPolicy::short())
+        .expect("plan");
+    let mut request = keep(1, NodeId(0), NodeId(3), 0.8, 1);
+    request.head.identifier = 1;
+    request.tail.identifier = 1;
+    sim.submit_at(SimTime::ZERO, vc, request);
+    sim.run_until(SimTime::ZERO + SimDuration::from_secs(30));
+    sim.trace().render()
+}
+
+/// Row count and FNV-1a digest of the seed-2026 dumbbell trace.
+const ROWS_2026: usize = 127;
+const DIGEST_2026: u64 = 0x8c3d_0135_9cd2_1158;
+
+/// 64-bit FNV-1a.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(*b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The trace text is part of the observable output (`sequence_trace`
+/// prints it), so it is pinned byte for byte: the Fig 6 rendering
+/// against a golden file, and the busier dumbbell run above — swaps,
+/// cutoffs and discards — by row count and digest.
+#[test]
+fn trace_text_is_pinned() {
+    assert_eq!(fig6_trace(), include_str!("golden/fig6_trace.txt"));
+    let (sim, _) = run_scenario(2026);
+    let render = sim.trace().render();
+    assert_eq!(sim.trace().rows().len(), ROWS_2026);
+    assert_eq!(fnv1a(render.as_bytes()), DIGEST_2026, "{render}");
 }

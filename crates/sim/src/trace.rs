@@ -1,10 +1,15 @@
 //! Lightweight event tracing.
 //!
 //! Scenario code and examples record human-readable protocol events
-//! (message sends, swaps, deliveries) through a [`Trace`]. The recorder is
-//! deliberately simple: an in-memory list of `(time, category, text)` rows
-//! that can be printed as a sequence log (used by `examples/sequence_trace`
-//! to reproduce the paper's Fig 6).
+//! (message sends, swaps, deliveries) through a [`Trace`]: an in-memory
+//! list of `(time, category, source, text)` rows that can be printed as
+//! a sequence log (used by `examples/sequence_trace` to reproduce the
+//! paper's Fig 6).
+//!
+//! [`Trace::record`] takes the source and text as [`fmt::Arguments`]
+//! (`format_args!`) and formats them only when the trace is enabled, so
+//! a disabled trace builds no string and runs no argument's `Display`:
+//! a call site in a hot path costs a branch.
 
 use crate::time::SimTime;
 use std::fmt;
@@ -53,8 +58,8 @@ pub struct TraceRow {
     pub text: String,
 }
 
-/// An in-memory trace recorder. Disabled recorders drop rows, so leaving
-/// trace calls in hot paths is cheap for production runs.
+/// An in-memory trace recorder. A disabled recorder drops rows without
+/// formatting them.
 #[derive(Debug, Default)]
 pub struct Trace {
     rows: Vec<TraceRow>,
@@ -83,20 +88,21 @@ impl Trace {
         self.enabled
     }
 
-    /// Record a row (no-op when disabled).
+    /// Record a row; `source` and `text` are formatted only when the
+    /// trace is enabled (a disabled trace never runs their `Display`).
     pub fn record(
         &mut self,
         time: SimTime,
         kind: TraceKind,
-        source: impl Into<String>,
-        text: impl Into<String>,
+        source: fmt::Arguments<'_>,
+        text: fmt::Arguments<'_>,
     ) {
         if self.enabled {
             self.rows.push(TraceRow {
                 time,
                 kind,
-                source: source.into(),
-                text: text.into(),
+                source: source.to_string(),
+                text: text.to_string(),
             });
         }
     }
@@ -143,19 +149,50 @@ mod tests {
     #[test]
     fn disabled_trace_records_nothing() {
         let mut t = Trace::disabled();
-        t.record(SimTime::ZERO, TraceKind::Info, "n0", "hello");
+        t.record(
+            SimTime::ZERO,
+            TraceKind::Info,
+            format_args!("n0"),
+            format_args!("hello"),
+        );
+        assert!(t.rows().is_empty());
+    }
+
+    /// Formatting it is a bug: a disabled trace must never get that far.
+    struct Unformattable;
+
+    impl fmt::Display for Unformattable {
+        fn fmt(&self, _: &mut fmt::Formatter<'_>) -> fmt::Result {
+            panic!("a disabled trace formatted its arguments")
+        }
+    }
+
+    #[test]
+    fn disabled_trace_never_formats_its_arguments() {
+        let mut t = Trace::disabled();
+        t.record(
+            SimTime::ZERO,
+            TraceKind::Message,
+            format_args!("{}", Unformattable),
+            format_args!("FORWARD {} -> {}", Unformattable, Unformattable),
+        );
         assert!(t.rows().is_empty());
     }
 
     #[test]
     fn enabled_trace_records_in_order() {
         let mut t = Trace::enabled();
-        t.record(SimTime::ZERO, TraceKind::Message, "n0", "FORWARD");
+        t.record(
+            SimTime::ZERO,
+            TraceKind::Message,
+            format_args!("n{}", 0),
+            format_args!("FORWARD"),
+        );
         t.record(
             SimTime::ZERO + SimDuration::from_micros(3),
             TraceKind::Quantum,
-            "n1",
-            "SWAP",
+            format_args!("n1"),
+            format_args!("SWAP"),
         );
         assert_eq!(t.rows().len(), 2);
         assert_eq!(t.rows()[0].text, "FORWARD");
@@ -165,7 +202,12 @@ mod tests {
     #[test]
     fn render_contains_rows() {
         let mut t = Trace::enabled();
-        t.record(SimTime::ZERO, TraceKind::Delivery, "alice", "pair #1");
+        t.record(
+            SimTime::ZERO,
+            TraceKind::Delivery,
+            format_args!("alice"),
+            format_args!("pair #{}", 1),
+        );
         let s = t.render();
         assert!(s.contains("DLV"));
         assert!(s.contains("alice"));
