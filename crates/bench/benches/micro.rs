@@ -598,71 +598,6 @@ fn bench_bell_algebra(c: &mut Criterion) {
     });
 }
 
-/// The partitioned epoch executor: one conservative-lookahead workload
-/// (cross-shard pings + local xorshift churn over 4 shards) run on the
-/// serial reference and on the thread pool. Same code path the sharded
-/// netsim verification mode accounts for; the parallel run is asserted
-/// bit-identical to the serial one before timing starts.
-fn bench_shard_scaling(c: &mut Criterion) {
-    type ShardState = (u64, u64);
-
-    fn churn(
-        shard: usize,
-        state: &mut ShardState,
-        _now: SimTime,
-        payload: u64,
-        ctx: &mut qn_sim::shard::ShardCtx<'_, u64>,
-    ) {
-        for _ in 0..200 {
-            state.0 ^= state.0 << 13;
-            state.0 ^= state.0 >> 7;
-            state.0 ^= state.0 << 17;
-            state.0 = state.0.wrapping_add(payload);
-        }
-        state.1 += 1;
-        if payload > 0 {
-            ctx.send(
-                (shard + 1) % ctx.n_shards(),
-                SimDuration::from_ps(10),
-                payload - 1,
-            );
-            if payload % 3 == 0 {
-                ctx.schedule_in(SimDuration::from_ps(3), payload / 2);
-            }
-        }
-    }
-
-    fn seeds() -> (Vec<ShardState>, Vec<(usize, SimTime, u64)>) {
-        let shards = (0..4).map(|i| (0x9e37u64 + i, 0)).collect();
-        let initial = (0..4)
-            .map(|i| (i as usize, SimTime::from_ps(i), 40 + i))
-            .collect();
-        (shards, initial)
-    }
-
-    let lookahead = SimDuration::from_ps(10);
-    let (s, i) = seeds();
-    let serial = qn_sim::shard::run_partitioned_serial(s, i, lookahead, SimTime::MAX, churn);
-    let (s, i) = seeds();
-    let parallel = qn_exec::run_partitioned(4, s, i, lookahead, SimTime::MAX, churn);
-    assert_eq!(serial, parallel, "parallel epochs must be bit-identical");
-
-    c.bench_function("shard_scaling/serial_1", |b| {
-        b.iter_batched(
-            seeds,
-            |(s, i)| qn_sim::shard::run_partitioned_serial(s, i, lookahead, SimTime::MAX, churn),
-            BatchSize::SmallInput,
-        );
-    });
-    c.bench_function("shard_scaling/threads_4", |b| {
-        b.iter_batched(
-            seeds,
-            |(s, i)| qn_exec::run_partitioned(4, s, i, lookahead, SimTime::MAX, churn),
-            BatchSize::SmallInput,
-        );
-    });
-}
-
 criterion_group!(
     benches,
     bench_event_queue,
@@ -673,7 +608,6 @@ criterion_group!(
     bench_frame_delivery,
     bench_slab_store,
     bench_table_cache,
-    bench_bell_algebra,
-    bench_shard_scaling
+    bench_bell_algebra
 );
 criterion_main!(benches);

@@ -22,17 +22,9 @@
 //!
 //! The thread count comes from the `QNP_THREADS` environment variable,
 //! defaulting to the machine's available parallelism (see [`threads`]).
-//!
-//! Beyond across-seed parallelism, [`run_partitioned`] drives a single
-//! partitioned simulation on the pool: per-shard states advance in
-//! conservative-lookahead epochs with an mpsc barrier and a
-//! deterministic cross-shard mailbox merge, bit-identical to the serial
-//! reference executor in `qn_sim::shard` at any thread count.
 
 mod pool;
-mod shard_pool;
 mod sweep;
 
 pub use pool::ThreadPool;
-pub use shard_pool::run_partitioned;
 pub use sweep::{run_sweep, run_sweep_with, threads, Scenario};

@@ -2,7 +2,6 @@
 //! counts exceeding the work, and deterministic panic propagation.
 
 use qn_exec::{run_sweep_with, threads, ThreadPool};
-use qn_sim::shard::shards_from_env;
 use std::panic;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -136,32 +135,4 @@ fn qnp_threads_parsing() {
 
     std::env::remove_var("QNP_THREADS");
     assert_eq!(threads(), default);
-}
-
-/// `QNP_SHARDS` follows the same convention: unset means "no sharding"
-/// (`None`), positive integers are honoured, zero or garbage fails
-/// fast with a message naming the knob.
-#[test]
-fn qnp_shards_parsing() {
-    std::env::remove_var("QNP_SHARDS");
-    assert_eq!(shards_from_env(), None);
-
-    std::env::set_var("QNP_SHARDS", "4");
-    assert_eq!(shards_from_env(), Some(4));
-    std::env::set_var("QNP_SHARDS", "1");
-    assert_eq!(shards_from_env(), Some(1));
-
-    for bad in ["0", "four", "-1", ""] {
-        std::env::set_var("QNP_SHARDS", bad);
-        let err = panic::catch_unwind(shards_from_env)
-            .expect_err("zero/garbage QNP_SHARDS must fail fast, not fall back");
-        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(
-            msg.contains("invalid QNP_SHARDS") && msg.contains("positive integer"),
-            "QNP_SHARDS={bad:?} panic message: {msg:?}"
-        );
-    }
-
-    std::env::remove_var("QNP_SHARDS");
-    assert_eq!(shards_from_env(), None);
 }

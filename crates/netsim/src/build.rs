@@ -5,7 +5,6 @@ use crate::app::AppHarness;
 use crate::classical::{ClassicalFaults, ClassicalStats};
 use crate::faults::FaultPlan;
 use crate::runtime::{CheckpointPolicy, Ev, NetworkModel, RetransmitConfig, RuntimeConfig};
-use crate::shard::ShardPlan;
 use qn_net::ids::{CircuitId, RequestId};
 use qn_net::node::NodeStats;
 use qn_net::request::UserRequest;
@@ -13,18 +12,13 @@ use qn_routing::budget::CutoffPolicy;
 use qn_routing::controller::{CircuitPlan, Controller, PlanError};
 use qn_routing::signalling::Signaller;
 use qn_routing::topology::Topology;
-use qn_sim::shard::shards_from_env;
-use qn_sim::{
-    EventId, NodeId, RunOutcome, ShardStats, ShardedSimulation, SimDuration, SimTime, Simulation,
-    Trace,
-};
+use qn_sim::{NodeId, RunOutcome, SimDuration, SimTime, Simulation, Trace};
 
 /// Builder for a [`NetSim`].
 pub struct NetworkBuilder {
     topology: Topology,
     seed: u64,
     cfg: RuntimeConfig,
-    shards: Option<usize>,
 }
 
 impl NetworkBuilder {
@@ -34,36 +28,12 @@ impl NetworkBuilder {
             topology,
             seed: 1,
             cfg: RuntimeConfig::default(),
-            shards: None,
         }
     }
 
     /// Set the run's RNG seed (same seed ⇒ identical run).
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Run the simulation on `n` shards: per-node-region event queues
-    /// under a conservative-lookahead epoch barrier (the classical
-    /// plane's per-hop latency floor bounds cross-shard causality; see
-    /// [`ShardPlan`]). The trajectory is **bit-identical** to the
-    /// single-queue engine — same events, same order, same event ids,
-    /// same `events_processed` — the sharded run additionally reports
-    /// epoch/mailbox/cross-shard counters via [`NetSim::shard_stats`].
-    ///
-    /// Without this call the `QNP_SHARDS` environment knob applies
-    /// (unset ⇒ the plain single-queue engine, untouched).
-    ///
-    /// # Panics
-    ///
-    /// If `n` is zero: failing at build beats a run that silently falls
-    /// back to a different engine.
-    pub fn shards(mut self, n: usize) -> Self {
-        if n == 0 {
-            panic!("invalid shard count 0: must be a positive integer (drop the call to run the single-queue engine)");
-        }
-        self.shards = Some(n);
         self
     }
 
@@ -211,29 +181,13 @@ impl NetworkBuilder {
     }
 
     /// Build the simulation.
-    ///
-    /// The engine is chosen here: an explicit [`NetworkBuilder::shards`]
-    /// call wins, otherwise the `QNP_SHARDS` environment knob applies
-    /// (panicking on zero/garbage, see
-    /// [`qn_sim::shard::shards_from_env`]), otherwise the plain
-    /// single-queue engine runs — the exact pre-shard code path.
     pub fn build(self) -> NetSim {
         let topology = self.topology.clone();
         let checkpoint = self.cfg.checkpoint;
         let fault_plan = self.cfg.fault_plan.clone();
         let seed = self.seed;
-        let shards = self.shards.or_else(shards_from_env);
-        let plan = shards.map(|n| ShardPlan::new(&topology, &self.cfg, n));
         let model = NetworkModel::new(self.topology, self.seed, self.cfg);
-        let mut sim = match plan {
-            None => Driver::Single(Simulation::new(model)),
-            Some(plan) => Driver::Sharded(ShardedSimulation::new(
-                model,
-                plan.n_shards(),
-                plan.lookahead(),
-                plan.router(),
-            )),
-        };
+        let mut sim = Simulation::new(model);
         if let CheckpointPolicy::Interval(dt) = checkpoint {
             sim.schedule_at(SimTime::ZERO + dt, Ev::Checkpoint);
         }
@@ -254,85 +208,9 @@ impl NetworkBuilder {
     }
 }
 
-/// The event engine behind a [`NetSim`]: the plain single-queue
-/// [`Simulation`] (default) or the sharded conservative-lookahead
-/// engine ([`ShardedSimulation`]), which dispatches the bit-identical
-/// trajectory while accounting epochs and cross-shard traffic. Every
-/// façade method delegates through this enum so scenario code never
-/// sees the difference.
-enum Driver {
-    Single(Simulation<NetworkModel>),
-    Sharded(ShardedSimulation<NetworkModel>),
-}
-
-impl Driver {
-    fn now(&self) -> SimTime {
-        match self {
-            Driver::Single(s) => s.now(),
-            Driver::Sharded(s) => s.now(),
-        }
-    }
-
-    fn schedule_at(&mut self, at: SimTime, event: Ev) -> EventId {
-        match self {
-            Driver::Single(s) => s.schedule_at(at, event),
-            Driver::Sharded(s) => s.schedule_at(at, event),
-        }
-    }
-
-    fn run_until(&mut self, horizon: SimTime) -> RunOutcome {
-        match self {
-            Driver::Single(s) => s.run_until(horizon),
-            Driver::Sharded(s) => s.run_until(horizon),
-        }
-    }
-
-    fn run(&mut self) -> RunOutcome {
-        match self {
-            Driver::Single(s) => s.run(),
-            Driver::Sharded(s) => s.run(),
-        }
-    }
-
-    fn model(&self) -> &NetworkModel {
-        match self {
-            Driver::Single(s) => s.model(),
-            Driver::Sharded(s) => s.model(),
-        }
-    }
-
-    fn model_mut(&mut self) -> &mut NetworkModel {
-        match self {
-            Driver::Single(s) => s.model_mut(),
-            Driver::Sharded(s) => s.model_mut(),
-        }
-    }
-
-    fn processed(&self) -> u64 {
-        match self {
-            Driver::Single(s) => s.processed(),
-            Driver::Sharded(s) => s.processed(),
-        }
-    }
-
-    fn shard_stats(&self) -> Option<ShardStats> {
-        match self {
-            Driver::Single(_) => None,
-            Driver::Sharded(s) => Some(s.shard_stats()),
-        }
-    }
-
-    fn shards(&self) -> usize {
-        match self {
-            Driver::Single(_) => 1,
-            Driver::Sharded(s) => s.shards(),
-        }
-    }
-}
-
 /// A ready-to-run network simulation.
 pub struct NetSim {
-    sim: Driver,
+    sim: Simulation<NetworkModel>,
     signaller: Signaller,
     topology: Topology,
 }
@@ -462,18 +340,6 @@ impl NetSim {
     /// Events processed so far.
     pub fn events_processed(&self) -> u64 {
         self.sim.processed()
-    }
-
-    /// Epoch-barrier and cross-shard mailbox counters — `None` when the
-    /// run uses the single-queue engine (no shards, no barrier).
-    pub fn shard_stats(&self) -> Option<ShardStats> {
-        self.sim.shard_stats()
-    }
-
-    /// Number of event-queue shards the run executes on (1 for the
-    /// single-queue engine).
-    pub fn shards(&self) -> usize {
-        self.sim.shards()
     }
 
     /// Direct access to the model (examples and advanced tests).

@@ -46,7 +46,6 @@ pub mod classical;
 pub mod estimation;
 pub mod faults;
 pub mod runtime;
-pub mod shard;
 
 pub use app::{AppHarness, DeliveryRecord, Payload};
 pub use build::{NetSim, NetworkBuilder};
@@ -54,7 +53,6 @@ pub use classical::{BatchId, BatchOpen, ClassicalFaults, ClassicalPlane, Classic
 pub use estimation::FidelityEstimator;
 pub use faults::{ComponentEvent, FaultPlan};
 pub use runtime::{CheckpointPolicy, Ev, NetworkModel, RetransmitConfig, RuntimeConfig};
-pub use shard::ShardPlan;
 
 // The qn_exec sweep runner builds and runs whole simulations on worker
 // threads, so the façade types must stay `Send`. Checked at compile

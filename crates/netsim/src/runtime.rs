@@ -122,8 +122,8 @@ pub struct RuntimeConfig {
     pub trace: bool,
     /// Carry link-layer (PAIR_READY/REQUEST_DONE/REJECTED) and routing
     /// signalling (INSTALL/TEARDOWN) frames over the classical plane —
-    /// with real latency, batching and fault injection — instead of the
-    /// default instantaneous local codec round-trip. Enables the
+    /// with real latency, batching and fault injection — instead of
+    /// handing the in-memory values to the nodes at once. Enables the
     /// hop-by-hop INSTALL/TEARDOWN ack chain and end-to-end TRACK
     /// acknowledgement + retransmission. Default off: every recorded
     /// baseline was produced without it and stays bit-identical.
@@ -841,29 +841,9 @@ impl NetworkModel {
             if self.cfg.disable_cutoff {
                 entry.cutoff = SimDuration::MAX;
             }
-            // The signalling plane is byte-accurate too: each per-node
-            // INSTALL round-trips through the wire codec (encoded into
-            // the shared scratch, decoded through the borrowed view), so
-            // the entry the node installs is the one that survives
-            // encoding. A failed round-trip is counted and the node
-            // skipped — undecodable frames drop at the receiver, they
-            // never panic the runtime.
-            let frame = self
-                .scratch
-                .frame(|b| qn_routing::wire::SignalMessage::Install { entry }.encode_to(b));
-            let decoded = match qn_routing::wire::SignalMessageView::parse(frame)
-                .map(|view| view.to_message())
-            {
-                Ok(qn_routing::wire::SignalMessage::Install { entry }) => entry,
-                _ => {
-                    self.plane.stats.signal_decode_failures += 1;
-                    continue;
-                }
-            };
-            debug_assert_eq!(decoded, entry);
             self.nodes[node.0 as usize]
                 .qnp
-                .handle(NetInput::InstallCircuit { entry: decoded }, &mut self.outs);
+                .handle(NetInput::InstallCircuit { entry }, &mut self.outs);
             debug_assert!(self.outs.is_empty());
         }
         false
@@ -1737,35 +1717,6 @@ impl NetworkModel {
             .heralded_pair(inflight.alpha, announced, self.pairs.rep());
         let (na, qa) = inflight.qubit_a;
         let (nb, qb) = inflight.qubit_b;
-        // The link layer announces the pair to the nodes over classical
-        // signalling; that announcement is byte-accurate too — the
-        // PAIR_READY frame round-trips through the wire codec and the
-        // *decoded* pair is what the stack proceeds with. On the default
-        // (local, lossless) plane the round-trip happens right here;
-        // with `signalling_on_wire` the frame instead crosses the
-        // classical plane per end and each receiver decodes its copy.
-        let pair = if self.cfg.signalling_on_wire {
-            pair
-        } else {
-            let frame = self
-                .scratch
-                .frame(|b| qn_net::wire::encode_link_event(&LinkEvent::PairReady(pair), b));
-            match qn_net::wire::decode_link_event(frame) {
-                Ok(LinkEvent::PairReady(p)) => p,
-                _ => {
-                    // Undecodable announcement: counted and dropped (no
-                    // panic); the reserved qubits return to their
-                    // devices and the link tries again.
-                    self.plane
-                        .stats
-                        .count_link_decode_failure(Some(qn_net::wire::KIND_LINK_PAIR_READY));
-                    self.nodes[na.0 as usize].device.free(qa);
-                    self.nodes[nb.0 as usize].device.free(qb);
-                    self.poll_link(ctx, link);
-                    return;
-                }
-            }
-        };
         let (t1a, t2a) = self.nodes[na.0 as usize].device.coherence_times(qa);
         let (t1b, t2b) = self.nodes[nb.0 as usize].device.coherence_times(qb);
         let pid = self.pairs.create_pair(
@@ -2320,21 +2271,6 @@ impl NetworkModel {
             return;
         };
         let path = rt.path.clone();
-        // Byte-accurate signalling: the per-node TEARDOWN round-trips
-        // through the wire codec like every other signalling message —
-        // scratch-encoded, view-decoded (`circuit` read straight out of
-        // the frame bytes). A failed round-trip is counted and the
-        // in-memory id used as-is; it never panics the runtime.
-        let frame = self
-            .scratch
-            .frame(|b| qn_routing::wire::SignalMessage::Teardown { circuit }.encode_to(b));
-        let circuit = match qn_routing::wire::SignalMessageView::parse(frame) {
-            Ok(view) => view.circuit(),
-            Err(_) => {
-                self.plane.stats.signal_decode_failures += 1;
-                circuit
-            }
-        };
         for node in path {
             self.qnp_input(ctx, node, circuit, NetInput::TeardownCircuit { circuit });
         }

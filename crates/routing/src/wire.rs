@@ -9,9 +9,10 @@
 //! vice versa. The two acks exist for runtimes that carry signalling
 //! over a lossy plane and retransmit unacknowledged hops.
 //!
-//! The runtime round-trips every install/teardown through this codec
-//! (see `qn_netsim::runtime`), so the bytes — not the Rust structs —
-//! are the authoritative interface, exactly as for FORWARD/TRACK.
+//! With signalling on the wire the runtime carries every install and
+//! teardown over the classical plane in this encoding (see
+//! `qn_netsim::runtime`), so the bytes — not the Rust structs — are the
+//! authoritative interface there, exactly as for FORWARD/TRACK.
 
 use qn_net::ids::CircuitId;
 use qn_net::routing_table::RoutingEntry;

@@ -65,14 +65,37 @@ fn arb_signal() -> BoxedStrategy<SignalMessage> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Exact byte-level round-trip (re-encode comparison covers NaN
-    /// fidelity/rate bit patterns).
+    /// Exact round-trip: the decoded message is the encoded one, field
+    /// by field, and re-encodes to the same bytes.
     #[test]
     fn signal_round_trip(msg in arb_signal()) {
         let bytes = msg.wire_bytes();
         let back = SignalMessage::decode(&bytes);
         prop_assert!(back.is_ok(), "decode failed: {:?}", back);
-        prop_assert_eq!(back.unwrap().wire_bytes(), bytes);
+        let back = back.unwrap();
+        // Floats compare by bit pattern, so NaN payloads count.
+        // Re-encoding alone would miss a field that both sides narrow
+        // the same way.
+        match (&msg, &back) {
+            (SignalMessage::Install { entry: a }, SignalMessage::Install { entry: b }) => {
+                prop_assert_eq!(a.circuit, b.circuit);
+                prop_assert_eq!(a.upstream, b.upstream);
+                let down = |d: &Option<DownstreamHop>| {
+                    d.map(|h| (h.node, h.label, h.min_fidelity.to_bits(), h.max_lpr.to_bits()))
+                };
+                prop_assert_eq!(down(&a.downstream), down(&b.downstream));
+                prop_assert_eq!(a.max_eer.to_bits(), b.max_eer.to_bits());
+                prop_assert_eq!(a.cutoff, b.cutoff);
+            }
+            (SignalMessage::Teardown { circuit: a }, SignalMessage::Teardown { circuit: b })
+            | (SignalMessage::InstallAck { circuit: a }, SignalMessage::InstallAck { circuit: b })
+            | (
+                SignalMessage::TeardownAck { circuit: a },
+                SignalMessage::TeardownAck { circuit: b },
+            ) => prop_assert_eq!(a, b),
+            _ => prop_assert!(false, "{:?} decoded as {:?}", msg, back),
+        }
+        prop_assert_eq!(back.wire_bytes(), bytes);
     }
 
     /// Total decoding on arbitrary bytes; whatever decodes re-encodes

@@ -7,7 +7,6 @@
 //! future events, inspects the clock, and requests a stop.
 
 use crate::queue::{EventId, EventQueue};
-use crate::shard::ShardedQueues;
 use crate::time::{SimDuration, SimTime};
 
 /// A discrete-event model. Implemented by the network runtime.
@@ -20,75 +19,34 @@ pub trait Model {
     fn handle(&mut self, now: SimTime, event: Self::Event, ctx: &mut Context<'_, Self::Event>);
 }
 
-/// The scheduler a [`Context`] writes into: the single queue of
-/// [`Simulation`] or the per-shard queues of
-/// [`crate::shard::ShardedSimulation`]. The two share id allocation and
-/// ordering semantics, so the model cannot tell them apart.
-enum QueueRef<'a, E> {
-    Single(&'a mut EventQueue<E>),
-    Sharded(&'a mut ShardedQueues<E>),
-}
-
 /// Scheduling handle passed to the model during event dispatch.
 pub struct Context<'a, E> {
-    queue: QueueRef<'a, E>,
+    queue: &'a mut EventQueue<E>,
     now: SimTime,
     stop: &'a mut bool,
 }
 
 impl<'a, E> Context<'a, E> {
-    pub(crate) fn single(queue: &'a mut EventQueue<E>, now: SimTime, stop: &'a mut bool) -> Self {
-        Context {
-            queue: QueueRef::Single(queue),
-            now,
-            stop,
-        }
-    }
-
-    pub(crate) fn sharded(
-        queues: &'a mut ShardedQueues<E>,
-        now: SimTime,
-        stop: &'a mut bool,
-    ) -> Self {
-        Context {
-            queue: QueueRef::Sharded(queues),
-            now,
-            stop,
-        }
-    }
-
     /// The current simulated time.
     pub fn now(&self) -> SimTime {
         self.now
     }
 
-    fn push(&mut self, at: SimTime, event: E) -> EventId {
-        match &mut self.queue {
-            QueueRef::Single(q) => q.push(at, event),
-            QueueRef::Sharded(q) => q.push(at, event),
-        }
-    }
-
     /// Schedule an event `delay` after the current time.
     pub fn schedule_in(&mut self, delay: SimDuration, event: E) -> EventId {
-        let at = self.now + delay;
-        self.push(at, event)
+        self.queue.push(self.now + delay, event)
     }
 
     /// Schedule an event at an absolute time. Times in the past are clamped
     /// to "now" (the event still runs after the current one).
     pub fn schedule_at(&mut self, at: SimTime, event: E) -> EventId {
-        self.push(at.max(self.now), event)
+        self.queue.push(at.max(self.now), event)
     }
 
     /// Cancel a previously scheduled event. Returns `true` if it was still
-    /// pending. Under a sharded scheduler this works from any shard, on
-    /// events in any shard's queue — the pending set is shared.
+    /// pending.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        match &mut self.queue {
-            QueueRef::Single(q) => q.cancel(id),
-            QueueRef::Sharded(q) => q.cancel(id),
-        }
+        self.queue.cancel(id)
     }
 
     /// Request the engine to stop after the current event completes.
@@ -199,7 +157,11 @@ impl<M: Model> Simulation<M> {
         self.now = time;
         self.processed += 1;
         let mut stop = false;
-        let mut ctx = Context::single(&mut self.queue, self.now, &mut stop);
+        let mut ctx = Context {
+            queue: &mut self.queue,
+            now: self.now,
+            stop: &mut stop,
+        };
         self.model.handle(time, event, &mut ctx);
         if stop {
             Some(RunOutcome::Stopped)
@@ -228,7 +190,11 @@ impl<M: Model> Simulation<M> {
             self.now = time;
             self.processed += 1;
             let mut stop = false;
-            let mut ctx = Context::single(&mut self.queue, self.now, &mut stop);
+            let mut ctx = Context {
+                queue: &mut self.queue,
+                now: self.now,
+                stop: &mut stop,
+            };
             self.model.handle(time, event, &mut ctx);
             if stop {
                 return RunOutcome::Stopped;

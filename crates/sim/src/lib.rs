@@ -43,7 +43,6 @@ pub mod engine;
 pub mod ids;
 pub mod queue;
 pub mod rng;
-pub mod shard;
 pub mod stats;
 pub mod time;
 pub mod trace;
@@ -52,7 +51,6 @@ pub use engine::{Context, Model, RunOutcome, Simulation};
 pub use ids::{LinkId, NodeId};
 pub use queue::{EventId, EventQueue};
 pub use rng::SimRng;
-pub use shard::{ShardStats, ShardedQueues, ShardedSimulation};
 pub use stats::{OnlineStats, RateMeter, Samples};
 pub use time::{SimDuration, SimTime};
 pub use trace::{Trace, TraceKind, TraceRow};

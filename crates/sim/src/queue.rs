@@ -28,10 +28,10 @@ use std::collections::{BinaryHeap, VecDeque};
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct EventId(pub(crate) u64);
 
-pub(crate) struct Entry<E> {
-    pub(crate) time: SimTime,
-    pub(crate) seq: u64,
-    pub(crate) event: E,
+struct Entry<E> {
+    time: SimTime,
+    seq: u64,
+    event: E,
 }
 
 impl<E> PartialEq for Entry<E> {
@@ -63,7 +63,7 @@ impl<E> Ord for Entry<E> {
 /// `false` immediately. Leading all-zero words are trimmed on removal,
 /// so memory tracks the live span, not the total history.
 #[derive(Default)]
-pub(crate) struct SeqWindow {
+struct SeqWindow {
     /// Word index (seq / 64) of `words[0]`.
     base: u64,
     words: VecDeque<u64>,
@@ -72,7 +72,7 @@ pub(crate) struct SeqWindow {
 
 impl SeqWindow {
     /// Insert `seq` (monotonically increasing across calls).
-    pub(crate) fn insert(&mut self, seq: u64) {
+    fn insert(&mut self, seq: u64) {
         let word = seq / 64;
         if self.words.is_empty() {
             self.base = word;
@@ -89,7 +89,7 @@ impl SeqWindow {
     }
 
     /// Test membership without mutating.
-    pub(crate) fn contains(&self, seq: u64) -> bool {
+    fn contains(&self, seq: u64) -> bool {
         let word = seq / 64;
         if word < self.base {
             return false;
@@ -103,7 +103,7 @@ impl SeqWindow {
 
     /// Remove `seq`, reporting whether it was present. Trims leading
     /// all-zero words (amortised O(1)).
-    pub(crate) fn remove(&mut self, seq: u64) -> bool {
+    fn remove(&mut self, seq: u64) -> bool {
         let word = seq / 64;
         if word < self.base {
             return false;
@@ -125,7 +125,7 @@ impl SeqWindow {
         true
     }
 
-    pub(crate) fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.live
     }
 }

@@ -104,7 +104,6 @@ pub struct NetsimSpec {
     fault: Option<NetsimFault>,
     wired: bool,
     chaos: bool,
-    shards: Option<usize>,
 }
 
 impl NetsimSpec {
@@ -115,7 +114,6 @@ impl NetsimSpec {
             fault: None,
             wired: false,
             chaos: false,
-            shards: None,
         }
     }
 
@@ -126,7 +124,6 @@ impl NetsimSpec {
             fault: Some(fault),
             wired: false,
             chaos: false,
-            shards: None,
         }
     }
 
@@ -141,7 +138,6 @@ impl NetsimSpec {
             fault: None,
             wired: true,
             chaos: false,
-            shards: None,
         }
     }
 
@@ -160,23 +156,6 @@ impl NetsimSpec {
             fault: None,
             wired: true,
             chaos: true,
-            shards: None,
-        }
-    }
-
-    /// A faithful runtime on the **sharded** conservative-lookahead
-    /// engine (`NetworkBuilder::shards`). The service contract the
-    /// checker enforces is identical — sharding is a pure engine swap
-    /// whose trajectory is bit-identical to the single queue, so any
-    /// divergence the model harness finds here is an engine bug, caught
-    /// with a minimal operation sequence.
-    pub fn sharded(seed: u64, shards: usize) -> Self {
-        NetsimSpec {
-            seed,
-            fault: None,
-            wired: false,
-            chaos: false,
-            shards: Some(shards),
         }
     }
 }
@@ -359,9 +338,6 @@ impl ModelSpec for NetsimSpec {
         }
         if self.wired {
             b = b.signalling_on_wire();
-        }
-        if let Some(n) = self.shards {
-            b = b.shards(n);
         }
         if self.chaos {
             // Seed-derived stochastic churn on both hops for the first

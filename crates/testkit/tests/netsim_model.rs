@@ -49,20 +49,6 @@ fn netsim_chaos_matches_model() {
         .run();
 }
 
-/// The sharded-engine leg: the same random operation sequences against
-/// the conservative-lookahead sharded engine (3 shards over the 3-node
-/// chain). The engine swap is contractually bit-identical to the
-/// single queue, so the full service contract — liveness included —
-/// must hold unchanged; a divergence here is a sharding bug shrunk to
-/// a minimal operation sequence.
-#[test]
-fn netsim_sharded_matches_model() {
-    ModelTest::new("netsim_sharded_matches_model", NetsimSpec::sharded(7, 3))
-        .cases(16)
-        .max_ops(10)
-        .run();
-}
-
 /// Injected runtime fault #1: a classical plane that drops every
 /// message. No request can ever complete; the divergence must shrink to
 /// the minimal reproduction — submit one request, settle.

@@ -131,11 +131,24 @@ pub struct Criterion {
 }
 
 impl Default for Criterion {
+    /// The measurement window is `QNP_BENCH_WINDOW_MS` milliseconds,
+    /// 200 when unset.
+    ///
+    /// # Panics
+    ///
+    /// If `QNP_BENCH_WINDOW_MS` is set to anything that is not an
+    /// unsigned integer: a typo'd knob must not silently measure with
+    /// the default window.
     fn default() -> Self {
-        let window_ms = std::env::var("QNP_BENCH_WINDOW_MS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(200u64);
+        let window_ms = match std::env::var("QNP_BENCH_WINDOW_MS") {
+            Err(_) => 200,
+            Ok(raw) => raw.parse().unwrap_or_else(|_| {
+                panic!(
+                    "invalid QNP_BENCH_WINDOW_MS={raw:?}: must be an unsigned integer \
+                     (unset it to use the default 200)"
+                )
+            }),
+        };
         Criterion {
             measure_window: Duration::from_millis(window_ms),
             filter: None,
@@ -337,6 +350,41 @@ mod tests {
             ran = true;
         });
         assert!(ran);
+    }
+
+    /// `QNP_BENCH_WINDOW_MS`: unset means 200 ms, an unsigned integer
+    /// is honoured, anything else fails fast naming the knob and value.
+    /// One test, because the environment is process-global.
+    #[test]
+    fn window_knob_fails_fast_on_garbage() {
+        std::env::remove_var("QNP_BENCH_WINDOW_MS");
+        assert_eq!(
+            Criterion::default().measure_window,
+            Duration::from_millis(200)
+        );
+
+        std::env::set_var("QNP_BENCH_WINDOW_MS", "30");
+        assert_eq!(
+            Criterion::default().measure_window,
+            Duration::from_millis(30)
+        );
+
+        for bad in ["30ms", "-1", "", "1.5"] {
+            std::env::set_var("QNP_BENCH_WINDOW_MS", bad);
+            let err = std::panic::catch_unwind(|| Criterion::default().measure_window)
+                .expect_err("a garbage QNP_BENCH_WINDOW_MS must fail fast, not fall back");
+            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert!(
+                msg.contains(&format!("invalid QNP_BENCH_WINDOW_MS={bad:?}")),
+                "QNP_BENCH_WINDOW_MS={bad:?} panic message: {msg:?}"
+            );
+        }
+
+        std::env::remove_var("QNP_BENCH_WINDOW_MS");
+        assert_eq!(
+            Criterion::default().measure_window,
+            Duration::from_millis(200)
+        );
     }
 
     #[test]
