@@ -3,9 +3,7 @@
 //! the heralded-state construction, the link scheduler, the Bell
 //! tracking algebra, the quantum kernel's two pair-state
 //! representations side by side (`*_bell` vs `*_dm`), and the classical
-//! plane's wire codec and delivery paths (`message_parse`,
-//! `zero_copy_vs_owned_decode/*`, `encode_scratch_vs_alloc/*`,
-//! `batch_vs_single_delivery/*`).
+//! plane's wire codec (`message_parse`, `encode_scratch_vs_alloc/*`).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use qn_hardware::device::QubitId;
@@ -14,10 +12,9 @@ use qn_hardware::pairs::{PairStore, SwapNoise};
 use qn_hardware::params::{FibreParams, HardwareParams};
 use qn_hardware::StateRep;
 use qn_link::{LinkLabel, TimeShareScheduler};
-use qn_net::wire::{batch_append, batch_begin, BatchView, ScratchEncoder};
+use qn_net::wire::ScratchEncoder;
 use qn_net::{
-    CircuitId, Complete, Correlator, Epoch, Expire, Forward, Message, MessageView, RequestId,
-    RequestType, Track,
+    CircuitId, Complete, Correlator, Epoch, Expire, Forward, Message, RequestId, RequestType, Track,
 };
 use qn_quantum::bell::BellState;
 use qn_quantum::gates::Pauli;
@@ -230,48 +227,24 @@ fn message_mix() -> Vec<Message> {
     msgs
 }
 
-/// The wire codec under the delivery-path access pattern: full owned
-/// decode vs the borrowing view (parse + the fields the runtime's batch
-/// drain actually touches before deciding to materialise).
+/// The wire codec under the delivery-path access pattern: the owned
+/// decode the runtime's drain runs on every frame, and the two ways to
+/// encode one.
 fn bench_message_codec(c: &mut Criterion) {
     let msgs = message_mix();
     let frames: Vec<Vec<u8>> = msgs.iter().map(Message::wire_bytes).collect();
 
     c.bench_function("message_parse", |b| {
-        // Full view parse plus the per-variant fields a dispatcher would
-        // read (TRACK's continuation correlator) — still borrow-only.
-        b.iter(|| {
-            let mut acc = 0u64;
-            for f in &frames {
-                let v = MessageView::parse(f).unwrap();
-                acc = acc.wrapping_add(v.circuit().0);
-                if let MessageView::Track(t) = v {
-                    acc = acc.wrapping_add(t.link().seq);
-                }
-            }
-            acc
-        });
-    });
-
-    c.bench_function("zero_copy_vs_owned_decode/owned", |b| {
+        // Full decode plus the per-variant fields a dispatcher would
+        // read (TRACK's continuation correlator).
         b.iter(|| {
             let mut acc = 0u64;
             for f in &frames {
                 let m = Message::decode(f).unwrap();
                 acc = acc.wrapping_add(m.circuit().0);
-            }
-            acc
-        });
-    });
-
-    c.bench_function("zero_copy_vs_owned_decode/view", |b| {
-        // The zero-copy access pattern: validate the whole frame, read
-        // only the demux key, materialise nothing.
-        b.iter(|| {
-            let mut acc = 0u64;
-            for f in &frames {
-                let v = MessageView::parse(f).unwrap();
-                acc = acc.wrapping_add(v.circuit().0);
+                if let Message::Track(t) = m {
+                    acc = acc.wrapping_add(t.link.seq);
+                }
             }
             acc
         });
@@ -295,50 +268,6 @@ fn bench_message_codec(c: &mut Criterion) {
                 bytes += scratch.message(m).len();
             }
             bytes
-        });
-    });
-}
-
-/// Frame delivery through the event loop: one event + one owned frame
-/// per message (the pre-batching plane) vs one event per coalesced
-/// batch drained through the borrowing view. Both paths end at the same
-/// place — an owned `Message` handed to the protocol node.
-fn bench_frame_delivery(c: &mut Criterion) {
-    let frames: Vec<Vec<u8>> = message_mix().iter().map(Message::wire_bytes).collect();
-    let mut batch = Vec::new();
-    batch_begin(&mut batch);
-    for f in &frames {
-        batch_append(&mut batch, f);
-    }
-
-    c.bench_function("batch_vs_single_delivery/single", |b| {
-        b.iter(|| {
-            let mut q: EventQueue<Vec<u8>> = EventQueue::new();
-            for (i, f) in frames.iter().enumerate() {
-                q.push(SimTime::from_ps(i as u64), f.clone());
-            }
-            let mut acc = 0u64;
-            while let Some((_, f)) = q.pop() {
-                let m = Message::decode(&f).unwrap();
-                acc = acc.wrapping_add(m.circuit().0);
-            }
-            acc
-        });
-    });
-
-    c.bench_function("batch_vs_single_delivery/batched", |b| {
-        b.iter(|| {
-            let mut q: EventQueue<&[u8]> = EventQueue::new();
-            q.push(SimTime::ZERO, batch.as_slice());
-            let mut acc = 0u64;
-            while let Some((_, buf)) = q.pop() {
-                let view = BatchView::parse(buf).unwrap();
-                for f in view.frames() {
-                    let m = MessageView::parse(f).unwrap().to_message();
-                    acc = acc.wrapping_add(m.circuit().0);
-                }
-            }
-            acc
         });
     });
 }
@@ -605,7 +534,6 @@ criterion_group!(
     bench_pair_representations,
     bench_link_scheduler,
     bench_message_codec,
-    bench_frame_delivery,
     bench_slab_store,
     bench_table_cache,
     bench_bell_algebra

@@ -1,7 +1,7 @@
 //! # qn-link — the link layer entanglement generation service
 //!
 //! The layer directly below the QNP in the paper's stack (Fig 2),
-//! modelled on the link layer protocol of Ref [19] (Dahlberg et al.,
+//! modelled on the link layer protocol of Ref \[19\] (Dahlberg et al.,
 //! SIGCOMM'19). It turns the probabilistic midpoint-heralding physics into
 //! a *meaningful service*: batched, multiplexed, retried entanglement
 //! generation with per-pair identifiers and Bell-state announcements.

@@ -1,8 +1,8 @@
 //! The link layer protocol state machine.
 //!
 //! One [`LinkProtocol`] instance manages entanglement generation over one
-//! physical link, playing the role of the link layer protocol of Ref [19]
-//! (Dahlberg et al., SIGCOMM'19) that the QNP builds on. In the real
+//! physical link, playing the role of the link layer protocol of Ref
+//! \[19\] (Dahlberg et al., SIGCOMM'19) that the QNP builds on. In the real
 //! system the two endpoint processors run a distributed-queue protocol to
 //! agree on what to generate; their decisions are tightly synchronised by
 //! design, so the simulation models the agreed schedule as a single state

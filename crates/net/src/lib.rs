@@ -55,6 +55,4 @@ pub use node::{NodeStats, QnpNode};
 pub use policing::{AdmitDecision, Policer};
 pub use request::{Demand, RequestType, UserRequest};
 pub use routing_table::{DownstreamHop, LinkSide, Role, RoutingEntry, UpstreamHop};
-pub use wire::{
-    BatchView, DecodeError, MessageView, ScratchEncoder, Wire, WireReader, WireWriter, WIRE_VERSION,
-};
+pub use wire::{DecodeError, ScratchEncoder, Wire, WireReader, WireWriter, WIRE_VERSION};

@@ -389,25 +389,6 @@ impl QnpNode {
         self.circuits.get(circuit).map(|c| c.entry.role())
     }
 
-    /// Zero-copy ingress: validate an encoded data-plane frame as a
-    /// borrowed view (`crate::wire::MessageView`) and run the rules on
-    /// it, materialising the owned message only here — the single place
-    /// the receive path copies out of the frame buffer. Appends the
-    /// effects to `out` and returns the frame's circuit so the runtime
-    /// can demux without re-decoding.
-    pub fn handle_frame(
-        &mut self,
-        from_upstream: bool,
-        frame: &[u8],
-        out: &mut Vec<NetOutput>,
-    ) -> Result<CircuitId, crate::wire::DecodeError> {
-        let view = crate::wire::MessageView::parse(frame)?;
-        let circuit = view.circuit();
-        let msg = view.to_message();
-        self.handle(NetInput::Message { from_upstream, msg }, out);
-        Ok(circuit)
-    }
-
     /// Handle one input, appending the effects for the runtime to `out`
     /// (a caller-owned buffer the runtime reuses across inputs).
     pub fn handle(&mut self, input: NetInput, out: &mut Vec<NetOutput>) {

@@ -25,20 +25,12 @@
 //! | `0x01..=0x05` | QNP data plane ([`Message`]) | FORWARD, COMPLETE, TRACK, EXPIRE, TRACK_ACK |
 //! | `0x10..=0x12` | link layer lifecycle ([`LinkEvent`]) | PAIR_READY, REQUEST_DONE, REJECTED |
 //! | `0x20..=0x23` | routing signalling (`qn_routing::wire`) | INSTALL, TEARDOWN, INSTALL_ACK, TEARDOWN_ACK |
-//! | `0x30` | transport framing | BATCH (coalesced length-prefixed frames) |
 //!
-//! ## Zero-copy views and batch frames
-//!
-//! The receive path decodes without allocating: [`MessageView`] borrows
-//! the frame buffer, validates the full layout up front (identical
-//! [`DecodeError`]s to [`Message::decode`], byte offset for byte
-//! offset) and reads fields on demand straight out of the bytes. The
-//! classical plane coalesces frames headed to the same `(hop, lane,
-//! delivery tick)` into a BATCH frame — header, `count: u32`, then
-//! `count` length-prefixed inner frames — built with
-//! [`batch_begin`]/[`batch_append`] and drained through the borrowing
-//! [`BatchView`]. The encode side reuses a per-plane [`ScratchEncoder`]
-//! instead of allocating a fresh `Vec` per frame.
+//! Each frame has one decoder, the owned one ([`Message::decode`],
+//! [`decode_link_event`], `qn_routing::wire::SignalMessage::decode`).
+//! `Message` is `Copy`, so decoding allocates nothing. The encode side
+//! reuses a per-plane [`ScratchEncoder`] instead of allocating a fresh
+//! `Vec` per frame.
 //!
 //! ## Guarantees
 //!
@@ -91,8 +83,6 @@ pub const KIND_SIGNAL_TEARDOWN: u8 = 0x21;
 pub const KIND_SIGNAL_INSTALL_ACK: u8 = 0x22;
 /// Kind byte of a routing-signalling TEARDOWN_ACK frame (`qn_routing::wire`).
 pub const KIND_SIGNAL_TEARDOWN_ACK: u8 = 0x23;
-/// Kind byte of a transport BATCH frame (coalesced inner frames).
-pub const KIND_BATCH: u8 = 0x30;
 
 /// A typed decoding failure. Decoding is *total*: arbitrary input bytes
 /// produce one of these, never a panic.
@@ -205,11 +195,6 @@ impl<'a> WireReader<'a> {
         WireReader { buf, pos: 0 }
     }
 
-    /// Current byte offset.
-    pub fn position(&self) -> usize {
-        self.pos
-    }
-
     /// Unconsumed bytes remaining.
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
@@ -233,33 +218,6 @@ impl<'a> WireReader<'a> {
         let s = &self.buf[self.pos..self.pos + n];
         self.pos += n;
         Ok(s)
-    }
-
-    /// Borrow the next `n` bytes without copying (the slice outlives the
-    /// reader — it borrows the underlying frame buffer).
-    pub fn get_slice(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
-        self.take(n)
-    }
-
-    /// Advance past `n` bytes without reading them.
-    pub fn skip(&mut self, n: usize) -> Result<(), DecodeError> {
-        self.take(n).map(|_| ())
-    }
-
-    /// Advance past a run of fixed-size fields with one fused bounds
-    /// check. On truncation the reported offset is the start of the
-    /// *first field that does not fit* — identical to reading the fields
-    /// one by one.
-    pub fn skip_fields(&mut self, sizes: &[usize]) -> Result<(), DecodeError> {
-        let total: usize = sizes.iter().sum();
-        if self.remaining() >= total {
-            self.pos += total;
-            return Ok(());
-        }
-        for &n in sizes {
-            self.skip(n)?;
-        }
-        unreachable!("skip_fields: slow path must have failed");
     }
 
     /// Read one byte.
@@ -532,7 +490,6 @@ impl Wire for RoutingEntry {
 // Frame helpers
 // ---------------------------------------------------------------------
 
-/// Append the two-byte frame header.
 /// Append the two-byte frame header (version + kind).
 pub fn put_header(w: &mut WireWriter<'_>, kind: u8) {
     w.put_u8(WIRE_VERSION);
@@ -735,585 +692,6 @@ pub fn decode_link_event(bytes: &[u8]) -> Result<LinkEvent, DecodeError> {
 }
 
 // ---------------------------------------------------------------------
-// Zero-copy message views
-// ---------------------------------------------------------------------
-//
-// A view validates the complete frame layout once (reproducing
-// `Message::decode`'s `DecodeError`s byte offset for byte offset) and
-// then reads fields straight out of the borrowed bytes — the receive
-// path demuxes without allocating or materialising a `Message` until a
-// rule actually retains one.
-
-#[inline]
-fn le_u32_at(b: &[u8], at: usize) -> u32 {
-    u32::from_le_bytes(b[at..at + 4].try_into().expect("validated at parse"))
-}
-
-#[inline]
-fn le_u64_at(b: &[u8], at: usize) -> u64 {
-    u64::from_le_bytes(b[at..at + 8].try_into().expect("validated at parse"))
-}
-
-#[inline]
-fn pauli_at(b: &[u8], at: usize) -> Pauli {
-    match b[at] {
-        0 => Pauli::I,
-        1 => Pauli::X,
-        2 => Pauli::Y,
-        3 => Pauli::Z,
-        _ => unreachable!("validated at parse"),
-    }
-}
-
-/// Borrowed view of a FORWARD frame. Field offsets past the variable
-/// tail (`request_type` may carry a basis; two option fields) are
-/// recorded at parse time; every accessor is total.
-#[derive(Clone, Copy, Debug)]
-pub struct ForwardView<'a> {
-    frame: &'a [u8],
-    number_of_pairs_at: usize,
-    final_state_at: usize,
-    rate_at: usize,
-}
-
-impl<'a> ForwardView<'a> {
-    fn parse_payload(frame: &'a [u8], r: &mut WireReader<'a>) -> Result<Self, DecodeError> {
-        r.skip_fields(&[8, 8, 4, 4])?;
-        match r.get_u8()? {
-            0 | 1 => {}
-            2 => match r.get_u8()? {
-                0..=3 => {}
-                value => {
-                    return Err(DecodeError::BadTag {
-                        field: "pauli",
-                        value,
-                    })
-                }
-            },
-            value => {
-                return Err(DecodeError::BadTag {
-                    field: "request_type",
-                    value,
-                })
-            }
-        }
-        let number_of_pairs_at = r.position();
-        match r.get_u8()? {
-            0 => {}
-            1 => r.skip(8)?,
-            value => {
-                return Err(DecodeError::BadTag {
-                    field: "number_of_pairs",
-                    value,
-                })
-            }
-        }
-        let final_state_at = r.position();
-        match r.get_u8()? {
-            0 => {}
-            1 => match r.get_u8()? {
-                0..=3 => {}
-                value => {
-                    return Err(DecodeError::BadTag {
-                        field: "bell_state",
-                        value,
-                    })
-                }
-            },
-            value => {
-                return Err(DecodeError::BadTag {
-                    field: "final_state",
-                    value,
-                })
-            }
-        }
-        let rate_at = r.position();
-        r.skip(8)?;
-        Ok(ForwardView {
-            frame,
-            number_of_pairs_at,
-            final_state_at,
-            rate_at,
-        })
-    }
-
-    /// The circuit this message belongs to.
-    pub fn circuit(&self) -> CircuitId {
-        CircuitId(le_u64_at(self.frame, 2))
-    }
-
-    /// The request being forwarded.
-    pub fn request(&self) -> RequestId {
-        RequestId(le_u64_at(self.frame, 10))
-    }
-
-    /// Head-end identifier.
-    pub fn head_identifier(&self) -> u32 {
-        le_u32_at(self.frame, 18)
-    }
-
-    /// Tail-end identifier.
-    pub fn tail_identifier(&self) -> u32 {
-        le_u32_at(self.frame, 22)
-    }
-
-    /// The requested delivery mode.
-    pub fn request_type(&self) -> RequestType {
-        match self.frame[26] {
-            0 => RequestType::Keep,
-            1 => RequestType::Early,
-            2 => RequestType::Measure(pauli_at(self.frame, 27)),
-            _ => unreachable!("validated at parse"),
-        }
-    }
-
-    /// Requested pair count, if bounded.
-    pub fn number_of_pairs(&self) -> Option<u64> {
-        match self.frame[self.number_of_pairs_at] {
-            0 => None,
-            _ => Some(le_u64_at(self.frame, self.number_of_pairs_at + 1)),
-        }
-    }
-
-    /// Requested final Bell state, if pinned.
-    pub fn final_state(&self) -> Option<BellState> {
-        match self.frame[self.final_state_at] {
-            0 => None,
-            _ => Some(BellState::from_index(
-                self.frame[self.final_state_at + 1] as usize,
-            )),
-        }
-    }
-
-    /// Requested pair rate.
-    pub fn rate(&self) -> f64 {
-        f64::from_bits(le_u64_at(self.frame, self.rate_at))
-    }
-
-    /// Materialise the owned message.
-    pub fn to_forward(&self) -> Forward {
-        Forward {
-            circuit: self.circuit(),
-            request: self.request(),
-            head_identifier: self.head_identifier(),
-            tail_identifier: self.tail_identifier(),
-            request_type: self.request_type(),
-            number_of_pairs: self.number_of_pairs(),
-            final_state: self.final_state(),
-            rate: self.rate(),
-        }
-    }
-}
-
-/// Borrowed view of a COMPLETE frame (fixed 32-byte payload).
-#[derive(Clone, Copy, Debug)]
-pub struct CompleteView<'a> {
-    frame: &'a [u8],
-}
-
-impl<'a> CompleteView<'a> {
-    fn parse_payload(frame: &'a [u8], r: &mut WireReader<'a>) -> Result<Self, DecodeError> {
-        r.skip_fields(&[8, 8, 4, 4, 8])?;
-        Ok(CompleteView { frame })
-    }
-
-    /// The circuit this message belongs to.
-    pub fn circuit(&self) -> CircuitId {
-        CircuitId(le_u64_at(self.frame, 2))
-    }
-
-    /// The completed request.
-    pub fn request(&self) -> RequestId {
-        RequestId(le_u64_at(self.frame, 10))
-    }
-
-    /// Head-end identifier.
-    pub fn head_identifier(&self) -> u32 {
-        le_u32_at(self.frame, 18)
-    }
-
-    /// Tail-end identifier.
-    pub fn tail_identifier(&self) -> u32 {
-        le_u32_at(self.frame, 22)
-    }
-
-    /// Delivered pair rate.
-    pub fn rate(&self) -> f64 {
-        f64::from_bits(le_u64_at(self.frame, 26))
-    }
-
-    /// Materialise the owned message.
-    pub fn to_complete(&self) -> Complete {
-        Complete {
-            circuit: self.circuit(),
-            request: self.request(),
-            head_identifier: self.head_identifier(),
-            tail_identifier: self.tail_identifier(),
-            rate: self.rate(),
-        }
-    }
-}
-
-/// Borrowed view of a TRACK frame.
-#[derive(Clone, Copy, Debug)]
-pub struct TrackView<'a> {
-    frame: &'a [u8],
-}
-
-impl<'a> TrackView<'a> {
-    fn parse_payload(frame: &'a [u8], r: &mut WireReader<'a>) -> Result<Self, DecodeError> {
-        r.skip_fields(&[8, 8, 4, 4, 4, 4, 8, 4, 4, 8])?;
-        match r.get_u8()? {
-            0..=3 => {}
-            value => {
-                return Err(DecodeError::BadTag {
-                    field: "bell_state",
-                    value,
-                })
-            }
-        }
-        match r.get_u8()? {
-            0 => {}
-            1 => r.skip(8)?,
-            value => {
-                return Err(DecodeError::BadTag {
-                    field: "epoch",
-                    value,
-                })
-            }
-        }
-        Ok(TrackView { frame })
-    }
-
-    /// The circuit this message belongs to.
-    pub fn circuit(&self) -> CircuitId {
-        CircuitId(le_u64_at(self.frame, 2))
-    }
-
-    /// The tracked request.
-    pub fn request(&self) -> RequestId {
-        RequestId(le_u64_at(self.frame, 10))
-    }
-
-    /// Head-end identifier.
-    pub fn head_identifier(&self) -> u32 {
-        le_u32_at(self.frame, 18)
-    }
-
-    /// Tail-end identifier.
-    pub fn tail_identifier(&self) -> u32 {
-        le_u32_at(self.frame, 22)
-    }
-
-    /// Correlator of the origin pair being tracked.
-    pub fn origin(&self) -> EntanglementId {
-        EntanglementId {
-            node_a: NodeId(le_u32_at(self.frame, 26)),
-            node_b: NodeId(le_u32_at(self.frame, 30)),
-            seq: le_u64_at(self.frame, 34),
-        }
-    }
-
-    /// Correlator of the link pair consumed by the swap.
-    pub fn link(&self) -> EntanglementId {
-        EntanglementId {
-            node_a: NodeId(le_u32_at(self.frame, 42)),
-            node_b: NodeId(le_u32_at(self.frame, 46)),
-            seq: le_u64_at(self.frame, 50),
-        }
-    }
-
-    /// Bell state implied by the swap outcome.
-    pub fn outcome_state(&self) -> BellState {
-        BellState::from_index(self.frame[58] as usize)
-    }
-
-    /// Distillation epoch, if epochs are in use.
-    pub fn epoch(&self) -> Option<Epoch> {
-        match self.frame[59] {
-            0 => None,
-            _ => Some(Epoch(le_u64_at(self.frame, 60))),
-        }
-    }
-
-    /// Materialise the owned message.
-    pub fn to_track(&self) -> Track {
-        Track {
-            circuit: self.circuit(),
-            request: self.request(),
-            head_identifier: self.head_identifier(),
-            tail_identifier: self.tail_identifier(),
-            origin: self.origin(),
-            link: self.link(),
-            outcome_state: self.outcome_state(),
-            epoch: self.epoch(),
-        }
-    }
-}
-
-/// Borrowed view of an EXPIRE frame (fixed 24-byte payload).
-#[derive(Clone, Copy, Debug)]
-pub struct ExpireView<'a> {
-    frame: &'a [u8],
-}
-
-impl<'a> ExpireView<'a> {
-    fn parse_payload(frame: &'a [u8], r: &mut WireReader<'a>) -> Result<Self, DecodeError> {
-        r.skip_fields(&[8, 4, 4, 8])?;
-        Ok(ExpireView { frame })
-    }
-
-    /// The circuit this message belongs to.
-    pub fn circuit(&self) -> CircuitId {
-        CircuitId(le_u64_at(self.frame, 2))
-    }
-
-    /// Correlator of the expired pair.
-    pub fn origin(&self) -> EntanglementId {
-        EntanglementId {
-            node_a: NodeId(le_u32_at(self.frame, 10)),
-            node_b: NodeId(le_u32_at(self.frame, 14)),
-            seq: le_u64_at(self.frame, 18),
-        }
-    }
-
-    /// Materialise the owned message.
-    pub fn to_expire(&self) -> Expire {
-        Expire {
-            circuit: self.circuit(),
-            origin: self.origin(),
-        }
-    }
-}
-
-/// Borrowed view of a TRACK_ACK frame (fixed 24-byte payload).
-#[derive(Clone, Copy, Debug)]
-pub struct TrackAckView<'a> {
-    frame: &'a [u8],
-}
-
-impl<'a> TrackAckView<'a> {
-    fn parse_payload(frame: &'a [u8], r: &mut WireReader<'a>) -> Result<Self, DecodeError> {
-        r.skip_fields(&[8, 4, 4, 8])?;
-        Ok(TrackAckView { frame })
-    }
-
-    /// The circuit this message belongs to.
-    pub fn circuit(&self) -> CircuitId {
-        CircuitId(le_u64_at(self.frame, 2))
-    }
-
-    /// Correlator of the acknowledged pair at the TRACK's origin.
-    pub fn origin(&self) -> EntanglementId {
-        EntanglementId {
-            node_a: NodeId(le_u32_at(self.frame, 10)),
-            node_b: NodeId(le_u32_at(self.frame, 14)),
-            seq: le_u64_at(self.frame, 18),
-        }
-    }
-
-    /// Materialise the owned message.
-    pub fn to_track_ack(&self) -> TrackAck {
-        TrackAck {
-            circuit: self.circuit(),
-            origin: self.origin(),
-        }
-    }
-}
-
-/// A borrowed, fully validated view of one data-plane frame.
-///
-/// `parse` is total and agrees with [`Message::decode`] exactly: the
-/// same inputs succeed, and failing inputs produce the *same*
-/// [`DecodeError`] (including the truncation byte offset). The property
-/// suite in `crates/net/tests/prop_wire.rs` pins this equivalence on
-/// arbitrary, truncated and bit-flipped inputs.
-#[derive(Clone, Copy, Debug)]
-pub enum MessageView<'a> {
-    /// A FORWARD frame.
-    Forward(ForwardView<'a>),
-    /// A COMPLETE frame.
-    Complete(CompleteView<'a>),
-    /// A TRACK frame.
-    Track(TrackView<'a>),
-    /// An EXPIRE frame.
-    Expire(ExpireView<'a>),
-    /// A TRACK_ACK frame.
-    TrackAck(TrackAckView<'a>),
-}
-
-impl<'a> MessageView<'a> {
-    /// Validate a complete frame and borrow it as a view.
-    pub fn parse(bytes: &'a [u8]) -> Result<MessageView<'a>, DecodeError> {
-        let mut r = WireReader::new(bytes);
-        let view = match read_header(&mut r)? {
-            KIND_FORWARD => MessageView::Forward(ForwardView::parse_payload(bytes, &mut r)?),
-            KIND_COMPLETE => MessageView::Complete(CompleteView::parse_payload(bytes, &mut r)?),
-            KIND_TRACK => MessageView::Track(TrackView::parse_payload(bytes, &mut r)?),
-            KIND_EXPIRE => MessageView::Expire(ExpireView::parse_payload(bytes, &mut r)?),
-            KIND_TRACK_ACK => MessageView::TrackAck(TrackAckView::parse_payload(bytes, &mut r)?),
-            kind => return Err(DecodeError::UnknownKind(kind)),
-        };
-        r.finish()?;
-        Ok(view)
-    }
-
-    /// The circuit this frame belongs to — the demux key, read without
-    /// materialising the message (every payload starts with it).
-    pub fn circuit(&self) -> CircuitId {
-        match self {
-            MessageView::Forward(v) => v.circuit(),
-            MessageView::Complete(v) => v.circuit(),
-            MessageView::Track(v) => v.circuit(),
-            MessageView::Expire(v) => v.circuit(),
-            MessageView::TrackAck(v) => v.circuit(),
-        }
-    }
-
-    /// Materialise the owned message (the one place the receive path
-    /// copies out of the frame buffer).
-    pub fn to_message(&self) -> Message {
-        match self {
-            MessageView::Forward(v) => Message::Forward(v.to_forward()),
-            MessageView::Complete(v) => Message::Complete(v.to_complete()),
-            MessageView::Track(v) => Message::Track(v.to_track()),
-            MessageView::Expire(v) => Message::Expire(v.to_expire()),
-            MessageView::TrackAck(v) => Message::TrackAck(v.to_track_ack()),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Batch frames (transport coalescing)
-// ---------------------------------------------------------------------
-//
-// Layout: `version | KIND_BATCH | count: u32 | count × (len: u32 | frame)`.
-// The classical plane coalesces frames crossing the same hop toward the
-// same delivery tick into one batch, so the runtime schedules (and
-// drains) one event per batch instead of one per message.
-
-/// Start a BATCH frame in `buf` (clearing it): header plus a zero count.
-pub fn batch_begin(buf: &mut Vec<u8>) {
-    buf.clear();
-    buf.push(WIRE_VERSION);
-    buf.push(KIND_BATCH);
-    buf.extend_from_slice(&0u32.to_le_bytes());
-}
-
-/// Append one length-prefixed inner frame to a batch started by
-/// [`batch_begin`], bumping the count in place.
-pub fn batch_append(buf: &mut Vec<u8>, frame: &[u8]) {
-    debug_assert!(
-        buf.len() >= 6 && buf[1] == KIND_BATCH,
-        "batch_append on a buffer not started by batch_begin"
-    );
-    buf.extend_from_slice(&(frame.len() as u32).to_le_bytes());
-    buf.extend_from_slice(frame);
-    let count = u32::from_le_bytes(buf[2..6].try_into().expect("4 bytes")) + 1;
-    buf[2..6].copy_from_slice(&count.to_le_bytes());
-}
-
-/// Iterator over the inner frames of a validated [`BatchView`].
-pub struct BatchFrames<'a> {
-    rest: &'a [u8],
-    remaining: u32,
-}
-
-impl<'a> Iterator for BatchFrames<'a> {
-    type Item = &'a [u8];
-
-    fn next(&mut self) -> Option<&'a [u8]> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        let len =
-            u32::from_le_bytes(self.rest[..4].try_into().expect("validated at parse")) as usize;
-        let frame = &self.rest[4..4 + len];
-        self.rest = &self.rest[4 + len..];
-        Some(frame)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.remaining as usize, Some(self.remaining as usize))
-    }
-}
-
-impl ExactSizeIterator for BatchFrames<'_> {}
-
-/// A borrowed, eagerly validated view of a BATCH frame.
-///
-/// `parse` walks every length prefix up front (typed errors on a bad
-/// header, a truncating inner length or trailing bytes), so [`frames`]
-/// iterates infallibly afterwards. Inner frames are *opaque* byte
-/// strings at this layer — a frame corrupted in flight still travels
-/// inside a well-formed envelope and fails only its own decode.
-///
-/// [`frames`]: BatchView::frames
-#[derive(Clone, Copy, Debug)]
-pub struct BatchView<'a> {
-    body: &'a [u8],
-    count: u32,
-}
-
-impl<'a> BatchView<'a> {
-    /// Validate a complete batch frame and borrow it as a view.
-    pub fn parse(bytes: &'a [u8]) -> Result<BatchView<'a>, DecodeError> {
-        let mut r = WireReader::new(bytes);
-        match read_header(&mut r)? {
-            KIND_BATCH => {}
-            kind => return Err(DecodeError::UnknownKind(kind)),
-        }
-        let count = r.get_u32()?;
-        let body_start = r.position();
-        for _ in 0..count {
-            let len = r.get_u32()? as usize;
-            r.skip(len)?;
-        }
-        r.finish()?;
-        Ok(BatchView {
-            body: &bytes[body_start..],
-            count,
-        })
-    }
-
-    /// Number of inner frames.
-    pub fn count(&self) -> u32 {
-        self.count
-    }
-
-    /// Iterate the inner frames in append order, borrowing each.
-    pub fn frames(&self) -> BatchFrames<'a> {
-        BatchFrames {
-            rest: self.body,
-            remaining: self.count,
-        }
-    }
-}
-
-/// Owned batch decode: the allocating counterpart of [`BatchView`],
-/// kept as an independent walk so the property suite can pin the two
-/// paths to identical results (and identical [`DecodeError`]s) on
-/// corrupt input.
-pub fn decode_batch(bytes: &[u8]) -> Result<Vec<Vec<u8>>, DecodeError> {
-    let mut r = WireReader::new(bytes);
-    match read_header(&mut r)? {
-        KIND_BATCH => {}
-        kind => return Err(DecodeError::UnknownKind(kind)),
-    }
-    let count = r.get_u32()?;
-    // No `with_capacity(count)`: a corrupt count must not drive an
-    // allocation — growth is bounded by the actual input length.
-    let mut frames = Vec::new();
-    for _ in 0..count {
-        let len = r.get_u32()? as usize;
-        frames.push(r.get_slice(len)?.to_vec());
-    }
-    r.finish()?;
-    Ok(frames)
-}
-
-// ---------------------------------------------------------------------
 // Scratch encoding
 // ---------------------------------------------------------------------
 
@@ -1489,93 +867,6 @@ mod tests {
             encode_link_event(&back, &mut again);
             assert_eq!(again, bytes, "round trip of {ev:?}");
         }
-    }
-
-    #[test]
-    fn view_matches_owned_decode_on_samples() {
-        for m in sample_messages() {
-            let bytes = m.wire_bytes();
-            let view = MessageView::parse(&bytes).unwrap();
-            assert_eq!(view.to_message(), m, "view materialisation of {m:?}");
-            assert_eq!(view.circuit(), m.circuit());
-        }
-    }
-
-    #[test]
-    fn view_errors_match_owned_decode() {
-        for m in sample_messages() {
-            let bytes = m.wire_bytes();
-            // Every strict prefix: identical typed error, same offset.
-            for len in 0..bytes.len() {
-                assert_eq!(
-                    MessageView::parse(&bytes[..len]).unwrap_err(),
-                    Message::decode(&bytes[..len]).unwrap_err(),
-                    "prefix of {len} bytes of {m:?}"
-                );
-            }
-            // Every single-byte corruption: same verdict on both paths.
-            for i in 0..bytes.len() {
-                let mut bad = bytes.clone();
-                bad[i] ^= 0xFF;
-                match (MessageView::parse(&bad), Message::decode(&bad)) {
-                    (Ok(v), Ok(d)) => assert_eq!(v.to_message().wire_bytes(), d.wire_bytes()),
-                    (Err(a), Err(b)) => assert_eq!(a, b, "corrupt byte {i} of {m:?}"),
-                    (a, b) => panic!("paths diverge at byte {i}: {a:?} vs {b:?}"),
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn batch_round_trip() {
-        let frames: Vec<Vec<u8>> = sample_messages().iter().map(Message::wire_bytes).collect();
-        let mut buf = Vec::new();
-        batch_begin(&mut buf);
-        for f in &frames {
-            batch_append(&mut buf, f);
-        }
-        let view = BatchView::parse(&buf).unwrap();
-        assert_eq!(view.count() as usize, frames.len());
-        let got: Vec<&[u8]> = view.frames().collect();
-        assert_eq!(got, frames.iter().map(Vec::as_slice).collect::<Vec<_>>());
-        assert_eq!(decode_batch(&buf).unwrap(), frames);
-        // Empty batches are legal frames too.
-        let mut empty = Vec::new();
-        batch_begin(&mut empty);
-        assert_eq!(BatchView::parse(&empty).unwrap().count(), 0);
-        assert_eq!(decode_batch(&empty).unwrap(), Vec::<Vec<u8>>::new());
-    }
-
-    #[test]
-    fn batch_decode_is_total_and_paths_agree() {
-        let mut buf = Vec::new();
-        batch_begin(&mut buf);
-        batch_append(&mut buf, &sample_messages()[1].wire_bytes());
-        // Corrupt the inner length prefix (bytes 6..10) and truncate:
-        // both walks must fail with the same typed error.
-        for i in 0..buf.len() {
-            let mut bad = buf.clone();
-            bad[i] ^= 0x40;
-            assert_eq!(
-                BatchView::parse(&bad).map(|v| v.count()),
-                decode_batch(&bad).map(|f| f.len() as u32),
-                "corrupt byte {i}"
-            );
-        }
-        for len in 0..buf.len() {
-            assert_eq!(
-                BatchView::parse(&buf[..len])
-                    .map(|v| v.count())
-                    .unwrap_err(),
-                decode_batch(&buf[..len]).unwrap_err(),
-                "prefix of {len} bytes"
-            );
-        }
-        buf.push(0);
-        assert_eq!(
-            decode_batch(&buf),
-            Err(DecodeError::TrailingBytes { extra: 1 })
-        );
     }
 
     #[test]

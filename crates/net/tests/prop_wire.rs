@@ -9,7 +9,7 @@ use qn_link::{EntanglementId, LinkEvent, LinkLabel, LinkPair, RejectReason};
 use qn_net::ids::{CircuitId, Epoch, RequestId};
 use qn_net::messages::{Complete, Expire, Forward, Message, Track, TrackAck};
 use qn_net::request::RequestType;
-use qn_net::wire::{decode_link_event, encode_link_event, DecodeError, MessageView, WIRE_VERSION};
+use qn_net::wire::{decode_link_event, encode_link_event, DecodeError, WIRE_VERSION};
 use qn_quantum::bell::BellState;
 use qn_quantum::gates::Pauli;
 use qn_sim::NodeId;
@@ -310,82 +310,5 @@ proptest! {
             Message::decode(&bytes),
             Err(DecodeError::TrailingBytes { extra: n })
         );
-    }
-
-    /// The zero-copy view is byte-for-byte equivalent to the owned
-    /// decode on valid frames: same message, same demux key, and every
-    /// field accessor agrees with the materialised struct.
-    #[test]
-    fn view_decode_equivalent_on_valid_frames(msg in arb_message()) {
-        let bytes = msg.wire_bytes();
-        let view = MessageView::parse(&bytes);
-        prop_assert!(view.is_ok(), "view parse failed: {:?}", view.err());
-        let view = view.unwrap();
-        // Re-encode comparison covers NaN rate bit patterns.
-        prop_assert_eq!(view.to_message().wire_bytes(), bytes.clone());
-        prop_assert_eq!(view.circuit(), msg.circuit());
-        match (&view, &msg) {
-            (MessageView::Forward(v), Message::Forward(m)) => {
-                prop_assert_eq!(v.request(), m.request);
-                prop_assert_eq!(v.request_type(), m.request_type);
-                prop_assert_eq!(v.number_of_pairs(), m.number_of_pairs);
-                prop_assert_eq!(v.final_state(), m.final_state);
-                prop_assert_eq!(v.rate().to_bits(), m.rate.to_bits());
-            }
-            (MessageView::Complete(v), Message::Complete(m)) => {
-                prop_assert_eq!(v.rate().to_bits(), m.rate.to_bits());
-                prop_assert_eq!((v.head_identifier(), v.tail_identifier()),
-                    (m.head_identifier, m.tail_identifier));
-            }
-            (MessageView::Track(v), Message::Track(m)) => {
-                prop_assert_eq!(v.origin(), m.origin);
-                prop_assert_eq!(v.link(), m.link);
-                prop_assert_eq!(v.outcome_state(), m.outcome_state);
-                prop_assert_eq!(v.epoch(), m.epoch);
-            }
-            (MessageView::Expire(v), Message::Expire(m)) => {
-                prop_assert_eq!(v.origin(), m.origin);
-            }
-            (MessageView::TrackAck(v), Message::TrackAck(m)) => {
-                prop_assert_eq!(v.origin(), m.origin);
-            }
-            (v, m) => prop_assert!(false, "kind mismatch: {:?} vs {:?}", v, m),
-        }
-    }
-
-    /// On *arbitrary* bytes the two decode paths agree exactly: both
-    /// succeed with the same frame, or both fail with the **same**
-    /// `DecodeError` (same variant, same truncation offset).
-    #[test]
-    fn view_decode_equivalent_on_arbitrary_bytes(bytes in vec(any::<u8>(), 0..128)) {
-        match (MessageView::parse(&bytes), Message::decode(&bytes)) {
-            (Ok(v), Ok(m)) => prop_assert_eq!(v.to_message().wire_bytes(), m.wire_bytes()),
-            (Err(a), Err(b)) => prop_assert_eq!(a, b),
-            (a, b) => prop_assert!(false, "paths diverge: {:?} vs {:?}", a, b),
-        }
-    }
-
-    /// Truncated and bit-flipped valid frames: same equivalence, byte
-    /// offset included.
-    #[test]
-    fn view_decode_equivalent_on_damaged_frames(
-        msg in arb_message(),
-        cut in any::<u16>(),
-        flip in any::<u32>(),
-    ) {
-        let bytes = msg.wire_bytes();
-        let len = (cut as usize) % bytes.len();
-        prop_assert_eq!(
-            MessageView::parse(&bytes[..len]).unwrap_err(),
-            Message::decode(&bytes[..len]).unwrap_err()
-        );
-        let mut flipped = bytes;
-        let bit = (flip as usize) % (flipped.len() * 8);
-        flipped[bit / 8] ^= 1 << (bit % 8);
-        match (MessageView::parse(&flipped), Message::decode(&flipped)) {
-            (Ok(v), Ok(m)) => prop_assert_eq!(v.to_message().wire_bytes(), m.wire_bytes()),
-            (Err(a), Err(b)) => prop_assert_eq!(a, b),
-            (a, b) => prop_assert!(false, "paths diverge: {:?} vs {:?}", a, b),
-        }
     }
 }

@@ -20,21 +20,21 @@
 //!   is a bit-identical pass-through of the reliable contract: no extra
 //!   RNG draws, no extra latency, byte-equal payloads.
 //!
-//! The plane **batches**: frames crossing the same directed hop in the
-//! same lane toward the same delivery tick coalesce into one
-//! length-prefixed BATCH frame (`qn_net::wire::batch_begin`). Each
-//! [`transmit`] call reports at most the *newly opened* batches
-//! ([`BatchOpen`]) — the runtime schedules exactly one delivery event
-//! per batch and drains it with [`take_batch`], so a burst of
-//! same-tick signalling costs one event and one demux pass instead of
-//! one per message. Frame order within a batch is append order and
-//! batch delivery times come from the same clamp as before, so
-//! delivery order and fault semantics are preserved exactly.
+//! The plane **groups** frames: frames crossing the same directed hop
+//! in the same lane toward the same delivery tick share one [`Batch`],
+//! a private list of frames. Each [`transmit`] call reports at most the
+//! *newly opened* groups ([`BatchOpen`]); the runtime schedules exactly
+//! one delivery event per group and drains it with [`take_batch`].
+//! Within a group, frames keep their send order, and every frame's
+//! delivery time and fault draws are what they would be on its own.
+//! A group is not free of semantics, though: its event was scheduled by
+//! its first frame, so a frame sent later rides ahead of other events
+//! already due at the same instant. Delivering each frame as its own
+//! event would change the event count and that same-instant order.
 //!
 //! [`transmit`]: ClassicalPlane::transmit
 //! [`take_batch`]: ClassicalPlane::take_batch
 
-use qn_net::wire::{batch_append, batch_begin};
 use qn_sim::{NodeId, SimDuration, SimRng, SimTime};
 
 /// Delay model of one hop.
@@ -234,15 +234,15 @@ pub struct ClassicalStats {
     pub retransmits_abandoned: u64,
     /// Total encoded payload bytes submitted.
     pub wire_bytes: u64,
-    /// Batch frames opened (= delivery events scheduled).
+    /// Frame groups opened (= delivery events scheduled).
     pub batches: u64,
-    /// Payload bytes that rode along in an already-open batch — traffic
+    /// Payload bytes that rode along in an already-open group — traffic
     /// that did not cost its own delivery event.
     pub bytes_coalesced: u64,
 }
 
 impl ClassicalStats {
-    /// Mean frames per batch delivery event.
+    /// Mean frames per group delivery event.
     pub fn frames_per_batch(&self) -> f64 {
         if self.batches == 0 {
             0.0
@@ -281,30 +281,57 @@ impl ClassicalStats {
     }
 }
 
-/// Handle of an open (scheduled but not yet drained) batch.
+/// Handle of an open (scheduled but not yet drained) group.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct BatchId(pub u64);
 
-/// A batch newly opened by a [`ClassicalPlane::transmit`] call: the
+/// A group newly opened by a [`ClassicalPlane::transmit`] call: the
 /// runtime schedules exactly one delivery event per `BatchOpen` and
 /// drains it with [`ClassicalPlane::take_batch`] when the event fires.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct BatchOpen {
-    /// The batch to drain.
+    /// The group to drain.
     pub id: BatchId,
     /// When its frames arrive at the receiver.
     pub at: SimTime,
 }
 
-struct OpenBatch {
-    id: u64,
-    key: (NodeId, NodeId, bool, SimTime),
+/// The frames of one group, in send order. Only the plane writes the
+/// buffer (`len: u32 | frame` entries back to back), so walking it
+/// cannot fail.
+#[derive(Default)]
+pub struct Batch {
     buf: Vec<u8>,
 }
 
+impl Batch {
+    /// The frames in send order.
+    pub fn frames(&self) -> impl Iterator<Item = &[u8]> + '_ {
+        let mut rest = self.buf.as_slice();
+        std::iter::from_fn(move || {
+            let (len, tail) = rest.split_first_chunk::<4>()?;
+            let (frame, tail) = tail.split_at(u32::from_le_bytes(*len) as usize);
+            rest = tail;
+            Some(frame)
+        })
+    }
+
+    fn push(&mut self, frame: &[u8]) {
+        let len = u32::try_from(frame.len()).expect("an encoded frame is shorter than 4 GiB");
+        self.buf.extend_from_slice(&len.to_le_bytes());
+        self.buf.extend_from_slice(frame);
+    }
+}
+
+struct OpenBatch {
+    id: u64,
+    key: (NodeId, NodeId, bool, SimTime),
+    batch: Batch,
+}
+
 /// The classical plane: the reliable in-order transport plus optional
-/// seeded fault injection, operating on encoded frames and coalescing
-/// them into per-(hop, lane, tick) batches.
+/// seeded fault injection, operating on encoded frames and grouping
+/// them per (hop, lane, tick).
 ///
 /// Fault sampling uses its **own** RNG substream, so enabling faults
 /// never perturbs the latency/jitter draws — and the faults-off path
@@ -312,29 +339,27 @@ struct OpenBatch {
 /// plain reliable transport.
 pub struct ClassicalPlane {
     transport: ReliableDelivery,
-    faults: ClassicalFaults,
     rng_faults: SimRng,
     /// Traffic counters.
     pub stats: ClassicalStats,
-    /// Scheduled, undrained batches, scanned linearly by key on append
+    /// Scheduled, undrained groups, scanned linearly by key on append
     /// and by id on take (swap-removed). Their number is what is in
     /// flight at one instant, not what a run has sent.
     open: Vec<OpenBatch>,
     next_batch: u64,
-    /// Drained batch buffers waiting for reuse.
-    pool: Vec<Vec<u8>>,
+    /// Drained groups waiting for reuse of their buffers.
+    pool: Vec<Batch>,
     /// Copy-on-corrupt buffer (the caller's frame may live in a shared
     /// encode scratch and must not be mutated in place).
     fault_scratch: Vec<u8>,
 }
 
 impl ClassicalPlane {
-    /// A plane with the given fault config, drawing fault decisions from
-    /// the dedicated `"classical-faults"` substream of `seed`.
-    pub fn new(seed: u64, faults: ClassicalFaults) -> Self {
+    /// A plane drawing fault decisions from the dedicated
+    /// `"classical-faults"` substream of `seed`.
+    pub fn new(seed: u64) -> Self {
         ClassicalPlane {
             transport: ReliableDelivery::new(),
-            faults,
             rng_faults: SimRng::substream(seed, "classical-faults"),
             stats: ClassicalStats::default(),
             open: Vec::new(),
@@ -344,44 +369,24 @@ impl ClassicalPlane {
         }
     }
 
-    /// The active fault config.
-    pub fn faults(&self) -> &ClassicalFaults {
-        &self.faults
-    }
-
-    /// Transmit one encoded frame `from → to` at `now` over `channel`,
-    /// sampling latency from `rng_latency` (the caller's message RNG, so
-    /// the draw sequence matches the pre-fault-plane runtime exactly).
+    /// Transmit one encoded frame `from → to` at `now` over `channel`
+    /// under the hop's fault model `faults`, sampling latency from
+    /// `rng_latency` (the caller's message RNG, so the draw sequence
+    /// matches the pre-fault-plane runtime exactly). Fault draws come
+    /// from the plane's one `classical-faults` substream, whichever hop
+    /// the frame crosses.
     ///
     /// `lane` discriminates independent sub-streams of the same directed
     /// hop (the runtime uses the upstream/downstream orientation), so a
-    /// whole batch can be demuxed with one flag at the receiver.
+    /// whole group can be demuxed with one flag at the receiver.
     ///
-    /// The frame is appended to the open batch for its `(hop, lane,
-    /// delivery tick)` or a new batch is opened; the return value lists
-    /// the batches *opened by this call* (primary and, under faults, a
-    /// duplicate landing on a different tick) — zero entries means the
-    /// frame was dropped or coalesced into already-scheduled batches.
-    pub fn transmit(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        lane: bool,
-        now: SimTime,
-        channel: &ChannelModel,
-        rng_latency: &mut SimRng,
-        frame: &[u8],
-    ) -> [Option<BatchOpen>; 2] {
-        let faults = self.faults;
-        self.transmit_with(faults, from, to, lane, now, channel, rng_latency, frame)
-    }
-
-    /// [`ClassicalPlane::transmit`] with an explicit fault model for
-    /// this frame's hop (per-link fault overrides). Draws come from the
-    /// same single `classical-faults` substream in the same order, so
-    /// passing the plane's own config is exactly `transmit`.
+    /// The frame joins the open group for its `(hop, lane, delivery
+    /// tick)` or opens a new one; the return value lists the groups
+    /// *opened by this call* (primary and, under faults, a duplicate
+    /// landing on a different tick) — zero entries means the frame was
+    /// dropped or joined already-scheduled groups.
     #[allow(clippy::too_many_arguments)]
-    pub fn transmit_with(
+    pub fn transmit(
         &mut self,
         faults: ClassicalFaults,
         from: NodeId,
@@ -442,19 +447,19 @@ impl ClassicalPlane {
         [first, second]
     }
 
-    /// Remove an open batch and hand its encoded bytes to the receiver.
-    /// The id is single-use: later frames toward the same `(hop, lane,
-    /// tick)` open a fresh batch, so a drained batch can never grow.
-    pub fn take_batch(&mut self, id: BatchId) -> Option<Vec<u8>> {
+    /// Remove an open group and hand its frames to the receiver. The id
+    /// is single-use: later frames toward the same `(hop, lane, tick)`
+    /// open a fresh group, so a drained group can never grow.
+    pub fn take_batch(&mut self, id: BatchId) -> Option<Batch> {
         let i = self.open.iter().position(|b| b.id == id.0)?;
-        Some(self.open.swap_remove(i).buf)
+        Some(self.open.swap_remove(i).batch)
     }
 
-    /// Return a drained batch buffer for reuse by later batches.
-    pub fn recycle(&mut self, mut buf: Vec<u8>) {
+    /// Return a drained group for reuse of its buffer by later groups.
+    pub fn recycle(&mut self, mut batch: Batch) {
         if self.pool.len() < 32 {
-            buf.clear();
-            self.pool.push(buf);
+            batch.buf.clear();
+            self.pool.push(batch);
         }
     }
 
@@ -468,16 +473,15 @@ impl ClassicalPlane {
     ) -> Option<BatchOpen> {
         let key = (from, to, lane, at);
         if let Some(open) = self.open.iter_mut().find(|b| b.key == key) {
-            batch_append(&mut open.buf, frame);
+            open.batch.push(frame);
             self.stats.bytes_coalesced += frame.len() as u64;
             None
         } else {
             let id = self.next_batch;
             self.next_batch += 1;
-            let mut buf = self.pool.pop().unwrap_or_default();
-            batch_begin(&mut buf);
-            batch_append(&mut buf, frame);
-            self.open.push(OpenBatch { id, key, buf });
+            let mut batch = self.pool.pop().unwrap_or_default();
+            batch.push(frame);
+            self.open.push(OpenBatch { id, key, batch });
             self.stats.batches += 1;
             Some(BatchOpen {
                 id: BatchId(id),
@@ -557,20 +561,34 @@ mod tests {
         assert!(other < slow);
     }
 
-    /// Drain every batch opened by one transmit call, returning each as
-    /// `(delivery time, inner frames)`.
+    /// Send `frame` over hop `0 → 1`, lane `false`, on a jitter-free
+    /// channel.
+    fn send(
+        plane: &mut ClassicalPlane,
+        faults: ClassicalFaults,
+        now: SimTime,
+        rng: &mut SimRng,
+        frame: &[u8],
+    ) -> [Option<BatchOpen>; 2] {
+        let (a, b) = (NodeId(0), NodeId(1));
+        plane.transmit(faults, a, b, false, now, &model(0), rng, frame)
+    }
+
+    fn frames(batch: &Batch) -> Vec<Vec<u8>> {
+        batch.frames().map(<[u8]>::to_vec).collect()
+    }
+
+    /// Drain every group opened by one transmit call, returning each as
+    /// `(delivery time, frames)`.
     fn drain(
         plane: &mut ClassicalPlane,
         opened: [Option<BatchOpen>; 2],
     ) -> Vec<(SimTime, Vec<Vec<u8>>)> {
         let mut out = Vec::new();
         for b in opened.into_iter().flatten() {
-            let buf = plane.take_batch(b.id).expect("opened batch");
-            out.push((
-                b.at,
-                qn_net::wire::decode_batch(&buf).expect("plane-built batch"),
-            ));
-            plane.recycle(buf);
+            let batch = plane.take_batch(b.id).expect("opened group");
+            out.push((b.at, frames(&batch)));
+            plane.recycle(batch);
         }
         out
     }
@@ -584,12 +602,21 @@ mod tests {
         let (a, b) = (NodeId(0), NodeId(1));
         let mut bare = ReliableDelivery::new();
         let mut bare_rng = SimRng::from_seed(9);
-        let mut plane = ClassicalPlane::new(123, ClassicalFaults::OFF);
+        let mut plane = ClassicalPlane::new(123);
         let mut plane_rng = SimRng::from_seed(9);
         for i in 0..200u64 {
             let now = SimTime::from_ps(i * 1000);
             let expect = bare.schedule(a, b, now, m.sample_latency(&mut bare_rng));
-            let opened = plane.transmit(a, b, false, now, &m, &mut plane_rng, &[i as u8]);
+            let opened = plane.transmit(
+                ClassicalFaults::OFF,
+                a,
+                b,
+                false,
+                now,
+                &m,
+                &mut plane_rng,
+                &[i as u8],
+            );
             let got = drain(&mut plane, opened);
             assert_eq!(got.len(), 1);
             assert_eq!(got[0].0, expect);
@@ -604,35 +631,44 @@ mod tests {
 
     #[test]
     fn same_tick_frames_coalesce_into_one_batch() {
-        let m = model(0); // deterministic latency: same tick per send time
+        // Deterministic latency: same tick per send time.
+        let (m, off, now) = (model(0), ClassicalFaults::OFF, SimTime::ZERO);
         let (a, b) = (NodeId(0), NodeId(1));
-        let mut plane = ClassicalPlane::new(1, ClassicalFaults::OFF);
+        let mut plane = ClassicalPlane::new(1);
         let mut rng = SimRng::from_seed(1);
-        let now = SimTime::ZERO;
-        let open =
-            plane.transmit(a, b, false, now, &m, &mut rng, b"one")[0].expect("first send opens");
+        let open = send(&mut plane, off, now, &mut rng, b"one")[0].expect("first send opens");
         for f in [b"two".as_slice(), b"three"] {
             assert_eq!(
-                plane.transmit(a, b, false, now, &m, &mut rng, f),
+                send(&mut plane, off, now, &mut rng, f),
                 [None, None],
                 "same (hop, lane, tick) must coalesce"
             );
         }
-        // A different lane or hop opens its own batch.
-        assert!(plane.transmit(a, b, true, now, &m, &mut rng, b"x")[0].is_some());
-        assert!(plane.transmit(b, a, false, now, &m, &mut rng, b"y")[0].is_some());
-        let buf = plane.take_batch(open.id).unwrap();
+        // A different lane or hop opens its own group.
+        assert!(plane.transmit(off, a, b, true, now, &m, &mut rng, b"x")[0].is_some());
+        assert!(plane.transmit(off, b, a, false, now, &m, &mut rng, b"y")[0].is_some());
+        let batch = plane.take_batch(open.id).unwrap();
         assert_eq!(
-            qn_net::wire::decode_batch(&buf).unwrap(),
+            frames(&batch),
             vec![b"one".to_vec(), b"two".to_vec(), b"three".to_vec()],
-            "append order is delivery order"
+            "send order is delivery order"
         );
-        plane.recycle(buf);
+        plane.recycle(batch);
         assert_eq!(plane.stats.batches, 3);
-        assert_eq!(plane.stats.bytes_coalesced, 8); // "two" + "three"
-                                                    // A drained id is single-use; the tick re-opens afterwards.
+        // "two" and "three" rode along.
+        assert_eq!(plane.stats.bytes_coalesced, 8);
+        // A drained id is single-use; the tick re-opens afterwards, and
+        // a recycled buffer starts empty.
         assert!(plane.take_batch(open.id).is_none());
-        assert!(plane.transmit(a, b, false, now, &m, &mut rng, b"z")[0].is_some());
+        let reopened = send(&mut plane, off, now, &mut rng, b"z")[0].expect("tick re-opens");
+        let batch = plane.take_batch(reopened.id).unwrap();
+        assert_eq!(frames(&batch), vec![b"z".to_vec()]);
+        // Empty frames are legal entries too.
+        let opened = send(&mut plane, off, now, &mut rng, b"");
+        assert_eq!(
+            drain(&mut plane, opened),
+            vec![(opened[0].unwrap().at, vec![vec![]])]
+        );
     }
 
     #[test]
@@ -641,20 +677,11 @@ mod tests {
             duplicate: 1.0,
             ..ClassicalFaults::OFF
         };
-        let m = model(0);
-        let mut plane = ClassicalPlane::new(3, faults);
+        let mut plane = ClassicalPlane::new(3);
         let mut rng = SimRng::from_seed(3);
-        let opened = plane.transmit(
-            NodeId(0),
-            NodeId(1),
-            false,
-            SimTime::ZERO,
-            &m,
-            &mut rng,
-            b"dup",
-        );
+        let opened = send(&mut plane, faults, SimTime::ZERO, &mut rng, b"dup");
         // Zero reorder window: the copy lands on the same tick, hence in
-        // the same batch.
+        // the same group.
         assert!(opened[0].is_some() && opened[1].is_none());
         let got = drain(&mut plane, opened);
         assert_eq!(got[0].1, vec![b"dup".to_vec(), b"dup".to_vec()]);
@@ -673,21 +700,13 @@ mod tests {
             corrupt: 0.2,
         };
         let run = |seed: u64| {
-            let m = model(0);
-            let mut plane = ClassicalPlane::new(seed, faults);
+            let mut plane = ClassicalPlane::new(seed);
             let mut rng = SimRng::from_seed(5);
             let mut log = Vec::new();
             for i in 0..300u64 {
                 let now = SimTime::from_ps(i * 777);
-                let opened = plane.transmit(
-                    NodeId(0),
-                    NodeId(1),
-                    false,
-                    now,
-                    &m,
-                    &mut rng,
-                    &[i as u8, (i >> 8) as u8, 0xAB],
-                );
+                let frame = [i as u8, (i >> 8) as u8, 0xAB];
+                let opened = send(&mut plane, faults, now, &mut rng, &frame);
                 log.push(drain(&mut plane, opened));
             }
             (log, plane.stats)
@@ -707,20 +726,11 @@ mod tests {
             corrupt: 1.0,
             ..ClassicalFaults::OFF
         };
-        let m = model(0);
-        let mut plane = ClassicalPlane::new(7, faults);
+        let mut plane = ClassicalPlane::new(7);
         let mut rng = SimRng::from_seed(7);
         let original = vec![0u8; 16];
         for _ in 0..50 {
-            let opened = plane.transmit(
-                NodeId(0),
-                NodeId(1),
-                false,
-                SimTime::ZERO,
-                &m,
-                &mut rng,
-                &original,
-            );
+            let opened = send(&mut plane, faults, SimTime::ZERO, &mut rng, &original);
             let got = drain(&mut plane, opened);
             assert_eq!(got.len(), 1);
             assert_eq!(got[0].1.len(), 1);

@@ -169,18 +169,18 @@ impl Default for RuntimeConfig {
 
 /// The event alphabet of the network model.
 pub enum Ev {
-    /// A coalesced batch of encoded classical frames arrives at a node.
-    /// The receiver drains the batch in order, borrow-decoding each
-    /// inner frame (`qn_net::wire::MessageView`); frames that fail to
-    /// decode are counted and dropped — the bytes, not the structs, are
-    /// the interface.
+    /// A group of encoded classical frames, sent over one hop toward the
+    /// same tick, arrives at a node. The receiver drains the group in
+    /// send order and decodes each frame with its plane's owned decoder;
+    /// frames that fail to decode are counted and dropped — the bytes,
+    /// not the structs, are the interface.
     BatchDeliver {
         /// Receiving node.
         to: NodeId,
         /// Whether the sender is the receiver's upstream neighbour (the
-        /// batch lane: frames only coalesce within one orientation).
+        /// group's lane: frames only group within one orientation).
         from_upstream: bool,
-        /// The plane's open-batch handle to drain.
+        /// The plane's open-group handle to drain.
         batch: BatchId,
         /// The physical hop the batch travels on. A component fault can
         /// take the hop down while the batch is in flight: delivery
@@ -753,7 +753,7 @@ impl NetworkModel {
             rng_links,
             rng_nodes,
             rng_msgs: SimRng::substream(seed, "messages"),
-            plane: ClassicalPlane::new(seed, cfg.faults),
+            plane: ClassicalPlane::new(seed),
             scratch: qn_net::wire::ScratchEncoder::new(),
             outs: Vec::new(),
             cfg,
@@ -933,11 +933,11 @@ impl NetworkModel {
         // plane transports (and may drop/duplicate/reorder/corrupt)
         // frames, never Rust values. Default config is a bit-identical
         // pass-through of the reliable in-order transport. Encoding goes
-        // through the shared scratch buffer and the plane coalesces
-        // same-tick frames, so only newly opened batches cost an event.
+        // through the shared scratch buffer and the plane groups
+        // same-tick frames, so only newly opened groups cost an event.
         let faults = self.hop_faults(link);
         let frame = self.scratch.message(&msg);
-        let opened = self.plane.transmit_with(
+        let opened = self.plane.transmit(
             faults,
             from,
             to,
@@ -991,7 +991,7 @@ impl NetworkModel {
         };
         let faults = self.hop_faults(link);
         let frame = self.scratch.frame(encode);
-        let opened = self.plane.transmit_with(
+        let opened = self.plane.transmit(
             faults,
             from,
             to,
@@ -1469,8 +1469,8 @@ impl NetworkModel {
     /// Demuxed handler for routing-signalling frames (kinds
     /// `0x20..=0x23`) arriving over the wire.
     fn handle_signal_frame(&mut self, ctx: &mut Context<'_, Ev>, to: NodeId, frame: &[u8]) {
-        let msg = match qn_routing::wire::SignalMessageView::parse(frame) {
-            Ok(view) => view.to_message(),
+        let msg = match qn_routing::wire::SignalMessage::decode(frame) {
+            Ok(msg) => msg,
             Err(err) => {
                 self.plane.stats.signal_decode_failures += 1;
                 self.trace.record(
@@ -2641,27 +2641,22 @@ impl Model for NetworkModel {
                 batch,
                 link,
             } => {
-                let buf = self
+                let batch = self
                     .plane
                     .take_batch(batch)
-                    .expect("BatchDeliver drains each open batch exactly once");
-                // The envelope was built by the plane (faults corrupt
-                // inner frames *before* batching), so it always parses;
-                // only the per-frame decodes can fail.
-                let view = qn_net::wire::BatchView::parse(&buf)
-                    .expect("plane-built batch envelope is well-formed");
+                    .expect("BatchDeliver drains each open group exactly once");
                 // A component fault took the hop (or the receiver) down
-                // while the batch was in flight: every frame in it dies
+                // while the group was in flight: every frame in it dies
                 // on the wire. Plan-free runs never take this branch.
                 if !self.links[link.0 as usize].up || !self.nodes[to.0 as usize].up {
-                    let lost = view.frames().count() as u64;
+                    let lost = batch.frames().count() as u64;
                     self.plane.stats.delivered -= lost;
                     self.plane.stats.dropped += lost;
-                    self.plane.recycle(buf);
+                    self.plane.recycle(batch);
                     return;
                 }
                 let wire = self.cfg.signalling_on_wire;
-                for frame in view.frames() {
+                for frame in batch.frames() {
                     // One lane carries three planes; the kind byte
                     // demuxes. Link-layer and signalling kinds only ever
                     // appear with `signalling_on_wire` (their handlers
@@ -2685,19 +2680,15 @@ impl Model for NetworkModel {
                         }
                         _ => {}
                     }
-                    let is_track = frame.get(1).copied() == Some(qn_net::wire::KIND_TRACK);
-                    // Borrow-decode at the receiver: a frame corrupted
-                    // in flight may fail here (counted, dropped — the
-                    // message is simply lost) or decode into a different
-                    // valid message the protocol rules must absorb.
-                    let mut outs = std::mem::take(&mut self.outs);
-                    match self.nodes[to.0 as usize].qnp.handle_frame(
-                        from_upstream,
-                        frame,
-                        &mut outs,
-                    ) {
-                        Ok(circuit) => {
-                            self.process_outputs(ctx, to, circuit, &mut outs);
+                    // Decode at the receiver: a frame corrupted in flight
+                    // may fail here (counted, dropped — the message is
+                    // simply lost) or decode into a different valid
+                    // message the protocol rules must absorb.
+                    match Message::decode(frame) {
+                        Ok(msg) => {
+                            let circuit = msg.circuit();
+                            let input = NetInput::Message { from_upstream, msg };
+                            self.qnp_input(ctx, to, circuit, input);
                             // End-to-end TRACK acknowledgement: an
                             // end-node receiving a TRACK (first copy or
                             // duplicate — re-acks recover lost acks)
@@ -2708,22 +2699,19 @@ impl Model for NetworkModel {
                             // all), and the ack can only go where the
                             // named circuit actually has a hop.
                             let ack_down = !from_upstream;
-                            let can_ack = wire
-                                && is_track
-                                && self.circuit_rt(circuit).is_some_and(|rt| {
-                                    match rt.path.iter().position(|n| *n == to) {
-                                        Some(0) => ack_down && rt.path.len() > 1,
-                                        Some(i) => i + 1 == rt.path.len() && !ack_down,
-                                        None => false,
-                                    }
-                                });
-                            if can_ack {
-                                if let Ok(qn_net::wire::MessageView::Track(t)) =
-                                    qn_net::wire::MessageView::parse(frame)
-                                {
+                            if let Message::Track(t) = msg {
+                                let can_ack = wire
+                                    && self.circuit_rt(circuit).is_some_and(|rt| {
+                                        match rt.path.iter().position(|n| *n == to) {
+                                            Some(0) => ack_down && rt.path.len() > 1,
+                                            Some(i) => i + 1 == rt.path.len() && !ack_down,
+                                            None => false,
+                                        }
+                                    });
+                                if can_ack {
                                     let ack = Message::TrackAck(TrackAck {
                                         circuit,
-                                        origin: t.origin(),
+                                        origin: t.origin,
                                     });
                                     self.plane.stats.track_acks += 1;
                                     self.send_message(ctx, to, circuit, ack_down, ack);
@@ -2740,9 +2728,8 @@ impl Model for NetworkModel {
                             );
                         }
                     }
-                    self.outs = outs;
                 }
-                self.plane.recycle(buf);
+                self.plane.recycle(batch);
             }
             Ev::TrackExpiry {
                 node,

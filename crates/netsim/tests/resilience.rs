@@ -363,7 +363,7 @@ fn fault_sweep_on_wide_dumbbell_is_deterministic_per_seed() {
 fn shared_bottleneck_traffic_coalesces_into_batches() {
     // Three circuits crossing the same widened-dumbbell bottleneck emit
     // same-tick frames between the same node pairs; the classical plane
-    // must coalesce those into shared batch frames and account for the
+    // must group those under shared delivery events and account for the
     // saved deliveries in its counters.
     let (topology, d) = wide_dumbbell(3, HardwareParams::simulation(), FibreParams::lab_2m());
     let mut sim = NetworkBuilder::new(topology).seed(31).build();

@@ -163,7 +163,7 @@ impl BellDiagonal {
     }
 
     /// Extract from a dense matrix, or `None` when the state is not
-    /// X-form (within [`X_EPS`]).
+    /// X-form (within a tolerance of 1e-12).
     pub fn from_density(rho: &DensityMatrix) -> Option<Self> {
         if rho.num_qubits() != 2 {
             return None;

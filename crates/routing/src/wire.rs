@@ -103,96 +103,6 @@ impl SignalMessage {
     }
 }
 
-/// A borrowed, fully validated view of one signalling frame.
-///
-/// `parse` agrees with [`SignalMessage::decode`] exactly — same inputs
-/// succeed, failing inputs produce the same [`DecodeError`] (including
-/// truncation byte offsets) — pinned by the property suite in
-/// `crates/routing/tests/prop_signal_wire.rs`. Both payloads lead with
-/// the circuit id, so demuxing never materialises the entry.
-#[derive(Clone, Copy, Debug)]
-pub struct SignalMessageView<'a> {
-    frame: &'a [u8],
-    kind: u8,
-}
-
-impl<'a> SignalMessageView<'a> {
-    /// Validate a complete frame and borrow it as a view.
-    pub fn parse(bytes: &'a [u8]) -> Result<SignalMessageView<'a>, DecodeError> {
-        let mut r = WireReader::new(bytes);
-        let kind = match read_header(&mut r)? {
-            kind @ KIND_SIGNAL_INSTALL => {
-                // Skip-validate the RoutingEntry layout with the exact
-                // per-field offsets of the owned decode.
-                r.skip(8)?;
-                match r.get_u8()? {
-                    0 => {}
-                    1 => r.skip_fields(&[4, 4])?,
-                    value => {
-                        return Err(DecodeError::BadTag {
-                            field: "upstream",
-                            value,
-                        })
-                    }
-                }
-                match r.get_u8()? {
-                    0 => {}
-                    1 => r.skip_fields(&[4, 4, 8, 8])?,
-                    value => {
-                        return Err(DecodeError::BadTag {
-                            field: "downstream",
-                            value,
-                        })
-                    }
-                }
-                r.skip_fields(&[8, 8])?;
-                kind
-            }
-            kind @ (KIND_SIGNAL_TEARDOWN | KIND_SIGNAL_INSTALL_ACK | KIND_SIGNAL_TEARDOWN_ACK) => {
-                r.skip(8)?;
-                kind
-            }
-            kind => return Err(DecodeError::UnknownKind(kind)),
-        };
-        r.finish()?;
-        Ok(SignalMessageView { frame: bytes, kind })
-    }
-
-    /// Whether this is an INSTALL frame.
-    pub fn is_install(&self) -> bool {
-        self.kind == KIND_SIGNAL_INSTALL
-    }
-
-    /// The circuit this frame signals for (both payloads lead with it).
-    pub fn circuit(&self) -> CircuitId {
-        CircuitId(u64::from_le_bytes(
-            self.frame[2..10].try_into().expect("validated at parse"),
-        ))
-    }
-
-    /// Materialise the owned message.
-    pub fn to_message(&self) -> SignalMessage {
-        // The layout was validated in full at parse time, so re-reading
-        // the payload through the field codecs cannot fail.
-        let mut r = WireReader::new(self.frame);
-        let _ = read_header(&mut r);
-        match self.kind {
-            KIND_SIGNAL_INSTALL => SignalMessage::Install {
-                entry: Wire::decode(&mut r).expect("validated at parse"),
-            },
-            KIND_SIGNAL_INSTALL_ACK => SignalMessage::InstallAck {
-                circuit: self.circuit(),
-            },
-            KIND_SIGNAL_TEARDOWN_ACK => SignalMessage::TeardownAck {
-                circuit: self.circuit(),
-            },
-            _ => SignalMessage::Teardown {
-                circuit: self.circuit(),
-            },
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,50 +144,6 @@ mod tests {
         ] {
             let m = SignalMessage::Install { entry: e };
             assert_eq!(SignalMessage::decode(&m.wire_bytes()), Ok(m));
-        }
-    }
-
-    #[test]
-    fn view_matches_owned_decode() {
-        let msgs = [
-            SignalMessage::Install { entry: entry() },
-            SignalMessage::Install {
-                entry: RoutingEntry {
-                    upstream: None,
-                    downstream: None,
-                    ..entry()
-                },
-            },
-            SignalMessage::Teardown {
-                circuit: CircuitId(77),
-            },
-            SignalMessage::InstallAck {
-                circuit: CircuitId(78),
-            },
-            SignalMessage::TeardownAck {
-                circuit: CircuitId(79),
-            },
-        ];
-        fn circuit_of(m: SignalMessage) -> CircuitId {
-            match m {
-                SignalMessage::Install { entry } => entry.circuit,
-                SignalMessage::Teardown { circuit }
-                | SignalMessage::InstallAck { circuit }
-                | SignalMessage::TeardownAck { circuit } => circuit,
-            }
-        }
-        for m in msgs {
-            let bytes = m.wire_bytes();
-            let view = SignalMessageView::parse(&bytes).unwrap();
-            assert_eq!(view.to_message(), m);
-            assert_eq!(view.circuit(), circuit_of(m));
-            for len in 0..bytes.len() {
-                assert_eq!(
-                    SignalMessageView::parse(&bytes[..len]).map(|v| v.circuit()),
-                    SignalMessage::decode(&bytes[..len]).map(circuit_of),
-                    "prefix of {len} bytes"
-                );
-            }
         }
     }
 

@@ -9,7 +9,7 @@ use qn_link::LinkLabel;
 use qn_net::ids::CircuitId;
 use qn_net::routing_table::{DownstreamHop, RoutingEntry, UpstreamHop};
 use qn_net::wire::DecodeError;
-use qn_routing::wire::{SignalMessage, SignalMessageView};
+use qn_routing::wire::SignalMessage;
 use qn_sim::{NodeId, SimDuration};
 
 fn arb_entry() -> BoxedStrategy<RoutingEntry> {
@@ -122,49 +122,5 @@ proptest! {
             qn_net::Message::decode(&bytes),
             Err(DecodeError::UnknownKind(_))
         ));
-    }
-
-    /// The borrowing view decodes every valid frame to the same message
-    /// as the owned path, and agrees (same `DecodeError`) on every
-    /// strict prefix.
-    #[test]
-    fn view_decode_equivalent_to_owned(msg in arb_signal(), cut in any::<u16>()) {
-        let bytes = msg.wire_bytes();
-        let view = SignalMessageView::parse(&bytes);
-        prop_assert!(view.is_ok(), "view parse failed: {:?}", view.err());
-        let view = view.unwrap();
-        prop_assert_eq!(view.to_message().wire_bytes(), bytes.clone());
-        match &msg {
-            SignalMessage::Install { entry } => {
-                prop_assert!(view.is_install());
-                prop_assert_eq!(view.circuit(), entry.circuit);
-            }
-            SignalMessage::Teardown { circuit }
-            | SignalMessage::InstallAck { circuit }
-            | SignalMessage::TeardownAck { circuit } => {
-                prop_assert!(!view.is_install());
-                prop_assert_eq!(view.circuit(), *circuit);
-            }
-        }
-        let len = (cut as usize) % bytes.len();
-        let owned = SignalMessage::decode(&bytes[..len]).unwrap_err();
-        let viewed = SignalMessageView::parse(&bytes[..len]).map(|_| ()).unwrap_err();
-        prop_assert_eq!(owned, viewed);
-    }
-
-    /// View parsing is total on arbitrary bytes and reaches the same
-    /// verdict as the owned decoder everywhere.
-    #[test]
-    fn view_decode_total_and_agrees(bytes in vec(any::<u8>(), 0..96)) {
-        match (SignalMessageView::parse(&bytes), SignalMessage::decode(&bytes)) {
-            (Ok(view), Ok(m)) => prop_assert_eq!(view.to_message().wire_bytes(), m.wire_bytes()),
-            (Err(a), Err(b)) => prop_assert_eq!(a, b),
-            (a, b) => prop_assert!(
-                false,
-                "signal decode paths diverge: view={:?} owned={:?}",
-                a.map(|v| v.is_install()),
-                b
-            ),
-        }
     }
 }

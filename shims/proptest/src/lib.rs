@@ -26,6 +26,8 @@
 //! `with_cases` wins), `PROPTEST_CASES_MULTIPLIER` scales *every* test's
 //! case count (the CI nightly-style job sets 4), and
 //! `PROPTEST_MAX_SHRINK_ITERS` caps shrink-time property executions.
+//! Unset means the default; a value that does not parse panics, naming
+//! the knob.
 
 pub mod test_runner;
 pub mod tree;
@@ -432,7 +434,7 @@ pub mod collection {
     use crate::tree::{vec_tree, ShrinkTree};
     use std::ops::{Range, RangeInclusive};
 
-    /// Accepted size arguments of [`vec`]: `n`, `lo..hi`, `lo..=hi`.
+    /// Accepted size arguments of [`vec()`]: `n`, `lo..hi`, `lo..=hi`.
     #[derive(Clone, Copy, Debug)]
     pub struct SizeRange {
         lo: usize,
@@ -717,6 +719,45 @@ mod tests {
         assert!(msg.contains("original failing input"), "message: {msg}");
         assert!(msg.contains("xs = [7, 7]"), "message: {msg}");
         assert!(msg.contains("flag = true"), "message: {msg}");
+    }
+
+    /// The case-count knobs fail fast. Parsed from raw strings: other
+    /// properties in this binary read the real environment variables
+    /// concurrently.
+    #[test]
+    fn env_knobs_fail_fast_on_garbage() {
+        use crate::test_runner::parse_knob;
+        assert_eq!(parse_knob::<u32>("PROPTEST_CASES", None), None);
+        assert_eq!(parse_knob::<u32>("PROPTEST_CASES", Some("0")), Some(0));
+        assert_eq!(
+            parse_knob::<u32>("PROPTEST_CASES", Some("4294967295")),
+            Some(u32::MAX)
+        );
+        assert_eq!(
+            parse_knob::<u64>("PROPTEST_CASES_MULTIPLIER", Some("4")),
+            Some(4)
+        );
+        fn panic_message<T>(f: impl FnOnce() -> T + std::panic::UnwindSafe) -> String {
+            let payload = std::panic::catch_unwind(f)
+                .err()
+                .expect("garbage must panic, not fall back to the default");
+            payload
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default()
+        }
+        for raw in ["4294967296", "-1", ""] {
+            let msg = panic_message(|| parse_knob::<u32>("PROPTEST_CASES", Some(raw)));
+            assert!(
+                msg.contains(&format!("PROPTEST_CASES={raw:?}")),
+                "message must name the knob and its value: {msg}"
+            );
+        }
+        let msg = panic_message(|| parse_knob::<u64>("PROPTEST_CASES_MULTIPLIER", Some("4x")));
+        assert!(
+            msg.contains("PROPTEST_CASES_MULTIPLIER=\"4x\""),
+            "message must name the knob and its value: {msg}"
+        );
     }
 
     /// Body panics (not just `prop_assert!` failures) are caught and

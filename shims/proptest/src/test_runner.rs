@@ -67,7 +67,7 @@ impl Config {
     /// `PROPTEST_CASES_MULTIPLIER` environment knob if set (the CI
     /// nightly job runs the suites at 4x depth this way).
     pub fn resolved_cases(&self) -> u32 {
-        match env_u64("PROPTEST_CASES_MULTIPLIER") {
+        match env_knob::<u64>("PROPTEST_CASES_MULTIPLIER") {
             Some(m) => self.cases.saturating_mul(m.min(u64::from(u32::MAX)) as u32),
             None => self.cases,
         }
@@ -80,15 +80,29 @@ impl Default for Config {
         Config {
             // `PROPTEST_CASES` overrides the default case count, exactly
             // like real proptest; explicit `with_cases` values win.
-            cases: env_u64("PROPTEST_CASES").map(|n| n as u32).unwrap_or(256),
+            cases: env_knob("PROPTEST_CASES").unwrap_or(256),
             max_global_rejects: 65_536,
-            max_shrink_iters: env_u64("PROPTEST_MAX_SHRINK_ITERS").unwrap_or(4_096),
+            max_shrink_iters: env_knob("PROPTEST_MAX_SHRINK_ITERS").unwrap_or(4_096),
         }
     }
 }
 
-fn env_u64(name: &str) -> Option<u64> {
-    std::env::var(name).ok().and_then(|v| v.parse().ok())
+fn env_knob<T: std::str::FromStr>(name: &str) -> Option<T> {
+    parse_knob(name, std::env::var(name).ok().as_deref())
+}
+
+/// Parse the raw value of the integer knob `name`: unset means `None`
+/// (the default), anything that is not a `T` panics with the knob's name
+/// and value, so a typo cannot silently run a suite at default depth.
+pub(crate) fn parse_knob<T: std::str::FromStr>(name: &str, raw: Option<&str>) -> Option<T> {
+    let raw = raw?;
+    Some(raw.parse().unwrap_or_else(|_| {
+        panic!(
+            "invalid {name}={raw:?}: must be an unsigned integer that fits {} \
+             (unset it to use the default)",
+            std::any::type_name::<T>()
+        )
+    }))
 }
 
 /// Why a single test case did not pass.
