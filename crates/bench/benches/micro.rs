@@ -2,10 +2,12 @@
 //! queue, the density-matrix operations behind every entanglement swap,
 //! the heralded-state construction, the link scheduler, the Bell
 //! tracking algebra, the quantum kernel's two pair-state
-//! representations side by side (`*_bell` vs `*_dm`), and the classical
-//! plane's wire codec (`message_parse`, `encode_scratch_vs_alloc/*`).
+//! representations side by side (`*_bell` vs `*_dm`), the classical
+//! plane's wire codec (`message_parse`, `encode_scratch_vs_alloc/*`),
+//! and circuit planning (`link_alpha_for_fidelity`,
+//! `controller_plan_grid`).
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use qn_hardware::device::QubitId;
 use qn_hardware::heralding::LinkPhysics;
 use qn_hardware::pairs::{PairStore, SwapNoise};
@@ -20,6 +22,7 @@ use qn_quantum::bell::BellState;
 use qn_quantum::gates::Pauli;
 use qn_quantum::measure::bell_measure_ideal;
 use qn_quantum::pairstate::PairState;
+use qn_routing::{grid, Controller, CutoffPolicy};
 use qn_sim::{EventQueue, NodeId, SimDuration, SimRng, SimTime};
 
 fn bench_event_queue(c: &mut Criterion) {
@@ -157,6 +160,24 @@ fn bench_pair_representations(c: &mut Criterion) {
             });
         });
     }
+}
+
+/// The controller's inversions: the fastest α meeting a fidelity target
+/// on one link (the link layer runs it on every admission), and a whole
+/// plan corner to corner across the 3×3 grid with the short cutoff (the
+/// open-world workloads run one per arriving circuit).
+fn bench_planning(c: &mut Criterion) {
+    let (params, fibre) = (HardwareParams::simulation(), FibreParams::lab_2m());
+    c.bench_function("link_alpha_for_fidelity", |b| {
+        let physics = LinkPhysics::new(params, fibre);
+        b.iter(|| physics.alpha_for_fidelity(black_box(0.9)));
+    });
+
+    c.bench_function("controller_plan_grid", |b| {
+        let topology = grid(3, 3, params, fibre);
+        let controller = Controller::new(&topology, CutoffPolicy::short());
+        b.iter(|| controller.plan(NodeId(0), NodeId(8), black_box(0.8)));
+    });
 }
 
 fn bench_link_scheduler(c: &mut Criterion) {
@@ -532,6 +553,7 @@ criterion_group!(
     bench_event_queue,
     bench_density_matrix,
     bench_pair_representations,
+    bench_planning,
     bench_link_scheduler,
     bench_message_codec,
     bench_slab_store,

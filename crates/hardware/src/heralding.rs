@@ -35,13 +35,24 @@ use qn_quantum::matrix::CMatrix;
 use qn_quantum::pairstate::{PairState, StateRep};
 use qn_quantum::{DensityMatrix, C64};
 use qn_sim::{SimDuration, SimRng};
+use std::sync::OnceLock;
 
 /// The physics of one quantum link: two identical devices joined by fibre
 /// with a heralding station at the midpoint.
+///
+/// The parameters are fixed at construction, so the constants derived
+/// from them are computed once: η, the dark-count probability and the
+/// coherence factor in [`LinkPhysics::new`], the fidelity peak on the
+/// first call to [`LinkPhysics::max_fidelity`].
 #[derive(Clone, Debug)]
 pub struct LinkPhysics {
     params: HardwareParams,
     fibre: FibreParams,
+    eta: f64,
+    p_dark: f64,
+    coherence: f64,
+    /// `(F_max, α_peak)`, scanned on first use.
+    peak: OnceLock<(f64, f64)>,
 }
 
 /// Relative weights of the heralded-state components at a given `α`.
@@ -65,7 +76,18 @@ impl ComponentWeights {
 impl LinkPhysics {
     /// Build the physics of a link with the given hardware at both ends.
     pub fn new(params: HardwareParams, fibre: FibreParams) -> Self {
-        LinkPhysics { params, fibre }
+        let eta = params.p_zero_phonon
+            * params.collection_efficiency
+            * fibre.transmissivity(fibre.length_m / 2.0)
+            * params.p_detection;
+        LinkPhysics {
+            eta,
+            p_dark: params.dark_count_rate * params.tau_w,
+            coherence: params.visibility * params.delta_phi.cos(),
+            peak: OnceLock::new(),
+            params,
+            fibre,
+        }
     }
 
     /// The hardware parameters.
@@ -81,30 +103,27 @@ impl LinkPhysics {
     /// Per-side photon detection efficiency `η`: zero-phonon emission ×
     /// collection × fibre (half length) × detector.
     pub fn eta(&self) -> f64 {
-        self.params.p_zero_phonon
-            * self.params.collection_efficiency
-            * self.fibre.transmissivity(self.fibre.length_m / 2.0)
-            * self.params.p_detection
+        self.eta
     }
 
     /// Dark-count probability within one detection window.
     pub fn p_dark(&self) -> f64 {
-        self.params.dark_count_rate * self.params.tau_w
+        self.p_dark
     }
 
     /// Coherence factor of the |Ψ±⟩ component: visibility × cos Δφ.
     pub fn coherence(&self) -> f64 {
-        self.params.visibility * self.params.delta_phi.cos()
+        self.coherence
     }
 
     /// Component weights at bright-state parameter `alpha`.
     pub fn weights(&self, alpha: f64) -> ComponentWeights {
         let alpha = alpha.clamp(0.0, 0.5);
-        let eta = self.eta();
+        let eta = self.eta;
         ComponentWeights {
             coherent: 2.0 * alpha * (1.0 - alpha) * eta,
             double: 2.0 * alpha * eta * (alpha + self.params.p_double_excitation),
-            dark: 2.0 * self.p_dark(),
+            dark: 2.0 * self.p_dark,
         }
     }
 
@@ -117,7 +136,7 @@ impl LinkPhysics {
     pub fn fidelity(&self, alpha: f64) -> f64 {
         let w = self.weights(alpha);
         let alpha = alpha.clamp(0.0, 0.5);
-        let f_coh = 0.5 * (1.0 + self.coherence());
+        let f_coh = 0.5 * (1.0 + self.coherence);
         // ⟨Ψ±| ρ_dark |Ψ±⟩ = α(1−α) (the |01⟩/|10⟩ populations).
         let f_dark = alpha * (1.0 - alpha);
         let total = w.total();
@@ -134,7 +153,7 @@ impl LinkPhysics {
         let alpha = alpha.clamp(0.0, 0.5);
         let w = self.weights(alpha);
         let total = w.total();
-        let c = self.coherence() * if announced.z { -1.0 } else { 1.0 };
+        let c = self.coherence * if announced.z { -1.0 } else { 1.0 };
 
         // Coherent |Ψ±⟩ with reduced off-diagonals.
         let mut coh = CMatrix::zeros(4, 4);
@@ -198,24 +217,30 @@ impl LinkPhysics {
     }
 
     /// The highest fidelity this link can produce (over all `α`), and the
-    /// `α` that attains it.
+    /// `α` that attains it: the best of 400 log-spaced `α`, scanned on the
+    /// first call and remembered.
     pub fn max_fidelity(&self) -> (f64, f64) {
-        let mut best = (0.0, 0.25);
-        for i in 1..=400 {
-            // Log-spaced from 1e-4 to 0.5.
-            let alpha = 1e-4 * (0.5f64 / 1e-4).powf(i as f64 / 400.0);
-            let f = self.fidelity(alpha);
-            if f > best.0 {
-                best = (f, alpha);
+        *self.peak.get_or_init(|| {
+            let mut best = (0.0, 0.25);
+            for i in 1..=400 {
+                // Log-spaced from 1e-4 to 0.5.
+                let alpha = 1e-4 * (0.5f64 / 1e-4).powf(i as f64 / 400.0);
+                let f = self.fidelity(alpha);
+                if f > best.0 {
+                    best = (f, alpha);
+                }
             }
-        }
-        best
+            best
+        })
     }
 
     /// The largest `α` (fastest rate) achieving at least `target` fidelity,
-    /// or `None` when the link cannot reach it. Monotone bisection on the
-    /// decreasing branch of `F(α)`.
+    /// or `None` when the link cannot reach it or `target` is not finite.
+    /// Monotone bisection on the decreasing branch of `F(α)`.
     pub fn alpha_for_fidelity(&self, target: f64) -> Option<f64> {
+        if !target.is_finite() {
+            return None;
+        }
         let (f_max, alpha_max) = self.max_fidelity();
         if target > f_max {
             return None;
@@ -316,6 +341,12 @@ mod tests {
         let link = near_term_link();
         let (f_max, _) = link.max_fidelity();
         assert!(link.alpha_for_fidelity(f_max + 0.01).is_none());
+        // A target that is not a number is unreachable, not "any α".
+        for link in [link, lab_link()] {
+            for target in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                assert_eq!(link.alpha_for_fidelity(target), None, "target {target}");
+            }
+        }
         // Near-term visibility 0.9 caps fidelity well below 0.99.
         assert!(f_max < 0.97, "near-term max fidelity {f_max}");
     }

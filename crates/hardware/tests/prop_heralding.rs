@@ -16,6 +16,24 @@ fn lab() -> LinkPhysics {
     LinkPhysics::new(HardwareParams::simulation(), FibreParams::lab_2m())
 }
 
+/// The fidelity peak as `max_fidelity` documents it: the best of 400
+/// log-spaced `α` from 1e-4 to 0.5, the first on ties.
+fn scanned_peak(physics: &LinkPhysics) -> (f64, f64) {
+    let mut best = (0.0, 0.25);
+    for i in 1..=400 {
+        let alpha = 1e-4 * (0.5f64 / 1e-4).powf(i as f64 / 400.0);
+        let f = physics.fidelity(alpha);
+        if f > best.0 {
+            best = (f, alpha);
+        }
+    }
+    best
+}
+
+fn pair_bits((a, b): (f64, f64)) -> (u64, u64) {
+    (a.to_bits(), b.to_bits())
+}
+
 /// Chain bookkeeping model for the pair store: a repeater chain is
 /// extended pair by pair, swapped at its left end, and discarded —
 /// exactly the lifecycle the QNP runtime drives. The model tracks pair
@@ -256,6 +274,56 @@ proptest! {
                 );
             }
         }
+    }
+
+    /// The constants a `LinkPhysics` derives once equal their formulas
+    /// over the parameters, its remembered peak equals a fresh scan, and
+    /// a clone answers the same whether it was taken before or after the
+    /// peak was first computed — all bit for bit.
+    #[test]
+    fn derived_constants_match_their_formulas(
+        visibility in 0.5f64..1.0,
+        delta_phi in 0.0f64..0.5,
+        dark_count_rate in 0.0f64..2000.0,
+        p_double_excitation in 0.0f64..0.1,
+        length_m in 1.0f64..50_000.0,
+        target in 0.5f64..1.0,
+    ) {
+        let params = HardwareParams {
+            visibility,
+            delta_phi,
+            dark_count_rate,
+            p_double_excitation,
+            ..HardwareParams::near_term()
+        };
+        let fibre = FibreParams::telecom(length_m);
+        let physics = LinkPhysics::new(params, fibre);
+        let eta = params.p_zero_phonon
+            * params.collection_efficiency
+            * fibre.transmissivity(length_m / 2.0)
+            * params.p_detection;
+        prop_assert_eq!(physics.eta().to_bits(), eta.to_bits());
+        prop_assert_eq!(
+            physics.p_dark().to_bits(),
+            (dark_count_rate * params.tau_w).to_bits()
+        );
+        prop_assert_eq!(
+            physics.coherence().to_bits(),
+            (visibility * delta_phi.cos()).to_bits()
+        );
+
+        let cold = physics.clone();
+        let peak = pair_bits(physics.max_fidelity());
+        let warm = physics.clone();
+        prop_assert_eq!(peak, pair_bits(scanned_peak(&physics)));
+        prop_assert_eq!(peak, pair_bits(physics.max_fidelity()));
+        prop_assert_eq!(peak, pair_bits(warm.max_fidelity()));
+        prop_assert_eq!(peak, pair_bits(cold.max_fidelity()));
+        let alpha = |p: &LinkPhysics| p.alpha_for_fidelity(target).map(f64::to_bits);
+        let fresh = LinkPhysics::new(params, fibre);
+        prop_assert_eq!(alpha(&physics), alpha(&fresh));
+        prop_assert_eq!(alpha(&warm), alpha(&fresh));
+        prop_assert_eq!(alpha(&cold), alpha(&fresh));
     }
 
     /// Heralded states are valid density matrices for any alpha, and

@@ -10,16 +10,19 @@
 //! QNP relies on, §3.5 (i)–(iv), are all preserved).
 //!
 //! The machine is **sans-IO**: it never touches the event queue or the
-//! quantum state. The runtime asks [`LinkProtocol::next_action`] what to
+//! pair store. The runtime asks [`LinkProtocol::next_action`] what to
 //! generate, runs the physical process (sampling the geometric attempt
 //! count), and feeds back [`LinkProtocol::on_generation_complete`] /
 //! [`LinkProtocol::on_generation_aborted`]. This keeps every scheduling
-//! rule unit-testable without a simulator.
+//! rule unit-testable without a simulator. Admission fixes a request's
+//! α, and with it the two states a herald can announce; the protocol
+//! derives them once and hands a copy out with each pair.
 
 use crate::scheduler::TimeShareScheduler;
 use crate::service::{EntanglementId, LinkLabel, LinkPair, LinkRequest, PairDemand, RejectReason};
 use qn_hardware::heralding::LinkPhysics;
 use qn_quantum::bell::BellState;
+use qn_quantum::pairstate::{PairState, StateRep};
 use qn_sim::{NodeId, SimDuration};
 use std::collections::BTreeMap;
 
@@ -48,6 +51,8 @@ pub enum LinkEvent {
 struct RequestState {
     alpha: f64,
     goodness: f64,
+    /// The heralded states at `alpha`: `[Ψ⁺, Ψ⁻]`.
+    heralded: [PairState; 2],
     remaining: Option<u64>, // None = continuous
 }
 
@@ -55,6 +60,7 @@ struct RequestState {
 pub struct LinkProtocol {
     nodes: (NodeId, NodeId),
     physics: LinkPhysics,
+    rep: StateRep,
     scheduler: TimeShareScheduler,
     requests: BTreeMap<LinkLabel, RequestState>,
     next_seq: u64,
@@ -68,11 +74,12 @@ pub struct LinkProtocol {
 
 impl LinkProtocol {
     /// Create the protocol for a link between `nodes` with the given
-    /// physics.
-    pub fn new(nodes: (NodeId, NodeId), physics: LinkPhysics) -> Self {
+    /// physics, handing out heralded states in representation `rep`.
+    pub fn new(nodes: (NodeId, NodeId), physics: LinkPhysics, rep: StateRep) -> Self {
         LinkProtocol {
             nodes,
             physics,
+            rep,
             scheduler: TimeShareScheduler::new(),
             requests: BTreeMap::new(),
             next_seq: 0,
@@ -117,11 +124,14 @@ impl LinkProtocol {
             PairDemand::Count(n) => Some(n),
             PairDemand::Continuous => None,
         };
+        let heralded = [BellState::PSI_PLUS, BellState::PSI_MINUS]
+            .map(|announced| self.physics.heralded_pair(alpha, announced, self.rep));
         self.requests.insert(
             req.label,
             RequestState {
                 alpha,
                 goodness: self.physics.fidelity(alpha),
+                heralded,
                 remaining,
             },
         );
@@ -212,14 +222,17 @@ impl LinkProtocol {
     }
 
     /// The physical process heralded success after `attempts` attempts
-    /// taking `elapsed`. Returns the delivered pair and any lifecycle
-    /// events.
+    /// taking `elapsed`, announcing `announced` (Ψ⁺ or Ψ⁻). Returns the
+    /// delivered pair, its heralded state
+    /// ([`LinkPhysics::heralded_pair`] at the request's α) and any
+    /// lifecycle events.
     pub fn on_generation_complete(
         &mut self,
         announced: BellState,
         attempts: u64,
         elapsed: SimDuration,
-    ) -> (LinkPair, Vec<LinkEvent>) {
+    ) -> (LinkPair, PairState, Vec<LinkEvent>) {
+        assert!(announced.x, "single-click heralds Ψ± states");
         let label = self
             .in_flight
             .take()
@@ -241,6 +254,7 @@ impl LinkProtocol {
             goodness: state.goodness,
             attempts,
         };
+        let heralded = state.heralded[usize::from(announced.z)].clone();
         self.next_seq += 1;
         let mut events = vec![LinkEvent::PairReady(pair)];
         if let Some(rem) = &mut state.remaining {
@@ -251,7 +265,7 @@ impl LinkProtocol {
                 events.push(LinkEvent::RequestDone(label));
             }
         }
-        (pair, events)
+        (pair, heralded, events)
     }
 
     /// The physical process was interrupted (request stopped, qubits
@@ -274,6 +288,7 @@ mod tests {
         LinkProtocol::new(
             (NodeId(0), NodeId(1)),
             LinkPhysics::new(HardwareParams::simulation(), FibreParams::lab_2m()),
+            StateRep::Bell,
         )
     }
 
@@ -296,7 +311,7 @@ mod tests {
         assert!(spec.alpha > 0.0 && spec.alpha < 0.5);
         p.on_generation_started(spec.label);
         assert!(p.next_action().is_none(), "no concurrent generations");
-        let (pair, evs) =
+        let (pair, _, evs) =
             p.on_generation_complete(BellState::PSI_PLUS, 100, SimDuration::from_millis(1));
         assert_eq!(pair.label, LinkLabel(1));
         assert_eq!(pair.id.seq, 0);
@@ -305,7 +320,7 @@ mod tests {
         // Second pair completes the request.
         let spec = p.next_action().unwrap();
         p.on_generation_started(spec.label);
-        let (pair2, evs) =
+        let (pair2, _, evs) =
             p.on_generation_complete(BellState::PSI_MINUS, 50, SimDuration::from_millis(1));
         assert_eq!(pair2.id.seq, 1);
         assert!(matches!(evs[1], LinkEvent::RequestDone(LinkLabel(1))));
@@ -320,7 +335,7 @@ mod tests {
         for i in 0..20 {
             let spec = p.next_action().unwrap();
             p.on_generation_started(spec.label);
-            let (pair, evs) =
+            let (pair, _, evs) =
                 p.on_generation_complete(BellState::PSI_PLUS, 10, SimDuration::from_millis(1));
             assert_eq!(pair.id.seq, i);
             assert_eq!(evs.len(), 1, "no RequestDone for continuous");
@@ -337,6 +352,23 @@ mod tests {
             evs[0],
             LinkEvent::Rejected(LinkLabel(1), RejectReason::FidelityUnattainable)
         ));
+        assert!(p.next_action().is_none());
+    }
+
+    #[test]
+    fn non_finite_fidelity_rejected() {
+        let mut p = proto();
+        for (label, fid) in [(1, f64::NAN), (2, f64::INFINITY), (3, f64::NEG_INFINITY)] {
+            let evs = p.submit(req(label, fid, PairDemand::Continuous, 1.0));
+            assert!(
+                matches!(
+                    evs[..],
+                    [LinkEvent::Rejected(l, RejectReason::FidelityUnattainable)] if l == LinkLabel(label)
+                ),
+                "F >= {fid}: {evs:?}"
+            );
+            assert!(!p.has_request(LinkLabel(label)));
+        }
         assert!(p.next_action().is_none());
     }
 
@@ -398,7 +430,7 @@ mod tests {
             let spec = p.next_action().unwrap();
             p.on_generation_started(spec.label);
             let time = physics.expected_pair_time(spec.alpha);
-            let (_, _) = p.on_generation_complete(BellState::PSI_PLUS, 1, time);
+            p.on_generation_complete(BellState::PSI_PLUS, 1, time);
             produced[spec.label.0 as usize] += 1;
         }
         assert!(

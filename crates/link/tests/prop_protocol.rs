@@ -1,5 +1,6 @@
 //! Link-layer protocol tests: model-based behaviour checking plus
-//! shrinkable physics properties.
+//! shrinkable physics properties, including the heralded state each
+//! pair is created with.
 //!
 //! The old ad-hoc invariant property (one generation in flight,
 //! increasing sequence numbers, no over-delivery) is replaced by the
@@ -14,7 +15,9 @@ use qn_hardware::heralding::LinkPhysics;
 use qn_hardware::params::{FibreParams, HardwareParams};
 use qn_link::{LinkLabel, LinkProtocol, LinkRequest, PairDemand};
 use qn_quantum::bell::BellState;
+use qn_quantum::pairstate::StateRep;
 use qn_sim::{NodeId, SimDuration};
+use qn_testkit::dense::same_bits;
 use qn_testkit::models::link::LinkSpec;
 use qn_testkit::ModelTest;
 
@@ -36,7 +39,7 @@ proptest! {
     #[test]
     fn goodness_meets_requested_fidelity(fidelity in 0.7f64..0.96) {
         let physics = LinkPhysics::new(HardwareParams::simulation(), FibreParams::lab_2m());
-        let mut p = LinkProtocol::new((NodeId(0), NodeId(1)), physics);
+        let mut p = LinkProtocol::new((NodeId(0), NodeId(1)), physics, StateRep::Bell);
         let evs = p.submit(LinkRequest {
             label: LinkLabel(0),
             min_fidelity: fidelity,
@@ -46,7 +49,7 @@ proptest! {
         prop_assume!(evs.is_empty()); // attainable
         let spec = p.next_action().unwrap();
         p.on_generation_started(spec.label);
-        let (pair, _) = p.on_generation_complete(
+        let (pair, _, _) = p.on_generation_complete(
             BellState::PSI_MINUS,
             3,
             SimDuration::from_millis(2),
@@ -61,7 +64,7 @@ proptest! {
     #[test]
     fn equal_weights_never_starve(n in 2usize..5, slots in 10usize..40) {
         let physics = LinkPhysics::new(HardwareParams::simulation(), FibreParams::lab_2m());
-        let mut p = LinkProtocol::new((NodeId(0), NodeId(1)), physics);
+        let mut p = LinkProtocol::new((NodeId(0), NodeId(1)), physics, StateRep::Bell);
         for label in 0..n {
             let evs = p.submit(LinkRequest {
                 label: LinkLabel(label as u32),
@@ -86,5 +89,40 @@ proptest! {
                 );
             }
         }
+    }
+
+    /// Each pair comes with the state the heralding model gives for its
+    /// α and announced Bell state, bit for bit, under both
+    /// representations — also for the pair that completes the request.
+    #[test]
+    fn pairs_carry_the_heralded_state(
+        fidelity in 0.7f64..0.97,
+        dm in any::<bool>(),
+        minus in proptest::collection::vec(any::<bool>(), 1..5),
+    ) {
+        let rep = if dm { StateRep::Dm } else { StateRep::Bell };
+        let physics = LinkPhysics::new(HardwareParams::simulation(), FibreParams::lab_2m());
+        let mut p = LinkProtocol::new((NodeId(0), NodeId(1)), physics.clone(), rep);
+        let evs = p.submit(LinkRequest {
+            label: LinkLabel(0),
+            min_fidelity: fidelity,
+            demand: PairDemand::Count(minus.len() as u64),
+            weight: 1.0,
+        });
+        prop_assume!(evs.is_empty()); // attainable
+        for &minus in &minus {
+            let announced = if minus { BellState::PSI_MINUS } else { BellState::PSI_PLUS };
+            let spec = p.next_action().unwrap();
+            p.on_generation_started(spec.label);
+            let (pair, state, _) =
+                p.on_generation_complete(announced, 1, SimDuration::from_millis(1));
+            let expected = physics.heralded_pair(pair.alpha, announced, rep);
+            prop_assert_eq!(state.is_bell(), expected.is_bell());
+            prop_assert!(
+                same_bits(state.to_density().matrix(), expected.to_density().matrix()),
+                "{announced} at alpha {}: {state:?} vs {expected:?}", pair.alpha
+            );
+        }
+        prop_assert_eq!(p.active_requests(), 0);
     }
 }

@@ -21,7 +21,6 @@ use crate::app::{AppHarness, DeliveryRecord, Payload};
 use crate::classical::{BatchId, ChannelModel, ClassicalFaults, ClassicalPlane, ClassicalStats};
 use crate::faults::{ComponentEvent, FaultPlan};
 use qn_hardware::device::{QDevice, QubitId};
-use qn_hardware::heralding::LinkPhysics;
 use qn_hardware::pairs::{PairId, PairStore, SwapNoise};
 use qn_link::{LinkEvent, LinkLabel, LinkProtocol, LinkRequest, PairDemand};
 use qn_net::events::{AppEvent, DeliveryKind, NetInput, NetOutput, PairInfo};
@@ -362,7 +361,6 @@ struct NodeRt {
 
 struct Inflight {
     label: LinkLabel,
-    alpha: f64,
     attempts: u64,
     started: SimTime,
     event: EventId,
@@ -372,7 +370,6 @@ struct Inflight {
 
 struct LinkRt {
     proto: LinkProtocol,
-    physics: LinkPhysics,
     a: NodeId,
     b: NodeId,
     inflight: Option<Inflight>,
@@ -698,8 +695,7 @@ impl NetworkModel {
             .links()
             .iter()
             .map(|l| LinkRt {
-                proto: LinkProtocol::new((l.a, l.b), l.physics.clone()),
-                physics: l.physics.clone(),
+                proto: LinkProtocol::new((l.a, l.b), l.physics.clone(), cfg.state_rep),
                 a: l.a,
                 b: l.b,
                 inflight: None,
@@ -912,7 +908,8 @@ impl NetworkModel {
         }
         let channel = ChannelModel {
             propagation: self.links[link.0 as usize]
-                .physics
+                .proto
+                .physics()
                 .fibre()
                 .propagation_delay(),
             processing: self.cfg.processing_delay,
@@ -982,7 +979,8 @@ impl NetworkModel {
         }
         let channel = ChannelModel {
             propagation: self.links[link.0 as usize]
-                .physics
+                .proto
+                .physics()
                 .fibre()
                 .propagation_delay(),
             processing: self.cfg.processing_delay,
@@ -1685,13 +1683,12 @@ impl NetworkModel {
         };
         let l = &mut self.links[link.0 as usize];
         l.proto.on_generation_started(spec.label);
-        let p = l.physics.success_prob(spec.alpha);
+        let p = l.proto.physics().success_prob(spec.alpha);
         let attempts = self.rng_links[link.0 as usize].geometric(p);
-        let duration = l.physics.cycle_time().saturating_mul(attempts);
+        let duration = l.proto.physics().cycle_time().saturating_mul(attempts);
         let event = ctx.schedule_in(duration, Ev::GenDone { link });
         l.inflight = Some(Inflight {
             label: spec.label,
-            alpha: spec.alpha,
             attempts,
             started: ctx.now(),
             event,
@@ -1707,14 +1704,12 @@ impl NetworkModel {
         let inflight = l.inflight.take().expect("GenDone without inflight");
         let elapsed = ctx.now().since(inflight.started);
         let announced = l
-            .physics
-            .sample_announced(&mut self.rng_links[link.0 as usize]);
-        let (pair, events) = l
             .proto
-            .on_generation_complete(announced, inflight.attempts, elapsed);
-        let state = l
-            .physics
-            .heralded_pair(inflight.alpha, announced, self.pairs.rep());
+            .physics()
+            .sample_announced(&mut self.rng_links[link.0 as usize]);
+        let (pair, state, events) =
+            l.proto
+                .on_generation_complete(announced, inflight.attempts, elapsed);
         let (na, qa) = inflight.qubit_a;
         let (nb, qb) = inflight.qubit_b;
         let (t1a, t2a) = self.nodes[na.0 as usize].device.coherence_times(qa);
@@ -1749,7 +1744,7 @@ impl NetworkModel {
         let lambda_per = self.nodes[na.0 as usize]
             .device
             .params()
-            .nuclear_dephasing_per_attempt(inflight.alpha);
+            .nuclear_dephasing_per_attempt(pair.alpha);
         if lambda_per > 0.0 {
             for node in [na, nb] {
                 // Slot-ordered scan: deterministic, unlike the hash map

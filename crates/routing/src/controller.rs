@@ -78,8 +78,10 @@ impl<'a> Controller<'a> {
     ///
     /// Cutoff and link fidelity are mutually dependent (the budget needs
     /// the cutoff; the generation-quantile cutoff needs α which needs the
-    /// link fidelity), so the controller iterates the pair to a fixed
-    /// point — in practice two rounds suffice.
+    /// link fidelity), so the controller iterates the pair towards a fixed
+    /// point for at most four rounds. Each round is a pure function of the
+    /// cutoff it starts from, so the loop stops as soon as a round returns
+    /// that cutoff unchanged: every later round would repeat it exactly.
     pub fn plan(&self, head: NodeId, tail: NodeId, f_e2e: f64) -> Result<CircuitPlan, PlanError> {
         let path = self
             .topology
@@ -112,7 +114,11 @@ impl<'a> Controller<'a> {
                 .ok_or(PlanError::FidelityUnattainable)?;
             f_link = required;
             alpha = a;
-            cutoff = self.cutoff_policy.evaluate(physics, f_link, alpha);
+            let next = self.cutoff_policy.evaluate(physics, f_link, alpha);
+            if next == cutoff {
+                break;
+            }
+            cutoff = next;
         }
 
         // Rate allocations. The link can produce pairs at most at
@@ -176,6 +182,21 @@ mod tests {
             c.plan(d.a0, d.b0, 0.999).unwrap_err(),
             PlanError::FidelityUnattainable
         );
+    }
+
+    #[test]
+    fn non_finite_target_is_unattainable() {
+        let (t, d) = lab_dumbbell();
+        for policy in [CutoffPolicy::short(), CutoffPolicy::long()] {
+            let c = Controller::new(&t, policy);
+            for f in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                assert_eq!(
+                    c.plan(d.a0, d.b0, f).unwrap_err(),
+                    PlanError::FidelityUnattainable,
+                    "f_e2e {f}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -22,6 +22,7 @@ use qn_hardware::heralding::LinkPhysics;
 use qn_hardware::params::{FibreParams, HardwareParams};
 use qn_link::{LinkEvent, LinkLabel, LinkProtocol, LinkRequest, PairDemand, RejectReason};
 use qn_quantum::bell::BellState;
+use qn_quantum::pairstate::StateRep;
 use qn_sim::{NodeId, SimDuration};
 use std::collections::BTreeMap;
 
@@ -86,7 +87,7 @@ impl LinkSystem {
         attempts: u64,
         elapsed: SimDuration,
     ) -> (qn_link::LinkPair, Vec<LinkEvent>) {
-        let (pair, mut events) = self
+        let (pair, _, mut events) = self
             .proto
             .on_generation_complete(announced, attempts, elapsed);
         if self.fault == LinkFault::DropRequestDone {
@@ -205,7 +206,7 @@ impl ModelSpec for LinkSpec {
 
     fn new_system(&self) -> LinkSystem {
         LinkSystem {
-            proto: LinkProtocol::new((NodeId(0), NodeId(1)), Self::physics()),
+            proto: LinkProtocol::new((NodeId(0), NodeId(1)), Self::physics(), StateRep::Bell),
             fault: self.fault,
         }
     }
