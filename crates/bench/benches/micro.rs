@@ -1,5 +1,6 @@
 //! Criterion micro-benchmarks of the core data structures: the event
-//! queue, the density-matrix operations behind every entanglement swap,
+//! queue, the density-matrix operations behind every entanglement swap
+//! and memory decay step,
 //! the heralded-state construction, the link scheduler, the Bell
 //! tracking algebra, the quantum kernel's two pair-state
 //! representations side by side (`*_bell` vs `*_dm`), the classical
@@ -22,6 +23,7 @@ use qn_quantum::bell::BellState;
 use qn_quantum::gates::Pauli;
 use qn_quantum::measure::bell_measure_ideal;
 use qn_quantum::pairstate::PairState;
+use qn_quantum::{channels, CMatrix, DensityMatrix, C64};
 use qn_routing::{grid, Controller, CutoffPolicy};
 use qn_sim::{EventQueue, NodeId, SimDuration, SimRng, SimTime};
 
@@ -41,6 +43,18 @@ fn bench_event_queue(c: &mut Criterion) {
     });
 }
 
+/// An X-form pair state with the six nonzeros of a heralded pair after
+/// some decay: the diagonal and the |01⟩⟨10| coherence.
+fn x_pair() -> DensityMatrix {
+    let mut m = CMatrix::zeros(4, 4);
+    for (i, p) in [0.02, 0.47, 0.48, 0.03].into_iter().enumerate() {
+        m[(i, i)] = C64::real(p);
+    }
+    m[(1, 2)] = C64::real(0.4);
+    m[(2, 1)] = C64::real(0.4);
+    DensityMatrix::from_matrix(m)
+}
+
 fn bench_density_matrix(c: &mut Criterion) {
     c.bench_function("ideal_bell_measurement_4q", |b| {
         let joint = BellState::PHI_PLUS
@@ -49,39 +63,38 @@ fn bench_density_matrix(c: &mut Criterion) {
         b.iter(|| bell_measure_ideal(&joint, 1, 2, 0.3));
     });
 
-    c.bench_function("noisy_swap_full_pipeline", |b| {
-        // One persistent store (the in-run shape: conditional-map
-        // tables amortise across swaps); pairs recreated per iteration
-        // because the swap consumes them. Runs on the `QNP_QSTATE`
-        // default representation.
-        let params = HardwareParams::simulation();
-        let noise = SwapNoise::from_params(&params);
-        let mut store = PairStore::new();
-        let mut rng = SimRng::from_seed(7);
-        b.iter(|| {
-            let mut mk = |na: u32, nb: u32, qa: u32, qb: u32| {
-                store.create(
-                    SimTime::ZERO,
-                    BellState::PSI_PLUS.density(),
-                    BellState::PSI_PLUS,
-                    [
-                        (NodeId(na), QubitId(qa), 3600.0, 60.0),
-                        (NodeId(nb), QubitId(qb), 3600.0, 60.0),
-                    ],
-                )
-            };
-            let a = mk(0, 1, 0, 0);
-            let b_ = mk(1, 2, 1, 0);
-            let res = store.swap(
-                a,
-                b_,
-                NodeId(1),
-                SimTime::ZERO + SimDuration::from_micros(500),
-                &noise,
-                &mut rng,
-            );
-            store.discard(res.new_pair);
-        });
+    c.bench_function("dm_register_depolarizing_2q", |b| {
+        // The swap's gate noise on its joint register [a0, a1, b0, b1]:
+        // the store's cached 16-term set, applied to a fresh X⊗X
+        // register each time, as every dense swap does.
+        let noise = SwapNoise::from_params(&HardwareParams::simulation());
+        let kraus = channels::depolarizing_2q(noise.p_two_qubit);
+        let register = x_pair().tensor(&x_pair());
+        b.iter_batched(
+            || register.clone(),
+            |mut joint| {
+                joint.apply_kraus(&kraus, &[1, 2]);
+                joint
+            },
+            BatchSize::SmallInput,
+        );
+    });
+
+    c.bench_function("dm_pair_decay", |b| {
+        // The memory decay every touch of a dense pair runs on each end:
+        // amplitude damping, then dephasing, at a Fig 10 T2*.
+        let gamma = channels::damping_prob(1e-3, 3600.0);
+        let p = channels::dephasing_prob(1e-3, 1.6);
+        let pair = PairState::from_density(x_pair(), StateRep::Dm);
+        b.iter_batched(
+            || pair.clone(),
+            |mut state| {
+                state.amplitude_damp(0, gamma);
+                state.dephase(0, p);
+                state
+            },
+            BatchSize::SmallInput,
+        );
     });
 
     c.bench_function("heralded_state_construction", |b| {

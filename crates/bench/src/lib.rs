@@ -28,6 +28,9 @@ pub mod report;
 pub mod scenarios;
 pub mod sweep;
 
-pub use report::{baseline_dir, diff_baselines, Baseline, DiffKind, DiffReport, Direction, Json};
+pub use report::{
+    baseline_dir, diff_baselines, diff_dirs, Baseline, DiffKind, DiffReport, Direction, FigureDiff,
+    Json,
+};
 pub use scenarios::*;
 pub use sweep::*;

@@ -710,6 +710,65 @@ impl DiffReport {
     }
 }
 
+/// What became of one reference baseline in [`diff_dirs`].
+#[derive(Clone, Debug)]
+pub enum FigureDiff {
+    /// The candidate directory has no file of that name: the bench was
+    /// not run. Local runs of a subset of the benches rely on this.
+    CandidateMissing,
+    /// The reference or the candidate file could not be read or parsed:
+    /// a gate failure, since it compares nothing.
+    Unreadable(String),
+    /// Both files parsed: the reference's point count and the diff.
+    Compared {
+        /// Points in the reference.
+        points: usize,
+        /// The metric-by-metric comparison.
+        report: DiffReport,
+    },
+}
+
+/// Diff every `*.json` baseline in the `reference` directory against the
+/// candidate file of the same name, in file-name order. An error means
+/// the reference directory itself could not be listed.
+pub fn diff_dirs(
+    reference: &Path,
+    candidate: &Path,
+    tolerance: f64,
+) -> io::Result<Vec<(String, FigureDiff)>> {
+    let mut figures: Vec<PathBuf> = std::fs::read_dir(reference)?
+        .filter_map(|e| e.ok())
+        .map(|e| e.path())
+        .filter(|p| p.extension().is_some_and(|x| x == "json"))
+        .collect();
+    figures.sort();
+    let load = |path: &Path| -> Result<Baseline, String> {
+        let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
+        Baseline::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
+    };
+    Ok(figures
+        .iter()
+        .map(|ref_path| {
+            let name = ref_path
+                .file_name()
+                .map_or_else(String::new, |n| n.to_string_lossy().into_owned());
+            let cand_path = candidate.join(&name);
+            let diff = if !cand_path.exists() {
+                FigureDiff::CandidateMissing
+            } else {
+                match (load(ref_path), load(&cand_path)) {
+                    (Ok(r), Ok(c)) => FigureDiff::Compared {
+                        points: r.points.len(),
+                        report: diff_baselines(&r, &c, tolerance),
+                    },
+                    (Err(e), _) | (_, Err(e)) => FigureDiff::Unreadable(e),
+                }
+            };
+            (name, diff)
+        })
+        .collect())
+}
+
 /// Compare `candidate` against `reference`: every metric of every point
 /// whose relative movement exceeds `tolerance` is flagged, classified by
 /// the metric's declared direction (the reference's declaration wins).
@@ -972,6 +1031,39 @@ mod tests {
         let mut candidate = reference.clone();
         candidate.points[0].metrics = vec![("thr".into(), 99.0)];
         assert!(diff_baselines(&reference, &candidate, 0.05).is_clean());
+    }
+
+    #[test]
+    fn diff_dirs_fails_unreadable_files_and_skips_missing_ones() {
+        let root = std::env::temp_dir().join(format!("qn_bench_diff_dirs_{}", std::process::id()));
+        let (ref_dir, cand_dir) = (root.join("ref"), root.join("cand"));
+        std::fs::create_dir_all(&cand_dir).unwrap();
+        let mut base = Baseline::new("fig").direction("thr", Direction::HigherIsBetter);
+        for i in 0..40 {
+            base.point(format!("p{i}"), &[("thr", 1.0 + i as f64)]);
+        }
+        for name in ["a", "b", "c"] {
+            base.figure = name.into();
+            base.write_to(&ref_dir).unwrap();
+        }
+        // a: identical; b: truncated mid-file; c: not run.
+        std::fs::copy(ref_dir.join("a.json"), cand_dir.join("a.json")).unwrap();
+        let text = std::fs::read_to_string(ref_dir.join("b.json")).unwrap();
+        std::fs::write(cand_dir.join("b.json"), &text[..text.len() / 2]).unwrap();
+        // An unreadable reference fails the same way.
+        std::fs::write(ref_dir.join("d.json"), "{").unwrap();
+        std::fs::copy(ref_dir.join("a.json"), cand_dir.join("d.json")).unwrap();
+
+        let diffs = diff_dirs(&ref_dir, &cand_dir, 0.0).unwrap();
+        std::fs::remove_dir_all(&root).unwrap();
+        let names: Vec<&str> = diffs.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["a.json", "b.json", "c.json", "d.json"]);
+        assert!(
+            matches!(&diffs[0].1, FigureDiff::Compared { points: 40, report } if report.is_clean())
+        );
+        assert!(matches!(&diffs[1].1, FigureDiff::Unreadable(e) if e.contains("b.json")));
+        assert!(matches!(diffs[2].1, FigureDiff::CandidateMissing));
+        assert!(matches!(&diffs[3].1, FigureDiff::Unreadable(e) if e.contains("d.json")));
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! pair's state must match, signs of zeros included.
 //!
 //! The input pairs are random mixed states with many exact ±0
-//! components; readout is perfect so the announced outcomes expose the
-//! true ones.
+//! components, and for the swap also X-form pairs (the states the
+//! simulator builds) decayed at the memory lifetimes of Fig 10; readout
+//! is perfect so the announced outcomes expose the true ones.
 
 use proptest::prelude::*;
 use qn_hardware::device::QubitId;
@@ -17,13 +18,18 @@ use qn_hardware::StateRep;
 use qn_quantum::bell::BellState;
 use qn_quantum::matrix::CMatrix;
 use qn_quantum::measure::swap_circuit_outcome;
-use qn_quantum::{channels, gates, PairState};
+use qn_quantum::{channels, gates, DensityMatrix, PairState};
 use qn_sim::{NodeId, SimDuration, SimRng, SimTime};
-use qn_testkit::dense::{self, random_state, SplitMix};
+use qn_testkit::dense::{self, random_state, random_x_state, SplitMix};
 
 /// Short memories, so decay is large over the idle times below.
 const T1: f64 = 0.9;
 const T2: f64 = 0.6;
+
+/// The electron T1 of the simulation parameters, and the range of T2*
+/// that Fig 10 sweeps.
+const T1_SIM: f64 = 3600.0;
+const FIG10_T2: (f64, f64) = (0.2, 60.0);
 
 fn noise(p_two_qubit: f64, p_single: f64) -> SwapNoise {
     SwapNoise {
@@ -48,16 +54,16 @@ fn strength(r: &mut SplitMix) -> f64 {
 
 /// The reference of `PairStore::advance` for a pair idle for `dt`
 /// seconds: amplitude damping then dephasing on each end in turn.
-fn decay(mut rho: CMatrix, dt: f64) -> CMatrix {
+fn decay(mut rho: CMatrix, dt: f64, (t1, t2): (f64, f64)) -> CMatrix {
     if dt <= 0.0 {
         return rho;
     }
     for end in 0..2 {
-        let gamma = channels::damping_prob(dt, T1);
+        let gamma = channels::damping_prob(dt, t1);
         if gamma > 0.0 {
             rho = dense::apply_kraus(&rho, &channels::amplitude_damping(gamma), &[end]);
         }
-        let p = channels::dephasing_prob(dt, T2);
+        let p = channels::dephasing_prob(dt, t2);
         if p > 0.0 {
             rho = dense::apply_kraus(&rho, &channels::dephasing(p), &[end]);
         }
@@ -77,14 +83,76 @@ fn create(
     state: qn_quantum::DensityMatrix,
     announced: BellState,
     ends: [(u32, u32); 2],
+    (t1, t2): (f64, f64),
 ) -> PairId {
-    let end = |(node, qubit): (u32, u32)| (NodeId(node), QubitId(qubit), T1, T2);
+    let end = |(node, qubit): (u32, u32)| (NodeId(node), QubitId(qubit), t1, t2);
     store.create(
         SimTime::ZERO,
         state,
         announced,
         [end(ends[0]), end(ends[1])],
     )
+}
+
+/// Swap A (nodes 0–1) and B (nodes 1–2) at node 1, each pair in a random
+/// orientation and with memory lifetimes `memory = (T1, T2)`, after
+/// `idle_us` of decay, and compare with the reference circuit.
+fn check_swap(
+    r: &mut SplitMix,
+    a: DensityMatrix,
+    b: DensityMatrix,
+    idle_us: u64,
+    memory: (f64, f64),
+) -> Result<(), TestCaseError> {
+    let (ia, ib) = (r.below(2), r.below(2));
+    let noise = noise(strength(r), strength(r));
+    let mut store = PairStore::with_rep(StateRep::Dm);
+    let a_ends = if ia == 1 {
+        [(0, 0), (1, 0)]
+    } else {
+        [(1, 0), (0, 0)]
+    };
+    let b_ends = if ib == 0 {
+        [(1, 1), (2, 0)]
+    } else {
+        [(2, 0), (1, 1)]
+    };
+    let pa = create(&mut store, a.clone(), BellState::PHI_PLUS, a_ends, memory);
+    let pb = create(&mut store, b.clone(), BellState::PSI_MINUS, b_ends, memory);
+    let now = SimTime::ZERO + SimDuration::from_micros(idle_us);
+    let rng_seed = r.next_u64();
+    let res = store.swap(
+        pa,
+        pb,
+        NodeId(1),
+        now,
+        &noise,
+        &mut SimRng::from_seed(rng_seed),
+    );
+
+    let dt = now.since(SimTime::ZERO).as_secs_f64();
+    let joint = decay(a.matrix().clone(), dt, memory).kron(&decay(b.matrix().clone(), dt, memory));
+    let (qa, qb) = (ia, 2 + ib);
+    let mut joint = dense::apply_unitary(&joint, &gates::cnot(), &[qa, qb]);
+    if noise.p_two_qubit > 0.0 {
+        let kraus = channels::depolarizing_2q(noise.p_two_qubit);
+        joint = dense::apply_kraus(&joint, &kraus, &[qa, qb]);
+    }
+    joint = dense::apply_unitary(&joint, &gates::h(), &[qa]);
+    if noise.p_single > 0.0 {
+        joint = dense::apply_kraus(&joint, &channels::depolarizing(noise.p_single), &[qa]);
+    }
+    let mut rng = SimRng::from_seed(rng_seed);
+    let (m_control, joint) = dense::measure_z(&joint, qa, rng.f64());
+    let (m_target, joint) = dense::measure_z(&joint, qb, rng.f64());
+    let post = dense::partial_trace(&joint, &[1 - ia, 2 + (1 - ib)]);
+
+    prop_assert_eq!(res.outcome, swap_circuit_outcome(m_control, m_target));
+    prop_assert!(
+        dense::same_bits(&dense_state(&store, res.new_pair), &post),
+        "swap (ia {ia}, ib {ib}, {noise:?}) differs from the reference"
+    );
+    Ok(())
 }
 
 proptest! {
@@ -95,40 +163,22 @@ proptest! {
     #[test]
     fn dense_swap_matches_reference_circuit(seed in any::<u64>(), idle_us in 0u64..3000) {
         let mut r = SplitMix(seed);
-        let (ia, ib) = (r.below(2), r.below(2));
-        let noise = noise(strength(&mut r), strength(&mut r));
         let (a, b) = (random_state(2, &mut r), random_state(2, &mut r));
-        let mut store = PairStore::with_rep(StateRep::Dm);
-        let a_ends = if ia == 1 { [(0, 0), (1, 0)] } else { [(1, 0), (0, 0)] };
-        let b_ends = if ib == 0 { [(1, 1), (2, 0)] } else { [(2, 0), (1, 1)] };
-        let pa = create(&mut store, a.clone(), BellState::PHI_PLUS, a_ends);
-        let pb = create(&mut store, b.clone(), BellState::PSI_MINUS, b_ends);
-        let now = SimTime::ZERO + SimDuration::from_micros(idle_us);
-        let rng_seed = r.next_u64();
-        let res = store.swap(pa, pb, NodeId(1), now, &noise, &mut SimRng::from_seed(rng_seed));
+        check_swap(&mut r, a, b, idle_us, (T1, T2))?;
+    }
 
-        let dt = now.since(SimTime::ZERO).as_secs_f64();
-        let joint = decay(a.matrix().clone(), dt).kron(&decay(b.matrix().clone(), dt));
-        let (qa, qb) = (ia, 2 + ib);
-        let mut joint = dense::apply_unitary(&joint, &gates::cnot(), &[qa, qb]);
-        if noise.p_two_qubit > 0.0 {
-            let kraus = channels::depolarizing_2q(noise.p_two_qubit);
-            joint = dense::apply_kraus(&joint, &kraus, &[qa, qb]);
-        }
-        joint = dense::apply_unitary(&joint, &gates::h(), &[qa]);
-        if noise.p_single > 0.0 {
-            joint = dense::apply_kraus(&joint, &channels::depolarizing(noise.p_single), &[qa]);
-        }
-        let mut rng = SimRng::from_seed(rng_seed);
-        let (m_control, joint) = dense::measure_z(&joint, qa, rng.f64());
-        let (m_target, joint) = dense::measure_z(&joint, qb, rng.f64());
-        let post = dense::partial_trace(&joint, &[1 - ia, 2 + (1 - ib)]);
-
-        prop_assert_eq!(res.outcome, swap_circuit_outcome(m_control, m_target));
-        prop_assert!(
-            dense::same_bits(&dense_state(&store, res.new_pair), &post),
-            "swap (ia {ia}, ib {ib}, {noise:?}) differs from the reference"
-        );
+    /// The swap on X-form pairs, with T2* drawn log-uniformly across the
+    /// Fig 10 sweep: the decay and the gate noise of every dense swap in
+    /// `fig10_dm`.
+    #[test]
+    fn dense_swap_of_x_form_pairs_matches_reference_circuit(
+        seed in any::<u64>(),
+        idle_us in 0u64..3000,
+    ) {
+        let mut r = SplitMix(seed);
+        let t2 = FIG10_T2.0 * (FIG10_T2.1 / FIG10_T2.0).powf(r.unit());
+        let (a, b) = (random_x_state(&mut r), random_x_state(&mut r));
+        check_swap(&mut r, a, b, idle_us, (T1_SIM, t2))?;
     }
 
     /// BBPSSW round keeping K (nodes 0–1) and sacrificing S between the
@@ -142,15 +192,15 @@ proptest! {
         let (k, s) = (random_state(2, &mut r), random_state(2, &mut r));
         let mut store = PairStore::with_rep(StateRep::Dm);
         let s_ends = if b0_at_na { [(0, 1), (1, 1)] } else { [(1, 1), (0, 1)] };
-        let keep = create(&mut store, k.clone(), frames[0], [(0, 0), (1, 0)]);
-        let sacrifice = create(&mut store, s.clone(), frames[1], s_ends);
+        let keep = create(&mut store, k.clone(), frames[0], [(0, 0), (1, 0)], (T1, T2));
+        let sacrifice = create(&mut store, s.clone(), frames[1], s_ends, (T1, T2));
         let now = SimTime::ZERO + SimDuration::from_micros(idle_us);
         let rng_seed = r.next_u64();
         let res = store.distill(keep, sacrifice, now, &noise, &mut SimRng::from_seed(rng_seed));
 
         let dt = now.since(SimTime::ZERO).as_secs_f64();
         let [k, s] = [(k, frames[0]), (s, frames[1])].map(|(state, frame)| {
-            let rho = decay(state.matrix().clone(), dt);
+            let rho = decay(state.matrix().clone(), dt, (T1, T2));
             match frame.correction_to(BellState::PHI_PLUS) {
                 qn_quantum::Pauli::I => rho,
                 pauli => dense::apply_unitary(&rho, &pauli.matrix(), &[1]),

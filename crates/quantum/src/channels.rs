@@ -50,10 +50,11 @@ pub fn depolarizing_2q(p: f64) -> Vec<CMatrix> {
 }
 
 /// Dephasing (phase-flip) channel: applies Z with probability `p`.
-/// `p = 1/2` removes all coherence.
-pub fn dephasing(p: f64) -> Vec<CMatrix> {
+/// `p = 1/2` removes all coherence. An array, not a `Vec`: every memory
+/// decay step builds one, and the 2×2 terms live inline.
+pub fn dephasing(p: f64) -> [CMatrix; 2] {
     let p = p.clamp(0.0, 0.5);
-    vec![
+    [
         crate::gates::identity().scale((1.0 - p).sqrt()),
         crate::gates::z().scale(p.sqrt()),
     ]
@@ -69,8 +70,8 @@ pub fn bit_flip(p: f64) -> Vec<CMatrix> {
 }
 
 /// Amplitude damping channel with decay probability `gamma`
-/// (relaxation towards `|0⟩`).
-pub fn amplitude_damping(gamma: f64) -> Vec<CMatrix> {
+/// (relaxation towards `|0⟩`). An array, like [`dephasing`].
+pub fn amplitude_damping(gamma: f64) -> [CMatrix; 2] {
     let gamma = gamma.clamp(0.0, 1.0);
     let k0 = CMatrix::from_rows(&[
         &[C64::ONE, C64::ZERO],
@@ -80,7 +81,7 @@ pub fn amplitude_damping(gamma: f64) -> Vec<CMatrix> {
         &[C64::ZERO, C64::real(gamma.sqrt())],
         &[C64::ZERO, C64::ZERO],
     ]);
-    vec![k0, k1]
+    [k0, k1]
 }
 
 /// Dephasing probability for idling `t` seconds with dephasing time `t2`

@@ -1,18 +1,18 @@
 //! Density-matrix kernels on raw row-major matrices: the Kraus sandwich
 //! `ρ ← Σₖ Kₖ·ρ·Kₖ†`, the Z projection and the partial trace.
 //!
-//! The sandwich applies each operator by its structure, never as an
-//! embedded 2ⁿ×2ⁿ matrix:
+//! The sandwich never embeds an operator into a 2ⁿ×2ⁿ matrix, and it
+//! does work only for the nonzero entries of ρ. It lists them once per
+//! call, in row-major order, and then applies each operator by its
+//! structure, terms in set order:
 //!
-//! * an operator whose every row holds one nonzero, `w` times a phase in
-//!   {±1, ±i} (a weighted phased permutation: every Pauli Kraus term,
-//!   CNOT, CZ, SWAP, S, S†), is an O(dim²) gather of the table
-//!   `(w·ρ)·w`. The table is computed once per call and weight and shared
-//!   by every term of that weight: 15 of the 16 terms of
-//!   [`crate::channels::depolarizing_2q`], 3 of the 4 of
-//!   [`crate::channels::depolarizing`];
-//! * any other operator (H, amplitude damping, rotations) takes a
-//!   row-sparse walk over its nonzeros.
+//! * an operator with at most one nonzero per row and per column, each a
+//!   weight times a phase in {±1, ±i} (a weighted partial phased
+//!   permutation: every Pauli Kraus term, CNOT, CZ, SWAP, S, S† and both
+//!   amplitude-damping terms) sends each listed entry `x = ρ[a, b]` to
+//!   its single output entry, `out[π(a), π(b)] += turn(fl(fl(w·x)·w'))`;
+//! * any other operator `K` (H, rotations) forms `K·ρ` from the listed
+//!   entries, then `(K·ρ)·K†` from the nonzero entries of `K·ρ`.
 //!
 //! # Bit identity with the dense sandwich
 //!
@@ -22,20 +22,32 @@
 //! output entry is a sum that starts at +0 and adds complex products in
 //! increasing inner index. The kernels here add the same products in the
 //! same order, each computed by the same operations, and leave out only
-//! products that are ±0 because one factor is an exact zero. That changes
-//! nothing: under round-to-nearest a sum that starts at +0 is never −0
-//! (`x + y` is −0 only when both are −0), and `+0 + ±0 = +0`,
-//! `x + ±0 = x` for `x ≠ 0`. Every output entry is still formed as
-//! `+0 + …`, so even the sign of a zero matches.
+//! products that are ±0 because one factor is an exact zero.
 //!
-//! The gather rests on one more step. Each entry of a weighted phased
-//! permutation is `(±w, ±0)` or `(±0, ±w)`, so a complex product with it
-//! computes each component as `±fl(w·x) ∓ ±0`: a signed and possibly
-//! swapped `fl(w·x)`, up to the sign of a zero. The two products of a
-//! term therefore give `φᵢ·φ̄ⱼ·fl(fl(w·ρ[σi, σj])·w)`, and the unit phase
-//! `φᵢ·φ̄ⱼ ∈ {±1, ±i}` only swaps and negates components, which is exact.
-//! A zero whose sign differs only ever enters a product, which stays ±0,
-//! or an accumulated sum, which absorbs it as above.
+//! Either factor may be that zero: an entry of the operator, or an entry
+//! of ρ (or of `K·ρ`) whose components are both ±0. Leaving such a
+//! product out changes no bit. Every accumulator starts at +0, so under
+//! round-to-nearest it is never −0 (`x + y` is −0 only when both are
+//! −0), and `+0 + ±0 = +0`, `x + (±0) = x` for any `x ≠ 0`. Every output
+//! entry is still formed as `+0 + …`, so even the sign of a zero matches.
+//!
+//! The order holds because the listed entries run in increasing row, so
+//! each entry of `K·ρ` takes its products in increasing inner index, and
+//! each row of `K·ρ` is scanned in increasing column. Terms stay the
+//! outer loop, so each output entry takes its terms in set order.
+//!
+//! The permutation scatter rests on one more step. Each entry of a
+//! weighted phased permutation is `(±w, ±0)` or `(±0, ±w)`, so a complex
+//! product with it computes each component as `±fl(w·x) ∓ ±0`: a signed
+//! and possibly swapped `fl(w·x)`, up to the sign of a zero. The two
+//! products of a term therefore give `φᵢ·φ̄ⱼ·fl(fl(wᵢ·ρ[a, b])·wⱼ)` at
+//! output entry `(i, j) = (π(a), π(b))`, where row `i` of the operator
+//! holds `φᵢ·wᵢ`, and the unit phase `φᵢ·φ̄ⱼ ∈ {±1, ±i}` only swaps and
+//! negates components, which is exact. A zero whose sign differs only
+//! ever enters a product, which stays ±0, or an accumulated sum, which
+//! absorbs it as above. An output entry takes one product per term,
+//! because `π` is one to one; an operator with two nonzeros in a column
+//! takes the general path.
 //!
 //! The Z projection `P·ρ·P` with a diagonal 0/1 mask `P` reduces the same
 //! way to a masked copy, each kept entry formed as `+0 + ρᵢⱼ`.
@@ -67,9 +79,18 @@ fn scatter(n: usize, qubits: &[usize], t: usize) -> usize {
     })
 }
 
+/// Operator index of register index `a` on `qubits`: the bits of `a` on
+/// the targets, the inverse of [`scatter`].
+fn gather(n: usize, qubits: &[usize], a: usize) -> usize {
+    let k = qubits.len();
+    qubits.iter().enumerate().fold(0, |t, (pos, q)| {
+        t | ((a >> (n - 1 - q)) & 1) << (k - 1 - pos)
+    })
+}
+
 /// The power of i carried by an entry `(±w, ±0)` or `(±0, ±w)` of a
 /// weighted phased permutation.
-fn phase(v: C64) -> usize {
+fn phase(v: C64) -> u32 {
     if v.re > 0.0 {
         0
     } else if v.im > 0.0 {
@@ -81,47 +102,83 @@ fn phase(v: C64) -> usize {
     }
 }
 
-/// How one operator is applied.
-enum Shape {
-    /// No nonzero entry: the term contributes nothing.
-    Zero,
-    /// One nonzero per row, each `w` times a phase in {±1, ±i}.
-    Gather(f64),
-    /// Anything else.
-    Walk,
+/// `iᵏ·y`: a swap and negation of components, so exact.
+fn turn(y: C64, k: u32) -> C64 {
+    match k & 3 {
+        0 => y,
+        1 => C64::new(-y.im, y.re),
+        2 => C64::new(-y.re, -y.im),
+        _ => C64::new(y.im, -y.re),
+    }
+}
+
+/// Where a permutation term sends a row or column of ρ with a given
+/// operator index: register offset `idx`, by weight `w` and phase
+/// `iᵖʰᵃˢᵉ`.
+#[derive(Clone, Copy)]
+struct Dest {
+    idx: usize,
+    w: f64,
+    phase: u32,
+}
+
+/// A nonzero entry `x = ρ[a, b]`, each index split into its bits off the
+/// targets (`ra = a & rest`) and its operator index (`ca`).
+#[derive(Clone, Copy)]
+struct Entry {
+    ra: usize,
+    ca: usize,
+    rb: usize,
+    cb: usize,
+    x: C64,
+}
+
+/// An operator's nonzeros as `(row, value)`, column by column; column
+/// `c` ends at `end[c]`.
+struct Columns {
+    nz: Vec<(usize, C64)>,
+    end: Vec<usize>,
+}
+
+impl Columns {
+    fn get(&self, c: usize) -> &[(usize, C64)] {
+        &self.nz[if c == 0 { 0 } else { self.end[c - 1] }..self.end[c]]
+    }
 }
 
 /// Per-thread work buffers, reused from call to call.
 struct Scratch {
-    /// Register offset of each operator index, and the operator columns
-    /// in increasing offset: the order the dense product visits them.
+    /// Register offset of each operator index, and the operator index of
+    /// each register index. `a & rest` clears the target bits of `a`.
     off: Vec<usize>,
-    order: Vec<usize>,
-    /// The register indices with every target bit clear, increasing.
-    /// Register index `r | off[t]` has operator index `t`.
-    rests: Vec<usize>,
-    /// The current operator's nonzeros as `(register offset, value)`,
-    /// row by row; row `t` ends at `row_end[t]`.
-    nz: Vec<(usize, C64)>,
-    row_end: Vec<usize>,
-    /// `(w·ρ)·w` tables of this call, keyed by the weight's bits.
-    weights: Vec<u64>,
-    tables: Vec<Vec<C64>>,
-    /// `K·ρ` for the row-sparse walk.
+    op_index: Vec<usize>,
+    rest: usize,
+    /// ρ's nonzero entries, row-major, and the flat indices they came
+    /// from.
+    entries: Vec<Entry>,
+    kept: Vec<usize>,
+    /// A permutation term: where each operator column goes, `None` when
+    /// the column is zero.
+    perm: Vec<Option<Dest>>,
+    /// Any other operator: its nonzeros.
+    cols: Columns,
+    /// `K·ρ`, and one row of `(K·ρ)·K†`, for a general operator.
     tmp: Vec<C64>,
+    row: Vec<C64>,
     out: CMatrix,
 }
 
 thread_local! {
     static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch {
         off: Vec::new(),
-        order: Vec::new(),
-        rests: Vec::new(),
-        nz: Vec::new(),
-        row_end: Vec::new(),
-        weights: Vec::new(),
-        tables: Vec::new(),
+        op_index: Vec::new(),
+        rest: 0,
+        entries: Vec::new(),
+        kept: Vec::new(),
+        perm: Vec::new(),
+        cols: Columns { nz: Vec::new(), end: Vec::new() },
         tmp: Vec::new(),
+        row: Vec::new(),
         out: CMatrix::zeros(1, 1),
     });
 }
@@ -138,162 +195,141 @@ pub(crate) fn sandwich(n: usize, rho: &mut CMatrix, kraus: &[CMatrix], targets: 
     SCRATCH.with(|s| {
         let s = &mut *s.borrow_mut();
         s.index(n, targets);
-        s.weights.clear();
+        s.list(rho.data(), n);
         s.out.reset_zeros(dim, dim);
         for k in kraus {
             assert_eq!((k.rows(), k.cols()), (dk, dk), "operator size mismatch");
-            match s.compile(k) {
-                Shape::Zero => {}
-                Shape::Gather(w) => s.gather(rho.data(), w),
-                Shape::Walk => s.walk(rho.data()),
+            if s.compile(k) {
+                s.permute(n);
+            } else {
+                s.general(n);
             }
         }
         std::mem::swap(rho, &mut s.out);
     });
 }
 
-/// One block of a gather: for every pair of rest patterns `(ra, rb)`,
-/// `out[ra|oi, rb|oj] += turn(table[ra|si, rb|sj])`.
-fn add_block(
-    out: &mut [C64],
-    table: &[C64],
-    dim: usize,
-    rests: &[usize],
-    (oi, si): (usize, usize),
-    (oj, sj): (usize, usize),
-    turn: impl Fn(C64) -> C64,
-) {
-    for &ra in rests {
-        let orow = &mut out[(ra | oi) * dim..][..dim];
-        let src = &table[(ra | si) * dim..][..dim];
-        for &rb in rests {
-            orow[rb | oj] += turn(src[rb | sj]);
-        }
-    }
-}
-
 impl Scratch {
     /// The index maps between register and operator for `targets`.
     fn index(&mut self, n: usize, targets: &[usize]) {
         let dk = 1usize << targets.len();
-        let mask = scatter(n, targets, dk - 1);
         self.off.clear();
         self.off.extend((0..dk).map(|t| scatter(n, targets, t)));
-        self.order.clear();
-        self.order.extend(0..dk);
-        let off = &self.off;
-        self.order.sort_unstable_by_key(|&c| off[c]);
-        self.rests.clear();
-        self.rests
-            .extend((0..1usize << n).filter(|i| i & mask == 0));
+        self.rest = !self.off[dk - 1];
+        self.op_index.clear();
+        self.op_index
+            .extend((0..1usize << n).map(|a| gather(n, targets, a)));
     }
 
-    /// Collect `k`'s nonzeros in visiting order and classify it.
-    fn compile(&mut self, k: &CMatrix) -> Shape {
+    /// List the nonzero entries of the `n`-qubit matrix `rho`.
+    fn list(&mut self, rho: &[C64], n: usize) {
+        let dim = 1usize << n;
+        // Record every index and keep the nonzero ones, without a branch
+        // on the sparsity pattern.
+        self.kept.resize(rho.len(), 0);
+        let mut len = 0;
+        for (i, x) in rho.iter().enumerate() {
+            self.kept[len] = i;
+            // Nonzero unless both components are ±0.
+            len += usize::from((x.re.to_bits() | x.im.to_bits()) << 1 != 0);
+        }
+        self.entries.clear();
+        for &i in &self.kept[..len] {
+            let (a, b) = (i >> n, i & (dim - 1));
+            self.entries.push(Entry {
+                ra: a & self.rest,
+                ca: self.op_index[a],
+                rb: b & self.rest,
+                cb: self.op_index[b],
+                x: rho[i],
+            });
+        }
+    }
+
+    /// Classify `k`. A weighted partial phased permutation fills `perm`
+    /// and returns true; any other operator fills `cols`.
+    fn compile(&mut self, k: &CMatrix) -> bool {
         let dk = self.off.len();
-        self.nz.clear();
-        self.row_end.clear();
-        let mut weight = None;
-        let mut gather = true;
-        for row in k.data().chunks_exact(dk) {
-            let start = self.nz.len();
-            for &c in &self.order {
-                if row[c] != C64::ZERO {
-                    self.nz.push((self.off[c], row[c]));
+        let k = k.data();
+        self.perm.clear();
+        self.perm.resize(dk, None);
+        let permutation = k.chunks_exact(dk).enumerate().all(|(t, row)| {
+            let mut nz = row.iter().enumerate().filter(|(_, v)| **v != C64::ZERO);
+            match (nz.next(), nz.next()) {
+                (None, _) => true,
+                (Some((c, &v)), None)
+                    if self.perm[c].is_none()
+                        && (v.re == 0.0 || v.im == 0.0)
+                        && (v.re + v.im).is_finite() =>
+                {
+                    self.perm[c] = Some(Dest {
+                        idx: self.off[t],
+                        w: if v.im == 0.0 { v.re.abs() } else { v.im.abs() },
+                        phase: phase(v),
+                    });
+                    true
                 }
+                _ => false,
             }
-            self.row_end.push(self.nz.len());
-            if gather {
-                let w = match &self.nz[start..] {
-                    [(_, v)] if v.im == 0.0 => v.re.abs(),
-                    [(_, v)] if v.re == 0.0 => v.im.abs(),
-                    _ => f64::NAN,
-                };
-                gather = w.is_finite() && *weight.get_or_insert(w) == w;
-            }
-        }
-        match weight {
-            _ if self.nz.is_empty() => Shape::Zero,
-            Some(w) if gather => Shape::Gather(w),
-            _ => Shape::Walk,
-        }
-    }
-
-    /// `out += K·ρ·K†` for a [`Shape::Gather`] operator `K`; row `t` of
-    /// `K` holds its single nonzero at `nz[t]`.
-    fn gather(&mut self, rho: &[C64], w: f64) {
-        let table: &[C64] = if w == 1.0 {
-            // fl(fl(1·x)·1) = x.
-            rho
-        } else {
-            let t = match self.weights.iter().position(|&b| b == w.to_bits()) {
-                Some(t) => t,
-                None => {
-                    let t = self.weights.len();
-                    self.weights.push(w.to_bits());
-                    if self.tables.len() == t {
-                        self.tables.push(Vec::new());
+        });
+        if !permutation {
+            self.cols.nz.clear();
+            self.cols.end.clear();
+            for c in 0..dk {
+                for t in 0..dk {
+                    let v = k[t * dk + c];
+                    if v != C64::ZERO {
+                        self.cols.nz.push((t, v));
                     }
-                    let table = &mut self.tables[t];
-                    table.clear();
-                    table.extend(rho.iter().map(|x| C64::new((w * x.re) * w, (w * x.im) * w)));
-                    t
                 }
-            };
-            &self.tables[t]
-        };
-        // Output entry (r|off[ti], r'|off[tj]) takes table entry
-        // (r|σti, r'|σtj) turned by the phase i^(a_ti − a_tj): one turn
-        // per block of rows and columns, so the inner loops do not branch.
-        let dim = self.rests.len() * self.off.len();
-        let (out, rests) = (self.out.data_mut(), &self.rests);
-        for (&oi, &(si, vi)) in self.off.iter().zip(&self.nz) {
-            for (&oj, &(sj, vj)) in self.off.iter().zip(&self.nz) {
-                let (rows, cols) = ((oi, si), (oj, sj));
-                match (phase(vi) + 4 - phase(vj)) & 3 {
-                    0 => add_block(out, table, dim, rests, rows, cols, |x| x),
-                    1 => add_block(out, table, dim, rests, rows, cols, |x| {
-                        C64::new(-x.im, x.re)
-                    }),
-                    2 => add_block(out, table, dim, rests, rows, cols, |x| {
-                        C64::new(-x.re, -x.im)
-                    }),
-                    _ => add_block(out, table, dim, rests, rows, cols, |x| {
-                        C64::new(x.im, -x.re)
-                    }),
-                }
+                self.cols.end.push(self.cols.nz.len());
             }
+        }
+        permutation
+    }
+
+    /// `out += K·ρ·K†` for a permutation term `K` on an `n`-qubit register.
+    fn permute(&mut self, n: usize) {
+        let out = self.out.data_mut();
+        for e in &self.entries {
+            let (Some(da), Some(db)) = (self.perm[e.ca], self.perm[e.cb]) else {
+                continue;
+            };
+            let y = C64::new((da.w * e.x.re) * db.w, (da.w * e.x.im) * db.w);
+            out[((e.ra | da.idx) << n) | e.rb | db.idx] += turn(y, da.phase.wrapping_sub(db.phase));
         }
     }
 
-    /// `out += K·ρ·K†` by a walk over `K`'s nonzeros.
-    fn walk(&mut self, rho: &[C64]) {
-        let dim = self.rests.len() * self.off.len();
-        let (nz, row_end) = (&self.nz, &self.row_end);
-        let row = |t: usize| &nz[if t == 0 { 0 } else { row_end[t - 1] }..row_end[t]];
-        // tmp = K·ρ
+    /// `out += K·ρ·K†` for any operator `K` on an `n`-qubit register.
+    fn general(&mut self, n: usize) {
+        let dim = 1usize << n;
+        // tmp = K·ρ: entry (a, b) feeds row (a & rest) | off[t] for every
+        // nonzero K[t, op(a)].
         self.tmp.clear();
         self.tmp.resize(dim * dim, C64::ZERO);
-        for (ti, &oi) in self.off.iter().enumerate() {
-            for &r in &self.rests {
-                let trow = &mut self.tmp[(r | oi) * dim..][..dim];
-                for &(o, v) in row(ti) {
-                    for (x, &y) in trow.iter_mut().zip(&rho[(r | o) * dim..][..dim]) {
-                        *x += v * y;
-                    }
-                }
+        for e in &self.entries {
+            let b = e.rb | self.off[e.cb];
+            for &(t, v) in self.cols.get(e.ca) {
+                self.tmp[((e.ra | self.off[t]) << n) | b] += v * e.x;
             }
         }
-        // out += tmp·K†, each term formed in full before it is added.
+        // out += tmp·K†, one row at a time, each term formed in full in
+        // `row` before it is added.
+        self.row.clear();
+        self.row.resize(dim, C64::ZERO);
         let out = self.out.data_mut();
         for (trow, orow) in self.tmp.chunks_exact(dim).zip(out.chunks_exact_mut(dim)) {
-            for (tj, &oj) in self.off.iter().enumerate() {
-                for &r in &self.rests {
-                    let mut term = C64::ZERO;
-                    for &(o, v) in row(tj) {
-                        term += trow[r | o] * v.conj();
-                    }
-                    orow[r | oj] += term;
+            let mut touched = false;
+            for (j, &y) in trow.iter().enumerate().filter(|(_, y)| **y != C64::ZERO) {
+                touched = true;
+                for &(t, v) in self.cols.get(self.op_index[j]) {
+                    self.row[(j & self.rest) | self.off[t]] += y * v.conj();
+                }
+            }
+            if touched {
+                for (o, z) in orow.iter_mut().zip(&mut self.row) {
+                    *o += *z;
+                    *z = C64::ZERO;
                 }
             }
         }

@@ -45,17 +45,14 @@ impl Data {
         }
     }
 
-    fn from_vec(v: Vec<C64>) -> Data {
-        if v.len() <= INLINE {
-            let mut buf = [C64::ZERO; INLINE];
-            buf[..v.len()].copy_from_slice(&v);
-            Data::Inline {
-                len: v.len() as u8,
-                buf,
-            }
-        } else {
-            Data::Heap(v)
+    /// The `n` entries of `entries`, inline when they fit: a 2×2 gate
+    /// or Kraus term is built without touching the heap.
+    fn collect(n: usize, entries: impl Iterator<Item = C64>) -> Data {
+        let mut d = Data::zeros(n);
+        for (slot, z) in d.as_mut_slice().iter_mut().zip(entries) {
+            *slot = z;
         }
+        d
     }
 
     #[inline]
@@ -191,14 +188,10 @@ impl CMatrix {
         let r = rows.len();
         let c = rows.first().map_or(0, |row| row.len());
         assert!(rows.iter().all(|row| row.len() == c), "ragged rows");
-        let mut data = Vec::with_capacity(r * c);
-        for row in rows {
-            data.extend_from_slice(row);
-        }
         CMatrix {
             rows: r,
             cols: c,
-            data: Data::from_vec(data),
+            data: Data::collect(r * c, rows.iter().flat_map(|row| row.iter().copied())),
         }
     }
 
@@ -208,7 +201,7 @@ impl CMatrix {
         CMatrix {
             rows,
             cols,
-            data: Data::from_vec(vals.iter().map(|v| C64::real(*v)).collect()),
+            data: Data::collect(rows * cols, vals.iter().map(|v| C64::real(*v))),
         }
     }
 
@@ -217,7 +210,7 @@ impl CMatrix {
         CMatrix {
             rows: v.len(),
             cols: 1,
-            data: Data::from_vec(v.to_vec()),
+            data: Data::collect(v.len(), v.iter().copied()),
         }
     }
 
@@ -277,7 +270,10 @@ impl CMatrix {
         CMatrix {
             rows: self.rows,
             cols: self.cols,
-            data: Data::from_vec(self.data.as_slice().iter().map(|z| z.scale(k)).collect()),
+            data: Data::collect(
+                self.rows * self.cols,
+                self.data().iter().map(|z| z.scale(k)),
+            ),
         }
     }
 
@@ -286,7 +282,7 @@ impl CMatrix {
         CMatrix {
             rows: self.rows,
             cols: self.cols,
-            data: Data::from_vec(self.data.as_slice().iter().map(|z| *z * k).collect()),
+            data: Data::collect(self.rows * self.cols, self.data().iter().map(|z| *z * k)),
         }
     }
 
@@ -405,13 +401,9 @@ impl Add for &CMatrix {
         CMatrix {
             rows: self.rows,
             cols: self.cols,
-            data: Data::from_vec(
-                self.data
-                    .as_slice()
-                    .iter()
-                    .zip(rhs.data.as_slice())
-                    .map(|(a, b)| *a + *b)
-                    .collect(),
+            data: Data::collect(
+                self.rows * self.cols,
+                self.data().iter().zip(rhs.data()).map(|(a, b)| *a + *b),
             ),
         }
     }
@@ -424,13 +416,9 @@ impl Sub for &CMatrix {
         CMatrix {
             rows: self.rows,
             cols: self.cols,
-            data: Data::from_vec(
-                self.data
-                    .as_slice()
-                    .iter()
-                    .zip(rhs.data.as_slice())
-                    .map(|(a, b)| *a - *b)
-                    .collect(),
+            data: Data::collect(
+                self.rows * self.cols,
+                self.data().iter().zip(rhs.data()).map(|(a, b)| *a - *b),
             ),
         }
     }

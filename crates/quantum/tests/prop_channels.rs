@@ -114,9 +114,9 @@ proptest! {
     fn channels_preserve_physicality(rho in arb_qubit(), p in 0.0f64..1.0) {
         for kraus in [
             channels::depolarizing(p),
-            channels::dephasing(p / 2.0),
+            channels::dephasing(p / 2.0).to_vec(),
             channels::bit_flip(p),
-            channels::amplitude_damping(p),
+            channels::amplitude_damping(p).to_vec(),
         ] {
             let mut r = rho.clone();
             r.apply_kraus(&kraus, &[0]);

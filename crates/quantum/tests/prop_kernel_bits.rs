@@ -4,17 +4,23 @@
 //! even the sign of a zero must match.
 //!
 //! The states are random mixed states of 1–4 qubits whose components
-//! are often exact `0.0` or `-0.0` (`qn_testkit::dense::random_state`).
-//! The operators are every gate of `gates` and every channel
-//! of `channels` (at p = 0, p = 1 and in between), plus a three-qubit
-//! operator, a two-qubit operator with four nonzeros per row and a Kraus
-//! set that mixes a phased permutation with a dense operator, on every
-//! ordered target list.
+//! are often exact `0.0` or `-0.0` (`qn_testkit::dense::random_state`),
+//! the same states after a Z projection (whole rows and columns of +0),
+//! and the structured inputs of the simulator: X-form pair states and
+//! X⊗X four-qubit registers, with zeros of either sign in their zero
+//! pattern. The kernels skip zero entries of ρ, so zeros are where a
+//! divergence would show. The operators are every gate of `gates` and
+//! every channel of `channels` (at p = 0, p = 1 and in between), plus a
+//! three-qubit operator, a two-qubit operator with four nonzeros per
+//! row, a Kraus set that mixes a phased permutation with a dense
+//! operator, and one whose first term has one nonzero per row but two in
+//! a column, on every ordered target list.
 
 use proptest::prelude::*;
 use qn_quantum::matrix::CMatrix;
+use qn_quantum::C64;
 use qn_quantum::{channels, gates, DensityMatrix};
-use qn_testkit::dense::{self, random_state, SplitMix};
+use qn_testkit::dense::{self, random_state, random_x_state, resign_zeros, SplitMix};
 
 /// One operation of the catalogue: a gate (`unitary`, a set of one) or
 /// a Kraus channel.
@@ -61,9 +67,27 @@ impl Op {
 /// Every gate of `gates` as a unitary, every channel of `channels` at
 /// parameter `p` as a Kraus set, and operators that exercise a
 /// three-qubit target list, rows of more than two nonzeros (where the
-/// order of a sum shows) and a Kraus set of mixed structure.
+/// order of a sum shows) and Kraus sets of mixed structure.
 fn catalogue(p: f64, theta: f64) -> Vec<Op> {
     let mixed = vec![gates::x().scale(0.6), gates::h().scale(0.8)];
+    // One nonzero per row, of equal weight and unit phase, but rows 0
+    // and 1 share column 1: not a permutation. The diagonal term makes
+    // the set trace preserving.
+    let (h, z) = (C64::real(0.5), C64::ZERO);
+    let shared = vec![
+        CMatrix::from_rows(&[
+            &[z, h, z, z],
+            &[z, C64::new(0.0, 0.5), z, z],
+            &[z, z, z, -h],
+            &[h, z, z, z],
+        ]),
+        CMatrix::from_rows(&[
+            &[C64::real(0.75f64.sqrt()), z, z, z],
+            &[z, C64::real(0.5f64.sqrt()), z, z],
+            &[z, z, C64::ONE, z],
+            &[z, z, z, C64::real(0.75f64.sqrt())],
+        ]),
+    ];
     vec![
         Op::gate("identity", gates::identity()),
         Op::gate("x", gates::x()),
@@ -84,11 +108,41 @@ fn catalogue(p: f64, theta: f64) -> Vec<Op> {
         Op::gate("rx⊗ry", gates::rx(theta).kron(&gates::ry(0.3))),
         Op::channel("depolarizing", channels::depolarizing(p)),
         Op::channel("depolarizing_2q", channels::depolarizing_2q(p)),
-        Op::channel("dephasing", channels::dephasing(p)),
+        Op::channel("dephasing", channels::dephasing(p).to_vec()),
         Op::channel("bit_flip", channels::bit_flip(p)),
-        Op::channel("amplitude_damping", channels::amplitude_damping(p)),
+        Op::channel("amplitude_damping", channels::amplitude_damping(p).to_vec()),
         Op::channel("0.6·x + 0.8·h", mixed),
+        Op::channel("shared column + diagonal", shared),
     ]
+}
+
+/// The states the catalogue runs on for `n` qubits: a random mixed
+/// state, an X-form pair state (`n = 2`) or an X⊗X register (`n = 4`)
+/// with zeros of random sign, and each of those after a Z projection,
+/// which leaves +0 in whole rows and columns.
+fn inputs(n: usize, r: &mut SplitMix) -> Vec<DensityMatrix> {
+    let mut states = vec![random_state(n, r)];
+    match n {
+        2 => states.push(random_x_state(r)),
+        4 => {
+            let mut m = random_x_state(r)
+                .tensor(&random_x_state(r))
+                .matrix()
+                .clone();
+            resign_zeros(&mut m, r);
+            states.push(DensityMatrix::from_matrix(m));
+        }
+        _ => {}
+    }
+    for i in 0..states.len() {
+        let (qubit, outcome) = (r.below(n), r.below(2) == 1);
+        if projectable(states[i].matrix(), qubit, outcome) {
+            let mut projected = states[i].clone();
+            projected.project_z(qubit, outcome);
+            states.push(projected);
+        }
+    }
+    states
 }
 
 /// Every ordered list of `k` distinct qubits out of `n`.
@@ -132,16 +186,20 @@ fn every_gate_and_channel_on_every_target_list_is_bit_identical() {
     let mut r = SplitMix(2020);
     for n in 1..=4 {
         for p in [0.0, 0.37, 1.0] {
-            let state = random_state(n, &mut r);
-            for op in catalogue(p, 1.1) {
-                if op.arity() > n {
-                    continue;
-                }
-                for targets in target_lists(n, op.arity()) {
-                    let mut rho = state.clone();
-                    let reference = op.apply(&mut rho, state.matrix(), &targets);
-                    let what = format!("{} (p = {p}) on {targets:?} of {n} qubits", op.name);
-                    assert_bits(&rho, &reference, &what);
+            for (s, state) in inputs(n, &mut r).iter().enumerate() {
+                for op in catalogue(p, 1.1) {
+                    if op.arity() > n {
+                        continue;
+                    }
+                    for targets in target_lists(n, op.arity()) {
+                        let mut rho = state.clone();
+                        let reference = op.apply(&mut rho, state.matrix(), &targets);
+                        let what = format!(
+                            "{} (p = {p}) on {targets:?} of {n} qubits, input {s}",
+                            op.name
+                        );
+                        assert_bits(&rho, &reference, &what);
+                    }
                 }
             }
         }

@@ -182,6 +182,46 @@ pub fn random_state(n: usize, r: &mut SplitMix) -> DensityMatrix {
         }
     }
     let mut m = m.scale(1.0 / m.trace().re);
+    resign_zeros(&mut m, r);
+    DensityMatrix::from_matrix(m)
+}
+
+/// A random X-form pair state, the form of every pair the simulator
+/// builds: populations on the diagonal and conjugate coherences on the
+/// anti-diagonal, any of which may be an exact zero (a coherence of a
+/// Bell-diagonal state, a population after decay), and a zero of random
+/// sign everywhere else.
+pub fn random_x_state(r: &mut SplitMix) -> DensityMatrix {
+    let mut p: Vec<f64> = (0..4)
+        .map(|_| {
+            if r.below(4) == 0 {
+                0.0
+            } else {
+                r.unit() + 0.05
+            }
+        })
+        .collect();
+    p[r.below(4)] += 0.1;
+    let total: f64 = p.iter().sum();
+    let mut m = CMatrix::zeros(4, 4);
+    for (i, pi) in p.iter().enumerate() {
+        m[(i, i)] = C64::real(pi / total);
+    }
+    for (i, j) in [(0, 3), (1, 2)] {
+        if r.below(3) > 0 {
+            let bound = (p[i] * p[j]).sqrt() / total;
+            let c = C64::new(r.component(), r.component()).scale(0.7 * bound);
+            m[(i, j)] = c;
+            m[(j, i)] = c.conj();
+        }
+    }
+    resign_zeros(&mut m, r);
+    DensityMatrix::from_matrix(m)
+}
+
+/// Draw the sign of every zero component of `m` afresh.
+pub fn resign_zeros(m: &mut CMatrix, r: &mut SplitMix) {
+    let dim = m.rows();
     for i in 0..dim {
         for j in 0..dim {
             let z = &mut m[(i, j)];
@@ -193,5 +233,4 @@ pub fn random_state(n: usize, r: &mut SplitMix) -> DensityMatrix {
             }
         }
     }
-    DensityMatrix::from_matrix(m)
 }

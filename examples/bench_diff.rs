@@ -10,22 +10,25 @@
 //! file of the same name is diffed metric by metric; movements beyond
 //! the tolerance are classified by each metric's declared direction
 //! (throughput down / latency up ⇒ regression). Exits non-zero when a
-//! regression — or a reference metric/point missing from the candidate
-//! — is found, unless `--report-only` is given (the CI smoke job's
-//! non-blocking mode).
+//! regression, a reference metric/point missing from the candidate, or
+//! a reference or candidate file that does not parse is found, unless
+//! `--report-only` is given (the CI smoke job's non-blocking mode). A
+//! candidate file that does not exist (bench not run) is skipped.
 //!
 //! Simulation statistics with few seeds are noisy, so the default
 //! tolerance is deliberately wide (25 %); the `QNP_RUNS=2` reference
 //! under `baselines/` is a smoke reference, not a precision one.
 
-use qn_bench::report::{diff_baselines, Baseline, DiffKind};
-use std::path::{Path, PathBuf};
+use qn_bench::report::{diff_dirs, DiffKind, FigureDiff};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
 struct Args {
     reference: PathBuf,
     candidate: PathBuf,
     tolerance: f64,
+    /// The tolerance as typed, for the header.
+    tolerance_text: String,
     report_only: bool,
 }
 
@@ -34,6 +37,7 @@ fn parse_args() -> Args {
         reference: PathBuf::from("baselines"),
         candidate: qn_bench::baseline_dir(),
         tolerance: 0.25,
+        tolerance_text: "0.25".into(),
         report_only: false,
     };
     let mut positional = Vec::new();
@@ -43,6 +47,7 @@ fn parse_args() -> Args {
             "--tolerance" => {
                 let v = it.next().expect("--tolerance needs a value");
                 args.tolerance = v.parse().expect("--tolerance must be a number");
+                args.tolerance_text = v;
             }
             "--report-only" => args.report_only = true,
             "--help" | "-h" => {
@@ -63,26 +68,17 @@ fn parse_args() -> Args {
     args
 }
 
-fn load(path: &Path) -> Result<Baseline, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    Baseline::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
-}
-
 fn main() -> ExitCode {
     let args = parse_args();
     println!(
-        "# bench_diff — reference {} vs candidate {} (tolerance {:.0}%)",
+        "# bench_diff — reference {} vs candidate {} (relative tolerance {})",
         args.reference.display(),
         args.candidate.display(),
-        args.tolerance * 100.0
+        args.tolerance_text
     );
 
-    let mut figures: Vec<PathBuf> = match std::fs::read_dir(&args.reference) {
-        Ok(dir) => dir
-            .filter_map(|e| e.ok())
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|x| x == "json"))
-            .collect(),
+    let figures = match diff_dirs(&args.reference, &args.candidate, args.tolerance) {
+        Ok(figures) => figures,
         Err(e) => {
             eprintln!(
                 "cannot read reference dir {}: {e}",
@@ -91,7 +87,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    figures.sort();
     if figures.is_empty() {
         eprintln!("no *.json baselines under {}", args.reference.display());
         return ExitCode::from(2);
@@ -100,30 +95,24 @@ fn main() -> ExitCode {
     let mut total_regressions = 0usize;
     let mut total_flagged = 0usize;
     let mut total_missing = 0usize;
-    for ref_path in figures {
-        let name = ref_path.file_name().unwrap().to_string_lossy().to_string();
-        let reference = match load(&ref_path) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("skipping {name}: {e}");
+    let mut total_unreadable = 0usize;
+    for (name, diff) in figures {
+        let (points, report) = match diff {
+            FigureDiff::CandidateMissing => {
+                println!("## {name}: candidate missing (bench not run) — skipped");
                 continue;
             }
-        };
-        let cand_path = args.candidate.join(&name);
-        if !cand_path.exists() {
-            println!("## {name}: candidate missing (bench not run) — skipped");
-            continue;
-        }
-        let candidate = match load(&cand_path) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("skipping {name}: {e}");
+            FigureDiff::Unreadable(e) => {
+                // A file that does not parse compares nothing: fail the
+                // gate rather than pass it silently.
+                println!("## {name}: UNREADABLE — {e}");
+                total_unreadable += 1;
                 continue;
             }
+            FigureDiff::Compared { points, report } => (points, report),
         };
-        let report = diff_baselines(&reference, &candidate, args.tolerance);
         if report.is_clean() {
-            println!("## {name}: clean ({} points)", reference.points.len());
+            println!("## {name}: clean ({points} points)");
             continue;
         }
         println!(
@@ -158,9 +147,9 @@ fn main() -> ExitCode {
     }
 
     println!(
-        "#\n# total: {total_flagged} flagged, {total_regressions} regressions, {total_missing} missing"
+        "#\n# total: {total_flagged} flagged, {total_regressions} regressions, {total_missing} missing, {total_unreadable} unreadable"
     );
-    if (total_regressions > 0 || total_missing > 0) && !args.report_only {
+    if (total_regressions > 0 || total_missing > 0 || total_unreadable > 0) && !args.report_only {
         ExitCode::from(1)
     } else {
         ExitCode::SUCCESS
