@@ -27,19 +27,41 @@ use qn_quantum::{channels, CMatrix, DensityMatrix, C64};
 use qn_routing::{grid, Controller, CutoffPolicy};
 use qn_sim::{EventQueue, NodeId, SimDuration, SimRng, SimTime};
 
+/// A hold model of the event queue's traffic on `openworld_wire`: 300
+/// events pending, and each step pops the earliest and schedules at its
+/// time plus a delay on a µs, ms, 10 ms or 2 s scale. Every sixth step
+/// also arms a 10 ms timer that is cancelled three steps later, so
+/// about 1.17 events are scheduled per pop and one in seven is
+/// cancelled. A sample is 1,000 steps.
 fn bench_event_queue(c: &mut Criterion) {
-    c.bench_function("event_queue_push_pop_1k", |b| {
-        b.iter_batched(
-            EventQueue::new,
-            |mut q| {
-                for i in 0..1000u64 {
-                    q.push(SimTime::from_ps(i * 37 % 500), i);
+    const HOLD: usize = 300;
+    let mut rng = SimRng::from_seed(0x51);
+    let scales_ps = [1e6, 1e9, 1e10, 2e12];
+    let delays: Vec<SimDuration> = (0..4096)
+        .map(|i| SimDuration::from_ps((scales_ps[i % 4] * rng.range_f64(0.5, 1.5)) as u64))
+        .collect();
+    c.bench_function("event_queue_hold", |b| {
+        let mut q = EventQueue::new();
+        for (i, d) in delays.iter().take(HOLD).enumerate() {
+            q.push(SimTime::ZERO + *d, i as u64);
+        }
+        let mut timers = [None; 3];
+        let mut step = 0usize;
+        b.iter(|| {
+            for _ in 0..1000 {
+                let (now, event) = q.pop().expect("events are held");
+                q.push(now + delays[step % delays.len()], event);
+                if let Some(timer) = timers[step % 3].take() {
+                    q.cancel(timer);
                 }
-                while q.pop().is_some() {}
-                q
-            },
-            BatchSize::SmallInput,
-        );
+                if step % 6 == 0 {
+                    let timer = now + SimDuration::from_millis(10);
+                    timers[step % 3] = Some(q.push(timer, event));
+                }
+                step += 1;
+            }
+            q.len()
+        });
     });
 }
 

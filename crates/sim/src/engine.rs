@@ -153,13 +153,46 @@ impl<M: Model> Simulation<M> {
         let Some((time, event)) = self.queue.pop() else {
             return Some(RunOutcome::QueueEmpty);
         };
+        self.dispatch(time, event)
+    }
+
+    /// Run until the queue drains, the model stops, or `horizon` is reached.
+    /// Events scheduled exactly at the horizon are dispatched.
+    ///
+    /// On [`RunOutcome::HorizonReached`] the clock moves forward to the
+    /// horizon, so later scheduling is relative to it, and the caller may
+    /// schedule anywhere from there on. A horizon behind the clock
+    /// dispatches nothing and leaves the clock where it is: it never runs
+    /// backwards.
+    pub fn run_until(&mut self, horizon: SimTime) -> RunOutcome {
+        loop {
+            if self.processed >= self.event_limit {
+                return RunOutcome::EventLimit;
+            }
+            let Some((time, event)) = self.queue.pop_until(horizon) else {
+                if self.queue.is_empty() {
+                    return RunOutcome::QueueEmpty;
+                }
+                // Leave future events queued.
+                self.now = self.now.max(horizon);
+                return RunOutcome::HorizonReached;
+            };
+            if let Some(outcome) = self.dispatch(time, event) {
+                return outcome;
+            }
+        }
+    }
+
+    /// Hand one popped event to the model. Returns
+    /// [`RunOutcome::Stopped`] if its handler requested a stop.
+    fn dispatch(&mut self, time: SimTime, event: M::Event) -> Option<RunOutcome> {
         debug_assert!(time >= self.now, "event queue violated time order");
         self.now = time;
         self.processed += 1;
         let mut stop = false;
         let mut ctx = Context {
             queue: &mut self.queue,
-            now: self.now,
+            now: time,
             stop: &mut stop,
         };
         self.model.handle(time, event, &mut ctx);
@@ -167,38 +200,6 @@ impl<M: Model> Simulation<M> {
             Some(RunOutcome::Stopped)
         } else {
             None
-        }
-    }
-
-    /// Run until the queue drains, the model stops, or `horizon` is reached.
-    /// Events scheduled exactly at the horizon are dispatched.
-    pub fn run_until(&mut self, horizon: SimTime) -> RunOutcome {
-        loop {
-            if self.processed >= self.event_limit {
-                return RunOutcome::EventLimit;
-            }
-            let Some(next) = self.queue.peek_time() else {
-                return RunOutcome::QueueEmpty;
-            };
-            if next > horizon {
-                // Leave future events queued; advance the clock to the
-                // horizon so subsequent scheduling is relative to it.
-                self.now = horizon;
-                return RunOutcome::HorizonReached;
-            }
-            let (time, event) = self.queue.pop().expect("peeked event vanished");
-            self.now = time;
-            self.processed += 1;
-            let mut stop = false;
-            let mut ctx = Context {
-                queue: &mut self.queue,
-                now: self.now,
-                stop: &mut stop,
-            };
-            self.model.handle(time, event, &mut ctx);
-            if stop {
-                return RunOutcome::Stopped;
-            }
         }
     }
 
@@ -272,6 +273,35 @@ mod tests {
             RunOutcome::HorizonReached
         );
         assert_eq!(sim.model().fired_at.len(), 5);
+    }
+
+    #[test]
+    fn a_horizon_behind_the_clock_leaves_it_alone() {
+        let mut sim = Simulation::new(Countdown {
+            remaining: 0,
+            fired_at: vec![],
+        });
+        sim.schedule_at(SimTime::from_ps(100), Ev::Tick);
+        sim.schedule_at(SimTime::from_ps(1_000), Ev::Tick);
+        assert_eq!(
+            sim.run_until(SimTime::from_ps(500)),
+            RunOutcome::HorizonReached
+        );
+        assert_eq!(sim.now(), SimTime::from_ps(500));
+        assert_eq!(
+            sim.run_until(SimTime::from_ps(50)),
+            RunOutcome::HorizonReached
+        );
+        assert_eq!(
+            sim.now(),
+            SimTime::from_ps(500),
+            "the clock must not run backwards"
+        );
+        // Scheduled relative to 500 ps, so it fires between the two.
+        sim.schedule_in(SimDuration::from_ps(10), Ev::Tick);
+        assert_eq!(sim.run(), RunOutcome::QueueEmpty);
+        let fired: Vec<u64> = sim.model().fired_at.iter().map(|t| t.as_ps()).collect();
+        assert_eq!(fired, [100, 510, 1_000]);
     }
 
     #[test]

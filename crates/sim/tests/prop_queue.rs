@@ -2,11 +2,13 @@
 //! invariant properties.
 //!
 //! The primary test is the `qn_testkit` model test — random
-//! push/cancel/pop/peek sequences run against both the heap-based
+//! push/cancel/pop/pop-until/peek sequences run against both the radix
 //! `EventQueue` and a flat-list reference model, comparing every
 //! observable (this subsumes the old ad-hoc invariant properties: the
-//! model predicts *exact* pop values, not just orderings). The plain
-//! properties below are kept for the orderings they document.
+//! model predicts *exact* pop values, not just orderings). Pushes are
+//! drawn as offsets from the queue's clock, which a push may not
+//! precede. The plain properties below are kept for the orderings they
+//! document; they push everything before the first pop.
 
 use proptest::prelude::*;
 use qn_sim::{EventQueue, SimTime};

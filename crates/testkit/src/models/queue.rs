@@ -1,11 +1,22 @@
 //! Reference model of the simulator's pending-event queue.
 //!
-//! `qn_sim::EventQueue` is a binary heap with lazy cancellation; the
+//! `qn_sim::EventQueue` is a monotone radix queue over a slab of events:
+//! keys sit in buckets by the highest bit in which their time differs
+//! from the last popped time, and a cancel empties the event's slot at
+//! once while its key is discarded when the queue next meets it. The
 //! protocols rely on two behavioural guarantees — global `(time,
 //! insertion)` ordering and O(1) cancellation that affects exactly one
 //! event. The model below is the obviously-correct version: a flat list
 //! scanned linearly for the minimum. Every observable (popped values,
 //! peeked times, cancellation results, lengths) must agree exactly.
+//!
+//! The queue only accepts pushes at or after its clock, the time of the
+//! last popped event. So every push is drawn as an offset from the
+//! model's clock: small offsets force plenty of equal-time ties (the
+//! FIFO case that a careless bucket re-placement gets wrong), a
+//! log-uniform range up to 2⁴⁰ ps fills every bucket of a simulation's
+//! time span, and rare far offsets reach bit 63 and, saturating,
+//! `SimTime::MAX`.
 
 use crate::ModelSpec;
 use proptest::prelude::*;
@@ -13,16 +24,19 @@ use qn_sim::{EventId, EventQueue, SimTime};
 
 /// One operation of the queue interface. `Push` payloads are the
 /// model-assigned insertion index, so popped events are fully
-/// identified. Times are drawn from a tiny range to force plenty of
-/// equal-time ties (the FIFO case that heap implementations get wrong).
+/// identified.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum QueueOp {
-    /// Schedule an event at `time_ps`.
-    Push { time_ps: u64 },
+    /// Schedule an event `offset_ps` after the clock, saturating at
+    /// `SimTime::MAX`.
+    Push { offset_ps: u64 },
     /// Cancel the `slot % issued`-th event ever issued (live or not).
     Cancel { slot: usize },
     /// Pop the earliest event and compare it.
     Pop,
+    /// Pop the earliest event at or before a horizon `offset_ps` after
+    /// the clock, or before it when `behind`, and compare it.
+    PopUntil { offset_ps: u64, behind: bool },
     /// Compare the earliest pending time.
     Peek,
 }
@@ -34,12 +48,45 @@ pub struct QueueModel {
     live: Vec<(u64, u64)>,
     /// Liveness of every event ever issued, by insertion index.
     issued: Vec<bool>,
+    /// Time of the last popped event, 0 before any pop.
+    clock: u64,
 }
 
 impl QueueModel {
     fn min_entry(&self) -> Option<(u64, u64)> {
         self.live.iter().copied().min()
     }
+
+    /// Remove the earliest entry if it is at or before `horizon`, and
+    /// move the clock to it.
+    fn pop_until(&mut self, horizon: u64) -> Option<(u64, u64)> {
+        let (time, index) = self.min_entry().filter(|&(time, _)| time <= horizon)?;
+        self.issued[index as usize] = false;
+        self.live.retain(|&(_, i)| i != index);
+        self.clock = time;
+        Some((time, index))
+    }
+}
+
+/// Offsets from a queue's clock, in picoseconds: ties, the buckets of a
+/// simulation's time span, and rarely the top bits up to
+/// `SimTime::MAX` (add them saturating). The engine-level order
+/// property draws its delays and horizons from here too.
+pub fn offset_strategy() -> BoxedStrategy<u64> {
+    // Uniform in [0, 2^bits): log-uniform over `bits`.
+    fn log_uniform(bits: std::ops::RangeInclusive<u32>) -> BoxedStrategy<u64> {
+        (bits, any::<u64>())
+            .prop_map(|(bits, r)| r.checked_shr(64 - bits).unwrap_or(0))
+            .boxed()
+    }
+    prop_oneof![
+        0u64..16,
+        0u64..16,
+        log_uniform(0..=40),
+        log_uniform(0..=40),
+        prop_oneof![log_uniform(41..=64), Just(u64::MAX)],
+    ]
+    .boxed()
 }
 
 /// The system under test plus the ids it handed out.
@@ -69,9 +116,12 @@ impl ModelSpec for QueueSpec {
 
     fn op_strategy(&self) -> BoxedStrategy<QueueOp> {
         prop_oneof![
-            (0u64..16).prop_map(|time_ps| QueueOp::Push { time_ps }),
+            offset_strategy().prop_map(|offset_ps| QueueOp::Push { offset_ps }),
+            offset_strategy().prop_map(|offset_ps| QueueOp::Push { offset_ps }),
             (0usize..64).prop_map(|slot| QueueOp::Cancel { slot }),
             Just(QueueOp::Pop),
+            (offset_strategy(), any::<bool>())
+                .prop_map(|(offset_ps, behind)| QueueOp::PopUntil { offset_ps, behind }),
             Just(QueueOp::Peek),
         ]
         .boxed()
@@ -91,7 +141,8 @@ impl ModelSpec for QueueSpec {
         op: &QueueOp,
     ) -> Result<(), String> {
         match *op {
-            QueueOp::Push { time_ps } => {
+            QueueOp::Push { offset_ps } => {
+                let time_ps = model.clock.saturating_add(offset_ps);
                 let index = model.issued.len() as u64;
                 let id = system.queue.push(SimTime::from_ps(time_ps), index);
                 system.ids.push(id);
@@ -115,7 +166,7 @@ impl ModelSpec for QueueSpec {
                 Ok(())
             }
             QueueOp::Pop => {
-                let expected = model.min_entry();
+                let expected = model.pop_until(u64::MAX);
                 let got = system.queue.pop();
                 let got_norm = got.map(|(t, payload)| (t.as_ps(), payload));
                 if got_norm != expected {
@@ -123,9 +174,22 @@ impl ModelSpec for QueueSpec {
                         "pop: system returned {got_norm:?}, model expected {expected:?}"
                     ));
                 }
-                if let Some((_, index)) = expected {
-                    model.issued[index as usize] = false;
-                    model.live.retain(|(_, i)| *i != index);
+                Ok(())
+            }
+            QueueOp::PopUntil { offset_ps, behind } => {
+                let horizon = if behind {
+                    model.clock.saturating_sub(offset_ps)
+                } else {
+                    model.clock.saturating_add(offset_ps)
+                };
+                let expected = model.pop_until(horizon);
+                let got = system.queue.pop_until(SimTime::from_ps(horizon));
+                let got_norm = got.map(|(t, payload)| (t.as_ps(), payload));
+                if got_norm != expected {
+                    return Err(format!(
+                        "pop_until({horizon} ps): system returned {got_norm:?}, \
+                         model expected {expected:?}"
+                    ));
                 }
                 Ok(())
             }
