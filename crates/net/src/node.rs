@@ -20,48 +20,11 @@ use qn_quantum::bell::BellState;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::hash::Hash;
 
-/// A set remembering (at most) the `cap` most recently inserted keys,
-/// evicting oldest-first: the bounded-memory record books (discard
-/// records, retired requests) a faulty classical plane can otherwise
-/// grow without limit.
-#[derive(Debug)]
-pub(crate) struct BoundedSet<T> {
-    set: HashSet<T>,
-    order: VecDeque<T>,
-    cap: usize,
-}
-
-impl<T: Eq + Hash + Copy> BoundedSet<T> {
-    pub fn new(cap: usize) -> Self {
-        BoundedSet {
-            set: HashSet::new(),
-            order: VecDeque::new(),
-            cap,
-        }
-    }
-
-    /// Insert `v`, evicting the oldest keys beyond capacity.
-    pub fn insert(&mut self, v: T) {
-        if !self.set.insert(v) {
-            return;
-        }
-        self.order.push_back(v);
-        while self.order.len() > self.cap {
-            if let Some(old) = self.order.pop_front() {
-                self.set.remove(&old);
-            }
-        }
-    }
-
-    /// Membership test.
-    pub fn contains(&self, v: &T) -> bool {
-        self.set.contains(v)
-    }
-}
-
 /// A map remembering (at most) the `cap` most recently inserted keys,
-/// evicting oldest-first: the repeater's relayed-TRACK memory, which a
-/// duplicating classical plane would otherwise grow without limit.
+/// evicting oldest-first: the bounded-memory record books (discard
+/// records, expired correlators, retired requests, the repeater's
+/// relayed-TRACK memory) a faulty classical plane can otherwise grow
+/// without limit. With `V = ()` it is a bounded set.
 #[derive(Debug)]
 pub(crate) struct BoundedMap<K, V> {
     map: HashMap<K, V>,
@@ -95,6 +58,11 @@ impl<K: Eq + Hash + Copy, V> BoundedMap<K, V> {
     /// Look up a key.
     pub fn get(&self, k: &K) -> Option<&V> {
         self.map.get(k)
+    }
+
+    /// Membership test.
+    pub fn contains_key(&self, k: &K) -> bool {
+        self.map.contains_key(k)
     }
 }
 
@@ -161,7 +129,7 @@ pub(crate) struct EndpointState {
     /// is freed (the end-node analogue of the repeater's discard
     /// records; without it a timing window leaks an `assigned` slot at
     /// the peer forever).
-    pub discard_records: BoundedSet<Correlator>,
+    pub discard_records: BoundedMap<Correlator, ()>,
 }
 
 impl EndpointState {
@@ -174,7 +142,7 @@ impl EndpointState {
             in_transit: HashMap::new(),
             policer: Policer::new(max_eer),
             link_submitted: false,
-            discard_records: BoundedSet::new(4096),
+            discard_records: BoundedMap::new(4096),
         }
     }
 }
@@ -216,8 +184,8 @@ pub(crate) struct MidState {
     /// dropped by the cutoff before their TRACK arrived. Kept (bounded)
     /// after the first matching TRACK so a duplicated TRACK re-bounces
     /// the EXPIRE instead of parking forever.
-    pub up_expired: BoundedSet<Correlator>,
-    pub down_expired: BoundedSet<Correlator>,
+    pub up_expired: BoundedMap<Correlator, ()>,
+    pub down_expired: BoundedMap<Correlator, ()>,
     /// Rewritten TRACKs this repeater already forwarded, keyed by the
     /// incoming `link` correlator: a duplicated TRACK (retransmission
     /// racing the ack, or a duplication fault) finds its swap record
@@ -232,7 +200,7 @@ pub(crate) struct MidState {
     pub counted_requests: HashSet<RequestId>,
     /// Recently retired request ids: a FORWARD duplicate arriving after
     /// its COMPLETE must not resurrect the request.
-    pub retired_requests: BoundedSet<RequestId>,
+    pub retired_requests: BoundedMap<RequestId, ()>,
     pub link_submitted: bool,
 }
 
@@ -246,13 +214,13 @@ impl Default for MidState {
             down_track: HashMap::new(),
             up_record: HashMap::new(),
             down_record: HashMap::new(),
-            up_expired: BoundedSet::new(1024),
-            down_expired: BoundedSet::new(1024),
+            up_expired: BoundedMap::new(1024),
+            down_expired: BoundedMap::new(1024),
             up_relayed: BoundedMap::new(1024),
             down_relayed: BoundedMap::new(1024),
             active_requests: 0,
             counted_requests: HashSet::new(),
-            retired_requests: BoundedSet::new(1024),
+            retired_requests: BoundedMap::new(1024),
             link_submitted: false,
         }
     }

@@ -307,7 +307,7 @@ pub(crate) fn link_rule(
         // peer's TRACK for this chain — if one ever arrives — is answered
         // with an EXPIRE instead of leaking the peer's assignment slot.
         out.push(NetOutput::DiscardPair { pair: info.pair });
-        ep.discard_records.insert(info.pair.correlator);
+        ep.discard_records.insert(info.pair.correlator, ());
         return;
     };
     let epoch = if is_head { ep.demux.latest() } else { Epoch(0) };
@@ -397,7 +397,7 @@ pub(crate) fn track_rule(
         // qubit (mirrors the repeater's discard-record rule). The record
         // is kept (bounded) so a duplicated TRACK re-bounces the EXPIRE
         // — a lost EXPIRE is then recovered by the next retransmission.
-        if ep.discard_records.contains(&track.link) {
+        if ep.discard_records.contains_key(&track.link) {
             out.push(send_along(
                 ep.is_head,
                 Message::Expire(crate::messages::Expire {
@@ -724,7 +724,7 @@ pub(crate) fn track_timeout(
     } else {
         out.push(NetOutput::DiscardPair { pair: it.pair });
     }
-    ep.discard_records.insert(correlator);
+    ep.discard_records.insert(correlator, ());
 }
 
 /// The runtime reclaimed an end-node link qubit whose pair announcement
@@ -733,7 +733,7 @@ pub(crate) fn track_timeout(
 /// this chain draws an EXPIRE instead of leaking the peer's qubit until
 /// its own timeout.
 pub(crate) fn link_orphaned(c: &mut Circuit, correlator: Correlator) {
-    ep(c).discard_records.insert(correlator);
+    ep(c).discard_records.insert(correlator, ());
 }
 
 /// FORWARD at the tail-end: learn the new request.

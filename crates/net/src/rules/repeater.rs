@@ -152,7 +152,7 @@ pub(crate) fn track_rule(
         } else if let Some(fwd) = m.up_relayed.get(&track.link) {
             stats.duplicate_tracks_relayed += 1;
             out.push(NetOutput::SendDownstream(Message::Track(*fwd)));
-        } else if m.up_expired.contains(&track.link) {
+        } else if m.up_expired.contains_key(&track.link) {
             out.push(NetOutput::SendUpstream(Message::Expire(Expire {
                 circuit: track.circuit,
                 origin: track.origin,
@@ -174,7 +174,7 @@ pub(crate) fn track_rule(
         } else if let Some(fwd) = m.down_relayed.get(&track.link) {
             stats.duplicate_tracks_relayed += 1;
             out.push(NetOutput::SendUpstream(Message::Track(*fwd)));
-        } else if m.down_expired.contains(&track.link) {
+        } else if m.down_expired.contains_key(&track.link) {
             out.push(NetOutput::SendDownstream(Message::Expire(Expire {
                 circuit: track.circuit,
                 origin: track.origin,
@@ -218,7 +218,7 @@ pub(crate) fn cutoff_expired(
                     origin: track.origin,
                 })));
             }
-            m.up_expired.insert(correlator);
+            m.up_expired.insert(correlator, ());
         }
         LinkSide::Downstream => {
             if let Some(track) = m.down_track.remove(&correlator) {
@@ -227,7 +227,7 @@ pub(crate) fn cutoff_expired(
                     origin: track.origin,
                 })));
             }
-            m.down_expired.insert(correlator);
+            m.down_expired.insert(correlator, ());
         }
     }
 }
@@ -253,7 +253,7 @@ pub(crate) fn link_orphaned(
                     origin: track.origin,
                 })));
             }
-            m.up_expired.insert(correlator);
+            m.up_expired.insert(correlator, ());
         }
         LinkSide::Downstream => {
             if let Some(track) = m.down_track.remove(&correlator) {
@@ -262,7 +262,7 @@ pub(crate) fn link_orphaned(
                     origin: track.origin,
                 })));
             }
-            m.down_expired.insert(correlator);
+            m.down_expired.insert(correlator, ());
         }
     }
 }
@@ -282,7 +282,7 @@ pub(crate) fn on_forward(
 ) {
     let entry = c.entry;
     let m = mid(c);
-    if m.counted_requests.contains(&f.request) || m.retired_requests.contains(&f.request) {
+    if m.counted_requests.contains(&f.request) || m.retired_requests.contains_key(&f.request) {
         stats.duplicate_forwards += 1;
         out.push(NetOutput::SendDownstream(Message::Forward(f)));
         return;
@@ -329,7 +329,7 @@ pub(crate) fn on_complete(
         out.push(NetOutput::SendDownstream(Message::Complete(msg)));
         return;
     }
-    m.retired_requests.insert(msg.request);
+    m.retired_requests.insert(msg.request, ());
     m.active_requests = m.active_requests.saturating_sub(1);
     let down = entry
         .downstream

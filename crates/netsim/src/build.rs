@@ -4,7 +4,7 @@
 use crate::app::AppHarness;
 use crate::classical::{ClassicalFaults, ClassicalStats};
 use crate::faults::FaultPlan;
-use crate::runtime::{CheckpointPolicy, Ev, NetworkModel, RetransmitConfig, RuntimeConfig};
+use crate::runtime::{CheckpointPolicy, Ev, NetworkModel, RuntimeConfig};
 use qn_net::ids::{CircuitId, RequestId};
 use qn_net::node::NodeStats;
 use qn_net::request::UserRequest;
@@ -37,22 +37,9 @@ impl NetworkBuilder {
         self
     }
 
-    /// Per-hop classical processing delay.
-    pub fn processing_delay(mut self, d: SimDuration) -> Self {
-        self.cfg.processing_delay = d;
-        self
-    }
-
     /// Inject extra per-hop message delay (Fig 10c sweep).
     pub fn extra_message_delay(mut self, d: SimDuration) -> Self {
         self.cfg.extra_message_delay = d;
-        self
-    }
-
-    /// Add uniform per-message jitter (the reliable transport still
-    /// delivers in order).
-    pub fn message_jitter(mut self, d: SimDuration) -> Self {
-        self.cfg.message_jitter = d;
         self
     }
 
@@ -83,17 +70,10 @@ impl NetworkBuilder {
         self
     }
 
-    /// Communication qubits per link per node (default 2, per the paper).
-    pub fn comm_per_link(mut self, n: usize) -> Self {
-        self.cfg.comm_per_link = n;
-        self
-    }
-
     /// Near-term hardware mode: one shared electron per node plus
     /// `carbons` storage qubits (Fig 11).
     pub fn near_term(mut self, carbons: usize) -> Self {
-        self.cfg.near_term = true;
-        self.cfg.carbons = carbons;
+        self.cfg.near_term = Some(carbons);
         self
     }
 
@@ -132,14 +112,6 @@ impl NetworkBuilder {
         self
     }
 
-    /// Retransmission bounds/backoff for wire-borne signalling (only
-    /// consulted together with [`NetworkBuilder::signalling_on_wire`];
-    /// setting it alone changes nothing, bit-for-bit).
-    pub fn retransmit(mut self, cfg: RetransmitConfig) -> Self {
-        self.cfg.retransmit = cfg;
-        self
-    }
-
     /// Inject component faults: a seeded schedule of link outages and
     /// node crashes/restarts (deterministic events plus MTBF/MTTR
     /// stochastic specs, see [`FaultPlan`]). The default empty plan
@@ -157,26 +129,6 @@ impl NetworkBuilder {
             panic!("invalid FaultPlan: {e}");
         }
         self.cfg.fault_plan = plan;
-        self
-    }
-
-    /// Override the message-level fault model on one link (both
-    /// directions of the hop). Links without an override keep the
-    /// global [`NetworkBuilder::classical_faults`] config; a run with
-    /// no overrides is bit-identical to one built without this call.
-    ///
-    /// # Panics
-    ///
-    /// If `faults` fails [`ClassicalFaults::validate`] or `(a, b)` is
-    /// not a link of this builder's topology.
-    pub fn link_faults(mut self, a: NodeId, b: NodeId, faults: ClassicalFaults) -> Self {
-        if let Err(e) = faults.validate() {
-            panic!("invalid ClassicalFaults for link {a}-{b}: {e}");
-        }
-        if self.topology.link_between(a, b).is_none() {
-            panic!("link_faults: no link {a}-{b} in the topology");
-        }
-        self.cfg.link_faults.push((a, b, faults));
         self
     }
 

@@ -1,5 +1,5 @@
-//! The classical control plane: delay models, the reliable in-order
-//! contract, and seeded fault injection.
+//! The classical control plane: the reliable in-order contract and
+//! seeded fault injection.
 //!
 //! The paper (§4.1 "Classical communication and link reliability")
 //! requires that "all control messages are transmitted reliably and in
@@ -8,17 +8,18 @@
 //! *violation*, so the protocol's behaviour on a degraded plane can be
 //! stress-tested (the robustness question early-network designs pose):
 //!
-//! * per-hop delay = fibre propagation + processing (+ the injectable
-//!   extra delay of Fig 10c, + optional jitter);
-//! * **in-order delivery per direction of each hop** even when jitter
-//!   would reorder packets — exactly what a reliable byte stream gives:
-//!   a delayed early message holds back later ones;
+//! * a hop's latency (fibre propagation + processing + the injectable
+//!   extra delay of Fig 10c) is a constant of the run, which the
+//!   runtime computes once per link; a frame arrives at `now + latency`;
+//! * **in-order delivery per direction of each hop** follows from that
+//!   constant latency: a later send can never arrive earlier, exactly
+//!   what a reliable byte stream gives;
 //! * [`ClassicalPlane`]: every message travels as *encoded bytes*
 //!   (`qn_net::wire`) and can be dropped, duplicated, reordered or
 //!   bit-corrupted with seeded, per-run-deterministic probabilities.
 //!   With faults off ([`ClassicalFaults::OFF`], the default) the plane
-//!   is a bit-identical pass-through of the reliable contract: no extra
-//!   RNG draws, no extra latency, byte-equal payloads.
+//!   is a bit-identical pass-through of the reliable contract: no RNG
+//!   draws, no extra latency, byte-equal payloads.
 //!
 //! The plane **groups** frames: frames crossing the same directed hop
 //! in the same lane toward the same delivery tick share one [`Batch`],
@@ -37,82 +38,6 @@
 
 use qn_sim::{NodeId, SimDuration, SimRng, SimTime};
 
-/// Delay model of one hop.
-#[derive(Clone, Copy, Debug)]
-pub struct ChannelModel {
-    /// Fibre propagation delay.
-    pub propagation: SimDuration,
-    /// Fixed processing delay at the receiver.
-    pub processing: SimDuration,
-    /// Injected extra delay (the Fig 10c sweep knob).
-    pub extra: SimDuration,
-    /// Uniform jitter bound: each message gains `U[0, jitter)` of extra
-    /// latency (the reliable stream still delivers in order).
-    pub jitter: SimDuration,
-}
-
-impl ChannelModel {
-    /// Sample the raw latency of one message.
-    pub fn sample_latency(&self, rng: &mut SimRng) -> SimDuration {
-        let base = self.propagation + self.processing + self.extra;
-        if self.jitter == SimDuration::ZERO {
-            base
-        } else {
-            base + SimDuration::from_ps(rng.below(self.jitter.as_ps().max(1)))
-        }
-    }
-}
-
-/// Enforces the reliable in-order contract across all directed node
-/// pairs: delivery times per `(from, to)` are monotonically
-/// non-decreasing, whatever the sampled latencies.
-///
-/// The last delivery time of each directed hop lives in its sending
-/// node's row, `(to, time)` entries scanned linearly: a node sends to
-/// its few neighbours, so a row is as short as its degree. Rows are
-/// indexed by the sender's id, which networks number densely from 0.
-#[derive(Default)]
-pub struct ReliableDelivery {
-    last_delivery: Vec<Vec<(NodeId, SimTime)>>,
-}
-
-impl ReliableDelivery {
-    /// New tracker.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Compute the delivery time of a message sent `from → to` at `now`
-    /// with the given sampled latency, clamped so it never undercuts a
-    /// previously scheduled delivery on the same directed hop (a reliable
-    /// stream cannot reorder).
-    pub fn schedule(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        now: SimTime,
-        latency: SimDuration,
-    ) -> SimTime {
-        let natural = now + latency;
-        let i = from.0 as usize;
-        if self.last_delivery.len() <= i {
-            self.last_delivery.resize_with(i + 1, Vec::new);
-        }
-        let row = &mut self.last_delivery[i];
-        match row.iter_mut().find(|(n, _)| *n == to) {
-            Some((_, last)) => {
-                let at = natural.max(*last);
-                *last = at;
-                at
-            }
-            None => {
-                row.push((to, natural));
-                natural
-            }
-        }
-    }
-}
-
 /// Fault-injection knobs for the classical plane. All probabilities are
 /// per message; the default ([`ClassicalFaults::OFF`]) disables every
 /// fault, making the plane a bit-identical pass-through.
@@ -123,9 +48,8 @@ pub struct ClassicalFaults {
     /// Probability a second, byte-identical copy is delivered (after an
     /// extra `U[0, reorder_window)` of latency).
     pub duplicate: f64,
-    /// Probability a message bypasses the in-order clamp and gains an
-    /// extra `U[0, reorder_window)` of latency — a datagram overtaken
-    /// by its successors.
+    /// Probability a message gains an extra `U[0, reorder_window)` of
+    /// latency — a datagram overtaken by its successors.
     pub reorder: f64,
     /// Extra-latency bound for duplicated and reordered copies.
     pub reorder_window: SimDuration,
@@ -190,7 +114,7 @@ pub struct ClassicalStats {
     pub dropped: u64,
     /// Extra copies delivered.
     pub duplicated: u64,
-    /// Frames exempted from the in-order clamp.
+    /// Frames delayed past their successors.
     pub reordered: u64,
     /// Frames with a bit flipped.
     pub corrupted: u64,
@@ -333,12 +257,12 @@ struct OpenBatch {
 /// seeded fault injection, operating on encoded frames and grouping
 /// them per (hop, lane, tick).
 ///
-/// Fault sampling uses its **own** RNG substream, so enabling faults
-/// never perturbs the latency/jitter draws — and the faults-off path
-/// makes *zero* fault draws, keeping default runs bit-identical to the
-/// plain reliable transport.
+/// Fault sampling uses its **own** RNG substream, and the faults-off
+/// path makes *zero* fault draws, keeping default runs bit-identical to
+/// the plain reliable transport.
 pub struct ClassicalPlane {
-    transport: ReliableDelivery,
+    /// The run's one message-fault model, applied on every hop.
+    faults: ClassicalFaults,
     rng_faults: SimRng,
     /// Traffic counters.
     pub stats: ClassicalStats,
@@ -355,11 +279,11 @@ pub struct ClassicalPlane {
 }
 
 impl ClassicalPlane {
-    /// A plane drawing fault decisions from the dedicated
-    /// `"classical-faults"` substream of `seed`.
-    pub fn new(seed: u64) -> Self {
+    /// A plane applying `faults` on every hop, drawing fault decisions
+    /// from the dedicated `"classical-faults"` substream of `seed`.
+    pub fn new(seed: u64, faults: ClassicalFaults) -> Self {
         ClassicalPlane {
-            transport: ReliableDelivery::new(),
+            faults,
             rng_faults: SimRng::substream(seed, "classical-faults"),
             stats: ClassicalStats::default(),
             open: Vec::new(),
@@ -369,12 +293,9 @@ impl ClassicalPlane {
         }
     }
 
-    /// Transmit one encoded frame `from → to` at `now` over `channel`
-    /// under the hop's fault model `faults`, sampling latency from
-    /// `rng_latency` (the caller's message RNG, so the draw sequence
-    /// matches the pre-fault-plane runtime exactly). Fault draws come
-    /// from the plane's one `classical-faults` substream, whichever hop
-    /// the frame crosses.
+    /// Transmit one encoded frame `from → to` at `now` over a hop whose
+    /// latency is `latency`. Fault draws come from the plane's one
+    /// `classical-faults` substream, whichever hop the frame crosses.
     ///
     /// `lane` discriminates independent sub-streams of the same directed
     /// hop (the runtime uses the upstream/downstream orientation), so a
@@ -385,27 +306,22 @@ impl ClassicalPlane {
     /// *opened by this call* (primary and, under faults, a duplicate
     /// landing on a different tick) — zero entries means the frame was
     /// dropped or joined already-scheduled groups.
-    #[allow(clippy::too_many_arguments)]
     pub fn transmit(
         &mut self,
-        faults: ClassicalFaults,
         from: NodeId,
         to: NodeId,
         lane: bool,
         now: SimTime,
-        channel: &ChannelModel,
-        rng_latency: &mut SimRng,
+        latency: SimDuration,
         frame: &[u8],
     ) -> [Option<BatchOpen>; 2] {
         self.stats.sent += 1;
         self.stats.wire_bytes += frame.len() as u64;
-        let latency = channel.sample_latency(rng_latency);
+        let faults = self.faults;
         if !faults.enabled() {
-            // Pass-through: identical draws, clamping and timing as the
-            // plain reliable transport.
-            let at = self.transport.schedule(from, to, now, latency);
+            // Pass-through: no draws, the frame arrives one latency on.
             self.stats.delivered += 1;
-            return [self.append(from, to, lane, at, frame), None];
+            return [self.append(from, to, lane, now + latency, frame), None];
         }
 
         // Fault draws in a fixed order (drop, corrupt, reorder,
@@ -424,16 +340,13 @@ impl ClassicalPlane {
                 self.stats.corrupted += 1;
             }
         }
-        let reordered = faults.reorder > 0.0 && self.rng_faults.bernoulli(faults.reorder);
-        let primary_at = if reordered {
-            // A datagram that escaped the stream: it neither respects
-            // nor advances the in-order clamp, and gains extra latency
+        let mut primary_at = now + latency;
+        if faults.reorder > 0.0 && self.rng_faults.bernoulli(faults.reorder) {
+            // A datagram that escaped the stream: it gains extra latency
             // so later sends can overtake it.
             self.stats.reordered += 1;
-            now + latency + self.extra_delay(faults.reorder_window)
-        } else {
-            self.transport.schedule(from, to, now, latency)
-        };
+            primary_at += self.extra_delay(faults.reorder_window);
+        }
         let first = self.append(from, to, lane, primary_at, &work);
         self.stats.delivered += 1;
         let mut second = None;
@@ -504,74 +417,12 @@ impl ClassicalPlane {
 mod tests {
     use super::*;
 
-    fn model(jitter_us: u64) -> ChannelModel {
-        ChannelModel {
-            propagation: SimDuration::from_nanos(10),
-            processing: SimDuration::from_micros(5),
-            extra: SimDuration::ZERO,
-            jitter: SimDuration::from_micros(jitter_us),
-        }
-    }
+    /// The hop latency every test frame crosses.
+    const LATENCY: SimDuration = SimDuration::from_micros(5);
 
-    #[test]
-    fn zero_jitter_is_deterministic() {
-        let m = model(0);
-        let mut rng = SimRng::from_seed(1);
-        let a = m.sample_latency(&mut rng);
-        let b = m.sample_latency(&mut rng);
-        assert_eq!(a, b);
-        assert_eq!(a, SimDuration::from_nanos(10) + SimDuration::from_micros(5));
-    }
-
-    #[test]
-    fn jitter_varies_but_is_bounded() {
-        let m = model(50);
-        let mut rng = SimRng::from_seed(2);
-        let base = SimDuration::from_nanos(10) + SimDuration::from_micros(5);
-        let mut distinct = std::collections::HashSet::new();
-        for _ in 0..100 {
-            let l = m.sample_latency(&mut rng);
-            assert!(l >= base);
-            assert!(l < base + SimDuration::from_micros(50));
-            distinct.insert(l.as_ps());
-        }
-        assert!(distinct.len() > 10, "jitter should vary");
-    }
-
-    #[test]
-    fn in_order_delivery_under_reordering_latencies() {
-        let mut r = ReliableDelivery::new();
-        let (a, b) = (NodeId(0), NodeId(1));
-        // First message is slow; the second would naturally overtake it.
-        let t1 = r.schedule(a, b, SimTime::from_ps(0), SimDuration::from_micros(100));
-        let t2 = r.schedule(a, b, SimTime::from_ps(1), SimDuration::from_micros(1));
-        assert!(t2 >= t1, "reliable stream must not reorder: {t2} < {t1}");
-    }
-
-    #[test]
-    fn directions_and_hops_are_independent() {
-        let mut r = ReliableDelivery::new();
-        let (a, b, c) = (NodeId(0), NodeId(1), NodeId(2));
-        let slow = r.schedule(a, b, SimTime::ZERO, SimDuration::from_millis(10));
-        // Reverse direction is not held back.
-        let rev = r.schedule(b, a, SimTime::ZERO, SimDuration::from_micros(1));
-        assert!(rev < slow);
-        // A different hop is not held back.
-        let other = r.schedule(b, c, SimTime::ZERO, SimDuration::from_micros(1));
-        assert!(other < slow);
-    }
-
-    /// Send `frame` over hop `0 → 1`, lane `false`, on a jitter-free
-    /// channel.
-    fn send(
-        plane: &mut ClassicalPlane,
-        faults: ClassicalFaults,
-        now: SimTime,
-        rng: &mut SimRng,
-        frame: &[u8],
-    ) -> [Option<BatchOpen>; 2] {
-        let (a, b) = (NodeId(0), NodeId(1));
-        plane.transmit(faults, a, b, false, now, &model(0), rng, frame)
+    /// Send `frame` over hop `0 → 1`, lane `false`.
+    fn send(plane: &mut ClassicalPlane, now: SimTime, frame: &[u8]) -> [Option<BatchOpen>; 2] {
+        plane.transmit(NodeId(0), NodeId(1), false, now, LATENCY, frame)
     }
 
     fn frames(batch: &Batch) -> Vec<Vec<u8>> {
@@ -595,32 +446,14 @@ mod tests {
 
     #[test]
     fn faults_off_is_a_pass_through() {
-        // Same seed, same channel: the plane with faults off must
-        // schedule byte-identical deliveries at identical times to the
-        // bare ReliableDelivery, from the same latency RNG stream.
-        let m = model(50);
-        let (a, b) = (NodeId(0), NodeId(1));
-        let mut bare = ReliableDelivery::new();
-        let mut bare_rng = SimRng::from_seed(9);
-        let mut plane = ClassicalPlane::new(123);
-        let mut plane_rng = SimRng::from_seed(9);
+        // With faults off every frame arrives byte-identical, exactly one
+        // latency after it was sent, each in a group of its own.
+        let mut plane = ClassicalPlane::new(123, ClassicalFaults::OFF);
         for i in 0..200u64 {
             let now = SimTime::from_ps(i * 1000);
-            let expect = bare.schedule(a, b, now, m.sample_latency(&mut bare_rng));
-            let opened = plane.transmit(
-                ClassicalFaults::OFF,
-                a,
-                b,
-                false,
-                now,
-                &m,
-                &mut plane_rng,
-                &[i as u8],
-            );
+            let opened = send(&mut plane, now, &[i as u8]);
             let got = drain(&mut plane, opened);
-            assert_eq!(got.len(), 1);
-            assert_eq!(got[0].0, expect);
-            assert_eq!(got[0].1, vec![vec![i as u8]]);
+            assert_eq!(got, vec![(now + LATENCY, vec![vec![i as u8]])]);
         }
         assert_eq!(plane.stats.sent, 200);
         assert_eq!(plane.stats.delivered, 200);
@@ -631,22 +464,21 @@ mod tests {
 
     #[test]
     fn same_tick_frames_coalesce_into_one_batch() {
-        // Deterministic latency: same tick per send time.
-        let (m, off, now) = (model(0), ClassicalFaults::OFF, SimTime::ZERO);
+        // Constant latency: same tick per send time.
+        let now = SimTime::ZERO;
         let (a, b) = (NodeId(0), NodeId(1));
-        let mut plane = ClassicalPlane::new(1);
-        let mut rng = SimRng::from_seed(1);
-        let open = send(&mut plane, off, now, &mut rng, b"one")[0].expect("first send opens");
+        let mut plane = ClassicalPlane::new(1, ClassicalFaults::OFF);
+        let open = send(&mut plane, now, b"one")[0].expect("first send opens");
         for f in [b"two".as_slice(), b"three"] {
             assert_eq!(
-                send(&mut plane, off, now, &mut rng, f),
+                send(&mut plane, now, f),
                 [None, None],
                 "same (hop, lane, tick) must coalesce"
             );
         }
         // A different lane or hop opens its own group.
-        assert!(plane.transmit(off, a, b, true, now, &m, &mut rng, b"x")[0].is_some());
-        assert!(plane.transmit(off, b, a, false, now, &m, &mut rng, b"y")[0].is_some());
+        assert!(plane.transmit(a, b, true, now, LATENCY, b"x")[0].is_some());
+        assert!(plane.transmit(b, a, false, now, LATENCY, b"y")[0].is_some());
         let batch = plane.take_batch(open.id).unwrap();
         assert_eq!(
             frames(&batch),
@@ -660,11 +492,11 @@ mod tests {
         // A drained id is single-use; the tick re-opens afterwards, and
         // a recycled buffer starts empty.
         assert!(plane.take_batch(open.id).is_none());
-        let reopened = send(&mut plane, off, now, &mut rng, b"z")[0].expect("tick re-opens");
+        let reopened = send(&mut plane, now, b"z")[0].expect("tick re-opens");
         let batch = plane.take_batch(reopened.id).unwrap();
         assert_eq!(frames(&batch), vec![b"z".to_vec()]);
         // Empty frames are legal entries too.
-        let opened = send(&mut plane, off, now, &mut rng, b"");
+        let opened = send(&mut plane, now, b"");
         assert_eq!(
             drain(&mut plane, opened),
             vec![(opened[0].unwrap().at, vec![vec![]])]
@@ -677,9 +509,8 @@ mod tests {
             duplicate: 1.0,
             ..ClassicalFaults::OFF
         };
-        let mut plane = ClassicalPlane::new(3);
-        let mut rng = SimRng::from_seed(3);
-        let opened = send(&mut plane, faults, SimTime::ZERO, &mut rng, b"dup");
+        let mut plane = ClassicalPlane::new(3, faults);
+        let opened = send(&mut plane, SimTime::ZERO, b"dup");
         // Zero reorder window: the copy lands on the same tick, hence in
         // the same group.
         assert!(opened[0].is_some() && opened[1].is_none());
@@ -700,13 +531,12 @@ mod tests {
             corrupt: 0.2,
         };
         let run = |seed: u64| {
-            let mut plane = ClassicalPlane::new(seed);
-            let mut rng = SimRng::from_seed(5);
+            let mut plane = ClassicalPlane::new(seed, faults);
             let mut log = Vec::new();
             for i in 0..300u64 {
                 let now = SimTime::from_ps(i * 777);
                 let frame = [i as u8, (i >> 8) as u8, 0xAB];
-                let opened = send(&mut plane, faults, now, &mut rng, &frame);
+                let opened = send(&mut plane, now, &frame);
                 log.push(drain(&mut plane, opened));
             }
             (log, plane.stats)
@@ -726,11 +556,10 @@ mod tests {
             corrupt: 1.0,
             ..ClassicalFaults::OFF
         };
-        let mut plane = ClassicalPlane::new(7);
-        let mut rng = SimRng::from_seed(7);
+        let mut plane = ClassicalPlane::new(7, faults);
         let original = vec![0u8; 16];
         for _ in 0..50 {
-            let opened = send(&mut plane, faults, SimTime::ZERO, &mut rng, &original);
+            let opened = send(&mut plane, SimTime::ZERO, &original);
             let got = drain(&mut plane, opened);
             assert_eq!(got.len(), 1);
             assert_eq!(got[0].1.len(), 1);
@@ -790,20 +619,5 @@ mod tests {
         }
         .validate()
         .is_ok());
-    }
-
-    #[test]
-    fn monotone_across_many_messages() {
-        let mut r = ReliableDelivery::new();
-        let mut rng = SimRng::from_seed(3);
-        let m = model(200);
-        let mut last = SimTime::ZERO;
-        let mut now = SimTime::ZERO;
-        for i in 0..500 {
-            now += SimDuration::from_micros(i % 7);
-            let at = r.schedule(NodeId(0), NodeId(1), now, m.sample_latency(&mut rng));
-            assert!(at >= last);
-            last = at;
-        }
     }
 }

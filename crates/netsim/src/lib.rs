@@ -52,7 +52,7 @@ pub use build::{NetSim, NetworkBuilder};
 pub use classical::{BatchId, BatchOpen, ClassicalFaults, ClassicalPlane, ClassicalStats};
 pub use estimation::FidelityEstimator;
 pub use faults::{ComponentEvent, FaultPlan};
-pub use runtime::{CheckpointPolicy, Ev, NetworkModel, RetransmitConfig, RuntimeConfig};
+pub use runtime::{CheckpointPolicy, Ev, NetworkModel, RuntimeConfig};
 
 // The qn_exec sweep runner builds and runs whole simulations on worker
 // threads, so the façade types must stay `Send`. Checked at compile

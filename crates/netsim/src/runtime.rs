@@ -18,7 +18,7 @@
 //! * application accounting — the [`AppHarness`] with oracle annotations.
 
 use crate::app::{AppHarness, DeliveryRecord, Payload};
-use crate::classical::{BatchId, ChannelModel, ClassicalFaults, ClassicalPlane, ClassicalStats};
+use crate::classical::{BatchId, ClassicalFaults, ClassicalPlane, ClassicalStats};
 use crate::faults::{ComponentEvent, FaultPlan};
 use qn_hardware::device::{QDevice, QubitId};
 use qn_hardware::pairs::{PairId, PairStore, SwapNoise};
@@ -62,27 +62,22 @@ pub enum CheckpointPolicy {
     Interval(SimDuration),
 }
 
-/// Retransmission knobs for wire-borne signalling
-/// ([`RuntimeConfig::signalling_on_wire`]). Backoff is a deterministic
-/// doubling of `base` per attempt — no RNG draws, so a fault-free run
-/// with retransmission configured stays bit-identical to one without.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RetransmitConfig {
-    /// Give up on a frame after this many re-sends (the abandonment is
-    /// counted in [`ClassicalStats::retransmits_abandoned`]).
-    pub max_retries: u32,
-    /// Delay before the first retry; attempt `n` waits `base << n`.
-    pub base: SimDuration,
-}
+/// Per-hop message processing delay, on top of fibre propagation.
+const PROCESSING_DELAY: SimDuration = SimDuration::from_micros(5);
 
-impl Default for RetransmitConfig {
-    fn default() -> Self {
-        RetransmitConfig {
-            max_retries: 8,
-            base: SimDuration::from_millis(10),
-        }
-    }
-}
+/// Communication qubits dedicated to each link at each node (Appendix
+/// B: two in the main simulations).
+const COMM_PER_LINK: usize = 2;
+
+/// Delay before the first re-send of a wire-borne frame
+/// ([`RuntimeConfig::signalling_on_wire`]); attempt `n` waits
+/// `RETRANSMIT_BASE << n`. Backoff draws no randomness, so a fault-free
+/// wired run is a pure function of its seed.
+const RETRANSMIT_BASE: SimDuration = SimDuration::from_millis(10);
+
+/// Re-sends before a retransmit chain gives up (the abandonment is
+/// counted in [`ClassicalStats::retransmits_abandoned`]).
+const MAX_RETRIES: u32 = 8;
 
 /// Runtime configuration knobs.
 #[derive(Clone, Debug)]
@@ -90,13 +85,8 @@ pub struct RuntimeConfig {
     /// Pair-state representation (`QNP_QSTATE`): the Bell-diagonal
     /// fast path (default) or dense density matrices.
     pub state_rep: qn_hardware::StateRep,
-    /// Per-hop message processing delay (on top of fibre propagation).
-    pub processing_delay: SimDuration,
     /// Extra injected per-hop delay (Fig 10c sweep).
     pub extra_message_delay: SimDuration,
-    /// Uniform per-message jitter bound (the reliable transport still
-    /// delivers in order).
-    pub message_jitter: SimDuration,
     /// Classical-plane fault injection (default off: the reliable
     /// in-order plane of the paper, bit-identical to the pre-fault
     /// runtime).
@@ -106,13 +96,10 @@ pub struct RuntimeConfig {
     /// TRACK/EXPIRE can be lost — on a reliable plane end-nodes never
     /// need timers (§4.1 "Cutoff time").
     pub track_timeout: Option<SimDuration>,
-    /// Communication qubits dedicated to each link at each node
-    /// (Appendix B: two in the main simulations).
-    pub comm_per_link: usize,
-    /// Near-term mode: one shared electron + carbon storage per node.
-    pub near_term: bool,
-    /// Carbon storage qubits per node (near-term mode).
-    pub carbons: usize,
+    /// Near-term mode (Fig 11): one shared electron per node plus this
+    /// many carbon storage qubits. `None` (the default) gives every
+    /// node two communication qubits per attached link.
+    pub near_term: Option<usize>,
     /// Disable intermediate cutoff timers (the Fig 10 oracle baseline).
     pub disable_cutoff: bool,
     /// Whole-store decoherence checkpointing (see [`CheckpointPolicy`]).
@@ -127,41 +114,26 @@ pub struct RuntimeConfig {
     /// acknowledgement + retransmission. Default off: every recorded
     /// baseline was produced without it and stays bit-identical.
     pub signalling_on_wire: bool,
-    /// Retransmission bounds and backoff (only consulted when
-    /// `signalling_on_wire` is set).
-    pub retransmit: RetransmitConfig,
     /// Component-level fault plan: scheduled and stochastic link
     /// outages and node crashes (see [`crate::faults::FaultPlan`]).
     /// The empty default plan schedules no events and draws no
     /// randomness — bit-identical to the pre-fault runtime.
     pub fault_plan: FaultPlan,
-    /// Per-link overrides of the message-level fault model. Links not
-    /// listed keep the global [`RuntimeConfig::faults`]. Empty by
-    /// default; the no-override path is bit-identical to the global
-    /// path (same single `classical-faults` RNG substream, same draw
-    /// order).
-    pub link_faults: Vec<(NodeId, NodeId, ClassicalFaults)>,
 }
 
 impl Default for RuntimeConfig {
     fn default() -> Self {
         RuntimeConfig {
             state_rep: qn_hardware::StateRep::from_env(),
-            processing_delay: SimDuration::from_micros(5),
             extra_message_delay: SimDuration::ZERO,
-            message_jitter: SimDuration::ZERO,
             faults: ClassicalFaults::OFF,
             track_timeout: None,
-            comm_per_link: 2,
-            near_term: false,
-            carbons: 0,
+            near_term: None,
             disable_cutoff: false,
             checkpoint: CheckpointPolicy::OnTouch,
             trace: false,
             signalling_on_wire: false,
-            retransmit: RetransmitConfig::default(),
             fault_plan: FaultPlan::new(),
-            link_faults: Vec::new(),
         }
     }
 }
@@ -262,9 +234,6 @@ pub enum Ev {
         pair: PairId,
         /// Destination storage qubit.
         storage: QubitId,
-        /// The link whose pair is being stored (for the deferred
-        /// network-layer notification).
-        link: LinkId,
         /// Deferred LinkPair info to deliver to the local QNP.
         circuit: CircuitId,
         /// Side of the circuit at this node.
@@ -372,6 +341,10 @@ struct LinkRt {
     proto: LinkProtocol,
     a: NodeId,
     b: NodeId,
+    /// What a classical frame takes to cross the hop: propagation +
+    /// [`PROCESSING_DELAY`] + [`RuntimeConfig::extra_message_delay`],
+    /// a constant of the run.
+    latency: SimDuration,
     inflight: Option<Inflight>,
     /// False while the link itself is administratively/physically down
     /// (a [`ComponentEvent::LinkDown`]). Distinct from the protocol's
@@ -625,7 +598,6 @@ pub struct NetworkModel {
     pub trace: Trace,
     rng_links: Vec<SimRng>,
     rng_nodes: Vec<SimRng>,
-    rng_msgs: SimRng,
     plane: ClassicalPlane,
     /// Shared encode buffer: every outgoing frame (data plane and
     /// signalling) is encoded here instead of a fresh `Vec`.
@@ -636,15 +608,10 @@ pub struct NetworkModel {
     pub state_mismatches: u64,
     /// Diagnostics: pairs released before use.
     pub discarded_pairs: u64,
-    /// Per-link effective message-fault models (`Some` only when the
-    /// config carries per-link overrides; `None` keeps the global
-    /// [`RuntimeConfig::faults`] on the untouched fast path).
-    link_fault_table: Option<Vec<ClassicalFaults>>,
-    /// Whether *any* hop can lose frames — global loss/corruption
-    /// faults, a per-link override with either, or a component fault
-    /// plan (a downed hop eats frames). Gates the blind request-level
-    /// redundancy: one-shot FORWARD/COMPLETE fan-out wedges a circuit
-    /// forever if its only copy dies on such a hop.
+    /// Whether *any* hop can lose frames — loss or corruption faults,
+    /// or a component fault plan (a downed hop eats frames). Gates the
+    /// blind request-level redundancy: one-shot FORWARD/COMPLETE fan-out
+    /// wedges a circuit forever if its only copy dies on such a hop.
     lossy_wire: bool,
 }
 
@@ -680,10 +647,9 @@ impl NetworkModel {
             // Per-node hardware params: taken from the first attached link
             // (the paper's evaluations use identical hardware everywhere).
             let params = *topology.link(links[0]).physics.params();
-            let device = if cfg.near_term {
-                QDevice::near_term(*id, cfg.carbons, params)
-            } else {
-                QDevice::per_link(*id, &links, cfg.comm_per_link, params)
+            let device = match cfg.near_term {
+                Some(carbons) => QDevice::near_term(*id, carbons, params),
+                None => QDevice::per_link(*id, &links, COMM_PER_LINK, params),
             };
             nodes.push(NodeRt {
                 qnp: QnpNode::new(*id),
@@ -698,27 +664,15 @@ impl NetworkModel {
                 proto: LinkProtocol::new((l.a, l.b), l.physics.clone(), cfg.state_rep),
                 a: l.a,
                 b: l.b,
+                latency: l.physics.fibre().propagation_delay()
+                    + PROCESSING_DELAY
+                    + cfg.extra_message_delay,
                 inflight: None,
                 up: true,
             })
             .collect();
-        let link_fault_table = if cfg.link_faults.is_empty() {
-            None
-        } else {
-            let mut table = vec![cfg.faults; links.len()];
-            for (a, b, faults) in &cfg.link_faults {
-                faults.validate().expect("per-link fault probabilities");
-                let link = topology
-                    .link_between(*a, *b)
-                    .expect("per-link fault override names an existing link");
-                table[link.0 as usize] = *faults;
-            }
-            Some(table)
-        };
-        let lossy = |f: &ClassicalFaults| f.drop > 0.0 || f.corrupt > 0.0;
-        let lossy_wire = lossy(&cfg.faults)
-            || cfg.link_faults.iter().any(|(_, _, f)| lossy(f))
-            || !cfg.fault_plan.is_empty();
+        let lossy_wire =
+            cfg.faults.drop > 0.0 || cfg.faults.corrupt > 0.0 || !cfg.fault_plan.is_empty();
         let rng_links = (0..links.len())
             .map(|i| SimRng::substream_indexed(seed, "link", i as u64))
             .collect();
@@ -748,14 +702,12 @@ impl NetworkModel {
             },
             rng_links,
             rng_nodes,
-            rng_msgs: SimRng::substream(seed, "messages"),
-            plane: ClassicalPlane::new(seed),
+            plane: ClassicalPlane::new(seed, cfg.faults),
             scratch: qn_net::wire::ScratchEncoder::new(),
             outs: Vec::new(),
             cfg,
             state_mismatches: 0,
             discarded_pairs: 0,
-            link_fault_table,
             lossy_wire,
         }
     }
@@ -883,6 +835,7 @@ impl NetworkModel {
         self.link_between(node, peer)
     }
 
+    /// Send a QNP message from `from` to its neighbour on `circuit`.
     fn send_message(
         &mut self,
         ctx: &mut Context<'_, Ev>,
@@ -898,107 +851,51 @@ impl NetworkModel {
         } else {
             up.expect("upstream neighbour")
         };
-        let link = self.link_between(from, to);
-        if !self.hop_alive(link, from, to) {
-            // The hop (or one of its endpoints) is down: the frame dies
-            // on the dead wire. A plan-free run never takes this branch.
-            self.plane.stats.sent += 1;
-            self.plane.stats.dropped += 1;
-            return;
-        }
-        let channel = ChannelModel {
-            propagation: self.links[link.0 as usize]
-                .proto
-                .physics()
-                .fibre()
-                .propagation_delay(),
-            processing: self.cfg.processing_delay,
-            extra: self.cfg.extra_message_delay,
-            jitter: self.cfg.message_jitter,
-        };
-        self.trace.record(
-            ctx.now(),
-            TraceKind::Message,
-            format_args!("{from}"),
-            format_args!(
-                "{} -> {to} ({})",
-                msg.kind_name(),
-                if downstream { "down" } else { "up" }
-            ),
-        );
-        // The message crosses the hop as encoded bytes: the classical
-        // plane transports (and may drop/duplicate/reorder/corrupt)
-        // frames, never Rust values. Default config is a bit-identical
-        // pass-through of the reliable in-order transport. Encoding goes
-        // through the shared scratch buffer and the plane groups
-        // same-tick frames, so only newly opened groups cost an event.
-        let faults = self.hop_faults(link);
-        let frame = self.scratch.message(&msg);
-        let opened = self.plane.transmit(
-            faults,
-            from,
-            to,
-            downstream,
-            ctx.now(),
-            &channel,
-            &mut self.rng_msgs,
-            frame,
-        );
-        for b in opened.into_iter().flatten() {
-            ctx.schedule_at(
-                b.at,
-                Ev::BatchDeliver {
-                    to,
-                    from_upstream: downstream,
-                    batch: b.id,
-                    link,
-                },
+        if self.transmit(ctx, from, to, downstream, |b| msg.encode_to(b)) {
+            self.trace.record(
+                ctx.now(),
+                TraceKind::Message,
+                format_args!("{from}"),
+                format_args!(
+                    "{} -> {to} ({})",
+                    msg.kind_name(),
+                    if downstream { "down" } else { "up" }
+                ),
             );
         }
     }
 
-    /// Transmit one link-layer or signalling frame between two adjacent
-    /// nodes over the classical plane (`signalling_on_wire` paths). The
-    /// lane (`downstream`) only selects the batch the frame coalesces
-    /// into; receivers demux these frames by kind byte, not direction.
-    fn transmit_frame(
+    /// Transmit one frame between two adjacent nodes over the classical
+    /// plane and schedule the delivery of every group it opens. The
+    /// frame crosses the hop as encoded bytes: the plane transports
+    /// (and may drop/duplicate/reorder/corrupt) frames, never Rust
+    /// values. Encoding goes through the shared scratch buffer, and the
+    /// plane groups same-tick frames, so only newly opened groups cost
+    /// an event. The lane (`downstream`) only selects the group a frame
+    /// coalesces into; receivers demux link-layer and signalling frames
+    /// by kind byte, not direction.
+    ///
+    /// Returns `false` when the hop (or one of its endpoints) is down:
+    /// the frame dies on the dead wire. A plan-free run never does that.
+    fn transmit(
         &mut self,
         ctx: &mut Context<'_, Ev>,
         from: NodeId,
         to: NodeId,
         downstream: bool,
         encode: impl FnOnce(&mut Vec<u8>),
-    ) {
-        let Some(link) = self.hop(from, to) else {
-            return;
-        };
+    ) -> bool {
+        let link = self.link_between(from, to);
         if !self.hop_alive(link, from, to) {
             self.plane.stats.sent += 1;
             self.plane.stats.dropped += 1;
-            return;
+            return false;
         }
-        let channel = ChannelModel {
-            propagation: self.links[link.0 as usize]
-                .proto
-                .physics()
-                .fibre()
-                .propagation_delay(),
-            processing: self.cfg.processing_delay,
-            extra: self.cfg.extra_message_delay,
-            jitter: self.cfg.message_jitter,
-        };
-        let faults = self.hop_faults(link);
+        let latency = self.links[link.0 as usize].latency;
         let frame = self.scratch.frame(encode);
-        let opened = self.plane.transmit(
-            faults,
-            from,
-            to,
-            downstream,
-            ctx.now(),
-            &channel,
-            &mut self.rng_msgs,
-            frame,
-        );
+        let opened = self
+            .plane
+            .transmit(from, to, downstream, ctx.now(), latency, frame);
         for b in opened.into_iter().flatten() {
             ctx.schedule_at(
                 b.at,
@@ -1010,6 +907,7 @@ impl NetworkModel {
                 },
             );
         }
+        true
     }
 
     /// Whether a hop can carry traffic right now: the link is up and so
@@ -1018,15 +916,6 @@ impl NetworkModel {
         self.links[link.0 as usize].up
             && self.nodes[from.0 as usize].up
             && self.nodes[to.0 as usize].up
-    }
-
-    /// The message-fault model for a hop: its per-link override if one
-    /// was configured, the global config otherwise.
-    fn hop_faults(&self, link: LinkId) -> ClassicalFaults {
-        match &self.link_fault_table {
-            Some(table) => table[link.0 as usize],
-            None => self.cfg.faults,
-        }
     }
 
     /// Whether `node` is an intermediate (repeater) on the circuit.
@@ -1084,7 +973,7 @@ impl NetworkModel {
             return;
         }
         let event = ctx.schedule_in(
-            self.cfg.retransmit.base,
+            RETRANSMIT_BASE,
             Ev::TrackRetransmit {
                 node,
                 circuit,
@@ -1136,7 +1025,7 @@ impl NetworkModel {
             return;
         }
         ctx.schedule_in(
-            self.cfg.retransmit.base,
+            RETRANSMIT_BASE,
             Ev::RequestResend {
                 node,
                 circuit,
@@ -1161,9 +1050,9 @@ impl NetworkModel {
         if self.circuit_rt(circuit).is_none() {
             return; // torn down; the fan-out is moot
         }
-        if attempt < self.cfg.retransmit.max_retries {
+        if attempt < MAX_RETRIES {
             ctx.schedule_in(
-                backoff(self.cfg.retransmit.base, attempt),
+                backoff(RETRANSMIT_BASE, attempt),
                 Ev::RequestResend {
                     node,
                     circuit,
@@ -1191,13 +1080,13 @@ impl NetworkModel {
         if self.circuit_rt(circuit).is_none() {
             return; // torn down; nothing left to confirm
         }
-        if retry.attempt >= self.cfg.retransmit.max_retries {
+        if retry.attempt >= MAX_RETRIES {
             self.plane.stats.retransmits_abandoned += 1;
             return;
         }
         retry.attempt += 1;
         retry.event = ctx.schedule_in(
-            backoff(self.cfg.retransmit.base, retry.attempt),
+            backoff(RETRANSMIT_BASE, retry.attempt),
             Ev::TrackRetransmit {
                 node,
                 circuit,
@@ -1212,12 +1101,10 @@ impl NetworkModel {
 
     /// Deliver a link pair announcement to one node's QNP, routing
     /// near-term repeaters through the move-to-storage step first.
-    #[allow(clippy::too_many_arguments)] // mirrors the announcement fields
     fn deliver_link_pair(
         &mut self,
         ctx: &mut Context<'_, Ev>,
         node: NodeId,
-        link: LinkId,
         pid: PairId,
         circuit: CircuitId,
         side: LinkSide,
@@ -1226,7 +1113,7 @@ impl NetworkModel {
         // Near-term repeaters must move the pair into carbon storage
         // before the shared electron frees up; the network layer learns
         // of the pair once it is safely stored.
-        if self.cfg.near_term && self.is_intermediate_on(circuit, node) {
+        if self.cfg.near_term.is_some() && self.is_intermediate_on(circuit, node) {
             if let Some(storage) = self.nodes[node.0 as usize].device.alloc_storage() {
                 let params = self.nodes[node.0 as usize].device.params();
                 let move_time = 2.0 * params.gates.two_qubit.duration
@@ -1237,7 +1124,6 @@ impl NetworkModel {
                         node,
                         pair: pid,
                         storage,
-                        link,
                         circuit,
                         side,
                         info,
@@ -1305,7 +1191,7 @@ impl NetworkModel {
             announced: pair.announced,
         };
         self.link_delivered.insert(node, correlator, ());
-        self.deliver_link_pair(ctx, node, link, pid, circuit, side, pair_info);
+        self.deliver_link_pair(ctx, node, pid, circuit, side, pair_info);
     }
 
     /// Demuxed handler for link-layer frames (kinds `0x10..=0x12`)
@@ -1361,11 +1247,8 @@ impl NetworkModel {
                 entry: st.entries[hop + 1],
             }
         };
-        self.transmit_frame(ctx, from, to, true, |b| msg.encode_to(b));
-        let event = ctx.schedule_in(
-            self.cfg.retransmit.base,
-            Ev::SignalRetransmit { circuit, hop },
-        );
+        self.transmit(ctx, from, to, true, |b| msg.encode_to(b));
+        let event = ctx.schedule_in(RETRANSMIT_BASE, Ev::SignalRetransmit { circuit, hop });
         if let Some(st) = self
             .signal_state
             .get_mut(circuit.0 as usize)
@@ -1400,7 +1283,7 @@ impl NetworkModel {
             let Some(retry) = st.pending[hop].take() else {
                 return; // acknowledged meanwhile
             };
-            if retry.attempt >= self.cfg.retransmit.max_retries {
+            if retry.attempt >= MAX_RETRIES {
                 self.plane.stats.retransmits_abandoned += 1;
                 return;
             }
@@ -1415,7 +1298,7 @@ impl NetworkModel {
         };
         self.plane.stats.signal_retransmits += 1;
         let event = ctx.schedule_in(
-            backoff(self.cfg.retransmit.base, attempt),
+            backoff(RETRANSMIT_BASE, attempt),
             Ev::SignalRetransmit { circuit, hop },
         );
         if let Some(st) = self
@@ -1425,7 +1308,7 @@ impl NetworkModel {
         {
             st.pending[hop] = Some(SignalRetry { attempt, event });
         }
-        self.transmit_frame(ctx, from, to, true, |b| msg.encode_to(b));
+        self.transmit(ctx, from, to, true, |b| msg.encode_to(b));
     }
 
     /// Kick off a wire-borne installation: the head installs locally and
@@ -1522,7 +1405,7 @@ impl NetworkModel {
                 // by teardown acks too (the sender must stop either way).
                 self.plane.stats.signal_acks += 1;
                 let msg = Sm::InstallAck { circuit };
-                self.transmit_frame(ctx, to, prev, false, |b| msg.encode_to(b));
+                self.transmit(ctx, to, prev, false, |b| msg.encode_to(b));
             }
             Sm::Teardown { .. } => {
                 if i == 0 {
@@ -1547,7 +1430,7 @@ impl NetworkModel {
                 }
                 self.plane.stats.signal_acks += 1;
                 let msg = Sm::TeardownAck { circuit };
-                self.transmit_frame(ctx, to, prev, false, |b| msg.encode_to(b));
+                self.transmit(ctx, to, prev, false, |b| msg.encode_to(b));
             }
             Sm::InstallAck { .. } => {
                 let st = self.signal_state[circuit.0 as usize]
@@ -1813,7 +1696,7 @@ impl NetworkModel {
                 // pair still unknown after it is gone for good. Never
                 // cancelled — a resolved pair makes the check a no-op.
                 ctx.schedule_in(
-                    self.cfg.retransmit.base,
+                    RETRANSMIT_BASE,
                     Ev::OrphanCheck {
                         node,
                         circuit,
@@ -1825,11 +1708,11 @@ impl NetworkModel {
                 // batching, faults) and is decoded at the receiver.
                 let peer = if node == na { nb } else { na };
                 let downstream = peer == upstream_node;
-                self.transmit_frame(ctx, peer, node, downstream, |b| {
+                self.transmit(ctx, peer, node, downstream, |b| {
                     qn_net::wire::encode_link_event(&LinkEvent::PairReady(pair), b)
                 });
             } else {
-                self.deliver_link_pair(ctx, node, link, pid, circuit, side, pair_info);
+                self.deliver_link_pair(ctx, node, pid, circuit, side, pair_info);
             }
         }
 
@@ -1840,7 +1723,7 @@ impl NetworkModel {
                 if self.cfg.signalling_on_wire {
                     for (from, to) in [(nb, na), (na, nb)] {
                         let downstream = from == upstream_node;
-                        self.transmit_frame(ctx, from, to, downstream, |b| {
+                        self.transmit(ctx, from, to, downstream, |b| {
                             qn_net::wire::encode_link_event(&LinkEvent::RequestDone(label), b)
                         });
                     }
@@ -1971,7 +1854,7 @@ impl NetworkModel {
                                 let (la, lb) = self.links[link.0 as usize].proto.nodes();
                                 let peer = if la == node { lb } else { la };
                                 let downstream = side == LinkSide::Upstream;
-                                self.transmit_frame(ctx, peer, node, downstream, |b| {
+                                self.transmit(ctx, peer, node, downstream, |b| {
                                     qn_net::wire::encode_link_event(
                                         &LinkEvent::Rejected(l, reason),
                                         b,
@@ -2269,16 +2152,13 @@ impl NetworkModel {
         for node in path {
             self.qnp_input(ctx, node, circuit, NetInput::TeardownCircuit { circuit });
         }
-        for row in &mut self.label_map {
-            row.retain(|(_, info)| info.circuit != circuit);
-        }
-        self.circuits[circuit.0 as usize] = None;
         self.trace.record(
             ctx.now(),
             TraceKind::Info,
             format_args!("signalling"),
             format_args!("{circuit} torn down"),
         );
+        self.finish_teardown(circuit);
     }
 
     fn measure_done(
@@ -2814,7 +2694,6 @@ impl Model for NetworkModel {
                 node,
                 pair,
                 storage,
-                link: _,
                 circuit,
                 side,
                 info,

@@ -11,7 +11,7 @@
 use qn_hardware::params::{FibreParams, HardwareParams};
 use qn_net::{Address, AppEvent, CircuitId, Demand, RequestId, RequestType, UserRequest};
 use qn_netsim::build::{NetSim, NetworkBuilder};
-use qn_netsim::{ClassicalFaults, FaultPlan};
+use qn_netsim::FaultPlan;
 use qn_routing::{chain, CutoffPolicy};
 use qn_sim::{NodeId, SimDuration, SimTime};
 
@@ -239,75 +239,4 @@ fn stochastic_fault_schedule_is_deterministic_and_leak_free() {
         "request starved under churn"
     );
     assert_zero_leak(&mut sim, "stochastic churn");
-}
-
-// ---------------------------------------------------------------------
-// Per-link message-fault overrides (satellite a)
-// ---------------------------------------------------------------------
-
-fn override_run(
-    seed: u64,
-    global: ClassicalFaults,
-    overrides: &[(NodeId, NodeId, ClassicalFaults)],
-) -> NetSim {
-    let topology = chain(4, HardwareParams::simulation(), FibreParams::lab_2m());
-    let mut b = NetworkBuilder::new(topology)
-        .seed(seed)
-        .signalling_on_wire()
-        .classical_faults(global)
-        .track_timeout(SimDuration::from_secs(2));
-    for (a, x, f) in overrides {
-        b = b.link_faults(*a, *x, *f);
-    }
-    let mut sim = b.build();
-    let vc = sim
-        .open_circuit(NodeId(0), NodeId(3), 0.8, CutoffPolicy::short())
-        .unwrap();
-    sim.submit_at(SimTime::ZERO, vc, keep(1, NodeId(0), NodeId(3), 0.8, 4));
-    sim.run_until(SimTime::ZERO + SimDuration::from_secs(60));
-    sim
-}
-
-#[test]
-fn link_override_equal_to_global_is_bit_identical() {
-    // Installing a per-link override whose value matches the global
-    // model must not change a thing: the override table is a pure
-    // routing of the same fault parameters.
-    let faults = ClassicalFaults {
-        drop: 0.1,
-        ..ClassicalFaults::OFF
-    };
-    let base = override_run(4500, faults, &[]);
-    let routed = override_run(4500, faults, &[(NodeId(1), NodeId(2), faults)]);
-    assert_eq!(trajectory(&base), trajectory(&routed));
-    assert_eq!(base.classical_stats(), routed.classical_stats());
-    assert_eq!(base.node_stats(), routed.node_stats());
-    assert_eq!(base.events_processed(), routed.events_processed());
-}
-
-#[test]
-fn lossy_middle_hop_override_localizes_faults() {
-    // A clean global plane with one lossy middle hop: drops are
-    // sampled, the protocol retransmits across them, and the bounded
-    // request still completes exactly once per end — deterministically.
-    let lossy = ClassicalFaults {
-        drop: 0.2,
-        ..ClassicalFaults::OFF
-    };
-    let run = |seed| override_run(seed, ClassicalFaults::OFF, &[(NodeId(1), NodeId(2), lossy)]);
-    let sim = run(4601);
-    let s = sim.classical_stats();
-    assert!(s.dropped > 0, "lossy hop sampled no drops: {s:?}");
-    let app = sim.app();
-    assert!(app.completed.contains_key(&(CircuitId(1), RequestId(1))));
-    for node in [NodeId(0), NodeId(3)] {
-        assert_eq!(
-            app.confirmed_deliveries(CircuitId(1), node, SimTime::ZERO, SimTime::MAX),
-            4,
-            "{node}: exactly-once violated across the lossy hop"
-        );
-    }
-    let again = run(4601);
-    assert_eq!(trajectory(&sim), trajectory(&again));
-    assert_eq!(sim.classical_stats(), again.classical_stats());
 }

@@ -1,5 +1,5 @@
-//! Resilience scenarios: circuit teardown mid-flight, message jitter,
-//! and the faulty classical plane — the paper's §4.1 "Classical
+//! Resilience scenarios: circuit teardown mid-flight and the faulty
+//! classical plane — the paper's §4.1 "Classical
 //! communication and link reliability" behaviours, plus what happens
 //! when that reliability assumption is *broken* (drop / duplication /
 //! reordering / corruption sweeps on chain and widened-dumbbell
@@ -85,34 +85,6 @@ fn teardown_before_any_request_is_a_noop_for_others() {
     );
     sim.run_until(SimTime::ZERO + SimDuration::from_secs(30));
     assert!(sim.app().completed.contains_key(&(v2, RequestId(1))));
-}
-
-#[test]
-fn jitter_does_not_break_the_protocol() {
-    // 2 ms of uniform per-message jitter: the reliable in-order transport
-    // must keep the protocol fully functional (the paper's reliance on
-    // TCP-like semantics).
-    let (topology, d) = dumbbell(HardwareParams::simulation(), FibreParams::lab_2m());
-    let mut sim = NetworkBuilder::new(topology)
-        .seed(83)
-        .message_jitter(SimDuration::from_millis(2))
-        .build();
-    let vc = sim
-        .open_circuit(d.a0, d.b0, 0.85, CutoffPolicy::short())
-        .unwrap();
-    sim.submit_at(SimTime::ZERO, vc, keep(1, d.a0, d.b0, 0.85, 6));
-    sim.run_until(SimTime::ZERO + SimDuration::from_secs(60));
-    let app = sim.app();
-    assert!(app.completed.contains_key(&(vc, RequestId(1))));
-    assert_eq!(
-        app.confirmed_deliveries(vc, d.a0, SimTime::ZERO, SimTime::MAX),
-        6
-    );
-    // Fidelity still respects the budget (jitter only delays bookkeeping).
-    let f = app.mean_fidelity(vc, d.a0).unwrap();
-    assert!(f > 0.8, "jittered run fidelity {f}");
-    sim.run_until(sim.now() + SimDuration::from_secs(5));
-    assert_eq!(sim.live_pairs(), 0);
 }
 
 // ---------------------------------------------------------------------
@@ -553,25 +525,4 @@ fn wire_signalling_survives_heavy_drops_exactly_once() {
     // Drain: timeouts reclaim every orphaned pair.
     sim.run_until(sim.now() + SimDuration::from_secs(10));
     assert_eq!(sim.live_pairs(), 0, "pairs leaked under wire drops");
-}
-
-#[test]
-fn jitter_changes_timing_but_not_correctness() {
-    let run = |jitter_us: u64| -> usize {
-        let (topology, d) = dumbbell(HardwareParams::simulation(), FibreParams::lab_2m());
-        let mut sim = NetworkBuilder::new(topology)
-            .seed(84)
-            .message_jitter(SimDuration::from_micros(jitter_us))
-            .build();
-        let vc = sim
-            .open_circuit(d.a0, d.b0, 0.85, CutoffPolicy::short())
-            .unwrap();
-        sim.submit_at(SimTime::ZERO, vc, keep(1, d.a0, d.b0, 0.85, 4));
-        sim.run_until(SimTime::ZERO + SimDuration::from_secs(60));
-        sim.app()
-            .confirmed_deliveries(vc, d.a0, SimTime::ZERO, SimTime::MAX)
-    };
-    assert_eq!(run(0), 4);
-    assert_eq!(run(500), 4);
-    assert_eq!(run(5_000), 4);
 }

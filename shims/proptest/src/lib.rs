@@ -707,7 +707,7 @@ mod tests {
 
             #[allow(dead_code)]
             fn inner(xs in crate::collection::vec(7u64..8, 2), flag in Just(true)) {
-                prop_assert!(!flag, "flag was set");
+                prop_assert!(!flag, "flag was set beside {} elements", xs.len());
             }
         }
         let payload = std::panic::catch_unwind(inner).expect_err("inner must fail");
