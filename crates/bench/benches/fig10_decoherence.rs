@@ -14,7 +14,9 @@
 //! Run: `cargo bench --bench fig10_decoherence` (knobs: `QNP_RUNS`
 //! default 3, `QNP_THREADS` sweep workers).
 
-use qn_bench::{fig10ab_sweep, fig10c_sweep, runs, seed_block, Baseline, Direction, Fig10Variant};
+use qn_bench::{
+    fig10ab_sweep, fig10c_sweep, runs, seed_block, Baseline, Direction, Fig10Variant, Shapes,
+};
 use qn_sim::SimDuration;
 
 fn main() {
@@ -112,15 +114,14 @@ fn main() {
 
     // ---- shape checks ---------------------------------------------------
     println!("#\n# shape checks");
-    let better = cutoff_thr_at_min[0] >= oracle_thr_at_min[0]
-        && cutoff_thr_at_min[1] >= oracle_thr_at_min[1];
-    println!(
-        "# cutoff ≥ oracle at shortest T2 ({:.2},{:.2}) vs ({:.2},{:.2}): {}",
-        cutoff_thr_at_min[0],
-        cutoff_thr_at_min[1],
-        oracle_thr_at_min[0],
-        oracle_thr_at_min[1],
-        if better { "PASS" } else { "WARN" }
+    let mut shapes = Shapes::default();
+    shapes.check(
+        format!(
+            "cutoff ≥ oracle at shortest T2 ({:.2},{:.2}) vs ({:.2},{:.2})",
+            cutoff_thr_at_min[0], cutoff_thr_at_min[1], oracle_thr_at_min[0], oracle_thr_at_min[1],
+        ),
+        cutoff_thr_at_min[0] >= oracle_thr_at_min[0]
+            && cutoff_thr_at_min[1] >= oracle_thr_at_min[1],
     );
     // Delay robustness: useful throughput before the cutoff ≈ at zero
     // delay; beyond the cutoff it collapses.
@@ -135,15 +136,13 @@ fn main() {
         .filter(|(d, _)| *d > cutoff_line * 2.0)
         .map(|(_, g)| *g)
         .collect();
-    let flat = below.iter().all(|g| *g > 0.6 * at_zero);
-    let drop = above.iter().all(|g| *g < 0.5 * at_zero);
-    println!(
-        "# delay below cutoff leaves useful throughput intact: {}",
-        if flat { "PASS" } else { "WARN" }
+    shapes.check(
+        "delay below cutoff leaves useful throughput intact",
+        below.iter().all(|g| *g > 0.6 * at_zero),
     );
-    println!(
-        "# delay beyond cutoff collapses useful throughput: {}",
-        if drop { "PASS" } else { "WARN" }
+    shapes.check(
+        "delay beyond cutoff collapses useful throughput",
+        above.iter().all(|g| *g < 0.5 * at_zero),
     );
 
     let path = baseline.write().expect("write baseline");
@@ -153,4 +152,5 @@ fn main() {
         qn_exec::threads(),
         wall_start.elapsed().as_secs_f64()
     );
+    shapes.finish("fig10_decoherence");
 }

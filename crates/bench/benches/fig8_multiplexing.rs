@@ -15,7 +15,7 @@
 //! 100 runs × 100 pairs; reduced defaults preserve the shapes —
 //! `QNP_THREADS` sweep workers).
 
-use qn_bench::{fig8_sweep, mean_finite, pairs, runs, seed_block, Baseline, Direction};
+use qn_bench::{fig8_sweep, mean_finite, pairs, runs, seed_block, Baseline, Direction, Shapes};
 use qn_routing::CutoffPolicy;
 use qn_sim::SimDuration;
 
@@ -87,30 +87,30 @@ fn main() {
 
     // Shape checks.
     println!("#\n# shape checks");
+    let mut shapes = Shapes::default();
     // Linearity on panels a (idx 0) and d (idx 3): latency(8) ≈ 8×latency(1).
     for (panel, idx) in [("a", 0usize), ("d", 3)] {
         let l1 = panel_latencies[idx][0];
         let l8 = panel_latencies[idx][7];
         let ratio = l8 / l1;
-        let ok = (4.0..14.0).contains(&ratio);
-        println!(
-            "# panel {panel}: latency(8 req)/latency(1 req) = {ratio:.1} (expect ≈8, linear) {}",
-            if ok { "PASS" } else { "WARN" }
+        shapes.check(
+            format!(
+                "panel {panel}: latency(8 req)/latency(1 req) = {ratio:.1} (expect ≈8, linear)"
+            ),
+            (4.0..14.0).contains(&ratio),
         );
     }
     // Short cutoff beats long cutoff for the single-circuit case.
-    let faster = panel_latencies[3][7] < panel_latencies[0][7];
-    println!(
-        "# short cutoff lowers latency (panel d vs a at 8 requests): {}",
-        if faster { "PASS" } else { "WARN" }
+    shapes.check(
+        "short cutoff lowers latency (panel d vs a at 8 requests)",
+        panel_latencies[3][7] < panel_latencies[0][7],
     );
     // Congestion: panel c's latency at 8 requests exceeds panel f's.
     let c8 = panel_latencies[2][7];
     let f8 = panel_latencies[5][7];
-    let collapse = !c8.is_finite() || c8 > 1.5 * f8;
-    println!(
-        "# 4-circuit congestion (panel c {c8:.1}s vs f {f8:.1}s at 8 requests): {}",
-        if collapse { "PASS" } else { "WARN" }
+    shapes.check(
+        format!("4-circuit congestion (panel c {c8:.1}s vs f {f8:.1}s at 8 requests)"),
+        !c8.is_finite() || c8 > 1.5 * f8,
     );
 
     let path = baseline.write().expect("write baseline");
@@ -120,4 +120,5 @@ fn main() {
         qn_exec::threads(),
         wall_start.elapsed().as_secs_f64()
     );
+    shapes.finish("fig8_multiplexing");
 }

@@ -11,7 +11,7 @@
 //! Run: `cargo bench --bench fig9_latency_throughput`
 //! (knobs: `QNP_RUNS` default 3, `QNP_THREADS` sweep workers).
 
-use qn_bench::{fig9_sweep, mean_finite, runs, seed_block, Baseline, Direction};
+use qn_bench::{fig9_sweep, mean_finite, runs, seed_block, Baseline, Direction, Shapes};
 use qn_sim::SimDuration;
 
 fn main() {
@@ -82,9 +82,10 @@ fn main() {
         "# saturation: empty {:.2} pairs/s, congested {:.2} pairs/s, ratio {ratio:.2}",
         saturation[0], saturation[1]
     );
-    println!(
-        "# congested saturates at more than half the empty rate: {}",
-        if ratio > 0.5 { "PASS" } else { "WARN" }
+    let mut shapes = Shapes::default();
+    shapes.check(
+        "congested saturates at more than half the empty rate",
+        ratio > 0.5,
     );
 
     let path = baseline.write().expect("write baseline");
@@ -94,4 +95,5 @@ fn main() {
         qn_exec::threads(),
         wall_start.elapsed().as_secs_f64()
     );
+    shapes.finish("fig9_latency_throughput");
 }

@@ -1,12 +1,11 @@
 //! Criterion micro-benchmarks of the core data structures: the event
-//! queue, the density-matrix operations behind every entanglement swap
-//! and memory decay step,
-//! the heralded-state construction, the link scheduler, the Bell
-//! tracking algebra, the quantum kernel's two pair-state
-//! representations side by side (`*_bell` vs `*_dm`), the classical
-//! plane's wire codec (`message_parse`, `encode_scratch_vs_alloc/*`),
-//! and circuit planning (`link_alpha_for_fidelity`,
-//! `controller_plan_grid`).
+//! queue, the dense pair operations (memory decay, the distillation
+//! register's gate noise), the heralded-state construction, the link
+//! scheduler, the Bell tracking algebra, the quantum kernel's two
+//! pair-state representations side by side (`*_bell` vs `*_dm`), the
+//! pair slab, the classical plane's wire codec (`message_parse`,
+//! `encode_scratch_vs_alloc/scratch`), and circuit planning
+//! (`link_alpha_for_fidelity`, `controller_plan_grid`).
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use qn_hardware::device::QubitId;
@@ -54,7 +53,7 @@ fn bench_event_queue(c: &mut Criterion) {
                 if let Some(timer) = timers[step % 3].take() {
                     q.cancel(timer);
                 }
-                if step % 6 == 0 {
+                if step.is_multiple_of(6) {
                     let timer = now + SimDuration::from_millis(10);
                     timers[step % 3] = Some(q.push(timer, event));
                 }
@@ -86,9 +85,9 @@ fn bench_density_matrix(c: &mut Criterion) {
     });
 
     c.bench_function("dm_register_depolarizing_2q", |b| {
-        // The swap's gate noise on its joint register [a0, a1, b0, b1]:
-        // the store's cached 16-term set, applied to a fresh X⊗X
-        // register each time, as every dense swap does.
+        // The dense distillation circuit's gate noise on its joint
+        // register [a0, a1, b0, b1]: the store's cached 16-term set,
+        // applied to a fresh X⊗X register each time.
         let noise = SwapNoise::from_params(&HardwareParams::simulation());
         let kraus = channels::depolarizing_2q(noise.p_two_qubit);
         let register = x_pair().tensor(&x_pair());
@@ -284,8 +283,9 @@ fn message_mix() -> Vec<Message> {
 }
 
 /// The wire codec under the delivery-path access pattern: the owned
-/// decode the runtime's drain runs on every frame, and the two ways to
-/// encode one.
+/// decode the runtime's drain runs on every frame, and the encode into
+/// the plane's reused scratch buffer (the label keeps its
+/// `baselines/micro.json` row).
 fn bench_message_codec(c: &mut Criterion) {
     let msgs = message_mix();
     let frames: Vec<Vec<u8>> = msgs.iter().map(Message::wire_bytes).collect();
@@ -306,16 +306,6 @@ fn bench_message_codec(c: &mut Criterion) {
         });
     });
 
-    c.bench_function("encode_scratch_vs_alloc/alloc", |b| {
-        b.iter(|| {
-            let mut bytes = 0usize;
-            for m in &msgs {
-                bytes += m.wire_bytes().len();
-            }
-            bytes
-        });
-    });
-
     c.bench_function("encode_scratch_vs_alloc/scratch", |b| {
         let mut scratch = ScratchEncoder::new();
         b.iter(|| {
@@ -328,94 +318,12 @@ fn bench_message_codec(c: &mut Criterion) {
     });
 }
 
-/// The pre-slab pair layout: one heap node per pair behind a
-/// `HashMap<u64, _>`, iterated in hash order. Kept here as the
-/// reference the slab store is benchmarked against — the decay math is
-/// byte-for-byte the store's, so the measured difference is purely the
-/// container (hashing on every id lookup, pointer-chasing iteration
-/// vs indexed slots and cache-linear parallel arrays).
-mod map_store {
-    use qn_hardware::pairs::PairEnd;
-    use qn_quantum::bell::BellState;
-    use qn_quantum::channels;
-    use qn_quantum::pairstate::BellDiagonal;
-    use qn_quantum::pairstate::PairState;
-    use qn_sim::{NodeId, SimTime};
-    use std::collections::HashMap;
-
-    pub struct MapPair {
-        pub announced: BellState,
-        pub ends: [PairEnd; 2],
-        pub state: PairState,
-    }
-
-    pub struct MapStore {
-        pub pairs: HashMap<u64, MapPair>,
-        next: u64,
-    }
-
-    impl MapStore {
-        pub fn new() -> Self {
-            MapStore {
-                pairs: HashMap::new(),
-                next: 0,
-            }
-        }
-
-        pub fn create(&mut self, now: SimTime, t1: f64, t2: f64) -> u64 {
-            let id = self.next;
-            self.next += 1;
-            let end = |n: u32| PairEnd {
-                node: NodeId(n),
-                qubit: qn_hardware::device::QubitId(0),
-                t1,
-                t2,
-                last_noise: now,
-                measured: false,
-            };
-            self.pairs.insert(
-                id,
-                MapPair {
-                    announced: BellState::PHI_PLUS,
-                    ends: [end(0), end(1)],
-                    state: PairState::Bell(BellDiagonal::from_bell_state(BellState::PHI_PLUS)),
-                },
-            );
-            id
-        }
-
-        pub fn advance_all(&mut self, now: SimTime) {
-            for p in self.pairs.values_mut() {
-                for (idx, end) in p.ends.iter_mut().enumerate() {
-                    if end.measured {
-                        end.last_noise = now;
-                        continue;
-                    }
-                    let dt = now.since(end.last_noise).as_secs_f64();
-                    end.last_noise = now;
-                    if dt <= 0.0 {
-                        continue;
-                    }
-                    let gamma = channels::damping_prob(dt, end.t1);
-                    if gamma > 0.0 {
-                        p.state.amplitude_damp(idx, gamma);
-                    }
-                    let pd = channels::dephasing_prob(dt, end.t2);
-                    if pd > 0.0 {
-                        p.state.dephase(idx, pd);
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// The slab refactor's hot paths isolated against the pre-slab layout:
-/// steady-state churn with id-heavy access (`slab_vs_map_lookup_churn`,
-/// the sustained-traffic kernel) and the whole-store decoherence sweep
-/// with real elapsed time (`slab_vs_map_decoherence_sweep`, where the
-/// exponential decay math is shared by both sides and bounds the
-/// attainable speedup).
+/// The pair slab's hot paths: steady-state churn with id-heavy access
+/// (`slab_vs_map_lookup_churn/slab`, the sustained-traffic kernel) and
+/// the whole-store decoherence sweep with real elapsed time
+/// (`slab_vs_map_decoherence_sweep/slab`). The names keep the labels of
+/// their `baselines/micro.json` rows; the map layout they were once
+/// compared with is gone.
 fn bench_slab_store(c: &mut Criterion) {
     use qn_hardware::pairs::PairId;
     use qn_quantum::pairstate::BellDiagonal;
@@ -441,13 +349,6 @@ fn bench_slab_store(c: &mut Criterion) {
             .collect();
         (store, ids)
     };
-    let mk_map = || {
-        let mut store = map_store::MapStore::new();
-        let ids: Vec<u64> = (0..LIVE)
-            .map(|_| store.create(SimTime::ZERO, t1, t2))
-            .collect();
-        (store, ids)
-    };
 
     // Sustained traffic: every live pair's handle is resolved several
     // times per protocol step (generation bookkeeping, swap operands,
@@ -456,25 +357,6 @@ fn bench_slab_store(c: &mut Criterion) {
     // common checkpoint-right-after-activity case), and the oldest
     // pairs churn out as fresh ones arrive.
     const LOOKUP_PASSES: usize = 8;
-    c.bench_function("slab_vs_map_lookup_churn/map", |b| {
-        let (mut store, ids) = mk_map();
-        let mut ids: std::collections::VecDeque<u64> = ids.into();
-        b.iter(|| {
-            let mut acc = 0usize;
-            for _ in 0..LOOKUP_PASSES {
-                for id in &ids {
-                    acc += store.pairs.get(id).map_or(0, |p| p.announced.index());
-                }
-            }
-            store.advance_all(SimTime::ZERO);
-            for _ in 0..CHURN {
-                let old = ids.pop_front().expect("ring is never empty");
-                store.pairs.remove(&old);
-                ids.push_back(store.create(SimTime::ZERO, t1, t2));
-            }
-            acc
-        });
-    });
     c.bench_function("slab_vs_map_lookup_churn/slab", |b| {
         let (mut store, ids) = mk_slab();
         let mut ids: std::collections::VecDeque<PairId> = ids.into();
@@ -503,17 +385,8 @@ fn bench_slab_store(c: &mut Criterion) {
         });
     });
 
-    // The wired checkpoint sweep with genuinely elapsed time: both
-    // sides pay the same per-pair exponentials, so this measures the
-    // end-to-end sweep including math, not just container traversal.
-    c.bench_function("slab_vs_map_decoherence_sweep/map", |b| {
-        let (mut store, _ids) = mk_map();
-        let mut now = SimTime::ZERO;
-        b.iter(|| {
-            now += SimDuration::from_millis(1);
-            store.advance_all(now);
-        });
-    });
+    // The wired checkpoint sweep with genuinely elapsed time: the
+    // per-pair exponentials and the decay math, not just the traversal.
     c.bench_function("slab_vs_map_decoherence_sweep/slab", |b| {
         let (mut store, _ids) = mk_slab();
         let mut now = SimTime::ZERO;
@@ -525,11 +398,10 @@ fn bench_slab_store(c: &mut Criterion) {
 }
 
 /// The swap/distill conditional-table cache lookup: the sorted-Vec
-/// binary-search cache that now backs `PairStore` vs the `HashMap` it
-/// replaced, at a realistic cache population (a store accumulates a
-/// handful of distinct `(t1-bits, t2-bits, outcome)` keys per run).
+/// binary search that backs `PairStore`'s caches, at a realistic cache
+/// population (a store accumulates a handful of distinct
+/// `(noise-bits, noise-bits, orientation)` keys per run).
 fn bench_table_cache(c: &mut Criterion) {
-    use std::collections::HashMap;
     type Key = (u64, u64, u8);
     const KEYS: usize = 12;
     let keys: Vec<Key> = (0..KEYS as u64)
@@ -544,20 +416,10 @@ fn bench_table_cache(c: &mut Criterion) {
     // The lookup mix: tables hit in rotation, as link labels fire
     // round-robin under the time-share scheduler.
     let lookups: Vec<Key> = (0..256).map(|i| keys[i % KEYS]).collect();
-    let payload = |k: &Key| vec![k.0 as f64; 16];
 
-    c.bench_function("table_cache_lookup/hashmap", |b| {
-        let map: HashMap<Key, Vec<f64>> = keys.iter().map(|k| (*k, payload(k))).collect();
-        b.iter(|| {
-            let mut acc = 0.0f64;
-            for k in &lookups {
-                acc += map.get(k).expect("cached")[0];
-            }
-            acc
-        });
-    });
     c.bench_function("table_cache_lookup/sorted_vec", |b| {
-        let mut entries: Vec<(Key, Vec<f64>)> = keys.iter().map(|k| (*k, payload(k))).collect();
+        let mut entries: Vec<(Key, Vec<f64>)> =
+            keys.iter().map(|k| (*k, vec![k.0 as f64; 16])).collect();
         entries.sort_by_key(|(k, _)| *k);
         b.iter(|| {
             let mut acc = 0.0f64;

@@ -12,7 +12,8 @@
 //!   parallel engine (bit-identical to serial at any `QNP_THREADS`);
 //! * [`report`] — machine-readable JSON baselines
 //!   (`target/qnp-bench/<figure>.json`) and the regression differ
-//!   behind `cargo run --example bench_diff`.
+//!   behind `cargo run --example bench_diff`;
+//! * [`shapes`] — the paper-shape assertions of the figure benches.
 //!
 //! Environment knobs (documented in EXPERIMENTS.md):
 //!
@@ -26,6 +27,7 @@
 
 pub mod report;
 pub mod scenarios;
+pub mod shapes;
 pub mod sweep;
 
 pub use report::{
@@ -33,4 +35,5 @@ pub use report::{
     Json,
 };
 pub use scenarios::*;
+pub use shapes::Shapes;
 pub use sweep::*;

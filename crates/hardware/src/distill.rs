@@ -119,7 +119,7 @@ impl PairStore {
                 // locally.
                 let mut joint = a.state().to_density().tensor(&b.state().to_density());
                 let (b_at_na, b_at_nb) = if b0_at_na { (2, 3) } else { (3, 2) };
-                let two = &self.gate_noise(noise).two;
+                let two = self.gate_noise(noise.p_two_qubit);
 
                 // Bilateral CNOTs with two-qubit gate noise.
                 for (ctrl, tgt) in [(0usize, b_at_na), (1usize, b_at_nb)] {

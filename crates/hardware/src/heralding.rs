@@ -31,9 +31,8 @@
 
 use crate::params::{FibreParams, HardwareParams};
 use qn_quantum::bell::BellState;
-use qn_quantum::matrix::CMatrix;
-use qn_quantum::pairstate::{PairState, StateRep};
-use qn_quantum::{DensityMatrix, C64};
+use qn_quantum::pairstate::{BellDiagonal, DensePair, PairState, StateRep};
+use qn_quantum::DensityMatrix;
 use qn_sim::{SimDuration, SimRng};
 use std::sync::OnceLock;
 
@@ -146,44 +145,46 @@ impl LinkPhysics {
         (w.coherent * f_coh + w.dark * f_dark) / total
     }
 
+    /// The heralded state, given which `|Ψ±⟩` was announced, as the
+    /// X-state it is: the coherent `|Ψ±⟩` with its off-diagonals scaled
+    /// by the coherence factor, plus `|11⟩⟨11|` and the uncorrelated
+    /// dark-count product, each at its component weight.
+    fn heralded_x(&self, alpha: f64, announced: BellState) -> BellDiagonal {
+        assert!(announced.x, "single-click heralds Ψ± states");
+        let a = alpha.clamp(0.0, 0.5);
+        let w = self.weights(a);
+        let total = w.total();
+        let (coherent, double, dark) = (w.coherent / total, w.double / total, w.dark / total);
+        let c = self.coherence * if announced.z { -1.0 } else { 1.0 };
+        let psi = 0.5 * coherent + a * (1.0 - a) * dark;
+        BellDiagonal::from_parts(
+            [
+                (1.0 - a) * (1.0 - a) * dark,
+                psi,
+                psi,
+                double + a * a * dark,
+            ],
+            0.0,
+            // `+ 0.0` as in the component sum: a zero coherence is +0.
+            0.5 * c * coherent + 0.0,
+        )
+    }
+
     /// Density matrix of the heralded state, given which `|Ψ±⟩` was
     /// announced (`psi_minus = Ψ⁻`, otherwise `Ψ⁺`).
     pub fn heralded_state(&self, alpha: f64, announced: BellState) -> DensityMatrix {
-        assert!(announced.x, "single-click heralds Ψ± states");
-        let alpha = alpha.clamp(0.0, 0.5);
-        let w = self.weights(alpha);
-        let total = w.total();
-        let c = self.coherence * if announced.z { -1.0 } else { 1.0 };
-
-        // Coherent |Ψ±⟩ with reduced off-diagonals.
-        let mut coh = CMatrix::zeros(4, 4);
-        coh[(1, 1)] = C64::real(0.5);
-        coh[(2, 2)] = C64::real(0.5);
-        coh[(1, 2)] = C64::real(0.5 * c);
-        coh[(2, 1)] = C64::real(0.5 * c);
-
-        // |11⟩⟨11|.
-        let mut dbl = CMatrix::zeros(4, 4);
-        dbl[(3, 3)] = C64::ONE;
-
-        // Uncorrelated product of bright-state mixtures.
-        let mut dark = CMatrix::zeros(4, 4);
-        let a = alpha;
-        dark[(0, 0)] = C64::real((1.0 - a) * (1.0 - a));
-        dark[(1, 1)] = C64::real(a * (1.0 - a));
-        dark[(2, 2)] = C64::real(a * (1.0 - a));
-        dark[(3, 3)] = C64::real(a * a);
-
-        let m = &(&coh.scale(w.coherent / total) + &dbl.scale(w.double / total))
-            + &dark.scale(w.dark / total);
-        DensityMatrix::from_matrix_unchecked(m)
+        self.heralded_x(alpha, announced).to_density()
     }
 
-    /// [`LinkPhysics::heralded_state`] in pair-state form: the heralded
-    /// state is an X-state by construction, so under the Bell-diagonal
-    /// representation the conversion is exact and lossless.
+    /// [`LinkPhysics::heralded_state`] in pair-state form, built
+    /// directly in either representation: the heralded state is an
+    /// X-state by construction.
     pub fn heralded_pair(&self, alpha: f64, announced: BellState, rep: StateRep) -> PairState {
-        PairState::from_density(self.heralded_state(alpha, announced), rep)
+        let x = self.heralded_x(alpha, announced);
+        match rep {
+            StateRep::Bell => PairState::Bell(x),
+            StateRep::Dm => PairState::Dm(Box::new(DensePair::from_bell(&x))),
+        }
     }
 
     /// Sample which Bell state a successful attempt announces (Ψ⁺ or Ψ⁻
@@ -394,6 +395,49 @@ mod tests {
             }
         }
         assert!(plus > 20 && plus < 80, "Ψ+/Ψ- should both occur: {plus}");
+    }
+
+    #[test]
+    fn heralded_state_is_the_weighted_component_sum() {
+        // The three components as 4×4 matrices, summed at their weights:
+        // the closed form must give the same bits in every entry.
+        use qn_quantum::matrix::CMatrix;
+        use qn_quantum::C64;
+        for link in [lab_link(), near_term_link()] {
+            for alpha in [0.0, 0.013, 0.2, 0.5] {
+                for announced in [BellState::PSI_PLUS, BellState::PSI_MINUS] {
+                    let w = link.weights(alpha);
+                    let total = w.total();
+                    let c = link.coherence() * if announced.z { -1.0 } else { 1.0 };
+                    let mut coh = CMatrix::zeros(4, 4);
+                    coh[(1, 1)] = C64::real(0.5);
+                    coh[(2, 2)] = C64::real(0.5);
+                    coh[(1, 2)] = C64::real(0.5 * c);
+                    coh[(2, 1)] = C64::real(0.5 * c);
+                    let mut dbl = CMatrix::zeros(4, 4);
+                    dbl[(3, 3)] = C64::ONE;
+                    let mut dark = CMatrix::zeros(4, 4);
+                    dark[(0, 0)] = C64::real((1.0 - alpha) * (1.0 - alpha));
+                    dark[(1, 1)] = C64::real(alpha * (1.0 - alpha));
+                    dark[(2, 2)] = C64::real(alpha * (1.0 - alpha));
+                    dark[(3, 3)] = C64::real(alpha * alpha);
+                    let sum = &(&coh.scale(w.coherent / total) + &dbl.scale(w.double / total))
+                        + &dark.scale(w.dark / total);
+                    let got = link.heralded_state(alpha, announced);
+                    let bits = |m: &CMatrix| -> Vec<(u64, u64)> {
+                        m.data()
+                            .iter()
+                            .map(|z| (z.re.to_bits(), z.im.to_bits()))
+                            .collect()
+                    };
+                    assert_eq!(bits(got.matrix()), bits(&sum), "alpha {alpha} {announced}");
+                    for rep in [StateRep::Bell, StateRep::Dm] {
+                        let pair = link.heralded_pair(alpha, announced, rep);
+                        assert_eq!(bits(pair.to_density().matrix()), bits(&sum), "{rep:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -32,10 +32,10 @@ use crate::device::QubitId;
 use crate::params::{HardwareParams, ReadoutSpec};
 use qn_quantum::bell::BellState;
 use qn_quantum::channels;
-use qn_quantum::gates::{self, Pauli};
+use qn_quantum::gates::Pauli;
 use qn_quantum::matrix::CMatrix;
 use qn_quantum::measure::swap_circuit_outcome;
-use qn_quantum::pairstate::{BellDiagonal, CondTable, PairState, StateRep};
+use qn_quantum::pairstate::{BellDiagonal, CondTable, PairState, StateRep, SwapPovm};
 use qn_quantum::DensityMatrix;
 use qn_sim::{NodeId, SimRng, SimTime};
 
@@ -181,10 +181,11 @@ pub struct MeasureResult {
 }
 
 /// Small sorted-`Vec` cache for the per-noise-level circuit data
-/// (conditional-map tables, gate-noise Kraus sets). The key space is
-/// tiny and static per run (one entry per noise parameter set ×
-/// circuit orientation), so a binary-searched flat array beats hashing
-/// the key on every swap/distill.
+/// (conditional-map tables, swap POVMs, gate-noise Kraus sets). The
+/// key space is tiny and static per run (one entry per noise parameter
+/// set, and per circuit orientation for the tables), so a
+/// binary-searched flat array beats hashing the key on every
+/// swap/distill.
 struct TableCache<K, V> {
     entries: Vec<(K, V)>,
 }
@@ -208,23 +209,14 @@ impl<K: Ord + Copy, V> TableCache<K, V> {
     }
 }
 
-/// The Kraus sets of the gate noise in the dense swap and distillation
-/// circuits at one noise level.
-pub(crate) struct GateNoiseKraus {
-    /// Two-qubit depolarizing after each CNOT.
-    pub(crate) two: Vec<CMatrix>,
-    /// Single-qubit depolarizing after the swap's Hadamard.
-    pub(crate) single: Vec<CMatrix>,
-}
-
 /// All live pairs in the network, stored as a generational slab.
 ///
 /// The store runs on one of two state representations (the `QNP_QSTATE`
 /// knob, see [`StateRep`]): the Bell-diagonal closed-form fast path or
-/// dense density matrices. Both follow the same trajectory — identical
-/// RNG draw order and outcomes — the fast path just replaces every 4×4
-/// (and, for swaps/distillation, 16×16) matrix operation with a few
-/// dozen real multiplies.
+/// dense 4×4 density matrices. Both follow the same trajectory —
+/// identical RNG draw order and outcomes — the fast path just replaces
+/// each operation on sixteen complex entries with a few dozen real
+/// multiplies.
 ///
 /// Layout: three parallel arrays indexed by slot — `meta` (generation,
 /// liveness, announced frame, creation time), `ends` (the decoherence
@@ -246,9 +238,12 @@ pub struct PairStore {
     /// Same for the distillation circuit, keyed by noise bits and the
     /// sacrificed pair's orientation.
     distill_tables: TableCache<(u64, bool), Option<Box<CondTable>>>,
-    /// Gate-noise Kraus sets of the dense circuits, keyed by the noise
-    /// parameters' bit patterns.
-    gate_noise: TableCache<(u64, u64), GateNoiseKraus>,
+    /// The swap's POVM elements for dense pairs, keyed by the noise
+    /// parameters' bit patterns (orientation only permutes indices).
+    swap_povms: TableCache<(u64, u64), Box<SwapPovm>>,
+    /// The two-qubit gate-noise Kraus set of the dense distillation
+    /// circuit, keyed by the noise probability's bit pattern.
+    gate_noise: TableCache<u64, Vec<CMatrix>>,
 }
 
 impl Default for PairStore {
@@ -276,6 +271,7 @@ impl PairStore {
             rep,
             swap_tables: TableCache::new(),
             distill_tables: TableCache::new(),
+            swap_povms: TableCache::new(),
             gate_noise: TableCache::new(),
         }
     }
@@ -657,29 +653,15 @@ impl PairStore {
         let (m_control, m_target, state) = match fast {
             Some(res) => res,
             None => {
-                // Dense path: joint register [a0, a1, b0, b1].
-                let mut joint = a_state.to_density().tensor(&b_state.to_density());
-                let qa = ia; // control: A's qubit at the node
-                let qb = 2 + ib; // target: B's qubit at the node
-                let kraus = self.gate_noise(noise);
-
-                // Noisy CNOT.
-                joint.apply_unitary(&gates::cnot(), &[qa, qb]);
-                if noise.p_two_qubit > 0.0 {
-                    joint.apply_kraus(&kraus.two, &[qa, qb]);
-                }
-                // Noisy H on the control.
-                joint.apply_unitary(&gates::h(), &[qa]);
-                if noise.p_single > 0.0 {
-                    joint.apply_kraus(&kraus.single, &[qa]);
-                }
-                // Physical measurements: true outcomes collapse the state.
-                let m_control = joint.measure_z(qa, rng.f64());
-                let m_target = joint.measure_z(qb, rng.f64());
-                // Remaining state on the outer ends (A's outer first).
-                let keep = [oa, 2 + ob];
-                let state = PairState::from_density(joint.partial_trace_keep(&keep), self.rep);
-                (m_control, m_target, state)
+                // Dense path: one contraction of both 4×4 states with
+                // the cached POVM element of the sampled outcome. The
+                // true outcomes collapse the state.
+                let (a, b) = (a_state.to_dense(), b_state.to_dense());
+                let u1 = rng.f64();
+                let u2 = rng.f64();
+                let (m_control, m_target, post) =
+                    self.swap_povm(noise).apply(&a, &b, ia, ib, u1, u2);
+                (m_control, m_target, PairState::from_dense(post, self.rep))
             }
         };
         // Announced outcomes pass through the imperfect readout.
@@ -704,43 +686,25 @@ impl PairStore {
     /// Replace a pair's state and reference frame wholesale (used by the
     /// distillation circuit, which rebuilds the kept pair's state from
     /// the joint register).
-    pub fn replace_state(&mut self, id: PairId, state: DensityMatrix, announced: BellState) {
-        assert_eq!(state.num_qubits(), 2);
-        self.replace_pair_state(id, PairState::from_density(state, self.rep), announced);
-    }
-
-    /// [`PairStore::replace_state`] for a state already in pair-state
-    /// form.
     pub fn replace_pair_state(&mut self, id: PairId, state: PairState, announced: BellState) {
         let i = self.slot(id).expect("replace on dead pair");
         self.states[i] = state;
         self.meta[i].announced = announced;
     }
 
-    /// Escape hatch for applications and experiments (teleportation
-    /// example, tomography tests): mutate the raw pair state. Demotes
-    /// the pair to the dense representation — arbitrary mutations can
-    /// leave the Bell-diagonal family.
-    pub fn with_state_mut<R>(
-        &mut self,
-        id: PairId,
-        f: impl FnOnce(&mut DensityMatrix) -> R,
-    ) -> Option<R> {
-        let i = self.slot(id)?;
-        Some(f(self.states[i].dm_mut()))
-    }
-
     /// Iterate over all live pairs in slot order.
     pub fn iter(&self) -> impl Iterator<Item = PairView<'_>> {
-        self.meta.iter().enumerate().filter_map(move |(i, m)| {
-            m.live.then(|| PairView {
+        self.meta
+            .iter()
+            .enumerate()
+            .filter(|(_, m)| m.live)
+            .map(move |(i, m)| PairView {
                 id: PairId::from_parts(i as u32, m.generation),
                 announced: m.announced,
                 created: m.created,
                 state: &self.states[i],
                 ends: &self.ends[i],
             })
-        })
     }
 
     /// The cached conditional-map table for the swap circuit at this
@@ -765,14 +729,20 @@ impl PairStore {
             .as_deref()
     }
 
-    /// The cached gate-noise Kraus sets of the dense circuits at this
+    /// The cached POVM elements of the swap on dense pairs at this
     /// noise level (built on first use).
-    pub(crate) fn gate_noise(&mut self, noise: &SwapNoise) -> &GateNoiseKraus {
+    fn swap_povm(&mut self, noise: &SwapNoise) -> &SwapPovm {
         let key = (noise.p_two_qubit.to_bits(), noise.p_single.to_bits());
-        self.gate_noise.get_or_insert(key, || GateNoiseKraus {
-            two: channels::depolarizing_2q(noise.p_two_qubit),
-            single: channels::depolarizing(noise.p_single),
-        })
+        let (p2, p1) = (noise.p_two_qubit, noise.p_single);
+        self.swap_povms
+            .get_or_insert(key, || Box::new(SwapPovm::new(p2, p1)))
+    }
+
+    /// The cached two-qubit gate-noise Kraus set of the dense
+    /// distillation circuit (built on first use).
+    pub(crate) fn gate_noise(&mut self, p_two: f64) -> &[CMatrix] {
+        self.gate_noise
+            .get_or_insert(p_two.to_bits(), || channels::depolarizing_2q(p_two))
     }
 }
 

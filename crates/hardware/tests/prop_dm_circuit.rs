@@ -1,14 +1,18 @@
-//! The dense swap and distillation circuits of a `StateRep::Dm` pair
-//! store, bit for bit against the same circuits run on the dense
-//! reference of `qn_testkit::dense`: memory decay on every end, the
-//! Pauli-frame corrections, the noisy gates, both Z measurements and the
-//! partial trace. Outcomes must match and every bit of the surviving
-//! pair's state must match, signs of zeros included.
+//! The swap and distillation of a `StateRep::Dm` pair store against the
+//! same circuits run on the dense reference of `qn_testkit::dense`:
+//! memory decay on every end, the Pauli-frame corrections, the noisy
+//! gates, both Z measurements and the partial trace. The store runs the
+//! swap as one contraction with a cached 4×4 POVM element and the decay
+//! and Paulis as closed forms on the 4×4 matrix, so rounding differs
+//! from the reference: the outcomes must be identical and every entry
+//! of the surviving pair's state within 1e-12 of it.
 //!
 //! The input pairs are random mixed states with many exact ±0
-//! components, and for the swap also X-form pairs (the states the
-//! simulator builds) decayed at the memory lifetimes of Fig 10; readout
-//! is perfect so the announced outcomes expose the true ones.
+//! components, random full-rank states, and X-form pairs (the states
+//! the simulator builds) decayed at the memory lifetimes of Fig 10.
+//! Every swap case runs all four orientations of the two pairs, with
+//! gate noise at 0, at 1 or in between; readout is perfect so the
+//! announced outcomes expose the true ones.
 
 use proptest::prelude::*;
 use qn_hardware::device::QubitId;
@@ -18,18 +22,21 @@ use qn_hardware::StateRep;
 use qn_quantum::bell::BellState;
 use qn_quantum::matrix::CMatrix;
 use qn_quantum::measure::swap_circuit_outcome;
-use qn_quantum::{channels, gates, DensityMatrix, PairState};
+use qn_quantum::{channels, gates, DensityMatrix};
 use qn_sim::{NodeId, SimDuration, SimRng, SimTime};
-use qn_testkit::dense::{self, random_state, random_x_state, SplitMix};
+use qn_testkit::dense::{self, random_full_rank_state, random_state, random_x_state, SplitMix};
+
+/// Largest difference allowed in any component of any entry.
+const EPS: f64 = 1e-12;
 
 /// Short memories, so decay is large over the idle times below.
 const T1: f64 = 0.9;
 const T2: f64 = 0.6;
 
-/// The electron T1 of the simulation parameters, and the range of T2*
+/// The electron T1 of the simulation parameters, and the T2* values
 /// that Fig 10 sweeps.
 const T1_SIM: f64 = 3600.0;
-const FIG10_T2: (f64, f64) = (0.2, 60.0);
+const FIG10_T2: [f64; 9] = [0.2, 0.4, 0.8, 1.6, 3.2, 6.4, 12.8, 25.6, 60.0];
 
 fn noise(p_two_qubit: f64, p_single: f64) -> SwapNoise {
     SwapNoise {
@@ -71,16 +78,24 @@ fn decay(mut rho: CMatrix, dt: f64, (t1, t2): (f64, f64)) -> CMatrix {
     rho
 }
 
+/// Whether every component of every entry of `got` is within [`EPS`]
+/// of `reference`.
+fn close(got: &CMatrix, reference: &CMatrix) -> bool {
+    got.data()
+        .iter()
+        .zip(reference.data())
+        .all(|(x, y)| (x.re - y.re).abs() <= EPS && (x.im - y.im).abs() <= EPS)
+}
+
 fn dense_state(store: &PairStore, id: PairId) -> CMatrix {
-    match store.get(id).expect("live pair").state() {
-        PairState::Dm(d) => d.matrix().clone(),
-        PairState::Bell(_) => panic!("a Dm store holds dense states"),
-    }
+    let state = store.get(id).expect("live pair").state();
+    assert!(!state.is_bell(), "a Dm store holds dense states");
+    state.to_density().matrix().clone()
 }
 
 fn create(
     store: &mut PairStore,
-    state: qn_quantum::DensityMatrix,
+    state: DensityMatrix,
     announced: BellState,
     ends: [(u32, u32); 2],
     (t1, t2): (f64, f64),
@@ -94,8 +109,8 @@ fn create(
     )
 }
 
-/// Swap A (nodes 0–1) and B (nodes 1–2) at node 1, each pair in a random
-/// orientation and with memory lifetimes `memory = (T1, T2)`, after
+/// Swap A (nodes 0–1) and B (nodes 1–2) at node 1 in each of the four
+/// orientations, with memory lifetimes `memory = (T1, T2)`, after
 /// `idle_us` of decay, and compare with the reference circuit.
 fn check_swap(
     r: &mut SplitMix,
@@ -104,62 +119,63 @@ fn check_swap(
     idle_us: u64,
     memory: (f64, f64),
 ) -> Result<(), TestCaseError> {
-    let (ia, ib) = (r.below(2), r.below(2));
     let noise = noise(strength(r), strength(r));
-    let mut store = PairStore::with_rep(StateRep::Dm);
-    let a_ends = if ia == 1 {
-        [(0, 0), (1, 0)]
-    } else {
-        [(1, 0), (0, 0)]
-    };
-    let b_ends = if ib == 0 {
-        [(1, 1), (2, 0)]
-    } else {
-        [(2, 0), (1, 1)]
-    };
-    let pa = create(&mut store, a.clone(), BellState::PHI_PLUS, a_ends, memory);
-    let pb = create(&mut store, b.clone(), BellState::PSI_MINUS, b_ends, memory);
-    let now = SimTime::ZERO + SimDuration::from_micros(idle_us);
-    let rng_seed = r.next_u64();
-    let res = store.swap(
-        pa,
-        pb,
-        NodeId(1),
-        now,
-        &noise,
-        &mut SimRng::from_seed(rng_seed),
-    );
+    for (ia, ib) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
+        let mut store = PairStore::with_rep(StateRep::Dm);
+        let a_ends = if ia == 1 {
+            [(0, 0), (1, 0)]
+        } else {
+            [(1, 0), (0, 0)]
+        };
+        let b_ends = if ib == 0 {
+            [(1, 1), (2, 0)]
+        } else {
+            [(2, 0), (1, 1)]
+        };
+        let pa = create(&mut store, a.clone(), BellState::PHI_PLUS, a_ends, memory);
+        let pb = create(&mut store, b.clone(), BellState::PSI_MINUS, b_ends, memory);
+        let now = SimTime::ZERO + SimDuration::from_micros(idle_us);
+        let rng_seed = r.next_u64();
+        let res = store.swap(
+            pa,
+            pb,
+            NodeId(1),
+            now,
+            &noise,
+            &mut SimRng::from_seed(rng_seed),
+        );
 
-    let dt = now.since(SimTime::ZERO).as_secs_f64();
-    let joint = decay(a.matrix().clone(), dt, memory).kron(&decay(b.matrix().clone(), dt, memory));
-    let (qa, qb) = (ia, 2 + ib);
-    let mut joint = dense::apply_unitary(&joint, &gates::cnot(), &[qa, qb]);
-    if noise.p_two_qubit > 0.0 {
-        let kraus = channels::depolarizing_2q(noise.p_two_qubit);
-        joint = dense::apply_kraus(&joint, &kraus, &[qa, qb]);
-    }
-    joint = dense::apply_unitary(&joint, &gates::h(), &[qa]);
-    if noise.p_single > 0.0 {
-        joint = dense::apply_kraus(&joint, &channels::depolarizing(noise.p_single), &[qa]);
-    }
-    let mut rng = SimRng::from_seed(rng_seed);
-    let (m_control, joint) = dense::measure_z(&joint, qa, rng.f64());
-    let (m_target, joint) = dense::measure_z(&joint, qb, rng.f64());
-    let post = dense::partial_trace(&joint, &[1 - ia, 2 + (1 - ib)]);
+        let dt = now.since(SimTime::ZERO).as_secs_f64();
+        let joint =
+            decay(a.matrix().clone(), dt, memory).kron(&decay(b.matrix().clone(), dt, memory));
+        let (qa, qb) = (ia, 2 + ib);
+        let mut joint = dense::apply_unitary(&joint, &gates::cnot(), &[qa, qb]);
+        if noise.p_two_qubit > 0.0 {
+            let kraus = channels::depolarizing_2q(noise.p_two_qubit);
+            joint = dense::apply_kraus(&joint, &kraus, &[qa, qb]);
+        }
+        joint = dense::apply_unitary(&joint, &gates::h(), &[qa]);
+        if noise.p_single > 0.0 {
+            joint = dense::apply_kraus(&joint, &channels::depolarizing(noise.p_single), &[qa]);
+        }
+        let mut rng = SimRng::from_seed(rng_seed);
+        let (m_control, joint) = dense::measure_z(&joint, qa, rng.f64());
+        let (m_target, joint) = dense::measure_z(&joint, qb, rng.f64());
+        let post = dense::partial_trace(&joint, &[1 - ia, 2 + (1 - ib)]);
 
-    prop_assert_eq!(res.outcome, swap_circuit_outcome(m_control, m_target));
-    prop_assert!(
-        dense::same_bits(&dense_state(&store, res.new_pair), &post),
-        "swap (ia {ia}, ib {ib}, {noise:?}) differs from the reference"
-    );
+        prop_assert_eq!(res.outcome, swap_circuit_outcome(m_control, m_target));
+        prop_assert!(
+            close(&dense_state(&store, res.new_pair), &post),
+            "swap (ia {ia}, ib {ib}, {noise:?}) differs from the reference"
+        );
+    }
     Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Swap of A (nodes 0–1) and B (nodes 1–2) at node 1, each pair in
-    /// either orientation.
+    /// Swap of sparse random mixed states with signed zeros.
     #[test]
     fn dense_swap_matches_reference_circuit(seed in any::<u64>(), idle_us in 0u64..3000) {
         let mut r = SplitMix(seed);
@@ -167,16 +183,26 @@ proptest! {
         check_swap(&mut r, a, b, idle_us, (T1, T2))?;
     }
 
-    /// The swap on X-form pairs, with T2* drawn log-uniformly across the
-    /// Fig 10 sweep: the decay and the gate noise of every dense swap in
-    /// `fig10_dm`.
+    /// Swap of random full-rank states.
+    #[test]
+    fn dense_swap_of_full_rank_pairs_matches_reference_circuit(
+        seed in any::<u64>(),
+        idle_us in 0u64..3000,
+    ) {
+        let mut r = SplitMix(seed);
+        let (a, b) = (random_full_rank_state(2, &mut r), random_full_rank_state(2, &mut r));
+        check_swap(&mut r, a, b, idle_us, (T1, T2))?;
+    }
+
+    /// The swap on X-form pairs at a T2* of Fig 10: the decay and the
+    /// gate noise of every dense swap in `fig10_dm`.
     #[test]
     fn dense_swap_of_x_form_pairs_matches_reference_circuit(
         seed in any::<u64>(),
         idle_us in 0u64..3000,
     ) {
         let mut r = SplitMix(seed);
-        let t2 = FIG10_T2.0 * (FIG10_T2.1 / FIG10_T2.0).powf(r.unit());
+        let t2 = FIG10_T2[r.below(FIG10_T2.len())];
         let (a, b) = (random_x_state(&mut r), random_x_state(&mut r));
         check_swap(&mut r, a, b, idle_us, (T1_SIM, t2))?;
     }
@@ -222,7 +248,7 @@ proptest! {
 
         prop_assert_eq!(res.success, m_na == m_nb);
         prop_assert!(
-            dense::same_bits(&dense_state(&store, res.kept), &post),
+            close(&dense_state(&store, res.kept), &post),
             "distill (b0_at_na {b0_at_na}, {noise:?}) differs from the reference"
         );
     }

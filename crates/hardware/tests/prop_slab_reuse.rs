@@ -221,7 +221,7 @@ impl ModelSpec for ReuseSpec {
     fn apply(&self, _model: &mut (), w: &mut World, op: &Op) -> Result<(), String> {
         match *op {
             Op::Advance { dt_ms } => {
-                w.now = w.now + SimDuration::from_millis(u64::from(dt_ms));
+                w.now += SimDuration::from_millis(u64::from(dt_ms));
                 w.fresh.advance_all(w.now);
                 w.worn.advance_all(w.now);
             }

@@ -228,7 +228,7 @@ impl ModelSpec for ThreeWaySpec {
             Op::Advance { pair, dt_ms } => {
                 let slot = Op::pair_index(pair);
                 let (b, d) = w.ids[slot];
-                w.now = w.now + SimDuration::from_millis(u64::from(dt_ms));
+                w.now += SimDuration::from_millis(u64::from(dt_ms));
                 w.bell.advance(b, w.now);
                 w.dense.advance(d, w.now);
             }

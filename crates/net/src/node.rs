@@ -226,7 +226,11 @@ impl Default for MidState {
     }
 }
 
-/// Per-circuit state at one node.
+/// Per-circuit state at one node. A repeater's state takes 824 bytes
+/// and an end node's 280, but both stay inline: boxing them raised
+/// `openworld_wire`'s peak memory from about 7.1 to 7.7 MiB in four of
+/// six runs, and saved no time.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 pub(crate) enum CircuitState {
     Endpoint(EndpointState),

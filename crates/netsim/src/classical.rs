@@ -333,12 +333,10 @@ impl ClassicalPlane {
         let mut work = std::mem::take(&mut self.fault_scratch);
         work.clear();
         work.extend_from_slice(frame);
-        if faults.corrupt > 0.0 && self.rng_faults.bernoulli(faults.corrupt) {
-            if !work.is_empty() {
-                let bit = self.rng_faults.below(work.len() as u64 * 8);
-                work[(bit / 8) as usize] ^= 1 << (bit % 8);
-                self.stats.corrupted += 1;
-            }
+        if faults.corrupt > 0.0 && self.rng_faults.bernoulli(faults.corrupt) && !work.is_empty() {
+            let bit = self.rng_faults.below(work.len() as u64 * 8);
+            work[(bit / 8) as usize] ^= 1 << (bit % 8);
+            self.stats.corrupted += 1;
         }
         let mut primary_at = now + latency;
         if faults.reorder > 0.0 && self.rng_faults.bernoulli(faults.reorder) {

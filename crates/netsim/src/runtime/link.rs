@@ -138,6 +138,7 @@ impl NetworkModel {
         };
         let circuit = info.circuit;
         let upstream_node = info.upstream_node;
+        let orphan_after = RETRANSMIT_BASE.max(self.links[link.0 as usize].latency * 2);
         let pair_info = PairInfo {
             pair: PairRef {
                 correlator,
@@ -167,12 +168,13 @@ impl NetworkModel {
                 // can be lost — the receiver then holds a qubit the QNP
                 // never hears about, outside every protocol timer. The
                 // orphan check fires on the classical plane's response
-                // timescale (the retransmit base), not the end-to-end
-                // track-timeout: announcement delivery is one hop, so a
-                // pair still unknown after it is gone for good. Never
+                // timescale, not the end-to-end track-timeout:
+                // announcement delivery is one hop, so a pair still
+                // unknown after the retransmit base, or after the hop's
+                // round trip when that is longer, is gone for good. Never
                 // cancelled — a resolved pair makes the check a no-op.
                 ctx.schedule_in(
-                    RETRANSMIT_BASE,
+                    orphan_after,
                     Ev::OrphanCheck {
                         node,
                         circuit,

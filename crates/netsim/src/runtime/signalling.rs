@@ -252,9 +252,9 @@ impl NetworkModel {
         // Repeaters relay every copy they receive — including
         // duplicates — so origin redundancy already covers every hop;
         // arming at relays too would amplify each copy per hop.
-        if !self
+        if self
             .circuit_rt(circuit)
-            .is_some_and(|rt| rt.path.first() == Some(&node))
+            .is_none_or(|rt| rt.path.first() != Some(&node))
         {
             return;
         }

@@ -53,8 +53,12 @@ fn run_scenario(seed: u64) -> (NetSim, Dumbbell) {
     (sim, d)
 }
 
+/// One delivery: time (ps), node, request, sequence and the bits of
+/// the oracle fidelity.
+type DeliveryRow = (u64, u32, u64, u64, Option<u64>);
+
 /// Everything observable about a run, with floats captured bit-exactly.
-fn fingerprint(sim: &NetSim) -> (String, u64, u64, Vec<(u64, u32, u64, u64, Option<u64>)>) {
+fn fingerprint(sim: &NetSim) -> (String, u64, u64, Vec<DeliveryRow>) {
     let deliveries = sim
         .app()
         .deliveries

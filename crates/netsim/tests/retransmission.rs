@@ -177,3 +177,44 @@ fn unwired_run_arms_no_retransmit_ack_or_request_copy() {
         "wire machinery ran on an unwired plane: {s:?}"
     );
 }
+
+/// A wired 4-chain whose hops each add `extra_ms` of message delay: one
+/// 5-pair KEEP request at F 0.8 on the short cutoff, 30 s horizon.
+fn slow_hop_run(extra_ms: u64) -> NetSim {
+    let topology = chain(4, HardwareParams::simulation(), FibreParams::lab_2m());
+    let mut sim = NetworkBuilder::new(topology)
+        .seed(7)
+        .signalling_on_wire()
+        .extra_message_delay(SimDuration::from_millis(extra_ms))
+        .build();
+    let (head, tail) = (NodeId(0), NodeId(3));
+    let vc = sim
+        .open_circuit(head, tail, 0.8, CutoffPolicy::short())
+        .unwrap();
+    sim.submit_at(SimTime::ZERO, vc, keep(1, head, tail, 0.8, 5));
+    sim.run_until(SimTime::ZERO + SimDuration::from_secs(30));
+    sim
+}
+
+#[test]
+fn wired_hops_slower_than_the_retransmit_base_deliver_their_pairs() {
+    // A PAIR_READY takes one hop latency to arrive, so an orphan check
+    // that fired after a fixed 10 ms reclaimed every pair on a hop
+    // slower than that and the request never completed. The check now
+    // waits at least the hop's round trip.
+    for extra_ms in [11, 20] {
+        let sim = slow_hop_run(extra_ms);
+        for node in [NodeId(0), NodeId(3)] {
+            assert_eq!(
+                sim.app().confirmed_deliveries(
+                    qn_net::CircuitId(1),
+                    node,
+                    SimTime::ZERO,
+                    SimTime::MAX
+                ),
+                5,
+                "{node} at {extra_ms} ms extra delay"
+            );
+        }
+    }
+}

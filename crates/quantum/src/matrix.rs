@@ -1,7 +1,7 @@
 //! Dense complex matrices.
 //!
 //! The engine only ever manipulates matrices up to 16×16 (four qubits:
-//! two entangled pairs joined for an entanglement swap), so a simple
+//! two entangled pairs joined for a distillation round), so a simple
 //! row-major layout with an O(n³) product serves every general product
 //! (purity, expectations, projector probabilities, tests), with no
 //! BLAS. Gates and Kraus operators are not applied through it: the
@@ -9,14 +9,14 @@
 //! (`crate::kernel`) touch only an operator's nonzeros.
 //!
 //! Storage is allocation-free for the hot sizes: matrices of up to 16
-//! entries (every 1- and 2-qubit gate, every Kraus operator, and — most
-//! importantly — every 4×4 pair state) live inline in the struct; only
-//! the 8×8/16×16 joint registers of swap and distillation circuits
-//! spill to the heap, and [`CMatrix::reset_zeros`] lets callers reuse
-//! those buffers across operations. The inline capacity is deliberately
-//! *not* 16×16: a 4 KiB always-inline matrix would make cloning pair
-//! states and building 16-element Kraus sets far more expensive than the
-//! allocations it avoids.
+//! entries (every 1- and 2-qubit gate, every Kraus operator, every 4×4
+//! state) live inline in the struct; only the 8×8/16×16 joint registers
+//! of the table builds and the distillation circuit spill to the heap,
+//! and [`CMatrix::reset_zeros`] lets callers reuse those buffers across
+//! operations. The inline capacity is deliberately *not* 16×16: a 4 KiB
+//! always-inline matrix would make cloning states and building
+//! 16-element Kraus sets far more expensive than the allocations it
+//! avoids.
 
 use crate::complex::C64;
 use std::fmt;
@@ -26,7 +26,9 @@ use std::ops::{Add, Mul, Sub};
 const INLINE: usize = 16;
 
 /// Row-major element storage: inline up to [`INLINE`] entries, heap
-/// beyond.
+/// beyond. The inline variant is large on purpose: a gate, a Kraus
+/// term or a two-qubit state never touches the heap.
+#[allow(clippy::large_enum_variant)]
 #[derive(Clone)]
 enum Data {
     Inline { len: u8, buf: [C64; INLINE] },
@@ -101,8 +103,8 @@ impl CMatrix {
     /// Reshape to `rows`×`cols` and zero every entry. Heap storage is
     /// sticky: once a buffer has grown past the inline capacity it
     /// keeps its allocation even when shrunk back to a small shape, so
-    /// the per-thread scratch buffers that alternate between 4×4 pair
-    /// ops and 16×16 swap registers never re-allocate.
+    /// the per-thread scratch buffers that alternate between 4×4 and
+    /// 16×16 registers never re-allocate.
     pub fn reset_zeros(&mut self, rows: usize, cols: usize) {
         let n = rows * cols;
         self.rows = rows;

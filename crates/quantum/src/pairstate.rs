@@ -32,9 +32,11 @@
 //! across random channel/swap/distill/measure sequences.
 //!
 //! Operations that leave the X-form (Hadamard before an X/Y-basis
-//! readout, arbitrary caller-supplied mutations) demote a
-//! [`PairState`] to the dense [`DensityMatrix`] representation, which
-//! remains the general fallback.
+//! readout) demote a [`PairState`] to the dense 4×4 [`DensePair`],
+//! which remains the general fallback. Its operations are closed forms
+//! on the sixteen entries too, and its swap is one contraction with a
+//! cached [`SwapPovm`]; the n-qubit [`DensityMatrix`] builds the tables
+//! and the POVM elements, and runs distillation on dense pairs.
 //!
 //! ## Swap and distillation: conditional-map tables
 //!
@@ -56,7 +58,6 @@ use crate::complex::C64;
 use crate::gates::{self, Pauli};
 use crate::kernel;
 use crate::matrix::CMatrix;
-use crate::measure;
 use crate::state::DensityMatrix;
 
 /// Off-X-form tolerance when converting a dense matrix to
@@ -76,8 +77,12 @@ pub enum StateRep {
     /// The default: ~an order of magnitude less arithmetic per pair
     /// event.
     Bell,
-    /// Dense density matrices everywhere (the seed behaviour;
-    /// bit-identical to the committed baselines).
+    /// Dense 4×4 density matrices everywhere ([`DensePair`]): closed
+    /// forms on the sixteen entries, and the swap as one contraction
+    /// with a cached [`SwapPovm`]. It follows the same trajectory as
+    /// the n-qubit reference circuit (same draws, same outcomes), with
+    /// every entry within 1e-12 of it (`prop_dm_circuit.rs` in
+    /// `qn_hardware`).
     Dm,
 }
 
@@ -168,20 +173,12 @@ impl BellDiagonal {
         if rho.num_qubits() != 2 {
             return None;
         }
-        x_decompose(rho.matrix()).map(BellDiagonal::from_coeffs)
+        x_decompose(rho.matrix().data()).map(BellDiagonal::from_coeffs)
     }
 
     /// The dense 4×4 density matrix of this state.
     pub fn to_density(&self) -> DensityMatrix {
-        let mut m = CMatrix::zeros(4, 4);
-        for (i, p) in self.pop.iter().enumerate() {
-            m[(i, i)] = C64::real(*p);
-        }
-        m[(0, 3)] = C64::real(self.u);
-        m[(3, 0)] = C64::real(self.u);
-        m[(1, 2)] = C64::real(self.v);
-        m[(2, 1)] = C64::real(self.v);
-        DensityMatrix::from_matrix_unchecked(m)
+        DensePair::from_bell(self).to_density()
     }
 
     /// Trace (≈1 for a valid state).
@@ -384,31 +381,306 @@ impl BellDiagonal {
 }
 
 // ---------------------------------------------------------------------
+// DensePair
+// ---------------------------------------------------------------------
+
+/// A dense two-qubit state: the 4×4 density matrix, row-major, with
+/// qubit 0 as the most significant bit of an index (the order
+/// [`DensityMatrix`] uses). Every operation is a closed form on the
+/// sixteen entries, so no per-event operation builds an n-qubit
+/// register or goes through the structure-aware kernel.
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub struct DensePair {
+    m: [C64; 16],
+}
+
+/// The index bit of pair end `end`: end 0 is the most significant.
+fn end_bit(end: usize) -> usize {
+    assert!(end < 2, "pair has ends 0 and 1");
+    2 >> end
+}
+
+impl DensePair {
+    /// The sixteen row-major entries.
+    pub fn entries(&self) -> &[C64; 16] {
+        &self.m
+    }
+
+    /// Copy a two-qubit density matrix.
+    ///
+    /// # Panics
+    /// If `rho` is not a two-qubit state.
+    pub fn from_density(rho: &DensityMatrix) -> Self {
+        assert_eq!(rho.num_qubits(), 2, "a pair state has two qubits");
+        let mut m = [C64::ZERO; 16];
+        m.copy_from_slice(rho.matrix().data());
+        DensePair { m }
+    }
+
+    /// The same state as a [`DensityMatrix`].
+    pub fn to_density(&self) -> DensityMatrix {
+        let mut m = CMatrix::zeros(4, 4);
+        m.data_mut().copy_from_slice(&self.m);
+        DensityMatrix::from_matrix_unchecked(m)
+    }
+
+    /// The X-state `b` with every entry in place.
+    pub fn from_bell(b: &BellDiagonal) -> Self {
+        let mut m = [C64::ZERO; 16];
+        for (i, p) in b.pop.iter().enumerate() {
+            m[5 * i] = C64::real(*p);
+        }
+        m[3] = C64::real(b.u);
+        m[12] = C64::real(b.u);
+        m[6] = C64::real(b.v);
+        m[9] = C64::real(b.v);
+        DensePair { m }
+    }
+
+    /// The Bell-diagonal form, or `None` when the state is not X-form
+    /// (within a tolerance of 1e-12).
+    pub fn to_bell(&self) -> Option<BellDiagonal> {
+        x_decompose(&self.m).map(BellDiagonal::from_coeffs)
+    }
+
+    /// Trace (≈1 for a valid state).
+    pub fn trace(&self) -> f64 {
+        self.m[0].re + self.m[5].re + self.m[10].re + self.m[15].re
+    }
+
+    /// Purity `Tr ρ² = Σ |ρᵢⱼ|²` (ρ is hermitian).
+    pub fn purity(&self) -> f64 {
+        self.m.iter().map(|z| z.abs2()).sum()
+    }
+
+    /// Fidelity `⟨b|ρ|b⟩` to the Bell state `b`.
+    pub fn fidelity_bell(&self, b: BellState) -> f64 {
+        let m = &self.m;
+        let sign = if b.z { -1.0 } else { 1.0 };
+        let f = if b.x {
+            0.5 * (m[5].re + m[10].re + sign * (m[6].re + m[9].re))
+        } else {
+            0.5 * (m[0].re + m[15].re + sign * (m[3].re + m[12].re))
+        };
+        f.clamp(0.0, 1.0)
+    }
+
+    /// Probability that a Z-measurement of `end` yields 1: the
+    /// populations with the end's bit set, summed in index order like
+    /// [`DensityMatrix::prob_one`].
+    pub fn prob_one(&self, end: usize) -> f64 {
+        let bit = end_bit(end);
+        let mut p = 0.0;
+        for i in (0..4).filter(|i| i & bit != 0) {
+            p += self.m[5 * i].re;
+        }
+        p.clamp(0.0, 1.0)
+    }
+
+    /// `ρ ← XρX` on the end with index bit `bit`: entry `(r, c)` moves
+    /// to `(r ⊕ bit, c ⊕ bit)`.
+    fn flip(&mut self, bit: usize) {
+        let old = self.m;
+        for (i, z) in self.m.iter_mut().enumerate() {
+            *z = old[i ^ (bit << 2) ^ bit];
+        }
+    }
+
+    /// `ρ ← ZρZ` on the end with index bit `bit`: negate the entries
+    /// whose row and column differ in that bit.
+    fn phase_flip(&mut self, bit: usize) {
+        for (i, z) in self.m.iter_mut().enumerate() {
+            if ((i >> 2) ^ i) & bit != 0 {
+                *z = -*z;
+            }
+        }
+    }
+
+    /// Apply a (perfect) Pauli to one end: a permutation and sign flip
+    /// of the entries.
+    pub fn apply_pauli(&mut self, end: usize, pauli: Pauli) {
+        let bit = end_bit(end);
+        match pauli {
+            Pauli::I => {}
+            Pauli::X => self.flip(bit),
+            Pauli::Z => self.phase_flip(bit),
+            // Y = iXZ, so YρY† = X(ZρZ)X.
+            Pauli::Y => {
+                self.phase_flip(bit);
+                self.flip(bit);
+            }
+        }
+    }
+
+    /// Dephasing (phase flip with probability `p`, clamped to
+    /// `[0, 1/2]` like [`channels::dephasing`]) on `end`: every entry
+    /// whose row and column differ in the end's bit shrinks by `1−2p`.
+    pub fn dephase(&mut self, end: usize, p: f64) {
+        let f = 1.0 - 2.0 * p.clamp(0.0, 0.5);
+        let bit = end_bit(end);
+        for (i, z) in self.m.iter_mut().enumerate() {
+            if ((i >> 2) ^ i) & bit != 0 {
+                *z = z.scale(f);
+            }
+        }
+    }
+
+    /// Single-qubit depolarizing channel on `end`: an entry whose row
+    /// and column agree in the end's bit becomes `(1−p/2)` of itself
+    /// plus `p/2` of its partner with both bits flipped; any other
+    /// entry shrinks by `1−p`.
+    pub fn depolarize(&mut self, end: usize, p: f64) {
+        let p = p.clamp(0.0, 1.0);
+        let bit = end_bit(end);
+        let old = self.m;
+        for (i, z) in self.m.iter_mut().enumerate() {
+            *z = if ((i >> 2) ^ i) & bit == 0 {
+                old[i].scale(1.0 - 0.5 * p) + old[i ^ (bit << 2) ^ bit].scale(0.5 * p)
+            } else {
+                old[i].scale(1.0 - p)
+            };
+        }
+    }
+
+    /// Two-qubit depolarizing channel: `(1−p)ρ + p·(I/4)·Tr ρ`.
+    pub fn depolarize_2q(&mut self, p: f64) {
+        let p = p.clamp(0.0, 1.0);
+        let fill = 0.25 * p * self.trace();
+        for z in &mut self.m {
+            *z = z.scale(1.0 - p);
+        }
+        for i in 0..4 {
+            self.m[5 * i].re += fill;
+        }
+    }
+
+    /// Amplitude damping (relaxation towards `|0⟩` with probability
+    /// `gamma`) on `end`. An entry with the end's bit clear in both row
+    /// and column gains `γ` times its partner with the bit set in both;
+    /// an entry with the bit set in exactly one shrinks by `√(1−γ)`,
+    /// one with it set in both by `1−γ`. Each partner comes later in
+    /// row-major order, so the pass runs in place.
+    pub fn amplitude_damp(&mut self, end: usize, gamma: f64) {
+        let g = gamma.clamp(0.0, 1.0);
+        let s = (1.0 - g).sqrt();
+        let bit = end_bit(end);
+        for i in 0..16 {
+            self.m[i] = match ((i >> 2) & bit != 0, i & bit != 0) {
+                (false, false) => self.m[i] + self.m[i | (bit << 2) | bit].scale(g),
+                (true, true) => self.m[i].scale(1.0 - g),
+                _ => self.m[i].scale(s),
+            };
+        }
+    }
+
+    /// `ρ ← HρH` on `end`: each 2×2 block `[[a, b], [c, d]]` over the
+    /// end's bit becomes `½[[a+b+c+d, a−b+c−d], [a+b−c−d, a−b−c+d]]`.
+    fn hadamard(&mut self, end: usize) {
+        let bit = end_bit(end);
+        for r in (0..4).filter(|r| r & bit == 0) {
+            for c in (0..4).filter(|c| c & bit == 0) {
+                let (i0, i1) = (4 * r + c, 4 * (r | bit) + c);
+                let (a, b, c_, d) = (self.m[i0], self.m[i0 | bit], self.m[i1], self.m[i1 | bit]);
+                self.m[i0] = (a + b + c_ + d).scale(0.5);
+                self.m[i0 | bit] = (a - b + c_ - d).scale(0.5);
+                self.m[i1] = (a + b - c_ - d).scale(0.5);
+                self.m[i1 | bit] = (a - b - c_ + d).scale(0.5);
+            }
+        }
+    }
+
+    /// `ρ ← S†ρS` on `end`: an entry with the end's bit set in its row
+    /// only turns by `−i`, one with it set in its column only by `i`.
+    fn s_dagger(&mut self, end: usize) {
+        let bit = end_bit(end);
+        for (i, z) in self.m.iter_mut().enumerate() {
+            match ((i >> 2) & bit != 0, i & bit != 0) {
+                (true, false) => *z = C64::new(z.im, -z.re),
+                (false, true) => *z = C64::new(-z.im, z.re),
+                _ => {}
+            }
+        }
+    }
+
+    /// Project `end` onto the Z eigenstate `outcome` and renormalise.
+    fn project_z(&mut self, end: usize, outcome: bool) {
+        let bit = end_bit(end);
+        let kept = |i: usize| (i & bit != 0) == outcome;
+        for (i, z) in self.m.iter_mut().enumerate() {
+            if !(kept(i >> 2) && kept(i & 3)) {
+                *z = C64::ZERO;
+            }
+        }
+        let t = self.trace();
+        debug_assert!(t > 1e-12, "projecting onto zero-probability outcome");
+        let inv = 1.0 / t.max(1e-300);
+        for z in &mut self.m {
+            *z = z.scale(inv);
+        }
+    }
+
+    /// Measure `end` in the Z basis using uniform sample `u ∈ [0,1)`.
+    pub fn measure_z(&mut self, end: usize, u: f64) -> bool {
+        let outcome = u < self.prob_one(end);
+        self.project_z(end, outcome);
+        outcome
+    }
+
+    /// Measure `end` in a Pauli basis with uniform sample `u`: the
+    /// basis change of [`crate::measure::measure_pauli`] (H for X, S† then H
+    /// for Y), then a Z measurement.
+    ///
+    /// # Panics
+    /// On the identity basis.
+    pub fn measure_pauli(&mut self, end: usize, basis: Pauli, u: f64) -> bool {
+        match basis {
+            Pauli::Z => {}
+            Pauli::X => self.hadamard(end),
+            Pauli::Y => {
+                self.s_dagger(end);
+                self.hadamard(end);
+            }
+            Pauli::I => panic!("cannot measure in the identity basis"),
+        }
+        self.measure_z(end, u)
+    }
+}
+
+// ---------------------------------------------------------------------
 // PairState
 // ---------------------------------------------------------------------
 
 /// The dual-representation state of one entangled pair: the
-/// Bell-diagonal fast path while the state is X-form, the dense
-/// density matrix as the general fallback. Operations demote
-/// automatically when they would leave the X family.
+/// Bell-diagonal fast path while the state is X-form, the dense 4×4
+/// matrix as the general fallback. Operations demote automatically
+/// when they would leave the X family.
+///
+/// The dense variant is boxed, so a Bell-diagonal slot is not sized
+/// for it: a `PairState` takes 56 bytes (288 with the dense state
+/// inline).
 #[derive(Clone, Debug)]
 pub enum PairState {
     /// Closed-form X-state representation.
     Bell(BellDiagonal),
     /// Dense 4×4 density matrix.
-    Dm(DensityMatrix),
+    Dm(Box<DensePair>),
 }
 
 impl PairState {
     /// Wrap a dense state, using the fast representation when `rep`
     /// asks for it and the state is X-form.
     pub fn from_density(rho: DensityMatrix, rep: StateRep) -> Self {
+        PairState::from_dense(DensePair::from_density(&rho), rep)
+    }
+
+    /// [`PairState::from_density`] for a state already in 4×4 form.
+    pub fn from_dense(d: DensePair, rep: StateRep) -> Self {
         match rep {
-            StateRep::Bell => match BellDiagonal::from_density(&rho) {
+            StateRep::Bell => match d.to_bell() {
                 Some(b) => PairState::Bell(b),
-                None => PairState::Dm(rho),
+                None => PairState::Dm(Box::new(d)),
             },
-            StateRep::Dm => PairState::Dm(rho),
+            StateRep::Dm => PairState::Dm(Box::new(d)),
         }
     }
 
@@ -425,22 +697,19 @@ impl PairState {
         }
     }
 
+    /// The state as a 4×4 matrix, whichever representation holds it.
+    pub fn to_dense(&self) -> DensePair {
+        match self {
+            PairState::Bell(b) => DensePair::from_bell(b),
+            PairState::Dm(d) => **d,
+        }
+    }
+
     /// A dense copy of the state (cheap conversion for oracles/tests).
     pub fn to_density(&self) -> DensityMatrix {
         match self {
             PairState::Bell(b) => b.to_density(),
-            PairState::Dm(d) => d.clone(),
-        }
-    }
-
-    /// Demote to the dense representation in place and return it.
-    pub fn dm_mut(&mut self) -> &mut DensityMatrix {
-        if let PairState::Bell(b) = self {
-            *self = PairState::Dm(b.to_density());
-        }
-        match self {
-            PairState::Dm(d) => d,
-            PairState::Bell(_) => unreachable!(),
+            PairState::Dm(d) => d.to_density(),
         }
     }
 
@@ -464,7 +733,7 @@ impl PairState {
     pub fn fidelity_bell(&self, b: BellState) -> f64 {
         match self {
             PairState::Bell(s) => s.bell_coeff(b),
-            PairState::Dm(d) => d.fidelity_pure(&b.amplitudes()),
+            PairState::Dm(d) => d.fidelity_bell(b),
         }
     }
 
@@ -480,7 +749,7 @@ impl PairState {
     pub fn apply_pauli(&mut self, end: usize, pauli: Pauli) {
         match self {
             PairState::Bell(b) => b.apply_pauli(end, pauli),
-            PairState::Dm(d) => d.apply_unitary(&pauli.matrix(), &[end]),
+            PairState::Dm(d) => d.apply_pauli(end, pauli),
         }
     }
 
@@ -488,7 +757,7 @@ impl PairState {
     pub fn dephase(&mut self, end: usize, p: f64) {
         match self {
             PairState::Bell(b) => b.dephase(p),
-            PairState::Dm(d) => d.apply_kraus(&channels::dephasing(p), &[end]),
+            PairState::Dm(d) => d.dephase(end, p),
         }
     }
 
@@ -496,7 +765,7 @@ impl PairState {
     pub fn depolarize(&mut self, end: usize, p: f64) {
         match self {
             PairState::Bell(b) => b.depolarize(end, p),
-            PairState::Dm(d) => d.apply_kraus(&channels::depolarizing(p), &[end]),
+            PairState::Dm(d) => d.depolarize(end, p),
         }
     }
 
@@ -504,7 +773,7 @@ impl PairState {
     pub fn amplitude_damp(&mut self, end: usize, gamma: f64) {
         match self {
             PairState::Bell(b) => b.amplitude_damp(end, gamma),
-            PairState::Dm(d) => d.apply_kraus(&channels::amplitude_damping(gamma), &[end]),
+            PairState::Dm(d) => d.amplitude_damp(end, gamma),
         }
     }
 
@@ -512,7 +781,7 @@ impl PairState {
     pub fn depolarize_2q(&mut self, p: f64) {
         match self {
             PairState::Bell(b) => b.depolarize_2q(p),
-            PairState::Dm(d) => d.apply_kraus(&channels::depolarizing_2q(p), &[0, 1]),
+            PairState::Dm(d) => d.depolarize_2q(p),
         }
     }
 
@@ -522,8 +791,13 @@ impl PairState {
     pub fn measure_pauli(&mut self, end: usize, basis: Pauli, u: f64) -> bool {
         match self {
             PairState::Bell(b) if basis == Pauli::Z => b.measure_z(end, u),
-            PairState::Bell(_) => measure::measure_pauli(self.dm_mut(), end, basis, u),
-            PairState::Dm(d) => measure::measure_pauli(d, end, basis, u),
+            PairState::Bell(b) => {
+                let mut d = DensePair::from_bell(b);
+                let outcome = d.measure_pauli(end, basis, u);
+                *self = PairState::Dm(Box::new(d));
+                outcome
+            }
+            PairState::Dm(d) => d.measure_pauli(end, basis, u),
         }
     }
 }
@@ -563,47 +837,22 @@ fn x_basis() -> [CMatrix; 6] {
 }
 
 /// Extract `[p00, p01, p10, p11, u, v]` from a (possibly unnormalised)
-/// 4×4 hermitian matrix, or `None` when it is not X-form: every entry
-/// outside the X pattern, and every imaginary part on it, must vanish
-/// within [`X_EPS`].
-fn x_decompose(m: &CMatrix) -> Option<[f64; 6]> {
-    let off = [
-        (0, 1),
-        (0, 2),
-        (1, 0),
-        (2, 0),
-        (1, 3),
-        (3, 1),
-        (2, 3),
-        (3, 2),
-    ];
-    for (i, j) in off {
-        if m[(i, j)].abs() > X_EPS {
+/// hermitian 4×4 matrix, row-major, or `None` when it is not X-form:
+/// every entry outside the X pattern, and every imaginary part on it,
+/// must vanish within [`X_EPS`].
+fn x_decompose(m: &[C64]) -> Option<[f64; 6]> {
+    const ON: [usize; 8] = [0, 5, 10, 15, 3, 12, 6, 9];
+    for (i, z) in m.iter().enumerate() {
+        let bad = if ON.contains(&i) {
+            z.im.abs() > X_EPS
+        } else {
+            z.abs() > X_EPS
+        };
+        if bad {
             return None;
         }
     }
-    for (i, j) in [
-        (0, 0),
-        (1, 1),
-        (2, 2),
-        (3, 3),
-        (0, 3),
-        (3, 0),
-        (1, 2),
-        (2, 1),
-    ] {
-        if m[(i, j)].im.abs() > X_EPS {
-            return None;
-        }
-    }
-    Some([
-        m[(0, 0)].re,
-        m[(1, 1)].re,
-        m[(2, 2)].re,
-        m[(3, 3)].re,
-        m[(0, 3)].re,
-        m[(1, 2)].re,
-    ])
+    Some([m[0].re, m[5].re, m[10].re, m[15].re, m[3].re, m[6].re])
 }
 
 impl CondTable {
@@ -630,7 +879,7 @@ impl CondTable {
                         kernel::project_z(4, &mut masked, m1, o1 == 1);
                         kernel::project_z(4, &mut masked, m2, o2 == 1);
                         let reduced = kernel::partial_trace(&masked, 4, &keep);
-                        let coeffs = x_decompose(&reduced)?;
+                        let coeffs = x_decompose(reduced.data())?;
                         w[o1][o2][a][b] = coeffs[0] + coeffs[1] + coeffs[2] + coeffs[3];
                         out[o1][o2][a][b] = coeffs;
                     }
@@ -738,9 +987,152 @@ impl CondTable {
     }
 }
 
+// ---------------------------------------------------------------------
+// The swap as a POVM contraction
+// ---------------------------------------------------------------------
+
+/// The noisy entanglement-swap circuit of
+/// `qn_hardware::pairs::PairStore::swap` on dense pairs, as four POVM
+/// elements on the two qubits it measures.
+///
+/// Call x the qubit of pair A at the swapping node and y that of pair
+/// B. The circuit is Φ = N₁∘H∘N₂∘CNOT on (x, y) — CNOT(x→y), two-qubit
+/// depolarizing N₂, H on x, single-qubit depolarizing N₁ on x — then Z
+/// on x and Z on y. It touches no other qubit, so in the Heisenberg
+/// picture each outcome `m = (m₁, m₂)` has one 4×4 element
+/// `E_m = CNOT·N₂(H·N₁(|m⟩⟨m|)·H)·CNOT` (Pauli channels are
+/// self-adjoint; CNOT and H are hermitian). The outcome weights are
+/// `w_m = Re Tr[(r_A ⊗ r_B)·E_m]` with `r_A`, `r_B` the reduced states
+/// of x and y, and the surviving pair, A's outer qubit first, is
+///
+/// ```text
+/// σ[(oₐ,o_b),(oₐ',o_b')] = Σ ρ_A[(oₐ,x),(oₐ',x')]·ρ_B[(o_b,y),(o_b',y')]·E_m[(x',y'),(x,y)]
+/// ```
+///
+/// divided by its trace. The orientation of each pair only permutes
+/// indices, so one set of elements serves all four.
+pub struct SwapPovm {
+    /// `e[2·m₁ + m₂]`, row-major on `(x, y)` with x the most
+    /// significant bit.
+    e: [[C64; 16]; 4],
+}
+
+impl SwapPovm {
+    /// The four elements at two-qubit depolarizing `p_two` and
+    /// single-qubit depolarizing `p_single`, built with the 2-qubit
+    /// kernel (a zero probability skips its channel, as the circuit
+    /// does).
+    pub fn new(p_two: f64, p_single: f64) -> SwapPovm {
+        let single = channels::depolarizing(p_single);
+        let two = channels::depolarizing_2q(p_two);
+        let e = std::array::from_fn(|m| {
+            let mut e = CMatrix::zeros(4, 4);
+            e[(m, m)] = C64::ONE;
+            if p_single > 0.0 {
+                kernel::sandwich(2, &mut e, &single, &[0]);
+            }
+            kernel::sandwich(2, &mut e, &[gates::h()], &[0]);
+            if p_two > 0.0 {
+                kernel::sandwich(2, &mut e, &two, &[0, 1]);
+            }
+            kernel::sandwich(2, &mut e, &[gates::cnot()], &[0, 1]);
+            let mut out = [C64::ZERO; 16];
+            out.copy_from_slice(e.data());
+            out
+        });
+        SwapPovm { e }
+    }
+
+    /// Run the swap on pair A (node qubit at end `ia`) and pair B (end
+    /// `ib`), sampling the outcomes with `u1`, `u2` the way the circuit
+    /// does: `m₁` from its weight, `m₂` from its weight given `m₁`.
+    /// Returns the outcomes and the normalised surviving pair.
+    pub fn apply(
+        &self,
+        a: &DensePair,
+        b: &DensePair,
+        ia: usize,
+        ib: usize,
+        u1: f64,
+        u2: f64,
+    ) -> (bool, bool, DensePair) {
+        // r_A ⊗ r_B on (x, y), and the four weights.
+        let reduced = |p: &DensePair, end: usize, q: usize, qp: usize| {
+            let idx = pair_index(end);
+            p.m[4 * idx[0][q] + idx[0][qp]] + p.m[4 * idx[1][q] + idx[1][qp]]
+        };
+        let mut r = [C64::ZERO; 16];
+        for (i, z) in r.iter_mut().enumerate() {
+            let (x, y, xp, yp) = (i >> 3, (i >> 2) & 1, (i >> 1) & 1, i & 1);
+            *z = reduced(a, ia, x, xp) * reduced(b, ib, y, yp);
+        }
+        let w: [f64; 4] = std::array::from_fn(|m| {
+            // Tr(R·E) = Σ R[i,j]·E[j,i] = Σ R[i,j]·conj(E[i,j]).
+            r.iter()
+                .zip(&self.e[m])
+                .map(|(r, e)| r.re * e.re + r.im * e.im)
+                .sum()
+        });
+
+        let p1 = (w[2] + w[3]).clamp(0.0, 1.0);
+        let m1 = u1 < p1;
+        let row = 2 * usize::from(m1);
+        let denom = (w[row] + w[row + 1]).max(1e-300);
+        let p2 = (w[row + 1] / denom).clamp(0.0, 1.0);
+        let m2 = u2 < p2;
+
+        let mut sigma = self.contract(row + usize::from(m2), a, b, ia, ib);
+        let inv = 1.0 / sigma.trace().max(1e-300);
+        for z in &mut sigma.m {
+            *z = z.scale(inv);
+        }
+        (m1, m2, sigma)
+    }
+
+    /// The unnormalised surviving pair for outcome `2·m₁ + m₂`, A's
+    /// outer qubit first.
+    fn contract(&self, m: usize, a: &DensePair, b: &DensePair, ia: usize, ib: usize) -> DensePair {
+        let (ai, bi, a, b) = (pair_index(ia), pair_index(ib), &a.m, &b.m);
+        let e = &self.e[m];
+        // B with E_m first: g[x', x, o_b, o_b'] = Σ ρ_B[(o_b,y),(o_b',y')]·E_m[(x',y'),(x,y)].
+        let mut g = [C64::ZERO; 16];
+        for (i, z) in g.iter_mut().enumerate() {
+            let (xp, x, ob, obp) = (i >> 3, (i >> 2) & 1, (i >> 1) & 1, i & 1);
+            for y in 0..2 {
+                for yp in 0..2 {
+                    *z += b[4 * bi[ob][y] + bi[obp][yp]] * e[4 * (2 * xp + yp) + 2 * x + y];
+                }
+            }
+        }
+        // Then A: σ[(oₐ,o_b),(oₐ',o_b')] = Σ ρ_A[(oₐ,x),(oₐ',x')]·g[x', x, o_b, o_b'].
+        let mut out = [C64::ZERO; 16];
+        for (i, z) in out.iter_mut().enumerate() {
+            let (oa, ob, oap, obp) = (i >> 3, (i >> 2) & 1, (i >> 1) & 1, i & 1);
+            for x in 0..2 {
+                for xp in 0..2 {
+                    *z += a[4 * ai[oa][x] + ai[oap][xp]] * g[8 * xp + 4 * x + 2 * ob + obp];
+                }
+            }
+        }
+        DensePair { m: out }
+    }
+}
+
+/// `index[o][q]`: the index of outer-qubit value `o` and node-qubit
+/// value `q` in a pair whose qubit at the swapping node is end
+/// `node_end` (qubit 0 the most significant bit).
+fn pair_index(node_end: usize) -> [[usize; 2]; 2] {
+    std::array::from_fn(|o| {
+        std::array::from_fn(|q| if node_end == 0 { 2 * q + o } else { 2 * o + q })
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A named step applied to two representations side by side.
+    type Step<'a, A, B> = (&'a str, Box<dyn Fn(&mut A, &mut B)>);
 
     fn werner(f: f64) -> BellDiagonal {
         let g = (1.0 - f) / 3.0;
@@ -789,7 +1181,7 @@ mod tests {
             // Rotate the Werner state into frame b like the stack does.
             bd.apply_pauli(1, BellState::PHI_PLUS.correction_to(b));
             let mut dm = bd.to_density();
-            let steps: Vec<(&str, Box<dyn Fn(&mut BellDiagonal, &mut DensityMatrix)>)> = vec![
+            let steps: Vec<Step<BellDiagonal, DensityMatrix>> = vec![
                 (
                     "dephase0",
                     Box::new(|x, d| {
@@ -926,6 +1318,17 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn a_bell_slot_is_not_sized_for_the_dense_state() {
+        // The dense variant is boxed: a pair slot holds the six numbers
+        // of a Bell-diagonal state and a tag, not sixteen complex ones.
+        let (slot, bell) = (
+            std::mem::size_of::<PairState>(),
+            std::mem::size_of::<BellDiagonal>(),
+        );
+        assert!(slot <= bell + 8, "PairState takes {slot} bytes");
     }
 
     #[test]

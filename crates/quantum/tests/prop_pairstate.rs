@@ -12,12 +12,20 @@
 //! swap/distill legs of the three-way test live in
 //! `qn_hardware/tests/prop_threeway.rs` where the pair store's
 //! conditional-map tables are in play.
+//!
+//! A second property runs the dense 4×4 [`DensePair`] closed forms
+//! against the [`DensityMatrix`] engine from states outside the X
+//! family as well, readouts in every Pauli basis included: outcomes
+//! identical, every entry within 1e-12.
 
 use proptest::prelude::*;
 use qn_quantum::bell::BellState;
+use qn_quantum::channels;
 use qn_quantum::gates::Pauli;
-use qn_quantum::pairstate::{BellDiagonal, PairState};
+use qn_quantum::measure::measure_pauli;
+use qn_quantum::pairstate::{BellDiagonal, DensePair, PairState};
 use qn_quantum::DensityMatrix;
+use qn_testkit::dense::{random_full_rank_state, random_x_state, SplitMix};
 use qn_testkit::{ModelSpec, ModelTest};
 
 const EPS: f64 = 1e-12;
@@ -201,4 +209,103 @@ fn bell_diagonal_tracks_dense_and_frame() {
         .cases(96)
         .max_ops(48)
         .run();
+}
+
+/// One operation of the dense-pair leg, drawn from a seed.
+fn dense_step(
+    r: &mut SplitMix,
+    dense: &mut DensePair,
+    reference: &mut DensityMatrix,
+) -> Result<(), String> {
+    let end = r.below(2);
+    let p = r.unit();
+    match r.below(7) {
+        0 => {
+            let pauli = [Pauli::X, Pauli::Y, Pauli::Z][r.below(3)];
+            dense.apply_pauli(end, pauli);
+            reference.apply_unitary(&pauli.matrix(), &[end]);
+        }
+        1 => {
+            dense.dephase(end, p);
+            reference.apply_kraus(&channels::dephasing(p), &[end]);
+        }
+        2 => {
+            dense.depolarize(end, p);
+            reference.apply_kraus(&channels::depolarizing(p), &[end]);
+        }
+        3 => {
+            dense.depolarize_2q(p);
+            reference.apply_kraus(&channels::depolarizing_2q(p), &[0, 1]);
+        }
+        4 => {
+            dense.amplitude_damp(end, p);
+            reference.apply_kraus(&channels::amplitude_damping(p), &[end]);
+        }
+        _ => {
+            // A readout in a random basis, on a copy: the projected
+            // state would leave nothing to decay on that end.
+            let basis = [Pauli::X, Pauli::Y, Pauli::Z][r.below(3)];
+            let (mut d, mut m) = (*dense, reference.clone());
+            let u = r.unit();
+            let (od, om) = (
+                d.measure_pauli(end, basis, u),
+                measure_pauli(&mut m, end, basis, u),
+            );
+            if od != om {
+                return Err(format!("{basis:?} readout of end {end}: {od} vs {om}"));
+            }
+            compare(&d, &m)?;
+        }
+    }
+    compare(dense, reference)
+}
+
+/// Every entry, the Bell fidelities and both marginals within [`EPS`].
+fn compare(dense: &DensePair, reference: &DensityMatrix) -> Result<(), String> {
+    for (i, (x, y)) in dense
+        .entries()
+        .iter()
+        .zip(reference.matrix().data())
+        .enumerate()
+    {
+        if (x.re - y.re).abs() > EPS || (x.im - y.im).abs() > EPS {
+            return Err(format!("entry {i}: {x:?} vs {y:?}"));
+        }
+    }
+    for b in BellState::ALL {
+        let (fd, fr) = (
+            dense.fidelity_bell(b),
+            reference.fidelity_pure(&b.amplitudes()),
+        );
+        if (fd - fr).abs() > EPS {
+            return Err(format!("fidelity to {b}: {fd} vs {fr}"));
+        }
+    }
+    for end in 0..2 {
+        if (dense.prob_one(end) - reference.prob_one(end)).abs() > EPS {
+            return Err(format!("prob_one({end})"));
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    /// The closed forms of the dense 4×4 pair against the n-qubit
+    /// engine, from random full-rank and X-form states, over random
+    /// channel, Pauli and readout sequences (X and Y readouts included).
+    #[test]
+    fn dense_pair_tracks_the_density_matrix(seed in any::<u64>(), steps in 1usize..40) {
+        let mut r = SplitMix(seed);
+        let start = if r.below(2) == 0 {
+            random_full_rank_state(2, &mut r)
+        } else {
+            random_x_state(&mut r)
+        };
+        let (mut dense, mut reference) = (DensePair::from_density(&start), start);
+        for step in 0..steps {
+            if let Err(e) = dense_step(&mut r, &mut dense, &mut reference) {
+                prop_assert!(false, "step {step}: {e}");
+            }
+        }
+    }
 }

@@ -186,6 +186,27 @@ pub fn random_state(n: usize, r: &mut SplitMix) -> DensityMatrix {
     DensityMatrix::from_matrix(m)
 }
 
+/// A random full-rank `n`-qubit state: a mixture of `2ⁿ + 1`
+/// projectors onto dense random vectors, so no eigenvalue and almost
+/// surely no entry is zero.
+pub fn random_full_rank_state(n: usize, r: &mut SplitMix) -> DensityMatrix {
+    let dim = 1usize << n;
+    let mut m = CMatrix::zeros(dim, dim);
+    for _ in 0..=dim {
+        let w = r.unit() + 0.1;
+        let amps: Vec<C64> = (0..dim)
+            .map(|_| C64::new(2.0 * r.unit() - 1.0, 2.0 * r.unit() - 1.0))
+            .collect();
+        for i in 0..dim {
+            for j in 0..dim {
+                m[(i, j)] += (amps[i] * amps[j].conj()).scale(w);
+            }
+        }
+    }
+    let tr = m.trace().re;
+    DensityMatrix::from_matrix(m.scale(1.0 / tr))
+}
+
 /// A random X-form pair state, the form of every pair the simulator
 /// builds: populations on the diagonal and conjugate coherences on the
 /// anti-diagonal, any of which may be an exact zero (a coherence of a

@@ -192,7 +192,8 @@ pub fn int_tree(origin: i128, value: i128) -> ShrinkTree<i128> {
 /// never terminates; 24 levels is plenty to pin down a boundary).
 pub fn float_tree(origin: f64, value: f64, depth: u32) -> ShrinkTree<f64> {
     ShrinkTree::with_children(value, move || {
-        if depth == 0 || !(value > origin) {
+        // Stops on NaN too: it is not above `origin`.
+        if depth == 0 || value.partial_cmp(&origin) != Some(std::cmp::Ordering::Greater) {
             return Vec::new();
         }
         let mut out = vec![ShrinkTree::leaf(origin)];
@@ -260,7 +261,7 @@ mod tests {
     #[test]
     fn int_tree_finds_boundary() {
         let (min, _, stats) = minimize(int_tree(0, 977), String::new(), 10_000, |v| {
-            (*v >= 10).then(|| String::new())
+            (*v >= 10).then(String::new)
         });
         assert_eq!(min, 10, "local minimum of `v >= 10` must be exactly 10");
         assert!(stats.accepted > 0);
@@ -273,7 +274,7 @@ mod tests {
             vec_tree(elems, 0),
             String::new(),
             100_000,
-            |v: &Vec<i128>| (v.len() >= 3).then(|| String::new()),
+            |v: &Vec<i128>| (v.len() >= 3).then(String::new),
         );
         assert_eq!(min.len(), 3);
         assert_eq!(min, vec![0, 0, 0], "elements shrink after the length does");
