@@ -11,6 +11,10 @@
 //! circuit is hit harder ("low, but not zero"); the cutoff beats the
 //! oracle; delay has no effect until it approaches the cutoff.
 //!
+//! Asserted: cutoff ≥ oracle at the shortest T2*, delay below half the
+//! cutoff harmless, delay beyond twice the cutoff collapsing. The bench
+//! writes its baseline, then exits 1 naming every broken shape.
+//!
 //! Run: `cargo bench --bench fig10_decoherence` (knobs: `QNP_RUNS`
 //! default 3, `QNP_THREADS` sweep workers).
 

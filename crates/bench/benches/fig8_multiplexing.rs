@@ -10,6 +10,10 @@
 //! * (f): the short cutoff restores linear scaling with 4 circuits;
 //! * short cutoff lowers latency overall (relaxed link fidelities).
 //!
+//! Asserted: linearity on panels a and d, the short cutoff faster than
+//! the long one, and panel c collapsing against panel f. The bench
+//! writes its baseline, then exits 1 naming every broken shape.
+//!
 //! Run: `cargo bench --bench fig8_multiplexing`
 //! (knobs: `QNP_RUNS` default 3, `QNP_PAIRS` default 40 — the paper uses
 //! 100 runs × 100 pairs; reduced defaults preserve the shapes —

@@ -8,6 +8,9 @@
 //!   network's rate (the bottleneck slows every circuit, so the other
 //!   links more often have a pair ready when the bottleneck delivers).
 //!
+//! Asserted: the congested saturation above half the empty rate. The
+//! bench writes its baseline, then exits 1 if it breaks.
+//!
 //! Run: `cargo bench --bench fig9_latency_throughput`
 //! (knobs: `QNP_RUNS` default 3, `QNP_THREADS` sweep workers).
 
