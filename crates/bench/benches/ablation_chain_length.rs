@@ -11,11 +11,19 @@
 //! scenario-diversity axis): `width` straight-across circuits all
 //! contending for the single MA–MB bottleneck, one request each.
 //!
+//! Asserted, over the feasible chains: the link-fidelity budget and the
+//! per-pair latency per link both rise with the chain length (the
+//! latency grows super-linearly). The widened-dumbbell lines are not
+//! asserted: one 8-pair request per circuit over a fixed horizon makes
+//! the aggregate throughput 8·width/120 by construction. The bench
+//! writes its baseline, then exits 1 naming each broken shape.
+//!
 //! Run: `cargo bench --bench ablation_chain_length`
 //! (knobs: `QNP_RUNS`, `QNP_THREADS`).
 
 use qn_bench::{
-    chain_sweep, mean_finite, runs, seed_block, wide_dumbbell_sweep, Baseline, Direction,
+    chain_point_scenario, mean_finite, run_sweep, runs, seed_block, threads,
+    wide_dumbbell_scenario, Baseline, Direction, Shapes,
 };
 use qn_hardware::params::{FibreParams, HardwareParams};
 use qn_routing::{chain, Controller, CutoffPolicy};
@@ -42,6 +50,9 @@ fn main() {
             Direction::HigherIsBetter,
         );
 
+    // (link-fidelity budget, per-pair latency per link) of each feasible
+    // chain, shortest first.
+    let mut feasible = Vec::new();
     for n_nodes in [2usize, 3, 4, 5, 6] {
         let topology = chain(n_nodes, HardwareParams::simulation(), FibreParams::lab_2m());
         let controller = Controller::new(&topology, CutoffPolicy::short());
@@ -62,17 +73,20 @@ fn main() {
             }
         };
         let n_pairs = 8u64;
-        let points = chain_sweep(
-            &seeds,
-            n_nodes,
-            &plan,
-            fidelity,
-            n_pairs,
-            SimDuration::from_secs(300),
-        );
+        let points = run_sweep(&seeds, |seed| {
+            chain_point_scenario(
+                seed,
+                n_nodes,
+                &plan,
+                fidelity,
+                n_pairs,
+                SimDuration::from_secs(300),
+            )
+        });
         let latency = mean_finite(points.iter().map(|p| p.per_pair_latency));
         let fid = mean_finite(points.iter().map(|p| p.mean_fidelity));
         let n_links = n_nodes - 1;
+        feasible.push((plan.link_fidelity, latency / n_links as f64));
         println!(
             "{n_nodes:7}   {n_links:5}   {:13.4}   {latency:18.3}   {fid:13.4}",
             plan.link_fidelity
@@ -86,23 +100,32 @@ fn main() {
             ],
         );
     }
-    println!("#\n# expected shape: the link budget climbs towards the hardware's");
-    println!("# maximum as the chain grows; per-pair latency grows super-linearly;");
-    println!("# past the feasibility wall only distillation (paper §4.3) helps.");
+    println!("#\n# shape checks");
+    let mut shapes = Shapes::default();
+    shapes.check(
+        "the link budget rises with the chain length",
+        feasible.windows(2).all(|w| w[1].0 > w[0].0),
+    );
+    shapes.check(
+        "per-pair latency per link rises with the chain length",
+        feasible.windows(2).all(|w| w[1].1 > w[0].1),
+    );
 
     // ---- scenario diversity: widened dumbbells --------------------------
     println!("#\n# widened dumbbell — `width` straight-across circuits over one bottleneck");
     println!("# width   completed   mean_latency_s   aggregate_thr_pairs_per_s");
     let div_seeds = seed_block(7500, n_runs);
     for width in [1usize, 2, 3, 4] {
-        let points = wide_dumbbell_sweep(
-            &div_seeds,
-            width,
-            8,
-            fidelity,
-            CutoffPolicy::short(),
-            SimDuration::from_secs(120),
-        );
+        let points = run_sweep(&div_seeds, |seed| {
+            wide_dumbbell_scenario(
+                seed,
+                width,
+                8,
+                fidelity,
+                CutoffPolicy::short(),
+                SimDuration::from_secs(120),
+            )
+        });
         let completed: usize = points.iter().map(|p| p.completed).sum();
         let circuits: usize = points.iter().map(|p| p.circuits).sum();
         let lat = mean_finite(points.iter().map(|p| p.mean_latency));
@@ -119,14 +142,15 @@ fn main() {
             ],
         );
     }
-    println!("#\n# expected shape: aggregate throughput saturates at the bottleneck");
-    println!("# rate while per-request latency grows with the width.");
+    println!("#\n# not asserted: each circuit carries one 8-pair request, so the");
+    println!("# aggregate throughput is 8·width/120 pairs/s by construction.");
 
     let path = baseline.write().expect("write baseline");
     println!(
         "# baseline: {} ({} threads, wall-clock {:.2} s)",
         path.display(),
-        qn_exec::threads(),
+        threads(),
         wall_start.elapsed().as_secs_f64()
     );
+    shapes.finish("ablation_chain_length");
 }

@@ -11,10 +11,21 @@
 //!   collapses from the other side;
 //! * the 1.5 %-loss rule sits near the knee.
 //!
+//! Asserted: throughput never falls as the cutoff grows and is flat
+//! over the three loosest cutoffs, and the mean fidelity of the pairs
+//! without a readout frame error never rises. The mean over all pairs
+//! is not monotone: the few pairs whose frame a swap readout error
+//! flipped have fidelity near 0, and at the tightest cutoffs so few
+//! pairs are delivered that one of them moves the mean. The bench
+//! writes its baseline, then exits 1 naming each broken shape.
+//!
 //! Run: `cargo bench --bench ablation_cutoff`
 //! (knobs: `QNP_RUNS`, `QNP_THREADS`).
 
-use qn_bench::{cutoff_sweep, mean_finite, runs, seed_block, Baseline, Direction};
+use qn_bench::{
+    cutoff_point_scenario, mean_finite, run_sweep, runs, seed_block, threads, Baseline, Direction,
+    Shapes,
+};
 use qn_hardware::params::{FibreParams, HardwareParams};
 use qn_routing::budget::cutoff_for_fidelity_loss;
 use qn_routing::{dumbbell, CircuitPlan, CutoffPolicy};
@@ -33,7 +44,9 @@ fn main() {
         "# routing's 1.5%-loss cutoff for reference: {:.1} ms",
         reference.as_millis_f64()
     );
-    println!("# cutoff_ms   throughput_pairs_per_s   mean_fidelity   discards");
+    println!(
+        "# cutoff_ms   throughput_pairs_per_s   mean_fidelity   true_frame_fidelity   discards"
+    );
 
     let mut baseline = Baseline::new("ablation_cutoff")
         .config_num("runs", n_runs as f64)
@@ -42,6 +55,7 @@ fn main() {
         .config_num("reference_cutoff_ms", reference.as_millis_f64())
         .direction("throughput_pairs_per_s", Direction::HigherIsBetter)
         .direction("mean_fidelity", Direction::HigherIsBetter)
+        .direction("mean_fidelity_true_frame", Direction::HigherIsBetter)
         .direction("discards", Direction::Informational);
 
     // Use a fixed-fidelity plan so only the cutoff varies.
@@ -51,18 +65,23 @@ fn main() {
         controller.plan(d.a0, d.b0, fidelity).expect("feasible")
     };
 
+    let mut throughputs = Vec::new();
+    let mut true_frame_fids = Vec::new();
     for factor in [0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0] {
         let cutoff = reference.mul_f64(factor);
         let plan = CircuitPlan {
             cutoff,
             ..base_plan.clone()
         };
-        let points = cutoff_sweep(&seeds, t2, &plan, SimDuration::from_secs(10));
+        let points = run_sweep(&seeds, |seed| {
+            cutoff_point_scenario(seed, t2, &plan, SimDuration::from_secs(10))
+        });
         let thr = points.iter().map(|p| p.throughput).sum::<f64>() / n_runs as f64;
         let fid = mean_finite(points.iter().map(|p| p.mean_fidelity));
+        let true_fid = mean_finite(points.iter().map(|p| p.mean_fidelity_true_frame));
         let discards: u64 = points.iter().map(|p| p.discards).sum();
         println!(
-            "{:10.1}   {thr:22.2}   {fid:13.4}   {}",
+            "{:10.1}   {thr:22.2}   {fid:13.4}   {true_fid:19.4}   {}",
             cutoff.as_millis_f64(),
             discards / n_runs
         );
@@ -71,18 +90,38 @@ fn main() {
             &[
                 ("throughput_pairs_per_s", thr),
                 ("mean_fidelity", fid),
+                ("mean_fidelity_true_frame", true_fid),
                 ("discards", (discards / n_runs) as f64),
             ],
         );
+        throughputs.push(thr);
+        true_frame_fids.push(true_fid);
     }
-    println!("#\n# expected shape: throughput rises then saturates with the cutoff;");
-    println!("# fidelity monotonically falls; the 1.5% rule sits near the knee.");
+
+    println!("#\n# shape checks");
+    let mut shapes = Shapes::default();
+    shapes.check(
+        "throughput never falls as the cutoff grows",
+        throughputs.windows(2).all(|w| w[1] >= w[0]),
+    );
+    let loosest = &throughputs[throughputs.len() - 3..];
+    let lo = loosest.iter().copied().fold(f64::INFINITY, f64::min);
+    let hi = loosest.iter().copied().fold(0.0, f64::max);
+    shapes.check(
+        format!("throughput is flat (within 1%) over the three loosest cutoffs ({lo:.2}-{hi:.2})"),
+        hi - lo <= 0.01 * hi,
+    );
+    shapes.check(
+        "fidelity without readout frame errors never rises as the cutoff grows",
+        true_frame_fids.windows(2).all(|w| w[1] <= w[0]),
+    );
 
     let path = baseline.write().expect("write baseline");
     println!(
         "# baseline: {} ({} threads, wall-clock {:.2} s)",
         path.display(),
-        qn_exec::threads(),
+        threads(),
         wall_start.elapsed().as_secs_f64()
     );
+    shapes.finish("ablation_cutoff");
 }

@@ -19,7 +19,8 @@
 //! requests per run, default 8; `QNP_THREADS` sweep workers).
 
 use qn_bench::{
-    chaos_sweep, env_u64, mean_finite, runs, seed_block, Baseline, ChaosConfig, Direction,
+    chaos_scenario, env_u64, mean_finite, run_sweep, runs, seed_block, threads, Baseline,
+    ChaosConfig, Direction,
 };
 use qn_sim::SimDuration;
 
@@ -59,7 +60,7 @@ fn main() {
     let mut total_events = 0u64;
     for (label, cfg) in cases {
         let case_start = std::time::Instant::now();
-        let points = chaos_sweep(&seeds, &cfg);
+        let points = run_sweep(&seeds, |seed| chaos_scenario(seed, &cfg));
         let case_wall = case_start.elapsed().as_secs_f64();
         let events: u64 = points.iter().map(|p| p.events_processed).sum();
         total_events += events;
@@ -101,7 +102,7 @@ fn main() {
     println!(
         "# baseline: {} ({} threads, wall-clock {:.2} s, {:.0} events/wall-s overall)",
         path.display(),
-        qn_exec::threads(),
+        threads(),
         wall,
         total_events as f64 / wall
     );

@@ -19,7 +19,8 @@
 //! default 3, `QNP_THREADS` sweep workers).
 
 use qn_bench::{
-    fig10ab_sweep, fig10c_sweep, runs, seed_block, Baseline, Direction, Fig10Variant, Shapes,
+    fig10ab_scenario, fig10c_scenario, run_sweep, runs, seed_block, threads, Baseline, Direction,
+    Fig10Variant, Shapes,
 };
 use qn_sim::SimDuration;
 
@@ -57,7 +58,7 @@ fn main() {
         );
         println!("# T2_s   thr_F0.9_pairs_per_s   thr_F0.8_pairs_per_s");
         for (i, t2) in t2_values.iter().enumerate() {
-            let points = fig10ab_sweep(&ab_seeds, *t2, variant);
+            let points = run_sweep(&ab_seeds, |seed| fig10ab_scenario(seed, *t2, variant));
             let a = points.iter().map(|p| p.thr_f09).sum::<f64>() / n_runs as f64;
             let b = points.iter().map(|p| p.thr_f08).sum::<f64>() / n_runs as f64;
             println!("{t2:6.2}   {a:20.2}   {b:20.2}");
@@ -82,7 +83,8 @@ fn main() {
     let mut series_good = Vec::new();
     let mut cutoff_line = f64::NAN;
     for delay in delays_ms {
-        let points = fig10c_sweep(&c_seeds, SimDuration::from_millis(delay));
+        let extra = SimDuration::from_millis(delay);
+        let points = run_sweep(&c_seeds, |seed| fig10c_scenario(seed, extra));
         let mut good = [0.0f64; 2];
         let mut raw = [0.0f64; 2];
         for p in &points {
@@ -153,7 +155,7 @@ fn main() {
     println!(
         "# baseline: {} ({} threads, wall-clock {:.2} s)",
         path.display(),
-        qn_exec::threads(),
+        threads(),
         wall_start.elapsed().as_secs_f64()
     );
     shapes.finish("fig10_decoherence");

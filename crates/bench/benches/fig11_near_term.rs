@@ -12,7 +12,9 @@
 //! print — the paper shows a single simulation — and `QNP_THREADS`
 //! sweep workers).
 
-use qn_bench::{env_u64, fig11_plan, fig11_sweep, runs, seed_block, Baseline, Direction};
+use qn_bench::{
+    env_u64, fig11_plan, fig11_scenario, run_sweep, runs, seed_block, threads, Baseline, Direction,
+};
 
 fn main() {
     let wall_start = std::time::Instant::now();
@@ -38,7 +40,7 @@ fn main() {
         .direction("total_time_s", Direction::LowerIsBetter);
 
     let seeds = seed_block(100, n_runs);
-    let results = fig11_sweep(&seeds, n_pairs);
+    let results = run_sweep(&seeds, |seed| fig11_scenario(seed, n_pairs));
     for (seed, (times, fidelity)) in seeds.iter().zip(&results) {
         let seed = seed - 100;
         println!("#\n# run seed {seed}: mean delivered fidelity {fidelity:.3}");
@@ -79,7 +81,7 @@ fn main() {
     println!(
         "# baseline: {} ({} threads, wall-clock {:.2} s)",
         path.display(),
-        qn_exec::threads(),
+        threads(),
         wall_start.elapsed().as_secs_f64()
     );
 }

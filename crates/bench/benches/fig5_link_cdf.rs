@@ -9,7 +9,7 @@
 //! representation — each sample also drives the quantum kernel:
 //! heralded-state construction, memory decay and the fidelity oracle).
 
-use qn_bench::{env_u64, fig5_sweep, Baseline, Direction};
+use qn_bench::{env_u64, fig5_sweep, threads, Baseline, Direction};
 use qn_hardware::heralding::LinkPhysics;
 use qn_hardware::params::{FibreParams, HardwareParams};
 use qn_hardware::StateRep;
@@ -93,7 +93,7 @@ fn main() {
     println!(
         "# baseline: {} ({} threads, QNP_QSTATE={}, wall-clock {wall_clock_s:.2} s)",
         path.display(),
-        qn_exec::threads(),
+        threads(),
         StateRep::from_env().as_str(),
     );
 }

@@ -19,7 +19,10 @@
 //! 100 runs × 100 pairs; reduced defaults preserve the shapes —
 //! `QNP_THREADS` sweep workers).
 
-use qn_bench::{fig8_sweep, mean_finite, pairs, runs, seed_block, Baseline, Direction, Shapes};
+use qn_bench::{
+    fig8_scenario, mean_finite, pairs, run_sweep, runs, seed_block, threads, Baseline, Direction,
+    Shapes,
+};
 use qn_routing::CutoffPolicy;
 use qn_sim::SimDuration;
 
@@ -62,8 +65,9 @@ fn main() {
             let mut row = Vec::new();
             let mut completed = (0usize, 0usize);
             for f in fidelities {
-                let points =
-                    fig8_sweep(&seeds, n_circuits, n_requests, n_pairs, f, cutoff, horizon);
+                let points = run_sweep(&seeds, |seed| {
+                    fig8_scenario(seed, n_circuits, n_requests, n_pairs, f, cutoff, horizon)
+                });
                 let mean = mean_finite(points.iter().map(|p| p.mean_latency));
                 row.push(mean);
                 completed = (
@@ -121,7 +125,7 @@ fn main() {
     println!(
         "# baseline: {} ({} threads, wall-clock {:.2} s)",
         path.display(),
-        qn_exec::threads(),
+        threads(),
         wall_start.elapsed().as_secs_f64()
     );
     shapes.finish("fig8_multiplexing");

@@ -14,7 +14,9 @@
 //! Run: `cargo bench --bench fig9_latency_throughput`
 //! (knobs: `QNP_RUNS` default 3, `QNP_THREADS` sweep workers).
 
-use qn_bench::{fig9_sweep, mean_finite, runs, seed_block, Baseline, Direction, Shapes};
+use qn_bench::{
+    fig9_scenario, mean_finite, run_sweep, runs, seed_block, threads, Baseline, Direction, Shapes,
+};
 use qn_sim::SimDuration;
 
 fn main() {
@@ -48,7 +50,8 @@ fn main() {
             "# interval_ms   throughput_pairs_per_s   mean_latency_s   p5_s   p95_s   requests"
         );
         for interval in intervals_ms {
-            let points = fig9_sweep(&seeds, congested, SimDuration::from_millis(interval));
+            let period = SimDuration::from_millis(interval);
+            let points = run_sweep(&seeds, |seed| fig9_scenario(seed, congested, period));
             let thr = points.iter().map(|p| p.throughput).sum::<f64>() / n_runs as f64;
             let lat = mean_finite(points.iter().map(|p| p.mean_latency));
             let p5 = mean_finite(
@@ -95,7 +98,7 @@ fn main() {
     println!(
         "# baseline: {} ({} threads, wall-clock {:.2} s)",
         path.display(),
-        qn_exec::threads(),
+        threads(),
         wall_start.elapsed().as_secs_f64()
     );
     shapes.finish("fig9_latency_throughput");

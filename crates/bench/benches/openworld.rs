@@ -17,8 +17,8 @@
 //! arrival budget per run, default 24; `QNP_THREADS` sweep workers).
 
 use qn_bench::{
-    env_u64, mean_finite, openworld_sweep, runs, seed_block, Baseline, Direction, OpenWorldConfig,
-    OwArrivals, OwTopology,
+    env_u64, mean_finite, openworld_scenario, run_sweep, runs, seed_block, threads, Baseline,
+    Direction, OpenWorldConfig, OwArrivals, OwTopology,
 };
 use qn_sim::SimDuration;
 
@@ -71,7 +71,7 @@ fn main() {
     for (label, topology, arrivals) in cases {
         let cfg = OpenWorldConfig::smoke(topology, arrivals, budget);
         let case_start = std::time::Instant::now();
-        let points = openworld_sweep(&seeds, &cfg);
+        let points = run_sweep(&seeds, |seed| openworld_scenario(seed, &cfg));
         let case_wall = case_start.elapsed().as_secs_f64();
         let events: u64 = points.iter().map(|p| p.events_processed).sum();
         total_events += events;
@@ -111,7 +111,7 @@ fn main() {
     println!(
         "# baseline: {} ({} threads, wall-clock {:.2} s, {:.0} events/wall-s overall)",
         path.display(),
-        qn_exec::threads(),
+        threads(),
         wall,
         total_events as f64 / wall
     );

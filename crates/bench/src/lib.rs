@@ -8,8 +8,9 @@
 //!
 //! * [`scenarios`] — one simulation run of one configuration at one
 //!   seed; pure functions of their arguments;
-//! * [`sweep`] — the figures' seed loops, hoisted onto the `qn_exec`
-//!   parallel engine (bit-identical to serial at any `QNP_THREADS`);
+//! * [`sweep`] — [`run_sweep`], which runs one scenario per seed on
+//!   scoped worker threads (bit-identical to serial at any
+//!   `QNP_THREADS`), the Fig 5 sample sweep and the env knobs;
 //! * [`report`] — machine-readable JSON baselines
 //!   (`target/qnp-bench/<figure>.json`) and the regression differ
 //!   behind `cargo run --example bench_diff`;

@@ -621,7 +621,7 @@ impl Baseline {
             .map(|d| d.as_secs() as f64)
             .unwrap_or(0.0);
         self.meta
-            .push(("qnp_threads".into(), Json::Num(qn_exec::threads() as f64)));
+            .push(("qnp_threads".into(), Json::Num(crate::threads() as f64)));
         self.meta
             .push(("generated_at_unix".into(), Json::Num(unix_secs)));
         self.meta.push((

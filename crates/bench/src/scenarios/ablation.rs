@@ -1,8 +1,8 @@
 //! Ablation scenarios: chain-length scaling and the cutoff sweep.
 //!
 //! Bodies hoisted out of `benches/ablation_chain_length.rs` and
-//! `benches/ablation_cutoff.rs` so the seed loops can run through the
-//! `qn_exec` sweep runner.
+//! `benches/ablation_cutoff.rs` so the seed loops can run through
+//! [`crate::run_sweep`].
 
 use super::keep_request;
 use qn_hardware::params::{FibreParams, HardwareParams};
@@ -56,6 +56,9 @@ pub struct CutoffPoint {
     pub throughput: f64,
     /// Mean delivered fidelity (NaN if nothing was delivered).
     pub mean_fidelity: f64,
+    /// Mean delivered fidelity over the deliveries without a readout
+    /// frame error (NaN if there were none).
+    pub mean_fidelity_true_frame: f64,
     /// Pairs released unused (cutoff discards, cross-check failures…).
     pub discards: u64,
 }
@@ -86,6 +89,7 @@ pub fn cutoff_point_scenario(
         throughput: app.confirmed_deliveries(vc, d.a0, SimTime::ZERO, SimTime::MAX) as f64
             / horizon.as_secs_f64(),
         mean_fidelity: app.mean_fidelity(vc, d.a0).unwrap_or(f64::NAN),
+        mean_fidelity_true_frame: app.mean_fidelity_true_frame(vc, d.a0).unwrap_or(f64::NAN),
         discards: sim.discarded_pairs(),
     }
 }

@@ -3,9 +3,9 @@
 //!
 //! Every function here is a **pure function of its arguments** — it
 //! builds a fresh topology and simulation, runs it, and returns a plain
-//! point struct. That purity is what lets the sweep layer
-//! ([`crate::sweep`]) farm seeds out to `qn_exec` worker threads while
-//! guaranteeing bit-identical results at any thread count.
+//! point struct. That purity is what lets [`crate::run_sweep`] run
+//! seeds on worker threads while guaranteeing bit-identical results at
+//! any thread count.
 
 mod ablation;
 mod chaos;
@@ -25,10 +25,7 @@ pub use fig8::{circuit_pairs, fig8_scenario, Fig8Point};
 pub use fig9::{fig9_scenario, Fig9Point};
 pub use openworld::{openworld_scenario, OpenWorldConfig, OpenWorldPoint, OwArrivals, OwTopology};
 
-use qn_hardware::params::{FibreParams, HardwareParams};
 use qn_net::{Address, Demand, RequestId, RequestType, UserRequest};
-use qn_netsim::build::{NetSim, NetworkBuilder};
-use qn_routing::{dumbbell, Dumbbell};
 use qn_sim::NodeId;
 
 /// A KEEP request for `n` pairs without deadline.
@@ -48,10 +45,4 @@ pub fn keep_request(id: u64, head: NodeId, tail: NodeId, f: f64, n: u64) -> User
         request_type: RequestType::Keep,
         final_state: None,
     }
-}
-
-/// Convenience: a built dumbbell simulation (used by the micro-benches).
-pub fn quick_dumbbell(seed: u64) -> (NetSim, Dumbbell) {
-    let (topology, d) = dumbbell(HardwareParams::simulation(), FibreParams::lab_2m());
-    (NetworkBuilder::new(topology).seed(seed).build(), d)
 }

@@ -1,24 +1,23 @@
-//! Sweep definitions: each figure's per-seed loop, hoisted out of the
-//! bench targets and run through the `qn_exec` parallel engine.
+//! Seed sweeps: [`run_sweep`] runs one scenario per seed on scoped
+//! worker threads, and the env knobs size the sweeps.
 //!
-//! Every function here takes an explicit seed list and returns the
-//! per-seed points **in seed order**; `qn_exec` guarantees the result is
-//! bit-identical to the serial loop at any `QNP_THREADS`. Aggregation
-//! (means over seeds) always folds in seed order for the same reason.
+//! A sweep takes an explicit seed list and returns the per-seed points
+//! **in seed order**, bit-identical to the serial loop at any
+//! `QNP_THREADS`: each run is a pure function of its seed, and each
+//! result is stored by seed index, never by completion order.
+//! Aggregation (means over seeds) always folds in seed order for the
+//! same reason.
 
-use crate::scenarios::{
-    chain_point_scenario, cutoff_point_scenario, fig10ab_scenario, fig10c_scenario, fig11_scenario,
-    fig8_scenario, fig9_scenario, wide_dumbbell_scenario, ChainPoint, CutoffPoint, Fig10Point,
-    Fig10Variant, Fig10cPoint, Fig8Point, Fig9Point, WideDumbbellPoint,
-};
-use qn_exec::run_sweep;
 use qn_hardware::device::QubitId;
 use qn_hardware::heralding::LinkPhysics;
 use qn_hardware::pairs::PairStore;
 use qn_hardware::params::{FibreParams, HardwareParams};
 use qn_hardware::StateRep;
-use qn_routing::{CircuitPlan, CutoffPolicy};
 use qn_sim::{NodeId, SimDuration, SimRng, SimTime};
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
+use std::thread;
 
 /// Read an unsigned env-var knob; unset means `default`.
 ///
@@ -58,6 +57,27 @@ pub fn wire_on() -> bool {
     env_u64("QNP_WIRE", 0) != 0
 }
 
+/// `QNP_THREADS` (sweep worker threads), defaulting to the machine's
+/// available parallelism (at least 1).
+///
+/// # Panics
+///
+/// If `QNP_THREADS` is set to zero or anything that is not a positive
+/// integer: a typo'd knob must not silently run on a different thread
+/// count.
+pub fn threads() -> usize {
+    match std::env::var("QNP_THREADS") {
+        Err(_) => thread::available_parallelism().map_or(1, |n| n.get()),
+        Ok(raw) => match raw.parse::<usize>() {
+            Ok(n) if n > 0 => n,
+            _ => panic!(
+                "invalid QNP_THREADS={raw:?}: must be a positive integer \
+                 (unset it to use the detected parallelism)"
+            ),
+        },
+    }
+}
+
 /// The consecutive seed block `base..base + n` every figure sweeps over.
 pub fn seed_block(base: u64, n: u64) -> Vec<u64> {
     (base..base + n).collect()
@@ -78,6 +98,60 @@ pub fn mean_finite(values: impl IntoIterator<Item = f64>) -> f64 {
     } else {
         f64::NAN
     }
+}
+
+/// Run `f` once per seed on [`threads()`] workers; the points come
+/// back in seed order. See [`run_sweep_with`].
+pub fn run_sweep<P: Send>(seeds: &[u64], f: impl Fn(u64) -> P + Sync) -> Vec<P> {
+    run_sweep_with(threads(), seeds, f)
+}
+
+/// Run `f` once per seed on `threads` scoped workers.
+///
+/// For any thread count:
+///
+/// * `result[i]` is `f(seeds[i])`: workers claim seed indices from a
+///   shared counter and store each result in that index's slot;
+/// * the output is **bit-identical** to the serial loop, which runs
+///   when `threads` or the seed count is at most 1;
+/// * if any run panics, every other run still finishes, and then the
+///   panic of the **first failing seed** (in seed order) is re-raised
+///   with its own payload, so failures are as deterministic as
+///   successes.
+pub fn run_sweep_with<P: Send>(
+    threads: usize,
+    seeds: &[u64],
+    f: impl Fn(u64) -> P + Sync,
+) -> Vec<P> {
+    let workers = threads.min(seeds.len());
+    if workers <= 1 {
+        return seeds.iter().map(|&seed| f(seed)).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<thread::Result<P>>>> =
+        seeds.iter().map(|_| Mutex::new(None)).collect();
+    thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| loop {
+                // Relaxed: the counter only hands out indices; the slot
+                // mutexes and the scope's join publish the results.
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(&seed) = seeds.get(i) else { break };
+                let outcome = panic::catch_unwind(AssertUnwindSafe(|| f(seed)));
+                *slots[i].lock().expect("no run panics holding a slot") = Some(outcome);
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| {
+            let outcome = slot.into_inner().expect("no run panics holding a slot");
+            match outcome.expect("every seed index is claimed once") {
+                Ok(point) => point,
+                Err(payload) => panic::resume_unwind(payload),
+            }
+        })
+        .collect()
 }
 
 /// One Fig 5 sample: the wall-clock wait for a heralded link-pair and
@@ -114,162 +188,46 @@ pub fn fig5_sweep(chunk: u64, total: u64, fidelity: f64) -> Vec<Vec<Fig5Sample>>
     let cycle_ms = physics.cycle_time().as_millis_f64();
     let rep = StateRep::from_env();
     let chunk_indices = seed_block(0, total.div_ceil(chunk));
-    run_sweep(
-        move |index: u64| {
-            let mut rng = SimRng::substream_indexed(1, "fig5", index);
-            let mut qrng = SimRng::substream_indexed(1, "fig5q", index);
-            let mut store = PairStore::with_rep(rep);
-            let params = *physics.params();
-            let n = chunk.min(total.saturating_sub(index * chunk));
-            (0..n)
-                .map(|_| {
-                    let time_ms = cycle_ms * rng.geometric(p) as f64;
-                    let announced = physics.sample_announced(&mut qrng);
-                    let state = physics.heralded_pair(alpha, announced, rep);
-                    let id = store.create_pair(
-                        SimTime::ZERO,
-                        state,
-                        announced,
-                        [
-                            (
-                                NodeId(0),
-                                QubitId(0),
-                                params.electron_t1,
-                                params.electron_t2,
-                            ),
-                            (
-                                NodeId(1),
-                                QubitId(0),
-                                params.electron_t1,
-                                params.electron_t2,
-                            ),
-                        ],
-                    );
-                    let idle = SimTime::ZERO + SimDuration::from_secs_f64(time_ms / 1e3);
-                    let f = store.fidelity_to(id, announced, idle);
-                    store.discard(id);
-                    Fig5Sample {
-                        time_ms,
-                        fidelity: f,
-                    }
-                })
-                .collect()
-        },
-        &chunk_indices,
-    )
-}
-
-/// Fig 8 sweep: one multiplexing run per seed.
-#[allow(clippy::too_many_arguments)]
-pub fn fig8_sweep(
-    seeds: &[u64],
-    n_circuits: usize,
-    n_requests: usize,
-    n_pairs: u64,
-    fidelity: f64,
-    cutoff: CutoffPolicy,
-    horizon: SimDuration,
-) -> Vec<Fig8Point> {
-    run_sweep(
-        move |seed: u64| {
-            fig8_scenario(
-                seed, n_circuits, n_requests, n_pairs, fidelity, cutoff, horizon,
-            )
-        },
-        seeds,
-    )
-}
-
-/// Fig 9 sweep: one latency/throughput run per seed.
-pub fn fig9_sweep(seeds: &[u64], congested: bool, interval: SimDuration) -> Vec<Fig9Point> {
-    run_sweep(
-        move |seed: u64| fig9_scenario(seed, congested, interval),
-        seeds,
-    )
-}
-
-/// Open-world workload sweep: one sustained-traffic run per seed.
-pub fn openworld_sweep(
-    seeds: &[u64],
-    cfg: &crate::scenarios::OpenWorldConfig,
-) -> Vec<crate::scenarios::OpenWorldPoint> {
-    let cfg = cfg.clone();
-    run_sweep(
-        move |seed: u64| crate::scenarios::openworld_scenario(seed, &cfg),
-        seeds,
-    )
-}
-
-/// Chaos workload sweep: one component-fault churn run per seed.
-pub fn chaos_sweep(
-    seeds: &[u64],
-    cfg: &crate::scenarios::ChaosConfig,
-) -> Vec<crate::scenarios::ChaosPoint> {
-    let cfg = cfg.clone();
-    run_sweep(
-        move |seed: u64| crate::scenarios::chaos_scenario(seed, &cfg),
-        seeds,
-    )
-}
-
-/// Fig 10a,b sweep: one decoherence run per seed.
-pub fn fig10ab_sweep(seeds: &[u64], t2: f64, variant: Fig10Variant) -> Vec<Fig10Point> {
-    run_sweep(move |seed: u64| fig10ab_scenario(seed, t2, variant), seeds)
-}
-
-/// Fig 10c sweep: one message-delay run per seed.
-pub fn fig10c_sweep(seeds: &[u64], extra_delay: SimDuration) -> Vec<Fig10cPoint> {
-    run_sweep(move |seed: u64| fig10c_scenario(seed, extra_delay), seeds)
-}
-
-/// Fig 11 sweep: one near-term run per seed.
-pub fn fig11_sweep(seeds: &[u64], n_pairs: u64) -> Vec<(Vec<f64>, f64)> {
-    run_sweep(move |seed: u64| fig11_scenario(seed, n_pairs), seeds)
-}
-
-/// Chain-length ablation sweep: one chain run per seed.
-pub fn chain_sweep(
-    seeds: &[u64],
-    n_nodes: usize,
-    plan: &CircuitPlan,
-    fidelity: f64,
-    n_pairs: u64,
-    horizon: SimDuration,
-) -> Vec<ChainPoint> {
-    let plan = plan.clone();
-    run_sweep(
-        move |seed: u64| chain_point_scenario(seed, n_nodes, &plan, fidelity, n_pairs, horizon),
-        seeds,
-    )
-}
-
-/// Cutoff ablation sweep: one dumbbell run per seed.
-pub fn cutoff_sweep(
-    seeds: &[u64],
-    t2: f64,
-    plan: &CircuitPlan,
-    horizon: SimDuration,
-) -> Vec<CutoffPoint> {
-    let plan = plan.clone();
-    run_sweep(
-        move |seed: u64| cutoff_point_scenario(seed, t2, &plan, horizon),
-        seeds,
-    )
-}
-
-/// Widened-dumbbell diversity sweep: one run per seed.
-pub fn wide_dumbbell_sweep(
-    seeds: &[u64],
-    width: usize,
-    n_pairs: u64,
-    fidelity: f64,
-    cutoff: CutoffPolicy,
-    horizon: SimDuration,
-) -> Vec<WideDumbbellPoint> {
-    run_sweep(
-        move |seed: u64| wide_dumbbell_scenario(seed, width, n_pairs, fidelity, cutoff, horizon),
-        seeds,
-    )
+    run_sweep(&chunk_indices, |index| {
+        let mut rng = SimRng::substream_indexed(1, "fig5", index);
+        let mut qrng = SimRng::substream_indexed(1, "fig5q", index);
+        let mut store = PairStore::with_rep(rep);
+        let params = *physics.params();
+        let n = chunk.min(total.saturating_sub(index * chunk));
+        (0..n)
+            .map(|_| {
+                let time_ms = cycle_ms * rng.geometric(p) as f64;
+                let announced = physics.sample_announced(&mut qrng);
+                let state = physics.heralded_pair(alpha, announced, rep);
+                let id = store.create_pair(
+                    SimTime::ZERO,
+                    state,
+                    announced,
+                    [
+                        (
+                            NodeId(0),
+                            QubitId(0),
+                            params.electron_t1,
+                            params.electron_t2,
+                        ),
+                        (
+                            NodeId(1),
+                            QubitId(0),
+                            params.electron_t1,
+                            params.electron_t2,
+                        ),
+                    ],
+                );
+                let idle = SimTime::ZERO + SimDuration::from_secs_f64(time_ms / 1e3);
+                let f = store.fidelity_to(id, announced, idle);
+                store.discard(id);
+                Fig5Sample {
+                    time_ms,
+                    fidelity: f,
+                }
+            })
+            .collect()
+    })
 }
 
 #[cfg(test)]
@@ -291,5 +249,69 @@ mod tests {
     fn mean_finite_skips_nan() {
         assert_eq!(mean_finite([1.0, f64::NAN, 3.0]), 2.0);
         assert!(mean_finite([f64::NAN]).is_nan());
+    }
+
+    #[test]
+    fn results_come_back_in_seed_order() {
+        // Seed 0 cannot finish before seed 1 has, so completion order
+        // inverts seed order on every run.
+        let (finished, wake) = (Mutex::new(false), std::sync::Condvar::new());
+        let out = run_sweep_with(2, &[0, 1], |seed| {
+            let mut done = finished.lock().expect("no panic holding the flag");
+            if seed == 1 {
+                *done = true;
+                wake.notify_all();
+            }
+            while !*done {
+                done = wake.wait(done).expect("no panic holding the flag");
+            }
+            seed * 10
+        });
+        assert_eq!(out, [0, 10]);
+    }
+
+    #[test]
+    fn thread_count_does_not_change_results() {
+        let seeds: Vec<u64> = (0..40).collect();
+        let f = |seed: u64| {
+            // A deterministic but seed-sensitive computation.
+            let mut x = seed.wrapping_mul(0x9e3779b97f4a7c15) ^ 0xdead_beef;
+            for _ in 0..100 {
+                x = x.rotate_left(17).wrapping_mul(0xc2b2ae3d27d4eb4f);
+            }
+            x
+        };
+        let serial: Vec<u64> = seeds.iter().map(|&seed| f(seed)).collect();
+        // Zero threads runs the serial path rather than nothing.
+        for threads in [0, 1, 2, 3, 8] {
+            assert_eq!(
+                run_sweep_with(threads, &seeds, f),
+                serial,
+                "threads={threads}"
+            );
+        }
+    }
+
+    #[test]
+    fn first_failing_seed_panic_wins() {
+        let seeds: Vec<u64> = (0..8).collect();
+        let err = panic::catch_unwind(|| {
+            run_sweep_with(4, &seeds, |seed| {
+                if seed >= 3 {
+                    panic!("seed {seed} failed");
+                }
+                seed
+            })
+        })
+        .expect_err("sweep must propagate the panic");
+        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert_eq!(msg, "seed 3 failed");
+    }
+
+    #[test]
+    fn empty_and_singleton_sweeps() {
+        let none: Vec<u64> = run_sweep_with(8, &[], |s| s);
+        assert!(none.is_empty());
+        assert_eq!(run_sweep_with(8, &[41], |s| s + 1), vec![42]);
     }
 }

@@ -1,16 +1,16 @@
-//! Integration coverage for the parallel experiment engine: the sweep
+//! Integration coverage for the parallel sweep runner: the sweep
 //! results must be bit-identical to the serial path at any thread
 //! count, and JSON baselines must round-trip losslessly.
 
 use qn_bench::report::{diff_baselines, Baseline, Direction};
+use qn_bench::run_sweep_with;
 use qn_bench::scenarios::{fig9_scenario, wide_dumbbell_scenario};
-use qn_exec::run_sweep_with;
 use qn_routing::CutoffPolicy;
 use qn_sim::SimDuration;
 
 /// Parallel vs serial: the full per-seed point vectors must match
 /// bit-for-bit, for several thread counts (1 is the serial fast path;
-/// the others exercise the pool with fewer/more workers than seeds).
+/// the others run fewer or more workers than seeds).
 #[test]
 fn parallel_sweep_is_bit_identical_to_serial() {
     let seeds: Vec<u64> = (40..46).collect();
@@ -24,9 +24,9 @@ fn parallel_sweep_is_bit_identical_to_serial() {
             SimDuration::from_secs(60),
         )
     };
-    let serial = run_sweep_with(1, scenario, &seeds);
+    let serial = run_sweep_with(1, &seeds, scenario);
     for threads in [2usize, 4, 16] {
-        let parallel = run_sweep_with(threads, scenario, &seeds);
+        let parallel = run_sweep_with(threads, &seeds, scenario);
         assert_eq!(parallel.len(), serial.len());
         for (i, (p, s)) in parallel.iter().zip(&serial).enumerate() {
             assert_eq!(
@@ -55,8 +55,8 @@ fn parallel_sweep_is_bit_identical_to_serial() {
 fn fig9_sweep_matches_serial_at_8_threads() {
     let seeds: Vec<u64> = (2000..2003).collect();
     let scenario = |seed: u64| fig9_scenario(seed, false, SimDuration::from_millis(2000));
-    let serial = run_sweep_with(1, scenario, &seeds);
-    let parallel = run_sweep_with(8, scenario, &seeds);
+    let serial = run_sweep_with(1, &seeds, scenario);
+    let parallel = run_sweep_with(8, &seeds, scenario);
     for (p, s) in parallel.iter().zip(&serial) {
         assert_eq!(p.throughput.to_bits(), s.throughput.to_bits());
         assert_eq!(p.mean_latency.to_bits(), s.mean_latency.to_bits());
@@ -71,20 +71,16 @@ fn fig9_sweep_matches_serial_at_8_threads() {
 #[test]
 fn baseline_write_parse_diff_round_trip() {
     let seeds: Vec<u64> = (7..10).collect();
-    let points = run_sweep_with(
-        2,
-        |seed: u64| {
-            wide_dumbbell_scenario(
-                seed,
-                1,
-                2,
-                0.8,
-                CutoffPolicy::short(),
-                SimDuration::from_secs(60),
-            )
-        },
-        &seeds,
-    );
+    let points = run_sweep_with(2, &seeds, |seed| {
+        wide_dumbbell_scenario(
+            seed,
+            1,
+            2,
+            0.8,
+            CutoffPolicy::short(),
+            SimDuration::from_secs(60),
+        )
+    });
     let mut baseline = Baseline::new("engine_round_trip")
         .config_num("runs", seeds.len() as f64)
         .direction(

@@ -1,11 +1,11 @@
 //! Determinism regression suite for the open-world workload engine:
 //! the sweep must be a pure function of `(seeds, config)` — the same
-//! points, bit for bit, whether it runs serially, on a big thread
-//! pool, or twice in a row. This is what lets `baselines/openworld.json`
+//! points, bit for bit, whether it runs serially, on eight worker
+//! threads, or twice in a row. This is what lets `baselines/openworld.json`
 //! be diffed at `--tolerance 0`.
 
+use qn_bench::run_sweep_with;
 use qn_bench::scenarios::{openworld_scenario, OpenWorldConfig, OwArrivals, OwTopology};
-use qn_exec::run_sweep_with;
 use qn_sim::SimDuration;
 
 fn configs() -> Vec<(&'static str, OpenWorldConfig)> {
@@ -34,22 +34,16 @@ fn configs() -> Vec<(&'static str, OpenWorldConfig)> {
 }
 
 /// One worker thread and eight worker threads must produce identical
-/// point vectors — the sweep engine commits results by job index and
+/// point vectors — the sweep runner stores results by seed index and
 /// each run is seed-pure, so the thread count must be unobservable.
 #[test]
 fn sweep_is_bit_identical_across_thread_counts() {
     let seeds: Vec<u64> = (0..6).map(|i| 0xC0FFEE + i).collect();
     for (label, cfg) in configs() {
-        let serial = {
-            let cfg = cfg.clone();
-            run_sweep_with(1, move |seed: u64| openworld_scenario(seed, &cfg), &seeds)
-        };
-        let pooled = {
-            let cfg = cfg.clone();
-            run_sweep_with(8, move |seed: u64| openworld_scenario(seed, &cfg), &seeds)
-        };
+        let serial = run_sweep_with(1, &seeds, |seed| openworld_scenario(seed, &cfg));
+        let parallel = run_sweep_with(8, &seeds, |seed| openworld_scenario(seed, &cfg));
         assert_eq!(
-            serial, pooled,
+            serial, parallel,
             "{label}: thread count leaked into the workload points"
         );
         // The workload must actually do something, or the equality
@@ -67,10 +61,7 @@ fn sweep_is_bit_identical_across_thread_counts() {
 fn repeated_sweeps_are_bit_identical() {
     let seeds: Vec<u64> = (0..4).map(|i| 0xFEED + i).collect();
     for (label, cfg) in configs() {
-        let run = || {
-            let cfg = cfg.clone();
-            run_sweep_with(4, move |seed: u64| openworld_scenario(seed, &cfg), &seeds)
-        };
+        let run = || run_sweep_with(4, &seeds, |seed| openworld_scenario(seed, &cfg));
         assert_eq!(run(), run(), "{label}: repeated sweeps diverged");
     }
 }

@@ -91,10 +91,15 @@ pub struct PairView<'a> {
     /// The pair's identity in the store.
     pub id: PairId,
     /// The Bell state a *perfect* tracker would assign: the link layer's
-    /// announced state for fresh pairs, XOR-combined through every swap.
-    /// Protocol-level TRACK accounting must agree with this (tested), and
-    /// the oracle measures fidelity against it.
+    /// announced state for fresh pairs, XOR-combined through every swap's
+    /// announced (readout-noisy) outcome. Protocol-level TRACK accounting
+    /// must agree with this (tested), and the oracle measures fidelity
+    /// against it.
     pub announced: BellState,
+    /// The frame the swaps' *true* outcomes give: `announced`, but
+    /// combined through each swap's outcome before readout error. The
+    /// two differ exactly when readout errors flipped the pair's frame.
+    pub true_frame: BellState,
     /// Creation (heralding or swap-completion) time.
     pub created: SimTime,
     state: &'a PairState,
@@ -126,6 +131,7 @@ struct SlotMeta {
     generation: u32,
     live: bool,
     announced: BellState,
+    true_frame: BellState,
     created: SimTime,
 }
 
@@ -309,7 +315,7 @@ impl PairStore {
         &mut self,
         created: SimTime,
         state: PairState,
-        announced: BellState,
+        [announced, true_frame]: [BellState; 2],
         ends: [PairEnd; 2],
     ) -> PairId {
         self.live += 1;
@@ -319,6 +325,7 @@ impl PairStore {
                 let m = &mut self.meta[i];
                 m.live = true;
                 m.announced = announced;
+                m.true_frame = true_frame;
                 m.created = created;
                 self.states[i] = state;
                 self.ends[i] = ends;
@@ -330,6 +337,7 @@ impl PairStore {
                     generation: 0,
                     live: true,
                     announced,
+                    true_frame,
                     created,
                 });
                 self.states.push(state);
@@ -340,17 +348,18 @@ impl PairStore {
     }
 
     /// Vacate a slot, bumping its generation so outstanding handles go
-    /// stale. Returns the slot's state, announced frame, and ends.
-    fn remove_parts(&mut self, id: PairId) -> Option<(PairState, BellState, [PairEnd; 2])> {
+    /// stale. Returns the slot's state, its announced and true frames,
+    /// and its ends.
+    fn remove_parts(&mut self, id: PairId) -> Option<(PairState, [BellState; 2], [PairEnd; 2])> {
         let i = self.slot(id)?;
         let m = &mut self.meta[i];
         m.live = false;
         m.generation = m.generation.wrapping_add(1);
-        let announced = m.announced;
+        let frames = [m.announced, m.true_frame];
         self.free.push(i as u32);
         self.live -= 1;
         let state = std::mem::replace(&mut self.states[i], vacant_state());
-        Some((state, announced, self.ends[i].clone()))
+        Some((state, frames, self.ends[i].clone()))
     }
 
     /// Register a freshly heralded pair. `ends` lists `(node, qubit, t1,
@@ -390,7 +399,9 @@ impl PairStore {
             last_noise: now,
             measured: false,
         };
-        self.insert_slot(now, state, announced, [mk(ends[0]), mk(ends[1])])
+        // The link layer heralds the state it announces: no readout
+        // error sits between the two frames yet.
+        self.insert_slot(now, state, [announced; 2], [mk(ends[0]), mk(ends[1])])
     }
 
     /// Look up a pair. Stale handles (the slot was freed, possibly
@@ -401,6 +412,7 @@ impl PairStore {
         Some(PairView {
             id,
             announced: m.announced,
+            true_frame: m.true_frame,
             created: m.created,
             state: &self.states[i],
             ends: &self.ends[i],
@@ -500,16 +512,11 @@ impl PairStore {
         if pauli != Pauli::I {
             self.states[i].apply_pauli(idx, pauli);
         }
-        // Track the frame change on the reference state too, so the oracle
-        // keeps measuring against what a perfect tracker would expect.
+        // Move both frames with the correction, so the oracle keeps
+        // measuring against what a perfect tracker would expect.
         let m = &mut self.meta[i];
-        let target = match pauli {
-            Pauli::I => m.announced,
-            Pauli::X => BellState::from_bits(!m.announced.x, m.announced.z),
-            Pauli::Z => BellState::from_bits(m.announced.x, !m.announced.z),
-            Pauli::Y => BellState::from_bits(!m.announced.x, !m.announced.z),
-        };
-        m.announced = target;
+        m.announced = pauli_frame(m.announced, pauli);
+        m.true_frame = pauli_frame(m.true_frame, pauli);
     }
 
     /// Apply extra dephasing (nuclear-spin noise during entanglement
@@ -622,8 +629,10 @@ impl PairStore {
     ) -> SwapResult {
         self.advance(pa, now);
         self.advance(pb, now);
-        let (a_state, a_announced, a_ends) = self.remove_parts(pa).expect("swap: pair A dead");
-        let (b_state, b_announced, b_ends) = self.remove_parts(pb).expect("swap: pair B dead");
+        let (a_state, [a_announced, a_true], a_ends) =
+            self.remove_parts(pa).expect("swap: pair A dead");
+        let (b_state, [b_announced, b_true], b_ends) =
+            self.remove_parts(pb).expect("swap: pair B dead");
         let ia = a_ends
             .iter()
             .position(|e| e.node == shared)
@@ -664,7 +673,9 @@ impl PairStore {
                 (m_control, m_target, PairState::from_dense(post, self.rep))
             }
         };
-        // Announced outcomes pass through the imperfect readout.
+        // The true outcomes set the true frame; the announced ones pass
+        // through the imperfect readout first.
+        let true_frame = a_true.combine(b_true, swap_circuit_outcome(m_control, m_target));
         let r_control = apply_readout_error(m_control, &noise.readout, rng);
         let r_target = apply_readout_error(m_target, &noise.readout, rng);
         let outcome = swap_circuit_outcome(r_control, r_target);
@@ -675,7 +686,7 @@ impl PairStore {
             (b_ends[ib].node, b_ends[ib].qubit),
         ];
         let ends = [a_ends[oa].clone(), b_ends[ob].clone()];
-        let id = self.insert_slot(now, state, announced, ends);
+        let id = self.insert_slot(now, state, [announced, true_frame], ends);
         SwapResult {
             outcome,
             new_pair: id,
@@ -685,11 +696,14 @@ impl PairStore {
 
     /// Replace a pair's state and reference frame wholesale (used by the
     /// distillation circuit, which rebuilds the kept pair's state from
-    /// the joint register).
+    /// the joint register). Both frames become `announced`: a frame the
+    /// inputs carried wrongly is now part of `state`, and the oracle
+    /// sees it as lost fidelity.
     pub fn replace_pair_state(&mut self, id: PairId, state: PairState, announced: BellState) {
         let i = self.slot(id).expect("replace on dead pair");
         self.states[i] = state;
         self.meta[i].announced = announced;
+        self.meta[i].true_frame = announced;
     }
 
     /// Iterate over all live pairs in slot order.
@@ -701,6 +715,7 @@ impl PairStore {
             .map(move |(i, m)| PairView {
                 id: PairId::from_parts(i as u32, m.generation),
                 announced: m.announced,
+                true_frame: m.true_frame,
                 created: m.created,
                 state: &self.states[i],
                 ends: &self.ends[i],
@@ -770,6 +785,16 @@ fn advance_parts(state: &mut PairState, ends: &mut [PairEnd; 2], now: SimTime) {
         if p > 0.0 {
             state.dephase(idx, p);
         }
+    }
+}
+
+/// `frame` after the Pauli `pauli` acts on one end of the pair.
+fn pauli_frame(frame: BellState, pauli: Pauli) -> BellState {
+    match pauli {
+        Pauli::I => frame,
+        Pauli::X => BellState::from_bits(!frame.x, frame.z),
+        Pauli::Z => BellState::from_bits(frame.x, !frame.z),
+        Pauli::Y => BellState::from_bits(!frame.x, !frame.z),
     }
 }
 
@@ -1029,9 +1054,20 @@ mod tests {
         let res = store.swap(a, b, NodeId(1), now, &noise, &mut rng);
         // Announced state uses double-flipped bits: fidelity of the DM to
         // the announced state is 0 (orthogonal Bell state).
-        let announced = store.get(res.new_pair).unwrap().announced;
+        let pair = store.get(res.new_pair).unwrap();
+        let (announced, true_frame) = (pair.announced, pair.true_frame);
         let f = store.fidelity_to(res.new_pair, announced, now);
         assert!(f < 1e-9, "fully wrong readout must mistrack: {f}");
+        // The true frame undoes both flips, and the projection follows it.
+        assert_eq!(true_frame, BellState::from_bits(!announced.x, !announced.z));
+        let f = store.fidelity_to(res.new_pair, true_frame, now);
+        assert!((f - 1.0).abs() < 1e-9, "the true frame must track: {f}");
+        // A Pauli correction moves both frames alike.
+        store.apply_pauli(res.new_pair, NodeId(2), Pauli::X, now);
+        let pair = store.get(res.new_pair).unwrap();
+        assert_eq!(pair.announced, pauli_frame(announced, Pauli::X));
+        assert_eq!(pair.true_frame, pauli_frame(true_frame, Pauli::X));
+        assert_ne!(pair.announced, pair.true_frame);
     }
 
     #[test]

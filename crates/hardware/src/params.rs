@@ -24,13 +24,6 @@ pub struct GateSpec {
     pub duration: f64,
 }
 
-impl GateSpec {
-    /// The duration as a simulation duration.
-    pub fn sim_duration(&self) -> SimDuration {
-        SimDuration::from_secs_f64(self.duration)
-    }
-}
-
 /// Readout fidelities may differ by outcome on NV hardware (Table 1).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ReadoutSpec {
@@ -40,13 +33,6 @@ pub struct ReadoutSpec {
     pub fidelity1: f64,
     /// Readout duration in seconds.
     pub duration: f64,
-}
-
-impl ReadoutSpec {
-    /// The duration as a simulation duration.
-    pub fn sim_duration(&self) -> SimDuration {
-        SimDuration::from_secs_f64(self.duration)
-    }
 }
 
 /// Table 1 — quantum gate parameters.

@@ -351,11 +351,6 @@ impl QnpNode {
         self.node
     }
 
-    /// Whether a circuit is installed.
-    pub fn has_circuit(&self, circuit: CircuitId) -> bool {
-        self.circuits.get(circuit).is_some()
-    }
-
     /// The node's role on a circuit, if installed.
     pub fn role(&self, circuit: CircuitId) -> Option<Role> {
         self.circuits.get(circuit).map(|c| c.entry.role())
@@ -487,16 +482,6 @@ impl QnpNode {
         }
     }
 
-    /// Whether an end-node still holds `correlator` unconfirmed (in
-    /// transit between link delivery and TRACK/EXPIRE). Retransmitting
-    /// runtimes use this to stop retrying a chain that already resolved.
-    pub fn holds_in_transit(&self, circuit: CircuitId, correlator: Correlator) -> bool {
-        match self.circuits.get(circuit).map(|c| &c.state) {
-            Some(CircuitState::Endpoint(ep)) => ep.in_transit.contains_key(&correlator),
-            _ => false,
-        }
-    }
-
     /// Whether this node's protocol state references the link pair at
     /// all: in transit at an end-node, or queued/swapping at a repeater.
     /// A runtime whose PAIR_READY notifications can be lost in flight
@@ -522,15 +507,6 @@ impl QnpNode {
         match self.circuits.get(circuit).map(|c| &c.state) {
             Some(CircuitState::Endpoint(ep)) => ep.in_transit.len(),
             _ => 0,
-        }
-    }
-
-    /// Test/diagnostic access: queued unswapped pairs at a repeater
-    /// (upstream, downstream).
-    pub fn queued_pairs(&self, circuit: CircuitId) -> (usize, usize) {
-        match self.circuits.get(circuit).map(|c| &c.state) {
-            Some(CircuitState::Mid(m)) => (m.up_queue.len(), m.down_queue.len()),
-            _ => (0, 0),
         }
     }
 

@@ -89,11 +89,6 @@ impl Policer {
         self.shaped.push_back(req);
     }
 
-    /// Number of requests waiting in the shaping queue.
-    pub fn shaped_len(&self) -> usize {
-        self.shaped.len()
-    }
-
     /// Release a completed/cancelled request's bandwidth.
     pub fn release(&mut self, id: RequestId) {
         self.active.remove(&id);

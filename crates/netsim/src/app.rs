@@ -32,10 +32,14 @@ pub struct DeliveryRecord {
     /// delivery time (oracle; `None` for measurement deliveries and early
     /// qubit halves).
     pub oracle_fidelity: Option<f64>,
-    /// Whether the protocol's tracked Bell state matched the omniscient
-    /// tracker (readout errors can break this — that is physics, not a
-    /// bug).
+    /// Whether the protocol's tracked Bell state matched the pair's
+    /// announced frame. A swap readout error does not break this: the
+    /// flipped readout set the announced frame too (see `frame_error`).
     pub state_consistent: Option<bool>,
+    /// Whether a swap readout error left the pair's true frame different
+    /// from its announced one, so the pair is not the Bell state it is
+    /// tracked as (`None` where `oracle_fidelity` is `None`).
+    pub frame_error: Option<bool>,
 }
 
 /// Delivery payload, mirroring [`DeliveryKind`] without handles.
@@ -182,10 +186,25 @@ impl AppHarness {
 
     /// Mean oracle fidelity of confirmed deliveries on a circuit at a node.
     pub fn mean_fidelity(&self, circuit: CircuitId, node: NodeId) -> Option<f64> {
+        self.mean_oracle_fidelity(circuit, node, |_| true)
+    }
+
+    /// [`AppHarness::mean_fidelity`] over the deliveries without a
+    /// readout frame error (see [`DeliveryRecord::frame_error`]).
+    pub fn mean_fidelity_true_frame(&self, circuit: CircuitId, node: NodeId) -> Option<f64> {
+        self.mean_oracle_fidelity(circuit, node, |d| d.frame_error == Some(false))
+    }
+
+    fn mean_oracle_fidelity(
+        &self,
+        circuit: CircuitId,
+        node: NodeId,
+        keep: impl Fn(&DeliveryRecord) -> bool,
+    ) -> Option<f64> {
         let fs: Vec<f64> = self
             .deliveries
             .iter()
-            .filter(|d| d.circuit == circuit && d.node == node)
+            .filter(|d| d.circuit == circuit && d.node == node && keep(d))
             .filter_map(|d| d.oracle_fidelity)
             .collect();
         if fs.is_empty() {
@@ -196,7 +215,7 @@ impl AppHarness {
     }
 
     /// Fraction of confirmed deliveries whose protocol-tracked state
-    /// agreed with the omniscient tracker.
+    /// agreed with the pair's announced frame.
     pub fn state_consistency(&self) -> Option<f64> {
         let checks: Vec<bool> = self
             .deliveries
@@ -283,6 +302,7 @@ mod tests {
             },
             oracle_fidelity: Some(0.93),
             state_consistent: Some(true),
+            frame_error: Some(false),
         });
         app.deliveries.push(DeliveryRecord {
             time: SimTime::from_ps(20),
@@ -296,6 +316,7 @@ mod tests {
             },
             oracle_fidelity: None,
             state_consistent: None,
+            frame_error: None,
         });
         assert_eq!(
             app.confirmed_deliveries(c, NodeId(0), SimTime::ZERO, SimTime::MAX),
@@ -310,6 +331,7 @@ mod tests {
             0
         );
         assert_eq!(app.mean_fidelity(c, NodeId(0)), Some(0.93));
+        assert_eq!(app.mean_fidelity_true_frame(c, NodeId(0)), Some(0.93));
         assert_eq!(app.state_consistency(), Some(1.0));
     }
 }

@@ -245,10 +245,19 @@ impl NetSim {
         &self.sim.model().trace
     }
 
-    /// Protocol-vs-omniscient Bell-state mismatches observed (readout
-    /// errors make a small number expected on noisy hardware).
+    /// Confirmed deliveries whose protocol-claimed Bell state differs
+    /// from the pair's announced frame. Swap readout errors do not count
+    /// here, since the flipped readout set that frame too; see
+    /// [`NetSim::readout_frame_errors`].
     pub fn state_mismatches(&self) -> u64 {
         self.sim.model().state_mismatches
+    }
+
+    /// Confirmed deliveries whose pair's true frame differs from its
+    /// announced one: a swap readout error flipped the frame, so the pair
+    /// is not the Bell state it is tracked as.
+    pub fn readout_frame_errors(&self) -> u64 {
+        self.sim.model().readout_frame_errors
     }
 
     /// Total pairs released unused (cutoff discards, cross-check

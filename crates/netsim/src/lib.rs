@@ -54,10 +54,10 @@ pub use estimation::FidelityEstimator;
 pub use faults::{ComponentEvent, FaultPlan};
 pub use runtime::{CheckpointPolicy, Ev, NetworkModel, RuntimeConfig};
 
-// The qn_exec sweep runner builds and runs whole simulations on worker
-// threads, so the façade types must stay `Send`. Checked at compile
-// time: introducing an `Rc`/`RefCell` anywhere in the stack breaks this
-// build, not a bench run three layers up.
+// The seed sweeps (`qn_bench::run_sweep`) build and run whole
+// simulations on worker threads, so the façade types stay `Send`.
+// Checked at compile time: introducing an `Rc`/`RefCell` anywhere in
+// the stack breaks this build, not a bench run three layers up.
 #[allow(dead_code)]
 fn _netsim_types_are_send() {
     fn is_send<T: Send>() {}

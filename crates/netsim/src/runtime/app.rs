@@ -85,37 +85,41 @@ impl NetworkModel {
                 self.cancel_track_expiry(ctx, node, c);
             }
         }
-        let (oracle, consistent, release) = match &delivery.kind {
+        let (oracle, consistent, frame_error, release) = match &delivery.kind {
             // Confirmed deliveries: read the oracle, then release the
             // local end (the application consumed the qubit). Fidelity is
-            // measured against the *omniscient* frame (the pair's true
-            // quality); `state_consistent` separately records whether the
-            // protocol's claimed Bell state agrees. For final-state
+            // measured against the pair's announced frame, which a swap
+            // readout error flips along with the protocol's claim;
+            // `frame_error` records whether the true frame differs, and
+            // `state_consistent` whether the protocol's claimed Bell
+            // state agrees with the announced frame. For final-state
             // requests the tail can deliver before the head's physical
             // correction lands — transiently "inconsistent" by design.
             DeliveryKind::Qubit { pair, state } | DeliveryKind::EarlyTracking { pair, state } => {
                 let pid = self.qubit_owner.get(node, pair.correlator);
                 match pid {
                     Some(pid) => {
-                        let omniscient = self.pairs.get(pid).map(|p| p.announced);
-                        let frame = omniscient.unwrap_or(*state);
+                        let frames = self.pairs.get(pid).map(|p| (p.announced, p.true_frame));
+                        let frame = frames.map_or(*state, |(announced, _)| announced);
                         let f = self.pairs.fidelity_to(pid, frame, now);
-                        let consistent = omniscient.map(|o| o == *state);
-                        (Some(f), consistent, true)
+                        let consistent = frames.map(|(announced, _)| announced == *state);
+                        let frame_error = frames.map(|(announced, truth)| announced != truth);
+                        (Some(f), consistent, frame_error, true)
                     }
-                    None => (None, None, false),
+                    None => (None, None, None, false),
                 }
             }
             // EARLY qubits are unconfirmed: the qubit stays live until
             // the tracking info (or an expiry notification) arrives.
-            DeliveryKind::EarlyQubit { .. } => (None, None, false),
-            DeliveryKind::Measurement { .. } => (None, None, false),
+            DeliveryKind::EarlyQubit { .. } => (None, None, None, false),
+            DeliveryKind::Measurement { .. } => (None, None, None, false),
         };
         let payload = Payload::from_kind(&delivery.kind);
-        if let Some(c) = consistent {
-            if !c {
-                self.state_mismatches += 1;
-            }
+        if consistent == Some(false) {
+            self.state_mismatches += 1;
+        }
+        if frame_error == Some(true) {
+            self.readout_frame_errors += 1;
         }
         self.trace.record(
             now,
@@ -136,6 +140,7 @@ impl NetworkModel {
             payload,
             oracle_fidelity: oracle,
             state_consistent: consistent,
+            frame_error,
         });
         if release {
             if let DeliveryKind::Qubit { pair, .. } | DeliveryKind::EarlyTracking { pair, .. } =

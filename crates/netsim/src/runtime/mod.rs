@@ -380,8 +380,6 @@ struct LabelInfo {
 
 struct CircuitRt {
     path: Vec<NodeId>,
-    /// Fidelity target (for metrics only).
-    threshold: f64,
 }
 
 impl CircuitRt {
@@ -446,8 +444,12 @@ pub struct NetworkModel {
     scratch: qn_net::wire::ScratchEncoder,
     /// Reused QNP output buffer (see [`Self::qnp_input`]).
     outs: Vec<NetOutput>,
-    /// Diagnostics: protocol-vs-omniscient state mismatches observed.
+    /// Diagnostics: confirmed deliveries whose claimed Bell state
+    /// differs from the pair's announced frame.
     pub state_mismatches: u64,
+    /// Diagnostics: confirmed deliveries whose pair's true frame differs
+    /// from its announced one (a swap readout error flipped it).
+    pub readout_frame_errors: u64,
     /// Diagnostics: pairs released before use.
     pub discarded_pairs: u64,
     /// Whether *any* hop can lose frames — loss or corruption faults,
@@ -549,6 +551,7 @@ impl NetworkModel {
             outs: Vec::new(),
             cfg,
             state_mismatches: 0,
+            readout_frame_errors: 0,
             discarded_pairs: 0,
             lossy_wire,
         }
@@ -582,7 +585,6 @@ impl NetworkModel {
         }
         self.circuits[idx] = Some(CircuitRt {
             path: installed.path.clone(),
-            threshold: installed.plan.e2e_fidelity,
         });
         for (i, (link, label)) in installed.labels.iter().enumerate() {
             self.label_map[link.0 as usize].push((
@@ -637,11 +639,6 @@ impl NetworkModel {
             debug_assert!(self.outs.is_empty());
         }
         false
-    }
-
-    /// The fidelity threshold of a circuit (for oracle baselines).
-    pub fn circuit_threshold(&self, circuit: CircuitId) -> Option<f64> {
-        self.circuit_rt(circuit).map(|c| c.threshold)
     }
 
     // ----- helpers ---------------------------------------------------

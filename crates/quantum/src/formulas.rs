@@ -47,24 +47,6 @@ pub fn dephased_pair_fidelity(f: f64, lambda: f64) -> f64 {
     f - lambda * (4.0 * f - 1.0) / 3.0
 }
 
-/// Fidelity of a Werner pair after each side idles with amplitude-damping
-/// probability `g1`, `g2` (T1 relaxation). Derived by applying the
-/// channels to the Werner density matrix; exact for Werner inputs.
-pub fn damped_pair_fidelity(f: f64, g1: f64, g2: f64) -> f64 {
-    // For ρ_w = w|Φ+⟩⟨Φ+| + (1−w)I/4 under one-sided damping γ:
-    // F = w(1−γ/2)·(1+√(1−γ))/2 … exact closed form is messy; instead
-    // evaluate the dominant terms: both-sided damping sends the |11⟩
-    // population to |00⟩ and scales coherence by √((1−g1)(1−g2)).
-    let w = werner_param(f);
-    let coh = ((1.0 - g1) * (1.0 - g2)).sqrt();
-    // Populations of Φ+ component: (|00⟩⟨00| + |11⟩⟨11|)/2 terms.
-    let p00 = 0.5 * (1.0 + g1 * g2); // |11⟩ decays to |00⟩ with prob g1·g2
-    let p11 = 0.5 * (1.0 - g1) * (1.0 - g2);
-    let phi_plus_fid = 0.5 * (p00 + p11) + 0.5 * coh;
-    // White-noise component stays ~white for small γ; keep its 1/4 overlap.
-    (w * phi_plus_fid + (1.0 - w) * 0.25).clamp(0.0, 1.0)
-}
-
 /// Number of swaps for a path of `n_links` links.
 pub fn swaps_for_links(n_links: usize) -> usize {
     n_links.saturating_sub(1)

@@ -382,8 +382,8 @@ mod tests {
 
     #[test]
     fn routing_types_are_send() {
-        // The qn_exec sweep runner moves topologies and plans across
-        // worker threads; these bounds must never regress.
+        // The seed sweeps (`qn_bench::run_sweep`) lend topologies and
+        // plans to their worker threads; these bounds must never regress.
         fn is_send_sync<T: Send + Sync>() {}
         is_send_sync::<Topology>();
         is_send_sync::<LinkSpec>();

@@ -109,11 +109,6 @@ impl<M: Model> Simulation<M> {
         &mut self.model
     }
 
-    /// Consume the simulation and return the model.
-    pub fn into_model(self) -> M {
-        self.model
-    }
-
     /// Seed an event before (or between) runs.
     pub fn schedule_at(&mut self, at: SimTime, event: M::Event) -> EventId {
         self.queue.push(at.max(self.now), event)

@@ -51,6 +51,6 @@ pub use engine::{Context, Model, RunOutcome, Simulation};
 pub use ids::{LinkId, NodeId};
 pub use queue::{EventId, EventQueue};
 pub use rng::SimRng;
-pub use stats::{OnlineStats, RateMeter, Samples};
+pub use stats::Samples;
 pub use time::{SimDuration, SimTime};
 pub use trace::{Trace, TraceKind, TraceRow};

@@ -1,107 +1,5 @@
 //! Statistics utilities used by scenarios and benchmark harnesses:
-//! online moments, retained-sample percentiles/CDFs, and windowed rates.
-
-use crate::time::{SimDuration, SimTime};
-
-/// Streaming mean/variance/min/max (Welford's algorithm).
-#[derive(Clone, Debug, Default)]
-pub struct OnlineStats {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineStats {
-    /// Empty accumulator.
-    pub fn new() -> Self {
-        OnlineStats {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Add one observation.
-    pub fn push(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Arithmetic mean (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Sample variance (0 for fewer than two observations).
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
-        }
-    }
-
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Standard error of the mean.
-    pub fn std_err(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.std_dev() / (self.count as f64).sqrt()
-        }
-    }
-
-    /// Smallest observation (`+inf` when empty).
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest observation (`-inf` when empty).
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// Merge another accumulator into this one.
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
+//! retained-sample percentiles and CDFs.
 
 /// Retained samples supporting exact percentiles and CDF extraction.
 #[derive(Clone, Debug, Default)]
@@ -211,86 +109,9 @@ impl Samples {
     }
 }
 
-/// Counts discrete deliveries over simulated time and reports a rate.
-#[derive(Clone, Debug)]
-pub struct RateMeter {
-    start: SimTime,
-    count: u64,
-    window_start: Option<SimTime>,
-}
-
-impl RateMeter {
-    /// Start metering at `start`; events before an explicit
-    /// [`RateMeter::open_window`] still count toward the whole-run rate.
-    pub fn new(start: SimTime) -> Self {
-        RateMeter {
-            start,
-            count: 0,
-            window_start: None,
-        }
-    }
-
-    /// Begin the measurement window (e.g. after warm-up). Resets the count.
-    pub fn open_window(&mut self, at: SimTime) {
-        self.window_start = Some(at);
-        self.count = 0;
-    }
-
-    /// Record one delivery.
-    pub fn record(&mut self) {
-        self.count += 1;
-    }
-
-    /// Number of deliveries since the window opened (or since `start`).
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Deliveries per simulated second between window start and `now`.
-    pub fn rate_per_sec(&self, now: SimTime) -> f64 {
-        let begin = self.window_start.unwrap_or(self.start);
-        let span: SimDuration = now.since(begin);
-        let secs = span.as_secs_f64();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.count as f64 / secs
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn online_stats_basic() {
-        let mut s = OnlineStats::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.push(x);
-        }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        // Sample std dev of this classic dataset is ~2.138.
-        assert!((s.std_dev() - 2.13809).abs() < 1e-4);
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
-    }
-
-    #[test]
-    fn online_stats_merge_equals_concat() {
-        let xs: Vec<f64> = (0..50).map(|i| (i * i) as f64 * 0.1).collect();
-        let mut whole = OnlineStats::new();
-        xs.iter().for_each(|x| whole.push(*x));
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        xs[..20].iter().for_each(|x| a.push(*x));
-        xs[20..].iter().for_each(|x| b.push(*x));
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-6);
-    }
 
     #[test]
     fn percentiles_interpolate() {
@@ -330,22 +151,5 @@ mod tests {
         assert_eq!(s.fraction_below(0.5), 0.0);
         assert_eq!(s.fraction_below(2.0), 0.5);
         assert_eq!(s.fraction_below(10.0), 1.0);
-    }
-
-    #[test]
-    fn rate_meter_window() {
-        let t0 = SimTime::ZERO;
-        let mut m = RateMeter::new(t0);
-        m.record();
-        m.record();
-        let t1 = t0 + SimDuration::from_secs(2);
-        assert!((m.rate_per_sec(t1) - 1.0).abs() < 1e-12);
-        m.open_window(t1);
-        assert_eq!(m.count(), 0);
-        for _ in 0..6 {
-            m.record();
-        }
-        let t2 = t1 + SimDuration::from_secs(3);
-        assert!((m.rate_per_sec(t2) - 2.0).abs() < 1e-12);
     }
 }

@@ -64,11 +64,6 @@ impl SimTime {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
 
-    /// Checked addition of a duration; `None` on overflow.
-    pub fn checked_add(self, d: SimDuration) -> Option<SimTime> {
-        self.0.checked_add(d.0).map(SimTime)
-    }
-
     /// Saturating addition of a duration.
     pub fn saturating_add(self, d: SimDuration) -> SimTime {
         SimTime(self.0.saturating_add(d.0))
@@ -116,16 +111,6 @@ impl SimDuration {
     /// [`SimDuration::from_secs_f64`]).
     pub fn from_millis_f64(ms: f64) -> Self {
         Self::from_f64(ms, PS_PER_MS as f64)
-    }
-
-    /// Construct from fractional microseconds.
-    pub fn from_micros_f64(us: f64) -> Self {
-        Self::from_f64(us, PS_PER_US as f64)
-    }
-
-    /// Construct from fractional nanoseconds.
-    pub fn from_nanos_f64(ns: f64) -> Self {
-        Self::from_f64(ns, PS_PER_NS as f64)
     }
 
     fn from_f64(v: f64, scale: f64) -> Self {

@@ -83,11 +83,6 @@ impl Trace {
         }
     }
 
-    /// Whether rows are being recorded.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Record a row; `source` and `text` are formatted only when the
     /// trace is enabled (a disabled trace never runs their `Display`).
     pub fn record(
