@@ -1,7 +1,8 @@
 //! Edge cases of the sweep runner: degenerate seed lists, thread
-//! counts exceeding the work, and deterministic panic propagation.
+//! counts exceeding the work, deterministic panic propagation and the
+//! `QNP_THREADS` knob.
 
-use qn_bench::run_sweep_with;
+use qn_bench::{run_sweep_with, threads};
 use std::panic;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
@@ -80,4 +81,35 @@ fn panic_at_index_zero_propagates() {
     .expect_err("sweep must propagate the panic");
     let msg = err.downcast_ref::<&str>().copied().unwrap_or_default();
     assert_eq!(msg, "boom at the head");
+}
+
+/// `QNP_THREADS` parsing: unset uses the detected default, positive
+/// integers are honoured, and zero or garbage **fails fast** — a typo'd
+/// knob must never silently degrade to a different thread count. Runs
+/// in one test to keep the env-var mutation sequential; no other test
+/// in this file reads the variable.
+#[test]
+fn qnp_threads_parsing() {
+    let default = {
+        std::env::remove_var("QNP_THREADS");
+        threads()
+    };
+    assert!(default >= 1);
+
+    std::env::set_var("QNP_THREADS", "3");
+    assert_eq!(threads(), 3);
+
+    for bad in ["0", "not-a-number", "-2", ""] {
+        std::env::set_var("QNP_THREADS", bad);
+        let err = panic::catch_unwind(threads)
+            .expect_err("zero/garbage QNP_THREADS must fail fast, not fall back");
+        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(
+            msg.contains("invalid QNP_THREADS") && msg.contains("positive integer"),
+            "QNP_THREADS={bad:?} panic message: {msg:?}"
+        );
+    }
+
+    std::env::remove_var("QNP_THREADS");
+    assert_eq!(threads(), default);
 }

@@ -1,9 +1,9 @@
 //! The qn_bench env knobs (`QNP_RUNS`, `QNP_PAIRS`, `QNP_WIRE`,
-//! `QNP_ARRIVALS`, `QNP_REQUESTS`, `QNP_THREADS`) fail fast on garbage
-//! instead of silently running the default sweep. One test, because the
+//! `QNP_ARRIVALS`, `QNP_REQUESTS`) fail fast on garbage instead of
+//! silently running the default sweep. One test, because the
 //! environment is process-global.
 
-use qn_bench::{env_u64, pairs, runs, threads, wire_on};
+use qn_bench::{env_u64, pairs, runs, wire_on};
 use std::panic;
 
 #[test]
@@ -48,24 +48,4 @@ fn env_knobs_fail_fast_on_garbage() {
         std::env::remove_var(knob);
     }
     assert_eq!(runs(3), 3);
-
-    // QNP_THREADS: unset uses the detected parallelism, positive
-    // integers are honoured, and zero fails fast as well as garbage.
-    std::env::remove_var("QNP_THREADS");
-    let default = threads();
-    assert!(default >= 1);
-    std::env::set_var("QNP_THREADS", "3");
-    assert_eq!(threads(), 3);
-    for bad in ["0", "not-a-number", "-2", ""] {
-        std::env::set_var("QNP_THREADS", bad);
-        let err = panic::catch_unwind(threads)
-            .expect_err("zero/garbage QNP_THREADS must fail fast, not fall back");
-        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(
-            msg.contains("invalid QNP_THREADS") && msg.contains("positive integer"),
-            "QNP_THREADS={bad:?} panic message: {msg:?}"
-        );
-    }
-    std::env::remove_var("QNP_THREADS");
-    assert_eq!(threads(), default);
 }
