@@ -1320,6 +1320,49 @@ mod tests {
         }
     }
 
+    /// FNV-1a digest of every entry of the tables and POVM elements
+    /// pinned by `tables_keep_their_bits`.
+    const TABLE_DIGEST: u64 = 0x04da_76f2_bfd2_be15;
+
+    /// 64-bit FNV-1a over the little-endian bytes of each value's bits.
+    fn fnv1a(h: u64, vals: impl IntoIterator<Item = f64>) -> u64 {
+        vals.into_iter()
+            .flat_map(|v| v.to_bits().to_le_bytes())
+            .fold(h, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+    }
+
+    /// The conditional-map tables and the swap POVM keep their bits: the
+    /// swap table in all four orientations at the simulation hardware's
+    /// swap noise (two-qubit gate fidelity 0.998, a perfect single-qubit
+    /// gate) and at a noisy single-qubit gate, the distillation table in
+    /// both orientations, and the POVM at both noise levels. Nothing
+    /// else gates these bits: the `dm` baselines never build a table.
+    #[test]
+    fn tables_keep_their_bits() {
+        let p_two = channels::depolarizing_param_for_fidelity(0.998, 4);
+        let noisy_single = channels::depolarizing_param_for_fidelity(0.99, 2);
+        let mut tables = Vec::new();
+        for p_single in [0.0, noisy_single] {
+            for (ia, ib) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
+                tables.push(CondTable::swap(p_two, p_single, ia, ib).expect("X closure"));
+            }
+        }
+        for b0_at_na in [true, false] {
+            tables.push(CondTable::distill(p_two, b0_at_na).expect("X closure"));
+        }
+        let mut h = 0xcbf2_9ce4_8422_2325;
+        for t in &tables {
+            let w = t.w.as_flattened().as_flattened().as_flattened();
+            let out = t.out.as_flattened().as_flattened().as_flattened();
+            h = fnv1a(h, w.iter().chain(out.as_flattened()).copied());
+        }
+        for p_single in [0.0, noisy_single] {
+            let povm = SwapPovm::new(p_two, p_single);
+            h = fnv1a(h, povm.e.iter().flatten().flat_map(|z| [z.re, z.im]));
+        }
+        assert_eq!(h, TABLE_DIGEST, "{h:#018x}");
+    }
+
     #[test]
     fn a_bell_slot_is_not_sized_for_the_dense_state() {
         // The dense variant is boxed: a pair slot holds the six numbers
