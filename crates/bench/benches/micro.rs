@@ -1,9 +1,10 @@
 //! Criterion micro-benchmarks of the core data structures: the event
-//! queue, the dense pair operations (memory decay, the distillation
-//! register's gate noise), the heralded-state construction, the link
-//! scheduler, the Bell tracking algebra, the quantum kernel's two
-//! pair-state representations side by side (`*_bell` vs `*_dm`), the
-//! pair slab, the classical plane's wire codec (`message_parse`,
+//! queue, the n-qubit density matrix's dense products (an ideal Bell
+//! measurement, the distillation register's gate noise), the memory
+//! decay of a dense pair, the heralded-state construction, the link
+//! scheduler, the Bell tracking algebra, the two pair-state
+//! representations side by side (`*_bell` vs `*_dm`), the pair slab,
+//! the classical plane's wire codec (`message_parse`,
 //! `encode_scratch_vs_alloc/scratch`), and circuit planning
 //! (`link_alpha_for_fidelity`, `controller_plan_grid`).
 
@@ -86,8 +87,8 @@ fn bench_density_matrix(c: &mut Criterion) {
 
     c.bench_function("dm_register_depolarizing_2q", |b| {
         // The dense distillation circuit's gate noise on its joint
-        // register [a0, a1, b0, b1]: the store's cached 16-term set,
-        // applied to a fresh X⊗X register each time.
+        // register [a0, a1, b0, b1]: the 16-term set, applied to a
+        // fresh X⊗X register each time.
         let noise = SwapNoise::from_params(&HardwareParams::simulation());
         let kraus = channels::depolarizing_2q(noise.p_two_qubit);
         let register = x_pair().tensor(&x_pair());
@@ -127,9 +128,9 @@ fn bench_density_matrix(c: &mut Criterion) {
 /// The same four pair-level operations under both `QNP_QSTATE`
 /// representations: single-qubit gate application, the two-qubit
 /// depolarizing channel, the full noisy entanglement swap, and one
-/// BBPSSW distillation round. Stores persist across iterations so the
-/// Bell path's cached conditional-map tables amortise, exactly as they
-/// do inside a simulation run.
+/// BBPSSW distillation round. The conditional-map tables and the swap's
+/// POVM elements are built on first use, once per process, as they are
+/// in a simulation run.
 fn bench_pair_representations(c: &mut Criterion) {
     let params = HardwareParams::simulation();
     let noise = SwapNoise::from_params(&params);
@@ -150,7 +151,7 @@ fn bench_pair_representations(c: &mut Criterion) {
         });
 
         c.bench_function(&format!("pair_swap_{tag}"), |b| {
-            let mut store = PairStore::with_rep(rep);
+            let mut store = PairStore::new(rep);
             let mut rng = SimRng::from_seed(7);
             let t_done = SimTime::ZERO + SimDuration::from_micros(500);
             b.iter(|| {
@@ -173,7 +174,7 @@ fn bench_pair_representations(c: &mut Criterion) {
         });
 
         c.bench_function(&format!("pair_distill_{tag}"), |b| {
-            let mut store = PairStore::with_rep(rep);
+            let mut store = PairStore::new(rep);
             let mut rng = SimRng::from_seed(11);
             b.iter(|| {
                 let mut mk = |q: u32| {
@@ -333,7 +334,7 @@ fn bench_slab_store(c: &mut Criterion) {
     let (t1, t2) = (3600.0, 60.0);
     let bell = || PairState::Bell(BellDiagonal::from_bell_state(BellState::PHI_PLUS));
     let mk_slab = || {
-        let mut store = PairStore::with_rep(StateRep::Bell);
+        let mut store = PairStore::new(StateRep::Bell);
         let ids: Vec<PairId> = (0..LIVE)
             .map(|_| {
                 store.create_pair(
@@ -397,41 +398,6 @@ fn bench_slab_store(c: &mut Criterion) {
     });
 }
 
-/// The swap/distill conditional-table cache lookup: the sorted-Vec
-/// binary search that backs `PairStore`'s caches, at a realistic cache
-/// population (a store accumulates a handful of distinct
-/// `(noise-bits, noise-bits, orientation)` keys per run).
-fn bench_table_cache(c: &mut Criterion) {
-    type Key = (u64, u64, u8);
-    const KEYS: usize = 12;
-    let keys: Vec<Key> = (0..KEYS as u64)
-        .map(|i| {
-            (
-                (3600.0f64 + i as f64).to_bits(),
-                (60.0f64 * (i + 1) as f64).to_bits(),
-                (i % 4) as u8,
-            )
-        })
-        .collect();
-    // The lookup mix: tables hit in rotation, as link labels fire
-    // round-robin under the time-share scheduler.
-    let lookups: Vec<Key> = (0..256).map(|i| keys[i % KEYS]).collect();
-
-    c.bench_function("table_cache_lookup/sorted_vec", |b| {
-        let mut entries: Vec<(Key, Vec<f64>)> =
-            keys.iter().map(|k| (*k, vec![k.0 as f64; 16])).collect();
-        entries.sort_by_key(|(k, _)| *k);
-        b.iter(|| {
-            let mut acc = 0.0f64;
-            for k in &lookups {
-                let i = entries.binary_search_by(|(e, _)| e.cmp(k)).expect("cached");
-                acc += entries[i].1[0];
-            }
-            acc
-        });
-    });
-}
-
 fn bench_bell_algebra(c: &mut Criterion) {
     c.bench_function("bell_combine_chain_64", |b| {
         let states: Vec<BellState> = (0..64).map(|i| BellState::from_index(i % 4)).collect();
@@ -454,7 +420,6 @@ criterion_group!(
     bench_link_scheduler,
     bench_message_codec,
     bench_slab_store,
-    bench_table_cache,
     bench_bell_algebra
 );
 criterion_main!(benches);

@@ -191,7 +191,7 @@ pub fn fig5_sweep(chunk: u64, total: u64, fidelity: f64) -> Vec<Vec<Fig5Sample>>
     run_sweep(&chunk_indices, |index| {
         let mut rng = SimRng::substream_indexed(1, "fig5", index);
         let mut qrng = SimRng::substream_indexed(1, "fig5q", index);
-        let mut store = PairStore::with_rep(rep);
+        let mut store = PairStore::new(rep);
         let params = *physics.params();
         let n = chunk.min(total.saturating_sub(index * chunk));
         (0..n)

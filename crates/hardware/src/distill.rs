@@ -25,7 +25,8 @@
 
 use crate::pairs::{PairId, PairStore, SwapNoise};
 use qn_quantum::bell::BellState;
-use qn_quantum::gates;
+use qn_quantum::pairstate::CondTable;
+use qn_quantum::{channels, gates};
 use qn_sim::{NodeId, SimRng, SimTime};
 
 /// Outcome of one distillation attempt.
@@ -93,39 +94,32 @@ impl PairStore {
         );
         // Orientation of the sacrificed pair relative to the kept one.
         let b0_at_na = b.ends()[0].node == na;
-        // Snapshot the fast representations (they are `Copy`) before
-        // taking the table cache borrow.
-        let bell_inputs = match (a.state().as_bell(), b.state().as_bell()) {
-            (Some(x), Some(y)) => Some((*x, *y)),
-            _ => None,
-        };
 
         // Fast path: one conditional-map table contraction instead of
         // the 16×16 joint-register circuit.
-        let fast = bell_inputs.and_then(|(x, y)| {
-            self.distill_table(noise.p_two_qubit, b0_at_na).map(|t| {
+        let fast = match (a.state().as_bell(), b.state().as_bell()) {
+            (Some(x), Some(y)) => CondTable::distill(noise.p_two_qubit, b0_at_na).map(|t| {
                 let u1 = rng.f64();
                 let u2 = rng.f64();
-                t.apply(&x, &y, u1, u2)
-            })
-        });
+                t.apply(x, y, u1, u2)
+            }),
+            _ => None,
+        };
 
         let (m_na, m_nb, post) = match fast {
             Some((m_na, m_nb, bd)) => (m_na, m_nb, qn_quantum::PairState::Bell(bd)),
             None => {
-                let a = self.get(keep).expect("keep pair");
-                let b = self.get(sacrifice).expect("sacrifice pair");
                 // Joint register: [a0, a1, b0, b1]; align so CNOTs act
                 // locally.
                 let mut joint = a.state().to_density().tensor(&b.state().to_density());
                 let (b_at_na, b_at_nb) = if b0_at_na { (2, 3) } else { (3, 2) };
-                let two = self.gate_noise(noise.p_two_qubit);
+                let two = channels::depolarizing_2q(noise.p_two_qubit);
 
                 // Bilateral CNOTs with two-qubit gate noise.
                 for (ctrl, tgt) in [(0usize, b_at_na), (1usize, b_at_nb)] {
                     joint.apply_unitary(&gates::cnot(), &[ctrl, tgt]);
                     if noise.p_two_qubit > 0.0 {
-                        joint.apply_kraus(two, &[ctrl, tgt]);
+                        joint.apply_kraus(&two, &[ctrl, tgt]);
                     }
                 }
                 // Measure the sacrificed qubits in Z.
@@ -172,6 +166,7 @@ mod tests {
     use crate::params::{HardwareParams, ReadoutSpec};
     use qn_quantum::formulas::werner_param;
     use qn_quantum::DensityMatrix;
+    use qn_quantum::StateRep;
 
     fn perfect_noise() -> SwapNoise {
         SwapNoise {
@@ -230,7 +225,7 @@ mod tests {
         let mut successes = 0usize;
         let mut fid_sum = 0.0;
         for _ in 0..n {
-            let mut store = PairStore::new();
+            let mut store = PairStore::new(StateRep::Bell);
             let a = mk(&mut store, f_in, BellState::PHI_PLUS, 0);
             let b = mk(&mut store, f_in, BellState::PHI_PLUS, 1);
             let res = store.distill(a, b, SimTime::ZERO, &noise, &mut rng);
@@ -263,7 +258,7 @@ mod tests {
         let mut ok = 0;
         let n = 120;
         for i in 0..n {
-            let mut store = PairStore::new();
+            let mut store = PairStore::new(StateRep::Bell);
             let a = mk(&mut store, 0.85, BellState::from_index(i % 4), 0);
             let b = mk(&mut store, 0.85, BellState::from_index((i / 4) % 4), 1);
             let res = store.distill(a, b, SimTime::ZERO, &noise, &mut rng);
@@ -287,7 +282,7 @@ mod tests {
         let mut successes = 0usize;
         let mut fid_sum = 0.0;
         for _ in 0..n {
-            let mut store = PairStore::new();
+            let mut store = PairStore::new(StateRep::Bell);
             let a = mk(&mut store, 0.8, BellState::PHI_PLUS, 0);
             let b = mk(&mut store, 0.8, BellState::PHI_PLUS, 1);
             let res = store.distill(a, b, SimTime::ZERO, &noise, &mut rng);
@@ -308,7 +303,7 @@ mod tests {
     fn sacrificed_pair_is_removed() {
         let noise = perfect_noise();
         let mut rng = SimRng::from_seed(17);
-        let mut store = PairStore::new();
+        let mut store = PairStore::new(StateRep::Bell);
         let a = mk(&mut store, 0.9, BellState::PHI_PLUS, 0);
         let b = mk(&mut store, 0.9, BellState::PHI_PLUS, 1);
         let res = store.distill(a, b, SimTime::ZERO, &noise, &mut rng);

@@ -19,6 +19,7 @@
 //! ```
 //! use qn_hardware::heralding::LinkPhysics;
 //! use qn_hardware::pairs::{PairStore, SwapNoise};
+//! use qn_hardware::StateRep;
 //! use qn_hardware::params::{FibreParams, HardwareParams};
 //! use qn_hardware::device::QubitId;
 //! use qn_sim::{NodeId, SimRng, SimTime, SimDuration};
@@ -28,7 +29,7 @@
 //! let announced = qn_quantum::BellState::PSI_PLUS;
 //! let state = physics.heralded_state(alpha, announced);
 //!
-//! let mut store = PairStore::new();
+//! let mut store = PairStore::new(StateRep::Bell);
 //! let id = store.create(
 //!     SimTime::ZERO,
 //!     state,

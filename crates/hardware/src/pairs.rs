@@ -33,7 +33,6 @@ use crate::params::{HardwareParams, ReadoutSpec};
 use qn_quantum::bell::BellState;
 use qn_quantum::channels;
 use qn_quantum::gates::Pauli;
-use qn_quantum::matrix::CMatrix;
 use qn_quantum::measure::swap_circuit_outcome;
 use qn_quantum::pairstate::{BellDiagonal, CondTable, PairState, StateRep, SwapPovm};
 use qn_quantum::DensityMatrix;
@@ -186,39 +185,10 @@ pub struct MeasureResult {
     pub reported: bool,
 }
 
-/// Small sorted-`Vec` cache for the per-noise-level circuit data
-/// (conditional-map tables, swap POVMs, gate-noise Kraus sets). The
-/// key space is tiny and static per run (one entry per noise parameter
-/// set, and per circuit orientation for the tables), so a
-/// binary-searched flat array beats hashing the key on every
-/// swap/distill.
-struct TableCache<K, V> {
-    entries: Vec<(K, V)>,
-}
-
-impl<K: Ord + Copy, V> TableCache<K, V> {
-    fn new() -> Self {
-        TableCache {
-            entries: Vec::new(),
-        }
-    }
-
-    fn get_or_insert(&mut self, key: K, build: impl FnOnce() -> V) -> &V {
-        let idx = match self.entries.binary_search_by(|(k, _)| k.cmp(&key)) {
-            Ok(i) => i,
-            Err(i) => {
-                self.entries.insert(i, (key, build()));
-                i
-            }
-        };
-        &self.entries[idx].1
-    }
-}
-
 /// All live pairs in the network, stored as a generational slab.
 ///
-/// The store runs on one of two state representations (the `QNP_QSTATE`
-/// knob, see [`StateRep`]): the Bell-diagonal closed-form fast path or
+/// The store runs on one of two state representations (see
+/// [`StateRep`]): the Bell-diagonal closed-form fast path or
 /// dense 4×4 density matrices. Both follow the same trajectory —
 /// identical RNG draw order and outcomes — the fast path just replaces
 /// each operation on sixteen complex entries with a few dozen real
@@ -236,38 +206,11 @@ pub struct PairStore {
     free: Vec<u32>,
     live: usize,
     rep: StateRep,
-    /// Conditional-map tables for the noisy swap circuit, keyed by the
-    /// noise parameters' bit patterns and the pair orientation
-    /// `ia·2+ib`. `None` records a (never expected) X-closure failure:
-    /// that noise set permanently uses the dense path.
-    swap_tables: TableCache<(u64, u64, u8), Option<Box<CondTable>>>,
-    /// Same for the distillation circuit, keyed by noise bits and the
-    /// sacrificed pair's orientation.
-    distill_tables: TableCache<(u64, bool), Option<Box<CondTable>>>,
-    /// The swap's POVM elements for dense pairs, keyed by the noise
-    /// parameters' bit patterns (orientation only permutes indices).
-    swap_povms: TableCache<(u64, u64), Box<SwapPovm>>,
-    /// The two-qubit gate-noise Kraus set of the dense distillation
-    /// circuit, keyed by the noise probability's bit pattern.
-    gate_noise: TableCache<u64, Vec<CMatrix>>,
-}
-
-impl Default for PairStore {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl PairStore {
-    /// An empty store on the representation selected by `QNP_QSTATE`
-    /// (default: the Bell-diagonal fast path).
-    pub fn new() -> Self {
-        Self::with_rep(StateRep::from_env())
-    }
-
-    /// An empty store on an explicit representation (tests, A/B
-    /// comparisons).
-    pub fn with_rep(rep: StateRep) -> Self {
+    /// An empty store on the representation `rep`.
+    pub fn new(rep: StateRep) -> Self {
         PairStore {
             meta: Vec::new(),
             ends: Vec::new(),
@@ -275,10 +218,6 @@ impl PairStore {
             free: Vec::new(),
             live: 0,
             rep,
-            swap_tables: TableCache::new(),
-            distill_tables: TableCache::new(),
-            swap_povms: TableCache::new(),
-            gate_noise: TableCache::new(),
         }
     }
 
@@ -648,8 +587,7 @@ impl PairStore {
         // table for this noise/orientation is X-closed — the whole
         // noisy circuit collapses to one 36-term contraction.
         let fast = match (a_state.as_bell(), b_state.as_bell()) {
-            (Some(x), Some(y)) => self
-                .swap_table(noise, ia, ib)
+            (Some(x), Some(y)) => CondTable::swap(noise.p_two_qubit, noise.p_single, ia, ib)
                 .map(|t| {
                     let u1 = rng.f64();
                     let u2 = rng.f64();
@@ -663,13 +601,13 @@ impl PairStore {
             Some(res) => res,
             None => {
                 // Dense path: one contraction of both 4×4 states with
-                // the cached POVM element of the sampled outcome. The
-                // true outcomes collapse the state.
+                // the POVM element of the sampled outcome. The true
+                // outcomes collapse the state.
                 let (a, b) = (a_state.to_dense(), b_state.to_dense());
                 let u1 = rng.f64();
                 let u2 = rng.f64();
-                let (m_control, m_target, post) =
-                    self.swap_povm(noise).apply(&a, &b, ia, ib, u1, u2);
+                let povm = SwapPovm::get(noise.p_two_qubit, noise.p_single);
+                let (m_control, m_target, post) = povm.apply(&a, &b, ia, ib, u1, u2);
                 (m_control, m_target, PairState::from_dense(post, self.rep))
             }
         };
@@ -720,44 +658,6 @@ impl PairStore {
                 state: &self.states[i],
                 ends: &self.ends[i],
             })
-    }
-
-    /// The cached conditional-map table for the swap circuit at this
-    /// noise level and orientation (built on first use).
-    fn swap_table(&mut self, noise: &SwapNoise, ia: usize, ib: usize) -> Option<&CondTable> {
-        let key = (
-            noise.p_two_qubit.to_bits(),
-            noise.p_single.to_bits(),
-            (ia * 2 + ib) as u8,
-        );
-        let (p2, p1) = (noise.p_two_qubit, noise.p_single);
-        self.swap_tables
-            .get_or_insert(key, || CondTable::swap(p2, p1, ia, ib).map(Box::new))
-            .as_deref()
-    }
-
-    /// The cached conditional-map table for the distillation circuit.
-    pub(crate) fn distill_table(&mut self, p_two: f64, b0_at_na: bool) -> Option<&CondTable> {
-        let key = (p_two.to_bits(), b0_at_na);
-        self.distill_tables
-            .get_or_insert(key, || CondTable::distill(p_two, b0_at_na).map(Box::new))
-            .as_deref()
-    }
-
-    /// The cached POVM elements of the swap on dense pairs at this
-    /// noise level (built on first use).
-    fn swap_povm(&mut self, noise: &SwapNoise) -> &SwapPovm {
-        let key = (noise.p_two_qubit.to_bits(), noise.p_single.to_bits());
-        let (p2, p1) = (noise.p_two_qubit, noise.p_single);
-        self.swap_povms
-            .get_or_insert(key, || Box::new(SwapPovm::new(p2, p1)))
-    }
-
-    /// The cached two-qubit gate-noise Kraus set of the dense
-    /// distillation circuit (built on first use).
-    pub(crate) fn gate_noise(&mut self, p_two: f64) -> &[CMatrix] {
-        self.gate_noise
-            .get_or_insert(p_two.to_bits(), || channels::depolarizing_2q(p_two))
     }
 }
 
@@ -840,7 +740,7 @@ mod tests {
 
     #[test]
     fn fresh_pair_has_unit_fidelity() {
-        let mut store = PairStore::new();
+        let mut store = PairStore::new(StateRep::Bell);
         let id = mk_pair(&mut store, 60.0, BellState::PSI_PLUS, SimTime::ZERO);
         let f = store.fidelity_to(id, BellState::PSI_PLUS, SimTime::ZERO);
         assert!((f - 1.0).abs() < 1e-12);
@@ -850,7 +750,7 @@ mod tests {
     fn churn_free_ids_are_dense_and_sequential() {
         // Without slot reuse the packed ids match the old sequential
         // counter: 0, 1, 2, … (generation half zero).
-        let mut store = PairStore::new();
+        let mut store = PairStore::new(StateRep::Bell);
         for i in 0..5u64 {
             let id = mk_pair(&mut store, 60.0, BellState::PHI_PLUS, SimTime::ZERO);
             assert_eq!(id.0, i);
@@ -861,7 +761,7 @@ mod tests {
 
     #[test]
     fn slot_reuse_bumps_generation_and_detects_stale_handles() {
-        let mut store = PairStore::new();
+        let mut store = PairStore::new(StateRep::Bell);
         let a = mk_pair(&mut store, 60.0, BellState::PHI_PLUS, SimTime::ZERO);
         store.discard(a).unwrap();
         let b = mk_pair(&mut store, 60.0, BellState::PSI_MINUS, SimTime::ZERO);
@@ -880,7 +780,7 @@ mod tests {
 
     #[test]
     fn fidelities_at_reuses_scratch_in_slot_order() {
-        let mut store = PairStore::new();
+        let mut store = PairStore::new(StateRep::Bell);
         let a = mk_pair(&mut store, 60.0, BellState::PHI_PLUS, SimTime::ZERO);
         let b = mk_pair(&mut store, 60.0, BellState::PHI_PLUS, SimTime::ZERO);
         let mut out = vec![(PairId(99), 0.0)]; // stale content is cleared
@@ -898,7 +798,7 @@ mod tests {
 
     #[test]
     fn idle_pair_decoheres() {
-        let mut store = PairStore::new();
+        let mut store = PairStore::new(StateRep::Bell);
         let id = mk_pair(&mut store, 1.0, BellState::PHI_PLUS, SimTime::ZERO);
         let f1 = store.fidelity_to(
             id,
@@ -923,7 +823,7 @@ mod tests {
 
     #[test]
     fn decoherence_matches_analytic_dephasing() {
-        let mut store = PairStore::new();
+        let mut store = PairStore::new(StateRep::Bell);
         let t2 = 2.0;
         // Infinite T1 isolates pure dephasing for the analytic comparison.
         let id = store.create(
@@ -952,7 +852,7 @@ mod tests {
 
     #[test]
     fn noiseless_swap_preserves_tracking() {
-        let mut store = PairStore::new();
+        let mut store = PairStore::new(StateRep::Bell);
         let now = SimTime::ZERO;
         let a = store.create(
             now,
@@ -1003,7 +903,7 @@ mod tests {
         let mut total = 0.0;
         let n = 20;
         for _ in 0..n {
-            let mut store = PairStore::new();
+            let mut store = PairStore::new(StateRep::Bell);
             let now = SimTime::ZERO;
             let a = mk_pair(&mut store, 60.0, BellState::PHI_PLUS, now);
             let b = store.create(
@@ -1029,7 +929,7 @@ mod tests {
     fn readout_error_corrupts_announcement_not_projection() {
         // With fidelity-0 readout the announced bits are always flipped:
         // the announced Bell state is wrong in a *predictable* way.
-        let mut store = PairStore::new();
+        let mut store = PairStore::new(StateRep::Bell);
         let now = SimTime::ZERO;
         let a = mk_pair(&mut store, 60.0, BellState::PHI_PLUS, now);
         let b = store.create(
@@ -1077,7 +977,7 @@ mod tests {
         let mut agree = 0;
         let n = 50;
         for _ in 0..n {
-            let mut store = PairStore::new();
+            let mut store = PairStore::new(StateRep::Bell);
             let id = mk_pair(&mut store, 60.0, BellState::PHI_PLUS, SimTime::ZERO);
             let m0 = store.measure_end(id, NodeId(0), Pauli::Z, &readout, SimTime::ZERO, &mut rng);
             let m1 = store.measure_end(id, NodeId(1), Pauli::Z, &readout, SimTime::ZERO, &mut rng);
@@ -1094,7 +994,7 @@ mod tests {
         let mut rng = SimRng::from_seed(9);
         let readout = perfect_readout();
         for _ in 0..20 {
-            let mut store = PairStore::new();
+            let mut store = PairStore::new(StateRep::Bell);
             let id = mk_pair(&mut store, 60.0, BellState::PSI_PLUS, SimTime::ZERO);
             let m0 = store.measure_end(id, NodeId(0), Pauli::Z, &readout, SimTime::ZERO, &mut rng);
             let m1 = store.measure_end(id, NodeId(1), Pauli::Z, &readout, SimTime::ZERO, &mut rng);
@@ -1104,7 +1004,7 @@ mod tests {
 
     #[test]
     fn pauli_correction_changes_frame() {
-        let mut store = PairStore::new();
+        let mut store = PairStore::new(StateRep::Bell);
         let id = mk_pair(&mut store, 60.0, BellState::PSI_PLUS, SimTime::ZERO);
         store.apply_pauli(id, NodeId(1), Pauli::X, SimTime::ZERO);
         let pair = store.get(id).unwrap();
@@ -1115,7 +1015,7 @@ mod tests {
 
     #[test]
     fn extra_dephasing_reduces_fidelity() {
-        let mut store = PairStore::new();
+        let mut store = PairStore::new(StateRep::Bell);
         let id = mk_pair(&mut store, 60.0, BellState::PHI_PLUS, SimTime::ZERO);
         store.apply_dephasing(id, NodeId(0), 0.1);
         let f = store.fidelity_to(id, BellState::PHI_PLUS, SimTime::ZERO);
@@ -1124,7 +1024,7 @@ mod tests {
 
     #[test]
     fn retarget_moves_end_and_charges_noise() {
-        let mut store = PairStore::new();
+        let mut store = PairStore::new(StateRep::Bell);
         let id = mk_pair(&mut store, 1.46, BellState::PHI_PLUS, SimTime::ZERO);
         let old = store.retarget_end(id, NodeId(0), QubitId(5), 360.0, 60.0, 0.02, SimTime::ZERO);
         assert_eq!(old, QubitId(0));
@@ -1138,7 +1038,7 @@ mod tests {
 
     #[test]
     fn discard_frees_qubits() {
-        let mut store = PairStore::new();
+        let mut store = PairStore::new(StateRep::Bell);
         let id = mk_pair(&mut store, 60.0, BellState::PHI_PLUS, SimTime::ZERO);
         let freed = store.discard(id).unwrap();
         assert_eq!(freed[0], (NodeId(0), QubitId(0)));

@@ -43,7 +43,7 @@ fn arb_pair() -> BoxedStrategy<PairSpec> {
 }
 
 fn build(rep: StateRep, specs: &[PairSpec]) -> (PairStore, Vec<PairId>) {
-    let mut store = PairStore::with_rep(rep);
+    let mut store = PairStore::new(rep);
     let ids = specs
         .iter()
         .enumerate()

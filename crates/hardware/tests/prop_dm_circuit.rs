@@ -1,7 +1,7 @@
 //! The swap and distillation of a `StateRep::Dm` pair store against the
-//! same circuits run on the dense reference of `qn_testkit::dense`:
-//! memory decay on every end, the Pauli-frame corrections, the noisy
-//! gates, both Z measurements and the partial trace. The store runs the
+//! same circuits run on the n-qubit `DensityMatrix`: memory decay on
+//! every end, the Pauli-frame corrections, the noisy gates, both Z
+//! measurements and the partial trace. The store runs the
 //! swap as one contraction with a cached 4×4 POVM element and the decay
 //! and Paulis as closed forms on the 4×4 matrix, so rounding differs
 //! from the reference: the outcomes must be identical and every entry
@@ -24,7 +24,7 @@ use qn_quantum::matrix::CMatrix;
 use qn_quantum::measure::swap_circuit_outcome;
 use qn_quantum::{channels, gates, DensityMatrix};
 use qn_sim::{NodeId, SimDuration, SimRng, SimTime};
-use qn_testkit::dense::{self, random_full_rank_state, random_state, random_x_state, SplitMix};
+use qn_testkit::dense::{random_full_rank_state, random_state, random_x_state, SplitMix};
 
 /// Largest difference allowed in any component of any entry.
 const EPS: f64 = 1e-12;
@@ -61,18 +61,18 @@ fn strength(r: &mut SplitMix) -> f64 {
 
 /// The reference of `PairStore::advance` for a pair idle for `dt`
 /// seconds: amplitude damping then dephasing on each end in turn.
-fn decay(mut rho: CMatrix, dt: f64, (t1, t2): (f64, f64)) -> CMatrix {
+fn decay(mut rho: DensityMatrix, dt: f64, (t1, t2): (f64, f64)) -> DensityMatrix {
     if dt <= 0.0 {
         return rho;
     }
     for end in 0..2 {
         let gamma = channels::damping_prob(dt, t1);
         if gamma > 0.0 {
-            rho = dense::apply_kraus(&rho, &channels::amplitude_damping(gamma), &[end]);
+            rho.apply_kraus(&channels::amplitude_damping(gamma), &[end]);
         }
         let p = channels::dephasing_prob(dt, t2);
         if p > 0.0 {
-            rho = dense::apply_kraus(&rho, &channels::dephasing(p), &[end]);
+            rho.apply_kraus(&channels::dephasing(p), &[end]);
         }
     }
     rho
@@ -121,7 +121,7 @@ fn check_swap(
 ) -> Result<(), TestCaseError> {
     let noise = noise(strength(r), strength(r));
     for (ia, ib) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
-        let mut store = PairStore::with_rep(StateRep::Dm);
+        let mut store = PairStore::new(StateRep::Dm);
         let a_ends = if ia == 1 {
             [(0, 0), (1, 0)]
         } else {
@@ -146,26 +146,24 @@ fn check_swap(
         );
 
         let dt = now.since(SimTime::ZERO).as_secs_f64();
-        let joint =
-            decay(a.matrix().clone(), dt, memory).kron(&decay(b.matrix().clone(), dt, memory));
+        let mut joint = decay(a.clone(), dt, memory).tensor(&decay(b.clone(), dt, memory));
         let (qa, qb) = (ia, 2 + ib);
-        let mut joint = dense::apply_unitary(&joint, &gates::cnot(), &[qa, qb]);
+        joint.apply_unitary(&gates::cnot(), &[qa, qb]);
         if noise.p_two_qubit > 0.0 {
-            let kraus = channels::depolarizing_2q(noise.p_two_qubit);
-            joint = dense::apply_kraus(&joint, &kraus, &[qa, qb]);
+            joint.apply_kraus(&channels::depolarizing_2q(noise.p_two_qubit), &[qa, qb]);
         }
-        joint = dense::apply_unitary(&joint, &gates::h(), &[qa]);
+        joint.apply_unitary(&gates::h(), &[qa]);
         if noise.p_single > 0.0 {
-            joint = dense::apply_kraus(&joint, &channels::depolarizing(noise.p_single), &[qa]);
+            joint.apply_kraus(&channels::depolarizing(noise.p_single), &[qa]);
         }
         let mut rng = SimRng::from_seed(rng_seed);
-        let (m_control, joint) = dense::measure_z(&joint, qa, rng.f64());
-        let (m_target, joint) = dense::measure_z(&joint, qb, rng.f64());
-        let post = dense::partial_trace(&joint, &[1 - ia, 2 + (1 - ib)]);
+        let m_control = joint.measure_z(qa, rng.f64());
+        let m_target = joint.measure_z(qb, rng.f64());
+        let post = joint.partial_trace_keep(&[1 - ia, 2 + (1 - ib)]);
 
         prop_assert_eq!(res.outcome, swap_circuit_outcome(m_control, m_target));
         prop_assert!(
-            close(&dense_state(&store, res.new_pair), &post),
+            close(&dense_state(&store, res.new_pair), post.matrix()),
             "swap (ia {ia}, ib {ib}, {noise:?}) differs from the reference"
         );
     }
@@ -216,7 +214,7 @@ proptest! {
         let noise = noise(strength(&mut r), 0.0);
         let frames = [BellState::ALL[r.below(4)], BellState::ALL[r.below(4)]];
         let (k, s) = (random_state(2, &mut r), random_state(2, &mut r));
-        let mut store = PairStore::with_rep(StateRep::Dm);
+        let mut store = PairStore::new(StateRep::Dm);
         let s_ends = if b0_at_na { [(0, 1), (1, 1)] } else { [(1, 1), (0, 1)] };
         let keep = create(&mut store, k.clone(), frames[0], [(0, 0), (1, 0)], (T1, T2));
         let sacrifice = create(&mut store, s.clone(), frames[1], s_ends, (T1, T2));
@@ -226,29 +224,29 @@ proptest! {
 
         let dt = now.since(SimTime::ZERO).as_secs_f64();
         let [k, s] = [(k, frames[0]), (s, frames[1])].map(|(state, frame)| {
-            let rho = decay(state.matrix().clone(), dt, (T1, T2));
-            match frame.correction_to(BellState::PHI_PLUS) {
-                qn_quantum::Pauli::I => rho,
-                pauli => dense::apply_unitary(&rho, &pauli.matrix(), &[1]),
+            let mut rho = decay(state, dt, (T1, T2));
+            let pauli = frame.correction_to(BellState::PHI_PLUS);
+            if pauli != qn_quantum::Pauli::I {
+                rho.apply_unitary(&pauli.matrix(), &[1]);
             }
+            rho
         });
-        let mut joint = k.kron(&s);
+        let mut joint = k.tensor(&s);
         let (b_at_na, b_at_nb) = if b0_at_na { (2, 3) } else { (3, 2) };
         for (ctrl, tgt) in [(0, b_at_na), (1, b_at_nb)] {
-            joint = dense::apply_unitary(&joint, &gates::cnot(), &[ctrl, tgt]);
+            joint.apply_unitary(&gates::cnot(), &[ctrl, tgt]);
             if noise.p_two_qubit > 0.0 {
-                let kraus = channels::depolarizing_2q(noise.p_two_qubit);
-                joint = dense::apply_kraus(&joint, &kraus, &[ctrl, tgt]);
+                joint.apply_kraus(&channels::depolarizing_2q(noise.p_two_qubit), &[ctrl, tgt]);
             }
         }
         let mut rng = SimRng::from_seed(rng_seed);
-        let (m_na, joint) = dense::measure_z(&joint, b_at_na, rng.f64());
-        let (m_nb, joint) = dense::measure_z(&joint, b_at_nb, rng.f64());
-        let post = dense::partial_trace(&joint, &[0, 1]);
+        let m_na = joint.measure_z(b_at_na, rng.f64());
+        let m_nb = joint.measure_z(b_at_nb, rng.f64());
+        let post = joint.partial_trace_keep(&[0, 1]);
 
         prop_assert_eq!(res.success, m_na == m_nb);
         prop_assert!(
-            close(&dense_state(&store, res.kept), &post),
+            close(&dense_state(&store, res.kept), post.matrix()),
             "distill (b0_at_na {b0_at_na}, {noise:?}) differs from the reference"
         );
     }

@@ -7,6 +7,7 @@ use qn_hardware::device::QubitId;
 use qn_hardware::heralding::LinkPhysics;
 use qn_hardware::pairs::{PairId, PairStore, SwapNoise};
 use qn_hardware::params::{FibreParams, HardwareParams};
+use qn_hardware::StateRep;
 use qn_quantum::bell::BellState;
 use qn_sim::{NodeId, SimDuration, SimRng, SimTime};
 use qn_testkit::{ModelSpec, ModelTest};
@@ -81,7 +82,7 @@ mod chain_model {
 
         fn new_system(&self) -> ChainSystem {
             ChainSystem {
-                store: PairStore::new(),
+                store: PairStore::new(StateRep::Bell),
                 pairs: VecDeque::new(),
                 noise: SwapNoise::from_params(&HardwareParams::simulation()),
                 rng: SimRng::from_seed(7),
@@ -347,7 +348,7 @@ proptest! {
         t2 in 0.1f64..10.0,
         waits_ms in proptest::collection::vec(1u64..2000, 1..8),
     ) {
-        let mut store = PairStore::new();
+        let mut store = PairStore::new(StateRep::Bell);
         let id = store.create(
             SimTime::ZERO,
             BellState::PHI_PLUS.density(),
@@ -378,7 +379,7 @@ proptest! {
         let params = HardwareParams::simulation();
         let noise = SwapNoise::from_params(&params);
         let mut rng = SimRng::from_seed(seed);
-        let mut store = PairStore::new();
+        let mut store = PairStore::new(StateRep::Bell);
         let mut pairs = Vec::new();
         for i in 0..n_links {
             let announced = if rng.bernoulli(0.5) { BellState::PSI_PLUS } else { BellState::PSI_MINUS };

@@ -169,8 +169,8 @@ impl ModelSpec for ReuseSpec {
     fn new_system(&self) -> World {
         let params = HardwareParams::simulation();
         let mut world = World {
-            fresh: PairStore::with_rep(StateRep::Bell),
-            worn: PairStore::with_rep(StateRep::Bell),
+            fresh: PairStore::new(StateRep::Bell),
+            worn: PairStore::new(StateRep::Bell),
             rng_fresh: SimRng::substream(0x51AB, "reuse"),
             rng_worn: SimRng::substream(0x51AB, "reuse"),
             now: SimTime::ZERO,

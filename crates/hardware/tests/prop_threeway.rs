@@ -150,8 +150,8 @@ impl ModelSpec for ThreeWaySpec {
     fn new_system(&self) -> World {
         let params = HardwareParams::simulation();
         let mut world = World {
-            bell: PairStore::with_rep(StateRep::Bell),
-            dense: PairStore::with_rep(StateRep::Dm),
+            bell: PairStore::new(StateRep::Bell),
+            dense: PairStore::new(StateRep::Dm),
             rng_bell: SimRng::from_seed(0xB0B),
             rng_dense: SimRng::from_seed(0xB0B),
             now: SimTime::ZERO,

@@ -528,7 +528,7 @@ impl NetworkModel {
             nodes,
             links,
             node_links,
-            pairs: PairStore::with_rep(cfg.state_rep),
+            pairs: PairStore::new(cfg.state_rep),
             qubit_owner: NodeTable::new(n_nodes),
             refs: PairRefs::new(),
             label_map: (0..n_links).map(|_| Vec::new()).collect(),

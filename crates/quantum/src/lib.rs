@@ -46,7 +46,6 @@ pub mod channels;
 pub mod complex;
 pub mod formulas;
 pub mod gates;
-mod kernel;
 pub mod matrix;
 pub mod measure;
 pub mod pairstate;

@@ -2,92 +2,25 @@
 //!
 //! The engine only ever manipulates matrices up to 16×16 (four qubits:
 //! two entangled pairs joined for a distillation round), so a simple
-//! row-major layout with an O(n³) product serves every general product
-//! (purity, expectations, projector probabilities, tests), with no
-//! BLAS. Gates and Kraus operators are not applied through it: the
-//! kernels behind `DensityMatrix::apply_unitary`/`apply_kraus`
-//! (`crate::kernel`) touch only an operator's nonzeros.
-//!
-//! Storage is allocation-free for the hot sizes: matrices of up to 16
-//! entries (every 1- and 2-qubit gate, every Kraus operator, every 4×4
-//! state) live inline in the struct; only the 8×8/16×16 joint registers
-//! of the table builds and the distillation circuit spill to the heap,
-//! and [`CMatrix::reset_zeros`] lets callers reuse those buffers across
-//! operations. The inline capacity is deliberately *not* 16×16: a 4 KiB
-//! always-inline matrix would make cloning states and building
-//! 16-element Kraus sets far more expensive than the allocations it
-//! avoids.
+//! row-major `Vec` with an O(n³) product serves every product, with no
+//! BLAS. `DensityMatrix` applies gates and Kraus operators with the
+//! dense products here: [`embed_op`] into the full register, then
+//! [`CMatrix::mul_into`] and [`CMatrix::mul_dagger_into`]. No hot path
+//! builds a `CMatrix`: the simulator's pairs are closed-form 4×4
+//! states, and the n-qubit matrices only build the swap and
+//! distillation tables (once per process) and run dense distillation.
 
 use crate::complex::C64;
 use std::fmt;
 use std::ops::{Add, Mul, Sub};
 
-/// Entries stored inline (4×4 — a two-qubit pair state — and smaller).
-const INLINE: usize = 16;
-
-/// Row-major element storage: inline up to [`INLINE`] entries, heap
-/// beyond. The inline variant is large on purpose: a gate, a Kraus
-/// term or a two-qubit state never touches the heap.
-#[allow(clippy::large_enum_variant)]
-#[derive(Clone)]
-enum Data {
-    Inline { len: u8, buf: [C64; INLINE] },
-    Heap(Vec<C64>),
-}
-
-impl Data {
-    fn zeros(n: usize) -> Data {
-        if n <= INLINE {
-            Data::Inline {
-                len: n as u8,
-                buf: [C64::ZERO; INLINE],
-            }
-        } else {
-            Data::Heap(vec![C64::ZERO; n])
-        }
-    }
-
-    /// The `n` entries of `entries`, inline when they fit: a 2×2 gate
-    /// or Kraus term is built without touching the heap.
-    fn collect(n: usize, entries: impl Iterator<Item = C64>) -> Data {
-        let mut d = Data::zeros(n);
-        for (slot, z) in d.as_mut_slice().iter_mut().zip(entries) {
-            *slot = z;
-        }
-        d
-    }
-
-    #[inline]
-    fn as_slice(&self) -> &[C64] {
-        match self {
-            Data::Inline { len, buf } => &buf[..*len as usize],
-            Data::Heap(v) => v,
-        }
-    }
-
-    #[inline]
-    fn as_mut_slice(&mut self) -> &mut [C64] {
-        match self {
-            Data::Inline { len, buf } => &mut buf[..*len as usize],
-            Data::Heap(v) => v,
-        }
-    }
-}
-
 /// A dense complex matrix.
-#[derive(Clone)]
+#[derive(Clone, PartialEq)]
 pub struct CMatrix {
     rows: usize,
     cols: usize,
-    data: Data,
-}
-
-impl PartialEq for CMatrix {
-    fn eq(&self, other: &Self) -> bool {
-        self.rows == other.rows
-            && self.cols == other.cols
-            && self.data.as_slice() == other.data.as_slice()
-    }
+    /// Row-major entries.
+    data: Vec<C64>,
 }
 
 impl CMatrix {
@@ -96,26 +29,17 @@ impl CMatrix {
         CMatrix {
             rows,
             cols,
-            data: Data::zeros(rows * cols),
+            data: vec![C64::ZERO; rows * cols],
         }
     }
 
-    /// Reshape to `rows`×`cols` and zero every entry. Heap storage is
-    /// sticky: once a buffer has grown past the inline capacity it
-    /// keeps its allocation even when shrunk back to a small shape, so
-    /// the per-thread scratch buffers that alternate between 4×4 and
-    /// 16×16 registers never re-allocate.
-    pub fn reset_zeros(&mut self, rows: usize, cols: usize) {
-        let n = rows * cols;
+    /// Reshape to `rows`×`cols` and zero every entry, keeping the
+    /// allocation.
+    fn reset_zeros(&mut self, rows: usize, cols: usize) {
         self.rows = rows;
         self.cols = cols;
-        match &mut self.data {
-            Data::Heap(v) => {
-                v.clear();
-                v.resize(n, C64::ZERO);
-            }
-            d => *d = Data::zeros(n),
-        }
+        self.data.clear();
+        self.data.resize(rows * cols, C64::ZERO);
     }
 
     /// `out = a · b`, reusing `out`'s storage. Same arithmetic order as
@@ -123,8 +47,8 @@ impl CMatrix {
     pub fn mul_into(a: &CMatrix, b: &CMatrix, out: &mut CMatrix) {
         assert_eq!(a.cols, b.rows, "dimension mismatch in matrix product");
         out.reset_zeros(a.rows, b.cols);
-        let bs = b.data.as_slice();
-        let os = out.data.as_mut_slice();
+        let bs = &b.data;
+        let os = &mut out.data;
         for i in 0..a.rows {
             for k in 0..a.cols {
                 let x = a[(i, k)];
@@ -145,7 +69,7 @@ impl CMatrix {
     pub fn mul_dagger_into(a: &CMatrix, b: &CMatrix, out: &mut CMatrix) {
         assert_eq!(a.cols, b.cols, "dimension mismatch in a·b†");
         out.reset_zeros(a.rows, b.rows);
-        let os = out.data.as_mut_slice();
+        let os = &mut out.data;
         for i in 0..a.rows {
             for k in 0..a.cols {
                 let x = a[(i, k)];
@@ -163,15 +87,14 @@ impl CMatrix {
     /// Entry-wise `self += other`.
     pub fn add_assign_mat(&mut self, other: &CMatrix) {
         assert_eq!((self.rows, self.cols), (other.rows, other.cols));
-        let os = other.data.as_slice();
-        for (a, b) in self.data.as_mut_slice().iter_mut().zip(os) {
+        for (a, b) in self.data.iter_mut().zip(&other.data) {
             *a += *b;
         }
     }
 
     /// Entry-wise in-place scaling by a real factor.
     pub fn scale_in_place(&mut self, k: f64) {
-        for z in self.data.as_mut_slice() {
+        for z in &mut self.data {
             *z = z.scale(k);
         }
     }
@@ -193,7 +116,7 @@ impl CMatrix {
         CMatrix {
             rows: r,
             cols: c,
-            data: Data::collect(r * c, rows.iter().flat_map(|row| row.iter().copied())),
+            data: rows.iter().flat_map(|row| row.iter().copied()).collect(),
         }
     }
 
@@ -203,7 +126,7 @@ impl CMatrix {
         CMatrix {
             rows,
             cols,
-            data: Data::collect(rows * cols, vals.iter().map(|v| C64::real(*v))),
+            data: vals.iter().map(|v| C64::real(*v)).collect(),
         }
     }
 
@@ -212,7 +135,7 @@ impl CMatrix {
         CMatrix {
             rows: v.len(),
             cols: 1,
-            data: Data::collect(v.len(), v.iter().copied()),
+            data: v.to_vec(),
         }
     }
 
@@ -272,10 +195,7 @@ impl CMatrix {
         CMatrix {
             rows: self.rows,
             cols: self.cols,
-            data: Data::collect(
-                self.rows * self.cols,
-                self.data().iter().map(|z| z.scale(k)),
-            ),
+            data: self.data.iter().map(|z| z.scale(k)).collect(),
         }
     }
 
@@ -284,7 +204,7 @@ impl CMatrix {
         CMatrix {
             rows: self.rows,
             cols: self.cols,
-            data: Data::collect(self.rows * self.cols, self.data().iter().map(|z| *z * k)),
+            data: self.data.iter().map(|z| *z * k).collect(),
         }
     }
 
@@ -309,9 +229,8 @@ impl CMatrix {
             && self.cols == other.cols
             && self
                 .data
-                .as_slice()
                 .iter()
-                .zip(other.data.as_slice())
+                .zip(&other.data)
                 .all(|(a, b)| a.approx_eq(*b, eps))
     }
 
@@ -326,12 +245,22 @@ impl CMatrix {
 
     /// Raw row-major data.
     pub fn data(&self) -> &[C64] {
-        self.data.as_slice()
+        &self.data
     }
 
     /// Raw row-major data, mutable.
     pub(crate) fn data_mut(&mut self) -> &mut [C64] {
-        self.data.as_mut_slice()
+        &mut self.data
+    }
+}
+
+/// Panic unless `qubits` are distinct and below `n`.
+pub(crate) fn assert_distinct(n: usize, qubits: &[usize]) {
+    let mut seen = 0usize;
+    for &q in qubits {
+        assert!(q < n, "qubit {q} out of range for {n} qubits");
+        assert!(seen & (1 << q) == 0, "duplicate qubit {q}");
+        seen |= 1 << q;
     }
 }
 
@@ -342,7 +271,7 @@ impl CMatrix {
 pub fn embed_op(n: usize, op: &CMatrix, targets: &[usize]) -> CMatrix {
     let k = targets.len();
     assert_eq!(op.rows(), 1 << k, "operator size mismatch");
-    crate::kernel::assert_distinct(n, targets);
+    assert_distinct(n, targets);
     let dim = 1usize << n;
     let target_mask: usize = targets.iter().map(|q| 1usize << (n - 1 - q)).sum();
     let mut out = CMatrix::zeros(dim, dim);
@@ -374,7 +303,7 @@ impl std::ops::Index<(usize, usize)> for CMatrix {
     #[inline]
     fn index(&self, (i, j): (usize, usize)) -> &C64 {
         debug_assert!(i < self.rows && j < self.cols);
-        &self.data.as_slice()[i * self.cols + j]
+        &self.data[i * self.cols + j]
     }
 }
 
@@ -383,7 +312,7 @@ impl std::ops::IndexMut<(usize, usize)> for CMatrix {
     fn index_mut(&mut self, (i, j): (usize, usize)) -> &mut C64 {
         debug_assert!(i < self.rows && j < self.cols);
         let cols = self.cols;
-        &mut self.data.as_mut_slice()[i * cols + j]
+        &mut self.data[i * cols + j]
     }
 }
 
@@ -403,10 +332,12 @@ impl Add for &CMatrix {
         CMatrix {
             rows: self.rows,
             cols: self.cols,
-            data: Data::collect(
-                self.rows * self.cols,
-                self.data().iter().zip(rhs.data()).map(|(a, b)| *a + *b),
-            ),
+            data: self
+                .data
+                .iter()
+                .zip(&rhs.data)
+                .map(|(a, b)| *a + *b)
+                .collect(),
         }
     }
 }
@@ -418,10 +349,12 @@ impl Sub for &CMatrix {
         CMatrix {
             rows: self.rows,
             cols: self.cols,
-            data: Data::collect(
-                self.rows * self.cols,
-                self.data().iter().zip(rhs.data()).map(|(a, b)| *a - *b),
-            ),
+            data: self
+                .data
+                .iter()
+                .zip(&rhs.data)
+                .map(|(a, b)| *a - *b)
+                .collect(),
         }
     }
 }
@@ -548,22 +481,14 @@ mod tests {
 
     #[test]
     fn reset_zeros_reuses_across_sizes() {
-        let mut m = CMatrix::zeros(16, 16); // heap
+        let mut m = CMatrix::zeros(16, 16);
         m[(3, 7)] = r(1.0);
-        m.reset_zeros(2, 2); // shrink to inline-sized
+        m.reset_zeros(2, 2);
         assert_eq!(m.rows(), 2);
         assert!(m.data().iter().all(|z| *z == C64::ZERO));
-        m.reset_zeros(16, 16); // grow again
+        m.reset_zeros(16, 16);
         assert_eq!(m.data().len(), 256);
         assert!(m.data().iter().all(|z| *z == C64::ZERO));
-    }
-
-    #[test]
-    fn inline_and_heap_sized_matrices_compare_by_value() {
-        // 4 entries (inline) vs 4 entries built through Vec paths.
-        let a = CMatrix::from_reals(2, 2, &[1.0, 2.0, 3.0, 4.0]);
-        let b = &a + &CMatrix::zeros(2, 2);
-        assert_eq!(a, b);
     }
 
     #[test]

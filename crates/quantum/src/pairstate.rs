@@ -35,8 +35,8 @@
 //! readout) demote a [`PairState`] to the dense 4×4 [`DensePair`],
 //! which remains the general fallback. Its operations are closed forms
 //! on the sixteen entries too, and its swap is one contraction with a
-//! cached [`SwapPovm`]; the n-qubit [`DensityMatrix`] builds the tables
-//! and the POVM elements, and runs distillation on dense pairs.
+//! [`SwapPovm`]; the n-qubit [`DensityMatrix`] builds the tables and
+//! the POVM elements, and runs distillation on dense pairs.
 //!
 //! ## Swap and distillation: conditional-map tables
 //!
@@ -47,18 +47,20 @@
 //! reduced output and its weight for each pair of measurement outcomes,
 //! and every future swap/distill becomes a 36-term contraction — no
 //! 16×16 algebra on the hot path. [`CondTable::swap`] and
-//! [`CondTable::distill`] build these tables (a few dense circuit
-//! evaluations, cached by the pair store per noise parameter set) and
-//! verify X-closure of the outputs at build time, falling back to the
-//! dense path if the check ever fails.
+//! [`CondTable::distill`] build these tables with the dense products of
+//! [`DensityMatrix`] and verify X-closure of the outputs at build time,
+//! falling back to the dense path if the check ever fails. Each table
+//! and each [`SwapPovm`] is a pure function of the gate noise, so it is
+//! built once per process per noise level and kept for the process's
+//! lifetime.
 
 use crate::bell::BellState;
 use crate::channels;
 use crate::complex::C64;
 use crate::gates::{self, Pauli};
-use crate::kernel;
 use crate::matrix::CMatrix;
-use crate::state::DensityMatrix;
+use crate::state::{self, DensityMatrix};
+use std::sync::Mutex;
 
 /// Off-X-form tolerance when converting a dense matrix to
 /// [`BellDiagonal`] or checking table closure. States built by this
@@ -388,7 +390,7 @@ impl BellDiagonal {
 /// qubit 0 as the most significant bit of an index (the order
 /// [`DensityMatrix`] uses). Every operation is a closed form on the
 /// sixteen entries, so no per-event operation builds an n-qubit
-/// register or goes through the structure-aware kernel.
+/// register.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct DensePair {
     m: [C64; 16],
@@ -810,6 +812,39 @@ impl PairState {
 /// set of one) on its target qubits.
 type CircuitOp<'a> = (&'a [CMatrix], &'a [usize]);
 
+/// Values built at most once per process, by key, and kept for its
+/// lifetime. The tables and POVM elements below are pure functions of
+/// the gate noise, and a process meets a handful of noise levels, so
+/// each built value is leaked to give lookups a `'static` reference.
+struct Memo<K, V: 'static>(Mutex<Vec<(K, &'static V)>>);
+
+impl<K: PartialEq, V> Memo<K, V> {
+    const fn new() -> Self {
+        Memo(Mutex::new(Vec::new()))
+    }
+
+    /// The value for `key`, built by `build` on first use. The lock is
+    /// held while building, so no key is built twice.
+    fn get(&self, key: K, build: impl FnOnce() -> V) -> &'static V {
+        let mut entries = self.0.lock().expect("a table build panicked");
+        if let Some(&(_, v)) = entries.iter().find(|(k, _)| *k == key) {
+            return v;
+        }
+        let v: &'static V = Box::leak(Box::new(build()));
+        entries.push((key, v));
+        v
+    }
+}
+
+/// Swap tables by the noise probabilities' bits and the orientation
+/// `(ia, ib)`; `None` records an X-closure failure.
+static SWAP_TABLES: Memo<(u64, u64, usize, usize), Option<CondTable>> = Memo::new();
+/// Distillation tables by the noise probability's bits and the
+/// sacrificed pair's orientation.
+static DISTILL_TABLES: Memo<(u64, bool), Option<CondTable>> = Memo::new();
+/// Swap POVM elements by the noise probabilities' bits.
+static SWAP_POVMS: Memo<(u64, u64), SwapPovm> = Memo::new();
+
 /// The exact conditional action of a measured two-pair circuit on
 /// X-state inputs: for each pair of Z outcomes `(m1, m2)` on the two
 /// measured qubits, the weight (probability contribution) and the
@@ -871,14 +906,14 @@ impl CondTable {
                 // trace renormalisation.
                 let mut m = basis[a].kron(&basis[b]);
                 for (kraus, targets) in ops {
-                    kernel::sandwich(4, &mut m, kraus, targets);
+                    state::sandwich(4, &mut m, kraus, targets);
                 }
                 for o1 in 0..2usize {
                     for o2 in 0..2usize {
                         let mut masked = m.clone();
-                        kernel::project_z(4, &mut masked, m1, o1 == 1);
-                        kernel::project_z(4, &mut masked, m2, o2 == 1);
-                        let reduced = kernel::partial_trace(&masked, 4, &keep);
+                        state::project_z(4, &mut masked, m1, o1 == 1);
+                        state::project_z(4, &mut masked, m2, o2 == 1);
+                        let reduced = state::partial_trace(&masked, 4, &keep);
                         let coeffs = x_decompose(reduced.data())?;
                         w[o1][o2][a][b] = coeffs[0] + coeffs[1] + coeffs[2] + coeffs[3];
                         out[o1][o2][a][b] = coeffs;
@@ -895,17 +930,23 @@ impl CondTable {
     /// `p_single`, Z-measure qa then qb. `ia`/`ib` locate each pair's
     /// qubit at the swapping node (register `[a0, a1, b0, b1]`; the
     /// outer ends `[1−ia, 2+(1−ib)]` survive, A's outer first).
-    pub fn swap(p_two: f64, p_single: f64, ia: usize, ib: usize) -> Option<CondTable> {
+    /// Built on the first call with this noise and orientation.
+    pub fn swap(p_two: f64, p_single: f64, ia: usize, ib: usize) -> Option<&'static CondTable> {
         assert!(ia < 2 && ib < 2);
-        let qa = ia;
-        let qb = 2 + ib;
-        let ops: [CircuitOp; 4] = [
-            (&[gates::cnot()], &[qa, qb]),
-            (&channels::depolarizing_2q(p_two), &[qa, qb]),
-            (&[gates::h()], &[qa]),
-            (&channels::depolarizing(p_single), &[qa]),
-        ];
-        CondTable::build(&ops, qa, qb, [1 - ia, 2 + (1 - ib)])
+        let key = (p_two.to_bits(), p_single.to_bits(), ia, ib);
+        SWAP_TABLES
+            .get(key, || {
+                let qa = ia;
+                let qb = 2 + ib;
+                let ops: [CircuitOp; 4] = [
+                    (&[gates::cnot()], &[qa, qb]),
+                    (&channels::depolarizing_2q(p_two), &[qa, qb]),
+                    (&[gates::h()], &[qa]),
+                    (&channels::depolarizing(p_single), &[qa]),
+                ];
+                CondTable::build(&ops, qa, qb, [1 - ia, 2 + (1 - ib)])
+            })
+            .as_ref()
     }
 
     /// Table for the BBPSSW distillation circuit of
@@ -913,18 +954,23 @@ impl CondTable {
     /// the kept pair `[a0, a1]` onto the sacrificed pair, each followed
     /// by two-qubit depolarizing `p_two`; Z-measure the sacrificed
     /// qubits (the one co-located with `a0` first); keep `[a0, a1]`.
-    /// `b0_at_na` gives the sacrificed pair's orientation.
-    pub fn distill(p_two: f64, b0_at_na: bool) -> Option<CondTable> {
-        let (b_na, b_nb) = if b0_at_na { (2, 3) } else { (3, 2) };
-        let cnot = [gates::cnot()];
-        let noise = channels::depolarizing_2q(p_two);
-        let ops: [CircuitOp; 4] = [
-            (&cnot, &[0, b_na]),
-            (&noise, &[0, b_na]),
-            (&cnot, &[1, b_nb]),
-            (&noise, &[1, b_nb]),
-        ];
-        CondTable::build(&ops, b_na, b_nb, [0, 1])
+    /// `b0_at_na` gives the sacrificed pair's orientation. Built on the
+    /// first call with this noise and orientation.
+    pub fn distill(p_two: f64, b0_at_na: bool) -> Option<&'static CondTable> {
+        DISTILL_TABLES
+            .get((p_two.to_bits(), b0_at_na), || {
+                let (b_na, b_nb) = if b0_at_na { (2, 3) } else { (3, 2) };
+                let cnot = [gates::cnot()];
+                let noise = channels::depolarizing_2q(p_two);
+                let ops: [CircuitOp; 4] = [
+                    (&cnot, &[0, b_na]),
+                    (&noise, &[0, b_na]),
+                    (&cnot, &[1, b_nb]),
+                    (&noise, &[1, b_nb]),
+                ];
+                CondTable::build(&ops, b_na, b_nb, [0, 1])
+            })
+            .as_ref()
     }
 
     /// Run the circuit on two X-state inputs, sampling the measurement
@@ -1019,28 +1065,30 @@ pub struct SwapPovm {
 
 impl SwapPovm {
     /// The four elements at two-qubit depolarizing `p_two` and
-    /// single-qubit depolarizing `p_single`, built with the 2-qubit
-    /// kernel (a zero probability skips its channel, as the circuit
-    /// does).
-    pub fn new(p_two: f64, p_single: f64) -> SwapPovm {
-        let single = channels::depolarizing(p_single);
-        let two = channels::depolarizing_2q(p_two);
-        let e = std::array::from_fn(|m| {
-            let mut e = CMatrix::zeros(4, 4);
-            e[(m, m)] = C64::ONE;
-            if p_single > 0.0 {
-                kernel::sandwich(2, &mut e, &single, &[0]);
-            }
-            kernel::sandwich(2, &mut e, &[gates::h()], &[0]);
-            if p_two > 0.0 {
-                kernel::sandwich(2, &mut e, &two, &[0, 1]);
-            }
-            kernel::sandwich(2, &mut e, &[gates::cnot()], &[0, 1]);
-            let mut out = [C64::ZERO; 16];
-            out.copy_from_slice(e.data());
-            out
-        });
-        SwapPovm { e }
+    /// single-qubit depolarizing `p_single`, built on the first call
+    /// with this noise by the 2-qubit dense sandwich (a zero
+    /// probability skips its channel, as the circuit does).
+    pub fn get(p_two: f64, p_single: f64) -> &'static SwapPovm {
+        SWAP_POVMS.get((p_two.to_bits(), p_single.to_bits()), || {
+            let single = channels::depolarizing(p_single);
+            let two = channels::depolarizing_2q(p_two);
+            let e = std::array::from_fn(|m| {
+                let mut e = CMatrix::zeros(4, 4);
+                e[(m, m)] = C64::ONE;
+                if p_single > 0.0 {
+                    state::sandwich(2, &mut e, &single, &[0]);
+                }
+                state::sandwich(2, &mut e, &[gates::h()], &[0]);
+                if p_two > 0.0 {
+                    state::sandwich(2, &mut e, &two, &[0, 1]);
+                }
+                state::sandwich(2, &mut e, &[gates::cnot()], &[0, 1]);
+                let mut out = [C64::ZERO; 16];
+                out.copy_from_slice(e.data());
+                out
+            });
+            SwapPovm { e }
+        })
     }
 
     /// Run the swap on pair A (node qubit at end `ia`) and pair B (end
@@ -1337,6 +1385,7 @@ mod tests {
     /// gate) and at a noisy single-qubit gate, the distillation table in
     /// both orientations, and the POVM at both noise levels. Nothing
     /// else gates these bits: the `dm` baselines never build a table.
+    /// A second lookup with the same key returns the same table.
     #[test]
     fn tables_keep_their_bits() {
         let p_two = channels::depolarizing_param_for_fidelity(0.998, 4);
@@ -1357,10 +1406,15 @@ mod tests {
             h = fnv1a(h, w.iter().chain(out.as_flattened()).copied());
         }
         for p_single in [0.0, noisy_single] {
-            let povm = SwapPovm::new(p_two, p_single);
+            let povm = SwapPovm::get(p_two, p_single);
             h = fnv1a(h, povm.e.iter().flatten().flat_map(|z| [z.re, z.im]));
+            assert!(std::ptr::eq(povm, SwapPovm::get(p_two, p_single)));
         }
         assert_eq!(h, TABLE_DIGEST, "{h:#018x}");
+        let again = CondTable::swap(p_two, noisy_single, 1, 0);
+        assert!(std::ptr::eq(tables[6], again.expect("X closure")));
+        let again = CondTable::distill(p_two, false);
+        assert!(std::ptr::eq(tables[9], again.expect("X closure")));
     }
 
     #[test]

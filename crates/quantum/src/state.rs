@@ -1,17 +1,20 @@
 //! Density-matrix states.
 //!
-//! All quantum state in the simulation lives in [`DensityMatrix`] values of
-//! one to four qubits (two entangled pairs joined for a swap). Mixed states
-//! are required — every noise process in the paper (imperfect link pairs,
-//! gate depolarizing, T1/T2 decay, readout error) produces them.
+//! [`DensityMatrix`] holds a mixed state of one to four qubits (two
+//! entangled pairs joined for a distillation round). Mixed states are
+//! required — every noise process in the paper (imperfect link pairs,
+//! gate depolarizing, T1/T2 decay, readout error) produces them. The
+//! simulator's pairs are closed-form 4×4 states
+//! ([`crate::pairstate`]); the n-qubit matrix builds the swap and
+//! distillation tables and the swap's POVM elements, and runs
+//! distillation on dense pairs.
 //!
 //! Randomness is injected by the caller: every probabilistic operation
 //! takes a uniform `u ∈ [0,1)` sample, keeping this crate free of RNG state
 //! and trivially deterministic to test.
 
 use crate::complex::C64;
-use crate::kernel;
-use crate::matrix::CMatrix;
+use crate::matrix::{assert_distinct, embed_op, CMatrix};
 
 /// Tolerance for trace/hermiticity sanity checks.
 const EPS: f64 = 1e-9;
@@ -138,23 +141,21 @@ impl DensityMatrix {
     /// of this state's space. The first target corresponds to the most
     /// significant bit of the operator's index.
     pub fn embed(&self, op: &CMatrix, targets: &[usize]) -> CMatrix {
-        crate::matrix::embed_op(self.n, op, targets)
+        embed_op(self.n, op, targets)
     }
 
-    /// Apply a unitary to the given target qubits: `ρ ← UρU†`.
-    /// The result is bit-identical to the textbook `U·ρ·U†` with `U`
-    /// embedded in the full register, but the kernel touches only `U`'s
-    /// nonzeros (see `crate::kernel`).
+    /// Apply a unitary to the given target qubits: `ρ ← UρU†`, with `U`
+    /// embedded in the full register.
     pub fn apply_unitary(&mut self, u: &CMatrix, targets: &[usize]) {
-        kernel::sandwich(self.n, &mut self.m, std::slice::from_ref(u), targets);
+        sandwich(self.n, &mut self.m, std::slice::from_ref(u), targets);
     }
 
     /// Apply a Kraus channel `{Kᵢ}` to the given targets:
-    /// `ρ ← Σᵢ KᵢρKᵢ†`, bit-identical to summing the embedded dense
-    /// sandwiches in set order (see `crate::kernel`), then renormalised
-    /// to unit trace. The set must be trace preserving (checked loosely).
+    /// `ρ ← Σᵢ KᵢρKᵢ†`, the embedded sandwiches summed in set order,
+    /// then renormalised to unit trace. The set must be trace
+    /// preserving (checked loosely).
     pub fn apply_kraus(&mut self, kraus: &[CMatrix], targets: &[usize]) {
-        kernel::sandwich(self.n, &mut self.m, kraus, targets);
+        sandwich(self.n, &mut self.m, kraus, targets);
         let tr = self.m.trace().re;
         debug_assert!(
             (tr - 1.0).abs() < 1e-6,
@@ -190,11 +191,11 @@ impl DensityMatrix {
     }
 
     /// Project `qubit` onto the Z eigenstate `outcome` and renormalise.
-    /// The projection is a masked copy, bit-identical to `P·ρ·P` with
-    /// the dense projector `P` (see `crate::kernel`).
+    /// The projection is a masked copy, with the bits of `P·ρ·P` for
+    /// the dense projector `P`.
     /// Panics (debug) if the outcome has ~zero probability.
     pub fn project_z(&mut self, qubit: usize, outcome: bool) {
-        kernel::project_z(self.n, &mut self.m, qubit, outcome);
+        project_z(self.n, &mut self.m, qubit, outcome);
         let p = self.m.trace().re;
         debug_assert!(p > 1e-12, "projecting onto zero-probability outcome");
         self.m.scale_in_place(1.0 / p.max(1e-300));
@@ -208,7 +209,7 @@ impl DensityMatrix {
     pub fn partial_trace_keep(&self, keep: &[usize]) -> DensityMatrix {
         DensityMatrix {
             n: keep.len(),
-            m: kernel::partial_trace(&self.m, self.n, keep),
+            m: partial_trace(&self.m, self.n, keep),
         }
     }
 
@@ -229,6 +230,82 @@ impl DensityMatrix {
     pub fn expectation(&self, op: &CMatrix) -> f64 {
         (&self.m * op).trace().re
     }
+}
+
+/// `ρ ← Σₖ Kₖ·ρ·Kₖ†` for operators on `targets` of the `n`-qubit
+/// matrix `rho`, without renormalising. Each `Kₖ` is embedded in the
+/// full register, each term is formed in full by two dense products,
+/// and the terms are added in set order to an accumulator that starts
+/// at zero.
+pub(crate) fn sandwich(n: usize, rho: &mut CMatrix, kraus: &[CMatrix], targets: &[usize]) {
+    let dim = 1usize << n;
+    assert_eq!((rho.rows(), rho.cols()), (dim, dim), "state size mismatch");
+    let mut acc = CMatrix::zeros(dim, dim);
+    let (mut left, mut term) = (CMatrix::zeros(dim, dim), CMatrix::zeros(dim, dim));
+    for k in kraus {
+        let full = embed_op(n, k, targets);
+        CMatrix::mul_into(&full, rho, &mut left);
+        CMatrix::mul_dagger_into(&left, &full, &mut term);
+        acc.add_assign_mat(&term);
+    }
+    *rho = acc;
+}
+
+/// Project `qubit` of an `n`-qubit matrix onto the Z eigenstate
+/// `outcome`, without renormalising. `P·ρ·P` with a diagonal 0/1 mask
+/// `P` reduces to a masked copy: the dense products skip `P`'s zeros,
+/// so each kept entry is formed as `+0 + ρᵢⱼ` and every other entry is
+/// `+0`.
+pub(crate) fn project_z(n: usize, m: &mut CMatrix, qubit: usize, outcome: bool) {
+    assert!(qubit < n, "qubit {qubit} out of range for {n} qubits");
+    let shift = n - 1 - qubit;
+    let dim = 1usize << n;
+    let kept = |i: usize| (i >> shift) & 1 == usize::from(outcome);
+    for (i, row) in m.data_mut().chunks_exact_mut(dim).enumerate() {
+        for (j, z) in row.iter_mut().enumerate() {
+            *z = if kept(i) && kept(j) {
+                C64::ZERO + *z
+            } else {
+                C64::ZERO
+            };
+        }
+    }
+}
+
+/// Register offset of index `t` over `qubits` of an `n`-qubit register:
+/// bit `pos` of `t`, counted from the most significant, lands on qubit
+/// `qubits[pos]` (qubit 0 = most significant register bit).
+fn scatter(n: usize, qubits: &[usize], t: usize) -> usize {
+    let k = qubits.len();
+    qubits.iter().enumerate().fold(0, |idx, (pos, q)| {
+        idx | ((t >> (k - 1 - pos)) & 1) << (n - 1 - q)
+    })
+}
+
+/// Partial trace of an `n`-qubit matrix, normalised or not, keeping the
+/// listed qubits in the order given.
+///
+/// # Panics
+/// If `keep` is empty, repeats a qubit or names one outside the register.
+pub(crate) fn partial_trace(m: &CMatrix, n: usize, keep: &[usize]) -> CMatrix {
+    assert!(!keep.is_empty(), "partial trace must keep a qubit");
+    assert_distinct(n, keep);
+    let rest: Vec<usize> = (0..n).filter(|q| !keep.contains(q)).collect();
+    let kdim = 1usize << keep.len();
+    let mut out = CMatrix::zeros(kdim, kdim);
+    for a in 0..kdim {
+        let ia = scatter(n, keep, a);
+        for b in 0..kdim {
+            let ib = scatter(n, keep, b);
+            let mut sum = C64::ZERO;
+            for r in 0..1usize << rest.len() {
+                let ir = scatter(n, &rest, r);
+                sum += m[(ia | ir, ib | ir)];
+            }
+            out[(a, b)] = sum;
+        }
+    }
+    out
 }
 
 #[cfg(test)]

@@ -271,6 +271,7 @@ mod tests {
         // the budget fidelity, idle for the full cutoff, noisy swap.
         use qn_hardware::device::QubitId;
         use qn_hardware::pairs::{PairStore, SwapNoise};
+        use qn_hardware::StateRep;
         use qn_quantum::bell::BellState;
         use qn_sim::{NodeId, SimRng, SimTime};
 
@@ -283,7 +284,7 @@ mod tests {
         let mut total = 0.0;
         let n_runs = 30;
         for seed in 0..n_runs {
-            let mut store = PairStore::new();
+            let mut store = PairStore::new(StateRep::Bell);
             let mut rng = SimRng::from_seed(seed);
             let t2 = params.electron_t2;
             let w = formulas::werner_param(f_link);

@@ -1,78 +1,9 @@
-//! The dense density-matrix reference: every operator embedded in the
-//! full register and applied with two dense products. This is the
-//! arithmetic that `qn_quantum`'s structure-aware kernels must reproduce
-//! bit for bit; the kernel suites compare against it with
-//! `f64::to_bits`.
+//! Dense test inputs for the quantum property suites: random mixed,
+//! full-rank and X-form states drawn from one seed, and a bit-for-bit
+//! matrix comparison.
 
-use qn_quantum::matrix::{embed_op, CMatrix};
+use qn_quantum::matrix::CMatrix;
 use qn_quantum::{DensityMatrix, C64};
-
-/// Tolerance of `DensityMatrix::apply_kraus`'s trace renormalisation.
-const RENORM_EPS: f64 = 1e-9;
-
-fn num_qubits(m: &CMatrix) -> usize {
-    m.rows().trailing_zeros() as usize
-}
-
-/// `U·ρ·U†` with `U` embedded on `targets`.
-pub fn apply_unitary(rho: &CMatrix, u: &CMatrix, targets: &[usize]) -> CMatrix {
-    let full = embed_op(num_qubits(rho), u, targets);
-    let mut tmp = CMatrix::zeros(1, 1);
-    let mut out = CMatrix::zeros(1, 1);
-    CMatrix::mul_into(&full, rho, &mut tmp);
-    CMatrix::mul_dagger_into(&tmp, &full, &mut out);
-    out
-}
-
-/// `Σₖ Kₖ·ρ·Kₖ†` with each `Kₖ` embedded on `targets`, each term formed
-/// in full before it is added, then `DensityMatrix::apply_kraus`'s
-/// trace renormalisation.
-pub fn apply_kraus(rho: &CMatrix, kraus: &[CMatrix], targets: &[usize]) -> CMatrix {
-    let dim = rho.rows();
-    let mut acc = CMatrix::zeros(dim, dim);
-    let mut tmp = CMatrix::zeros(1, 1);
-    let mut term = CMatrix::zeros(1, 1);
-    for k in kraus {
-        let full = embed_op(num_qubits(rho), k, targets);
-        CMatrix::mul_into(&full, rho, &mut tmp);
-        CMatrix::mul_dagger_into(&tmp, &full, &mut term);
-        acc.add_assign_mat(&term);
-    }
-    let tr = acc.trace().re;
-    if (tr - 1.0).abs() > RENORM_EPS {
-        acc.scale_in_place(1.0 / tr);
-    }
-    acc
-}
-
-/// `P·ρ·P` with `P` the diagonal projector of `qubit` onto `outcome`,
-/// renormalised by its trace.
-pub fn project_z(rho: &CMatrix, qubit: usize, outcome: bool) -> CMatrix {
-    let n = num_qubits(rho);
-    let dim = rho.rows();
-    let mut p = CMatrix::zeros(dim, dim);
-    for i in 0..dim {
-        if (i >> (n - 1 - qubit)) & 1 == usize::from(outcome) {
-            p[(i, i)] = C64::ONE;
-        }
-    }
-    let mut out = &(&p * rho) * &p;
-    let tr = out.trace().re;
-    out.scale_in_place(1.0 / tr.max(1e-300));
-    out
-}
-
-/// `DensityMatrix::measure_z` on the reference: outcome 1 iff `u` falls
-/// below its probability, then the projection.
-pub fn measure_z(rho: &CMatrix, qubit: usize, u: f64) -> (bool, CMatrix) {
-    let n = num_qubits(rho);
-    let p1: f64 = (0..rho.rows())
-        .filter(|i| (i >> (n - 1 - qubit)) & 1 == 1)
-        .map(|i| rho[(i, i)].re)
-        .fold(0.0, |acc, x| acc + x);
-    let outcome = u < p1.clamp(0.0, 1.0);
-    (outcome, project_z(rho, qubit, outcome))
-}
 
 /// Whether two matrices agree in shape and in every bit of every
 /// component (so `+0` and `−0` differ).
@@ -83,34 +14,6 @@ pub fn same_bits(a: &CMatrix, b: &CMatrix) -> bool {
             .iter()
             .zip(b.data())
             .all(|(x, y)| x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits())
-}
-
-/// Partial trace keeping `keep`, in that order.
-pub fn partial_trace(rho: &CMatrix, keep: &[usize]) -> CMatrix {
-    let n = num_qubits(rho);
-    let k = keep.len();
-    let rest: Vec<usize> = (0..n).filter(|q| !keep.contains(q)).collect();
-    let compose = |a: usize, r: usize| -> usize {
-        let mut idx = 0usize;
-        for (pos, q) in keep.iter().enumerate() {
-            idx |= ((a >> (k - 1 - pos)) & 1) << (n - 1 - q);
-        }
-        for (pos, q) in rest.iter().enumerate() {
-            idx |= ((r >> (rest.len() - 1 - pos)) & 1) << (n - 1 - q);
-        }
-        idx
-    };
-    let mut out = CMatrix::zeros(1 << k, 1 << k);
-    for a in 0..1usize << k {
-        for b in 0..1usize << k {
-            let mut sum = C64::ZERO;
-            for r in 0..1usize << rest.len() {
-                sum += rho[(compose(a, r), compose(b, r))];
-            }
-            out[(a, b)] = sum;
-        }
-    }
-    out
 }
 
 /// splitmix64, for test inputs that are pure functions of one seed.
@@ -157,9 +60,7 @@ impl SplitMix {
 
 /// A random `n`-qubit mixed state: a weighted sum of one to three
 /// projectors onto sparse vectors, normalised, with many exact zero
-/// components whose signs are then drawn afresh. The kernels leave out
-/// products by their zero factors, so zeros are where a divergence from
-/// this reference would show.
+/// components whose signs are then drawn afresh.
 pub fn random_state(n: usize, r: &mut SplitMix) -> DensityMatrix {
     let dim = 1usize << n;
     let mut m = CMatrix::zeros(dim, dim);
@@ -241,7 +142,7 @@ pub fn random_x_state(r: &mut SplitMix) -> DensityMatrix {
 }
 
 /// Draw the sign of every zero component of `m` afresh.
-pub fn resign_zeros(m: &mut CMatrix, r: &mut SplitMix) {
+fn resign_zeros(m: &mut CMatrix, r: &mut SplitMix) {
     let dim = m.rows();
     for i in 0..dim {
         for j in 0..dim {

@@ -30,8 +30,9 @@
 //!
 //! Ready-made models for the simulator event queue, the link-layer
 //! protocol state machine and the net-layer demultiplexer / routing
-//! table live under [`models`]; [`dense`] is the dense density-matrix
-//! reference the quantum kernels are checked against bit for bit.
+//! table live under [`models`]; [`dense`] draws the random dense states
+//! the quantum property suites run on, and compares matrices bit for
+//! bit.
 
 use proptest::collection::vec;
 use proptest::strategy::BoxedStrategy;

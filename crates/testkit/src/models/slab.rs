@@ -89,7 +89,7 @@ impl ModelSpec for SlabSpec {
     }
 
     fn new_system(&self) -> PairStore {
-        PairStore::with_rep(StateRep::Bell)
+        PairStore::new(StateRep::Bell)
     }
 
     fn op_strategy(&self) -> BoxedStrategy<SlabOp> {

@@ -9,7 +9,8 @@
 //! This example runs the physical layer of that proposal: pairs of the
 //! quality the network delivers (including idle decoherence), distilled
 //! with the paper's noisy gates, compared against the textbook BBPSSW
-//! statistics.
+//! statistics. The pairs run on the representation `QNP_QSTATE` names
+//! (`bell`, the default, or `dm`).
 //!
 //! ```sh
 //! cargo run --release --example distillation
@@ -17,7 +18,7 @@
 
 use qnp::hardware::device::QubitId;
 use qnp::hardware::pairs::{PairStore, SwapNoise};
-use qnp::hardware::{bbpssw_output_fidelity, bbpssw_success_prob};
+use qnp::hardware::{bbpssw_output_fidelity, bbpssw_success_prob, StateRep};
 use qnp::prelude::*;
 use qnp::quantum::formulas::werner_param;
 use qnp::quantum::DensityMatrix;
@@ -33,6 +34,7 @@ fn werner(f: f64) -> DensityMatrix {
 fn main() {
     let params = HardwareParams::simulation();
     let noise = SwapNoise::from_params(&params);
+    let rep = StateRep::from_env();
     let mut rng = SimRng::from_seed(2021);
 
     println!("# BBPSSW distillation with the paper's gate/readout noise");
@@ -42,7 +44,7 @@ fn main() {
         let mut successes = 0usize;
         let mut fid = 0.0;
         for _ in 0..n {
-            let mut store = PairStore::new();
+            let mut store = PairStore::new(rep);
             let mk = |store: &mut PairStore, q: u32| {
                 store.create(
                     SimTime::ZERO,
