@@ -9,14 +9,17 @@
 //!
 //! A second section sweeps the **widened dumbbell** (the sweep runner's
 //! scenario-diversity axis): `width` straight-across circuits all
-//! contending for the single MA–MB bottleneck, one request each.
+//! contending for the single MA–MB bottleneck, each with a long-running
+//! request, their confirmed pairs counted over a fixed window after a
+//! warm-up.
 //!
 //! Asserted, over the feasible chains: the link-fidelity budget and the
 //! per-pair latency per link both rise with the chain length (the
-//! latency grows super-linearly). The widened-dumbbell lines are not
-//! asserted: one 8-pair request per circuit over a fixed horizon makes
-//! the aggregate throughput 8·width/120 by construction. The bench
-//! writes its baseline, then exits 1 naming each broken shape.
+//! latency grows super-linearly). Over the widths: the aggregate
+//! throughput saturates at the bottleneck rate, so it does not grow
+//! past width 2, and each circuit's pair interval rises with the width.
+//! The bench writes its baseline, then exits 1 naming each broken
+//! shape.
 //!
 //! Run: `cargo bench --bench ablation_chain_length`
 //! (knobs: `QNP_RUNS`, `QNP_THREADS`).
@@ -42,13 +45,12 @@ fn main() {
         .config_num("fidelity", fidelity)
         .direction("link_fidelity_budget", Direction::Informational)
         .direction("per_pair_latency_s", Direction::LowerIsBetter)
-        .direction("mean_request_latency_s", Direction::LowerIsBetter)
         .direction("mean_fidelity", Direction::HigherIsBetter)
-        .direction("completed", Direction::HigherIsBetter)
         .direction(
             "aggregate_throughput_pairs_per_s",
             Direction::HigherIsBetter,
-        );
+        )
+        .direction("pair_interval_s", Direction::LowerIsBetter);
 
     // (link-fidelity budget, per-pair latency per link) of each feasible
     // chain, shortest first.
@@ -112,38 +114,42 @@ fn main() {
     );
 
     // ---- scenario diversity: widened dumbbells --------------------------
-    println!("#\n# widened dumbbell — `width` straight-across circuits over one bottleneck");
-    println!("# width   completed   mean_latency_s   aggregate_thr_pairs_per_s");
+    let (warmup, window) = (SimDuration::from_secs(2), SimDuration::from_secs(10));
+    println!("#\n# widened dumbbell — `width` straight-across circuits over one bottleneck,");
+    println!(
+        "# a long-running request each, pairs counted over {:.0} s after {:.0} s",
+        window.as_secs_f64(),
+        warmup.as_secs_f64()
+    );
+    println!("# width   aggregate_thr_pairs_per_s   pair_interval_s");
     let div_seeds = seed_block(7500, n_runs);
+    // (aggregate throughput, per-circuit pair interval) by width.
+    let mut wide = Vec::new();
     for width in [1usize, 2, 3, 4] {
         let points = run_sweep(&div_seeds, |seed| {
-            wide_dumbbell_scenario(
-                seed,
-                width,
-                8,
-                fidelity,
-                CutoffPolicy::short(),
-                SimDuration::from_secs(120),
-            )
+            wide_dumbbell_scenario(seed, width, fidelity, CutoffPolicy::short(), warmup, window)
         });
-        let completed: usize = points.iter().map(|p| p.completed).sum();
-        let circuits: usize = points.iter().map(|p| p.circuits).sum();
-        let lat = mean_finite(points.iter().map(|p| p.mean_latency));
         let thr = points.iter().map(|p| p.aggregate_throughput).sum::<f64>() / n_runs as f64;
-        println!("{width:5}   {completed:6}/{circuits}   {lat:14.3}   {thr:25.2}");
+        let interval = mean_finite(points.iter().map(|p| p.pair_interval));
+        wide.push((thr, interval));
+        println!("{width:5}   {thr:25.2}   {interval:15.4}");
         baseline.point(
             format!("wide_dumbbell/width={width}"),
             &[
-                ("completed", completed as f64),
-                // Whole-request latency (8 pairs), not the chain
-                // section's per-pair unit.
-                ("mean_request_latency_s", lat),
                 ("aggregate_throughput_pairs_per_s", thr),
+                ("pair_interval_s", interval),
             ],
         );
     }
-    println!("#\n# not asserted: each circuit carries one 8-pair request, so the");
-    println!("# aggregate throughput is 8·width/120 pairs/s by construction.");
+    println!("#\n# widened-dumbbell shape checks");
+    shapes.check(
+        "aggregate throughput does not grow past width 2",
+        wide[2..].iter().all(|w| w.0 <= wide[1].0),
+    );
+    shapes.check(
+        "each circuit's pair interval rises with the width",
+        wide.windows(2).all(|w| w[1].1 > w[0].1),
+    );
 
     let path = baseline.write().expect("write baseline");
     println!(

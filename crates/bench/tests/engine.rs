@@ -18,10 +18,10 @@ fn parallel_sweep_is_bit_identical_to_serial() {
         wide_dumbbell_scenario(
             seed,
             2,
-            2,
             0.8,
             CutoffPolicy::short(),
-            SimDuration::from_secs(60),
+            SimDuration::from_millis(500),
+            SimDuration::from_secs(2),
         )
     };
     let serial = run_sweep_with(1, &seeds, scenario);
@@ -29,16 +29,11 @@ fn parallel_sweep_is_bit_identical_to_serial() {
         let parallel = run_sweep_with(threads, &seeds, scenario);
         assert_eq!(parallel.len(), serial.len());
         for (i, (p, s)) in parallel.iter().zip(&serial).enumerate() {
-            assert_eq!(
-                p.completed, s.completed,
-                "seed {} ({threads} threads)",
-                seeds[i]
-            );
             assert_eq!(p.circuits, s.circuits);
             assert_eq!(
-                p.mean_latency.to_bits(),
-                s.mean_latency.to_bits(),
-                "latency bits differ at seed {} with {threads} threads",
+                p.pair_interval.to_bits(),
+                s.pair_interval.to_bits(),
+                "pair interval bits differ at seed {} with {threads} threads",
                 seeds[i]
             );
             assert_eq!(
@@ -75,10 +70,10 @@ fn baseline_write_parse_diff_round_trip() {
         wide_dumbbell_scenario(
             seed,
             1,
-            2,
             0.8,
             CutoffPolicy::short(),
-            SimDuration::from_secs(60),
+            SimDuration::from_millis(500),
+            SimDuration::from_secs(2),
         )
     });
     let mut baseline = Baseline::new("engine_round_trip")
@@ -87,13 +82,13 @@ fn baseline_write_parse_diff_round_trip() {
             "aggregate_throughput_pairs_per_s",
             Direction::HigherIsBetter,
         )
-        .direction("mean_latency_s", Direction::LowerIsBetter);
+        .direction("pair_interval_s", Direction::LowerIsBetter);
     for (seed, p) in seeds.iter().zip(&points) {
         baseline.point(
             format!("seed={seed}"),
             &[
                 ("aggregate_throughput_pairs_per_s", p.aggregate_throughput),
-                ("mean_latency_s", p.mean_latency),
+                ("pair_interval_s", p.pair_interval),
                 ("nan_metric", f64::NAN),
             ],
         );
