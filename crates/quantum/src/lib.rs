@@ -4,11 +4,15 @@
 //! qubit engine plays in the paper). It provides:
 //!
 //! * [`state::DensityMatrix`] — mixed states of 1–4 qubits with unitary
-//!   application, Kraus channels, measurement and partial trace;
+//!   application, Kraus channels, measurement and partial trace, by
+//!   dense matrix products;
 //! * [`pairstate`] — the dual-representation pair-state layer: the
-//!   [`pairstate::BellDiagonal`] closed-form fast path (selected by the
-//!   `QNP_QSTATE` knob) with the density matrix as general fallback,
-//!   plus the exact conditional-map tables for swap and distillation;
+//!   [`pairstate::BellDiagonal`] closed-form fast path and the dense
+//!   4×4 [`pairstate::DensePair`] (selected by [`StateRep`]), which is
+//!   also the fallback for operations that leave the Bell-diagonal
+//!   family, plus the exact conditional-map tables for swap and
+//!   distillation and the swap's POVM elements, each built once per
+//!   process per noise level;
 //! * [`gates`] — standard gates plus the native NV controlled-√X;
 //! * [`channels`] — the noise processes of the paper (P1–P4): depolarizing,
 //!   dephasing, amplitude damping, and the fidelity↔parameter conversions;

@@ -81,7 +81,7 @@ pub enum StateRep {
     Bell,
     /// Dense 4×4 density matrices everywhere ([`DensePair`]): closed
     /// forms on the sixteen entries, and the swap as one contraction
-    /// with a cached [`SwapPovm`]. It follows the same trajectory as
+    /// with a [`SwapPovm`] element. It follows the same trajectory as
     /// the n-qubit reference circuit (same draws, same outcomes), with
     /// every entry within 1e-12 of it (`prop_dm_circuit.rs` in
     /// `qn_hardware`).
