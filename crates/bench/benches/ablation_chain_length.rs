@@ -130,7 +130,13 @@ fn main() {
             wide_dumbbell_scenario(seed, width, fidelity, CutoffPolicy::short(), warmup, window)
         });
         let thr = points.iter().map(|p| p.aggregate_throughput).sum::<f64>() / n_runs as f64;
-        let interval = mean_finite(points.iter().map(|p| p.pair_interval));
+        // A circuit's pair interval: the window over the pairs one
+        // circuit confirmed in it (infinite, so skipped, at zero).
+        let interval = mean_finite(
+            points
+                .iter()
+                .map(|p| p.circuits as f64 / p.aggregate_throughput),
+        );
         wide.push((thr, interval));
         println!("{width:5}   {thr:25.2}   {interval:15.4}");
         baseline.point(

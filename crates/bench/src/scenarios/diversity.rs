@@ -20,10 +20,6 @@ pub struct WideDumbbellPoint {
     /// Confirmed pairs per second across every circuit, over the
     /// measurement window.
     pub aggregate_throughput: f64,
-    /// The window over the mean number of pairs a circuit confirmed in
-    /// it: the mean time between one circuit's pairs, seconds (NaN if
-    /// no circuit confirmed a pair).
-    pub pair_interval: f64,
 }
 
 /// One run over a `width`-wide dumbbell: a long-running request on each
@@ -64,15 +60,9 @@ pub fn wide_dumbbell_scenario(
         .zip(&vcs)
         .map(|((h, _), vc)| app.confirmed_deliveries(*vc, *h, t0, t1))
         .sum();
-    let secs = window.as_secs_f64();
     WideDumbbellPoint {
         circuits: vcs.len(),
-        aggregate_throughput: delivered as f64 / secs,
-        pair_interval: if delivered == 0 {
-            f64::NAN
-        } else {
-            secs * vcs.len() as f64 / delivered as f64
-        },
+        aggregate_throughput: delivered as f64 / window.as_secs_f64(),
     }
 }
 
@@ -92,6 +82,5 @@ mod tests {
         );
         assert_eq!(p.circuits, 1);
         assert!(p.aggregate_throughput > 0.0);
-        assert_eq!(p.pair_interval, 1.0 / p.aggregate_throughput);
     }
 }

@@ -31,14 +31,10 @@ fn parallel_sweep_is_bit_identical_to_serial() {
         for (i, (p, s)) in parallel.iter().zip(&serial).enumerate() {
             assert_eq!(p.circuits, s.circuits);
             assert_eq!(
-                p.pair_interval.to_bits(),
-                s.pair_interval.to_bits(),
-                "pair interval bits differ at seed {} with {threads} threads",
-                seeds[i]
-            );
-            assert_eq!(
                 p.aggregate_throughput.to_bits(),
-                s.aggregate_throughput.to_bits()
+                s.aggregate_throughput.to_bits(),
+                "throughput bits differ at seed {} with {threads} threads",
+                seeds[i]
             );
         }
     }
@@ -81,14 +77,12 @@ fn baseline_write_parse_diff_round_trip() {
         .direction(
             "aggregate_throughput_pairs_per_s",
             Direction::HigherIsBetter,
-        )
-        .direction("pair_interval_s", Direction::LowerIsBetter);
+        );
     for (seed, p) in seeds.iter().zip(&points) {
         baseline.point(
             format!("seed={seed}"),
             &[
                 ("aggregate_throughput_pairs_per_s", p.aggregate_throughput),
-                ("pair_interval_s", p.pair_interval),
                 ("nan_metric", f64::NAN),
             ],
         );

@@ -814,8 +814,12 @@ type CircuitOp<'a> = (&'a [CMatrix], &'a [usize]);
 
 /// Values built at most once per process, by key, and kept for its
 /// lifetime. The tables and POVM elements below are pure functions of
-/// the gate noise, and a process meets a handful of noise levels, so
+/// the gate noise, and a simulation meets a handful of noise levels, so
 /// each built value is leaked to give lookups a `'static` reference.
+/// A process that draws its noise from a continuum, as the property
+/// suites do, keeps one entry per value drawn: about 8 KiB per table
+/// and 1 KiB per POVM set. Each lookup takes the lock for a scan of
+/// the entries.
 struct Memo<K, V: 'static>(Mutex<Vec<(K, &'static V)>>);
 
 impl<K: PartialEq, V> Memo<K, V> {
