@@ -15,9 +15,12 @@
 //!
 //! Asserted, over the feasible chains: the link-fidelity budget and the
 //! per-pair latency per link both rise with the chain length (the
-//! latency grows super-linearly). Over the widths: the aggregate
-//! throughput saturates at the bottleneck rate, so it does not grow
-//! past width 2, and each circuit's pair interval rises with the width.
+//! latency grows super-linearly). Over the widths, the aggregate
+//! throughput approaches the bottleneck's rate from below: it rises with
+//! the width, the step from width 1 to 2 exceeds the whole rise from 2
+//! to 4, and every aggregate stays below the MA–MB link's own pair rate
+//! at the planned bright-state parameter (one pair per expected
+//! heralding time). Each circuit's pair interval rises with the width.
 //! The bench writes its baseline, then exits 1 naming each broken
 //! shape.
 //!
@@ -26,10 +29,10 @@
 
 use qn_bench::{
     chain_point_scenario, mean_finite, run_sweep, runs, seed_block, threads,
-    wide_dumbbell_scenario, Baseline, Direction, Shapes,
+    wide_dumbbell_scenario, Baseline, Shapes,
 };
 use qn_hardware::params::{FibreParams, HardwareParams};
-use qn_routing::{chain, Controller, CutoffPolicy};
+use qn_routing::{chain, wide_dumbbell, Controller, CutoffPolicy};
 use qn_sim::{NodeId, SimDuration};
 
 fn main() {
@@ -42,15 +45,7 @@ fn main() {
 
     let mut baseline = Baseline::new("ablation_chain_length")
         .config_num("runs", n_runs as f64)
-        .config_num("fidelity", fidelity)
-        .direction("link_fidelity_budget", Direction::Informational)
-        .direction("per_pair_latency_s", Direction::LowerIsBetter)
-        .direction("mean_fidelity", Direction::HigherIsBetter)
-        .direction(
-            "aggregate_throughput_pairs_per_s",
-            Direction::HigherIsBetter,
-        )
-        .direction("pair_interval_s", Direction::LowerIsBetter);
+        .config_num("fidelity", fidelity);
 
     // (link-fidelity budget, per-pair latency per link) of each feasible
     // chain, shortest first.
@@ -121,11 +116,26 @@ fn main() {
         window.as_secs_f64(),
         warmup.as_secs_f64()
     );
-    println!("# width   aggregate_thr_pairs_per_s   pair_interval_s");
+    println!("# width   aggregate_thr_pairs_per_s   pair_interval_s   bottleneck_rate_pairs_per_s");
     let div_seeds = seed_block(7500, n_runs);
-    // (aggregate throughput, per-circuit pair interval) by width.
+    // (aggregate throughput, per-circuit pair interval, MA–MB link rate)
+    // by width.
     let mut wide = Vec::new();
     for width in [1usize, 2, 3, 4] {
+        // The bottleneck's own pair rate at the α the circuits are
+        // planned with: every straight-across circuit gets the same plan.
+        let (topology, w) =
+            wide_dumbbell(width, HardwareParams::simulation(), FibreParams::lab_2m());
+        let plan = Controller::new(&topology, CutoffPolicy::short())
+            .plan(w.ends_a[0], w.ends_b[0], fidelity)
+            .expect("straight-across circuit plan must be feasible");
+        let bottleneck = topology.link_between(w.ma, w.mb).expect("MA–MB link");
+        let link_rate = 1.0
+            / topology
+                .link(bottleneck)
+                .physics
+                .expected_pair_time(plan.alpha)
+                .as_secs_f64();
         let points = run_sweep(&div_seeds, |seed| {
             wide_dumbbell_scenario(seed, width, fidelity, CutoffPolicy::short(), warmup, window)
         });
@@ -137,8 +147,8 @@ fn main() {
                 .iter()
                 .map(|p| p.circuits as f64 / p.aggregate_throughput),
         );
-        wide.push((thr, interval));
-        println!("{width:5}   {thr:25.2}   {interval:15.4}");
+        wide.push((thr, interval, link_rate));
+        println!("{width:5}   {thr:25.2}   {interval:15.4}   {link_rate:27.2}");
         baseline.point(
             format!("wide_dumbbell/width={width}"),
             &[
@@ -149,8 +159,16 @@ fn main() {
     }
     println!("#\n# widened-dumbbell shape checks");
     shapes.check(
-        "aggregate throughput does not grow past width 2",
-        wide[2..].iter().all(|w| w.0 <= wide[1].0),
+        "aggregate throughput rises with the width",
+        wide.windows(2).all(|w| w[1].0 > w[0].0),
+    );
+    shapes.check(
+        "its step from width 1 to 2 exceeds its whole rise from 2 to 4",
+        wide[1].0 - wide[0].0 > wide[3].0 - wide[1].0,
+    );
+    shapes.check(
+        "every aggregate stays below the MA–MB link's own pair rate",
+        wide.iter().all(|w| w.0 < w.2),
     );
     shapes.check(
         "each circuit's pair interval rises with the width",

@@ -23,8 +23,7 @@
 //! (knobs: `QNP_RUNS`, `QNP_THREADS`).
 
 use qn_bench::{
-    cutoff_point_scenario, mean_finite, run_sweep, runs, seed_block, threads, Baseline, Direction,
-    Shapes,
+    cutoff_point_scenario, mean_finite, run_sweep, runs, seed_block, threads, Baseline, Shapes,
 };
 use qn_hardware::params::{FibreParams, HardwareParams};
 use qn_routing::budget::cutoff_for_fidelity_loss;
@@ -52,11 +51,7 @@ fn main() {
         .config_num("runs", n_runs as f64)
         .config_num("t2_s", t2)
         .config_num("fidelity", fidelity)
-        .config_num("reference_cutoff_ms", reference.as_millis_f64())
-        .direction("throughput_pairs_per_s", Direction::HigherIsBetter)
-        .direction("mean_fidelity", Direction::HigherIsBetter)
-        .direction("mean_fidelity_true_frame", Direction::HigherIsBetter)
-        .direction("discards", Direction::Informational);
+        .config_num("reference_cutoff_ms", reference.as_millis_f64());
 
     // Use a fixed-fidelity plan so only the cutoff varies.
     let (topology, d) = dumbbell(params, FibreParams::lab_2m());

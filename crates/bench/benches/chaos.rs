@@ -20,7 +20,7 @@
 
 use qn_bench::{
     chaos_scenario, env_u64, mean_finite, run_sweep, runs, seed_block, threads, Baseline,
-    ChaosConfig, Direction,
+    ChaosConfig,
 };
 use qn_sim::SimDuration;
 
@@ -43,16 +43,7 @@ fn main() {
 
     let mut baseline = Baseline::new("chaos")
         .config_num("runs", n_runs as f64)
-        .config_num("requests", n_requests as f64)
-        .direction("completion_rate", Direction::HigherIsBetter)
-        .direction("requests_completed", Direction::HigherIsBetter)
-        .direction("requests_cancelled", Direction::LowerIsBetter)
-        .direction("pairs_delivered", Direction::HigherIsBetter)
-        .direction("recovery_latency_s", Direction::LowerIsBetter)
-        .direction("availability", Direction::Informational)
-        .direction("outages", Direction::Informational)
-        .direction("leaked", Direction::LowerIsBetter)
-        .direction("events_processed", Direction::Informational);
+        .config_num("requests", n_requests as f64);
 
     println!(
         "# case                 avail    outages   req_done   pairs   recovery_s   leaked   events"

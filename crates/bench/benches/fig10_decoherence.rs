@@ -19,7 +19,7 @@
 //! default 3, `QNP_THREADS` sweep workers).
 
 use qn_bench::{
-    fig10ab_scenario, fig10c_scenario, run_sweep, runs, seed_block, threads, Baseline, Direction,
+    fig10ab_scenario, fig10c_scenario, run_sweep, runs, seed_block, threads, Baseline,
     Fig10Variant, Shapes,
 };
 use qn_sim::SimDuration;
@@ -29,15 +29,7 @@ fn main() {
     let n_runs = runs(3);
     println!("# Figure 10 — decoherence robustness (runs={n_runs})");
 
-    let mut baseline = Baseline::new("fig10_decoherence")
-        .config_num("runs", n_runs as f64)
-        .direction("thr_f09_pairs_per_s", Direction::HigherIsBetter)
-        .direction("thr_f08_pairs_per_s", Direction::HigherIsBetter)
-        .direction("good_f09", Direction::HigherIsBetter)
-        .direction("good_f08", Direction::HigherIsBetter)
-        .direction("raw_f09", Direction::Informational)
-        .direction("raw_f08", Direction::Informational)
-        .direction("cutoff_s", Direction::Informational);
+    let mut baseline = Baseline::new("fig10_decoherence").config_num("runs", n_runs as f64);
 
     // ---- panels (a, b): throughput vs memory lifetime ------------------
     let t2_values = [0.2, 0.4, 0.8, 1.6, 3.2, 6.4, 12.8, 25.6, 60.0];

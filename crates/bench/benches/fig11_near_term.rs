@@ -13,7 +13,7 @@
 //! sweep workers).
 
 use qn_bench::{
-    env_u64, fig11_plan, fig11_scenario, run_sweep, runs, seed_block, threads, Baseline, Direction,
+    env_u64, fig11_plan, fig11_scenario, run_sweep, runs, seed_block, threads, Baseline,
 };
 
 fn main() {
@@ -34,10 +34,7 @@ fn main() {
 
     let mut baseline = Baseline::new("fig11_near_term")
         .config_num("runs", n_runs as f64)
-        .config_num("pairs", n_pairs as f64)
-        .direction("delivered", Direction::HigherIsBetter)
-        .direction("mean_fidelity", Direction::HigherIsBetter)
-        .direction("total_time_s", Direction::LowerIsBetter);
+        .config_num("pairs", n_pairs as f64);
 
     let seeds = seed_block(100, n_runs);
     let results = run_sweep(&seeds, |seed| fig11_scenario(seed, n_pairs));

@@ -20,8 +20,7 @@
 //! `QNP_THREADS` sweep workers).
 
 use qn_bench::{
-    fig8_scenario, mean_finite, pairs, run_sweep, runs, seed_block, threads, Baseline, Direction,
-    Shapes,
+    fig8_scenario, mean_finite, pairs, run_sweep, runs, seed_block, threads, Baseline, Shapes,
 };
 use qn_routing::CutoffPolicy;
 use qn_sim::SimDuration;
@@ -47,11 +46,7 @@ fn main() {
     let mut baseline = Baseline::new("fig8_multiplexing")
         .config_num("runs", n_runs as f64)
         .config_num("pairs_per_request", n_pairs as f64)
-        .config_num("horizon_s", horizon.as_secs_f64())
-        .direction("mean_latency_s_f09", Direction::LowerIsBetter)
-        .direction("mean_latency_s_f08", Direction::LowerIsBetter)
-        .direction("completed", Direction::HigherIsBetter)
-        .direction("issued", Direction::Informational);
+        .config_num("horizon_s", horizon.as_secs_f64());
 
     // For the linearity check on panels a/b/d/e.
     let mut panel_latencies: Vec<Vec<f64>> = Vec::new();

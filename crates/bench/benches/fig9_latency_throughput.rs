@@ -15,7 +15,7 @@
 //! (knobs: `QNP_RUNS` default 3, `QNP_THREADS` sweep workers).
 
 use qn_bench::{
-    fig9_scenario, mean_finite, run_sweep, runs, seed_block, threads, Baseline, Direction, Shapes,
+    fig9_scenario, mean_finite, run_sweep, runs, seed_block, threads, Baseline, Shapes,
 };
 use qn_sim::SimDuration;
 
@@ -27,13 +27,7 @@ fn main() {
     // Request intervals from sparse to past saturation.
     let intervals_ms: [u64; 8] = [2000, 1000, 500, 300, 200, 150, 100, 70];
 
-    let mut baseline = Baseline::new("fig9_latency_throughput")
-        .config_num("runs", n_runs as f64)
-        .direction("throughput_pairs_per_s", Direction::HigherIsBetter)
-        .direction("mean_latency_s", Direction::LowerIsBetter)
-        .direction("p5_s", Direction::LowerIsBetter)
-        .direction("p95_s", Direction::LowerIsBetter)
-        .direction("requests_measured", Direction::HigherIsBetter);
+    let mut baseline = Baseline::new("fig9_latency_throughput").config_num("runs", n_runs as f64);
 
     let mut saturation = [0.0f64; 2];
     for (case_idx, congested) in [false, true].into_iter().enumerate() {

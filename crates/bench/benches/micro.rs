@@ -7,6 +7,10 @@
 //! the classical plane's wire codec (`message_parse`,
 //! `encode_scratch_vs_alloc/scratch`), and circuit planning
 //! (`link_alpha_for_fidelity`, `controller_plan_grid`).
+//!
+//! A developer tool: it prints each timing and writes no baseline, since
+//! wall-clock timings never equal a committed reference.
+//! Run: `cargo bench --bench micro [-- <name substring>]`.
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use qn_hardware::device::QubitId;
@@ -285,8 +289,8 @@ fn message_mix() -> Vec<Message> {
 
 /// The wire codec under the delivery-path access pattern: the owned
 /// decode the runtime's drain runs on every frame, and the encode into
-/// the plane's reused scratch buffer (the label keeps its
-/// `baselines/micro.json` row).
+/// the plane's reused scratch buffer (under the label its earlier
+/// timings were recorded with).
 fn bench_message_codec(c: &mut Criterion) {
     let msgs = message_mix();
     let frames: Vec<Vec<u8>> = msgs.iter().map(Message::wire_bytes).collect();
@@ -322,9 +326,9 @@ fn bench_message_codec(c: &mut Criterion) {
 /// The pair slab's hot paths: steady-state churn with id-heavy access
 /// (`slab_vs_map_lookup_churn/slab`, the sustained-traffic kernel) and
 /// the whole-store decoherence sweep with real elapsed time
-/// (`slab_vs_map_decoherence_sweep/slab`). The names keep the labels of
-/// their `baselines/micro.json` rows; the map layout they were once
-/// compared with is gone.
+/// (`slab_vs_map_decoherence_sweep/slab`). The names keep the labels
+/// their earlier timings were recorded with; the map layout they were
+/// once compared with is gone.
 fn bench_slab_store(c: &mut Criterion) {
     use qn_hardware::pairs::PairId;
     use qn_quantum::pairstate::BellDiagonal;

@@ -18,7 +18,7 @@
 
 use qn_bench::{
     env_u64, mean_finite, openworld_scenario, run_sweep, runs, seed_block, threads, Baseline,
-    Direction, OpenWorldConfig, OwArrivals, OwTopology,
+    OpenWorldConfig, OwArrivals, OwTopology,
 };
 use qn_sim::SimDuration;
 
@@ -54,15 +54,7 @@ fn main() {
 
     let mut baseline = Baseline::new("openworld")
         .config_num("runs", n_runs as f64)
-        .config_num("arrival_budget", budget as f64)
-        .direction("requests_per_sim_sec", Direction::HigherIsBetter)
-        .direction("pairs_per_sim_sec", Direction::HigherIsBetter)
-        .direction("requests_completed", Direction::HigherIsBetter)
-        .direction("pairs_delivered", Direction::HigherIsBetter)
-        .direction("events_per_sim_sec", Direction::Informational)
-        .direction("events_processed", Direction::Informational)
-        .direction("circuits_admitted", Direction::Informational)
-        .direction("plan_failures", Direction::Informational);
+        .config_num("arrival_budget", budget as f64);
 
     println!(
         "# case                 circuits   req_done   pairs   events     ev/sim_s   req/sim_s   ev/wall_s"

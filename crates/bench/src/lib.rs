@@ -2,7 +2,8 @@
 //!
 //! One `cargo bench` target per table/figure of the paper (all
 //! `harness = false`, printing the same rows/series the paper plots),
-//! plus Criterion micro-benchmarks of the core data structures.
+//! plus Criterion micro-benchmarks of the core data structures, which
+//! print their timings and write no baseline.
 //!
 //! The crate is split by responsibility:
 //!
@@ -12,8 +13,8 @@
 //!   scoped worker threads (bit-identical to serial at any
 //!   `QNP_THREADS`), the Fig 5 sample sweep and the env knobs;
 //! * [`report`] — machine-readable JSON baselines
-//!   (`target/qnp-bench/<figure>.json`) and the regression differ
-//!   behind `cargo run --example bench_diff`;
+//!   (`target/qnp-bench/<figure>.json`) and the equality check behind
+//!   `cargo run --example bench_diff`;
 //! * [`shapes`] — the paper-shape assertions of the figure benches.
 //!
 //! Environment knobs (documented in EXPERIMENTS.md):
@@ -32,8 +33,7 @@ pub mod shapes;
 pub mod sweep;
 
 pub use report::{
-    baseline_dir, diff_baselines, diff_dirs, Baseline, DiffKind, DiffReport, Direction, FigureDiff,
-    Json,
+    baseline_dir, diff_baselines, diff_dirs, Baseline, DiffEntry, DiffReport, FigureDiff, Json,
 };
 pub use scenarios::*;
 pub use shapes::Shapes;

@@ -4,8 +4,9 @@
 //! baseline at `<QNP_BASELINE_DIR>/<figure>.json` (default
 //! `target/qnp-bench/`) recording the run configuration, one record per
 //! plotted point, and run metadata. `cargo run --example bench_diff`
-//! compares two baseline directories and flags throughput/latency
-//! regressions; CI runs it against the committed `baselines/` reference.
+//! compares two baseline directories and fails on any metric that
+//! differs beyond a relative tolerance, in either direction; CI runs it
+//! against the committed `baselines/` reference.
 //!
 //! The build environment has no crates.io access, so the JSON encoder
 //! and parser are hand-rolled here. Numbers are formatted with Rust's
@@ -372,36 +373,6 @@ impl<'a> Parser<'a> {
 // Baselines
 // ---------------------------------------------------------------------
 
-/// Which way a metric should move to count as an improvement.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Direction {
-    /// e.g. throughput, completed requests.
-    HigherIsBetter,
-    /// e.g. latency, wall-clock.
-    LowerIsBetter,
-    /// Recorded but never flagged as a regression (e.g. a cutoff value).
-    Informational,
-}
-
-impl Direction {
-    fn as_str(self) -> &'static str {
-        match self {
-            Direction::HigherIsBetter => "higher_is_better",
-            Direction::LowerIsBetter => "lower_is_better",
-            Direction::Informational => "informational",
-        }
-    }
-
-    fn from_str(s: &str) -> Option<Self> {
-        match s {
-            "higher_is_better" => Some(Direction::HigherIsBetter),
-            "lower_is_better" => Some(Direction::LowerIsBetter),
-            "informational" => Some(Direction::Informational),
-            _ => None,
-        }
-    }
-}
-
 /// One plotted point: a label (the x-coordinate / panel / series) and
 /// its metric values.
 #[derive(Clone, Debug, PartialEq)]
@@ -419,8 +390,6 @@ pub struct Baseline {
     pub figure: String,
     /// Knob settings the run was produced with.
     pub config: Vec<(String, Json)>,
-    /// Per-metric improvement direction (drives regression flagging).
-    pub directions: Vec<(String, Direction)>,
     /// One record per plotted point, in plot order.
     pub points: Vec<PointRecord>,
     /// Run metadata (timestamps, thread counts…); never diffed.
@@ -433,7 +402,6 @@ impl Baseline {
         Baseline {
             figure: figure.to_string(),
             config: Vec::new(),
-            directions: Vec::new(),
             points: Vec::new(),
             meta: Vec::new(),
         }
@@ -464,12 +432,6 @@ impl Baseline {
         self
     }
 
-    /// Declare a metric's improvement direction.
-    pub fn direction(mut self, metric: &str, direction: Direction) -> Self {
-        self.directions.push((metric.to_string(), direction));
-        self
-    }
-
     /// Append a point record.
     pub fn point(&mut self, label: impl Into<String>, metrics: &[(&str, f64)]) {
         self.points.push(PointRecord {
@@ -478,29 +440,11 @@ impl Baseline {
         });
     }
 
-    /// The direction declared for `metric` (default: informational).
-    pub fn direction_of(&self, metric: &str) -> Direction {
-        self.directions
-            .iter()
-            .find(|(m, _)| m == metric)
-            .map(|(_, d)| *d)
-            .unwrap_or(Direction::Informational)
-    }
-
     /// Serialise to the baseline JSON schema.
     pub fn to_json(&self) -> Json {
         Json::Obj(vec![
             ("figure".into(), Json::Str(self.figure.clone())),
             ("config".into(), Json::Obj(self.config.clone())),
-            (
-                "directions".into(),
-                Json::Obj(
-                    self.directions
-                        .iter()
-                        .map(|(m, d)| (m.clone(), Json::Str(d.as_str().into())))
-                        .collect(),
-                ),
-            ),
             (
                 "points".into(),
                 Json::Arr(
@@ -539,19 +483,6 @@ impl Baseline {
             .and_then(Json::as_obj)
             .unwrap_or(&[])
             .to_vec();
-        let directions = json
-            .get("directions")
-            .and_then(Json::as_obj)
-            .unwrap_or(&[])
-            .iter()
-            .map(|(m, v)| {
-                let d = v
-                    .as_str()
-                    .and_then(Direction::from_str)
-                    .ok_or_else(|| format!("bad direction for metric {m:?}"))?;
-                Ok((m.clone(), d))
-            })
-            .collect::<Result<Vec<_>, String>>()?;
         let mut points = Vec::new();
         for p in json
             .get("points")
@@ -585,7 +516,6 @@ impl Baseline {
         Ok(Baseline {
             figure,
             config,
-            directions,
             points,
             meta,
         })
@@ -645,37 +575,30 @@ pub fn baseline_dir() -> PathBuf {
 // Diffing
 // ---------------------------------------------------------------------
 
-/// How one metric moved between two baselines.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DiffKind {
-    /// Worse than the reference beyond tolerance, per the metric's
-    /// declared direction.
-    Regression,
-    /// Better than the reference beyond tolerance.
-    Improvement,
-    /// Moved beyond tolerance, no direction declared (or NaN ↔ value).
-    Change,
-    /// Point or metric present in the reference but not the candidate.
-    Missing,
-    /// Point or metric present in the candidate but not the reference.
-    New,
-}
-
-/// One flagged metric movement.
+/// One metric that differs between two baselines.
 #[derive(Clone, Debug)]
 pub struct DiffEntry {
     /// Point label the metric belongs to.
     pub point: String,
     /// Metric name.
     pub metric: String,
-    /// Reference value (NaN when [`DiffKind::New`]).
-    pub reference: f64,
-    /// Candidate value (NaN when [`DiffKind::Missing`]).
-    pub candidate: f64,
-    /// `(candidate - reference) / |reference|` (NaN if undefined).
-    pub rel_change: f64,
-    /// Classification.
-    pub kind: DiffKind,
+    /// Reference value; `None` when the reference lacks the point or
+    /// the metric.
+    pub reference: Option<f64>,
+    /// Candidate value; `None` when the candidate lacks the point or
+    /// the metric.
+    pub candidate: Option<f64>,
+}
+
+impl DiffEntry {
+    /// `(candidate - reference) / |reference|`, infinite from a zero
+    /// reference and NaN when either side is absent or NaN.
+    pub fn rel_change(&self) -> f64 {
+        match (self.reference, self.candidate) {
+            (Some(r), Some(c)) => rel_change(r, c),
+            _ => f64::NAN,
+        }
+    }
 }
 
 /// The comparison of one figure's baselines.
@@ -686,25 +609,7 @@ pub struct DiffReport {
 }
 
 impl DiffReport {
-    /// Number of regressions.
-    pub fn regressions(&self) -> usize {
-        self.entries
-            .iter()
-            .filter(|e| e.kind == DiffKind::Regression)
-            .count()
-    }
-
-    /// Number of reference points/metrics absent from the candidate —
-    /// structural coverage loss, which a blocking gate should also fail
-    /// on (a metric that vanishes can't regress any other way).
-    pub fn missing(&self) -> usize {
-        self.entries
-            .iter()
-            .filter(|e| e.kind == DiffKind::Missing)
-            .count()
-    }
-
-    /// True if nothing moved beyond tolerance at all.
+    /// True if the two baselines agree within the tolerance.
     pub fn is_clean(&self) -> bool {
         self.entries.is_empty()
     }
@@ -769,154 +674,65 @@ pub fn diff_dirs(
         .collect())
 }
 
-/// Compare `candidate` against `reference`: every metric of every point
-/// whose relative movement exceeds `tolerance` is flagged, classified by
-/// the metric's declared direction (the reference's declaration wins).
-/// NaN ↔ NaN is never flagged; NaN ↔ value always is.
+/// Compare `candidate` against `reference`, metric by metric. Flagged
+/// are a metric whose relative change exceeds `tolerance` in either
+/// direction, a NaN on one side only, and a metric on one side only
+/// (a point on one side only is flagged once per metric it carries).
+/// NaN against NaN is equal.
 pub fn diff_baselines(reference: &Baseline, candidate: &Baseline, tolerance: f64) -> DiffReport {
     let mut report = DiffReport::default();
-    let find = |b: &Baseline, label: &str| -> Option<PointRecord> {
-        b.points.iter().find(|p| p.label == label).cloned()
-    };
-
-    let mut labels: Vec<String> = Vec::new();
-    let mut seen = BTreeSet::new();
-    for p in reference.points.iter().chain(&candidate.points) {
-        if seen.insert(p.label.clone()) {
-            labels.push(p.label.clone());
+    let mut labels = BTreeSet::new();
+    for label in reference
+        .points
+        .iter()
+        .chain(&candidate.points)
+        .map(|p| &p.label)
+    {
+        if !labels.insert(label) {
+            continue;
         }
-    }
-
-    for label in labels {
-        let (rp, cp) = (find(reference, &label), find(candidate, &label));
-        match (rp, cp) {
-            (Some(rp), Some(cp)) => {
-                let mut metrics: Vec<String> = Vec::new();
-                let mut seen = BTreeSet::new();
-                for (m, _) in rp.metrics.iter().chain(&cp.metrics) {
-                    if seen.insert(m.clone()) {
-                        metrics.push(m.clone());
-                    }
-                }
-                for metric in metrics {
-                    let rv = rp
-                        .metrics
-                        .iter()
-                        .find(|(m, _)| *m == metric)
-                        .map(|(_, v)| *v);
-                    let cv = cp
-                        .metrics
-                        .iter()
-                        .find(|(m, _)| *m == metric)
-                        .map(|(_, v)| *v);
-                    match (rv, cv) {
-                        (Some(rv), Some(cv)) => {
-                            if let Some(entry) =
-                                classify(&label, &metric, rv, cv, reference, tolerance)
-                            {
-                                report.entries.push(entry);
-                            }
-                        }
-                        (Some(rv), None) => report.entries.push(DiffEntry {
-                            point: label.clone(),
-                            metric,
-                            reference: rv,
-                            candidate: f64::NAN,
-                            rel_change: f64::NAN,
-                            kind: DiffKind::Missing,
-                        }),
-                        (None, Some(cv)) => report.entries.push(DiffEntry {
-                            point: label.clone(),
-                            metric,
-                            reference: f64::NAN,
-                            candidate: cv,
-                            rel_change: f64::NAN,
-                            kind: DiffKind::New,
-                        }),
-                        (None, None) => unreachable!("metric came from one of the two"),
-                    }
-                }
+        let rp = reference.points.iter().find(|p| &p.label == label);
+        let cp = candidate.points.iter().find(|p| &p.label == label);
+        let mut metrics = BTreeSet::new();
+        for (metric, _) in rp.into_iter().chain(cp).flat_map(|p| &p.metrics) {
+            if !metrics.insert(metric) {
+                continue;
             }
-            (Some(_), None) => report.entries.push(DiffEntry {
-                point: label.clone(),
-                metric: "*".into(),
-                reference: f64::NAN,
-                candidate: f64::NAN,
-                rel_change: f64::NAN,
-                kind: DiffKind::Missing,
-            }),
-            (None, Some(_)) => report.entries.push(DiffEntry {
-                point: label.clone(),
-                metric: "*".into(),
-                reference: f64::NAN,
-                candidate: f64::NAN,
-                rel_change: f64::NAN,
-                kind: DiffKind::New,
-            }),
-            (None, None) => unreachable!("label came from one of the two"),
+            let (rv, cv) = (value(rp, metric), value(cp, metric));
+            let flagged = match (rv, cv) {
+                (Some(r), Some(c)) => {
+                    r.is_nan() != c.is_nan() || rel_change(r, c).abs() > tolerance
+                }
+                _ => true,
+            };
+            if flagged {
+                report.entries.push(DiffEntry {
+                    point: label.clone(),
+                    metric: metric.clone(),
+                    reference: rv,
+                    candidate: cv,
+                });
+            }
         }
     }
     report
 }
 
-fn classify(
-    label: &str,
-    metric: &str,
-    rv: f64,
-    cv: f64,
-    reference: &Baseline,
-    tolerance: f64,
-) -> Option<DiffEntry> {
-    if rv.is_nan() && cv.is_nan() {
-        return None;
-    }
-    let entry = |rel: f64, kind: DiffKind| DiffEntry {
-        point: label.to_string(),
-        metric: metric.to_string(),
-        reference: rv,
-        candidate: cv,
-        rel_change: rel,
-        kind,
-    };
-    if rv.is_nan() != cv.is_nan() {
-        // A directional metric vanishing into NaN (e.g. "no request
-        // completed any more") is the worst possible regression, not a
-        // neutral change; NaN recovering into a value is the converse.
-        let kind = match reference.direction_of(metric) {
-            Direction::Informational => DiffKind::Change,
-            _ if cv.is_nan() => DiffKind::Regression,
-            _ => DiffKind::Improvement,
-        };
-        return Some(entry(f64::NAN, kind));
-    }
-    let rel = if rv == cv {
+fn value(point: Option<&PointRecord>, metric: &str) -> Option<f64> {
+    let (_, v) = point?.metrics.iter().find(|(m, _)| m == metric)?;
+    Some(*v)
+}
+
+fn rel_change(r: f64, c: f64) -> f64 {
+    if r == c {
         0.0
-    } else if rv == 0.0 {
-        f64::INFINITY * (cv - rv).signum()
+    } else if r.is_nan() || c.is_nan() {
+        f64::NAN
+    } else if r == 0.0 || r.is_infinite() {
+        f64::INFINITY.copysign(c - r)
     } else {
-        (cv - rv) / rv.abs()
-    };
-    if rel.abs() <= tolerance {
-        return None;
+        (c - r) / r.abs()
     }
-    let kind = match reference.direction_of(metric) {
-        Direction::Informational => DiffKind::Change,
-        Direction::HigherIsBetter => {
-            if rel < 0.0 {
-                DiffKind::Regression
-            } else {
-                DiffKind::Improvement
-            }
-        }
-        Direction::LowerIsBetter => {
-            if rel > 0.0 {
-                DiffKind::Regression
-            } else {
-                DiffKind::Improvement
-            }
-        }
-    };
-    Some(entry(rel, kind))
 }
 
 #[cfg(test)]
@@ -966,67 +782,68 @@ mod tests {
     fn baseline_round_trips() {
         let mut b = Baseline::new("fig_test")
             .config_num("runs", 3.0)
-            .config_str("case", "empty")
-            .direction("throughput", Direction::HigherIsBetter)
-            .direction("latency_s", Direction::LowerIsBetter);
+            .config_str("case", "empty");
         b.point("x=1", &[("throughput", 4.25), ("latency_s", 0.5)]);
         b.point("x=2", &[("throughput", f64::NAN), ("latency_s", 0.75)]);
         let parsed = Baseline::parse(&b.to_json().to_pretty_string()).unwrap();
         assert_eq!(parsed.figure, "fig_test");
-        assert_eq!(parsed.directions, b.directions);
+        assert_eq!(parsed.config, b.config);
         assert_eq!(parsed.points[0], b.points[0]);
         // NaN survives as NaN (PartialEq would fail, so check by hand).
         assert!(parsed.points[1].metrics[0].1.is_nan());
         assert_eq!(parsed.points[1].metrics[1].1, 0.75);
     }
 
+    /// At tolerance 0 any difference is one flagged entry, whichever
+    /// way it goes: a rise, a fall, a parameter once recorded as
+    /// informational, a value turning NaN, an added metric and an added
+    /// point, and the converse of each. Moves inside the tolerance stay
+    /// clean in either direction.
     #[test]
-    fn diff_flags_direction_aware_regressions() {
-        let mut reference = Baseline::new("f")
-            .direction("thr", Direction::HigherIsBetter)
-            .direction("lat", Direction::LowerIsBetter);
-        reference.point("p", &[("thr", 10.0), ("lat", 1.0)]);
+    fn diff_flags_any_difference_in_either_direction() {
+        let mut reference = Baseline::new("f");
+        reference.point(
+            "p",
+            &[("thr", 10.0), ("lat", 1.0), ("t2_s", 60.0), ("x", f64::NAN)],
+        );
+        type Edit = fn(&mut Baseline);
+        let edits: [(&str, Edit); 6] = [
+            ("rose", |b| b.points[0].metrics[0].1 = 12.5),
+            ("fell", |b| b.points[0].metrics[1].1 = 0.5),
+            ("parameter", |b| b.points[0].metrics[2].1 = 30.0),
+            ("turned NaN", |b| b.points[0].metrics[0].1 = f64::NAN),
+            ("added metric", |b| {
+                b.points[0].metrics.push(("new".into(), 1.0))
+            }),
+            ("added point", |b| b.point("q", &[("thr", 2.0)])),
+        ];
+        for (what, edit) in edits {
+            let mut candidate = reference.clone();
+            edit(&mut candidate);
+            for (r, c, dir) in [
+                (&reference, &candidate, ""),
+                (&candidate, &reference, ", reversed"),
+            ] {
+                let report = diff_baselines(r, c, 0.0);
+                assert!(!report.is_clean(), "{what}{dir}");
+                assert_eq!(report.entries.len(), 1, "{what}{dir}: {:?}", report.entries);
+            }
+        }
+        // NaN against NaN is equal, and 4% either way is inside 5%.
+        assert!(diff_baselines(&reference, &reference, 0.0).is_clean());
         let mut candidate = reference.clone();
-        candidate.points[0].metrics = vec![("thr".into(), 8.0), ("lat".into(), 1.3)];
-        let report = diff_baselines(&reference, &candidate, 0.05);
-        assert_eq!(report.regressions(), 2);
-        // Improvements are flagged but not regressions.
-        candidate.points[0].metrics = vec![("thr".into(), 12.0), ("lat".into(), 0.7)];
-        let report = diff_baselines(&reference, &candidate, 0.05);
-        assert_eq!(report.regressions(), 0);
-        assert_eq!(report.entries.len(), 2);
-        assert!(report
-            .entries
-            .iter()
-            .all(|e| e.kind == DiffKind::Improvement));
-    }
-
-    #[test]
-    fn value_vanishing_into_nan_is_a_regression() {
-        let mut reference = Baseline::new("f")
-            .direction("thr", Direction::HigherIsBetter)
-            .direction("note", Direction::Informational);
-        reference.point("p", &[("thr", 10.0), ("note", 1.0)]);
-        let mut candidate = reference.clone();
-        candidate.points[0].metrics = vec![("thr".into(), f64::NAN), ("note".into(), f64::NAN)];
-        let report = diff_baselines(&reference, &candidate, 0.05);
-        assert_eq!(report.regressions(), 1, "directional value -> NaN");
-        assert!(report
-            .entries
-            .iter()
-            .any(|e| e.metric == "note" && e.kind == DiffKind::Change));
-        // And the converse: NaN recovering into a value is an improvement.
-        let report = diff_baselines(&candidate, &reference, 0.05);
-        assert_eq!(report.regressions(), 0);
-        assert!(report
-            .entries
-            .iter()
-            .any(|e| e.metric == "thr" && e.kind == DiffKind::Improvement));
+        candidate.points[0].metrics[0].1 = 10.4;
+        candidate.points[0].metrics[1].1 = 0.96;
+        assert!(diff_baselines(&reference, &candidate, 0.05).is_clean());
+        assert_eq!(
+            diff_baselines(&reference, &candidate, 0.03).entries.len(),
+            2
+        );
     }
 
     #[test]
     fn diff_within_tolerance_is_clean() {
-        let mut reference = Baseline::new("f").direction("thr", Direction::HigherIsBetter);
+        let mut reference = Baseline::new("f");
         reference.point("p", &[("thr", 100.0)]);
         let mut candidate = reference.clone();
         candidate.points[0].metrics = vec![("thr".into(), 99.0)];
@@ -1038,7 +855,7 @@ mod tests {
         let root = std::env::temp_dir().join(format!("qn_bench_diff_dirs_{}", std::process::id()));
         let (ref_dir, cand_dir) = (root.join("ref"), root.join("cand"));
         std::fs::create_dir_all(&cand_dir).unwrap();
-        let mut base = Baseline::new("fig").direction("thr", Direction::HigherIsBetter);
+        let mut base = Baseline::new("fig");
         for i in 0..40 {
             base.point(format!("p{i}"), &[("thr", 1.0 + i as f64)]);
         }
@@ -1073,7 +890,11 @@ mod tests {
         let mut candidate = Baseline::new("f");
         candidate.point("new", &[("m", 1.0)]);
         let report = diff_baselines(&reference, &candidate, 0.0);
-        let kinds: Vec<DiffKind> = report.entries.iter().map(|e| e.kind).collect();
-        assert_eq!(kinds, vec![DiffKind::Missing, DiffKind::New]);
+        let sides: Vec<_> = report
+            .entries
+            .iter()
+            .map(|e| (e.point.as_str(), e.reference, e.candidate))
+            .collect();
+        assert_eq!(sides, [("old", Some(1.0), None), ("new", None, Some(1.0))]);
     }
 }

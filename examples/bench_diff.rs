@@ -1,25 +1,21 @@
-//! Compare two benchmark baseline directories and flag regressions.
+//! Compare two benchmark baseline directories and fail on any difference.
 //!
 //! ```sh
 //! cargo run --release --example bench_diff                  # baselines/ vs target/qnp-bench
 //! cargo run --release --example bench_diff -- ref_dir cand_dir
-//! cargo run --release --example bench_diff -- --tolerance 0.25 --report-only baselines target/qnp-bench
+//! cargo run --release --example bench_diff -- --tolerance 1e-9 baselines target/qnp-bench
 //! ```
 //!
 //! For every `<figure>.json` in the reference directory, the candidate's
-//! file of the same name is diffed metric by metric; movements beyond
-//! the tolerance are classified by each metric's declared direction
-//! (throughput down / latency up ⇒ regression). Exits non-zero when a
-//! regression, a reference metric/point missing from the candidate, or
-//! a reference or candidate file that does not parse is found, unless
-//! `--report-only` is given (the CI smoke job's non-blocking mode). A
-//! candidate file that does not exist (bench not run) is skipped.
-//!
-//! Simulation statistics with few seeds are noisy, so the default
-//! tolerance is deliberately wide (25 %); the `QNP_RUNS=2` reference
-//! under `baselines/` is a smoke reference, not a precision one.
+//! file of the same name is diffed metric by metric. A metric whose
+//! relative change exceeds the tolerance (default 0) in either direction,
+//! a NaN on one side only, and a point or metric on one side only are
+//! flagged, each printed as reference -> candidate with its relative
+//! change. Exits 1 on any flagged entry and on a reference or candidate
+//! file that does not parse. A candidate file that does not exist (bench
+//! not run) is skipped.
 
-use qn_bench::report::{diff_dirs, DiffKind, FigureDiff};
+use qn_bench::report::{diff_dirs, FigureDiff};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -29,16 +25,14 @@ struct Args {
     tolerance: f64,
     /// The tolerance as typed, for the header.
     tolerance_text: String,
-    report_only: bool,
 }
 
 fn parse_args() -> Args {
     let mut args = Args {
         reference: PathBuf::from("baselines"),
         candidate: qn_bench::baseline_dir(),
-        tolerance: 0.25,
-        tolerance_text: "0.25".into(),
-        report_only: false,
+        tolerance: 0.0,
+        tolerance_text: "0".into(),
     };
     let mut positional = Vec::new();
     let mut it = std::env::args().skip(1);
@@ -46,14 +40,15 @@ fn parse_args() -> Args {
         match arg.as_str() {
             "--tolerance" => {
                 let v = it.next().expect("--tolerance needs a value");
-                args.tolerance = v.parse().expect("--tolerance must be a number");
+                args.tolerance = v
+                    .parse()
+                    .ok()
+                    .filter(|t: &f64| *t >= 0.0)
+                    .expect("--tolerance must be a non-negative number");
                 args.tolerance_text = v;
             }
-            "--report-only" => args.report_only = true,
             "--help" | "-h" => {
-                println!(
-                    "usage: bench_diff [--tolerance REL] [--report-only] [REFERENCE_DIR [CANDIDATE_DIR]]"
-                );
+                println!("usage: bench_diff [--tolerance REL] [REFERENCE_DIR [CANDIDATE_DIR]]");
                 std::process::exit(0);
             }
             other => positional.push(PathBuf::from(other)),
@@ -66,6 +61,10 @@ fn parse_args() -> Args {
         args.candidate = p.clone();
     }
     args
+}
+
+fn show(value: Option<f64>) -> String {
+    value.map_or_else(|| "absent".into(), |v| v.to_string())
 }
 
 fn main() -> ExitCode {
@@ -92,64 +91,41 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
-    let mut total_regressions = 0usize;
-    let mut total_flagged = 0usize;
-    let mut total_missing = 0usize;
-    let mut total_unreadable = 0usize;
+    let mut flagged = 0usize;
+    let mut unreadable = 0usize;
     for (name, diff) in figures {
-        let (points, report) = match diff {
+        match diff {
             FigureDiff::CandidateMissing => {
                 println!("## {name}: candidate missing (bench not run) — skipped");
-                continue;
             }
             FigureDiff::Unreadable(e) => {
                 // A file that does not parse compares nothing: fail the
                 // gate rather than pass it silently.
                 println!("## {name}: UNREADABLE — {e}");
-                total_unreadable += 1;
-                continue;
+                unreadable += 1;
             }
-            FigureDiff::Compared { points, report } => (points, report),
-        };
-        if report.is_clean() {
-            println!("## {name}: clean ({points} points)");
-            continue;
+            FigureDiff::Compared { points, report } if report.is_clean() => {
+                println!("## {name}: clean ({points} points)");
+            }
+            FigureDiff::Compared { report, .. } => {
+                println!("## {name}: {} flagged", report.entries.len());
+                for e in &report.entries {
+                    println!(
+                        "  {}/{}: {} -> {} (relative change {:+.3e})",
+                        e.point,
+                        e.metric,
+                        show(e.reference),
+                        show(e.candidate),
+                        e.rel_change()
+                    );
+                }
+                flagged += report.entries.len();
+            }
         }
-        println!(
-            "## {name}: {} flagged, {} regressions, {} missing",
-            report.entries.len(),
-            report.regressions(),
-            report.missing()
-        );
-        for e in &report.entries {
-            let tag = match e.kind {
-                DiffKind::Regression => "REGRESSION",
-                DiffKind::Improvement => "improvement",
-                DiffKind::Change => "change",
-                DiffKind::Missing => "MISSING",
-                DiffKind::New => "new",
-            };
-            println!(
-                "  {tag:<11} {}/{}: {} -> {} ({:+.1}%)",
-                e.point,
-                e.metric,
-                e.reference,
-                e.candidate,
-                e.rel_change * 100.0
-            );
-        }
-        total_regressions += report.regressions();
-        // A reference metric/point absent from the candidate is lost
-        // gate coverage — block on it like a regression, otherwise a
-        // renamed metric silently stops being guarded.
-        total_missing += report.missing();
-        total_flagged += report.entries.len();
     }
 
-    println!(
-        "#\n# total: {total_flagged} flagged, {total_regressions} regressions, {total_missing} missing, {total_unreadable} unreadable"
-    );
-    if (total_regressions > 0 || total_missing > 0 || total_unreadable > 0) && !args.report_only {
+    println!("#\n# total: {flagged} flagged, {unreadable} unreadable");
+    if flagged + unreadable > 0 {
         ExitCode::from(1)
     } else {
         ExitCode::SUCCESS

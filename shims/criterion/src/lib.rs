@@ -7,12 +7,6 @@
 //! enough iterations to cover a fixed wall-clock window and report
 //! mean/min/max per iteration as plain text. No statistics, plots or
 //! HTML reports.
-//!
-//! One deliberate extension beyond the real criterion: `criterion_main!`
-//! writes a JSON baseline (`<QNP_BASELINE_DIR>/<bench>.json`, default
-//! `target/qnp-bench/`) in the same schema as the `qn_bench::report`
-//! figure baselines, so `cargo run --example bench_diff` can track
-//! micro-benchmark timings alongside the figure metrics.
 
 use std::time::{Duration, Instant};
 
@@ -108,26 +102,10 @@ fn format_duration(d: Duration) -> String {
     }
 }
 
-/// One completed benchmark's timing summary (nanoseconds/iteration).
-#[derive(Clone, Debug)]
-pub struct BenchResult {
-    /// The `bench_function` id.
-    pub id: String,
-    /// Mean time per iteration.
-    pub mean_ns: f64,
-    /// Fastest iteration.
-    pub min_ns: f64,
-    /// Slowest iteration.
-    pub max_ns: f64,
-    /// Number of timed iterations.
-    pub samples: usize,
-}
-
 /// The benchmark harness entry point.
 pub struct Criterion {
     measure_window: Duration,
     filter: Option<String>,
-    results: Vec<BenchResult>,
 }
 
 impl Default for Criterion {
@@ -152,7 +130,6 @@ impl Default for Criterion {
         Criterion {
             measure_window: Duration::from_millis(window_ms),
             filter: None,
-            results: Vec::new(),
         }
     }
 }
@@ -197,138 +174,33 @@ impl Criterion {
             format_duration(max),
             bencher.samples.len()
         );
-        self.results.push(BenchResult {
-            id: id.to_string(),
-            mean_ns: mean.as_nanos() as f64,
-            min_ns: min.as_nanos() as f64,
-            max_ns: max.as_nanos() as f64,
-            samples: bencher.samples.len(),
-        });
         self
     }
-
-    /// Results collected so far.
-    pub fn results(&self) -> &[BenchResult] {
-        &self.results
-    }
-}
-
-/// Write `results` as a JSON baseline named `bench_name`, in the schema
-/// of `qn_bench::report` (hand-rolled here: the shim cannot depend on
-/// the workspace it serves). Timings are host-dependent wall-clock
-/// noise, so every metric is declared `informational`: the baseline
-/// differ reports movements but never classifies them as regressions —
-/// a committed micro baseline documents a reference machine, it does
-/// not gate CI. `wall_clock_s` (the whole bench run) lands in `meta`.
-pub fn write_baseline(
-    bench_name: &str,
-    results: &[BenchResult],
-    wall_clock_s: f64,
-) -> std::io::Result<()> {
-    // A name filter (`cargo bench --bench micro -- <substring>`) runs
-    // only a subset; writing that subset would clobber the full
-    // baseline and make every skipped benchmark diff as "missing".
-    let filter_active = std::env::args()
-        .skip(1)
-        .any(|a| !a.starts_with('-') && a != "benches");
-    if filter_active {
-        println!("# baseline skipped (benchmark name filter active)");
-        return Ok(());
-    }
-    let dir = std::env::var_os("QNP_BASELINE_DIR")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| {
-            // Anchor at the workspace target dir: bench executables run
-            // with the package dir as cwd, not the workspace root.
-            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/qnp-bench")
-        });
-    std::fs::create_dir_all(&dir)?;
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"figure\": {:?},\n", bench_name));
-    out.push_str("  \"config\": {},\n");
-    out.push_str("  \"directions\": {\n");
-    out.push_str("    \"mean_ns\": \"informational\",\n");
-    out.push_str("    \"min_ns\": \"informational\",\n");
-    out.push_str("    \"max_ns\": \"informational\",\n");
-    out.push_str("    \"events_per_sec\": \"informational\",\n");
-    out.push_str("    \"samples\": \"informational\"\n");
-    out.push_str("  },\n");
-    out.push_str("  \"points\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        // Guard division and stay valid JSON ({:?} on NaN would emit a
-        // bare `NaN` token the hand-rolled parser rejects).
-        let events_per_sec = if r.mean_ns > 0.0 {
-            1e9 / r.mean_ns
-        } else {
-            0.0
-        };
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"label\": {:?},\n", r.id));
-        out.push_str("      \"metrics\": {\n");
-        out.push_str(&format!("        \"mean_ns\": {:?},\n", r.mean_ns));
-        out.push_str(&format!("        \"min_ns\": {:?},\n", r.min_ns));
-        out.push_str(&format!("        \"max_ns\": {:?},\n", r.max_ns));
-        out.push_str(&format!(
-            "        \"events_per_sec\": {:?},\n",
-            events_per_sec
-        ));
-        out.push_str(&format!("        \"samples\": {:?}\n", r.samples as f64));
-        out.push_str("      }\n");
-        out.push_str(if i + 1 < results.len() {
-            "    },\n"
-        } else {
-            "    }\n"
-        });
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"meta\": {\n");
-    out.push_str(&format!("    \"wall_clock_s\": {:?}\n", wall_clock_s));
-    out.push_str("  }\n");
-    out.push_str("}\n");
-    let path = dir.join(format!("{bench_name}.json"));
-    std::fs::write(&path, out)?;
-    println!("# baseline: {}", path.display());
-    Ok(())
 }
 
 /// Bundle benchmark functions into a group runner, as in real criterion.
-/// The generated function returns the group's timing results so
-/// `criterion_main!` can write the combined JSON baseline.
 #[macro_export]
 macro_rules! criterion_group {
     ($group:ident, $($target:path),+ $(,)?) => {
-        pub fn $group() -> ::std::vec::Vec<$crate::BenchResult> {
+        pub fn $group() {
             let mut criterion = $crate::Criterion::default().configure_from_args();
             $( $target(&mut criterion); )+
-            criterion.results().to_vec()
         }
     };
     (name = $group:ident; config = $config:expr; targets = $($target:path),+ $(,)?) => {
-        pub fn $group() -> ::std::vec::Vec<$crate::BenchResult> {
+        pub fn $group() {
             let mut criterion = $config.configure_from_args();
             $( $target(&mut criterion); )+
-            criterion.results().to_vec()
         }
     };
 }
 
-/// Generate `fn main` running the given groups and writing the bench
-/// target's JSON baseline (named after the invoking crate, i.e. the
-/// bench target).
+/// Generate `fn main` running the given groups.
 #[macro_export]
 macro_rules! criterion_main {
     ($($group:path),+ $(,)?) => {
         fn main() {
-            let wall_start = ::std::time::Instant::now();
-            let mut all: ::std::vec::Vec<$crate::BenchResult> = ::std::vec::Vec::new();
-            $( all.extend($group()); )+
-            let wall_clock_s = wall_start.elapsed().as_secs_f64();
-            if let Err(e) =
-                $crate::write_baseline(env!("CARGO_CRATE_NAME"), &all, wall_clock_s)
-            {
-                eprintln!("warning: could not write bench baseline: {e}");
-            }
+            $( $group(); )+
         }
     };
 }
@@ -342,7 +214,6 @@ mod tests {
         let mut c = Criterion {
             measure_window: Duration::from_millis(5),
             filter: None,
-            results: Vec::new(),
         };
         let mut ran = false;
         c.bench_function("smoke", |b| {
