@@ -32,9 +32,7 @@ pub mod scenarios;
 pub mod shapes;
 pub mod sweep;
 
-pub use report::{
-    baseline_dir, diff_baselines, diff_dirs, Baseline, DiffEntry, DiffReport, FigureDiff, Json,
-};
+pub use report::{baseline_dir, diff_baselines, diff_dirs, Baseline, DiffReport, FigureDiff, Json};
 pub use scenarios::*;
 pub use shapes::Shapes;
 pub use sweep::*;
