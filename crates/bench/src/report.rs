@@ -794,11 +794,56 @@ mod tests {
         assert_eq!(parsed.points[1].metrics[1].1, 0.75);
     }
 
-    /// At tolerance 0 any difference is one flagged entry, whichever
-    /// way it goes: a rise, a fall, a parameter once recorded as
-    /// informational, a value turning NaN, an added metric and an added
-    /// point, and the converse of each. Moves inside the tolerance stay
-    /// clean in either direction.
+    /// A fall and a rise past the tolerance are both flagged, whichever
+    /// way the metric counts as better, and each entry's `rel_change`
+    /// keeps which way it moved.
+    #[test]
+    fn diff_flags_direction_aware_regressions() {
+        let mut reference = Baseline::new("f");
+        reference.point("p", &[("thr", 10.0), ("lat", 1.0)]);
+        let mut candidate = reference.clone();
+        for ((thr, lat), moves) in [((8.0, 1.3), [-0.2, 0.3]), ((12.0, 0.7), [0.2, -0.3])] {
+            candidate.points[0].metrics = vec![("thr".into(), thr), ("lat".into(), lat)];
+            let report = diff_baselines(&reference, &candidate, 0.05);
+            assert!(!report.is_clean());
+            let flagged: Vec<_> = report
+                .entries
+                .iter()
+                .map(|e| (e.metric.as_str(), e.reference, e.candidate))
+                .collect();
+            assert_eq!(
+                flagged,
+                [
+                    ("thr", Some(10.0), Some(thr)),
+                    ("lat", Some(1.0), Some(lat))
+                ]
+            );
+            for (entry, moved) in report.entries.iter().zip(moves) {
+                assert!((entry.rel_change() - moved).abs() < 1e-12, "{entry:?}");
+            }
+        }
+    }
+
+    /// A value turning NaN is flagged, and so is the converse, whether
+    /// or not the metric was once declared informational.
+    #[test]
+    fn value_vanishing_into_nan_is_a_regression() {
+        let mut reference = Baseline::new("f");
+        reference.point("p", &[("thr", 10.0), ("note", 1.0)]);
+        let mut candidate = reference.clone();
+        candidate.points[0].metrics = vec![("thr".into(), f64::NAN), ("note".into(), f64::NAN)];
+        for (r, c) in [(&reference, &candidate), (&candidate, &reference)] {
+            let report = diff_baselines(r, c, 0.05);
+            let metrics: Vec<_> = report.entries.iter().map(|e| e.metric.as_str()).collect();
+            assert_eq!(metrics, ["thr", "note"]);
+            assert!(report.entries.iter().all(|e| e.rel_change().is_nan()));
+        }
+    }
+
+    /// At tolerance 0 any other difference is one flagged entry too: a
+    /// parameter once recorded as informational, an added metric and an
+    /// added point, and the converse of each. Moves inside the tolerance
+    /// stay clean in either direction.
     #[test]
     fn diff_flags_any_difference_in_either_direction() {
         let mut reference = Baseline::new("f");
@@ -807,11 +852,8 @@ mod tests {
             &[("thr", 10.0), ("lat", 1.0), ("t2_s", 60.0), ("x", f64::NAN)],
         );
         type Edit = fn(&mut Baseline);
-        let edits: [(&str, Edit); 6] = [
-            ("rose", |b| b.points[0].metrics[0].1 = 12.5),
-            ("fell", |b| b.points[0].metrics[1].1 = 0.5),
+        let edits: [(&str, Edit); 3] = [
             ("parameter", |b| b.points[0].metrics[2].1 = 30.0),
-            ("turned NaN", |b| b.points[0].metrics[0].1 = f64::NAN),
             ("added metric", |b| {
                 b.points[0].metrics.push(("new".into(), 1.0))
             }),
