@@ -11,8 +11,9 @@
 //! 1. link-unique request identifiers ([`LinkLabel`], the Purpose ID);
 //! 2. per-pair identifiers ([`EntanglementId`]);
 //! 3. Bell-state announcement per pair ([`LinkPair::announced`]);
-//! 4. QoS knobs: minimum fidelity, counted or continuous demand, and a
-//!    scheduling weight ([`LinkRequest`]).
+//! 4. QoS knobs: minimum fidelity and a scheduling weight
+//!    ([`LinkRequest`]); each request is one continuous stream of pairs
+//!    until the network layer stops it.
 //!
 //! The protocol core ([`LinkProtocol`]) is sans-IO and deterministic; the
 //! simulation runtime in `qn-netsim` drives it against the hardware model
@@ -26,4 +27,4 @@ pub mod service;
 
 pub use protocol::{GenerateSpec, LinkEvent, LinkProtocol};
 pub use scheduler::TimeShareScheduler;
-pub use service::{EntanglementId, LinkLabel, LinkPair, LinkRequest, PairDemand, RejectReason};
+pub use service::{EntanglementId, LinkLabel, LinkPair, LinkRequest, RejectReason};

@@ -19,7 +19,7 @@
 //! derives them once and hands a copy out with each pair.
 
 use crate::scheduler::TimeShareScheduler;
-use crate::service::{EntanglementId, LinkLabel, LinkPair, LinkRequest, PairDemand, RejectReason};
+use crate::service::{EntanglementId, LinkLabel, LinkPair, LinkRequest, RejectReason};
 use qn_hardware::heralding::LinkPhysics;
 use qn_quantum::bell::BellState;
 use qn_quantum::pairstate::{PairState, StateRep};
@@ -35,14 +35,13 @@ pub struct GenerateSpec {
     pub alpha: f64,
 }
 
-/// Outputs produced by the protocol in response to inputs.
+/// A link-layer notification to one end of the link: what the link
+/// plane carries when signalling rides the classical wire.
 #[derive(Clone, Debug)]
 pub enum LinkEvent {
     /// A pair is ready; the runtime must allocate qubits, create the
     /// physical pair, and notify the network layer at both ends.
     PairReady(LinkPair),
-    /// A counted request finished delivering all pairs.
-    RequestDone(LinkLabel),
     /// A request was rejected at admission.
     Rejected(LinkLabel, RejectReason),
 }
@@ -53,7 +52,6 @@ struct RequestState {
     goodness: f64,
     /// The heralded states at `alpha`: `[Ψ⁺, Ψ⁻]`.
     heralded: [PairState; 2],
-    remaining: Option<u64>, // None = continuous
 }
 
 /// The per-link protocol instance.
@@ -68,7 +66,7 @@ pub struct LinkProtocol {
     /// midpoint interference process at a time).
     in_flight: Option<LinkLabel>,
     /// Generation paused (component fault: the physical link is down).
-    /// Active requests stay queued; admission rejects new ones.
+    /// Active requests stay queued, and new ones are admitted and held.
     paused: bool,
 }
 
@@ -98,8 +96,9 @@ impl LinkProtocol {
         &self.physics
     }
 
-    /// Submit a request. Admission control rejects duplicate labels,
-    /// invalid weights and unattainable fidelities (QoS property iv).
+    /// Submit a request for a stream of pairs until [`LinkProtocol::stop`].
+    /// Admission control rejects duplicate labels, invalid weights and
+    /// unattainable fidelities (QoS property iv).
     ///
     /// A request submitted while the link is paused (physical outage) is
     /// admitted and held, exactly like requests admitted before the
@@ -107,23 +106,17 @@ impl LinkProtocol {
     /// instead would silently kill the hop for the rest of the circuit's
     /// life — the network layer submits its per-circuit stream once and
     /// has no retry path for a verdict the wire may deliver or drop.
-    pub fn submit(&mut self, req: LinkRequest) -> Vec<LinkEvent> {
+    pub fn submit(&mut self, req: LinkRequest) -> Result<(), RejectReason> {
         if self.requests.contains_key(&req.label) {
-            return vec![LinkEvent::Rejected(req.label, RejectReason::DuplicateLabel)];
+            return Err(RejectReason::DuplicateLabel);
         }
         if !(req.weight.is_finite() && req.weight > 0.0) {
-            return vec![LinkEvent::Rejected(req.label, RejectReason::InvalidWeight)];
+            return Err(RejectReason::InvalidWeight);
         }
-        let Some(alpha) = self.physics.alpha_for_fidelity(req.min_fidelity) else {
-            return vec![LinkEvent::Rejected(
-                req.label,
-                RejectReason::FidelityUnattainable,
-            )];
-        };
-        let remaining = match req.demand {
-            PairDemand::Count(n) => Some(n),
-            PairDemand::Continuous => None,
-        };
+        let alpha = self
+            .physics
+            .alpha_for_fidelity(req.min_fidelity)
+            .ok_or(RejectReason::FidelityUnattainable)?;
         let heralded = [BellState::PSI_PLUS, BellState::PSI_MINUS]
             .map(|announced| self.physics.heralded_pair(alpha, announced, self.rep));
         self.requests.insert(
@@ -132,11 +125,10 @@ impl LinkProtocol {
                 alpha,
                 goodness: self.physics.fidelity(alpha),
                 heralded,
-                remaining,
             },
         );
         self.scheduler.add(req.label, req.weight);
-        Vec::new()
+        Ok(())
     }
 
     /// Stop a request (COMPLETE from the network layer). Any in-flight
@@ -170,17 +162,6 @@ impl LinkProtocol {
     /// Resume generation after a pause (the link came back up).
     pub fn resume(&mut self) {
         self.paused = false;
-    }
-
-    /// Whether generation is paused (link down).
-    pub fn is_paused(&self) -> bool {
-        self.paused
-    }
-
-    /// Active request labels, in label order (diagnostics and fault
-    /// handling: the runtime walks these when a component dies).
-    pub fn active_labels(&self) -> Vec<LinkLabel> {
-        self.requests.keys().copied().collect()
     }
 
     /// Whether a request with this label is active.
@@ -223,15 +204,15 @@ impl LinkProtocol {
 
     /// The physical process heralded success after `attempts` attempts
     /// taking `elapsed`, announcing `announced` (Ψ⁺ or Ψ⁻). Returns the
-    /// delivered pair, its heralded state
-    /// ([`LinkPhysics::heralded_pair`] at the request's α) and any
-    /// lifecycle events.
+    /// delivered pair and its heralded state
+    /// ([`LinkPhysics::heralded_pair`] at the request's α). The request
+    /// keeps its turn in the schedule until it is stopped.
     pub fn on_generation_complete(
         &mut self,
         announced: BellState,
         attempts: u64,
         elapsed: SimDuration,
-    ) -> (LinkPair, PairState, Vec<LinkEvent>) {
+    ) -> (LinkPair, PairState) {
         assert!(announced.x, "single-click heralds Ψ± states");
         let label = self
             .in_flight
@@ -240,7 +221,7 @@ impl LinkProtocol {
         self.scheduler.charge(label, elapsed);
         let state = self
             .requests
-            .get_mut(&label)
+            .get(&label)
             .expect("completion for unknown request");
         let pair = LinkPair {
             id: EntanglementId {
@@ -256,16 +237,7 @@ impl LinkProtocol {
         };
         let heralded = state.heralded[usize::from(announced.z)].clone();
         self.next_seq += 1;
-        let mut events = vec![LinkEvent::PairReady(pair)];
-        if let Some(rem) = &mut state.remaining {
-            *rem -= 1;
-            if *rem == 0 {
-                self.requests.remove(&label);
-                self.scheduler.remove(label);
-                events.push(LinkEvent::RequestDone(label));
-            }
-        }
-        (pair, heralded, events)
+        (pair, heralded)
     }
 
     /// The physical process was interrupted (request stopped, qubits
@@ -292,11 +264,10 @@ mod tests {
         )
     }
 
-    fn req(label: u32, fid: f64, demand: PairDemand, weight: f64) -> LinkRequest {
+    fn req(label: u32, fid: f64, weight: f64) -> LinkRequest {
         LinkRequest {
             label: LinkLabel(label),
             min_fidelity: fid,
-            demand,
             weight,
         }
     }
@@ -304,26 +275,27 @@ mod tests {
     #[test]
     fn submit_then_generate_then_deliver() {
         let mut p = proto();
-        let evs = p.submit(req(1, 0.95, PairDemand::Count(2), 1.0));
-        assert!(evs.is_empty());
+        assert_eq!(p.submit(req(1, 0.95, 1.0)), Ok(()));
         let spec = p.next_action().expect("work available");
         assert_eq!(spec.label, LinkLabel(1));
         assert!(spec.alpha > 0.0 && spec.alpha < 0.5);
         p.on_generation_started(spec.label);
         assert!(p.next_action().is_none(), "no concurrent generations");
-        let (pair, _, evs) =
+        let (pair, _) =
             p.on_generation_complete(BellState::PSI_PLUS, 100, SimDuration::from_millis(1));
         assert_eq!(pair.label, LinkLabel(1));
         assert_eq!(pair.id.seq, 0);
         assert!(pair.goodness >= 0.95);
-        assert_eq!(evs.len(), 1);
-        // Second pair completes the request.
+        // The stream goes on: the second pair is scheduled for the same
+        // request, and only a stop ends it.
         let spec = p.next_action().unwrap();
         p.on_generation_started(spec.label);
-        let (pair2, _, evs) =
+        let (pair2, _) =
             p.on_generation_complete(BellState::PSI_MINUS, 50, SimDuration::from_millis(1));
         assert_eq!(pair2.id.seq, 1);
-        assert!(matches!(evs[1], LinkEvent::RequestDone(LinkLabel(1))));
+        assert_eq!(pair2.label, LinkLabel(1));
+        assert_eq!(p.next_action().map(|s| s.label), Some(LinkLabel(1)));
+        assert!(p.stop(LinkLabel(1)));
         assert!(p.next_action().is_none());
         assert_eq!(p.active_requests(), 0);
     }
@@ -331,15 +303,16 @@ mod tests {
     #[test]
     fn continuous_request_never_completes_by_itself() {
         let mut p = proto();
-        p.submit(req(1, 0.9, PairDemand::Continuous, 1.0));
+        p.submit(req(1, 0.9, 1.0)).unwrap();
         for i in 0..20 {
             let spec = p.next_action().unwrap();
             p.on_generation_started(spec.label);
-            let (pair, _, evs) =
+            let (pair, _) =
                 p.on_generation_complete(BellState::PSI_PLUS, 10, SimDuration::from_millis(1));
             assert_eq!(pair.id.seq, i);
-            assert_eq!(evs.len(), 1, "no RequestDone for continuous");
+            assert!(p.has_request(LinkLabel(1)), "the stream outlives pair {i}");
         }
+        assert_eq!(p.active_requests(), 1);
         assert!(p.stop(LinkLabel(1)));
         assert!(p.next_action().is_none());
     }
@@ -347,11 +320,10 @@ mod tests {
     #[test]
     fn unattainable_fidelity_rejected() {
         let mut p = proto();
-        let evs = p.submit(req(1, 0.9999, PairDemand::Continuous, 1.0));
-        assert!(matches!(
-            evs[0],
-            LinkEvent::Rejected(LinkLabel(1), RejectReason::FidelityUnattainable)
-        ));
+        assert_eq!(
+            p.submit(req(1, 0.9999, 1.0)),
+            Err(RejectReason::FidelityUnattainable)
+        );
         assert!(p.next_action().is_none());
     }
 
@@ -359,13 +331,10 @@ mod tests {
     fn non_finite_fidelity_rejected() {
         let mut p = proto();
         for (label, fid) in [(1, f64::NAN), (2, f64::INFINITY), (3, f64::NEG_INFINITY)] {
-            let evs = p.submit(req(label, fid, PairDemand::Continuous, 1.0));
-            assert!(
-                matches!(
-                    evs[..],
-                    [LinkEvent::Rejected(l, RejectReason::FidelityUnattainable)] if l == LinkLabel(label)
-                ),
-                "F >= {fid}: {evs:?}"
+            assert_eq!(
+                p.submit(req(label, fid, 1.0)),
+                Err(RejectReason::FidelityUnattainable),
+                "F >= {fid}"
             );
             assert!(!p.has_request(LinkLabel(label)));
         }
@@ -375,31 +344,28 @@ mod tests {
     #[test]
     fn duplicate_label_rejected() {
         let mut p = proto();
-        p.submit(req(1, 0.9, PairDemand::Continuous, 1.0));
-        let evs = p.submit(req(1, 0.8, PairDemand::Continuous, 1.0));
-        assert!(matches!(
-            evs[0],
-            LinkEvent::Rejected(LinkLabel(1), RejectReason::DuplicateLabel)
-        ));
+        p.submit(req(1, 0.9, 1.0)).unwrap();
+        assert_eq!(
+            p.submit(req(1, 0.8, 1.0)),
+            Err(RejectReason::DuplicateLabel)
+        );
     }
 
     #[test]
     fn invalid_weight_rejected() {
         let mut p = proto();
-        let evs = p.submit(req(1, 0.9, PairDemand::Continuous, 0.0));
-        assert!(matches!(
-            evs[0],
-            LinkEvent::Rejected(LinkLabel(1), RejectReason::InvalidWeight)
-        ));
-        let evs = p.submit(req(2, 0.9, PairDemand::Continuous, f64::NAN));
-        assert!(matches!(evs[0], LinkEvent::Rejected(..)));
+        assert_eq!(p.submit(req(1, 0.9, 0.0)), Err(RejectReason::InvalidWeight));
+        assert_eq!(
+            p.submit(req(2, 0.9, f64::NAN)),
+            Err(RejectReason::InvalidWeight)
+        );
     }
 
     #[test]
     fn lower_fidelity_gets_higher_alpha() {
         let mut p = proto();
-        p.submit(req(1, 0.95, PairDemand::Continuous, 1.0));
-        p.submit(req(2, 0.80, PairDemand::Continuous, 1.0));
+        p.submit(req(1, 0.95, 1.0)).unwrap();
+        p.submit(req(2, 0.80, 1.0)).unwrap();
         // Drive the scheduler; collect alphas per label.
         let mut alpha = [0.0f64; 3];
         for _ in 0..4 {
@@ -422,8 +388,8 @@ mod tests {
         // regardless of fidelity". The F=0.8 label produces pairs faster;
         // after many slots both labels' charged time must be close.
         let mut p = proto();
-        p.submit(req(1, 0.95, PairDemand::Continuous, 1.0));
-        p.submit(req(2, 0.80, PairDemand::Continuous, 1.0));
+        p.submit(req(1, 0.95, 1.0)).unwrap();
+        p.submit(req(2, 0.80, 1.0)).unwrap();
         let physics = LinkPhysics::new(HardwareParams::simulation(), FibreParams::lab_2m());
         let mut produced = [0u32; 3];
         for _ in 0..600 {
@@ -442,7 +408,7 @@ mod tests {
     #[test]
     fn stop_mid_flight_clears_in_flight() {
         let mut p = proto();
-        p.submit(req(1, 0.9, PairDemand::Continuous, 1.0));
+        p.submit(req(1, 0.9, 1.0)).unwrap();
         let spec = p.next_action().unwrap();
         p.on_generation_started(spec.label);
         assert_eq!(p.generating(), Some(LinkLabel(1)));
@@ -454,28 +420,30 @@ mod tests {
     #[test]
     fn pause_halts_generation_and_queues_admission() {
         let mut p = proto();
-        p.submit(req(1, 0.9, PairDemand::Count(2), 1.0));
+        p.submit(req(1, 0.9, 1.0)).unwrap();
         p.pause();
-        assert!(p.is_paused());
         assert!(p.next_action().is_none(), "no work while paused");
         // A request submitted during the outage is admitted and held —
         // losing it would leave the hop permanently idle, since the
         // network layer submits its per-circuit stream exactly once.
-        let evs = p.submit(req(2, 0.9, PairDemand::Continuous, 1.0));
-        assert!(evs.is_empty(), "admission during a pause: {evs:?}");
-        assert_eq!(p.active_labels(), vec![LinkLabel(1), LinkLabel(2)]);
+        assert_eq!(
+            p.submit(req(2, 0.9, 1.0)),
+            Ok(()),
+            "admission during a pause"
+        );
+        assert!(p.has_request(LinkLabel(1)) && p.has_request(LinkLabel(2)));
+        assert_eq!(p.active_requests(), 2);
         assert!(p.next_action().is_none(), "still no work while paused");
         // Resuming restores both requests' turns.
         p.resume();
-        assert!(!p.is_paused());
         assert_eq!(p.next_action().unwrap().label, LinkLabel(1));
     }
 
     #[test]
     fn abort_charges_time() {
         let mut p = proto();
-        p.submit(req(1, 0.9, PairDemand::Continuous, 1.0));
-        p.submit(req(2, 0.9, PairDemand::Continuous, 1.0));
+        p.submit(req(1, 0.9, 1.0)).unwrap();
+        p.submit(req(2, 0.9, 1.0)).unwrap();
         let spec = p.next_action().unwrap();
         assert_eq!(spec.label, LinkLabel(1));
         p.on_generation_started(spec.label);

@@ -8,8 +8,13 @@
 //! 2. a per-pair identifier unique within the request (**Entanglement
 //!    ID** → [`EntanglementId`]);
 //! 3. the Bell state of each delivered pair ([`LinkPair::announced`]);
-//! 4. quality-of-service parameters on requests: minimum fidelity and
-//!    count/continuous mode ([`LinkRequest`]).
+//! 4. quality-of-service parameters on requests: minimum fidelity and a
+//!    scheduling weight ([`LinkRequest`]).
+//!
+//! A request asks for one continuous stream of pairs, which runs until
+//! the network layer stops it: the QNP has the link layer "produce a
+//! continuous stream of pairs until the end-nodes signal the completion
+//! of the request".
 
 use qn_quantum::bell::BellState;
 use qn_sim::NodeId;
@@ -44,26 +49,13 @@ impl fmt::Display for EntanglementId {
     }
 }
 
-/// How many pairs a request wants.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum PairDemand {
-    /// Exactly `n` pairs, then the request completes.
-    Count(u64),
-    /// A continuous stream until explicitly stopped (how the QNP uses the
-    /// link layer: "produce a continuous stream of pairs until the
-    /// end-nodes signal the completion of the request").
-    Continuous,
-}
-
-/// A request to the link layer service.
+/// A request to the link layer service: a stream of pairs until stopped.
 #[derive(Clone, Copy, Debug)]
 pub struct LinkRequest {
     /// The circuit's label on this link (Purpose ID).
     pub label: LinkLabel,
     /// Minimum acceptable fidelity of produced pairs.
     pub min_fidelity: f64,
-    /// Count or continuous mode.
-    pub demand: PairDemand,
     /// Scheduling weight — the circuit's link-pair rate (LPR) share.
     /// The link scheduler allocates *time* proportionally to this value.
     pub weight: f64,
@@ -97,8 +89,6 @@ pub enum RejectReason {
     DuplicateLabel,
     /// The weight was not a positive finite number.
     InvalidWeight,
-    /// The link is administratively or physically down (component fault).
-    LinkDown,
 }
 
 impl fmt::Display for RejectReason {
@@ -107,7 +97,6 @@ impl fmt::Display for RejectReason {
             RejectReason::FidelityUnattainable => "requested fidelity unattainable on this link",
             RejectReason::DuplicateLabel => "label already in use",
             RejectReason::InvalidWeight => "invalid scheduling weight",
-            RejectReason::LinkDown => "link is down",
         };
         f.write_str(s)
     }

@@ -6,14 +6,14 @@
 //! increasing sequence numbers, no over-delivery) is replaced by the
 //! `qn_testkit` model test, which is strictly stronger: the reference
 //! model predicts the *exact* admission decision, schedule (which
-//! label generates next, under weighted time-sharing), delivered-pair
-//! fields and lifecycle events for every operation — and a divergence
-//! shrinks to a minimal operation sequence.
+//! label generates next, under weighted time-sharing) and delivered-pair
+//! fields for every operation — and a divergence shrinks to a minimal
+//! operation sequence.
 
 use proptest::prelude::*;
 use qn_hardware::heralding::LinkPhysics;
 use qn_hardware::params::{FibreParams, HardwareParams};
-use qn_link::{LinkLabel, LinkProtocol, LinkRequest, PairDemand};
+use qn_link::{LinkLabel, LinkProtocol, LinkRequest};
 use qn_quantum::bell::BellState;
 use qn_quantum::pairstate::StateRep;
 use qn_sim::{NodeId, SimDuration};
@@ -40,16 +40,15 @@ proptest! {
     fn goodness_meets_requested_fidelity(fidelity in 0.7f64..0.96) {
         let physics = LinkPhysics::new(HardwareParams::simulation(), FibreParams::lab_2m());
         let mut p = LinkProtocol::new((NodeId(0), NodeId(1)), physics, StateRep::Bell);
-        let evs = p.submit(LinkRequest {
+        let admitted = p.submit(LinkRequest {
             label: LinkLabel(0),
             min_fidelity: fidelity,
-            demand: PairDemand::Count(1),
             weight: 1.0,
         });
-        prop_assume!(evs.is_empty()); // attainable
+        prop_assume!(admitted.is_ok()); // attainable
         let spec = p.next_action().unwrap();
         p.on_generation_started(spec.label);
-        let (pair, _, _) = p.on_generation_complete(
+        let (pair, _) = p.on_generation_complete(
             BellState::PSI_MINUS,
             3,
             SimDuration::from_millis(2),
@@ -66,13 +65,12 @@ proptest! {
         let physics = LinkPhysics::new(HardwareParams::simulation(), FibreParams::lab_2m());
         let mut p = LinkProtocol::new((NodeId(0), NodeId(1)), physics, StateRep::Bell);
         for label in 0..n {
-            let evs = p.submit(LinkRequest {
+            let admitted = p.submit(LinkRequest {
                 label: LinkLabel(label as u32),
                 min_fidelity: 0.85,
-                demand: PairDemand::Continuous,
                 weight: 1.0,
             });
-            prop_assert!(evs.is_empty());
+            prop_assert_eq!(admitted, Ok(()));
         }
         let mut history = Vec::new();
         for _ in 0..slots {
@@ -93,7 +91,8 @@ proptest! {
 
     /// Each pair comes with the state the heralding model gives for its
     /// α and announced Bell state, bit for bit, under both
-    /// representations — also for the pair that completes the request.
+    /// representations, for every pair of the stream until it is
+    /// stopped.
     #[test]
     fn pairs_carry_the_heralded_state(
         fidelity in 0.7f64..0.97,
@@ -103,18 +102,17 @@ proptest! {
         let rep = if dm { StateRep::Dm } else { StateRep::Bell };
         let physics = LinkPhysics::new(HardwareParams::simulation(), FibreParams::lab_2m());
         let mut p = LinkProtocol::new((NodeId(0), NodeId(1)), physics.clone(), rep);
-        let evs = p.submit(LinkRequest {
+        let admitted = p.submit(LinkRequest {
             label: LinkLabel(0),
             min_fidelity: fidelity,
-            demand: PairDemand::Count(minus.len() as u64),
             weight: 1.0,
         });
-        prop_assume!(evs.is_empty()); // attainable
+        prop_assume!(admitted.is_ok()); // attainable
         for &minus in &minus {
             let announced = if minus { BellState::PSI_MINUS } else { BellState::PSI_PLUS };
             let spec = p.next_action().unwrap();
             p.on_generation_started(spec.label);
-            let (pair, state, _) =
+            let (pair, state) =
                 p.on_generation_complete(announced, 1, SimDuration::from_millis(1));
             let expected = physics.heralded_pair(pair.alpha, announced, rep);
             prop_assert_eq!(state.is_bell(), expected.is_bell());
@@ -123,6 +121,8 @@ proptest! {
                 "{announced} at alpha {}: {state:?} vs {expected:?}", pair.alpha
             );
         }
+        prop_assert_eq!(p.active_requests(), 1);
+        prop_assert!(p.stop(LinkLabel(0)));
         prop_assert_eq!(p.active_requests(), 0);
     }
 }

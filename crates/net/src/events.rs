@@ -62,8 +62,8 @@ pub enum NetInput {
     },
     /// A control message arrived from an adjacent node on the circuit.
     Message {
-        /// True when the sender is the upstream neighbour.
-        from_upstream: bool,
+        /// The side of the circuit the sender is on.
+        from: LinkSide,
         /// The message.
         msg: Message,
     },
@@ -241,10 +241,8 @@ pub enum AppEvent {
 /// Effects the node asks the runtime to perform.
 #[derive(Clone, Debug)]
 pub enum NetOutput {
-    /// Send a message to the upstream neighbour on the circuit.
-    SendUpstream(Message),
-    /// Send a message to the downstream neighbour on the circuit.
-    SendDownstream(Message),
+    /// Send a message to the neighbour on this side of the circuit.
+    Send(LinkSide, Message),
     /// Submit a continuous link-layer request on one of this node's links.
     LinkSubmit {
         /// Which link.

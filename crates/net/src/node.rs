@@ -164,34 +164,51 @@ pub(crate) struct SwapRecord {
     pub outcome: BellState,
 }
 
-/// Intermediate-node circuit state.
+/// A repeater's state for the pairs on one of its two links. Every key
+/// is the correlator of the local pair on this link, and every TRACK
+/// kept here arrived from this side.
 #[derive(Debug)]
-pub(crate) struct MidState {
-    /// FIFO of unswapped pairs on the upstream link (oldest first — the
-    /// evaluation's "prefer the oldest unexpired pairs").
-    pub up_queue: VecDeque<PendingPair>,
-    pub down_queue: VecDeque<PendingPair>,
-    /// The swap currently executing, if any (one processor per node).
-    pub swapping: Option<(PendingPair, PendingPair)>,
-    /// TRACKs waiting for their pair's swap, keyed by the local pair
-    /// correlator on the respective link.
-    pub up_track: HashMap<Correlator, Track>,
-    pub down_track: HashMap<Correlator, Track>,
+pub(crate) struct MidSide {
+    /// FIFO of unswapped pairs (oldest first — the evaluation's "prefer
+    /// the oldest unexpired pairs").
+    pub queue: VecDeque<PendingPair>,
+    /// TRACKs waiting for their pair's swap.
+    pub track: HashMap<Correlator, Track>,
     /// Swap records waiting for their TRACK.
-    pub up_record: HashMap<Correlator, SwapRecord>,
-    pub down_record: HashMap<Correlator, SwapRecord>,
+    pub record: HashMap<Correlator, SwapRecord>,
     /// Discard records (paper: "temporary discard record") for qubits
     /// dropped by the cutoff before their TRACK arrived. Kept (bounded)
     /// after the first matching TRACK so a duplicated TRACK re-bounces
     /// the EXPIRE instead of parking forever.
-    pub up_expired: BoundedMap<Correlator, ()>,
-    pub down_expired: BoundedMap<Correlator, ()>,
-    /// Rewritten TRACKs this repeater already forwarded, keyed by the
-    /// incoming `link` correlator: a duplicated TRACK (retransmission
-    /// racing the ack, or a duplication fault) finds its swap record
-    /// consumed, so the stored copy is re-forwarded verbatim.
-    pub up_relayed: BoundedMap<Correlator, Track>,
-    pub down_relayed: BoundedMap<Correlator, Track>,
+    pub expired: BoundedMap<Correlator, ()>,
+    /// Rewritten TRACKs this repeater already forwarded: a duplicated
+    /// TRACK (retransmission racing the ack, or a duplication fault)
+    /// finds its swap record consumed, so the stored copy is
+    /// re-forwarded verbatim.
+    pub relayed: BoundedMap<Correlator, Track>,
+}
+
+impl MidSide {
+    fn new() -> Self {
+        MidSide {
+            queue: VecDeque::new(),
+            track: HashMap::new(),
+            record: HashMap::new(),
+            expired: BoundedMap::new(1024),
+            relayed: BoundedMap::new(1024),
+        }
+    }
+}
+
+/// Intermediate-node circuit state.
+#[derive(Debug)]
+pub(crate) struct MidState {
+    /// Per-link state, indexed by
+    /// [`LinkSide`](crate::routing_table::LinkSide) (upstream first).
+    pub sides: [MidSide; 2],
+    /// The swap currently executing, if any (one processor per node):
+    /// the consumed pairs, indexed the same way.
+    pub swapping: Option<[PendingPair; 2]>,
     /// Requests currently active on the circuit (from FORWARD/COMPLETE).
     pub active_requests: u64,
     /// Request ids currently counted in `active_requests` — lets a
@@ -207,17 +224,8 @@ pub(crate) struct MidState {
 impl Default for MidState {
     fn default() -> Self {
         MidState {
-            up_queue: VecDeque::new(),
-            down_queue: VecDeque::new(),
+            sides: [MidSide::new(), MidSide::new()],
             swapping: None,
-            up_track: HashMap::new(),
-            down_track: HashMap::new(),
-            up_record: HashMap::new(),
-            down_record: HashMap::new(),
-            up_expired: BoundedMap::new(1024),
-            down_expired: BoundedMap::new(1024),
-            up_relayed: BoundedMap::new(1024),
-            down_relayed: BoundedMap::new(1024),
             active_requests: 0,
             counted_requests: HashSet::new(),
             retired_requests: BoundedMap::new(1024),
@@ -407,17 +415,10 @@ impl QnpNode {
                     }
                 }
             }
-            NetInput::Message { from_upstream, msg } => {
+            NetInput::Message { from, msg } => {
                 let circuit = msg.circuit();
                 if let Some(c) = self.circuits.get_mut(circuit) {
-                    crate::rules::dispatch_message(
-                        circuit,
-                        c,
-                        from_upstream,
-                        msg,
-                        out,
-                        &mut self.stats,
-                    );
+                    crate::rules::dispatch_message(circuit, c, from, msg, out, &mut self.stats);
                 } else {
                     // A message for a circuit not installed here: torn
                     // down, or the circuit id was corrupted in flight.
@@ -491,13 +492,12 @@ impl QnpNode {
     pub fn knows_pair(&self, circuit: CircuitId, correlator: Correlator) -> bool {
         match self.circuits.get(circuit).map(|c| &c.state) {
             Some(CircuitState::Endpoint(ep)) => ep.in_transit.contains_key(&correlator),
-            Some(CircuitState::Mid(m)) => {
-                m.up_queue.iter().any(|p| p.pair.correlator == correlator)
-                    || m.down_queue.iter().any(|p| p.pair.correlator == correlator)
-                    || m.swapping.as_ref().is_some_and(|(a, b)| {
-                        a.pair.correlator == correlator || b.pair.correlator == correlator
-                    })
-            }
+            Some(CircuitState::Mid(m)) => m
+                .sides
+                .iter()
+                .flat_map(|s| &s.queue)
+                .chain(m.swapping.iter().flatten())
+                .any(|p| p.pair.correlator == correlator),
             None => false,
         }
     }

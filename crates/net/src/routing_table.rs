@@ -11,16 +11,21 @@ use crate::ids::CircuitId;
 use qn_link::LinkLabel;
 use qn_sim::{NodeId, SimDuration};
 
-/// Which adjacent link of a node a pair or command refers to.
+/// Which adjacent link of a node a pair, command or message refers to:
+/// the one direction type of the protocol and the runtime. The
+/// discriminant indexes per-side state (`[_; 2]`, upstream first).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum LinkSide {
     /// The link towards the head-end.
-    Upstream,
+    Upstream = 0,
     /// The link towards the tail-end.
-    Downstream,
+    Downstream = 1,
 }
 
 impl LinkSide {
+    /// Both sides, upstream first.
+    pub const BOTH: [LinkSide; 2] = [LinkSide::Upstream, LinkSide::Downstream];
+
     /// The other side.
     pub fn opposite(self) -> LinkSide {
         match self {

@@ -34,39 +34,49 @@ fn ep(c: &mut Circuit) -> &mut EndpointState {
 /// Send towards the peer end-node: downstream from the head, upstream
 /// from the tail.
 fn send_along(is_head: bool, msg: Message) -> NetOutput {
-    if is_head {
-        NetOutput::SendDownstream(msg)
+    let side = if is_head {
+        LinkSide::Downstream
     } else {
-        NetOutput::SendUpstream(msg)
-    }
+        LinkSide::Upstream
+    };
+    NetOutput::Send(side, msg)
 }
 
-/// Register a request into the endpoint's tables (does not touch the
-/// policer — admission happened already).
-fn register_request(
-    ep: &mut EndpointState,
-    id: RequestId,
-    head_identifier: u32,
-    tail_identifier: u32,
-    request_type: RequestType,
-    final_state: Option<qn_quantum::BellState>,
-    count: Option<u64>,
-) {
+/// Register the request a FORWARD carries into the endpoint's tables
+/// (does not touch the policer — admission happened already).
+fn register_request(ep: &mut EndpointState, f: &Forward) {
     ep.requests.insert(
-        id,
+        f.request,
         ReqState {
-            head_identifier,
-            tail_identifier,
-            request_type,
-            final_state,
-            count,
+            head_identifier: f.head_identifier,
+            tail_identifier: f.tail_identifier,
+            request_type: f.request_type,
+            final_state: f.final_state,
+            count: f.number_of_pairs,
             delivered: 0,
             next_seq: 0,
             assigned: 0,
             completed: false,
         },
     );
-    ep.demux.add_request(id);
+    ep.demux.add_request(f.request);
+}
+
+/// Give an in-transit pair up: return its request's assignment slot, so
+/// a replacement pair can serve the request, and release the qubit —
+/// to the application if it took the qubit early, else to the hardware.
+pub(crate) fn release(ep: &mut EndpointState, it: InTransit, out: &mut Vec<NetOutput>) {
+    if let Some(req) = ep.requests.get_mut(&it.request) {
+        req.assigned = req.assigned.saturating_sub(1);
+    }
+    if it.delivered_early {
+        out.push(NetOutput::Notify(AppEvent::EarlyPairExpired {
+            request: it.request,
+            pair: it.pair,
+        }));
+    } else {
+        out.push(NetOutput::DiscardPair { pair: it.pair });
+    }
 }
 
 /// Issue or update the link-layer request on the endpoint's single link
@@ -106,39 +116,29 @@ fn sync_link(entry: &RoutingEntry, ep: &mut EndpointState, out: &mut Vec<NetOutp
     }
 }
 
-/// Accept an admitted request at the head-end: register, FORWARD, sync
-/// the link layer.
-fn activate_request(
+/// Start serving a request the policer admitted at the head-end:
+/// register it, sync the link layer, FORWARD it and tell the
+/// application.
+fn forward_request(
     circuit: CircuitId,
     entry: &RoutingEntry,
     ep: &mut EndpointState,
     req: &UserRequest,
     out: &mut Vec<NetOutput>,
 ) {
-    ep.policer.admit(req);
-    register_request(
-        ep,
-        req.id,
-        req.head.identifier,
-        req.tail.identifier,
-        req.request_type,
-        req.final_state,
-        req.demand.count(),
-    );
+    let f = Forward {
+        circuit,
+        request: req.id,
+        head_identifier: req.head.identifier,
+        tail_identifier: req.tail.identifier,
+        request_type: req.request_type,
+        number_of_pairs: req.demand.count(),
+        final_state: req.final_state,
+        rate: ep.policer.advertised_rate(),
+    };
+    register_request(ep, &f);
     sync_link(entry, ep, out);
-    out.push(send_along(
-        true,
-        Message::Forward(Forward {
-            circuit,
-            request: req.id,
-            head_identifier: req.head.identifier,
-            tail_identifier: req.tail.identifier,
-            request_type: req.request_type,
-            number_of_pairs: req.demand.count(),
-            final_state: req.final_state,
-            rate: ep.policer.advertised_rate(),
-        }),
-    ));
+    out.push(send_along(true, Message::Forward(f)));
     out.push(NetOutput::Notify(AppEvent::RequestAccepted(req.id)));
 }
 
@@ -172,7 +172,8 @@ pub(crate) fn user_request(
             out.push(NetOutput::Notify(AppEvent::RequestShaped(req.id)));
         }
         AdmitDecision::Accept => {
-            activate_request(circuit, &entry, ep, &req, out);
+            ep.policer.admit(&req);
+            forward_request(circuit, &entry, ep, &req, out);
         }
     }
 }
@@ -209,34 +210,10 @@ fn finish_request(
         }),
     ));
     out.push(NetOutput::Notify(AppEvent::RequestCompleted(id)));
-    // Shaped requests may now fit (FIFO).
+    // Shaped requests may now fit (FIFO). `admissible_shaped` already
+    // recorded their admission in the policer.
     for shaped in ep.policer.admissible_shaped() {
-        // `admissible_shaped` already recorded admission in the policer;
-        // register + FORWARD without double-admitting.
-        register_request(
-            ep,
-            shaped.id,
-            shaped.head.identifier,
-            shaped.tail.identifier,
-            shaped.request_type,
-            shaped.final_state,
-            shaped.demand.count(),
-        );
-        sync_link(entry, ep, out);
-        out.push(send_along(
-            true,
-            Message::Forward(Forward {
-                circuit,
-                request: shaped.id,
-                head_identifier: shaped.head.identifier,
-                tail_identifier: shaped.tail.identifier,
-                request_type: shaped.request_type,
-                number_of_pairs: shaped.demand.count(),
-                final_state: shaped.final_state,
-                rate: ep.policer.advertised_rate(),
-            }),
-        ));
-        out.push(NetOutput::Notify(AppEvent::RequestAccepted(shaped.id)));
+        forward_request(circuit, entry, ep, &shaped, out);
     }
 }
 
@@ -513,17 +490,7 @@ fn finish_delivery(
             // we expected a live qubit): the chain is unusable at both
             // ends — discard. The compatibility predicate is symmetric, so
             // both ends reach the same verdict independently.
-            if let Some(req) = ep.requests.get_mut(&it.request) {
-                req.assigned = req.assigned.saturating_sub(1);
-            }
-            if it.delivered_early {
-                out.push(NetOutput::Notify(AppEvent::EarlyPairExpired {
-                    request: it.request,
-                    pair: it.pair,
-                }));
-            } else {
-                out.push(NetOutput::DiscardPair { pair: it.pair });
-            }
+            release(ep, it, out);
             return;
         }
     }
@@ -672,19 +639,7 @@ pub(crate) fn expire_rule(
         stats.stale_expires += 1;
         return;
     };
-    // Return the assignment slot so the request can be served by a
-    // replacement pair.
-    if let Some(req) = ep.requests.get_mut(&it.request) {
-        req.assigned = req.assigned.saturating_sub(1);
-    }
-    if it.delivered_early {
-        out.push(NetOutput::Notify(AppEvent::EarlyPairExpired {
-            request: it.request,
-            pair: it.pair,
-        }));
-    } else {
-        out.push(NetOutput::DiscardPair { pair: it.pair });
-    }
+    release(ep, it, out);
 }
 
 /// Local track-timeout (faulty classical plane only): the pair's
@@ -713,17 +668,7 @@ pub(crate) fn track_timeout(
         return; // already confirmed or expired — the common case
     };
     stats.expired_in_transit += 1;
-    if let Some(req) = ep.requests.get_mut(&it.request) {
-        req.assigned = req.assigned.saturating_sub(1);
-    }
-    if it.delivered_early {
-        out.push(NetOutput::Notify(AppEvent::EarlyPairExpired {
-            request: it.request,
-            pair: it.pair,
-        }));
-    } else {
-        out.push(NetOutput::DiscardPair { pair: it.pair });
-    }
+    release(ep, it, out);
     ep.discard_records.insert(correlator, ());
 }
 
@@ -756,15 +701,7 @@ pub(crate) fn on_forward(
         stats.duplicate_forwards += 1;
         return;
     }
-    register_request(
-        ep,
-        f.request,
-        f.head_identifier,
-        f.tail_identifier,
-        f.request_type,
-        f.final_state,
-        f.number_of_pairs,
-    );
+    register_request(ep, &f);
 }
 
 /// COMPLETE at the tail-end: retire the request from the demultiplexer

@@ -15,6 +15,7 @@ use crate::events::{AppEvent, NetOutput};
 use crate::ids::CircuitId;
 use crate::messages::Message;
 use crate::node::{Circuit, CircuitState, NodeStats};
+use crate::routing_table::LinkSide;
 
 /// Route an incoming message to the right rule for this node's role.
 ///
@@ -26,7 +27,7 @@ use crate::node::{Circuit, CircuitState, NodeStats};
 pub(crate) fn dispatch_message(
     circuit: CircuitId,
     c: &mut Circuit,
-    from_upstream: bool,
+    from: LinkSide,
     msg: Message,
     out: &mut Vec<NetOutput>,
     stats: &mut NodeStats,
@@ -50,31 +51,18 @@ pub(crate) fn dispatch_message(
             out.push(NetOutput::TrackAcked { origin: a.origin });
         }
         (CircuitState::Mid(_), Message::Track(t)) => {
-            repeater::track_rule(c, from_upstream, t, out, stats);
+            repeater::track_rule(c, from, t, out, stats);
         }
-        (CircuitState::Mid(_), Message::Expire(e)) => {
-            // Intermediate nodes relay EXPIRE along the circuit towards
-            // the TRACK's origin end-node.
-            if from_upstream {
-                out.push(NetOutput::SendDownstream(Message::Expire(e)));
-            } else {
-                out.push(NetOutput::SendUpstream(Message::Expire(e)));
-            }
+        (CircuitState::Mid(_), msg @ (Message::Expire(_) | Message::TrackAck(_))) => {
+            // Intermediate nodes relay EXPIRE and TRACK_ACK on in the
+            // direction of travel, towards the TRACK's origin end-node.
+            out.push(NetOutput::Send(from.opposite(), msg));
         }
         (CircuitState::Mid(_), Message::Forward(f)) => {
             repeater::on_forward(c, f, out, stats);
         }
         (CircuitState::Mid(_), Message::Complete(m)) => {
             repeater::on_complete(c, m, out, stats);
-        }
-        (CircuitState::Mid(_), Message::TrackAck(a)) => {
-            // Relay in the direction of travel, like EXPIRE: towards the
-            // acknowledged TRACK's origin end-node.
-            if from_upstream {
-                out.push(NetOutput::SendDownstream(Message::TrackAck(a)));
-            } else {
-                out.push(NetOutput::SendUpstream(Message::TrackAck(a)));
-            }
         }
     }
 }
@@ -86,18 +74,11 @@ pub(crate) fn dispatch_message(
 /// the in-transit map's hasher.
 pub(crate) fn teardown(circuit: CircuitId, c: Circuit, out: &mut Vec<NetOutput>) {
     match c.state {
-        CircuitState::Endpoint(ep) => {
-            let mut in_transit: Vec<_> = ep.in_transit.into_iter().collect();
+        CircuitState::Endpoint(mut ep) => {
+            let mut in_transit: Vec<_> = ep.in_transit.drain().collect();
             in_transit.sort_unstable_by_key(|(correlator, _)| *correlator);
             for (_, it) in in_transit {
-                if it.delivered_early {
-                    out.push(NetOutput::Notify(AppEvent::EarlyPairExpired {
-                        request: it.request,
-                        pair: it.pair,
-                    }));
-                } else {
-                    out.push(NetOutput::DiscardPair { pair: it.pair });
-                }
+                endpoint::release(&mut ep, it, out);
             }
             if ep.link_submitted {
                 let (side, label) = endpoint::own_link(&c.entry);
@@ -106,14 +87,14 @@ pub(crate) fn teardown(circuit: CircuitId, c: Circuit, out: &mut Vec<NetOutput>)
             out.push(NetOutput::Notify(AppEvent::CircuitDown(circuit)));
         }
         CircuitState::Mid(mid) => {
-            for p in mid.up_queue.iter().chain(mid.down_queue.iter()) {
+            for p in mid.sides.iter().flat_map(|s| &s.queue) {
                 out.push(NetOutput::CancelCutoff { pair: p.pair });
                 out.push(NetOutput::DiscardPair { pair: p.pair });
             }
             if mid.link_submitted {
                 if let Some(down) = &c.entry.downstream {
                     out.push(NetOutput::LinkStop {
-                        side: crate::routing_table::LinkSide::Downstream,
+                        side: LinkSide::Downstream,
                         label: down.label,
                     });
                 }

@@ -15,7 +15,7 @@
 use crate::events::{NetOutput, PairInfo};
 use crate::ids::{Correlator, PairHandle};
 use crate::messages::{Complete, Expire, Forward, Message, Track};
-use crate::node::{Circuit, CircuitState, MidState, NodeStats, PendingPair, SwapRecord};
+use crate::node::{Circuit, CircuitState, MidSide, MidState, NodeStats, PendingPair, SwapRecord};
 use crate::policing::link_weight;
 use crate::routing_table::LinkSide;
 use qn_quantum::bell::BellState;
@@ -30,19 +30,22 @@ fn mid(c: &mut Circuit) -> &mut MidState {
 /// Start a swap if both queues have a pair and no swap is running
 /// (repeaters have one quantum processor).
 fn try_start_swap(m: &mut MidState, out: &mut Vec<NetOutput>) {
-    if m.swapping.is_some() || m.up_queue.is_empty() || m.down_queue.is_empty() {
+    if m.swapping.is_some() || m.sides.iter().any(|s| s.queue.is_empty()) {
         return;
     }
     // Oldest unexpired pairs first (paper §5 scheduling policy).
-    let up = m.up_queue.pop_front().expect("checked");
-    let down = m.down_queue.pop_front().expect("checked");
-    out.push(NetOutput::CancelCutoff { pair: up.pair });
-    out.push(NetOutput::CancelCutoff { pair: down.pair });
+    let pairs = m
+        .sides
+        .each_mut()
+        .map(|s| s.queue.pop_front().expect("checked"));
+    for p in &pairs {
+        out.push(NetOutput::CancelCutoff { pair: p.pair });
+    }
     out.push(NetOutput::StartSwap {
-        up: up.pair,
-        down: down.pair,
+        up: pairs[0].pair,
+        down: pairs[1].pair,
     });
-    m.swapping = Some((up, down));
+    m.swapping = Some(pairs);
 }
 
 /// LINK rule (Algorithm 7's entry condition): queue the fresh pair, arm
@@ -50,10 +53,6 @@ fn try_start_swap(m: &mut MidState, out: &mut Vec<NetOutput>) {
 pub(crate) fn link_rule(c: &mut Circuit, side: LinkSide, info: PairInfo, out: &mut Vec<NetOutput>) {
     let cutoff = c.entry.cutoff;
     let m = mid(c);
-    let pending = PendingPair {
-        pair: info.pair,
-        announced: info.announced,
-    };
     if !cutoff.is_infinite() {
         out.push(NetOutput::SetCutoff {
             pair: info.pair,
@@ -61,15 +60,38 @@ pub(crate) fn link_rule(c: &mut Circuit, side: LinkSide, info: PairInfo, out: &m
             after: cutoff,
         });
     }
-    match side {
-        LinkSide::Upstream => m.up_queue.push_back(pending),
-        LinkSide::Downstream => m.down_queue.push_back(pending),
-    }
+    m.sides[side as usize].queue.push_back(PendingPair {
+        pair: info.pair,
+        announced: info.announced,
+    });
     try_start_swap(m, out);
 }
 
-/// Swap completion (Algorithm 7 body): log records or forward waiting
-/// TRACKs in both directions, then look for more work.
+/// Forward `track`, which arrived from `from` for our pair `key` on that
+/// side, across the swap `rec` to the other side: the TRACK now names
+/// the pair continuing the chain and folds in its announced state and
+/// the swap outcome. The only writer of the relayed-TRACK memory, which
+/// keeps the rewritten copy for a duplicate of the same TRACK.
+fn relay(
+    s: &mut MidSide,
+    from: LinkSide,
+    key: Correlator,
+    mut track: Track,
+    rec: SwapRecord,
+    out: &mut Vec<NetOutput>,
+) {
+    track.link = rec.other.pair.correlator;
+    track.outcome_state = track
+        .outcome_state
+        .combine(rec.other.announced, rec.outcome);
+    s.relayed.insert(key, track);
+    out.push(NetOutput::Send(from.opposite(), Message::Track(track)));
+}
+
+/// Swap completion (Algorithm 7 body): on each side, relay the TRACK
+/// waiting on the consumed pair or log a swap record for it, then look
+/// for more work. The upstream side goes first: output order is frame
+/// order.
 pub(crate) fn swap_completed(
     c: &mut Circuit,
     up: Correlator,
@@ -79,50 +101,33 @@ pub(crate) fn swap_completed(
     out: &mut Vec<NetOutput>,
 ) {
     let m = mid(c);
-    let Some((up_pair, down_pair)) = m.swapping.take() else {
+    let Some(pairs) = m.swapping.take() else {
         debug_assert!(false, "swap completion without in-flight swap");
         return;
     };
-    debug_assert_eq!(up_pair.pair.correlator, up);
-    debug_assert_eq!(down_pair.pair.correlator, down);
+    debug_assert_eq!(pairs[0].pair.correlator, up);
+    debug_assert_eq!(pairs[1].pair.correlator, down);
     let _ = new_handle; // the joined pair's ends live at other nodes
 
-    // Downstream-travelling TRACK waiting on the upstream pair?
-    if let Some(mut track) = m.up_track.remove(&up) {
-        track.link = down_pair.pair.correlator;
-        track.outcome_state = track.outcome_state.combine(down_pair.announced, outcome);
-        m.up_relayed.insert(up, track);
-        out.push(NetOutput::SendDownstream(Message::Track(track)));
-    } else {
-        m.up_record.insert(
-            up,
-            SwapRecord {
-                other: down_pair,
-                outcome,
-            },
-        );
+    for side in LinkSide::BOTH {
+        let key = pairs[side as usize].pair.correlator;
+        let rec = SwapRecord {
+            other: pairs[side.opposite() as usize],
+            outcome,
+        };
+        let s = &mut m.sides[side as usize];
+        match s.track.remove(&key) {
+            Some(track) => relay(s, side, key, track, rec, out),
+            None => {
+                s.record.insert(key, rec);
+            }
+        }
     }
-
-    // Upstream-travelling TRACK waiting on the downstream pair?
-    if let Some(mut track) = m.down_track.remove(&down) {
-        track.link = up_pair.pair.correlator;
-        track.outcome_state = track.outcome_state.combine(up_pair.announced, outcome);
-        m.down_relayed.insert(down, track);
-        out.push(NetOutput::SendUpstream(Message::Track(track)));
-    } else {
-        m.down_record.insert(
-            down,
-            SwapRecord {
-                other: up_pair,
-                outcome,
-            },
-        );
-    }
-
     try_start_swap(m, out);
 }
 
-/// TRACK rule (Algorithm 8).
+/// TRACK rule (Algorithm 8): a TRACK from one side is keyed by our pair
+/// on that side and travels on to the other.
 ///
 /// Duplicated TRACKs (retransmissions racing their ack, or a
 /// duplication fault) find their swap record already consumed; the
@@ -132,111 +137,57 @@ pub(crate) fn swap_completed(
 /// match so every duplicate re-bounces the EXPIRE.
 pub(crate) fn track_rule(
     c: &mut Circuit,
-    from_upstream: bool,
-    mut track: Track,
+    from: LinkSide,
+    track: Track,
     out: &mut Vec<NetOutput>,
     stats: &mut NodeStats,
 ) {
-    let m = mid(c);
-    if from_upstream {
-        // Head-originated TRACK travelling downstream; keyed by our
-        // upstream-link pair.
-        if let Some(rec) = m.up_record.remove(&track.link) {
-            let key = track.link;
-            track.link = rec.other.pair.correlator;
-            track.outcome_state = track
-                .outcome_state
-                .combine(rec.other.announced, rec.outcome);
-            m.up_relayed.insert(key, track);
-            out.push(NetOutput::SendDownstream(Message::Track(track)));
-        } else if let Some(fwd) = m.up_relayed.get(&track.link) {
-            stats.duplicate_tracks_relayed += 1;
-            out.push(NetOutput::SendDownstream(Message::Track(*fwd)));
-        } else if m.up_expired.contains_key(&track.link) {
-            out.push(NetOutput::SendUpstream(Message::Expire(Expire {
+    let s = &mut mid(c).sides[from as usize];
+    let key = track.link;
+    if let Some(rec) = s.record.remove(&key) {
+        relay(s, from, key, track, rec, out);
+    } else if let Some(fwd) = s.relayed.get(&key) {
+        stats.duplicate_tracks_relayed += 1;
+        out.push(NetOutput::Send(from.opposite(), Message::Track(*fwd)));
+    } else if s.expired.contains_key(&key) {
+        out.push(NetOutput::Send(
+            from,
+            Message::Expire(Expire {
                 circuit: track.circuit,
                 origin: track.origin,
-            })));
-        } else {
-            m.up_track.insert(track.link, track);
-        }
+            }),
+        ));
     } else {
-        // Tail-originated TRACK travelling upstream; keyed by our
-        // downstream-link pair.
-        if let Some(rec) = m.down_record.remove(&track.link) {
-            let key = track.link;
-            track.link = rec.other.pair.correlator;
-            track.outcome_state = track
-                .outcome_state
-                .combine(rec.other.announced, rec.outcome);
-            m.down_relayed.insert(key, track);
-            out.push(NetOutput::SendUpstream(Message::Track(track)));
-        } else if let Some(fwd) = m.down_relayed.get(&track.link) {
-            stats.duplicate_tracks_relayed += 1;
-            out.push(NetOutput::SendUpstream(Message::Track(*fwd)));
-        } else if m.down_expired.contains_key(&track.link) {
-            out.push(NetOutput::SendDownstream(Message::Expire(Expire {
-                circuit: track.circuit,
-                origin: track.origin,
-            })));
-        } else {
-            m.down_track.insert(track.link, track);
-        }
+        s.track.insert(key, track);
     }
 }
 
-/// Cutoff expiry rule (Algorithm 9): discard the idle pair; if its TRACK
-/// already arrived, bounce an EXPIRE back to the originating end-node,
-/// otherwise log a discard record.
+/// Cutoff expiry rule (Algorithm 9): discard the idle pair; then, as for
+/// an orphaned pair, bounce an EXPIRE back to the originating end-node
+/// if its TRACK already arrived, and log a discard record.
 pub(crate) fn cutoff_expired(
     c: &mut Circuit,
     side: LinkSide,
     correlator: Correlator,
     out: &mut Vec<NetOutput>,
 ) {
-    let circuit = c.entry.circuit;
-    let m = mid(c);
-    let queue = match side {
-        LinkSide::Upstream => &mut m.up_queue,
-        LinkSide::Downstream => &mut m.down_queue,
-    };
+    let queue = &mut mid(c).sides[side as usize].queue;
     let Some(pos) = queue.iter().position(|p| p.pair.correlator == correlator) else {
         // Already consumed by a swap (timer raced the cancel) — ignore.
         return;
     };
     let pending = queue.remove(pos).expect("indexed");
     out.push(NetOutput::DiscardPair { pair: pending.pair });
-
-    // The correlator is recorded as expired in *both* arms: a
-    // retransmitted TRACK arriving after the bounce must draw a fresh
-    // EXPIRE (recovering a lost one), not be held forever.
-    match side {
-        LinkSide::Upstream => {
-            if let Some(track) = m.up_track.remove(&correlator) {
-                out.push(NetOutput::SendUpstream(Message::Expire(Expire {
-                    circuit,
-                    origin: track.origin,
-                })));
-            }
-            m.up_expired.insert(correlator, ());
-        }
-        LinkSide::Downstream => {
-            if let Some(track) = m.down_track.remove(&correlator) {
-                out.push(NetOutput::SendDownstream(Message::Expire(Expire {
-                    circuit,
-                    origin: track.origin,
-                })));
-            }
-            m.down_expired.insert(correlator, ());
-        }
-    }
+    link_orphaned(c, side, correlator, out);
 }
 
-/// The runtime reclaimed a link qubit whose announcement never arrived
-/// (`signalling_on_wire` + losses): the correlator is dead at this node.
-/// Bounce an EXPIRE for any TRACK already held for it, and mark it
-/// expired so later (retransmitted) TRACKs bounce too — otherwise the
-/// chain's origin end-node sits on its qubit until its own timeout.
+/// The correlator of our pair on `side` is dead at this node: a cutoff
+/// discarded the pair, or the runtime reclaimed a link qubit whose
+/// announcement never arrived (`signalling_on_wire` + losses). Bounce an
+/// EXPIRE for any TRACK already held for it, and mark it expired so
+/// later (retransmitted) TRACKs bounce too — a lost EXPIRE is then
+/// recovered, and the chain's origin end-node does not sit on its qubit
+/// until its own timeout.
 pub(crate) fn link_orphaned(
     c: &mut Circuit,
     side: LinkSide,
@@ -244,27 +195,17 @@ pub(crate) fn link_orphaned(
     out: &mut Vec<NetOutput>,
 ) {
     let circuit = c.entry.circuit;
-    let m = mid(c);
-    match side {
-        LinkSide::Upstream => {
-            if let Some(track) = m.up_track.remove(&correlator) {
-                out.push(NetOutput::SendUpstream(Message::Expire(Expire {
-                    circuit,
-                    origin: track.origin,
-                })));
-            }
-            m.up_expired.insert(correlator, ());
-        }
-        LinkSide::Downstream => {
-            if let Some(track) = m.down_track.remove(&correlator) {
-                out.push(NetOutput::SendDownstream(Message::Expire(Expire {
-                    circuit,
-                    origin: track.origin,
-                })));
-            }
-            m.down_expired.insert(correlator, ());
-        }
+    let s = &mut mid(c).sides[side as usize];
+    if let Some(track) = s.track.remove(&correlator) {
+        out.push(NetOutput::Send(
+            side,
+            Message::Expire(Expire {
+                circuit,
+                origin: track.origin,
+            }),
+        ));
     }
+    s.expired.insert(correlator, ());
 }
 
 /// FORWARD at an intermediate node: manage the downstream link's
@@ -284,7 +225,7 @@ pub(crate) fn on_forward(
     let m = mid(c);
     if m.counted_requests.contains(&f.request) || m.retired_requests.contains_key(&f.request) {
         stats.duplicate_forwards += 1;
-        out.push(NetOutput::SendDownstream(Message::Forward(f)));
+        out.push(NetOutput::Send(LinkSide::Downstream, Message::Forward(f)));
         return;
     }
     m.active_requests += 1;
@@ -309,7 +250,7 @@ pub(crate) fn on_forward(
         });
         m.link_submitted = true;
     }
-    out.push(NetOutput::SendDownstream(Message::Forward(f)));
+    out.push(NetOutput::Send(LinkSide::Downstream, Message::Forward(f)));
 }
 
 /// COMPLETE at an intermediate node: update or stop the downstream
@@ -326,7 +267,10 @@ pub(crate) fn on_complete(
         // Duplicated COMPLETE (or its FORWARD was dropped upstream):
         // nothing to retire locally, but downstream still needs it.
         stats.duplicate_completes += 1;
-        out.push(NetOutput::SendDownstream(Message::Complete(msg)));
+        out.push(NetOutput::Send(
+            LinkSide::Downstream,
+            Message::Complete(msg),
+        ));
         return;
     }
     m.retired_requests.insert(msg.request, ());
@@ -350,5 +294,8 @@ pub(crate) fn on_complete(
             weight: link_weight(down.max_lpr, entry.max_eer, msg.rate),
         });
     }
-    out.push(NetOutput::SendDownstream(Message::Complete(msg)));
+    out.push(NetOutput::Send(
+        LinkSide::Downstream,
+        Message::Complete(msg),
+    ));
 }

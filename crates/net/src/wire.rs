@@ -23,7 +23,7 @@
 //! | range | plane | kinds |
 //! |---|---|---|
 //! | `0x01..=0x05` | QNP data plane ([`Message`]) | FORWARD, COMPLETE, TRACK, EXPIRE, TRACK_ACK |
-//! | `0x10..=0x12` | link layer lifecycle ([`LinkEvent`]) | PAIR_READY, REQUEST_DONE, REJECTED |
+//! | `0x10`, `0x12` | link layer notifications ([`LinkEvent`]) | PAIR_READY, REJECTED (`0x11` is retired) |
 //! | `0x20..=0x23` | routing signalling (`qn_routing::wire`) | INSTALL, TEARDOWN, INSTALL_ACK, TEARDOWN_ACK |
 //!
 //! Each frame has one decoder, the owned one ([`Message::decode`],
@@ -71,8 +71,6 @@ pub const KIND_EXPIRE: u8 = 0x04;
 pub const KIND_TRACK_ACK: u8 = 0x05;
 /// Kind byte of a link-layer PAIR_READY frame.
 pub const KIND_LINK_PAIR_READY: u8 = 0x10;
-/// Kind byte of a link-layer REQUEST_DONE frame.
-pub const KIND_LINK_REQUEST_DONE: u8 = 0x11;
 /// Kind byte of a link-layer REJECTED frame.
 pub const KIND_LINK_REJECTED: u8 = 0x12;
 /// Kind byte of a routing-signalling INSTALL frame (`qn_routing::wire`).
@@ -397,7 +395,6 @@ impl Wire for RejectReason {
             RejectReason::FidelityUnattainable => 0,
             RejectReason::DuplicateLabel => 1,
             RejectReason::InvalidWeight => 2,
-            RejectReason::LinkDown => 3,
         });
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, DecodeError> {
@@ -405,7 +402,6 @@ impl Wire for RejectReason {
             0 => Ok(RejectReason::FidelityUnattainable),
             1 => Ok(RejectReason::DuplicateLabel),
             2 => Ok(RejectReason::InvalidWeight),
-            3 => Ok(RejectReason::LinkDown),
             value => Err(DecodeError::BadTag {
                 field: "reject_reason",
                 value,
@@ -653,20 +649,16 @@ impl Message {
 }
 
 // ---------------------------------------------------------------------
-// Link-layer lifecycle events
+// Link-layer notifications
 // ---------------------------------------------------------------------
 
-/// Encode a link-layer lifecycle event as a complete frame.
+/// Encode a link-layer notification as a complete frame.
 pub fn encode_link_event(ev: &LinkEvent, buf: &mut Vec<u8>) {
     let mut w = WireWriter::new(buf);
     match ev {
         LinkEvent::PairReady(pair) => {
             put_header(&mut w, KIND_LINK_PAIR_READY);
             pair.encode(&mut w);
-        }
-        LinkEvent::RequestDone(label) => {
-            put_header(&mut w, KIND_LINK_REQUEST_DONE);
-            label.encode(&mut w);
         }
         LinkEvent::Rejected(label, reason) => {
             put_header(&mut w, KIND_LINK_REJECTED);
@@ -676,12 +668,11 @@ pub fn encode_link_event(ev: &LinkEvent, buf: &mut Vec<u8>) {
     }
 }
 
-/// Decode a link-layer lifecycle event frame (total; typed errors).
+/// Decode a link-layer notification frame (total; typed errors).
 pub fn decode_link_event(bytes: &[u8]) -> Result<LinkEvent, DecodeError> {
     let mut r = WireReader::new(bytes);
     let ev = match read_header(&mut r)? {
         KIND_LINK_PAIR_READY => LinkEvent::PairReady(LinkPair::decode(&mut r)?),
-        KIND_LINK_REQUEST_DONE => LinkEvent::RequestDone(LinkLabel::decode(&mut r)?),
         KIND_LINK_REJECTED => {
             LinkEvent::Rejected(LinkLabel::decode(&mut r)?, RejectReason::decode(&mut r)?)
         }
@@ -856,7 +847,6 @@ mod tests {
                 goodness: 0.987,
                 attempts: 1 << 40,
             }),
-            LinkEvent::RequestDone(LinkLabel(7)),
             LinkEvent::Rejected(LinkLabel(1), RejectReason::DuplicateLabel),
         ];
         for ev in &events {
@@ -875,7 +865,7 @@ mod tests {
         for m in sample_messages() {
             assert_eq!(scratch.message(&m), m.wire_bytes().as_slice());
         }
-        let ev = LinkEvent::RequestDone(LinkLabel(7));
+        let ev = LinkEvent::Rejected(LinkLabel(7), RejectReason::InvalidWeight);
         let mut owned = Vec::new();
         encode_link_event(&ev, &mut owned);
         assert_eq!(

@@ -173,14 +173,12 @@ fn arb_link_event() -> BoxedStrategy<LinkEvent> {
                     attempts,
                 })
             }),
-        any::<u32>().prop_map(|l| LinkEvent::RequestDone(LinkLabel(l))),
         (
             any::<u32>(),
             prop_oneof![
                 Just(RejectReason::FidelityUnattainable),
                 Just(RejectReason::DuplicateLabel),
-                Just(RejectReason::InvalidWeight),
-                Just(RejectReason::LinkDown)
+                Just(RejectReason::InvalidWeight)
             ]
         )
             .prop_map(|(l, r)| LinkEvent::Rejected(LinkLabel(l), r)),
@@ -262,7 +260,7 @@ proptest! {
         }
     }
 
-    /// Link-layer lifecycle frames round-trip exactly and share the
+    /// Link-layer notification frames round-trip exactly and share the
     /// kind-byte registry (a link frame never decodes as a QNP message).
     #[test]
     fn link_event_round_trip_and_plane_separation(ev in arb_link_event()) {
@@ -283,7 +281,6 @@ proptest! {
                 prop_assert_eq!(a.goodness.to_bits(), b.goodness.to_bits());
                 prop_assert_eq!(a.attempts, b.attempts);
             }
-            (LinkEvent::RequestDone(a), LinkEvent::RequestDone(b)) => prop_assert_eq!(a, b),
             (LinkEvent::Rejected(la, ra), LinkEvent::Rejected(lb, rb)) => {
                 prop_assert_eq!(la, lb);
                 prop_assert_eq!(ra, rb);

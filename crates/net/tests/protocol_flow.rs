@@ -9,6 +9,7 @@
 
 use qn_net::events::{AppEvent, Delivery, DeliveryKind, NetInput, NetOutput, PairInfo};
 use qn_net::ids::{Address, CircuitId, Correlator, PairHandle, PairRef, RequestId};
+use qn_net::messages::{Expire, Message, Track};
 use qn_net::request::{Demand, RequestType, UserRequest};
 use qn_net::routing_table::{DownstreamHop, LinkSide, RoutingEntry, UpstreamHop};
 use qn_net::QnpNode;
@@ -240,27 +241,19 @@ impl Harness {
 
     fn process(&mut self, node_idx: usize, out: NetOutput) {
         match out {
-            NetOutput::SendUpstream(msg) => {
-                assert!(node_idx > 0, "head cannot send upstream");
+            NetOutput::Send(toward, msg) => {
+                let to = match toward {
+                    LinkSide::Upstream => {
+                        node_idx.checked_sub(1).expect("head cannot send upstream")
+                    }
+                    LinkSide::Downstream => node_idx + 1,
+                };
+                assert!(to < self.nodes.len(), "tail cannot send downstream");
                 self.sent_messages.push((node_idx, msg.kind_name()));
                 self.queue.push_back((
-                    node_idx - 1,
+                    to,
                     NetInput::Message {
-                        from_upstream: false,
-                        msg,
-                    },
-                ));
-            }
-            NetOutput::SendDownstream(msg) => {
-                assert!(
-                    node_idx + 1 < self.nodes.len(),
-                    "tail cannot send downstream"
-                );
-                self.sent_messages.push((node_idx, msg.kind_name()));
-                self.queue.push_back((
-                    node_idx + 1,
-                    NetInput::Message {
-                        from_upstream: true,
+                        from: toward.opposite(),
                         msg,
                     },
                 ));
@@ -962,4 +955,193 @@ fn teardown_releases_in_transit_pairs_in_correlator_order() {
             .collect();
         assert_eq!(released, (0..8).collect::<Vec<_>>(), "{request_type:?}");
     }
+}
+
+/// A repeater between node 0 (upstream) and node 2 (downstream),
+/// driven input by input.
+fn repeater() -> QnpNode {
+    let mut node = QnpNode::new(NodeId(1));
+    let entry = RoutingEntry {
+        circuit: VC,
+        upstream: Some(UpstreamHop {
+            node: NodeId(0),
+            label: qn_link::LinkLabel(0),
+        }),
+        downstream: Some(DownstreamHop {
+            node: NodeId(2),
+            label: qn_link::LinkLabel(1),
+            min_fidelity: 0.95,
+            max_lpr: 50.0,
+        }),
+        max_eer: 10.0,
+        cutoff: qn_sim::SimDuration::from_millis(100),
+    };
+    let mut outs = Vec::new();
+    node.handle(NetInput::InstallCircuit { entry }, &mut outs);
+    node
+}
+
+/// Hand the repeater a link pair on `side`; returns its correlator and
+/// the node's outputs.
+fn repeater_pair(
+    node: &mut QnpNode,
+    side: LinkSide,
+    seq: u64,
+    announced: BellState,
+) -> (Correlator, Vec<NetOutput>) {
+    let (node_a, node_b) = match side {
+        LinkSide::Upstream => (NodeId(0), NodeId(1)),
+        LinkSide::Downstream => (NodeId(1), NodeId(2)),
+    };
+    let correlator = Correlator {
+        node_a,
+        node_b,
+        seq,
+    };
+    let info = PairInfo {
+        pair: PairRef {
+            correlator,
+            handle: PairHandle(seq),
+        },
+        announced,
+    };
+    let mut outs = Vec::new();
+    node.handle(
+        NetInput::LinkPair {
+            circuit: VC,
+            side,
+            info,
+        },
+        &mut outs,
+    );
+    (correlator, outs)
+}
+
+/// The TRACK an end-node originates for its link pair `origin`.
+fn track_for(origin: Correlator, announced: BellState) -> Track {
+    Track {
+        circuit: VC,
+        request: RequestId(1),
+        head_identifier: 10,
+        tail_identifier: 20,
+        origin,
+        link: origin,
+        outcome_state: announced,
+        epoch: None,
+    }
+}
+
+/// Hand the repeater one message from `from`; returns its outputs.
+fn message_from(node: &mut QnpNode, from: LinkSide, msg: Message) -> Vec<NetOutput> {
+    let mut outs = Vec::new();
+    node.handle(NetInput::Message { from, msg }, &mut outs);
+    outs
+}
+
+/// A duplicated TRACK finds its swap record consumed; the repeater
+/// re-forwards the rewritten copy it relayed the first time, out of the
+/// opposite side, and counts it — on either side.
+#[test]
+fn repeater_relays_a_duplicate_track_on_either_side() {
+    let mut node = repeater();
+    let announced = [BellState::PSI_PLUS, BellState::PSI_MINUS];
+    let (up, _) = repeater_pair(&mut node, LinkSide::Upstream, 0, announced[0]);
+    let (down, outs) = repeater_pair(&mut node, LinkSide::Downstream, 1, announced[1]);
+    assert!(outs
+        .iter()
+        .any(|o| matches!(o, NetOutput::StartSwap { .. })));
+    let outcome = BellState::PHI_MINUS;
+    let mut outs = Vec::new();
+    node.handle(
+        NetInput::SwapCompleted {
+            circuit: VC,
+            up,
+            down,
+            outcome,
+            new_handle: PairHandle(99),
+        },
+        &mut outs,
+    );
+    assert!(
+        outs.is_empty(),
+        "no TRACK waited, so only records: {outs:?}"
+    );
+
+    let mut relayed = 0;
+    for (from, here, there) in [
+        (LinkSide::Upstream, (up, announced[0]), (down, announced[1])),
+        (
+            LinkSide::Downstream,
+            (down, announced[1]),
+            (up, announced[0]),
+        ),
+    ] {
+        let track = track_for(here.0, here.1);
+        let mut copies = Vec::new();
+        for _ in 0..2 {
+            match &message_from(&mut node, from, Message::Track(track))[..] {
+                [NetOutput::Send(side, Message::Track(t))] => copies.push((*side, *t)),
+                outs => panic!("TRACK from {from:?}: {outs:?}"),
+            }
+        }
+        let expected = Track {
+            link: there.0,
+            outcome_state: here.1.combine(there.1, outcome),
+            ..track
+        };
+        assert_eq!(copies[0], (from.opposite(), expected), "from {from:?}");
+        assert_eq!(
+            copies[1], copies[0],
+            "the duplicate leaves as the first did"
+        );
+        relayed += 1;
+        assert_eq!(node.stats.duplicate_tracks_relayed, relayed);
+    }
+    assert_eq!(node.stats.total(), relayed);
+}
+
+/// A TRACK for a pair the cutoff discarded bounces an EXPIRE back
+/// toward its sender, and so does its duplicate: the discard record is
+/// kept after the first match — on either side.
+#[test]
+fn tracks_for_a_discarded_pair_bounce_expires_on_either_side() {
+    let mut node = repeater();
+    for (seq, from) in LinkSide::BOTH.into_iter().enumerate() {
+        let (corr, outs) = repeater_pair(&mut node, from, seq as u64, BellState::PSI_PLUS);
+        assert!(
+            outs.iter()
+                .any(|o| matches!(o, NetOutput::SetCutoff { side, .. } if *side == from)),
+            "{outs:?}"
+        );
+        let mut outs = Vec::new();
+        node.handle(
+            NetInput::CutoffExpired {
+                circuit: VC,
+                side: from,
+                correlator: corr,
+            },
+            &mut outs,
+        );
+        assert!(
+            matches!(&outs[..], [NetOutput::DiscardPair { pair }] if pair.correlator == corr),
+            "{outs:?}"
+        );
+        let track = track_for(corr, BellState::PSI_PLUS);
+        for copy in 0..2 {
+            match &message_from(&mut node, from, Message::Track(track))[..] {
+                [NetOutput::Send(side, Message::Expire(e))] => {
+                    assert_eq!(*side, from, "copy {copy} from {from:?}");
+                    assert_eq!(
+                        *e,
+                        Expire {
+                            circuit: VC,
+                            origin: corr
+                        }
+                    );
+                }
+                outs => panic!("copy {copy} of a TRACK from {from:?}: {outs:?}"),
+            }
+        }
+    }
+    assert_eq!(node.stats.total(), 0, "bounces are not anomalies");
 }

@@ -36,6 +36,7 @@
 //! [`transmit`]: ClassicalPlane::transmit
 //! [`take_batch`]: ClassicalPlane::take_batch
 
+use qn_net::routing_table::LinkSide;
 use qn_sim::{NodeId, SimDuration, SimRng, SimTime};
 
 /// Fault-injection knobs for the classical plane. All probabilities are
@@ -128,14 +129,14 @@ pub struct ClassicalStats {
     /// frames whose kind byte itself was corrupted (or missing). Sums to
     /// the total.
     pub decode_failures_by_kind: [u64; 6],
-    /// Link-plane (PAIR_READY/REQUEST_DONE/REJECTED) frames the receiver
-    /// could not decode (runtime-incremented, `signalling_on_wire` only).
+    /// Link-plane (PAIR_READY/REJECTED) frames the receiver could not
+    /// decode (runtime-incremented, `signalling_on_wire` only).
     pub link_decode_failures: u64,
-    /// [`ClassicalStats::link_decode_failures`] by observed kind:
-    /// indices 0..=2 are PAIR_READY, REQUEST_DONE, REJECTED
-    /// (`qn_net::wire::KIND_LINK_PAIR_READY..=KIND_LINK_REJECTED`);
-    /// index 3 collects anything else. Sums to the total.
-    pub link_decode_failures_by_kind: [u64; 4],
+    /// [`ClassicalStats::link_decode_failures`] by observed kind: index 0
+    /// is PAIR_READY (`qn_net::wire::KIND_LINK_PAIR_READY`), index 1
+    /// REJECTED (`KIND_LINK_REJECTED`); index 2 collects anything else,
+    /// the retired kind `0x11` included. Sums to the total.
+    pub link_decode_failures_by_kind: [u64; 3],
     /// Routing-plane (INSTALL/TEARDOWN and acks) frames the receiver
     /// could not decode (runtime-incremented, `signalling_on_wire` only).
     pub signal_decode_failures: u64,
@@ -193,13 +194,9 @@ impl ClassicalStats {
     pub fn count_link_decode_failure(&mut self, kind: Option<u8>) {
         self.link_decode_failures += 1;
         let i = match kind {
-            Some(k)
-                if (qn_net::wire::KIND_LINK_PAIR_READY..=qn_net::wire::KIND_LINK_REJECTED)
-                    .contains(&k) =>
-            {
-                (k - qn_net::wire::KIND_LINK_PAIR_READY) as usize
-            }
-            _ => 3,
+            Some(qn_net::wire::KIND_LINK_PAIR_READY) => 0,
+            Some(qn_net::wire::KIND_LINK_REJECTED) => 1,
+            _ => 2,
         };
         self.link_decode_failures_by_kind[i] += 1;
     }
@@ -249,7 +246,7 @@ impl Batch {
 
 struct OpenBatch {
     id: u64,
-    key: (NodeId, NodeId, bool, SimTime),
+    key: (NodeId, NodeId, LinkSide, SimTime),
     batch: Batch,
 }
 
@@ -298,8 +295,8 @@ impl ClassicalPlane {
     /// `classical-faults` substream, whichever hop the frame crosses.
     ///
     /// `lane` discriminates independent sub-streams of the same directed
-    /// hop (the runtime uses the upstream/downstream orientation), so a
-    /// whole group can be demuxed with one flag at the receiver.
+    /// hop (the side of `from` that `to` is on), so a whole group can be
+    /// demuxed with one value at the receiver.
     ///
     /// The frame joins the open group for its `(hop, lane, delivery
     /// tick)` or opens a new one; the return value lists the groups
@@ -310,7 +307,7 @@ impl ClassicalPlane {
         &mut self,
         from: NodeId,
         to: NodeId,
-        lane: bool,
+        lane: LinkSide,
         now: SimTime,
         latency: SimDuration,
         frame: &[u8],
@@ -378,7 +375,7 @@ impl ClassicalPlane {
         &mut self,
         from: NodeId,
         to: NodeId,
-        lane: bool,
+        lane: LinkSide,
         at: SimTime,
         frame: &[u8],
     ) -> Option<BatchOpen> {
@@ -418,9 +415,16 @@ mod tests {
     /// The hop latency every test frame crosses.
     const LATENCY: SimDuration = SimDuration::from_micros(5);
 
-    /// Send `frame` over hop `0 → 1`, lane `false`.
+    /// Send `frame` over hop `0 → 1`, lane `Upstream`.
     fn send(plane: &mut ClassicalPlane, now: SimTime, frame: &[u8]) -> [Option<BatchOpen>; 2] {
-        plane.transmit(NodeId(0), NodeId(1), false, now, LATENCY, frame)
+        plane.transmit(
+            NodeId(0),
+            NodeId(1),
+            LinkSide::Upstream,
+            now,
+            LATENCY,
+            frame,
+        )
     }
 
     fn frames(batch: &Batch) -> Vec<Vec<u8>> {
@@ -475,8 +479,8 @@ mod tests {
             );
         }
         // A different lane or hop opens its own group.
-        assert!(plane.transmit(a, b, true, now, LATENCY, b"x")[0].is_some());
-        assert!(plane.transmit(b, a, false, now, LATENCY, b"y")[0].is_some());
+        assert!(plane.transmit(a, b, LinkSide::Downstream, now, LATENCY, b"x")[0].is_some());
+        assert!(plane.transmit(b, a, LinkSide::Upstream, now, LATENCY, b"y")[0].is_some());
         let batch = plane.take_batch(open.id).unwrap();
         assert_eq!(
             frames(&batch),

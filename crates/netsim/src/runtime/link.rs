@@ -66,9 +66,9 @@ impl NetworkModel {
             .proto
             .physics()
             .sample_announced(&mut self.rng_links[link.0 as usize]);
-        let (pair, state, events) =
-            l.proto
-                .on_generation_complete(announced, inflight.attempts, elapsed);
+        let (pair, state) = l
+            .proto
+            .on_generation_complete(announced, inflight.attempts, elapsed);
         let (na, qa) = inflight.qubit_a;
         let (nb, qb) = inflight.qubit_b;
         let (t1a, t2a) = self.nodes[na.0 as usize].device.coherence_times(qa);
@@ -129,7 +129,7 @@ impl NetworkModel {
         let Some(info) = self.label_map[link.0 as usize]
             .iter()
             .find(|(l, _)| *l == pair.label)
-            .map(|(_, info)| info)
+            .map(|(_, info)| *info)
         else {
             // Label no longer mapped (circuit torn down): free everything.
             self.release_end(ctx, na, correlator, false);
@@ -137,7 +137,6 @@ impl NetworkModel {
             return;
         };
         let circuit = info.circuit;
-        let upstream_node = info.upstream_node;
         let orphan_after = RETRANSMIT_BASE.max(self.links[link.0 as usize].latency * 2);
         let pair_info = PairInfo {
             pair: PairRef {
@@ -147,11 +146,7 @@ impl NetworkModel {
             announced,
         };
         for node in [na, nb] {
-            let side = if node == upstream_node {
-                LinkSide::Downstream
-            } else {
-                LinkSide::Upstream
-            };
+            let side = info.side_at(node);
             // On a faulty plane an end-node's chain can lose its
             // TRACK/EXPIRE forever; the optional track-timeout frees
             // the qubit instead of holding it until the heat death of
@@ -185,8 +180,7 @@ impl NetworkModel {
                 // The announcement crosses the classical plane (latency,
                 // batching, faults) and is decoded at the receiver.
                 let peer = if node == na { nb } else { na };
-                let downstream = peer == upstream_node;
-                self.transmit(ctx, peer, node, downstream, |b| {
+                self.transmit(ctx, peer, node, side.opposite(), |b| {
                     qn_net::wire::encode_link_event(&LinkEvent::PairReady(pair), b)
                 });
             } else {
@@ -196,25 +190,6 @@ impl NetworkModel {
 
         // The link may start its next generation immediately (if qubits
         // remain free).
-        for e in events {
-            if let LinkEvent::RequestDone(label) = e {
-                if self.cfg.signalling_on_wire {
-                    for (from, to) in [(nb, na), (na, nb)] {
-                        let downstream = from == upstream_node;
-                        self.transmit(ctx, from, to, downstream, |b| {
-                            qn_net::wire::encode_link_event(&LinkEvent::RequestDone(label), b)
-                        });
-                    }
-                } else {
-                    self.trace.record(
-                        ctx.now(),
-                        TraceKind::Info,
-                        format_args!("{na}-{nb}"),
-                        format_args!("link request {label} done"),
-                    );
-                }
-            }
-        }
         self.poll_link(ctx, link);
     }
 
@@ -343,11 +318,7 @@ impl NetworkModel {
             return;
         };
         let circuit = info.circuit;
-        let side = if node == info.upstream_node {
-            LinkSide::Downstream
-        } else {
-            LinkSide::Upstream
-        };
+        let side = info.side_at(node);
         let pair_info = PairInfo {
             pair: PairRef {
                 correlator,
@@ -360,7 +331,8 @@ impl NetworkModel {
     }
 
     /// Demuxed handler for link-layer frames (kinds `0x10..=0x12`)
-    /// arriving over the wire.
+    /// arriving over the wire: PAIR_READY and REJECTED decode, and the
+    /// retired `0x11` counts as undecodable.
     pub(super) fn handle_link_frame(
         &mut self,
         ctx: &mut Context<'_, Ev>,
@@ -369,14 +341,6 @@ impl NetworkModel {
     ) {
         match qn_net::wire::decode_link_event(frame) {
             Ok(LinkEvent::PairReady(pair)) => self.pair_ready_at(ctx, to, pair),
-            Ok(LinkEvent::RequestDone(label)) => {
-                self.trace.record(
-                    ctx.now(),
-                    TraceKind::Info,
-                    format_args!("{to}"),
-                    format_args!("link request {label} done"),
-                );
-            }
             Ok(LinkEvent::Rejected(label, reason)) => {
                 self.trace.record(
                     ctx.now(),

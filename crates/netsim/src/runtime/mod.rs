@@ -125,7 +125,7 @@ pub struct RuntimeConfig {
     pub checkpoint: CheckpointPolicy,
     /// Record a human-readable trace.
     pub trace: bool,
-    /// Carry link-layer (PAIR_READY/REQUEST_DONE/REJECTED) and routing
+    /// Carry link-layer (PAIR_READY/REJECTED) and routing
     /// signalling (INSTALL/TEARDOWN) frames over the classical plane —
     /// with real latency, batching and fault injection — instead of
     /// handing the in-memory values to the nodes at once. Enables the
@@ -167,9 +167,9 @@ pub enum Ev {
     BatchDeliver {
         /// Receiving node.
         to: NodeId,
-        /// Whether the sender is the receiver's upstream neighbour (the
-        /// group's lane: frames only group within one orientation).
-        from_upstream: bool,
+        /// The receiver's side the sender is on (the group's lane:
+        /// frames only group within one orientation).
+        from: LinkSide,
         /// The plane's open-group handle to drain.
         batch: BatchId,
         /// The physical hop the batch travels on. A component fault can
@@ -299,8 +299,8 @@ pub enum Ev {
         node: NodeId,
         /// The circuit the message rides on.
         circuit: CircuitId,
-        /// Direction of the original send.
-        downstream: bool,
+        /// Side the original was sent toward.
+        toward: LinkSide,
         /// Copies already scheduled (bounds the redundancy).
         attempt: u32,
         /// The message to re-send, verbatim.
@@ -372,10 +372,22 @@ struct LinkRt {
     up: bool,
 }
 
+#[derive(Clone, Copy)]
 struct LabelInfo {
     circuit: CircuitId,
     /// The path-earlier node of this link (the circuit's upstream side).
     upstream_node: NodeId,
+}
+
+impl LabelInfo {
+    /// The side of `node`, an end of this label's link, the link is on.
+    fn side_at(&self, node: NodeId) -> LinkSide {
+        if node == self.upstream_node {
+            LinkSide::Downstream
+        } else {
+            LinkSide::Upstream
+        }
+    }
 }
 
 struct CircuitRt {
@@ -394,6 +406,15 @@ impl CircuitRt {
         let up = (i > 0).then(|| self.path[i - 1]);
         let down = (i + 1 < self.path.len()).then(|| self.path[i + 1]);
         (up, down)
+    }
+
+    /// The neighbour of `node` on `side` of this circuit.
+    fn neighbour(&self, node: NodeId, side: LinkSide) -> Option<NodeId> {
+        let (up, down) = self.neighbours(node);
+        match side {
+            LinkSide::Upstream => up,
+            LinkSide::Downstream => down,
+        }
     }
 }
 
@@ -666,11 +687,7 @@ impl NetworkModel {
     /// The link on `side` of `node` for `circuit`.
     fn side_link(&self, circuit: CircuitId, node: NodeId, side: LinkSide) -> LinkId {
         let rt = self.circuit_rt(circuit).expect("circuit installed");
-        let (up, down) = rt.neighbours(node);
-        let peer = match side {
-            LinkSide::Upstream => up.expect("upstream link exists"),
-            LinkSide::Downstream => down.expect("downstream link exists"),
-        };
+        let peer = rt.neighbour(node, side).expect("a link on that side");
         self.link_between(node, peer)
     }
 
@@ -726,10 +743,10 @@ impl Model for NetworkModel {
         match event {
             Ev::BatchDeliver {
                 to,
-                from_upstream,
+                from,
                 batch,
                 link,
-            } => self.batch_deliver(ctx, to, from_upstream, batch, link),
+            } => self.batch_deliver(ctx, to, from, batch, link),
             Ev::TrackExpiry {
                 node,
                 circuit,
@@ -780,10 +797,10 @@ impl Model for NetworkModel {
             Ev::RequestResend {
                 node,
                 circuit,
-                downstream,
+                toward,
                 attempt,
                 msg,
-            } => self.request_resend_fire(ctx, node, circuit, downstream, attempt, msg),
+            } => self.request_resend_fire(ctx, node, circuit, toward, attempt, msg),
             Ev::Teardown { circuit } => self.teardown(ctx, circuit),
             Ev::Checkpoint => self.checkpoint(ctx),
             Ev::ComponentFault { event } => self.component_fault(ctx, event),

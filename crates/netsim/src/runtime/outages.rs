@@ -6,7 +6,6 @@ use super::{Ev, NetworkModel};
 use crate::faults::ComponentEvent;
 use qn_net::events::NetInput;
 use qn_net::ids::{CircuitId, Correlator};
-use qn_net::routing_table::LinkSide;
 use qn_net::QnpNode;
 use qn_sim::{Context, LinkId, NodeId, TraceKind};
 
@@ -205,14 +204,9 @@ impl NetworkModel {
                             .qnp
                             .knows_pair(info.circuit, correlator)
                     })
-                    .map(|(_, info)| (info.circuit, info.upstream_node));
+                    .map(|(_, info)| (info.circuit, info.side_at(node)));
                 match owner {
-                    Some((circuit, upstream_node)) => {
-                        let side = if node == upstream_node {
-                            LinkSide::Downstream
-                        } else {
-                            LinkSide::Upstream
-                        };
+                    Some((circuit, side)) => {
                         let input = if self.is_intermediate_on(circuit, node) {
                             if let Some(ev) = self.cutoff_events.remove(node, correlator) {
                                 ctx.cancel(ev);

@@ -4,10 +4,9 @@
 
 use super::signalling::TrackRetry;
 use super::{Ev, NetworkModel};
-use qn_link::{LinkEvent, LinkRequest, PairDemand};
+use qn_link::{LinkEvent, LinkRequest};
 use qn_net::events::{AppEvent, NetInput, NetOutput};
 use qn_net::ids::CircuitId;
-use qn_net::routing_table::LinkSide;
 use qn_sim::{Context, NodeId, SimDuration, TraceKind};
 
 impl NetworkModel {
@@ -38,15 +37,10 @@ impl NetworkModel {
     ) {
         for out in outs.drain(..) {
             match out {
-                NetOutput::SendUpstream(msg) => {
-                    self.maybe_arm_track_retry(ctx, node, circuit, false, &msg);
-                    self.maybe_schedule_request_resend(ctx, node, circuit, false, &msg);
-                    self.send_message(ctx, node, circuit, false, msg);
-                }
-                NetOutput::SendDownstream(msg) => {
-                    self.maybe_arm_track_retry(ctx, node, circuit, true, &msg);
-                    self.maybe_schedule_request_resend(ctx, node, circuit, true, &msg);
-                    self.send_message(ctx, node, circuit, true, msg);
+                NetOutput::Send(toward, msg) => {
+                    self.maybe_arm_track_retry(ctx, node, circuit, toward, &msg);
+                    self.maybe_schedule_request_resend(ctx, node, circuit, toward, &msg);
+                    self.send_message(ctx, node, circuit, toward, msg);
                 }
                 NetOutput::TrackAcked { origin } => {
                     // The peer end-node confirmed our TRACK: disarm the
@@ -65,34 +59,30 @@ impl NetworkModel {
                     weight,
                 } => {
                     let link = self.side_link(circuit, node, side);
-                    let evs = self.links[link.0 as usize].proto.submit(LinkRequest {
+                    let admitted = self.links[link.0 as usize].proto.submit(LinkRequest {
                         label,
                         min_fidelity,
-                        demand: PairDemand::Continuous,
                         weight,
                     });
-                    for e in evs {
-                        if let LinkEvent::Rejected(l, reason) = e {
-                            if self.cfg.signalling_on_wire {
-                                // The admission verdict comes back from
-                                // the link over the classical plane.
-                                let (la, lb) = self.links[link.0 as usize].proto.nodes();
-                                let peer = if la == node { lb } else { la };
-                                let downstream = side == LinkSide::Upstream;
-                                self.transmit(ctx, peer, node, downstream, |b| {
-                                    qn_net::wire::encode_link_event(
-                                        &LinkEvent::Rejected(l, reason),
-                                        b,
-                                    )
-                                });
-                            } else {
-                                self.trace.record(
-                                    ctx.now(),
-                                    TraceKind::Info,
-                                    format_args!("{node}"),
-                                    format_args!("link request {l} rejected: {reason}"),
-                                );
-                            }
+                    if let Err(reason) = admitted {
+                        if self.cfg.signalling_on_wire {
+                            // The admission verdict comes back from the
+                            // link over the classical plane.
+                            let (la, lb) = self.links[link.0 as usize].proto.nodes();
+                            let peer = if la == node { lb } else { la };
+                            self.transmit(ctx, peer, node, side.opposite(), |b| {
+                                qn_net::wire::encode_link_event(
+                                    &LinkEvent::Rejected(label, reason),
+                                    b,
+                                )
+                            });
+                        } else {
+                            self.trace.record(
+                                ctx.now(),
+                                TraceKind::Info,
+                                format_args!("{node}"),
+                                format_args!("link request {label} rejected: {reason}"),
+                            );
                         }
                     }
                     self.poll_link(ctx, link);

@@ -20,8 +20,8 @@ pub(super) struct TrackRetry {
     attempt: u32,
     /// The armed [`Ev::TrackRetransmit`] (cancelled on TRACK_ACK).
     pub(super) event: EventId,
-    /// Direction the original TRACK was sent in.
-    downstream: bool,
+    /// Side the original TRACK was sent toward.
+    toward: LinkSide,
     /// The frame to re-send, verbatim.
     track: Track,
 }
@@ -163,7 +163,7 @@ impl NetworkModel {
         ctx: &mut Context<'_, Ev>,
         node: NodeId,
         circuit: CircuitId,
-        downstream: bool,
+        toward: LinkSide,
         msg: &Message,
     ) {
         if !self.cfg.signalling_on_wire {
@@ -187,7 +187,7 @@ impl NetworkModel {
             TrackRetry {
                 attempt: 0,
                 event,
-                downstream,
+                toward,
                 track: *t,
             },
         );
@@ -221,9 +221,9 @@ impl NetworkModel {
             },
         );
         self.plane.stats.track_retransmits += 1;
-        let (downstream, track) = (retry.downstream, retry.track);
+        let (toward, track) = (retry.toward, retry.track);
         self.track_retransmits.insert(node, origin, retry);
-        self.send_message(ctx, node, circuit, downstream, Message::Track(track));
+        self.send_message(ctx, node, circuit, toward, Message::Track(track));
     }
 
     /// If `msg` is a request-level message (FORWARD/COMPLETE) leaving
@@ -239,7 +239,7 @@ impl NetworkModel {
         ctx: &mut Context<'_, Ev>,
         node: NodeId,
         circuit: CircuitId,
-        downstream: bool,
+        toward: LinkSide,
         msg: &Message,
     ) {
         if !self.cfg.signalling_on_wire || !self.lossy_wire {
@@ -263,7 +263,7 @@ impl NetworkModel {
             Ev::RequestResend {
                 node,
                 circuit,
-                downstream,
+                toward,
                 attempt: 1,
                 msg: *msg,
             },
@@ -277,7 +277,7 @@ impl NetworkModel {
         ctx: &mut Context<'_, Ev>,
         node: NodeId,
         circuit: CircuitId,
-        downstream: bool,
+        toward: LinkSide,
         attempt: u32,
         msg: Message,
     ) {
@@ -290,14 +290,14 @@ impl NetworkModel {
                 Ev::RequestResend {
                     node,
                     circuit,
-                    downstream,
+                    toward,
                     attempt: attempt + 1,
                     msg,
                 },
             );
         }
         self.plane.stats.request_retransmits += 1;
-        self.send_message(ctx, node, circuit, downstream, msg);
+        self.send_message(ctx, node, circuit, toward, msg);
     }
 
     /// Kick off a wire-borne installation: the head installs locally and
@@ -341,7 +341,7 @@ impl NetworkModel {
                 entry: st.entries[hop + 1],
             }
         };
-        self.transmit(ctx, from, to, true, |b| msg.encode_to(b));
+        self.transmit(ctx, from, to, LinkSide::Downstream, |b| msg.encode_to(b));
         let event = ctx.schedule_in(RETRANSMIT_BASE, Ev::SignalRetransmit { circuit, hop });
         if let Some(st) = self
             .signal_state
@@ -402,7 +402,7 @@ impl NetworkModel {
         {
             st.pending[hop] = Some(SignalRetry { attempt, event });
         }
-        self.transmit(ctx, from, to, true, |b| msg.encode_to(b));
+        self.transmit(ctx, from, to, LinkSide::Downstream, |b| msg.encode_to(b));
     }
 
     /// Demuxed handler for routing-signalling frames (kinds
@@ -468,7 +468,7 @@ impl NetworkModel {
                 // by teardown acks too (the sender must stop either way).
                 self.plane.stats.signal_acks += 1;
                 let msg = Sm::InstallAck { circuit };
-                self.transmit(ctx, to, prev, false, |b| msg.encode_to(b));
+                self.transmit(ctx, to, prev, LinkSide::Upstream, |b| msg.encode_to(b));
             }
             Sm::Teardown { .. } => {
                 if i == 0 {
@@ -493,7 +493,7 @@ impl NetworkModel {
                 }
                 self.plane.stats.signal_acks += 1;
                 let msg = Sm::TeardownAck { circuit };
-                self.transmit(ctx, to, prev, false, |b| msg.encode_to(b));
+                self.transmit(ctx, to, prev, LinkSide::Upstream, |b| msg.encode_to(b));
             }
             Sm::InstallAck { .. } => {
                 let st = self.signal_state[circuit.0 as usize]

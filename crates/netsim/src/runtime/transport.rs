@@ -8,26 +8,25 @@ use crate::classical::BatchId;
 use qn_net::events::NetInput;
 use qn_net::ids::CircuitId;
 use qn_net::messages::{Message, TrackAck};
+use qn_net::routing_table::LinkSide;
 use qn_sim::{Context, LinkId, NodeId, TraceKind};
 
 impl NetworkModel {
-    /// Send a QNP message from `from` to its neighbour on `circuit`.
+    /// Send a QNP message from `from` to its neighbour on the `toward`
+    /// side of `circuit`.
     pub(super) fn send_message(
         &mut self,
         ctx: &mut Context<'_, Ev>,
         from: NodeId,
         circuit: CircuitId,
-        downstream: bool,
+        toward: LinkSide,
         msg: Message,
     ) {
         let rt = self.circuit_rt(circuit).expect("circuit installed");
-        let (up, down) = rt.neighbours(from);
-        let to = if downstream {
-            down.expect("downstream neighbour")
-        } else {
-            up.expect("upstream neighbour")
-        };
-        if self.transmit(ctx, from, to, downstream, |b| msg.encode_to(b)) {
+        let to = rt
+            .neighbour(from, toward)
+            .expect("a neighbour on that side");
+        if self.transmit(ctx, from, to, toward, |b| msg.encode_to(b)) {
             self.trace.record(
                 ctx.now(),
                 TraceKind::Message,
@@ -35,7 +34,10 @@ impl NetworkModel {
                 format_args!(
                     "{} -> {to} ({})",
                     msg.kind_name(),
-                    if downstream { "down" } else { "up" }
+                    match toward {
+                        LinkSide::Upstream => "up",
+                        LinkSide::Downstream => "down",
+                    }
                 ),
             );
         }
@@ -47,9 +49,9 @@ impl NetworkModel {
     /// (and may drop/duplicate/reorder/corrupt) frames, never Rust
     /// values. Encoding goes through the shared scratch buffer, and the
     /// plane groups same-tick frames, so only newly opened groups cost
-    /// an event. The lane (`downstream`) only selects the group a frame
-    /// coalesces into; receivers demux link-layer and signalling frames
-    /// by kind byte, not direction.
+    /// an event. The lane (`toward`, the side of `from` that `to` is on)
+    /// only selects the group a frame coalesces into; receivers demux
+    /// link-layer and signalling frames by kind byte, not direction.
     ///
     /// Returns `false` when the hop (or one of its endpoints) is down:
     /// the frame dies on the dead wire. A plan-free run never does that.
@@ -58,7 +60,7 @@ impl NetworkModel {
         ctx: &mut Context<'_, Ev>,
         from: NodeId,
         to: NodeId,
-        downstream: bool,
+        toward: LinkSide,
         encode: impl FnOnce(&mut Vec<u8>),
     ) -> bool {
         let link = self.link_between(from, to);
@@ -71,13 +73,13 @@ impl NetworkModel {
         let frame = self.scratch.frame(encode);
         let opened = self
             .plane
-            .transmit(from, to, downstream, ctx.now(), latency, frame);
+            .transmit(from, to, toward, ctx.now(), latency, frame);
         for b in opened.into_iter().flatten() {
             ctx.schedule_at(
                 b.at,
                 Ev::BatchDeliver {
                     to,
-                    from_upstream: downstream,
+                    from: toward.opposite(),
                     batch: b.id,
                     link,
                 },
@@ -100,7 +102,7 @@ impl NetworkModel {
         &mut self,
         ctx: &mut Context<'_, Ev>,
         to: NodeId,
-        from_upstream: bool,
+        from: LinkSide,
         batch: BatchId,
         link: LinkId,
     ) {
@@ -149,24 +151,22 @@ impl NetworkModel {
             match Message::decode(frame) {
                 Ok(msg) => {
                     let circuit = msg.circuit();
-                    let input = NetInput::Message { from_upstream, msg };
-                    self.qnp_input(ctx, to, circuit, input);
+                    self.qnp_input(ctx, to, circuit, NetInput::Message { from, msg });
                     // End-to-end TRACK acknowledgement: an
                     // end-node receiving a TRACK (first copy or
                     // duplicate — re-acks recover lost acks)
-                    // answers towards its origin. Guarded
-                    // structurally, not just by role: a
-                    // corrupted circuit id can name a circuit
-                    // this node is not an end of (or not on at
-                    // all), and the ack can only go where the
-                    // named circuit actually has a hop.
-                    let ack_down = !from_upstream;
+                    // answers back the way it came, towards its
+                    // origin. Guarded structurally, not just by
+                    // role: a corrupted circuit id can name a
+                    // circuit this node is not an end of (or not
+                    // on at all), and the ack can only go where
+                    // the named circuit actually has a hop.
                     if let Message::Track(t) = msg {
                         let can_ack = wire
                             && self.circuit_rt(circuit).is_some_and(|rt| {
                                 match rt.path.iter().position(|n| *n == to) {
-                                    Some(0) => ack_down && rt.path.len() > 1,
-                                    Some(i) => i + 1 == rt.path.len() && !ack_down,
+                                    Some(0) => from == LinkSide::Downstream && rt.path.len() > 1,
+                                    Some(i) => i + 1 == rt.path.len() && from == LinkSide::Upstream,
                                     None => false,
                                 }
                             });
@@ -176,7 +176,7 @@ impl NetworkModel {
                                 origin: t.origin,
                             });
                             self.plane.stats.track_acks += 1;
-                            self.send_message(ctx, to, circuit, ack_down, ack);
+                            self.send_message(ctx, to, circuit, from, ack);
                         }
                     }
                 }

@@ -7,10 +7,9 @@
 //! weighted time-share scheduling (next slot = smallest
 //! `time_used/weight`, ties to the lowest label), one generation in
 //! flight at a time, link-wide strictly-increasing sequence numbers,
-//! and exact request lifecycle events (`PairReady` per pair,
-//! `RequestDone` exactly when a counted request's remaining demand hits
-//! zero). Unlike the plain property tests this predicts the *exact*
-//! schedule, not just invariants — the model is strictly stronger.
+//! and requests that stream pairs until stopped. Unlike the plain
+//! property tests this predicts the *exact* schedule, not just
+//! invariants — the model is strictly stronger.
 //!
 //! [`LinkFault`] lets meta-tests inject protocol bugs at the system
 //! adapter boundary and assert the harness catches them with a minimal
@@ -20,7 +19,7 @@ use crate::ModelSpec;
 use proptest::prelude::*;
 use qn_hardware::heralding::LinkPhysics;
 use qn_hardware::params::{FibreParams, HardwareParams};
-use qn_link::{LinkEvent, LinkLabel, LinkProtocol, LinkRequest, PairDemand, RejectReason};
+use qn_link::{LinkLabel, LinkProtocol, LinkRequest, RejectReason};
 use qn_quantum::bell::BellState;
 use qn_quantum::pairstate::StateRep;
 use qn_sim::{NodeId, SimDuration};
@@ -29,12 +28,11 @@ use std::collections::BTreeMap;
 /// One operation of the link service interface.
 #[derive(Clone, Debug, PartialEq)]
 pub enum LinkOp {
-    /// Submit a request (`count` `None` = continuous). `weight_tenths`
-    /// of 0 exercises the invalid-weight rejection.
+    /// Submit a request for a stream of pairs. `weight_tenths` of 0
+    /// exercises the invalid-weight rejection.
     Submit {
         label: u8,
         fidelity_pct: u8,
-        count: Option<u8>,
         weight_tenths: u8,
     },
     /// Stop (COMPLETE) a request.
@@ -58,8 +56,6 @@ pub enum LinkFault {
     /// `stop` is acknowledged but never reaches the protocol — the
     /// stopped request keeps generating.
     SwallowStop,
-    /// `RequestDone` lifecycle events are dropped from completions.
-    DropRequestDone,
     /// Aborted generations are not charged, starving siblings of their
     /// fair share.
     SkipAbortCharge,
@@ -81,21 +77,6 @@ impl LinkSystem {
         }
     }
 
-    fn complete(
-        &mut self,
-        announced: BellState,
-        attempts: u64,
-        elapsed: SimDuration,
-    ) -> (qn_link::LinkPair, Vec<LinkEvent>) {
-        let (pair, _, mut events) = self
-            .proto
-            .on_generation_complete(announced, attempts, elapsed);
-        if self.fault == LinkFault::DropRequestDone {
-            events.retain(|e| !matches!(e, LinkEvent::RequestDone(_)));
-        }
-        (pair, events)
-    }
-
     fn abort(&mut self, label: LinkLabel, elapsed: SimDuration) {
         let elapsed = match self.fault {
             LinkFault::SkipAbortCharge => SimDuration::ZERO,
@@ -109,7 +90,6 @@ impl LinkSystem {
 struct ModelRequest {
     alpha: f64,
     goodness: f64,
-    remaining: Option<u64>,
     weight: f64,
     /// Seconds of link time charged (the scheduler's virtual clock).
     time_used: f64,
@@ -184,13 +164,6 @@ impl Default for LinkSpec {
     }
 }
 
-fn reject_name(events: &[LinkEvent]) -> Option<RejectReason> {
-    match events.first() {
-        Some(LinkEvent::Rejected(_, reason)) => Some(*reason),
-        _ => None,
-    }
-}
-
 impl ModelSpec for LinkSpec {
     type Op = LinkOp;
     type Model = LinkModel;
@@ -212,16 +185,14 @@ impl ModelSpec for LinkSpec {
     }
 
     fn op_strategy(&self) -> BoxedStrategy<LinkOp> {
-        let count = prop_oneof![Just(None), (1u8..4).prop_map(Some)];
         prop_oneof![
-            (0u8..5, 70u8..99, count, 0u8..25).prop_map(
-                |(label, fidelity_pct, count, weight_tenths)| LinkOp::Submit {
+            (0u8..5, 70u8..99, 0u8..25).prop_map(|(label, fidelity_pct, weight_tenths)| {
+                LinkOp::Submit {
                     label,
                     fidelity_pct,
-                    count,
                     weight_tenths,
                 }
-            ),
+            }),
             (0u8..5).prop_map(|label| LinkOp::Stop { label }),
             (0u8..5, 0u8..25).prop_map(|(label, weight_tenths)| LinkOp::SetWeight {
                 label,
@@ -243,21 +214,19 @@ impl ModelSpec for LinkSpec {
             LinkOp::Submit {
                 label,
                 fidelity_pct,
-                count,
                 weight_tenths,
             } => {
                 let label32 = LinkLabel(u32::from(label));
                 let min_fidelity = f64::from(fidelity_pct) / 100.0;
                 let weight = f64::from(weight_tenths) / 10.0;
-                let events = system.proto.submit(LinkRequest {
-                    label: label32,
-                    min_fidelity,
-                    demand: match count {
-                        Some(n) => PairDemand::Count(u64::from(n)),
-                        None => PairDemand::Continuous,
-                    },
-                    weight,
-                });
+                let got = system
+                    .proto
+                    .submit(LinkRequest {
+                        label: label32,
+                        min_fidelity,
+                        weight,
+                    })
+                    .err();
                 // The model's independent admission decision.
                 let expected: Option<RejectReason> =
                     if model.requests.contains_key(&u32::from(label)) {
@@ -269,7 +238,6 @@ impl ModelSpec for LinkSpec {
                     } else {
                         None
                     };
-                let got = reject_name(&events);
                 if got != expected {
                     return Err(format!(
                         "submit({label}, F>={min_fidelity}, w={weight}): system {got:?}, \
@@ -287,7 +255,6 @@ impl ModelSpec for LinkSpec {
                         ModelRequest {
                             alpha,
                             goodness: model.physics.fidelity(alpha),
-                            remaining: count.map(u64::from),
                             weight,
                             time_used,
                         },
@@ -341,23 +308,16 @@ impl ModelSpec for LinkSpec {
                         }
                         let elapsed = SimDuration::from_micros(u64::from(elapsed_us));
                         let attempts = u64::from(elapsed_us); // passthrough value
-                        let (pair, events) =
-                            system.complete(BellState::PSI_PLUS, attempts, elapsed);
+                        let (pair, _) = system.proto.on_generation_complete(
+                            BellState::PSI_PLUS,
+                            attempts,
+                            elapsed,
+                        );
                         // Model-side bookkeeping.
                         let expected_seq = model.next_seq;
                         model.next_seq += 1;
                         req.time_used += elapsed.as_secs_f64();
-                        let mut expected_done = false;
-                        if let Some(rem) = &mut req.remaining {
-                            *rem -= 1;
-                            if *rem == 0 {
-                                expected_done = true;
-                            }
-                        }
                         let (expected_alpha, expected_goodness) = (req.alpha, req.goodness);
-                        if expected_done {
-                            model.requests.remove(&label);
-                        }
                         // Compare the delivered pair field by field.
                         if pair.id.seq != expected_seq {
                             return Err(format!(
@@ -373,21 +333,6 @@ impl ModelSpec for LinkSpec {
                             return Err(format!(
                                 "drive: delivered pair {pair:?} disagrees with model \
                                  (lbl{label}, alpha {expected_alpha}, goodness {expected_goodness})"
-                            ));
-                        }
-                        let done_events = events
-                            .iter()
-                            .filter(|e| matches!(e, LinkEvent::RequestDone(l) if *l == LinkLabel(label)))
-                            .count();
-                        let ready_events = events
-                            .iter()
-                            .filter(|e| matches!(e, LinkEvent::PairReady(p) if p.id == pair.id))
-                            .count();
-                        if ready_events != 1 || done_events != usize::from(expected_done) {
-                            return Err(format!(
-                                "drive: lifecycle events {events:?} (model expected 1 PairReady, \
-                                 {} RequestDone)",
-                                usize::from(expected_done)
                             ));
                         }
                         Ok(())

@@ -60,29 +60,6 @@ fn swallowed_stop_is_caught_with_minimal_counterexample() {
     assert_locally_minimal(&LinkSpec::with_fault(LinkFault::SwallowStop), &failure);
 }
 
-/// Dropped RequestDone lifecycle events shrink to: submit a 1-pair
-/// request, drive one generation.
-#[test]
-fn dropped_request_done_is_caught_with_minimal_counterexample() {
-    let spec = LinkSpec::with_fault(LinkFault::DropRequestDone);
-    let failure = ModelTest::new("meta_dropped_done", spec)
-        .check()
-        .expect_err("the injected bug must be caught");
-    assert_eq!(
-        failure.minimal.len(),
-        2,
-        "minimal sequence must be Submit(count=1) + Drive, got: {:?}",
-        failure.minimal
-    );
-    match (&failure.minimal[0], &failure.minimal[1]) {
-        (LinkOp::Submit { count, .. }, LinkOp::Drive { .. }) => {
-            assert_eq!(*count, Some(1), "demand must shrink to a single pair");
-        }
-        other => panic!("unexpected minimal sequence shape: {other:?}"),
-    }
-    assert_locally_minimal(&LinkSpec::with_fault(LinkFault::DropRequestDone), &failure);
-}
-
 /// An uncharged abort skews the fair-share schedule; the counterexample
 /// needs two competing requests, one abort, and one drive to observe
 /// the wrong label being scheduled.
