@@ -38,6 +38,7 @@
 
 pub mod demux;
 pub mod events;
+mod fxhash;
 pub mod ids;
 pub mod messages;
 pub mod node;

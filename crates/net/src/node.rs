@@ -11,23 +11,32 @@
 
 use crate::demux::SymmetricDemux;
 use crate::events::{NetInput, NetOutput};
+use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::ids::{CircuitId, Correlator, Epoch, PairRef, RequestId};
 use crate::messages::Track;
 use crate::policing::Policer;
 use crate::request::RequestType;
 use crate::routing_table::{Role, RoutingEntry};
 use qn_quantum::bell::BellState;
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::hash::Hash;
 
+/// The swap records one link side of a repeater keeps, newest first: a
+/// record whose TRACK never comes (its chain broke on the far side) is
+/// dropped once this many newer ones were logged on its side.
+pub const SWAP_RECORDS: usize = 4096;
+
 /// A map remembering (at most) the `cap` most recently inserted keys,
-/// evicting oldest-first: the bounded-memory record books (discard
-/// records, expired correlators, retired requests, the repeater's
-/// relayed-TRACK memory) a faulty classical plane can otherwise grow
-/// without limit. With `V = ()` it is a bounded set.
+/// evicting oldest-first: the record books that broken chains or a
+/// faulty classical plane would otherwise grow without limit (discard
+/// records, swap records, expired correlators, retired requests, the
+/// repeater's relayed-TRACK memory). A removed key keeps its eviction
+/// slot until the slot ages out, so the map holds at most the `cap`
+/// newest keys not yet removed; a key inserted again after its removal
+/// goes when its older slot does. With `V = ()` it is a bounded set.
 #[derive(Debug)]
 pub(crate) struct BoundedMap<K, V> {
-    map: HashMap<K, V>,
+    map: FxHashMap<K, V>,
     order: VecDeque<K>,
     cap: usize,
 }
@@ -35,24 +44,35 @@ pub(crate) struct BoundedMap<K, V> {
 impl<K: Eq + Hash + Copy, V> BoundedMap<K, V> {
     pub fn new(cap: usize) -> Self {
         BoundedMap {
-            map: HashMap::new(),
+            map: FxHashMap::default(),
             order: VecDeque::new(),
             cap,
         }
     }
 
-    /// Insert `k → v`, evicting the oldest keys beyond capacity. An
-    /// existing key is overwritten in place (its eviction slot stays).
+    /// Insert `k → v`, evicting the oldest slot once `cap` slots are
+    /// taken. An existing key is overwritten in place (its eviction slot
+    /// stays).
     pub fn insert(&mut self, k: K, v: V) {
         if self.map.insert(k, v).is_some() {
             return;
         }
-        self.order.push_back(k);
-        while self.order.len() > self.cap {
+        if self.order.len() == self.cap {
             if let Some(old) = self.order.pop_front() {
                 self.map.remove(&old);
             }
         }
+        self.order.push_back(k);
+    }
+
+    /// Remove a key, returning its value.
+    pub fn remove(&mut self, k: &K) -> Option<V> {
+        self.map.remove(k)
+    }
+
+    /// Number of keys held.
+    pub fn len(&self) -> usize {
+        self.map.len()
     }
 
     /// Look up a key.
@@ -118,7 +138,7 @@ pub(crate) struct EndpointState {
     pub is_head: bool,
     pub requests: BTreeMap<RequestId, ReqState>,
     pub demux: SymmetricDemux,
-    pub in_transit: HashMap<Correlator, InTransit>,
+    pub in_transit: FxHashMap<Correlator, InTransit>,
     /// Head-end only: admission control and bandwidth bookkeeping.
     pub policer: Policer,
     /// Whether the circuit's link request is live on our single link.
@@ -139,7 +159,7 @@ impl EndpointState {
             is_head,
             requests: BTreeMap::new(),
             demux: SymmetricDemux::new(),
-            in_transit: HashMap::new(),
+            in_transit: FxHashMap::default(),
             policer: Policer::new(max_eer),
             link_submitted: false,
             discard_records: BoundedMap::new(4096),
@@ -173,29 +193,34 @@ pub(crate) struct MidSide {
     /// the oldest unexpired pairs").
     pub queue: VecDeque<PendingPair>,
     /// TRACKs waiting for their pair's swap.
-    pub track: HashMap<Correlator, Track>,
-    /// Swap records waiting for their TRACK.
-    pub record: HashMap<Correlator, SwapRecord>,
+    pub track: FxHashMap<Correlator, Track>,
+    /// Swap records waiting for their TRACK. A chain that broke on the
+    /// far side (an end node discarded its pair unassigned, or the next
+    /// repeater's cutoff took it) sends no TRACK, so its record would
+    /// stay for the life of the circuit: the book keeps the newest
+    /// [`SWAP_RECORDS`], more than any committed workload holds.
+    pub record: BoundedMap<Correlator, SwapRecord>,
     /// Discard records (paper: "temporary discard record") for qubits
     /// dropped by the cutoff before their TRACK arrived. Kept (bounded)
     /// after the first matching TRACK so a duplicated TRACK re-bounces
     /// the EXPIRE instead of parking forever.
     pub expired: BoundedMap<Correlator, ()>,
-    /// Rewritten TRACKs this repeater already forwarded: a duplicated
-    /// TRACK (retransmission racing the ack, or a duplication fault)
-    /// finds its swap record consumed, so the stored copy is
-    /// re-forwarded verbatim.
-    pub relayed: BoundedMap<Correlator, Track>,
+    /// Rewritten TRACKs this repeater already forwarded, kept only where
+    /// the classical plane can deliver a TRACK twice (`None` elsewhere):
+    /// a duplicated TRACK (retransmission racing the ack, or a
+    /// duplication fault) finds its swap record consumed, so the stored
+    /// copy is re-forwarded verbatim.
+    pub relayed: Option<BoundedMap<Correlator, Track>>,
 }
 
 impl MidSide {
-    fn new() -> Self {
+    fn new(duplicate_tracks: bool) -> Self {
         MidSide {
             queue: VecDeque::new(),
-            track: HashMap::new(),
-            record: HashMap::new(),
+            track: FxHashMap::default(),
+            record: BoundedMap::new(SWAP_RECORDS),
             expired: BoundedMap::new(1024),
-            relayed: BoundedMap::new(1024),
+            relayed: duplicate_tracks.then(|| BoundedMap::new(1024)),
         }
     }
 }
@@ -214,28 +239,31 @@ pub(crate) struct MidState {
     /// Request ids currently counted in `active_requests` — lets a
     /// faulty plane's duplicated FORWARD/COMPLETE be absorbed without
     /// corrupting the count (the link would otherwise generate forever).
-    pub counted_requests: HashSet<RequestId>,
+    pub counted_requests: FxHashSet<RequestId>,
     /// Recently retired request ids: a FORWARD duplicate arriving after
     /// its COMPLETE must not resurrect the request.
     pub retired_requests: BoundedMap<RequestId, ()>,
     pub link_submitted: bool,
 }
 
-impl Default for MidState {
-    fn default() -> Self {
+impl MidState {
+    fn new(duplicate_tracks: bool) -> Self {
         MidState {
-            sides: [MidSide::new(), MidSide::new()],
+            sides: [
+                MidSide::new(duplicate_tracks),
+                MidSide::new(duplicate_tracks),
+            ],
             swapping: None,
             active_requests: 0,
-            counted_requests: HashSet::new(),
+            counted_requests: FxHashSet::default(),
             retired_requests: BoundedMap::new(1024),
             link_submitted: false,
         }
     }
 }
 
-/// Per-circuit state at one node. A repeater's state takes 824 bytes
-/// and an end node's 280, but both stay inline: boxing them raised
+/// Per-circuit state at one node. A repeater's state takes 744 bytes
+/// and an end node's 248, but both stay inline: boxing them raised
 /// `openworld_wire`'s peak memory from about 7.1 to 7.7 MiB in four of
 /// six runs, and saved no time.
 #[allow(clippy::large_enum_variant)]
@@ -306,7 +334,9 @@ pub struct NodeStats {
     /// Messages for circuits not installed at this node.
     pub unknown_circuit: u64,
     /// Duplicated TRACKs a repeater re-relayed from its bounded
-    /// relayed-TRACK memory (retransmissions racing their ack).
+    /// relayed-TRACK memory (retransmissions racing their ack, or
+    /// duplication faults). Always zero on a node built for a plane
+    /// that delivers each TRACK once, which keeps no such memory.
     pub duplicate_tracks_relayed: u64,
 }
 
@@ -339,16 +369,24 @@ impl NodeStats {
 /// The QNP protocol instance at one node.
 pub struct QnpNode {
     node: qn_sim::NodeId,
+    /// Whether a TRACK can reach this node twice (see [`QnpNode::new`]).
+    duplicate_tracks: bool,
     circuits: Circuits,
     /// Resilience counters (see [`NodeStats`]).
     pub stats: NodeStats,
 }
 
 impl QnpNode {
-    /// A node with no circuits installed.
-    pub fn new(node: qn_sim::NodeId) -> Self {
+    /// A node with no circuits installed. `duplicate_tracks` says
+    /// whether its classical plane can deliver the same TRACK twice (a
+    /// retransmitting or faulty plane). Only then do its repeater
+    /// circuits remember the TRACKs they relayed, so that a duplicate
+    /// is relayed again; on a plane that delivers each message once
+    /// nothing could read that memory.
+    pub fn new(node: qn_sim::NodeId, duplicate_tracks: bool) -> Self {
         QnpNode {
             node,
+            duplicate_tracks,
             circuits: Circuits::default(),
             stats: NodeStats::default(),
         }
@@ -376,7 +414,7 @@ impl QnpNode {
                     Role::TailEnd => {
                         CircuitState::Endpoint(EndpointState::new(false, entry.max_eer))
                     }
-                    Role::Intermediate => CircuitState::Mid(MidState::default()),
+                    Role::Intermediate => CircuitState::Mid(MidState::new(self.duplicate_tracks)),
                 };
                 self.circuits.insert(Circuit {
                     node: self.node,
@@ -507,6 +545,32 @@ impl QnpNode {
         match self.circuits.get(circuit).map(|c| &c.state) {
             Some(CircuitState::Endpoint(ep)) => ep.in_transit.len(),
             _ => 0,
+        }
+    }
+
+    /// Test/diagnostic access: swap records a repeater holds, over both
+    /// of its link sides.
+    pub fn swap_records_len(&self, circuit: CircuitId) -> usize {
+        self.mid(circuit)
+            .map_or(0, |m| m.sides.iter().map(|s| s.record.len()).sum())
+    }
+
+    /// Test/diagnostic access: relayed TRACKs a repeater remembers, over
+    /// both of its link sides.
+    pub fn relayed_tracks_len(&self, circuit: CircuitId) -> usize {
+        self.mid(circuit).map_or(0, |m| {
+            m.sides
+                .iter()
+                .filter_map(|s| s.relayed.as_ref())
+                .map(BoundedMap::len)
+                .sum()
+        })
+    }
+
+    fn mid(&self, circuit: CircuitId) -> Option<&MidState> {
+        match self.circuits.get(circuit).map(|c| &c.state) {
+            Some(CircuitState::Mid(m)) => Some(m),
+            _ => None,
         }
     }
 

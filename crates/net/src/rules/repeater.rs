@@ -71,7 +71,8 @@ pub(crate) fn link_rule(c: &mut Circuit, side: LinkSide, info: PairInfo, out: &m
 /// side, across the swap `rec` to the other side: the TRACK now names
 /// the pair continuing the chain and folds in its announced state and
 /// the swap outcome. The only writer of the relayed-TRACK memory, which
-/// keeps the rewritten copy for a duplicate of the same TRACK.
+/// keeps the rewritten copy for a duplicate of the same TRACK on a node
+/// that can receive one.
 fn relay(
     s: &mut MidSide,
     from: LinkSide,
@@ -84,7 +85,9 @@ fn relay(
     track.outcome_state = track
         .outcome_state
         .combine(rec.other.announced, rec.outcome);
-    s.relayed.insert(key, track);
+    if let Some(relayed) = &mut s.relayed {
+        relayed.insert(key, track);
+    }
     out.push(NetOutput::Send(from.opposite(), Message::Track(track)));
 }
 
@@ -131,10 +134,11 @@ pub(crate) fn swap_completed(
 ///
 /// Duplicated TRACKs (retransmissions racing their ack, or a
 /// duplication fault) find their swap record already consumed; the
-/// bounded relayed-TRACK memory re-forwards the stored rewritten copy
-/// so the duplicate still reaches the far end (which absorbs or
-/// re-acks it). Discard records are likewise *kept* after the first
-/// match so every duplicate re-bounces the EXPIRE.
+/// bounded relayed-TRACK memory, kept where duplicates can arrive,
+/// re-forwards the stored rewritten copy so the duplicate still reaches
+/// the far end (which absorbs or re-acks it). Discard records are
+/// likewise *kept* after the first match so every duplicate re-bounces
+/// the EXPIRE.
 pub(crate) fn track_rule(
     c: &mut Circuit,
     from: LinkSide,
@@ -146,7 +150,7 @@ pub(crate) fn track_rule(
     let key = track.link;
     if let Some(rec) = s.record.remove(&key) {
         relay(s, from, key, track, rec, out);
-    } else if let Some(fwd) = s.relayed.get(&key) {
+    } else if let Some(fwd) = s.relayed.as_ref().and_then(|r| r.get(&key)) {
         stats.duplicate_tracks_relayed += 1;
         out.push(NetOutput::Send(from.opposite(), Message::Track(*fwd)));
     } else if s.expired.contains_key(&key) {

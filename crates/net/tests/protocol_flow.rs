@@ -10,6 +10,7 @@
 use qn_net::events::{AppEvent, Delivery, DeliveryKind, NetInput, NetOutput, PairInfo};
 use qn_net::ids::{Address, CircuitId, Correlator, PairHandle, PairRef, RequestId};
 use qn_net::messages::{Expire, Message, Track};
+use qn_net::node::SWAP_RECORDS;
 use qn_net::request::{Demand, RequestType, UserRequest};
 use qn_net::routing_table::{DownstreamHop, LinkSide, RoutingEntry, UpstreamHop};
 use qn_net::QnpNode;
@@ -52,9 +53,12 @@ struct Harness {
 }
 
 impl Harness {
-    /// A linear circuit over `n` nodes (node ids 0..n-1, head = 0).
+    /// A linear circuit over `n` nodes (node ids 0..n-1, head = 0). The
+    /// harness delivers every message once, so no TRACK is duplicated.
     fn chain(n: usize) -> Self {
-        let mut nodes: Vec<QnpNode> = (0..n).map(|i| QnpNode::new(NodeId(i as u32))).collect();
+        let mut nodes: Vec<QnpNode> = (0..n)
+            .map(|i| QnpNode::new(NodeId(i as u32), false))
+            .collect();
         for (i, node) in nodes.iter_mut().enumerate() {
             let upstream = (i > 0).then(|| UpstreamHop {
                 node: NodeId((i - 1) as u32),
@@ -875,14 +879,15 @@ fn expire_relays_through_multiple_intermediates() {
 }
 
 /// Teardown at an end-node releases its in-transit pairs in ascending
-/// correlator order. The pairs sit in a std `HashMap`, whose hasher is
-/// seeded per instance, so two nodes holding the same pairs must still
-/// emit the same outputs: the order decides which qubits the runtime
-/// frees first, and it must be a function of the seed.
+/// correlator order, not in the order of the map that holds them: the
+/// order decides which qubits the runtime frees first, so it must not
+/// hang on the map's hasher or layout. The map iterates these eight
+/// correlators out of order, so the test fails if teardown stops
+/// sorting.
 #[test]
 fn teardown_releases_in_transit_pairs_in_correlator_order() {
     let teardown = |request_type: RequestType| {
-        let mut node = QnpNode::new(NodeId(0));
+        let mut node = QnpNode::new(NodeId(0), false);
         let mut outs = Vec::new();
         let entry = RoutingEntry {
             circuit: VC,
@@ -938,11 +943,6 @@ fn teardown_releases_in_transit_pairs_in_correlator_order() {
     };
     for request_type in [RequestType::Keep, RequestType::Early] {
         let outs = teardown(request_type);
-        assert_eq!(
-            format!("{outs:?}"),
-            format!("{:?}", teardown(request_type)),
-            "{request_type:?}: teardown output depends on the node instance"
-        );
         let released: Vec<u64> = outs
             .iter()
             .filter_map(|out| match out {
@@ -958,9 +958,10 @@ fn teardown_releases_in_transit_pairs_in_correlator_order() {
 }
 
 /// A repeater between node 0 (upstream) and node 2 (downstream),
-/// driven input by input.
-fn repeater() -> QnpNode {
-    let mut node = QnpNode::new(NodeId(1));
+/// driven input by input, on a classical plane that can deliver a TRACK
+/// twice if `duplicate_tracks`.
+fn repeater(duplicate_tracks: bool) -> QnpNode {
+    let mut node = QnpNode::new(NodeId(1), duplicate_tracks);
     let entry = RoutingEntry {
         circuit: VC,
         upstream: Some(UpstreamHop {
@@ -1038,19 +1039,20 @@ fn message_from(node: &mut QnpNode, from: LinkSide, msg: Message) -> Vec<NetOutp
     outs
 }
 
-/// A duplicated TRACK finds its swap record consumed; the repeater
-/// re-forwards the rewritten copy it relayed the first time, out of the
-/// opposite side, and counts it — on either side.
-#[test]
-fn repeater_relays_a_duplicate_track_on_either_side() {
-    let mut node = repeater();
-    let announced = [BellState::PSI_PLUS, BellState::PSI_MINUS];
-    let (up, _) = repeater_pair(&mut node, LinkSide::Upstream, 0, announced[0]);
-    let (down, outs) = repeater_pair(&mut node, LinkSide::Downstream, 1, announced[1]);
+/// Swap the repeater's pairs `seq` (upstream) and `seq + 1`
+/// (downstream) with `outcome`; returns their correlators and the
+/// completion's outputs.
+fn repeater_swap(
+    node: &mut QnpNode,
+    seq: u64,
+    announced: [BellState; 2],
+    outcome: BellState,
+) -> (Correlator, Correlator, Vec<NetOutput>) {
+    let (up, _) = repeater_pair(node, LinkSide::Upstream, seq, announced[0]);
+    let (down, outs) = repeater_pair(node, LinkSide::Downstream, seq + 1, announced[1]);
     assert!(outs
         .iter()
         .any(|o| matches!(o, NetOutput::StartSwap { .. })));
-    let outcome = BellState::PHI_MINUS;
     let mut outs = Vec::new();
     node.handle(
         NetInput::SwapCompleted {
@@ -1058,10 +1060,22 @@ fn repeater_relays_a_duplicate_track_on_either_side() {
             up,
             down,
             outcome,
-            new_handle: PairHandle(99),
+            new_handle: PairHandle(seq),
         },
         &mut outs,
     );
+    (up, down, outs)
+}
+
+/// A duplicated TRACK finds its swap record consumed; the repeater
+/// re-forwards the rewritten copy it relayed the first time, out of the
+/// opposite side, and counts it — on either side.
+#[test]
+fn repeater_relays_a_duplicate_track_on_either_side() {
+    let mut node = repeater(true);
+    let announced = [BellState::PSI_PLUS, BellState::PSI_MINUS];
+    let outcome = BellState::PHI_MINUS;
+    let (up, down, outs) = repeater_swap(&mut node, 0, announced, outcome);
     assert!(
         outs.is_empty(),
         "no TRACK waited, so only records: {outs:?}"
@@ -1098,6 +1112,78 @@ fn repeater_relays_a_duplicate_track_on_either_side() {
         assert_eq!(node.stats.duplicate_tracks_relayed, relayed);
     }
     assert_eq!(node.stats.total(), relayed);
+    assert_eq!(node.relayed_tracks_len(VC), 2);
+}
+
+/// On a plane that delivers each TRACK once, the repeater relays a TRACK
+/// from either side across its swap and keeps no copy of it: no
+/// duplicate could ever read one.
+#[test]
+fn repeater_keeps_no_relayed_tracks_without_duplicates() {
+    let mut node = repeater(false);
+    let announced = [BellState::PSI_PLUS, BellState::PSI_MINUS];
+    let outcome = BellState::PHI_MINUS;
+    let (up, down, _) = repeater_swap(&mut node, 0, announced, outcome);
+    assert_eq!(node.swap_records_len(VC), 2);
+    for (from, here, there) in [
+        (LinkSide::Upstream, (up, announced[0]), (down, announced[1])),
+        (
+            LinkSide::Downstream,
+            (down, announced[1]),
+            (up, announced[0]),
+        ),
+    ] {
+        let track = track_for(here.0, here.1);
+        let expected = Track {
+            link: there.0,
+            outcome_state: here.1.combine(there.1, outcome),
+            ..track
+        };
+        match &message_from(&mut node, from, Message::Track(track))[..] {
+            [NetOutput::Send(side, Message::Track(t))] => {
+                assert_eq!((*side, *t), (from.opposite(), expected), "from {from:?}")
+            }
+            outs => panic!("TRACK from {from:?}: {outs:?}"),
+        }
+    }
+    assert_eq!(node.swap_records_len(VC), 0);
+    assert_eq!(node.relayed_tracks_len(VC), 0);
+    assert_eq!(node.stats.total(), 0);
+}
+
+/// A swap record whose chain broke on the far side never meets its
+/// TRACK. Each side keeps only the newest `SWAP_RECORDS`, so a circuit
+/// that outlives more broken chains than that holds no more: the oldest
+/// records go first, and the newest still relays its TRACK.
+#[test]
+fn repeater_swap_records_stay_bounded_over_broken_chains() {
+    let mut node = repeater(false);
+    let announced = [BellState::PHI_PLUS; 2];
+    let chains: Vec<_> = (0..SWAP_RECORDS as u64 + 100)
+        .map(|chain| {
+            let (up, down, outs) =
+                repeater_swap(&mut node, 2 * chain, announced, BellState::PHI_PLUS);
+            assert!(outs.is_empty(), "{outs:?}");
+            (up, down)
+        })
+        .collect();
+    assert_eq!(node.swap_records_len(VC), 2 * SWAP_RECORDS);
+    let track_from_upstream = |node: &mut QnpNode, up| {
+        message_from(
+            node,
+            LinkSide::Upstream,
+            Message::Track(track_for(up, BellState::PHI_PLUS)),
+        )
+    };
+    let outs = track_from_upstream(&mut node, chains[0].0);
+    assert!(outs.is_empty(), "the oldest record is gone: {outs:?}");
+    let (up, down) = chains[chains.len() - 1];
+    let outs = track_from_upstream(&mut node, up);
+    assert!(
+        matches!(&outs[..], [NetOutput::Send(LinkSide::Downstream, Message::Track(t))] if t.link == down),
+        "{outs:?}"
+    );
+    assert_eq!(node.swap_records_len(VC), 2 * SWAP_RECORDS - 1);
 }
 
 /// A TRACK for a pair the cutoff discarded bounces an EXPIRE back
@@ -1105,7 +1191,7 @@ fn repeater_relays_a_duplicate_track_on_either_side() {
 /// kept after the first match — on either side.
 #[test]
 fn tracks_for_a_discarded_pair_bounce_expires_on_either_side() {
-    let mut node = repeater();
+    let mut node = repeater(true);
     for (seq, from) in LinkSide::BOTH.into_iter().enumerate() {
         let (corr, outs) = repeater_pair(&mut node, from, seq as u64, BellState::PSI_PLUS);
         assert!(

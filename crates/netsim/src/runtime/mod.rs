@@ -140,6 +140,16 @@ pub struct RuntimeConfig {
     pub fault_plan: FaultPlan,
 }
 
+impl RuntimeConfig {
+    /// Whether a QNP node can receive the same TRACK twice: wire-borne
+    /// signalling retransmits TRACKs held at a repeater even on a
+    /// fault-free wire, and a faulty plane duplicates or corrupts
+    /// frames. Only then do repeaters keep their relayed-TRACK memory.
+    fn duplicate_tracks(&self) -> bool {
+        self.signalling_on_wire || self.faults.enabled()
+    }
+}
+
 impl Default for RuntimeConfig {
     fn default() -> Self {
         RuntimeConfig {
@@ -517,7 +527,7 @@ impl NetworkModel {
                 None => QDevice::per_link(*id, &links, COMM_PER_LINK, params),
             };
             nodes.push(NodeRt {
-                qnp: QnpNode::new(*id),
+                qnp: QnpNode::new(*id, cfg.duplicate_tracks()),
                 device,
                 up: true,
             });

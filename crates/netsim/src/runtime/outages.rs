@@ -98,7 +98,7 @@ impl NetworkModel {
         // arriving after restart hit a fresh instance and are absorbed
         // (and counted) by the anomaly rules.
         let stats = self.nodes[idx].qnp.stats;
-        self.nodes[idx].qnp = QnpNode::new(node);
+        self.nodes[idx].qnp = QnpNode::new(node, self.cfg.duplicate_tracks());
         self.nodes[idx].qnp.stats = stats;
         // Reclaim every pair end the node still holds (memory power
         // loss): the far ends of swapped chains survive, depolarised.
