@@ -403,31 +403,6 @@ impl PairStore {
         }
     }
 
-    /// Oracle (bulk): true fidelities of all live pairs at `now`, in one
-    /// decoherence sweep, appended to `out` in slot order. The caller
-    /// owns (and reuses) the scratch buffer — the sweep itself never
-    /// allocates. Diagnostic counterpart of [`fidelity_to`].
-    ///
-    /// [`fidelity_to`]: PairStore::fidelity_to
-    pub fn fidelities_at(
-        &mut self,
-        expected: BellState,
-        now: SimTime,
-        out: &mut Vec<(PairId, f64)>,
-    ) {
-        self.advance_all(now);
-        out.clear();
-        for (i, m) in self.meta.iter().enumerate() {
-            if !m.live {
-                continue;
-            }
-            out.push((
-                PairId::from_parts(i as u32, m.generation),
-                self.states[i].fidelity_bell(expected),
-            ));
-        }
-    }
-
     /// Oracle: the true fidelity of the pair to `expected` at time `now`.
     ///
     /// Used only by the Fig 10 baseline and by validation tests — the QNP
@@ -776,24 +751,6 @@ mod tests {
         assert!(store.fully_measured(a));
         assert_eq!(store.get(b).unwrap().announced, BellState::PSI_MINUS);
         assert_eq!(store.len(), 1);
-    }
-
-    #[test]
-    fn fidelities_at_reuses_scratch_in_slot_order() {
-        let mut store = PairStore::new(StateRep::Bell);
-        let a = mk_pair(&mut store, 60.0, BellState::PHI_PLUS, SimTime::ZERO);
-        let b = mk_pair(&mut store, 60.0, BellState::PHI_PLUS, SimTime::ZERO);
-        let mut out = vec![(PairId(99), 0.0)]; // stale content is cleared
-        store.fidelities_at(BellState::PHI_PLUS, SimTime::ZERO, &mut out);
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0].0, a);
-        assert_eq!(out[1].0, b);
-        assert!((out[0].1 - 1.0).abs() < 1e-12);
-        // Free the first slot: the scratch shrinks and stays slot-ordered.
-        store.discard(a);
-        store.fidelities_at(BellState::PHI_PLUS, SimTime::ZERO, &mut out);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].0, b);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! responsible for turning effects into scheduled events, physical
 //! operations and message transmissions.
 
-use crate::ids::{Address, CircuitId, Correlator, PairHandle, PairRef, RequestId};
+use crate::ids::{Address, CircuitId, Correlator, RequestId};
 use crate::messages::Message;
 use crate::request::UserRequest;
 use crate::routing_table::{LinkSide, RoutingEntry};
@@ -17,8 +17,8 @@ use qn_sim::SimDuration;
 /// A link-layer pair as seen by the network layer at one node.
 #[derive(Clone, Copy, Debug)]
 pub struct PairInfo {
-    /// Correlator + runtime handle.
-    pub pair: PairRef,
+    /// The pair's correlator.
+    pub pair: Correlator,
     /// The Bell state announced by the link layer.
     pub announced: BellState,
 }
@@ -78,8 +78,6 @@ pub enum NetInput {
         down: Correlator,
         /// The announced two-bit outcome.
         outcome: BellState,
-        /// Handle of the newly joined pair.
-        new_handle: PairHandle,
     },
     /// The runtime finished a measurement requested via
     /// [`NetOutput::MeasureNow`].
@@ -151,7 +149,7 @@ pub enum DeliveryKind {
     /// A live qubit confirmed by tracking (KEEP requests).
     Qubit {
         /// The delivered pair end.
-        pair: PairRef,
+        pair: Correlator,
         /// The pair's Bell state (post-correction for final-state
         /// requests).
         state: BellState,
@@ -160,7 +158,7 @@ pub enum DeliveryKind {
     /// requests); the application owns error handling from here on.
     EarlyQubit {
         /// The delivered pair end.
-        pair: PairRef,
+        pair: Correlator,
         /// The link-level announced state at delivery time (the
         /// end-to-end state arrives later as [`DeliveryKind::EarlyTracking`]).
         state: BellState,
@@ -168,7 +166,7 @@ pub enum DeliveryKind {
     /// Tracking information for a qubit already delivered early.
     EarlyTracking {
         /// The previously delivered pair.
-        pair: PairRef,
+        pair: Correlator,
         /// The confirmed Bell state.
         state: BellState,
     },
@@ -232,7 +230,7 @@ pub enum AppEvent {
         /// The affected request.
         request: RequestId,
         /// The affected pair.
-        pair: PairRef,
+        pair: Correlator,
     },
     /// The circuit was torn down; outstanding requests aborted.
     CircuitDown(CircuitId),
@@ -274,14 +272,14 @@ pub enum NetOutput {
     /// [`NetInput::SwapCompleted`]).
     StartSwap {
         /// The upstream-link pair.
-        up: PairRef,
+        up: Correlator,
         /// The downstream-link pair.
-        down: PairRef,
+        down: Correlator,
     },
     /// Arm a cutoff timer for a pair held at this node.
     SetCutoff {
         /// The pair to watch.
-        pair: PairRef,
+        pair: Correlator,
         /// Which link it belongs to.
         side: LinkSide,
         /// Fire after this long.
@@ -290,19 +288,19 @@ pub enum NetOutput {
     /// Disarm the pair's cutoff timer (it is about to be consumed).
     CancelCutoff {
         /// The pair whose timer to cancel.
-        pair: PairRef,
+        pair: Correlator,
     },
     /// Free the pair's qubits (cutoff discard, cross-check failure,
     /// expiry notification).
     DiscardPair {
         /// The pair to discard.
-        pair: PairRef,
+        pair: Correlator,
     },
     /// Measure the local end of the pair now (MEASURE requests); report
     /// back with [`NetInput::MeasureCompleted`].
     MeasureNow {
         /// The pair to measure.
-        pair: PairRef,
+        pair: Correlator,
         /// Measurement basis.
         basis: Pauli,
     },
@@ -310,7 +308,7 @@ pub enum NetOutput {
     /// requests at the head-end).
     ApplyCorrection {
         /// The pair to correct.
-        pair: PairRef,
+        pair: Correlator,
         /// The Pauli to apply.
         pauli: Pauli,
     },

@@ -43,7 +43,10 @@ impl fmt::Display for Address {
 }
 
 /// The link-pair correlator (Appendix C.1): the link layer's entanglement
-/// identifier, meaningful to the pair of nodes sharing the link.
+/// identifier, meaningful to the pair of nodes sharing the link. It is a
+/// held pair end's only name at the QNP boundary: every input and output
+/// that concerns a pair names it by the correlator of its link pair at
+/// that node, and the runtime resolves it to the physical pair.
 pub type Correlator = EntanglementId;
 
 /// An epoch: a version of the set of active requests on a circuit
@@ -62,23 +65,6 @@ impl fmt::Display for Epoch {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "e{}", self.0)
     }
-}
-
-/// Opaque handle to a physical pair held by the runtime (maps to the
-/// hardware pair store). The protocol state machine passes it through to
-/// outputs so the runtime can act on the right qubits; it never
-/// interprets it.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct PairHandle(pub u64);
-
-/// A reference to a pair the protocol holds on some circuit: its
-/// link-layer correlator plus the runtime handle.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct PairRef {
-    /// Link-layer correlator of the pair on its link.
-    pub correlator: Correlator,
-    /// Runtime handle to the physical pair.
-    pub handle: PairHandle,
 }
 
 #[cfg(test)]

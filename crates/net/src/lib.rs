@@ -50,7 +50,7 @@ pub mod wire;
 
 pub use demux::SymmetricDemux;
 pub use events::{AppEvent, Delivery, DeliveryKind, NetInput, NetOutput, PairInfo};
-pub use ids::{Address, CircuitId, Correlator, Epoch, PairHandle, PairRef, RequestId};
+pub use ids::{Address, CircuitId, Correlator, Epoch, RequestId};
 pub use messages::{Complete, Expire, Forward, Message, Track, TrackAck};
 pub use node::{NodeStats, QnpNode};
 pub use policing::{AdmitDecision, Policer};

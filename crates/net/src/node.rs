@@ -12,7 +12,7 @@
 use crate::demux::SymmetricDemux;
 use crate::events::{NetInput, NetOutput};
 use crate::fxhash::{FxHashMap, FxHashSet};
-use crate::ids::{CircuitId, Correlator, Epoch, PairRef, RequestId};
+use crate::ids::{CircuitId, Correlator, Epoch, RequestId};
 use crate::messages::Track;
 use crate::policing::Policer;
 use crate::request::RequestType;
@@ -121,7 +121,7 @@ impl ReqState {
 #[derive(Clone, Debug)]
 pub(crate) struct InTransit {
     pub request: RequestId,
-    pub pair: PairRef,
+    pub pair: Correlator,
     /// Epoch stamped on the head-originated TRACK (head-end only).
     pub epoch: Epoch,
     pub delivered_early: bool,
@@ -170,7 +170,7 @@ impl EndpointState {
 /// A pair queued at a repeater awaiting its matching pair.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct PendingPair {
-    pub pair: PairRef,
+    pub pair: Correlator,
     pub announced: BellState,
 }
 
@@ -468,10 +468,9 @@ impl QnpNode {
                 up,
                 down,
                 outcome,
-                new_handle,
             } => {
                 if let Some(c) = self.circuits.get_mut(circuit) {
-                    crate::rules::repeater::swap_completed(c, up, down, outcome, new_handle, out);
+                    crate::rules::repeater::swap_completed(c, up, down, outcome, out);
                 }
             }
             NetInput::MeasureCompleted {
@@ -535,7 +534,7 @@ impl QnpNode {
                 .iter()
                 .flat_map(|s| &s.queue)
                 .chain(m.swapping.iter().flatten())
-                .any(|p| p.pair.correlator == correlator),
+                .any(|p| p.pair == correlator),
             None => false,
         }
     }

@@ -284,7 +284,7 @@ pub(crate) fn link_rule(
         // peer's TRACK for this chain — if one ever arrives — is answered
         // with an EXPIRE instead of leaking the peer's assignment slot.
         out.push(NetOutput::DiscardPair { pair: info.pair });
-        ep.discard_records.insert(info.pair.correlator, ());
+        ep.discard_records.insert(info.pair, ());
         return;
     };
     let epoch = if is_head { ep.demux.latest() } else { Epoch(0) };
@@ -298,8 +298,8 @@ pub(crate) fn link_rule(
         request: req_id,
         head_identifier: req.head_identifier,
         tail_identifier: req.tail_identifier,
-        origin: info.pair.correlator,
-        link: info.pair.correlator,
+        origin: info.pair,
+        link: info.pair,
         outcome_state: info.announced,
         epoch: if is_head { Some(epoch) } else { None },
     };
@@ -345,7 +345,7 @@ pub(crate) fn link_rule(
             it.awaiting_measure = true;
         }
     }
-    ep.in_transit.insert(info.pair.correlator, it);
+    ep.in_transit.insert(info.pair, it);
 }
 
 /// TRACK rule at an end-node (Algorithm 2 at the head, Algorithm 5 at
@@ -513,13 +513,13 @@ fn finish_delivery(
     // ends compute the same tuple.
     let chain = Some(if is_head {
         crate::events::ChainId {
-            head: it.pair.correlator,
+            head: it.pair,
             tail: track.origin,
         }
     } else {
         crate::events::ChainId {
             head: track.origin,
-            tail: it.pair.correlator,
+            tail: it.pair,
         }
     });
 

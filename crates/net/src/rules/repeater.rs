@@ -13,7 +13,7 @@
 //! consumed (a strictly safer reading of the same mechanism).
 
 use crate::events::{NetOutput, PairInfo};
-use crate::ids::{Correlator, PairHandle};
+use crate::ids::Correlator;
 use crate::messages::{Complete, Expire, Forward, Message, Track};
 use crate::node::{Circuit, CircuitState, MidSide, MidState, NodeStats, PendingPair, SwapRecord};
 use crate::policing::link_weight;
@@ -81,7 +81,7 @@ fn relay(
     rec: SwapRecord,
     out: &mut Vec<NetOutput>,
 ) {
-    track.link = rec.other.pair.correlator;
+    track.link = rec.other.pair;
     track.outcome_state = track
         .outcome_state
         .combine(rec.other.announced, rec.outcome);
@@ -100,7 +100,6 @@ pub(crate) fn swap_completed(
     up: Correlator,
     down: Correlator,
     outcome: BellState,
-    new_handle: PairHandle,
     out: &mut Vec<NetOutput>,
 ) {
     let m = mid(c);
@@ -108,12 +107,11 @@ pub(crate) fn swap_completed(
         debug_assert!(false, "swap completion without in-flight swap");
         return;
     };
-    debug_assert_eq!(pairs[0].pair.correlator, up);
-    debug_assert_eq!(pairs[1].pair.correlator, down);
-    let _ = new_handle; // the joined pair's ends live at other nodes
+    debug_assert_eq!(pairs[0].pair, up);
+    debug_assert_eq!(pairs[1].pair, down);
 
     for side in LinkSide::BOTH {
-        let key = pairs[side as usize].pair.correlator;
+        let key = pairs[side as usize].pair;
         let rec = SwapRecord {
             other: pairs[side.opposite() as usize],
             outcome,
@@ -176,7 +174,7 @@ pub(crate) fn cutoff_expired(
     out: &mut Vec<NetOutput>,
 ) {
     let queue = &mut mid(c).sides[side as usize].queue;
-    let Some(pos) = queue.iter().position(|p| p.pair.correlator == correlator) else {
+    let Some(pos) = queue.iter().position(|p| p.pair == correlator) else {
         // Already consumed by a swap (timer raced the cancel) — ignore.
         return;
     };

@@ -8,7 +8,7 @@
 //! would only produce rarely.
 
 use qn_net::events::{AppEvent, Delivery, DeliveryKind, NetInput, NetOutput, PairInfo};
-use qn_net::ids::{Address, CircuitId, Correlator, PairHandle, PairRef, RequestId};
+use qn_net::ids::{Address, CircuitId, Correlator, RequestId};
 use qn_net::messages::{Expire, Message, Track};
 use qn_net::node::SWAP_RECORDS;
 use qn_net::request::{Demand, RequestType, UserRequest};
@@ -38,18 +38,17 @@ struct Harness {
     /// Auto-complete swaps as soon as they start.
     auto_swap: bool,
     /// Pending measurements (node, pair, basis).
-    pending_measures: VecDeque<(usize, PairRef, Pauli)>,
+    pending_measures: VecDeque<(usize, Correlator, Pauli)>,
     auto_measure: Option<bool>,
     // Observed effects.
     deliveries: Vec<(usize, Delivery)>,
     notifications: Vec<(usize, AppEvent)>,
-    discards: Vec<(usize, PairRef)>,
+    discards: Vec<(usize, Correlator)>,
     link_submits: Vec<(usize, LinkSide)>,
     link_stops: Vec<(usize, LinkSide)>,
     armed_cutoffs: HashMap<Correlator, (usize, LinkSide)>,
     sent_messages: Vec<(usize, &'static str)>,
     next_seq: u64,
-    next_handle: u64,
 }
 
 impl Harness {
@@ -97,7 +96,6 @@ impl Harness {
             armed_cutoffs: HashMap::new(),
             sent_messages: Vec::new(),
             next_seq: 0,
-            next_handle: 0,
         }
     }
 
@@ -113,18 +111,13 @@ impl Harness {
     }
 
     /// Inject a link pair on link (i, i+1) of the chain.
-    fn link_pair(&mut self, link: usize, announced: BellState) -> PairRef {
-        let corr = Correlator {
+    fn link_pair(&mut self, link: usize, announced: BellState) -> Correlator {
+        let pair = Correlator {
             node_a: NodeId(link as u32),
             node_b: NodeId((link + 1) as u32),
             seq: self.next_seq,
         };
         self.next_seq += 1;
-        let pair = PairRef {
-            correlator: corr,
-            handle: PairHandle(self.next_handle),
-        };
-        self.next_handle += 1;
         let info = PairInfo { pair, announced };
         self.queue.push_back((
             link,
@@ -168,8 +161,6 @@ impl Harness {
             .swap_outcomes
             .pop_front()
             .unwrap_or(BellState::PHI_PLUS);
-        let handle = PairHandle(1_000_000 + self.next_handle);
-        self.next_handle += 1;
         self.queue.push_back((
             swap.node,
             NetInput::SwapCompleted {
@@ -177,7 +168,6 @@ impl Harness {
                 up: swap.up,
                 down: swap.down,
                 outcome,
-                new_handle: handle,
             },
         ));
         self.drive();
@@ -192,7 +182,7 @@ impl Harness {
             node,
             NetInput::MeasureCompleted {
                 circuit: VC,
-                correlator: pair.correlator,
+                correlator: pair,
                 outcome,
             },
         ));
@@ -214,8 +204,6 @@ impl Harness {
                         .swap_outcomes
                         .pop_front()
                         .unwrap_or(BellState::PHI_PLUS);
-                    let handle = PairHandle(1_000_000 + self.next_handle);
-                    self.next_handle += 1;
                     self.queue.push_back((
                         swap.node,
                         NetInput::SwapCompleted {
@@ -223,7 +211,6 @@ impl Harness {
                             up: swap.up,
                             down: swap.down,
                             outcome,
-                            new_handle: handle,
                         },
                     ));
                 }
@@ -234,7 +221,7 @@ impl Harness {
                         node,
                         NetInput::MeasureCompleted {
                             circuit: VC,
-                            correlator: pair.correlator,
+                            correlator: pair,
                             outcome,
                         },
                     ));
@@ -265,15 +252,15 @@ impl Harness {
             NetOutput::StartSwap { up, down } => {
                 self.pending_swaps.push_back(PendingSwap {
                     node: node_idx,
-                    up: up.correlator,
-                    down: down.correlator,
+                    up,
+                    down,
                 });
             }
             NetOutput::SetCutoff { pair, side, .. } => {
-                self.armed_cutoffs.insert(pair.correlator, (node_idx, side));
+                self.armed_cutoffs.insert(pair, (node_idx, side));
             }
             NetOutput::CancelCutoff { pair } => {
-                self.armed_cutoffs.remove(&pair.correlator);
+                self.armed_cutoffs.remove(&pair);
             }
             NetOutput::MeasureNow { pair, basis } => {
                 self.pending_measures.push_back((node_idx, pair, basis));
@@ -444,10 +431,10 @@ fn cutoff_discard_generates_expire_and_frees_both_ends() {
     // Pair on link 0 only; the repeater (node 1) holds a qubit with a
     // cutoff armed; both end TRACKs … head's TRACK sits at node 1.
     let pair = h.link_pair(0, BellState::PSI_PLUS);
-    assert!(h.armed_cutoffs.contains_key(&pair.correlator));
+    assert!(h.armed_cutoffs.contains_key(&pair));
     // Cutoff fires: node 1 discards and (TRACK already arrived) bounces
     // EXPIRE back to the head.
-    h.fire_cutoff(pair.correlator);
+    h.fire_cutoff(pair);
     // Node 1 discarded its view of the pair; the head discarded its end.
     assert_eq!(h.discards.len(), 2);
     assert!(h.discards.iter().any(|(n, _)| *n == 1));
@@ -474,12 +461,8 @@ fn cutoff_before_track_uses_discard_record() {
         node_b: NodeId(1),
         seq: 999,
     };
-    let pair = PairRef {
-        correlator: corr,
-        handle: PairHandle(999),
-    };
     let info = PairInfo {
-        pair,
+        pair: corr,
         announced: BellState::PSI_PLUS,
     };
     // Node 1 (repeater) learns of the pair first.
@@ -593,7 +576,7 @@ fn early_pair_expiry_notifies_app_instead_of_discarding() {
     h.submit_request(req);
     let pair = h.link_pair(0, BellState::PSI_PLUS);
     assert_eq!(h.deliveries_at(0).len(), 1, "early qubit handed out");
-    h.fire_cutoff(pair.correlator);
+    h.fire_cutoff(pair);
     // The head must NOT discard a qubit the app owns; it notifies instead.
     assert!(h.discards.iter().all(|(n, _)| *n != 0));
     assert!(h.notifications.iter().any(|(n, ev)| *n == 0
@@ -823,9 +806,9 @@ fn middle_link_expiry_breaks_only_the_affected_side() {
     let p1 = h.link_pair(1, BellState::PSI_PLUS);
     // Swap happened at node 1 (auto); node 2 still holds its end of p1
     // in the upstream queue with a cutoff armed.
-    assert!(h.armed_cutoffs.contains_key(&p1.correlator));
+    assert!(h.armed_cutoffs.contains_key(&p1));
     let discards_before = h.discards.len();
-    h.fire_cutoff(p1.correlator);
+    h.fire_cutoff(p1);
     // Node 2 discarded its end; the head's TRACK (waiting at node 2)
     // converts into an EXPIRE that travels to node 0 which frees its end.
     assert!(h.discards.len() >= discards_before + 2);
@@ -860,7 +843,7 @@ fn expire_relays_through_multiple_intermediates() {
     let p = h.link_pair(2, BellState::PSI_PLUS);
     // Chain now spans nodes 0..3 (two swaps done); node 3 holds the end
     // of p with a cutoff armed, and the head's TRACK waits there.
-    h.fire_cutoff(p.correlator);
+    h.fire_cutoff(p);
     // The EXPIRE must traverse nodes 2 and 1 on its way to the head.
     let expire_hops: Vec<usize> = h
         .sent_messages
@@ -915,13 +898,10 @@ fn teardown_releases_in_transit_pairs_in_correlator_order() {
         );
         // Announced out of correlator order.
         for seq in [5u64, 2, 7, 0, 3, 6, 1, 4] {
-            let pair = PairRef {
-                correlator: Correlator {
-                    node_a: NodeId(0),
-                    node_b: NodeId(1),
-                    seq,
-                },
-                handle: PairHandle(seq),
+            let pair = Correlator {
+                node_a: NodeId(0),
+                node_b: NodeId(1),
+                seq,
             };
             let info = PairInfo {
                 pair,
@@ -947,9 +927,7 @@ fn teardown_releases_in_transit_pairs_in_correlator_order() {
             .iter()
             .filter_map(|out| match out {
                 NetOutput::DiscardPair { pair }
-                | NetOutput::Notify(AppEvent::EarlyPairExpired { pair, .. }) => {
-                    Some(pair.correlator.seq)
-                }
+                | NetOutput::Notify(AppEvent::EarlyPairExpired { pair, .. }) => Some(pair.seq),
                 _ => None,
             })
             .collect();
@@ -1000,10 +978,7 @@ fn repeater_pair(
         seq,
     };
     let info = PairInfo {
-        pair: PairRef {
-            correlator,
-            handle: PairHandle(seq),
-        },
+        pair: correlator,
         announced,
     };
     let mut outs = Vec::new();
@@ -1060,7 +1035,6 @@ fn repeater_swap(
             up,
             down,
             outcome,
-            new_handle: PairHandle(seq),
         },
         &mut outs,
     );
@@ -1209,7 +1183,7 @@ fn tracks_for_a_discarded_pair_bounce_expires_on_either_side() {
             &mut outs,
         );
         assert!(
-            matches!(&outs[..], [NetOutput::DiscardPair { pair }] if pair.correlator == corr),
+            matches!(&outs[..], [NetOutput::DiscardPair { pair }] if *pair == corr),
             "{outs:?}"
         );
         let track = track_for(corr, BellState::PSI_PLUS);

@@ -42,7 +42,7 @@ pub struct DeliveryRecord {
     pub frame_error: Option<bool>,
 }
 
-/// Delivery payload, mirroring [`DeliveryKind`] without handles.
+/// Delivery payload, mirroring [`DeliveryKind`] without the pair end.
 #[derive(Clone, Copy, Debug)]
 pub enum Payload {
     /// A confirmed qubit (KEEP).

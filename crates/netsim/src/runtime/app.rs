@@ -19,12 +19,7 @@ impl NetworkModel {
     ) {
         let head = self.circuit_rt(circuit).expect("circuit installed").path[0];
         self.app.submitted.insert((circuit, request.id), ctx.now());
-        self.qnp_input(
-            ctx,
-            head,
-            circuit,
-            NetInput::UserRequest { circuit, request },
-        );
+        self.qnp_input(ctx, head, NetInput::UserRequest { circuit, request });
     }
 
     /// Cancel a request at the circuit's head-end.
@@ -35,12 +30,7 @@ impl NetworkModel {
         request: RequestId,
     ) {
         let head = self.circuit_rt(circuit).expect("circuit installed").path[0];
-        self.qnp_input(
-            ctx,
-            head,
-            circuit,
-            NetInput::CancelRequest { circuit, request },
-        );
+        self.qnp_input(ctx, head, NetInput::CancelRequest { circuit, request });
     }
 
     /// Tear a circuit down at every node: the QNP aborts requests and
@@ -55,7 +45,7 @@ impl NetworkModel {
         };
         let path = rt.path.clone();
         for node in path {
-            self.qnp_input(ctx, node, circuit, NetInput::TeardownCircuit { circuit });
+            self.qnp_input(ctx, node, NetInput::TeardownCircuit { circuit });
         }
         self.trace.record(
             ctx.now(),
@@ -96,7 +86,7 @@ impl NetworkModel {
             // requests the tail can deliver before the head's physical
             // correction lands — transiently "inconsistent" by design.
             DeliveryKind::Qubit { pair, state } | DeliveryKind::EarlyTracking { pair, state } => {
-                let pid = self.qubit_owner.get(node, pair.correlator);
+                let pid = self.qubit_owner.get(node, *pair);
                 match pid {
                     Some(pid) => {
                         let frames = self.pairs.get(pid).map(|p| (p.announced, p.true_frame));
@@ -146,7 +136,7 @@ impl NetworkModel {
             if let DeliveryKind::Qubit { pair, .. } | DeliveryKind::EarlyTracking { pair, .. } =
                 &delivery.kind
             {
-                self.release_end(ctx, node, pair.correlator, false);
+                self.release_end(ctx, node, *pair, false);
             }
         }
     }

@@ -7,7 +7,7 @@ use qn_hardware::device::QubitId;
 use qn_hardware::pairs::PairId;
 use qn_link::LinkEvent;
 use qn_net::events::{NetInput, PairInfo};
-use qn_net::ids::{CircuitId, Correlator, PairHandle, PairRef};
+use qn_net::ids::CircuitId;
 use qn_net::routing_table::LinkSide;
 use qn_sim::{Context, LinkId, NodeId, SimDuration, TraceKind};
 
@@ -79,15 +79,9 @@ impl NetworkModel {
             announced,
             [(na, qa, t1a, t2a), (nb, qb, t1b, t2b)],
         );
-        let correlator = Correlator {
-            node_a: pair.id.node_a,
-            node_b: pair.id.node_b,
-            seq: pair.id.seq,
-        };
+        let correlator = pair.id;
         self.qubit_owner.insert(na, correlator, pid);
         self.qubit_owner.insert(nb, correlator, pid);
-        self.refs
-            .insert_pair(pid, (na, correlator), (nb, correlator));
         self.trace.record(
             ctx.now(),
             TraceKind::LinkPair,
@@ -105,22 +99,16 @@ impl NetworkModel {
             .params()
             .nuclear_dephasing_per_attempt(pair.alpha);
         if lambda_per > 0.0 {
+            // Coherence decays per attempt: λ_total = (1−(1−2λ)^k)/2.
+            let lambda_total =
+                0.5 * (1.0 - (1.0 - 2.0 * lambda_per).powi(inflight.attempts.min(1 << 30) as i32));
             for node in [na, nb] {
-                // Slot-ordered scan: deterministic, unlike the hash map
-                // iteration this replaced (the dephasing applications
-                // commute, but observable order must never depend on
-                // hasher state).
-                let victims: Vec<PairId> = self
-                    .refs
-                    .iter()
-                    .filter(|(p, ends)| *p != pid && ends.iter().any(|(n, _)| *n == node))
-                    .map(|(p, _)| p)
-                    .collect();
-                // Coherence decays per attempt: λ_total = (1−(1−2λ)^k)/2.
-                let lambda_total = 0.5
-                    * (1.0 - (1.0 - 2.0 * lambda_per).powi(inflight.attempts.min(1 << 30) as i32));
-                for v in victims {
-                    self.pairs.apply_dephasing(v, node, lambda_total);
+                // Every other pair end the node holds; each application
+                // touches one pair only, so the row's order is harmless.
+                for &(_, victim) in self.qubit_owner.row(node) {
+                    if victim != pid {
+                        self.pairs.apply_dephasing(victim, node, lambda_total);
+                    }
                 }
             }
         }
@@ -139,10 +127,7 @@ impl NetworkModel {
         let circuit = info.circuit;
         let orphan_after = RETRANSMIT_BASE.max(self.links[link.0 as usize].latency * 2);
         let pair_info = PairInfo {
-            pair: PairRef {
-                correlator,
-                handle: PairHandle(pid.0),
-            },
+            pair: correlator,
             announced,
         };
         for node in [na, nb] {
@@ -229,7 +214,6 @@ impl NetworkModel {
         self.qnp_input(
             ctx,
             node,
-            circuit,
             NetInput::LinkPair {
                 circuit,
                 side,
@@ -276,7 +260,6 @@ impl NetworkModel {
         self.qnp_input(
             ctx,
             node,
-            circuit,
             NetInput::LinkPair {
                 circuit,
                 side,
@@ -289,11 +272,7 @@ impl NetworkModel {
     /// against the runtime's current state (the pair may be long gone)
     /// and hand it to the local QNP exactly once.
     fn pair_ready_at(&mut self, ctx: &mut Context<'_, Ev>, node: NodeId, pair: qn_link::LinkPair) {
-        let correlator = Correlator {
-            node_a: pair.id.node_a,
-            node_b: pair.id.node_b,
-            seq: pair.id.seq,
-        };
+        let correlator = pair.id;
         // A duplication fault can deliver the same announcement twice; a
         // second LinkPair would occupy a second request slot downstream.
         if self.link_delivered.get(node, correlator).is_some() {
@@ -320,10 +299,7 @@ impl NetworkModel {
         let circuit = info.circuit;
         let side = info.side_at(node);
         let pair_info = PairInfo {
-            pair: PairRef {
-                correlator,
-                handle: PairHandle(pid.0),
-            },
+            pair: correlator,
             announced: pair.announced,
         };
         self.link_delivered.insert(node, correlator, ());

@@ -54,7 +54,7 @@ use qn_routing::signalling::InstalledCircuit;
 use qn_routing::topology::Topology;
 use qn_sim::{Context, EventId, LinkId, Model, NodeId, SimDuration, SimRng, SimTime, Trace};
 use signalling::{SignalRt, TrackRetry};
-use tables::{NodeTable, PairRefs};
+use tables::NodeTable;
 
 /// When the runtime advances decoherence across the whole pair store.
 ///
@@ -438,10 +438,13 @@ pub struct NetworkModel {
     node_links: Vec<Vec<(NodeId, LinkId)>>,
     /// All live entangled pairs.
     pub pairs: PairStore,
-    /// (node, correlator) -> physical pair currently holding that qubit.
+    /// The one index from a held pair end to its physical pair: each
+    /// node's row maps the correlator the QNP names the end by to the
+    /// pair now holding that qubit (a swap elsewhere re-points it to the
+    /// joined pair). A pair's live ends are the [`PairStore`] ends whose
+    /// node's row still maps a correlator to it; the pair is discarded
+    /// once none does.
     qubit_owner: NodeTable<PairId>,
-    /// Reverse references: pair -> (node, correlator) views.
-    refs: PairRefs,
     /// Per-link label table: one short row per link, scanned linearly
     /// (a link carries a handful of circuit labels).
     label_map: Vec<Vec<(LinkLabel, LabelInfo)>>,
@@ -561,7 +564,6 @@ impl NetworkModel {
             node_links,
             pairs: PairStore::new(cfg.state_rep),
             qubit_owner: NodeTable::new(n_nodes),
-            refs: PairRefs::new(),
             label_map: (0..n_links).map(|_| Vec::new()).collect(),
             circuits: Vec::new(),
             cutoff_events: NodeTable::new(n_nodes),

@@ -102,7 +102,7 @@ impl NetworkModel {
         self.nodes[idx].qnp.stats = stats;
         // Reclaim every pair end the node still holds (memory power
         // loss): the far ends of swapped chains survive, depolarised.
-        let held: Vec<Correlator> = self.qubit_owner.rows[idx].iter().map(|(c, _)| *c).collect();
+        let held: Vec<Correlator> = self.qubit_owner.row(node).iter().map(|(c, _)| *c).collect();
         for correlator in held {
             self.discarded_pairs += 1;
             self.release_end(ctx, node, correlator, true);
@@ -191,7 +191,9 @@ impl NetworkModel {
         let (a, b) = (self.links[link.0 as usize].a, self.links[link.0 as usize].b);
         let (lo, hi) = if a.0 <= b.0 { (a, b) } else { (b, a) };
         for node in [a, b] {
-            let held: Vec<Correlator> = self.qubit_owner.rows[node.0 as usize]
+            let held: Vec<Correlator> = self
+                .qubit_owner
+                .row(node)
                 .iter()
                 .map(|(c, _)| *c)
                 .filter(|c| c.node_a == lo && c.node_b == hi)
@@ -223,7 +225,7 @@ impl NetworkModel {
                                 correlator,
                             }
                         };
-                        self.qnp_input(ctx, node, circuit, input);
+                        self.qnp_input(ctx, node, input);
                     }
                     None => {
                         self.discarded_pairs += 1;
@@ -264,7 +266,7 @@ impl NetworkModel {
             if node == dead || !self.nodes[node.0 as usize].up {
                 continue;
             }
-            self.qnp_input(ctx, node, circuit, NetInput::TeardownCircuit { circuit });
+            self.qnp_input(ctx, node, NetInput::TeardownCircuit { circuit });
         }
         self.finish_teardown(circuit);
     }

@@ -10,17 +10,12 @@ use qn_net::ids::CircuitId;
 use qn_sim::{Context, NodeId, SimDuration, TraceKind};
 
 impl NetworkModel {
-    /// Run one input through `node`'s QNP and apply its effects. The
-    /// output buffer is the model's own, reused across inputs: taken for
-    /// the call and put back after, so a nested call fills a buffer of
-    /// its own and stays correct.
-    pub(super) fn qnp_input(
-        &mut self,
-        ctx: &mut Context<'_, Ev>,
-        node: NodeId,
-        circuit: CircuitId,
-        input: NetInput,
-    ) {
+    /// Run one input through `node`'s QNP and apply its effects on the
+    /// circuit the input names. The output buffer is the model's own,
+    /// reused across inputs: taken for the call and put back after, so a
+    /// nested call fills a buffer of its own and stays correct.
+    pub(super) fn qnp_input(&mut self, ctx: &mut Context<'_, Ev>, node: NodeId, input: NetInput) {
+        let circuit = input.circuit();
         let mut outs = std::mem::take(&mut self.outs);
         self.nodes[node.0 as usize].qnp.handle(input, &mut outs);
         self.process_outputs(ctx, node, circuit, &mut outs);
@@ -112,8 +107,8 @@ impl NetworkModel {
                     self.poll_link(ctx, link);
                 }
                 NetOutput::StartSwap { up, down } => {
-                    debug_assert!(self.qubit_owner.get(node, up.correlator).is_some());
-                    debug_assert!(self.qubit_owner.get(node, down.correlator).is_some());
+                    debug_assert!(self.qubit_owner.get(node, up).is_some());
+                    debug_assert!(self.qubit_owner.get(node, down).is_some());
                     let params = self.nodes[node.0 as usize].device.params();
                     let dur = params.gates.two_qubit.duration
                         + params.gates.electron_single.duration
@@ -122,15 +117,15 @@ impl NetworkModel {
                         ctx.now(),
                         TraceKind::Quantum,
                         format_args!("{node}"),
-                        format_args!("SWAP start ({} x {})", up.correlator, down.correlator),
+                        format_args!("SWAP start ({up} x {down})"),
                     );
                     ctx.schedule_in(
                         SimDuration::from_secs_f64(dur),
                         Ev::SwapDone {
                             node,
                             circuit,
-                            up: up.correlator,
-                            down: down.correlator,
+                            up,
+                            down,
                         },
                     );
                 }
@@ -144,13 +139,13 @@ impl NetworkModel {
                             node,
                             circuit,
                             side,
-                            correlator: pair.correlator,
+                            correlator: pair,
                         },
                     );
-                    self.cutoff_events.insert(node, pair.correlator, ev);
+                    self.cutoff_events.insert(node, pair, ev);
                 }
                 NetOutput::CancelCutoff { pair } => {
-                    if let Some(ev) = self.cutoff_events.remove(node, pair.correlator) {
+                    if let Some(ev) = self.cutoff_events.remove(node, pair) {
                         ctx.cancel(ev);
                     }
                 }
@@ -160,9 +155,9 @@ impl NetworkModel {
                         ctx.now(),
                         TraceKind::Discard,
                         format_args!("{node}"),
-                        format_args!("discard {}", pair.correlator),
+                        format_args!("discard {pair}"),
                     );
-                    self.release_end(ctx, node, pair.correlator, true);
+                    self.release_end(ctx, node, pair, true);
                 }
                 NetOutput::MeasureNow { pair, basis } => {
                     let params = self.nodes[node.0 as usize].device.params();
@@ -172,19 +167,19 @@ impl NetworkModel {
                         Ev::MeasureDone {
                             node,
                             circuit,
-                            correlator: pair.correlator,
+                            correlator: pair,
                             basis,
                         },
                     );
                 }
                 NetOutput::ApplyCorrection { pair, pauli } => {
-                    if let Some(pid) = self.qubit_owner.get(node, pair.correlator) {
+                    if let Some(pid) = self.qubit_owner.get(node, pair) {
                         self.pairs.apply_pauli(pid, node, pauli, ctx.now());
                         self.trace.record(
                             ctx.now(),
                             TraceKind::Quantum,
                             format_args!("{node}"),
-                            format_args!("Pauli {pauli:?} correction on {}", pair.correlator),
+                            format_args!("Pauli {pauli:?} correction on {pair}"),
                         );
                     }
                 }
@@ -192,8 +187,8 @@ impl NetworkModel {
                     self.record_delivery(ctx, node, circuit, delivery);
                 }
                 NetOutput::Notify(ev) => {
-                    if let AppEvent::EarlyPairExpired { pair, .. } = &ev {
-                        self.release_end(ctx, node, pair.correlator, false);
+                    if let AppEvent::EarlyPairExpired { pair, .. } = ev {
+                        self.release_end(ctx, node, pair, false);
                     }
                     self.app.on_event(ctx.now(), node, circuit, ev);
                 }

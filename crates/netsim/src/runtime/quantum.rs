@@ -4,9 +4,9 @@
 //! (`pairs.checkpoint`) — and the release of one pair end.
 
 use super::{CheckpointPolicy, Ev, NetworkModel};
-use qn_hardware::pairs::SwapNoise;
+use qn_hardware::pairs::{PairId, SwapNoise};
 use qn_net::events::NetInput;
-use qn_net::ids::{CircuitId, Correlator, PairHandle};
+use qn_net::ids::{CircuitId, Correlator};
 use qn_net::routing_table::LinkSide;
 use qn_quantum::gates::Pauli;
 use qn_sim::{Context, NodeId, TraceKind};
@@ -39,29 +39,27 @@ impl NetworkModel {
             debug_assert_eq!(n, node);
             self.nodes[n.0 as usize].device.free(q);
         }
-        // Re-point surviving references to the joined pair.
-        let mut new_refs = Vec::with_capacity(2);
-        for (old_pid, consumed_corr) in [(up_pid, up), (down_pid, down)] {
-            self.qubit_owner.remove(node, consumed_corr);
+        // Re-point the outer ends still held to the joined pair: its end
+        // 0 is the up pair's outer end, end 1 the down pair's.
+        let outer = self.pairs.get(res.new_pair).expect("the joined pair");
+        let outer = outer.ends().each_ref().map(|e| e.node);
+        let mut held = false;
+        for ((old_pid, consumed), end_node) in
+            [(up_pid, up), (down_pid, down)].into_iter().zip(outer)
+        {
+            self.qubit_owner.remove(node, consumed);
             // The swap consumed the link pair at this node: its
             // (wire-mode) reclamation timer and dedup entry are done.
-            self.cancel_track_expiry(ctx, node, consumed_corr);
-            self.link_delivered.remove(node, consumed_corr);
-            if let Some(old) = self.refs.take(old_pid) {
-                for (n, c) in old {
-                    if n == node && c == consumed_corr {
-                        continue;
-                    }
-                    self.qubit_owner.insert(n, c, res.new_pair);
-                    new_refs.push((n, c));
-                }
+            self.cancel_track_expiry(ctx, node, consumed);
+            self.link_delivered.remove(node, consumed);
+            if let Some(c) = self.qubit_owner.key_of(end_node, old_pid) {
+                self.qubit_owner.insert(end_node, c, res.new_pair);
+                held = true;
             }
         }
-        if new_refs.is_empty() {
+        if !held {
             // Both outer ends were already abandoned: drop the pair.
             self.pairs.discard(res.new_pair);
-        } else {
-            self.refs.insert(res.new_pair, new_refs);
         }
         self.trace.record(
             ctx.now(),
@@ -72,13 +70,11 @@ impl NetworkModel {
         self.qnp_input(
             ctx,
             node,
-            circuit,
             NetInput::SwapCompleted {
                 circuit,
                 up,
                 down,
                 outcome: res.outcome,
-                new_handle: PairHandle(res.new_pair.0),
             },
         );
         self.poll_links_of(ctx, node);
@@ -106,30 +102,17 @@ impl NetworkModel {
             format_args!("{node}"),
             format_args!("measure {correlator} in {basis:?} -> {}", result.reported),
         );
-        // The measured qubit's slot frees immediately; the pair state
-        // stays in the store until both ends are done (correlations!).
-        if let Some(pair) = self.pairs.get(pid) {
-            if let Some(idx) = pair.end_at(node) {
-                let qubit = pair.ends()[idx].qubit;
-                self.nodes[node.0 as usize].device.free(qubit);
-            }
-        }
         self.qubit_owner.remove(node, correlator);
         // The dedup entry is done; the track-expiry timer stays armed —
         // a measured pair still awaits its TRACK, and the timeout is
         // what reclaims the request slot if that TRACK never arrives.
         self.link_delivered.remove(node, correlator);
-        if let Some(refs) = self.refs.get_mut(pid) {
-            refs.retain(|(n, c)| !(*n == node && *c == correlator));
-            if refs.is_empty() {
-                self.refs.remove(pid);
-                self.pairs.discard(pid);
-            }
-        }
+        // The measured qubit's slot frees immediately; the pair state
+        // stays in the store until both ends are done (correlations!).
+        self.drop_end(pid, node);
         self.qnp_input(
             ctx,
             node,
-            circuit,
             NetInput::MeasureCompleted {
                 circuit,
                 correlator,
@@ -158,27 +141,35 @@ impl NetworkModel {
         let Some(pid) = self.qubit_owner.remove(node, correlator) else {
             return;
         };
-        if let Some(refs) = self.refs.get_mut(pid) {
-            refs.retain(|(n, c)| !(*n == node && *c == correlator));
-            let empty = refs.is_empty();
-            // Free the local slot.
-            if let Some(pair) = self.pairs.get(pid) {
-                if let Some(idx) = pair.end_at(node) {
-                    let qubit = pair.ends()[idx].qubit;
-                    self.nodes[node.0 as usize].device.free(qubit);
-                }
-            }
-            if empty {
-                self.refs.remove(pid);
-                self.pairs.discard(pid);
-            } else if reinitialise {
-                // Full depolarisation of the abandoned end: dephase,
-                // then mix the populations.
-                self.pairs.apply_dephasing(pid, node, 0.5);
-                self.pairs.depolarize_end(pid, node, 1.0);
-            }
+        if self.drop_end(pid, node) && reinitialise {
+            // Full depolarisation of the abandoned end: dephase, then
+            // mix the populations.
+            self.pairs.apply_dephasing(pid, node, 0.5);
+            self.pairs.depolarize_end(pid, node, 1.0);
         }
         self.poll_links_of(ctx, node);
+    }
+
+    /// Free `node`'s qubit of `pid`, whose row entry the caller has just
+    /// removed, and discard the pair unless its other end's row still
+    /// holds it. Returns whether the pair lives on.
+    fn drop_end(&mut self, pid: PairId, node: NodeId) -> bool {
+        let Some(pair) = self.pairs.get(pid) else {
+            return false;
+        };
+        if let Some(idx) = pair.end_at(node) {
+            self.nodes[node.0 as usize]
+                .device
+                .free(pair.ends()[idx].qubit);
+        }
+        let held = pair
+            .ends()
+            .iter()
+            .any(|e| e.node != node && self.qubit_owner.key_of(e.node, pid).is_some());
+        if !held {
+            self.pairs.discard(pid);
+        }
+        held
     }
 
     /// A cutoff timer fired: the protocol discards the pair.
@@ -194,7 +185,6 @@ impl NetworkModel {
         self.qnp_input(
             ctx,
             node,
-            circuit,
             NetInput::CutoffExpired {
                 circuit,
                 side,

@@ -106,7 +106,6 @@ impl NetworkModel {
         self.qnp_input(
             ctx,
             node,
-            circuit,
             NetInput::TrackTimeout {
                 circuit,
                 correlator,
@@ -145,7 +144,6 @@ impl NetworkModel {
             self.qnp_input(
                 ctx,
                 node,
-                circuit,
                 NetInput::LinkOrphaned {
                     circuit,
                     side,
@@ -317,7 +315,7 @@ impl NetworkModel {
             st.installed[0] = true;
             (st.path[0], st.entries[0], st.path.len() > 1)
         };
-        self.qnp_input(ctx, head, circuit, NetInput::InstallCircuit { entry });
+        self.qnp_input(ctx, head, NetInput::InstallCircuit { entry });
         if more {
             self.send_signal_hop(ctx, circuit, 0);
         }
@@ -459,7 +457,7 @@ impl NetworkModel {
                     (first, st.path[i - 1], st.path.len() - 1)
                 };
                 if first {
-                    self.qnp_input(ctx, to, circuit, NetInput::InstallCircuit { entry });
+                    self.qnp_input(ctx, to, NetInput::InstallCircuit { entry });
                     if i < last {
                         self.send_signal_hop(ctx, circuit, i);
                     }
@@ -484,7 +482,7 @@ impl NetworkModel {
                     (first, st.path[i - 1], st.path.len() - 1)
                 };
                 if first {
-                    self.qnp_input(ctx, to, circuit, NetInput::TeardownCircuit { circuit });
+                    self.qnp_input(ctx, to, NetInput::TeardownCircuit { circuit });
                     if i < last {
                         self.send_signal_hop(ctx, circuit, i);
                     } else {
@@ -543,7 +541,7 @@ impl NetworkModel {
             }
             (st.path[0], st.path.len() > 1)
         };
-        self.qnp_input(ctx, head, circuit, NetInput::TeardownCircuit { circuit });
+        self.qnp_input(ctx, head, NetInput::TeardownCircuit { circuit });
         self.trace.record(
             ctx.now(),
             TraceKind::Info,

@@ -1,7 +1,6 @@
-//! The runtime's dense lookup tables: per-node correlator rows and the
-//! pair store's back-references. They own no event.
+//! The runtime's dense lookup tables: one short correlator row per
+//! node. They own no event.
 
-use qn_hardware::pairs::PairId;
 use qn_net::ids::Correlator;
 use qn_sim::NodeId;
 
@@ -11,7 +10,7 @@ use qn_sim::NodeId;
 /// size, not by circuit count — so lookups are a short linear scan and
 /// idle circuits cost nothing.
 pub(super) struct NodeTable<T> {
-    pub(super) rows: Vec<Vec<(Correlator, T)>>,
+    rows: Vec<Vec<(Correlator, T)>>,
 }
 
 impl<T: Copy> NodeTable<T> {
@@ -37,6 +36,11 @@ impl<T: Copy> NodeTable<T> {
             .map(|(_, v)| *v)
     }
 
+    /// Every entry of `node`'s row, in row order.
+    pub(super) fn row(&self, node: NodeId) -> &[(Correlator, T)] {
+        &self.rows[node.0 as usize]
+    }
+
     pub(super) fn remove(&mut self, node: NodeId, c: Correlator) -> Option<T> {
         let row = &mut self.rows[node.0 as usize];
         let i = row.iter().position(|(k, _)| *k == c)?;
@@ -55,87 +59,58 @@ impl<T: Copy> NodeTable<T> {
     }
 }
 
-/// Reverse references `pair -> (node, correlator)` views, stored
-/// slab-parallel to the [`PairStore`](qn_hardware::pairs::PairStore):
-/// slot `i` belongs to the pair whose id currently occupies slab slot
-/// `i` (the full id bits are kept for the generation check). Vacated
-/// slots keep their `Vec` capacity for the slot's next occupant, so
-/// steady-state churn does not allocate; iteration is slot-ordered and
-/// thus deterministic.
-pub(super) struct PairRefs {
-    slots: Vec<(u64, Vec<(NodeId, Correlator)>)>,
+impl<T: Copy + PartialEq> NodeTable<T> {
+    /// The correlator under which `node`'s row holds `value`, if any.
+    pub(super) fn key_of(&self, node: NodeId, value: T) -> Option<Correlator> {
+        self.rows[node.0 as usize]
+            .iter()
+            .find(|(_, v)| *v == value)
+            .map(|(k, _)| *k)
+    }
 }
 
-/// Slot id marking a vacant [`PairRefs`] entry.
-const REFS_VACANT: u64 = u64::MAX;
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-impl PairRefs {
-    pub(super) fn new() -> Self {
-        PairRefs { slots: Vec::new() }
-    }
-
-    fn slot_mut(&mut self, pid: PairId) -> &mut (u64, Vec<(NodeId, Correlator)>) {
-        let i = pid.index();
-        if self.slots.len() <= i {
-            self.slots.resize_with(i + 1, || (REFS_VACANT, Vec::new()));
-        }
-        &mut self.slots[i]
-    }
-
-    /// Register a fresh two-ended pair, reusing the slot's capacity.
-    pub(super) fn insert_pair(
-        &mut self,
-        pid: PairId,
-        a: (NodeId, Correlator),
-        b: (NodeId, Correlator),
-    ) {
-        let slot = self.slot_mut(pid);
-        slot.0 = pid.0;
-        slot.1.clear();
-        slot.1.push(a);
-        slot.1.push(b);
-    }
-
-    /// Register a pair with an explicit reference list (swap re-pointing).
-    pub(super) fn insert(&mut self, pid: PairId, ends: Vec<(NodeId, Correlator)>) {
-        let slot = self.slot_mut(pid);
-        slot.0 = pid.0;
-        slot.1 = ends;
-    }
-
-    pub(super) fn get_mut(&mut self, pid: PairId) -> Option<&mut Vec<(NodeId, Correlator)>> {
-        let slot = self.slots.get_mut(pid.index())?;
-        (slot.0 == pid.0).then_some(&mut slot.1)
-    }
-
-    /// Vacate the pair's slot, returning its references (the slot keeps
-    /// no capacity — the caller usually re-inserts the `Vec` elsewhere).
-    pub(super) fn take(&mut self, pid: PairId) -> Option<Vec<(NodeId, Correlator)>> {
-        let slot = self.slots.get_mut(pid.index())?;
-        if slot.0 != pid.0 {
-            return None;
-        }
-        slot.0 = REFS_VACANT;
-        Some(std::mem::take(&mut slot.1))
-    }
-
-    /// Vacate the pair's slot in place (keeps the `Vec` capacity for the
-    /// slot's next occupant).
-    pub(super) fn remove(&mut self, pid: PairId) {
-        if let Some(slot) = self.slots.get_mut(pid.index()) {
-            if slot.0 == pid.0 {
-                slot.0 = REFS_VACANT;
-                slot.1.clear();
-            }
+    fn corr(seq: u64) -> Correlator {
+        Correlator {
+            node_a: NodeId(0),
+            node_b: NodeId(1),
+            seq,
         }
     }
 
-    /// Iterate live entries in slot order (deterministic by
-    /// construction, unlike the hash map this replaced).
-    pub(super) fn iter(&self) -> impl Iterator<Item = (PairId, &[(NodeId, Correlator)])> {
-        self.slots
-            .iter()
-            .filter(|(id, _)| *id != REFS_VACANT)
-            .map(|(id, ends)| (PairId(*id), ends.as_slice()))
+    #[test]
+    fn key_of_finds_the_entry_holding_a_value() {
+        let mut t: NodeTable<u32> = NodeTable::new(2);
+        t.insert(NodeId(1), corr(4), 7);
+        assert_eq!(t.key_of(NodeId(1), 7), Some(corr(4)));
+        assert_eq!(t.row(NodeId(1)), &[(corr(4), 7)][..]);
+    }
+
+    #[test]
+    fn key_of_misses_a_value_held_elsewhere_or_gone() {
+        let mut t: NodeTable<u32> = NodeTable::new(2);
+        t.insert(NodeId(0), corr(4), 7);
+        assert_eq!(t.key_of(NodeId(1), 7), None);
+        assert_eq!(t.key_of(NodeId(0), 8), None);
+        t.remove(NodeId(0), corr(4));
+        assert_eq!(t.key_of(NodeId(0), 7), None);
+        assert!(t.row(NodeId(0)).is_empty());
+    }
+
+    #[test]
+    fn a_row_holding_ends_of_two_pairs_tells_them_apart() {
+        let mut t: NodeTable<u32> = NodeTable::new(1);
+        t.insert(NodeId(0), corr(1), 10);
+        t.insert(NodeId(0), corr(2), 20);
+        assert_eq!(t.key_of(NodeId(0), 10), Some(corr(1)));
+        assert_eq!(t.key_of(NodeId(0), 20), Some(corr(2)));
+        // Re-pointing one end leaves the other pair's end in place.
+        t.insert(NodeId(0), corr(1), 30);
+        assert_eq!(t.key_of(NodeId(0), 10), None);
+        assert_eq!(t.key_of(NodeId(0), 30), Some(corr(1)));
+        assert_eq!(t.row(NodeId(0)), &[(corr(1), 30), (corr(2), 20)][..]);
     }
 }

@@ -151,7 +151,7 @@ impl NetworkModel {
             match Message::decode(frame) {
                 Ok(msg) => {
                     let circuit = msg.circuit();
-                    self.qnp_input(ctx, to, circuit, NetInput::Message { from, msg });
+                    self.qnp_input(ctx, to, NetInput::Message { from, msg });
                     // End-to-end TRACK acknowledgement: an
                     // end-node receiving a TRACK (first copy or
                     // duplicate — re-acks recover lost acks)

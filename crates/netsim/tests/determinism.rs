@@ -219,3 +219,47 @@ fn trace_text_is_pinned() {
     assert_eq!(sim.trace().rows().len(), ROWS_2026);
     assert_eq!(fnv1a(render.as_bytes()), DIGEST_2026, "{render}");
 }
+
+/// Delivery count and FNV-1a digest of the near-term chain's run.
+const NEAR_TERM_DELIVERIES: usize = 4;
+const NEAR_TERM_DIGEST: u64 = 0xecb3_3506_51dd_4151;
+
+/// The near-term chain of `end_to_end.rs`
+/// (`near_term_runs_are_deterministic_too`: three nodes 25 km apart
+/// with carbon storage, seed 13, two pairs over 120 s), pinned by each
+/// delivery's time in ps and oracle-fidelity bits (0 when absent), both
+/// little-endian. Every link attempt dephases each other pair end held
+/// at both ends of the link, so a change to which pairs that noise
+/// reaches moves the fidelities this digest covers.
+#[test]
+fn near_term_trajectory_is_pinned() {
+    let topology = chain(
+        3,
+        HardwareParams::near_term(),
+        FibreParams::telecom(25_000.0),
+    );
+    let mut sim = NetworkBuilder::new(topology).seed(13).near_term(2).build();
+    let vc = sim.install_plan(qn_routing::CircuitPlan {
+        path: vec![NodeId(0), NodeId(1), NodeId(2)],
+        e2e_fidelity: 0.5,
+        link_fidelity: 0.82,
+        alpha: 0.1,
+        cutoff: SimDuration::from_millis(1500),
+        max_lpr: 5.0,
+        max_eer: 1.0,
+    });
+    sim.submit_at(SimTime::ZERO, vc, keep(1, NodeId(0), NodeId(2), 0.5, 2));
+    sim.run_until(SimTime::ZERO + SimDuration::from_secs(120));
+    let deliveries = &sim.app().deliveries;
+    let bytes: Vec<u8> = deliveries
+        .iter()
+        .flat_map(|r| {
+            let fidelity = r.oracle_fidelity.map_or(0, f64::to_bits);
+            [r.time.as_ps().to_le_bytes(), fidelity.to_le_bytes()]
+        })
+        .flatten()
+        .collect();
+    let digest = fnv1a(&bytes);
+    assert_eq!(deliveries.len(), NEAR_TERM_DELIVERIES);
+    assert_eq!(digest, NEAR_TERM_DIGEST, "{digest:016x}");
+}
