@@ -14,7 +14,9 @@
 //!
 //! Run: `cargo bench --bench openworld`
 //! (knobs: `QNP_RUNS` seeds per case, default 3; `QNP_ARRIVALS`
-//! arrival budget per run, default 24; `QNP_THREADS` sweep workers).
+//! arrival budget per run, default 24; `QNP_THREADS` sweep workers;
+//! `QNP_WIRE=1` carries the signalling on the classical wire, diffed
+//! against `baselines/wire/openworld.json` instead).
 
 use qn_bench::{
     env_u64, mean_finite, openworld_scenario, run_sweep, runs, seed_block, threads, Baseline,

@@ -257,6 +257,9 @@ pub fn openworld_scenario(seed: u64, cfg: &OpenWorldConfig) -> OpenWorldPoint {
     if let Some(dt) = cfg.checkpoint {
         builder = builder.checkpoint(CheckpointPolicy::Interval(dt));
     }
+    if crate::sweep::wire_on() {
+        builder = builder.signalling_on_wire();
+    }
     let mut sim = builder.build();
     let horizon = SimTime::ZERO + cfg.horizon;
     let mut admitted = 0usize;

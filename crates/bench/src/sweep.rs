@@ -48,11 +48,12 @@ pub fn pairs(default: u64) -> u64 {
     env_u64("QNP_PAIRS", default)
 }
 
-/// `QNP_WIRE` — run wire-aware scenarios with `signalling_on_wire`
-/// (link announcements + routing INSTALL/TEARDOWN as classical-plane
-/// frames, acked and retransmitted). Off by default: the committed
-/// baselines pin the idealised planes, so a `QNP_WIRE=1` run is
-/// informational and must not be diffed against them.
+/// `QNP_WIRE` — run wire-aware scenarios (Fig 9 and the open-world
+/// workloads) with `signalling_on_wire` (link announcements + routing
+/// INSTALL/TEARDOWN as classical-plane frames, acked and retransmitted).
+/// Off by default: the baselines in `baselines/` pin the idealised
+/// planes, and a `QNP_WIRE=1` run is diffed against its own reference
+/// in `baselines/wire/` instead.
 pub fn wire_on() -> bool {
     env_u64("QNP_WIRE", 0) != 0
 }

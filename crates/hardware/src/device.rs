@@ -18,6 +18,7 @@
 use crate::params::HardwareParams;
 use qn_sim::{LinkId, NodeId};
 use std::fmt;
+use std::ops::Range;
 
 /// A memory slot on a device.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -41,9 +42,17 @@ pub enum QubitKind {
 #[derive(Clone, Debug)]
 struct Slot {
     kind: QubitKind,
-    /// For per-link inventories: the link this slot is dedicated to.
-    link: Option<LinkId>,
     free: bool,
+}
+
+/// The slots that can serve a link's entanglement generation.
+#[derive(Clone, Debug)]
+enum CommSlots {
+    /// Per-link inventory: each attached link's own contiguous run of
+    /// slots, in attachment order.
+    PerLink(Vec<(LinkId, Range<usize>)>),
+    /// Near-term inventory: every link shares the electron in slot 0.
+    Shared,
 }
 
 /// The qubit inventory of one node.
@@ -51,6 +60,7 @@ struct Slot {
 pub struct QDevice {
     node: NodeId,
     slots: Vec<Slot>,
+    comm: CommSlots,
     params: HardwareParams,
 }
 
@@ -63,19 +73,22 @@ impl QDevice {
         per_link: usize,
         params: HardwareParams,
     ) -> Self {
-        let mut slots = Vec::new();
-        for link in links {
-            for _ in 0..per_link {
-                slots.push(Slot {
-                    kind: QubitKind::Electron,
-                    link: Some(*link),
-                    free: true,
-                });
-            }
-        }
+        let slots = vec![
+            Slot {
+                kind: QubitKind::Electron,
+                free: true,
+            };
+            links.len() * per_link
+        ];
+        let runs = links
+            .iter()
+            .enumerate()
+            .map(|(i, link)| (*link, i * per_link..(i + 1) * per_link))
+            .collect();
         QDevice {
             node,
             slots,
+            comm: CommSlots::PerLink(runs),
             params,
         }
     }
@@ -85,19 +98,18 @@ impl QDevice {
     pub fn near_term(node: NodeId, carbons: usize, params: HardwareParams) -> Self {
         let mut slots = vec![Slot {
             kind: QubitKind::Electron,
-            link: None,
             free: true,
         }];
         for _ in 0..carbons {
             slots.push(Slot {
                 kind: QubitKind::Carbon,
-                link: None,
                 free: true,
             });
         }
         QDevice {
             node,
             slots,
+            comm: CommSlots::Shared,
             params,
         }
     }
@@ -128,13 +140,25 @@ impl QDevice {
         self.slots[qubit.0 as usize].kind
     }
 
-    /// Allocate a communication qubit usable on `link`: a slot dedicated
-    /// to that link (per-link inventory) or the shared electron (near-term
-    /// inventory).
+    /// The slots that can serve `link`: its own run (per-link inventory;
+    /// none for a link not attached here) or the shared electron
+    /// (near-term inventory).
+    fn comm_slots(&self, link: LinkId) -> Range<usize> {
+        match &self.comm {
+            CommSlots::PerLink(runs) => runs
+                .iter()
+                .find(|(l, _)| *l == link)
+                .map_or(0..0, |(_, run)| run.clone()),
+            CommSlots::Shared => 0..1,
+        }
+    }
+
+    /// Allocate a communication qubit usable on `link`: the first free
+    /// slot dedicated to that link (per-link inventory) or the shared
+    /// electron (near-term inventory).
     pub fn alloc_comm(&mut self, link: LinkId) -> Option<QubitId> {
-        let idx = self.slots.iter().position(|s| {
-            s.free && s.kind == QubitKind::Electron && (s.link.is_none() || s.link == Some(link))
-        })?;
+        let run = self.comm_slots(link);
+        let idx = run.start + self.slots[run].iter().position(|s| s.free)?;
         self.slots[idx].free = false;
         Some(QubitId(idx as u32))
     }
@@ -158,13 +182,9 @@ impl QDevice {
 
     /// Number of free communication qubits usable on `link`.
     pub fn free_comm(&self, link: LinkId) -> usize {
-        self.slots
+        self.slots[self.comm_slots(link)]
             .iter()
-            .filter(|s| {
-                s.free
-                    && s.kind == QubitKind::Electron
-                    && (s.link.is_none() || s.link == Some(link))
-            })
+            .filter(|s| s.free)
             .count()
     }
 
@@ -201,6 +221,21 @@ mod tests {
         dev.free(q0);
         assert_eq!(dev.free_comm(LinkId(0)), 1);
         assert!(dev.alloc_comm(LinkId(0)).is_some());
+    }
+
+    #[test]
+    fn per_link_alloc_takes_the_first_free_slot_of_its_run() {
+        let links = [LinkId(4), LinkId(1), LinkId(7)];
+        let mut dev = QDevice::per_link(NodeId(0), &links, 2, HardwareParams::simulation());
+        assert_eq!(dev.alloc_comm(LinkId(1)), Some(QubitId(2)));
+        assert_eq!(dev.alloc_comm(LinkId(1)), Some(QubitId(3)));
+        assert_eq!(dev.alloc_comm(LinkId(7)), Some(QubitId(4)));
+        dev.free(QubitId(2));
+        assert_eq!(dev.alloc_comm(LinkId(1)), Some(QubitId(2)));
+        // A link not attached to this node has no slots.
+        assert_eq!(dev.alloc_comm(LinkId(3)), None);
+        assert_eq!(dev.free_comm(LinkId(3)), 0);
+        assert_eq!(dev.free_comm(LinkId(4)), 2);
     }
 
     #[test]

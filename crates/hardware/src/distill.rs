@@ -98,7 +98,7 @@ impl PairStore {
         // Fast path: one conditional-map table contraction instead of
         // the 16×16 joint-register circuit.
         let fast = match (a.state().as_bell(), b.state().as_bell()) {
-            (Some(x), Some(y)) => CondTable::distill(noise.p_two_qubit, b0_at_na).map(|t| {
+            (Some(x), Some(y)) => CondTable::distill(noise.p_two_qubit(), b0_at_na).map(|t| {
                 let u1 = rng.f64();
                 let u2 = rng.f64();
                 t.apply(x, y, u1, u2)
@@ -113,12 +113,12 @@ impl PairStore {
                 // locally.
                 let mut joint = a.state().to_density().tensor(&b.state().to_density());
                 let (b_at_na, b_at_nb) = if b0_at_na { (2, 3) } else { (3, 2) };
-                let two = channels::depolarizing_2q(noise.p_two_qubit);
+                let two = channels::depolarizing_2q(noise.p_two_qubit());
 
                 // Bilateral CNOTs with two-qubit gate noise.
                 for (ctrl, tgt) in [(0usize, b_at_na), (1usize, b_at_nb)] {
                     joint.apply_unitary(&gates::cnot(), &[ctrl, tgt]);
-                    if noise.p_two_qubit > 0.0 {
+                    if noise.p_two_qubit() > 0.0 {
                         joint.apply_kraus(&two, &[ctrl, tgt]);
                     }
                 }
@@ -148,9 +148,9 @@ impl PairStore {
 
 fn flip_with_readout(outcome: bool, noise: &SwapNoise, rng: &mut SimRng) -> bool {
     let fid = if outcome {
-        noise.readout.fidelity1
+        noise.readout().fidelity1
     } else {
-        noise.readout.fidelity0
+        noise.readout().fidelity0
     };
     if rng.bernoulli(1.0 - fid) {
         !outcome
@@ -169,15 +169,12 @@ mod tests {
     use qn_quantum::StateRep;
 
     fn perfect_noise() -> SwapNoise {
-        SwapNoise {
-            p_two_qubit: 0.0,
-            p_single: 0.0,
-            readout: ReadoutSpec {
-                fidelity0: 1.0,
-                fidelity1: 1.0,
-                duration: 0.0,
-            },
-        }
+        let readout = ReadoutSpec {
+            fidelity0: 1.0,
+            fidelity1: 1.0,
+            duration: 0.0,
+        };
+        SwapNoise::new(0.0, 0.0, readout, StateRep::Bell)
     }
 
     fn werner(f: f64) -> DensityMatrix {
@@ -276,7 +273,7 @@ mod tests {
     fn noisy_gates_cap_the_gain() {
         // With the paper's 0.998 two-qubit gates distillation still gains
         // at F=0.8, but less than the textbook amount.
-        let noise = SwapNoise::from_params(&HardwareParams::simulation());
+        let noise = SwapNoise::from_params(&HardwareParams::simulation(), StateRep::Bell);
         let mut rng = SimRng::from_seed(13);
         let n = 300;
         let mut successes = 0usize;

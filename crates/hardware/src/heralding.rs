@@ -40,9 +40,9 @@ use std::sync::OnceLock;
 /// with a heralding station at the midpoint.
 ///
 /// The parameters are fixed at construction, so the constants derived
-/// from them are computed once: η, the dark-count probability and the
-/// coherence factor in [`LinkPhysics::new`], the fidelity peak on the
-/// first call to [`LinkPhysics::max_fidelity`].
+/// from them are computed once: η, the dark-count probability, the
+/// coherence factor and the attempt cycle time in [`LinkPhysics::new`],
+/// the fidelity peak on the first call to [`LinkPhysics::max_fidelity`].
 #[derive(Clone, Debug)]
 pub struct LinkPhysics {
     params: HardwareParams,
@@ -50,6 +50,7 @@ pub struct LinkPhysics {
     eta: f64,
     p_dark: f64,
     coherence: f64,
+    cycle: SimDuration,
     /// `(F_max, α_peak)`, scanned on first use.
     peak: OnceLock<(f64, f64)>,
 }
@@ -79,10 +80,14 @@ impl LinkPhysics {
             * params.collection_efficiency
             * fibre.transmissivity(fibre.length_m / 2.0)
             * params.p_detection;
+        let cycle = params.gates.electron_init.duration
+            + params.tau_e
+            + fibre.length_m / fibre.speed_m_per_s;
         LinkPhysics {
             eta,
             p_dark: params.dark_count_rate * params.tau_w,
             coherence: params.visibility * params.delta_phi.cos(),
+            cycle: SimDuration::from_secs_f64(cycle.max(params.mhp_cycle_floor)),
             peak: OnceLock::new(),
             params,
             fibre,
@@ -201,10 +206,7 @@ impl LinkPhysics {
     /// photon flight to the midpoint and herald reply — floored by the
     /// link-layer trigger period (DESIGN.md §7 calibration).
     pub fn cycle_time(&self) -> SimDuration {
-        let physics = self.params.gates.electron_init.duration
-            + self.params.tau_e
-            + self.fibre.length_m / self.fibre.speed_m_per_s;
-        SimDuration::from_secs_f64(physics.max(self.params.mhp_cycle_floor))
+        self.cycle
     }
 
     /// Expected number of attempts until success at `alpha`.

@@ -140,28 +140,103 @@ fn vacant_state() -> PairState {
     PairState::Bell(BellDiagonal::from_bell_state(BellState::PHI_PLUS))
 }
 
-/// Noise model of the swap circuit, derived from [`HardwareParams`].
-#[derive(Clone, Copy, Debug)]
+/// Noise model of the swap circuit, derived from [`HardwareParams`],
+/// together with the circuit's precomputed form for the representation
+/// it runs on: the conditional-map table of each orientation for a
+/// Bell-diagonal store, the POVM for a dense one. Both are pure
+/// functions of the gate noise, so they are looked up once here, not on
+/// every swap.
+#[derive(Clone, Copy)]
 pub struct SwapNoise {
-    /// Two-qubit depolarizing probability (from the E-C gate fidelity).
-    pub p_two_qubit: f64,
-    /// Single-qubit depolarizing probability (from the electron gate).
-    pub p_single: f64,
-    /// Readout error model.
-    pub readout: ReadoutSpec,
+    p_two_qubit: f64,
+    p_single: f64,
+    readout: ReadoutSpec,
+    form: SwapForm,
+}
+
+/// The swap circuit's precomputed form.
+#[derive(Clone, Copy)]
+enum SwapForm {
+    /// [`CondTable::swap`] of orientation `(ia, ib)` at `2·ia + ib`,
+    /// `None` where the table is not X-closed.
+    Tables([Option<&'static CondTable>; 4]),
+    Povm(&'static SwapPovm),
 }
 
 impl SwapNoise {
-    /// Derive from a hardware parameter set.
-    pub fn from_params(p: &HardwareParams) -> Self {
-        SwapNoise {
-            p_two_qubit: channels::depolarizing_param_for_fidelity(p.gates.two_qubit.fidelity, 4),
-            p_single: channels::depolarizing_param_for_fidelity(
-                p.gates.electron_single.fidelity,
-                2,
+    /// Two-qubit depolarizing `p_two_qubit`, single-qubit depolarizing
+    /// `p_single` and `readout`, for a store on representation `rep`. A
+    /// swap its form does not serve (a dense pair in a Bell-diagonal
+    /// store, a table that is not X-closed, any pair in a dense store
+    /// under a noise built for `StateRep::Bell`) looks the POVM up by
+    /// its noise; a noise built for `StateRep::Dm` runs every swap
+    /// densely.
+    pub fn new(p_two_qubit: f64, p_single: f64, readout: ReadoutSpec, rep: StateRep) -> Self {
+        let form = match rep {
+            StateRep::Bell => SwapForm::Tables(
+                [(0, 0), (0, 1), (1, 0), (1, 1)]
+                    .map(|(ia, ib)| CondTable::swap(p_two_qubit, p_single, ia, ib)),
             ),
-            readout: p.gates.readout,
+            StateRep::Dm => SwapForm::Povm(SwapPovm::get(p_two_qubit, p_single)),
+        };
+        SwapNoise {
+            p_two_qubit,
+            p_single,
+            readout,
+            form,
         }
+    }
+
+    /// Derive from a hardware parameter set, for a store on `rep`.
+    pub fn from_params(p: &HardwareParams, rep: StateRep) -> Self {
+        SwapNoise::new(
+            channels::depolarizing_param_for_fidelity(p.gates.two_qubit.fidelity, 4),
+            channels::depolarizing_param_for_fidelity(p.gates.electron_single.fidelity, 2),
+            p.gates.readout,
+            rep,
+        )
+    }
+
+    /// Two-qubit depolarizing probability (from the E-C gate fidelity).
+    pub fn p_two_qubit(&self) -> f64 {
+        self.p_two_qubit
+    }
+
+    /// Single-qubit depolarizing probability (from the electron gate).
+    pub fn p_single(&self) -> f64 {
+        self.p_single
+    }
+
+    /// Readout error model.
+    pub fn readout(&self) -> &ReadoutSpec {
+        &self.readout
+    }
+
+    /// The swap table for orientation `(ia, ib)`, if this noise has
+    /// tables and that one is X-closed.
+    fn table(&self, ia: usize, ib: usize) -> Option<&'static CondTable> {
+        match self.form {
+            SwapForm::Tables(tables) => tables[2 * ia + ib],
+            SwapForm::Povm(_) => None,
+        }
+    }
+
+    /// The POVM of the dense path.
+    fn povm(&self) -> &'static SwapPovm {
+        match self.form {
+            SwapForm::Povm(povm) => povm,
+            SwapForm::Tables(_) => SwapPovm::get(self.p_two_qubit, self.p_single),
+        }
+    }
+}
+
+impl std::fmt::Debug for SwapNoise {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SwapNoise")
+            .field("p_two_qubit", &self.p_two_qubit)
+            .field("p_single", &self.p_single)
+            .field("readout", &self.readout)
+            .finish_non_exhaustive()
     }
 }
 
@@ -561,14 +636,13 @@ impl PairStore {
         // Fast path: both states Bell-diagonal and the conditional-map
         // table for this noise/orientation is X-closed — the whole
         // noisy circuit collapses to one 36-term contraction.
-        let fast = match (a_state.as_bell(), b_state.as_bell()) {
-            (Some(x), Some(y)) => CondTable::swap(noise.p_two_qubit, noise.p_single, ia, ib)
-                .map(|t| {
-                    let u1 = rng.f64();
-                    let u2 = rng.f64();
-                    t.apply(x, y, u1, u2)
-                })
-                .map(|(m_control, m_target, post)| (m_control, m_target, PairState::Bell(post))),
+        let fast = match (a_state.as_bell(), b_state.as_bell(), noise.table(ia, ib)) {
+            (Some(x), Some(y), Some(t)) => {
+                let u1 = rng.f64();
+                let u2 = rng.f64();
+                let (m_control, m_target, post) = t.apply(x, y, u1, u2);
+                Some((m_control, m_target, PairState::Bell(post)))
+            }
             _ => None,
         };
 
@@ -581,8 +655,7 @@ impl PairStore {
                 let (a, b) = (a_state.to_dense(), b_state.to_dense());
                 let u1 = rng.f64();
                 let u2 = rng.f64();
-                let povm = SwapPovm::get(noise.p_two_qubit, noise.p_single);
-                let (m_control, m_target, post) = povm.apply(&a, &b, ia, ib, u1, u2);
+                let (m_control, m_target, post) = noise.povm().apply(&a, &b, ia, ib, u1, u2);
                 (m_control, m_target, PairState::from_dense(post, self.rep))
             }
         };
@@ -829,11 +902,7 @@ mod tests {
                 (NodeId(2), QubitId(0), 3600.0, 60.0),
             ],
         );
-        let noise = SwapNoise {
-            p_two_qubit: 0.0,
-            p_single: 0.0,
-            readout: perfect_readout(),
-        };
+        let noise = SwapNoise::new(0.0, 0.0, perfect_readout(), StateRep::Bell);
         let mut rng = SimRng::from_seed(7);
         let res = store.swap(a, b, NodeId(1), now, &noise, &mut rng);
         let pair = store.get(res.new_pair).unwrap();
@@ -852,11 +921,12 @@ mod tests {
     #[test]
     fn noisy_swap_reduces_fidelity_as_formula_predicts() {
         let mut rng = SimRng::from_seed(11);
-        let noise = SwapNoise {
-            p_two_qubit: channels::depolarizing_param_for_fidelity(0.998, 4),
-            p_single: 0.0,
-            readout: perfect_readout(),
-        };
+        let noise = SwapNoise::new(
+            channels::depolarizing_param_for_fidelity(0.998, 4),
+            0.0,
+            perfect_readout(),
+            StateRep::Bell,
+        );
         let mut total = 0.0;
         let n = 20;
         for _ in 0..n {
@@ -898,15 +968,12 @@ mod tests {
                 (NodeId(2), QubitId(0), 3600.0, 60.0),
             ],
         );
-        let noise = SwapNoise {
-            p_two_qubit: 0.0,
-            p_single: 0.0,
-            readout: ReadoutSpec {
-                fidelity0: 0.0,
-                fidelity1: 0.0,
-                duration: 0.0,
-            },
+        let readout = ReadoutSpec {
+            fidelity0: 0.0,
+            fidelity1: 0.0,
+            duration: 0.0,
         };
+        let noise = SwapNoise::new(0.0, 0.0, readout, StateRep::Bell);
         let mut rng = SimRng::from_seed(3);
         let res = store.swap(a, b, NodeId(1), now, &noise, &mut rng);
         // Announced state uses double-flipped bits: fidelity of the DM to

@@ -39,15 +39,12 @@ const T1_SIM: f64 = 3600.0;
 const FIG10_T2: [f64; 9] = [0.2, 0.4, 0.8, 1.6, 3.2, 6.4, 12.8, 25.6, 60.0];
 
 fn noise(p_two_qubit: f64, p_single: f64) -> SwapNoise {
-    SwapNoise {
-        p_two_qubit,
-        p_single,
-        readout: ReadoutSpec {
-            fidelity0: 1.0,
-            fidelity1: 1.0,
-            duration: 0.0,
-        },
-    }
+    let readout = ReadoutSpec {
+        fidelity0: 1.0,
+        fidelity1: 1.0,
+        duration: 0.0,
+    };
+    SwapNoise::new(p_two_qubit, p_single, readout, StateRep::Dm)
 }
 
 /// A gate-noise probability: none, full, or in between.
@@ -149,12 +146,12 @@ fn check_swap(
         let mut joint = decay(a.clone(), dt, memory).tensor(&decay(b.clone(), dt, memory));
         let (qa, qb) = (ia, 2 + ib);
         joint.apply_unitary(&gates::cnot(), &[qa, qb]);
-        if noise.p_two_qubit > 0.0 {
-            joint.apply_kraus(&channels::depolarizing_2q(noise.p_two_qubit), &[qa, qb]);
+        if noise.p_two_qubit() > 0.0 {
+            joint.apply_kraus(&channels::depolarizing_2q(noise.p_two_qubit()), &[qa, qb]);
         }
         joint.apply_unitary(&gates::h(), &[qa]);
-        if noise.p_single > 0.0 {
-            joint.apply_kraus(&channels::depolarizing(noise.p_single), &[qa]);
+        if noise.p_single() > 0.0 {
+            joint.apply_kraus(&channels::depolarizing(noise.p_single()), &[qa]);
         }
         let mut rng = SimRng::from_seed(rng_seed);
         let m_control = joint.measure_z(qa, rng.f64());
@@ -235,8 +232,8 @@ proptest! {
         let (b_at_na, b_at_nb) = if b0_at_na { (2, 3) } else { (3, 2) };
         for (ctrl, tgt) in [(0, b_at_na), (1, b_at_nb)] {
             joint.apply_unitary(&gates::cnot(), &[ctrl, tgt]);
-            if noise.p_two_qubit > 0.0 {
-                joint.apply_kraus(&channels::depolarizing_2q(noise.p_two_qubit), &[ctrl, tgt]);
+            if noise.p_two_qubit() > 0.0 {
+                joint.apply_kraus(&channels::depolarizing_2q(noise.p_two_qubit()), &[ctrl, tgt]);
             }
         }
         let mut rng = SimRng::from_seed(rng_seed);

@@ -84,7 +84,7 @@ mod chain_model {
             ChainSystem {
                 store: PairStore::new(StateRep::Bell),
                 pairs: VecDeque::new(),
-                noise: SwapNoise::from_params(&HardwareParams::simulation()),
+                noise: SwapNoise::from_params(&HardwareParams::simulation(), StateRep::Bell),
                 rng: SimRng::from_seed(7),
                 next_node: 0,
             }
@@ -277,10 +277,12 @@ proptest! {
         }
     }
 
-    /// The constants a `LinkPhysics` derives once equal their formulas
-    /// over the parameters, its remembered peak equals a fresh scan, and
-    /// a clone answers the same whether it was taken before or after the
-    /// peak was first computed — all bit for bit.
+    /// The constants a `LinkPhysics` derives once (η, the dark-count
+    /// probability, the coherence factor and the attempt cycle time)
+    /// equal their formulas over the parameters, its remembered peak
+    /// equals a fresh scan, and a clone answers the same whether it was
+    /// taken before or after the peak was first computed — all bit for
+    /// bit.
     #[test]
     fn derived_constants_match_their_formulas(
         visibility in 0.5f64..1.0,
@@ -312,6 +314,13 @@ proptest! {
             physics.coherence().to_bits(),
             (visibility * delta_phi.cos()).to_bits()
         );
+        let cycle = params.gates.electron_init.duration
+            + params.tau_e
+            + fibre.length_m / fibre.speed_m_per_s;
+        prop_assert_eq!(
+            physics.cycle_time(),
+            SimDuration::from_secs_f64(cycle.max(params.mhp_cycle_floor))
+        );
 
         let cold = physics.clone();
         let peak = pair_bits(physics.max_fidelity());
@@ -325,6 +334,7 @@ proptest! {
         prop_assert_eq!(alpha(&physics), alpha(&fresh));
         prop_assert_eq!(alpha(&warm), alpha(&fresh));
         prop_assert_eq!(alpha(&cold), alpha(&fresh));
+        prop_assert_eq!(cold.cycle_time(), physics.cycle_time());
     }
 
     /// Heralded states are valid density matrices for any alpha, and
@@ -377,7 +387,7 @@ proptest! {
     #[test]
     fn random_swap_chains_stay_physical(seed in 0u64..500, n_links in 2usize..5) {
         let params = HardwareParams::simulation();
-        let noise = SwapNoise::from_params(&params);
+        let noise = SwapNoise::from_params(&params, StateRep::Bell);
         let mut rng = SimRng::from_seed(seed);
         let mut store = PairStore::new(StateRep::Bell);
         let mut pairs = Vec::new();

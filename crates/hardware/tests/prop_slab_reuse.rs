@@ -176,7 +176,7 @@ impl ModelSpec for ReuseSpec {
             now: SimTime::ZERO,
             ids: [(PairId(0), PairId(0)); 3],
             tombstones: Vec::new(),
-            noise: SwapNoise::from_params(&params),
+            noise: SwapNoise::from_params(&params, StateRep::Bell),
             params,
         };
         // Wear the worn store in: occupy a dozen slots, then free them

@@ -156,7 +156,7 @@ impl ModelSpec for ThreeWaySpec {
             rng_dense: SimRng::from_seed(0xB0B),
             now: SimTime::ZERO,
             ids: [(PairId(0), PairId(0)); 3],
-            noise: SwapNoise::from_params(&params),
+            noise: SwapNoise::from_params(&params, StateRep::Bell),
             params,
         };
         let frames = self.new_model();
@@ -405,15 +405,13 @@ fn representations_agree_with_perfect_circuits() {
         }
         fn new_system(&self) -> World {
             let mut w = ThreeWaySpec.new_system();
-            w.noise = SwapNoise {
-                p_two_qubit: 0.0,
-                p_single: 0.0,
-                readout: qn_hardware::ReadoutSpec {
-                    fidelity0: 1.0,
-                    fidelity1: 1.0,
-                    duration: 0.0,
-                },
+            let readout = qn_hardware::ReadoutSpec {
+                fidelity0: 1.0,
+                fidelity1: 1.0,
+                duration: 0.0,
             };
+            // Built for the Bell store: it serves the dense one too.
+            w.noise = SwapNoise::new(0.0, 0.0, readout, StateRep::Bell);
             w
         }
         fn op_strategy(&self) -> BoxedStrategy<Op> {

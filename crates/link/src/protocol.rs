@@ -15,15 +15,17 @@
 //! count), and feeds back [`LinkProtocol::on_generation_complete`] /
 //! [`LinkProtocol::on_generation_aborted`]. This keeps every scheduling
 //! rule unit-testable without a simulator. Admission fixes a request's
-//! α, and with it the two states a herald can announce; the protocol
-//! derives them once and hands a copy out with each pair.
+//! α, and with it the two states a herald can announce and the
+//! per-attempt success probability; all are pure functions of the link
+//! and the request's minimum fidelity, so the protocol derives them once
+//! per minimum fidelity and hands a copy out with each pair.
 
 use crate::scheduler::TimeShareScheduler;
 use crate::service::{EntanglementId, LinkLabel, LinkPair, LinkRequest, RejectReason};
 use qn_hardware::heralding::LinkPhysics;
 use qn_quantum::bell::BellState;
 use qn_quantum::pairstate::{PairState, StateRep};
-use qn_sim::{NodeId, SimDuration};
+use qn_sim::{Geometric, NodeId, SimDuration};
 use std::collections::BTreeMap;
 
 /// What the runtime should generate next on this link.
@@ -33,6 +35,9 @@ pub struct GenerateSpec {
     pub label: LinkLabel,
     /// Bright-state parameter to use (from the label's min fidelity).
     pub alpha: f64,
+    /// Attempts until a herald at `alpha`: the success probability
+    /// per attempt, with its logarithm taken at admission.
+    pub attempts: Geometric,
 }
 
 /// A link-layer notification to one end of the link: what the link
@@ -46,12 +51,16 @@ pub enum LinkEvent {
     Rejected(LinkLabel, RejectReason),
 }
 
+/// What admission derives from a minimum fidelity.
 #[derive(Clone, Debug)]
-struct RequestState {
+struct Admission {
+    /// The minimum fidelity's bits: the key.
+    min_fidelity: u64,
     alpha: f64,
     goodness: f64,
     /// The heralded states at `alpha`: `[Ψ⁺, Ψ⁻]`.
     heralded: [PairState; 2],
+    attempts: Geometric,
 }
 
 /// The per-link protocol instance.
@@ -60,7 +69,12 @@ pub struct LinkProtocol {
     physics: LinkPhysics,
     rep: StateRep,
     scheduler: TimeShareScheduler,
-    requests: BTreeMap<LinkLabel, RequestState>,
+    /// Each active request's index into `admissions`.
+    requests: BTreeMap<LinkLabel, usize>,
+    /// Every admission derived so far, one per minimum fidelity, kept
+    /// for the life of the link: its requests come from a handful of
+    /// circuit plans, so the set stays small.
+    admissions: Vec<Admission>,
     next_seq: u64,
     /// Label currently being generated for (at most one; a link runs one
     /// midpoint interference process at a time).
@@ -80,6 +94,7 @@ impl LinkProtocol {
             rep,
             scheduler: TimeShareScheduler::new(),
             requests: BTreeMap::new(),
+            admissions: Vec::new(),
             next_seq: 0,
             in_flight: None,
             paused: false,
@@ -98,7 +113,9 @@ impl LinkProtocol {
 
     /// Submit a request for a stream of pairs until [`LinkProtocol::stop`].
     /// Admission control rejects duplicate labels, invalid weights and
-    /// unattainable fidelities (QoS property iv).
+    /// unattainable fidelities (QoS property iv). The first admission at
+    /// a minimum fidelity derives its α, goodness, heralded states and
+    /// success probability; later ones at the same fidelity reuse them.
     ///
     /// A request submitted while the link is paused (physical outage) is
     /// admitted and held, exactly like requests admitted before the
@@ -113,20 +130,27 @@ impl LinkProtocol {
         if !(req.weight.is_finite() && req.weight > 0.0) {
             return Err(RejectReason::InvalidWeight);
         }
-        let alpha = self
-            .physics
-            .alpha_for_fidelity(req.min_fidelity)
-            .ok_or(RejectReason::FidelityUnattainable)?;
-        let heralded = [BellState::PSI_PLUS, BellState::PSI_MINUS]
-            .map(|announced| self.physics.heralded_pair(alpha, announced, self.rep));
-        self.requests.insert(
-            req.label,
-            RequestState {
-                alpha,
-                goodness: self.physics.fidelity(alpha),
-                heralded,
-            },
-        );
+        let key = req.min_fidelity.to_bits();
+        let admission = match self.admissions.iter().position(|a| a.min_fidelity == key) {
+            Some(i) => i,
+            None => {
+                let alpha = self
+                    .physics
+                    .alpha_for_fidelity(req.min_fidelity)
+                    .ok_or(RejectReason::FidelityUnattainable)?;
+                let heralded = [BellState::PSI_PLUS, BellState::PSI_MINUS]
+                    .map(|announced| self.physics.heralded_pair(alpha, announced, self.rep));
+                self.admissions.push(Admission {
+                    min_fidelity: key,
+                    alpha,
+                    goodness: self.physics.fidelity(alpha),
+                    heralded,
+                    attempts: Geometric::new(self.physics.success_prob(alpha)),
+                });
+                self.admissions.len() - 1
+            }
+        };
+        self.requests.insert(req.label, admission);
         self.scheduler.add(req.label, req.weight);
         Ok(())
     }
@@ -182,10 +206,11 @@ impl LinkProtocol {
             return None;
         }
         let label = self.scheduler.next()?;
-        let state = self.requests.get(&label)?;
+        let admission = &self.admissions[*self.requests.get(&label)?];
         Some(GenerateSpec {
             label,
-            alpha: state.alpha,
+            alpha: admission.alpha,
+            attempts: admission.attempts,
         })
     }
 
@@ -219,10 +244,8 @@ impl LinkProtocol {
             .take()
             .expect("completion without in-flight generation");
         self.scheduler.charge(label, elapsed);
-        let state = self
-            .requests
-            .get(&label)
-            .expect("completion for unknown request");
+        let index = self.requests[&label];
+        let state = &self.admissions[index];
         let pair = LinkPair {
             id: EntanglementId {
                 node_a: self.nodes.0,

@@ -13,10 +13,10 @@
 use proptest::prelude::*;
 use qn_hardware::heralding::LinkPhysics;
 use qn_hardware::params::{FibreParams, HardwareParams};
-use qn_link::{LinkLabel, LinkProtocol, LinkRequest};
+use qn_link::{LinkLabel, LinkProtocol, LinkRequest, RejectReason};
 use qn_quantum::bell::BellState;
 use qn_quantum::pairstate::StateRep;
-use qn_sim::{NodeId, SimDuration};
+use qn_sim::{Geometric, NodeId, SimDuration};
 use qn_testkit::dense::same_bits;
 use qn_testkit::models::link::LinkSpec;
 use qn_testkit::ModelTest;
@@ -124,5 +124,66 @@ proptest! {
         prop_assert_eq!(p.active_requests(), 1);
         prop_assert!(p.stop(LinkLabel(0)));
         prop_assert_eq!(p.active_requests(), 0);
+    }
+
+    /// A link that already admitted other fidelities, and this one,
+    /// admits `fidelity` exactly as a fresh link does, and both match a
+    /// fresh derivation bit for bit: α, the success probability and its
+    /// sampler, the goodness and both heralded states. The warmed link
+    /// still rejects an unattainable fidelity.
+    #[test]
+    fn remembered_admissions_match_fresh_ones(
+        fidelity in 0.5f64..1.0,
+        others in proptest::collection::vec(0.5f64..1.0, 0..4),
+        dm in any::<bool>(),
+    ) {
+        let rep = if dm { StateRep::Dm } else { StateRep::Bell };
+        let physics = LinkPhysics::new(HardwareParams::simulation(), FibreParams::lab_2m());
+        let request = |label: usize, min_fidelity: f64| LinkRequest {
+            label: LinkLabel(label as u32),
+            min_fidelity,
+            weight: 1.0,
+        };
+        let mut warm = LinkProtocol::new((NodeId(0), NodeId(1)), physics.clone(), rep);
+        for (i, f) in others.iter().chain([&fidelity]).enumerate() {
+            let _ = warm.submit(request(i + 1, *f));
+        }
+        for i in 1..=others.len() + 1 {
+            warm.stop(LinkLabel(i as u32));
+        }
+        let mut fresh = LinkProtocol::new((NodeId(0), NodeId(1)), physics.clone(), rep);
+        let admitted = warm.submit(request(0, fidelity));
+        prop_assert_eq!(admitted, fresh.submit(request(0, fidelity)));
+        let alpha = physics.alpha_for_fidelity(fidelity);
+        prop_assert_eq!(admitted.is_ok(), alpha.is_some());
+        if let Some(alpha) = alpha {
+            let p = physics.success_prob(alpha);
+            for link in [&mut warm, &mut fresh] {
+                for announced in [BellState::PSI_PLUS, BellState::PSI_MINUS] {
+                    let spec = link.next_action().unwrap();
+                    prop_assert_eq!(spec.alpha.to_bits(), alpha.to_bits());
+                    prop_assert_eq!(spec.attempts.p().to_bits(), p.to_bits());
+                    prop_assert_eq!(spec.attempts, Geometric::new(p));
+                    link.on_generation_started(spec.label);
+                    let (pair, state) =
+                        link.on_generation_complete(announced, 1, SimDuration::from_millis(1));
+                    prop_assert_eq!(pair.alpha.to_bits(), alpha.to_bits());
+                    prop_assert_eq!(pair.goodness.to_bits(), physics.fidelity(alpha).to_bits());
+                    let expected = physics.heralded_pair(alpha, announced, rep);
+                    prop_assert_eq!(state.is_bell(), expected.is_bell());
+                    prop_assert!(same_bits(
+                        state.to_density().matrix(),
+                        expected.to_density().matrix()
+                    ));
+                }
+            }
+        }
+        let (f_max, _) = physics.max_fidelity();
+        for (label, f) in [(90, f_max + 1e-3), (91, f64::NAN)] {
+            prop_assert_eq!(
+                warm.submit(request(label, f)),
+                Err(RejectReason::FidelityUnattainable)
+            );
+        }
     }
 }

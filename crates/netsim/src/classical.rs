@@ -327,14 +327,18 @@ impl ClassicalPlane {
             self.stats.dropped += 1;
             return [None, None];
         }
-        let mut work = std::mem::take(&mut self.fault_scratch);
-        work.clear();
-        work.extend_from_slice(frame);
-        if faults.corrupt > 0.0 && self.rng_faults.bernoulli(faults.corrupt) && !work.is_empty() {
+        // Only a corrupted frame needs a private copy of its bytes.
+        let mut corrupted = None;
+        if faults.corrupt > 0.0 && self.rng_faults.bernoulli(faults.corrupt) && !frame.is_empty() {
+            let mut work = std::mem::take(&mut self.fault_scratch);
+            work.clear();
+            work.extend_from_slice(frame);
             let bit = self.rng_faults.below(work.len() as u64 * 8);
             work[(bit / 8) as usize] ^= 1 << (bit % 8);
             self.stats.corrupted += 1;
+            corrupted = Some(work);
         }
+        let bytes = corrupted.as_deref().unwrap_or(frame);
         let mut primary_at = now + latency;
         if faults.reorder > 0.0 && self.rng_faults.bernoulli(faults.reorder) {
             // A datagram that escaped the stream: it gains extra latency
@@ -342,16 +346,18 @@ impl ClassicalPlane {
             self.stats.reordered += 1;
             primary_at += self.extra_delay(faults.reorder_window);
         }
-        let first = self.append(from, to, lane, primary_at, &work);
+        let first = self.append(from, to, lane, primary_at, bytes);
         self.stats.delivered += 1;
         let mut second = None;
         if faults.duplicate > 0.0 && self.rng_faults.bernoulli(faults.duplicate) {
             self.stats.duplicated += 1;
             let dup_at = primary_at + self.extra_delay(faults.reorder_window);
-            second = self.append(from, to, lane, dup_at, &work);
+            second = self.append(from, to, lane, dup_at, bytes);
             self.stats.delivered += 1;
         }
-        self.fault_scratch = work;
+        if let Some(work) = corrupted {
+            self.fault_scratch = work;
+        }
         [first, second]
     }
 

@@ -42,8 +42,7 @@ impl NetworkModel {
         };
         let l = &mut self.links[link.0 as usize];
         l.proto.on_generation_started(spec.label);
-        let p = l.proto.physics().success_prob(spec.alpha);
-        let attempts = self.rng_links[link.0 as usize].geometric(p);
+        let attempts = self.rng_links[link.0 as usize].sample_geometric(spec.attempts);
         let duration = l.proto.physics().cycle_time().saturating_mul(attempts);
         let event = ctx.schedule_in(duration, Ev::GenDone { link });
         l.inflight = Some(Inflight {

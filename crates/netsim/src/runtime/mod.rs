@@ -40,7 +40,9 @@ use crate::app::AppHarness;
 use crate::classical::{BatchId, ClassicalFaults, ClassicalPlane, ClassicalStats};
 use crate::faults::{ComponentEvent, FaultPlan};
 use qn_hardware::device::{QDevice, QubitId};
-use qn_hardware::pairs::{PairId, PairStore};
+use qn_hardware::pairs::{PairId, PairStore, SwapNoise};
+use qn_hardware::params::HardwareParams;
+use qn_hardware::StateRep;
 use qn_link::{LinkLabel, LinkProtocol};
 use qn_net::events::{NetInput, NetOutput, PairInfo};
 use qn_net::ids::{CircuitId, Correlator, RequestId};
@@ -349,9 +351,38 @@ pub enum Ev {
     },
 }
 
+/// What a node's operations take, derived once from its hardware.
+#[derive(Clone, Copy)]
+struct NodeGates {
+    /// The swap circuit's noise, with the tables or POVM the run's
+    /// representation swaps on.
+    swap_noise: SwapNoise,
+    /// How long a swap takes: the two-qubit gate, the single-qubit gate
+    /// and two readouts.
+    swap_time: SimDuration,
+    /// How long one readout takes.
+    readout_time: SimDuration,
+}
+
+impl NodeGates {
+    fn new(params: &HardwareParams, rep: StateRep) -> Self {
+        let gates = &params.gates;
+        NodeGates {
+            swap_noise: SwapNoise::from_params(params, rep),
+            swap_time: SimDuration::from_secs_f64(
+                gates.two_qubit.duration
+                    + gates.electron_single.duration
+                    + 2.0 * gates.readout.duration,
+            ),
+            readout_time: SimDuration::from_secs_f64(gates.readout.duration),
+        }
+    }
+}
+
 struct NodeRt {
     qnp: QnpNode,
     device: QDevice,
+    gates: NodeGates,
     /// False while the node is crashed: it processes no frames, its
     /// links do not generate, and its volatile protocol state is gone.
     up: bool,
@@ -509,7 +540,7 @@ impl NetworkModel {
             n_nodes,
             "node ids must be dense 0..n"
         );
-        let mut nodes = Vec::with_capacity(n_nodes);
+        let mut nodes: Vec<NodeRt> = Vec::with_capacity(n_nodes);
         let mut node_links = Vec::with_capacity(n_nodes);
         for id in &node_ids {
             let links = topology.links_of(*id);
@@ -529,9 +560,15 @@ impl NetworkModel {
                 Some(carbons) => QDevice::near_term(*id, carbons, params),
                 None => QDevice::per_link(*id, &links, COMM_PER_LINK, params),
             };
+            // Nodes with the same hardware share their gate constants.
+            let gates = match nodes.last() {
+                Some(prev) if prev.device.params() == &params => prev.gates,
+                _ => NodeGates::new(&params, cfg.state_rep),
+            };
             nodes.push(NodeRt {
                 qnp: QnpNode::new(*id, cfg.duplicate_tracks()),
                 device,
+                gates,
                 up: true,
             });
         }

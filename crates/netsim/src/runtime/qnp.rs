@@ -7,7 +7,7 @@ use super::{Ev, NetworkModel};
 use qn_link::{LinkEvent, LinkRequest};
 use qn_net::events::{AppEvent, NetInput, NetOutput};
 use qn_net::ids::CircuitId;
-use qn_sim::{Context, NodeId, SimDuration, TraceKind};
+use qn_sim::{Context, NodeId, TraceKind};
 
 impl NetworkModel {
     /// Run one input through `node`'s QNP and apply its effects on the
@@ -109,10 +109,6 @@ impl NetworkModel {
                 NetOutput::StartSwap { up, down } => {
                     debug_assert!(self.qubit_owner.get(node, up).is_some());
                     debug_assert!(self.qubit_owner.get(node, down).is_some());
-                    let params = self.nodes[node.0 as usize].device.params();
-                    let dur = params.gates.two_qubit.duration
-                        + params.gates.electron_single.duration
-                        + 2.0 * params.gates.readout.duration;
                     self.trace.record(
                         ctx.now(),
                         TraceKind::Quantum,
@@ -120,7 +116,7 @@ impl NetworkModel {
                         format_args!("SWAP start ({up} x {down})"),
                     );
                     ctx.schedule_in(
-                        SimDuration::from_secs_f64(dur),
+                        self.nodes[node.0 as usize].gates.swap_time,
                         Ev::SwapDone {
                             node,
                             circuit,
@@ -160,10 +156,8 @@ impl NetworkModel {
                     self.release_end(ctx, node, pair, true);
                 }
                 NetOutput::MeasureNow { pair, basis } => {
-                    let params = self.nodes[node.0 as usize].device.params();
-                    let dur = params.gates.readout.duration;
                     ctx.schedule_in(
-                        SimDuration::from_secs_f64(dur),
+                        self.nodes[node.0 as usize].gates.readout_time,
                         Ev::MeasureDone {
                             node,
                             circuit,

@@ -4,7 +4,7 @@
 //! (`pairs.checkpoint`) — and the release of one pair end.
 
 use super::{CheckpointPolicy, Ev, NetworkModel};
-use qn_hardware::pairs::{PairId, SwapNoise};
+use qn_hardware::pairs::PairId;
 use qn_net::events::NetInput;
 use qn_net::ids::{CircuitId, Correlator};
 use qn_net::routing_table::LinkSide;
@@ -29,11 +29,11 @@ impl NetworkModel {
             // Circuit torn down mid-swap; the SM state went with it.
             return;
         };
-        let noise = SwapNoise::from_params(self.nodes[node.0 as usize].device.params());
+        let noise = &self.nodes[node.0 as usize].gates.swap_noise;
         let rng = &mut self.rng_nodes[node.0 as usize];
         let res = self
             .pairs
-            .swap(up_pid, down_pid, node, ctx.now(), &noise, rng);
+            .swap(up_pid, down_pid, node, ctx.now(), noise, rng);
         // Free the two local slots.
         for (n, q) in res.freed {
             debug_assert_eq!(n, node);

@@ -53,6 +53,16 @@ impl CutoffPolicy {
         CutoffPolicy::GenerationQuantile { probability: 0.85 }
     }
 
+    /// The policy as integers, for keying remembered plans: the variant
+    /// and its parameter's bits.
+    pub(crate) fn key(&self) -> (u8, u64) {
+        match *self {
+            CutoffPolicy::FidelityLoss { fraction } => (0, fraction.to_bits()),
+            CutoffPolicy::GenerationQuantile { probability } => (1, probability.to_bits()),
+            CutoffPolicy::Manual(d) => (2, d.as_ps()),
+        }
+    }
+
     /// Evaluate the policy for a link producing pairs of fidelity
     /// `f_link` at bright-state parameter `alpha`.
     pub fn evaluate(&self, physics: &LinkPhysics, f_link: f64, alpha: f64) -> SimDuration {
@@ -313,7 +323,7 @@ mod tests {
             );
             // Both pairs idle the full cutoff; swap right at the deadline.
             let swap_at = SimTime::ZERO + cutoff;
-            let noise = SwapNoise::from_params(&params);
+            let noise = SwapNoise::from_params(&params, StateRep::Bell);
             let res = store.swap(a, b, NodeId(1), swap_at, &noise, &mut rng);
             let announced = store.get(res.new_pair).unwrap().announced;
             total += store.fidelity_to(res.new_pair, announced, swap_at);

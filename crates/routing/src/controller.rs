@@ -74,7 +74,14 @@ impl<'a> Controller<'a> {
     }
 
     /// Plan a circuit from `head` to `tail` with end-to-end fidelity
-    /// `f_e2e`.
+    /// `f_e2e`: derived on the first call with these arguments and
+    /// cutoff policy, and remembered by the topology (see [`Topology`]).
+    pub fn plan(&self, head: NodeId, tail: NodeId, f_e2e: f64) -> Result<CircuitPlan, PlanError> {
+        let key = (head, tail, f_e2e.to_bits(), self.cutoff_policy.key());
+        self.topology.plan(key, || self.derive(head, tail, f_e2e))
+    }
+
+    /// Derive the plan [`Controller::plan`] remembers.
     ///
     /// Cutoff and link fidelity are mutually dependent (the budget needs
     /// the cutoff; the generation-quantile cutoff needs α which needs the
@@ -82,7 +89,7 @@ impl<'a> Controller<'a> {
     /// point for at most four rounds. Each round is a pure function of the
     /// cutoff it starts from, so the loop stops as soon as a round returns
     /// that cutoff unchanged: every later round would repeat it exactly.
-    pub fn plan(&self, head: NodeId, tail: NodeId, f_e2e: f64) -> Result<CircuitPlan, PlanError> {
+    fn derive(&self, head: NodeId, tail: NodeId, f_e2e: f64) -> Result<CircuitPlan, PlanError> {
         let path = self
             .topology
             .shortest_path(head, tail)

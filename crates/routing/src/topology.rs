@@ -1,9 +1,15 @@
 //! Network topology description used by the routing controller.
 
+use crate::controller::{CircuitPlan, PlanError};
 use qn_hardware::heralding::LinkPhysics;
 use qn_hardware::params::{FibreParams, HardwareParams};
 use qn_sim::{LinkId, NodeId};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::Mutex;
+
+/// What a plan is a function of besides the links: head, tail, the
+/// end-to-end fidelity's bits and the cutoff policy's key.
+pub(crate) type PlanKey = (NodeId, NodeId, u64, (u8, u64));
 
 /// One physical link of the network.
 #[derive(Clone)]
@@ -31,10 +37,27 @@ impl LinkSpec {
 }
 
 /// The network graph: nodes and links with their physics.
-#[derive(Clone, Default)]
+///
+/// A circuit plan is a pure function of the links, the end-nodes, the
+/// fidelity target and the cutoff policy, so the topology remembers
+/// every plan [`crate::Controller::plan`] derives on it, as each link's
+/// [`LinkPhysics`] remembers its fidelity peak. [`Topology::add_link`]
+/// forgets them all, and a clone starts with none.
+#[derive(Default)]
 pub struct Topology {
     links: Vec<LinkSpec>,
     adjacency: BTreeMap<NodeId, Vec<(NodeId, LinkId)>>,
+    plans: Mutex<BTreeMap<PlanKey, Result<CircuitPlan, PlanError>>>,
+}
+
+impl Clone for Topology {
+    fn clone(&self) -> Self {
+        Topology {
+            links: self.links.clone(),
+            adjacency: self.adjacency.clone(),
+            plans: Mutex::default(),
+        }
+    }
 }
 
 impl Topology {
@@ -44,14 +67,31 @@ impl Topology {
     }
 
     /// Add a link between `a` and `b` with the given physics. Node ids
-    /// are implicit — any id mentioned by a link exists.
+    /// are implicit — any id mentioned by a link exists. Forgets every
+    /// remembered plan.
     pub fn add_link(&mut self, a: NodeId, b: NodeId, physics: LinkPhysics) -> LinkId {
         assert_ne!(a, b, "self-links are not allowed");
+        self.plans
+            .get_mut()
+            .expect("a plan derivation panicked")
+            .clear();
         let id = LinkId(self.links.len() as u32);
         self.links.push(LinkSpec { id, a, b, physics });
         self.adjacency.entry(a).or_default().push((b, id));
         self.adjacency.entry(b).or_default().push((a, id));
         id
+    }
+
+    /// The plan for `key`, derived by `derive` on first use and
+    /// remembered. The lock is held while deriving, so no key is
+    /// derived twice.
+    pub(crate) fn plan(
+        &self,
+        key: PlanKey,
+        derive: impl FnOnce() -> Result<CircuitPlan, PlanError>,
+    ) -> Result<CircuitPlan, PlanError> {
+        let mut plans = self.plans.lock().expect("a plan derivation panicked");
+        plans.entry(key).or_insert_with(derive).clone()
     }
 
     /// Look up a link.

@@ -1,9 +1,11 @@
 //! `Controller::plan` against a reference written here: the plain
 //! four-round fixed-point loop on a freshly built `LinkPhysics`, with no
-//! early exit and no remembered fidelity peak. Every plan field is
-//! compared bit for bit (`f64::to_bits`), the cutoff and the errors
-//! exactly, over chains, the grid and the dumbbell, all three cutoff
-//! policies, end-to-end targets from 0.5 to 0.99 and T2 from 0.2 to 60 s.
+//! early exit, no remembered fidelity peak and no remembered plan. Every
+//! plan field is compared bit for bit (`f64::to_bits`), the cutoff and
+//! the errors exactly, over chains, the grid and the dumbbell, all three
+//! cutoff policies, end-to-end targets from 0.5 to 0.99 and T2 from 0.2
+//! to 60 s: on a cold topology, on the same one warm, on a clone, and
+//! after the topology grew by a link.
 
 use proptest::prelude::*;
 use qn_hardware::heralding::LinkPhysics;
@@ -11,7 +13,7 @@ use qn_hardware::params::{FibreParams, HardwareParams};
 use qn_routing::budget::required_link_fidelity;
 use qn_routing::topology::{chain, dumbbell, grid};
 use qn_routing::{CircuitPlan, Controller, CutoffPolicy, PlanError, Topology};
-use qn_sim::{NodeId, SimDuration};
+use qn_sim::{LinkId, NodeId, SimDuration};
 
 /// The fields of a plan, floats as bits.
 type PlanBits = (Vec<NodeId>, [u64; 5], SimDuration);
@@ -96,7 +98,8 @@ fn topology(kind: usize, params: HardwareParams, fibre: FibreParams) -> Topology
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Every plan (or error) equals the four-round reference, bit for bit.
+    /// Every plan (or error) equals the four-round reference, bit for
+    /// bit, whether derived or remembered.
     #[test]
     fn plan_matches_four_round_reference(
         kind in 0usize..8,
@@ -118,15 +121,27 @@ proptest! {
         let head = ends.0 % n;
         let tail = if ends.1 == 0 { head } else { (head + 1 + ends.1 % (n - 1)) % n };
         let (head, tail) = (nodes[head], nodes[tail]);
-        let controller = Controller::new(&t, policy);
-        // Twice: the second plan runs on the topology's warm physics.
-        for _ in 0..2 {
-            let got = controller.plan(head, tail, f_e2e).map(|p| bits(&p));
-            let want = reference_plan(&t, policy, head, tail, f_e2e);
+        let check = |t: &Topology, stage: &str| -> Result<(), TestCaseError> {
+            let got = Controller::new(t, policy).plan(head, tail, f_e2e).map(|p| bits(&p));
+            let want = reference_plan(t, policy, head, tail, f_e2e);
             prop_assert_eq!(
                 &got, &want,
-                "{:?} {}→{} at F={} with T2={}", policy, head, tail, f_e2e, t2
+                "{} plan, {:?} {}→{} at F={} with T2={}", stage, policy, head, tail, f_e2e, t2
             );
-        }
+            Ok(())
+        };
+        // The first plan is derived, the second remembered.
+        check(&t, "derived")?;
+        check(&t, "remembered")?;
+        check(&t.clone(), "cloned")?;
+        // A new link from the head to the tail (or, when they coincide,
+        // to a new node) can shorten the path: the grown topology must
+        // plan afresh, not answer from what it remembered.
+        let mut t = t;
+        let to = if head == tail { NodeId(n as u32) } else { tail };
+        let physics = t.link(LinkId(0)).physics.clone();
+        t.add_link(head, to, physics);
+        check(&t, "grown")?;
+        check(&t, "grown, remembered")?;
     }
 }

@@ -50,7 +50,7 @@ pub mod trace;
 pub use engine::{Context, Model, RunOutcome, Simulation};
 pub use ids::{LinkId, NodeId};
 pub use queue::{EventId, EventQueue};
-pub use rng::SimRng;
+pub use rng::{Geometric, SimRng};
 pub use stats::Samples;
 pub use time::{SimDuration, SimTime};
 pub use trace::{Trace, TraceKind, TraceRow};

@@ -11,6 +11,30 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// The geometric distribution of [`SimRng::geometric`] with its
+/// logarithm `ln(1 − p)` taken once, for a process that draws many
+/// attempt counts at one success probability.
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub struct Geometric {
+    p: f64,
+    ln_fail: f64,
+}
+
+impl Geometric {
+    /// Trials until the first success at probability `p`.
+    pub fn new(p: f64) -> Self {
+        Geometric {
+            p,
+            ln_fail: (1.0 - p).ln(),
+        }
+    }
+
+    /// The success probability per trial.
+    pub fn p(&self) -> f64 {
+        self.p
+    }
+}
+
 /// A deterministic random stream.
 pub struct SimRng {
     inner: StdRng,
@@ -77,21 +101,29 @@ impl SimRng {
     }
 
     /// Number of Bernoulli(`p`) trials up to and including the first
-    /// success (support `1, 2, 3, …`), sampled in O(1) via inversion.
+    /// success (support `1, 2, 3, …`), sampled in O(1) via inversion:
+    /// [`SimRng::sample_geometric`] of [`Geometric::new`]`(p)`.
     ///
     /// Saturates at `u64::MAX` for vanishingly small `p`; panics on `p <= 0`
     /// in debug builds (the caller must guard impossible processes).
     pub fn geometric(&mut self, p: f64) -> u64 {
-        debug_assert!(p > 0.0, "geometric sampling requires p > 0");
-        if p >= 1.0 {
+        self.sample_geometric(Geometric::new(p))
+    }
+
+    /// A draw from `g`: the same value, from the same draws, as
+    /// [`SimRng::geometric`] at `g`'s `p`. `p >= 1` returns 1 and
+    /// `p <= 0` returns `u64::MAX`, both without a draw.
+    pub fn sample_geometric(&mut self, g: Geometric) -> u64 {
+        debug_assert!(g.p > 0.0, "geometric sampling requires p > 0");
+        if g.p >= 1.0 {
             return 1;
         }
-        if p <= 0.0 {
+        if g.p <= 0.0 {
             return u64::MAX;
         }
         // Inversion: k = ceil(ln(1-u) / ln(1-p)), u ~ U[0,1).
         let u: f64 = self.inner.gen::<f64>();
-        let k = ((1.0 - u).ln() / (1.0 - p).ln()).ceil();
+        let k = ((1.0 - u).ln() / g.ln_fail).ceil();
         if !k.is_finite() || k >= u64::MAX as f64 {
             u64::MAX
         } else {
@@ -191,6 +223,43 @@ mod tests {
     fn geometric_of_one_is_one() {
         let mut r = SimRng::from_seed(3);
         assert_eq!(r.geometric(1.0), 1);
+    }
+
+    /// The stored-logarithm sampler against `geometric(p)` and against
+    /// the inversion formula written out over `f64()`, bit for bit and
+    /// draw for draw, over random `p` spanning 1e-12 to 1, and at
+    /// `p = 1`, which returns 1 without a draw.
+    #[test]
+    fn stored_log_sampler_matches_geometric() {
+        let mut ps = SimRng::from_seed(41);
+        let mut cases: Vec<f64> = (0..2000).map(|_| 10f64.powf(-12.0 * ps.f64())).collect();
+        cases.extend([1.0, 1.0 - f64::EPSILON, 0.5, f64::MIN_POSITIVE]);
+        let (mut a, mut b, mut c) = (
+            SimRng::from_seed(43),
+            SimRng::from_seed(43),
+            SimRng::from_seed(43),
+        );
+        for p in cases {
+            let g = Geometric::new(p);
+            assert_eq!(g.p().to_bits(), p.to_bits());
+            let stored = a.sample_geometric(g);
+            assert_eq!(stored, b.geometric(p), "p = {p}");
+            let reference = if p >= 1.0 {
+                1
+            } else {
+                let k = ((1.0 - c.f64()).ln() / (1.0 - p).ln()).ceil();
+                if !k.is_finite() || k >= u64::MAX as f64 {
+                    u64::MAX
+                } else {
+                    (k as u64).max(1)
+                }
+            };
+            assert_eq!(stored, reference, "p = {p}");
+        }
+        // The three streams consumed the same draws.
+        let next = a.f64().to_bits();
+        assert_eq!(next, b.f64().to_bits());
+        assert_eq!(next, c.f64().to_bits());
     }
 
     #[test]

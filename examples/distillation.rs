@@ -33,8 +33,8 @@ fn werner(f: f64) -> DensityMatrix {
 
 fn main() {
     let params = HardwareParams::simulation();
-    let noise = SwapNoise::from_params(&params);
     let rep = StateRep::from_env();
+    let noise = SwapNoise::from_params(&params, rep);
     let mut rng = SimRng::from_seed(2021);
 
     println!("# BBPSSW distillation with the paper's gate/readout noise");
