@@ -20,7 +20,7 @@ use qn_hardware::pairs::{PairStore, SwapNoise};
 use qn_hardware::params::{FibreParams, HardwareParams};
 use qn_hardware::StateRep;
 use qn_link::{LinkLabel, TimeShareScheduler};
-use qn_net::wire::ScratchEncoder;
+use qn_net::wire::{Frame, ScratchEncoder};
 use qn_net::{
     CircuitId, Complete, Correlator, Epoch, Expire, Forward, Message, RequestId, RequestType, Track,
 };
@@ -313,13 +313,13 @@ fn message_mix() -> Vec<Message> {
     msgs
 }
 
-/// The wire codec under the delivery-path access pattern: the owned
-/// decode the runtime's drain runs on every frame, and the encode into
-/// the plane's reused scratch buffer (under the label its earlier
-/// timings were recorded with).
+/// The wire codec under the delivery-path access pattern: the one
+/// frame decoder the runtime's drain runs on every frame, and the
+/// encode into the plane's reused scratch buffer (under the labels
+/// their earlier timings were recorded with).
 fn bench_message_codec(c: &mut Criterion) {
-    let msgs = message_mix();
-    let frames: Vec<Vec<u8>> = msgs.iter().map(Message::wire_bytes).collect();
+    let msgs: Vec<Frame> = message_mix().into_iter().map(Frame::Qnp).collect();
+    let frames: Vec<Vec<u8>> = msgs.iter().map(Frame::wire_bytes).collect();
 
     c.bench_function("message_parse", |b| {
         // Full decode plus the per-variant fields a dispatcher would
@@ -327,7 +327,9 @@ fn bench_message_codec(c: &mut Criterion) {
         b.iter(|| {
             let mut acc = 0u64;
             for f in &frames {
-                let m = Message::decode(f).unwrap();
+                let Ok(Frame::Qnp(m)) = Frame::decode(f) else {
+                    unreachable!("the mix holds QNP frames only")
+                };
                 acc = acc.wrapping_add(m.circuit().0);
                 if let Message::Track(t) = m {
                     acc = acc.wrapping_add(t.link.seq);
@@ -342,7 +344,7 @@ fn bench_message_codec(c: &mut Criterion) {
         b.iter(|| {
             let mut bytes = 0usize;
             for m in &msgs {
-                bytes += scratch.message(m).len();
+                bytes += scratch.encode(m).len();
             }
             bytes
         });

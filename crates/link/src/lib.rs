@@ -25,6 +25,6 @@ pub mod protocol;
 pub mod scheduler;
 pub mod service;
 
-pub use protocol::{GenerateSpec, LinkEvent, LinkProtocol};
+pub use protocol::{GenerateSpec, LinkProtocol};
 pub use scheduler::TimeShareScheduler;
 pub use service::{EntanglementId, LinkLabel, LinkPair, LinkRequest, RejectReason};

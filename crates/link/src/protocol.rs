@@ -40,17 +40,6 @@ pub struct GenerateSpec {
     pub attempts: Geometric,
 }
 
-/// A link-layer notification to one end of the link: what the link
-/// plane carries when signalling rides the classical wire.
-#[derive(Clone, Debug)]
-pub enum LinkEvent {
-    /// A pair is ready; the runtime must allocate qubits, create the
-    /// physical pair, and notify the network layer at both ends.
-    PairReady(LinkPair),
-    /// A request was rejected at admission.
-    Rejected(LinkLabel, RejectReason),
-}
-
 /// What admission derives from a minimum fidelity.
 #[derive(Clone, Debug)]
 struct Admission {
@@ -99,11 +88,6 @@ impl LinkProtocol {
             in_flight: None,
             paused: false,
         }
-    }
-
-    /// The link's endpoints.
-    pub fn nodes(&self) -> (NodeId, NodeId) {
-        self.nodes
     }
 
     /// The link physics (for cutoff/rate computation by callers).

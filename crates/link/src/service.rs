@@ -63,7 +63,7 @@ pub struct LinkRequest {
 
 /// A pair delivered by the link layer (one notification per end in the
 /// real system; the simulation fans it out to both ends).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct LinkPair {
     /// Per-pair unique identifier.
     pub id: EntanglementId,

@@ -16,8 +16,9 @@
 //!   KEEP/EARLY/MEASURE delivery);
 //! * [`routing_table`] — the per-circuit data-plane state installed by
 //!   signalling (§4.1);
-//! * [`wire`] — the versioned binary wire format every signalling
-//!   message is encoded to before crossing a classical channel.
+//! * [`wire`] — the versioned binary wire format every classical frame
+//!   (QNP message, PAIR_READY, routing signalling) is encoded to before
+//!   crossing a classical channel, with its one decoder.
 //!
 //! The node core is **sans-IO**: it consumes typed inputs and returns
 //! typed effects, never touching clocks, queues or quantum state. The
@@ -56,4 +57,4 @@ pub use node::{NodeStats, QnpNode};
 pub use policing::{AdmitDecision, Policer};
 pub use request::{Demand, RequestType, UserRequest};
 pub use routing_table::{DownstreamHop, LinkSide, Role, RoutingEntry, UpstreamHop};
-pub use wire::{DecodeError, ScratchEncoder, Wire, WireReader, WireWriter, WIRE_VERSION};
+pub use wire::{DecodeError, Frame, ScratchEncoder, SignalMessage, WIRE_VERSION};

@@ -20,28 +20,27 @@
 //! One kind-byte registry covers all three signalling planes, so a
 //! corrupted kind byte can never cross decode into the wrong plane:
 //!
-//! | range | plane | kinds |
+//! | range | plane ([`Frame`] variant) | kinds |
 //! |---|---|---|
-//! | `0x01..=0x05` | QNP data plane ([`Message`]) | FORWARD, COMPLETE, TRACK, EXPIRE, TRACK_ACK |
-//! | `0x10`, `0x12` | link layer notifications ([`LinkEvent`]) | PAIR_READY, REJECTED (`0x11` is retired) |
-//! | `0x20..=0x23` | routing signalling (`qn_routing::wire`) | INSTALL, TEARDOWN, INSTALL_ACK, TEARDOWN_ACK |
+//! | `0x01..=0x05` | QNP data plane ([`Frame::Qnp`]) | FORWARD, COMPLETE, TRACK, EXPIRE, TRACK_ACK |
+//! | `0x10` | link layer ([`Frame::PairReady`]) | PAIR_READY (`0x11` and `0x12` are retired) |
+//! | `0x20..=0x23` | routing signalling ([`Frame::Signal`]) | INSTALL, TEARDOWN, INSTALL_ACK, TEARDOWN_ACK |
 //!
-//! Each frame has one decoder, the owned one ([`Message::decode`],
-//! [`decode_link_event`], `qn_routing::wire::SignalMessage::decode`).
-//! `Message` is `Copy`, so decoding allocates nothing. The encode side
-//! reuses a per-plane [`ScratchEncoder`] instead of allocating a fresh
-//! `Vec` per frame.
+//! [`Frame::decode`] is the one parser of a received frame and
+//! [`Frame::encode_to`] its inverse. Frames are `Copy`, so decoding
+//! allocates nothing. The encode side reuses a [`ScratchEncoder`]
+//! instead of allocating a fresh `Vec` per frame.
 //!
 //! ## Guarantees
 //!
-//! * **Exact round-trip**: `decode(encode(m)) == m`, including `f64`
+//! * **Exact round-trip**: `decode(encode(f)) == f`, including `f64`
 //!   fields (encoded as IEEE-754 bit patterns, so NaN payloads and
 //!   signed zeros survive byte-for-byte).
 //! * **Total decoding**: `decode` never panics, whatever the input
 //!   bytes — every failure is a typed [`DecodeError`]. The property
-//!   suite in `crates/net/tests/prop_wire.rs` fuzzes this on arbitrary,
-//!   truncated and bit-flipped inputs.
-//! * **Exact consumption**: a top-level decode rejects trailing bytes
+//!   suites in `crates/net/tests/prop_wire.rs` and `prop_signal_wire.rs`
+//!   fuzz this on arbitrary, truncated and bit-flipped inputs.
+//! * **Exact consumption**: a decode rejects trailing bytes
 //!   ([`DecodeError::TrailingBytes`]), so frames cannot silently smuggle
 //!   extra payload.
 
@@ -49,7 +48,7 @@ use crate::ids::{CircuitId, Epoch, RequestId};
 use crate::messages::{Complete, Expire, Forward, Message, Track, TrackAck};
 use crate::request::RequestType;
 use crate::routing_table::{DownstreamHop, RoutingEntry, UpstreamHop};
-use qn_link::{EntanglementId, LinkEvent, LinkLabel, LinkPair, RejectReason};
+use qn_link::{EntanglementId, LinkLabel, LinkPair};
 use qn_quantum::bell::BellState;
 use qn_quantum::gates::Pauli;
 use qn_sim::NodeId;
@@ -71,15 +70,13 @@ pub const KIND_EXPIRE: u8 = 0x04;
 pub const KIND_TRACK_ACK: u8 = 0x05;
 /// Kind byte of a link-layer PAIR_READY frame.
 pub const KIND_LINK_PAIR_READY: u8 = 0x10;
-/// Kind byte of a link-layer REJECTED frame.
-pub const KIND_LINK_REJECTED: u8 = 0x12;
-/// Kind byte of a routing-signalling INSTALL frame (`qn_routing::wire`).
+/// Kind byte of a routing-signalling INSTALL frame.
 pub const KIND_SIGNAL_INSTALL: u8 = 0x20;
-/// Kind byte of a routing-signalling TEARDOWN frame (`qn_routing::wire`).
+/// Kind byte of a routing-signalling TEARDOWN frame.
 pub const KIND_SIGNAL_TEARDOWN: u8 = 0x21;
-/// Kind byte of a routing-signalling INSTALL_ACK frame (`qn_routing::wire`).
+/// Kind byte of a routing-signalling INSTALL_ACK frame.
 pub const KIND_SIGNAL_INSTALL_ACK: u8 = 0x22;
-/// Kind byte of a routing-signalling TEARDOWN_ACK frame (`qn_routing::wire`).
+/// Kind byte of a routing-signalling TEARDOWN_ACK frame.
 pub const KIND_SIGNAL_TEARDOWN_ACK: u8 = 0x23;
 
 /// A typed decoding failure. Decoding is *total*: arbitrary input bytes
@@ -94,8 +91,7 @@ pub enum DecodeError {
     },
     /// The version byte does not match [`WIRE_VERSION`].
     BadVersion(u8),
-    /// The kind byte is not assigned (or belongs to a different
-    /// signalling plane than the one being decoded).
+    /// The kind byte is not assigned (a retired kind included).
     UnknownKind(u8),
     /// A tag byte held a value outside its enum's range.
     BadTag {
@@ -137,7 +133,7 @@ impl std::error::Error for DecodeError {}
 
 /// Append-only encoder over a byte buffer. All integers are
 /// little-endian.
-pub struct WireWriter<'a> {
+pub(crate) struct WireWriter<'a> {
     buf: &'a mut Vec<u8>,
 }
 
@@ -182,7 +178,7 @@ impl<'a> WireWriter<'a> {
 
 /// Cursor-based decoder over a byte slice. Every read is total; failures
 /// are reported as [`DecodeError`] with the byte offset.
-pub struct WireReader<'a> {
+pub(crate) struct WireReader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
@@ -260,7 +256,7 @@ impl<'a> WireReader<'a> {
 // ---------------------------------------------------------------------
 
 /// A type with a fixed wire representation.
-pub trait Wire: Sized {
+pub(crate) trait Wire: Sized {
     /// Append this value's encoding.
     fn encode(&self, w: &mut WireWriter<'_>);
     /// Decode one value from the cursor.
@@ -389,27 +385,6 @@ impl Wire for RequestType {
     }
 }
 
-impl Wire for RejectReason {
-    fn encode(&self, w: &mut WireWriter<'_>) {
-        w.put_u8(match self {
-            RejectReason::FidelityUnattainable => 0,
-            RejectReason::DuplicateLabel => 1,
-            RejectReason::InvalidWeight => 2,
-        });
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, DecodeError> {
-        match r.get_u8()? {
-            0 => Ok(RejectReason::FidelityUnattainable),
-            1 => Ok(RejectReason::DuplicateLabel),
-            2 => Ok(RejectReason::InvalidWeight),
-            value => Err(DecodeError::BadTag {
-                field: "reject_reason",
-                value,
-            }),
-        }
-    }
-}
-
 impl Wire for LinkPair {
     fn encode(&self, w: &mut WireWriter<'_>) {
         self.id.encode(w);
@@ -480,25 +455,6 @@ impl Wire for RoutingEntry {
             cutoff: SimDuration::from_ps(r.get_u64()?),
         })
     }
-}
-
-// ---------------------------------------------------------------------
-// Frame helpers
-// ---------------------------------------------------------------------
-
-/// Append the two-byte frame header (version + kind).
-pub fn put_header(w: &mut WireWriter<'_>, kind: u8) {
-    w.put_u8(WIRE_VERSION);
-    w.put_u8(kind);
-}
-
-/// Read and check the version byte, then return the kind byte.
-pub fn read_header(r: &mut WireReader<'_>) -> Result<u8, DecodeError> {
-    let version = r.get_u8()?;
-    if version != WIRE_VERSION {
-        return Err(DecodeError::BadVersion(version));
-    }
-    r.get_u8()
 }
 
 // ---------------------------------------------------------------------
@@ -595,91 +551,138 @@ fn decode_track_ack(r: &mut WireReader<'_>) -> Result<TrackAck, DecodeError> {
     })
 }
 
-impl Message {
-    /// Append this message's complete frame (header + payload) to `buf`.
-    pub fn encode_to(&self, buf: &mut Vec<u8>) {
-        let mut w = WireWriter::new(buf);
+/// Decode the payload of a QNP message frame of kind `kind`.
+fn decode_message(kind: u8, r: &mut WireReader<'_>) -> Result<Message, DecodeError> {
+    Ok(match kind {
+        KIND_FORWARD => Message::Forward(decode_forward(r)?),
+        KIND_COMPLETE => Message::Complete(decode_complete(r)?),
+        KIND_TRACK => Message::Track(decode_track(r)?),
+        KIND_EXPIRE => Message::Expire(decode_expire(r)?),
+        KIND_TRACK_ACK => Message::TrackAck(decode_track_ack(r)?),
+        kind => return Err(DecodeError::UnknownKind(kind)),
+    })
+}
+
+/// A routing-signalling message to one node on a circuit's path: the
+/// signalling protocol (§3.3, RSVP-TE style) installs and tears down
+/// virtual circuits by messaging every node on the path. The two acks
+/// exist for runtimes that carry signalling over a lossy plane and
+/// retransmit unacknowledged hops.
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub enum SignalMessage {
+    /// Install the circuit's routing entry at the receiving node.
+    Install {
+        /// The entry to install.
+        entry: RoutingEntry,
+    },
+    /// Remove the circuit at the receiving node.
+    Teardown {
+        /// The circuit to remove.
+        circuit: CircuitId,
+    },
+    /// Hop-by-hop acknowledgement of an INSTALL, sent back to the node
+    /// the INSTALL came from. Installed (or already-installed) nodes
+    /// always re-ack, so a lost ack is recovered by the retransmission.
+    InstallAck {
+        /// The acknowledged circuit.
+        circuit: CircuitId,
+    },
+    /// Hop-by-hop acknowledgement of a TEARDOWN.
+    TeardownAck {
+        /// The acknowledged circuit.
+        circuit: CircuitId,
+    },
+}
+
+// ---------------------------------------------------------------------
+// Frames
+// ---------------------------------------------------------------------
+
+/// Every frame the classical plane carries: one variant per plane.
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub enum Frame {
+    /// A QNP data-plane message (kinds `0x01..=0x05`).
+    Qnp(Message),
+    /// A link-layer PAIR_READY: the pair, its ID and its Bell state
+    /// (kind `0x10`).
+    PairReady(LinkPair),
+    /// A routing-signalling message (kinds `0x20..=0x23`).
+    Signal(SignalMessage),
+}
+
+impl Frame {
+    /// This frame's kind byte.
+    fn kind(&self) -> u8 {
         match self {
-            Message::Forward(m) => {
-                put_header(&mut w, KIND_FORWARD);
-                encode_forward(m, &mut w);
-            }
-            Message::Complete(m) => {
-                put_header(&mut w, KIND_COMPLETE);
-                encode_complete(m, &mut w);
-            }
-            Message::Track(m) => {
-                put_header(&mut w, KIND_TRACK);
-                encode_track(m, &mut w);
-            }
-            Message::Expire(m) => {
-                put_header(&mut w, KIND_EXPIRE);
-                encode_expire(m, &mut w);
-            }
-            Message::TrackAck(m) => {
-                put_header(&mut w, KIND_TRACK_ACK);
-                encode_track_ack(m, &mut w);
-            }
+            Frame::Qnp(Message::Forward(_)) => KIND_FORWARD,
+            Frame::Qnp(Message::Complete(_)) => KIND_COMPLETE,
+            Frame::Qnp(Message::Track(_)) => KIND_TRACK,
+            Frame::Qnp(Message::Expire(_)) => KIND_EXPIRE,
+            Frame::Qnp(Message::TrackAck(_)) => KIND_TRACK_ACK,
+            Frame::PairReady(_) => KIND_LINK_PAIR_READY,
+            Frame::Signal(SignalMessage::Install { .. }) => KIND_SIGNAL_INSTALL,
+            Frame::Signal(SignalMessage::Teardown { .. }) => KIND_SIGNAL_TEARDOWN,
+            Frame::Signal(SignalMessage::InstallAck { .. }) => KIND_SIGNAL_INSTALL_ACK,
+            Frame::Signal(SignalMessage::TeardownAck { .. }) => KIND_SIGNAL_TEARDOWN_ACK,
         }
     }
 
-    /// This message's complete wire frame.
+    /// Append this frame (header + payload) to `buf`.
+    pub fn encode_to(&self, buf: &mut Vec<u8>) {
+        let w = &mut WireWriter::new(buf);
+        w.put_u8(WIRE_VERSION);
+        w.put_u8(self.kind());
+        match self {
+            Frame::Qnp(Message::Forward(m)) => encode_forward(m, w),
+            Frame::Qnp(Message::Complete(m)) => encode_complete(m, w),
+            Frame::Qnp(Message::Track(m)) => encode_track(m, w),
+            Frame::Qnp(Message::Expire(m)) => encode_expire(m, w),
+            Frame::Qnp(Message::TrackAck(m)) => encode_track_ack(m, w),
+            Frame::PairReady(p) => p.encode(w),
+            Frame::Signal(SignalMessage::Install { entry }) => entry.encode(w),
+            Frame::Signal(
+                SignalMessage::Teardown { circuit }
+                | SignalMessage::InstallAck { circuit }
+                | SignalMessage::TeardownAck { circuit },
+            ) => circuit.encode(w),
+        }
+    }
+
+    /// This frame's bytes.
     pub fn wire_bytes(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(64);
         self.encode_to(&mut buf);
         buf
     }
 
-    /// Decode a complete frame. Total: never panics; rejects bad
-    /// versions, foreign/unknown kind bytes, truncation and trailing
-    /// bytes with a typed [`DecodeError`].
-    pub fn decode(bytes: &[u8]) -> Result<Message, DecodeError> {
-        let mut r = WireReader::new(bytes);
-        let msg = match read_header(&mut r)? {
-            KIND_FORWARD => Message::Forward(decode_forward(&mut r)?),
-            KIND_COMPLETE => Message::Complete(decode_complete(&mut r)?),
-            KIND_TRACK => Message::Track(decode_track(&mut r)?),
-            KIND_EXPIRE => Message::Expire(decode_expire(&mut r)?),
-            KIND_TRACK_ACK => Message::TrackAck(decode_track_ack(&mut r)?),
-            kind => return Err(DecodeError::UnknownKind(kind)),
+    /// Decode one received frame. Total: never panics; rejects bad
+    /// versions, unassigned or retired kind bytes, truncation and
+    /// trailing bytes with a typed [`DecodeError`].
+    pub fn decode(bytes: &[u8]) -> Result<Frame, DecodeError> {
+        let r = &mut WireReader::new(bytes);
+        let version = r.get_u8()?;
+        if version != WIRE_VERSION {
+            return Err(DecodeError::BadVersion(version));
+        }
+        let frame = match r.get_u8()? {
+            KIND_LINK_PAIR_READY => Frame::PairReady(LinkPair::decode(r)?),
+            KIND_SIGNAL_INSTALL => Frame::Signal(SignalMessage::Install {
+                entry: Wire::decode(r)?,
+            }),
+            KIND_SIGNAL_TEARDOWN => Frame::Signal(SignalMessage::Teardown {
+                circuit: Wire::decode(r)?,
+            }),
+            KIND_SIGNAL_INSTALL_ACK => Frame::Signal(SignalMessage::InstallAck {
+                circuit: Wire::decode(r)?,
+            }),
+            KIND_SIGNAL_TEARDOWN_ACK => Frame::Signal(SignalMessage::TeardownAck {
+                circuit: Wire::decode(r)?,
+            }),
+            kind => Frame::Qnp(decode_message(kind, r)?),
         };
         r.finish()?;
-        Ok(msg)
+        Ok(frame)
     }
-}
-
-// ---------------------------------------------------------------------
-// Link-layer notifications
-// ---------------------------------------------------------------------
-
-/// Encode a link-layer notification as a complete frame.
-pub fn encode_link_event(ev: &LinkEvent, buf: &mut Vec<u8>) {
-    let mut w = WireWriter::new(buf);
-    match ev {
-        LinkEvent::PairReady(pair) => {
-            put_header(&mut w, KIND_LINK_PAIR_READY);
-            pair.encode(&mut w);
-        }
-        LinkEvent::Rejected(label, reason) => {
-            put_header(&mut w, KIND_LINK_REJECTED);
-            label.encode(&mut w);
-            reason.encode(&mut w);
-        }
-    }
-}
-
-/// Decode a link-layer notification frame (total; typed errors).
-pub fn decode_link_event(bytes: &[u8]) -> Result<LinkEvent, DecodeError> {
-    let mut r = WireReader::new(bytes);
-    let ev = match read_header(&mut r)? {
-        KIND_LINK_PAIR_READY => LinkEvent::PairReady(LinkPair::decode(&mut r)?),
-        KIND_LINK_REJECTED => {
-            LinkEvent::Rejected(LinkLabel::decode(&mut r)?, RejectReason::decode(&mut r)?)
-        }
-        kind => return Err(DecodeError::UnknownKind(kind)),
-    };
-    r.finish()?;
-    Ok(ev)
 }
 
 // ---------------------------------------------------------------------
@@ -701,16 +704,11 @@ impl ScratchEncoder {
         }
     }
 
-    /// Clear the scratch, let `fill` append one frame, borrow the bytes.
-    pub fn frame(&mut self, fill: impl FnOnce(&mut Vec<u8>)) -> &[u8] {
+    /// Encode one frame into the scratch and borrow its bytes.
+    pub fn encode(&mut self, frame: &Frame) -> &[u8] {
         self.buf.clear();
-        fill(&mut self.buf);
+        frame.encode_to(&mut self.buf);
         &self.buf
-    }
-
-    /// Encode one data-plane message frame into the scratch.
-    pub fn message(&mut self, msg: &Message) -> &[u8] {
-        self.frame(|buf| msg.encode_to(buf))
     }
 }
 
@@ -732,9 +730,39 @@ mod tests {
         }
     }
 
-    fn sample_messages() -> Vec<Message> {
+    fn entry() -> RoutingEntry {
+        RoutingEntry {
+            circuit: CircuitId(5),
+            upstream: Some(UpstreamHop {
+                node: NodeId(1),
+                label: LinkLabel(9),
+            }),
+            downstream: Some(DownstreamHop {
+                node: NodeId(3),
+                label: LinkLabel(2),
+                min_fidelity: 0.93,
+                max_lpr: 41.5,
+            }),
+            max_eer: 10.25,
+            cutoff: SimDuration::from_millis(120),
+        }
+    }
+
+    fn pair() -> LinkPair {
+        LinkPair {
+            id: corr(0, 1, 5),
+            label: LinkLabel(3),
+            announced: BellState::PSI_PLUS,
+            alpha: 0.125,
+            goodness: 0.987,
+            attempts: 1 << 40,
+        }
+    }
+
+    /// One frame of every assigned kind, in kind-byte order.
+    fn sample_frames() -> Vec<Frame> {
         vec![
-            Message::Forward(Forward {
+            Frame::Qnp(Message::Forward(Forward {
                 circuit: CircuitId(3),
                 request: RequestId(9),
                 head_identifier: 1,
@@ -743,15 +771,15 @@ mod tests {
                 number_of_pairs: Some(17),
                 final_state: Some(BellState::PSI_MINUS),
                 rate: 12.5,
-            }),
-            Message::Complete(Complete {
+            })),
+            Frame::Qnp(Message::Complete(Complete {
                 circuit: CircuitId(u64::MAX),
                 request: RequestId(0),
                 head_identifier: u32::MAX,
                 tail_identifier: 0,
                 rate: -0.0,
-            }),
-            Message::Track(Track {
+            })),
+            Frame::Qnp(Message::Track(Track {
                 circuit: CircuitId(1),
                 request: RequestId(2),
                 head_identifier: 7,
@@ -760,51 +788,90 @@ mod tests {
                 link: corr(2, 3, 7),
                 outcome_state: BellState::PHI_MINUS,
                 epoch: None,
-            }),
-            Message::Expire(Expire {
+            })),
+            Frame::Qnp(Message::Expire(Expire {
                 circuit: CircuitId(6),
                 origin: corr(4, 5, u64::MAX),
-            }),
-            Message::TrackAck(TrackAck {
+            })),
+            Frame::Qnp(Message::TrackAck(TrackAck {
                 circuit: CircuitId(11),
                 origin: corr(6, 7, 3),
+            })),
+            Frame::PairReady(pair()),
+            Frame::Signal(SignalMessage::Install { entry: entry() }),
+            Frame::Signal(SignalMessage::Teardown {
+                circuit: CircuitId(77),
+            }),
+            Frame::Signal(SignalMessage::InstallAck {
+                circuit: CircuitId(78),
+            }),
+            Frame::Signal(SignalMessage::TeardownAck {
+                circuit: CircuitId(79),
             }),
         ]
     }
 
     #[test]
     fn message_round_trip() {
-        for m in sample_messages() {
-            let bytes = m.wire_bytes();
-            assert_eq!(Message::decode(&bytes), Ok(m), "round trip of {m:?}");
+        for f in sample_frames() {
+            assert_eq!(Frame::decode(&f.wire_bytes()), Ok(f), "round trip of {f:?}");
+        }
+    }
+
+    #[test]
+    fn each_assigned_kind_decodes_to_its_own_variant() {
+        let frames = sample_frames();
+        let kinds: Vec<u8> = frames.iter().map(|f| f.wire_bytes()[1]).collect();
+        assert_eq!(
+            kinds,
+            [0x01, 0x02, 0x03, 0x04, 0x05, 0x10, 0x20, 0x21, 0x22, 0x23]
+        );
+        for (f, kind) in frames.into_iter().zip(kinds) {
+            let back = Frame::decode(&f.wire_bytes()).unwrap();
+            let own = match kind {
+                0x01..=0x05 => matches!(back, Frame::Qnp(_)),
+                0x10 => matches!(back, Frame::PairReady(_)),
+                _ => matches!(back, Frame::Signal(_)),
+            };
+            assert!(own, "kind {kind:#04x} decoded as {back:?}");
+        }
+        // The retired link kinds (REQUEST_DONE, REJECTED) and an
+        // unassigned one decode to nothing, whatever follows them.
+        let mut bytes = Frame::PairReady(pair()).wire_bytes();
+        for kind in [0x11, 0x12, 0x13] {
+            bytes[1] = kind;
+            assert_eq!(Frame::decode(&bytes), Err(DecodeError::UnknownKind(kind)));
+            assert_eq!(
+                Frame::decode(&[WIRE_VERSION, kind]),
+                Err(DecodeError::UnknownKind(kind))
+            );
         }
     }
 
     #[test]
     fn nan_rate_round_trips_bit_exactly() {
-        let m = Message::Complete(Complete {
+        let f = Frame::Qnp(Message::Complete(Complete {
             circuit: CircuitId(1),
             request: RequestId(1),
             head_identifier: 0,
             tail_identifier: 0,
             rate: f64::from_bits(0x7ff8_dead_beef_0001),
-        });
-        let bytes = m.wire_bytes();
-        let back = Message::decode(&bytes).unwrap();
+        }));
+        let bytes = f.wire_bytes();
+        let back = Frame::decode(&bytes).unwrap();
         // NaN != NaN, so compare via re-encoding.
         assert_eq!(back.wire_bytes(), bytes);
     }
 
     #[test]
     fn truncation_is_a_typed_error() {
-        for m in sample_messages() {
-            let bytes = m.wire_bytes();
+        for f in sample_frames() {
+            let bytes = f.wire_bytes();
             for len in 0..bytes.len() {
-                let err = Message::decode(&bytes[..len]).unwrap_err();
+                let err = Frame::decode(&bytes[..len]).unwrap_err();
                 assert!(
                     matches!(err, DecodeError::Truncated { .. }),
-                    "prefix of {} bytes gave {err:?}",
-                    len
+                    "prefix of {len} bytes of {f:?} gave {err:?}"
                 );
             }
         }
@@ -812,66 +879,72 @@ mod tests {
 
     #[test]
     fn trailing_bytes_rejected() {
-        let mut bytes = sample_messages()[3].wire_bytes();
-        bytes.push(0);
-        assert_eq!(
-            Message::decode(&bytes),
-            Err(DecodeError::TrailingBytes { extra: 1 })
-        );
+        for f in sample_frames() {
+            let mut bytes = f.wire_bytes();
+            bytes.push(0);
+            assert_eq!(
+                Frame::decode(&bytes),
+                Err(DecodeError::TrailingBytes { extra: 1 })
+            );
+        }
     }
 
     #[test]
     fn bad_version_and_kind() {
-        let mut bytes = sample_messages()[0].wire_bytes();
+        let mut bytes = sample_frames()[0].wire_bytes();
         bytes[0] = 9;
-        assert_eq!(Message::decode(&bytes), Err(DecodeError::BadVersion(9)));
+        assert_eq!(Frame::decode(&bytes), Err(DecodeError::BadVersion(9)));
         bytes[0] = WIRE_VERSION;
         bytes[1] = 0xEE;
-        assert_eq!(Message::decode(&bytes), Err(DecodeError::UnknownKind(0xEE)));
-        // Link-layer kinds are a *foreign* plane for Message::decode.
-        bytes[1] = KIND_LINK_PAIR_READY;
-        assert_eq!(
-            Message::decode(&bytes),
-            Err(DecodeError::UnknownKind(KIND_LINK_PAIR_READY))
-        );
+        assert_eq!(Frame::decode(&bytes), Err(DecodeError::UnknownKind(0xEE)));
     }
 
     #[test]
     fn link_event_round_trip() {
-        let events = vec![
-            LinkEvent::PairReady(LinkPair {
-                id: corr(0, 1, 5),
-                label: LinkLabel(3),
-                announced: BellState::PSI_PLUS,
-                alpha: 0.125,
-                goodness: 0.987,
-                attempts: 1 << 40,
-            }),
-            LinkEvent::Rejected(LinkLabel(1), RejectReason::DuplicateLabel),
-        ];
-        for ev in &events {
-            let mut bytes = Vec::new();
-            encode_link_event(ev, &mut bytes);
-            let back = decode_link_event(&bytes).unwrap();
-            let mut again = Vec::new();
-            encode_link_event(&back, &mut again);
-            assert_eq!(again, bytes, "round trip of {ev:?}");
+        let f = Frame::PairReady(pair());
+        let bytes = f.wire_bytes();
+        assert_eq!(Frame::decode(&bytes), Ok(f));
+        assert_eq!(bytes.len(), 2 + 16 + 4 + 1 + 8 + 8 + 8);
+    }
+
+    #[test]
+    fn install_round_trip() {
+        for e in [
+            entry(),
+            RoutingEntry {
+                upstream: None,
+                cutoff: SimDuration::MAX,
+                ..entry()
+            },
+            RoutingEntry {
+                downstream: None,
+                ..entry()
+            },
+        ] {
+            let f = Frame::Signal(SignalMessage::Install { entry: e });
+            assert_eq!(Frame::decode(&f.wire_bytes()), Ok(f));
+        }
+    }
+
+    #[test]
+    fn teardown_round_trip_and_framing() {
+        let f = Frame::Signal(SignalMessage::Teardown {
+            circuit: CircuitId(77),
+        });
+        let bytes = f.wire_bytes();
+        assert_eq!(Frame::decode(&bytes), Ok(f));
+        // Truncations are typed errors, never panics.
+        for len in 0..bytes.len() {
+            assert!(Frame::decode(&bytes[..len]).is_err());
         }
     }
 
     #[test]
     fn scratch_encoder_matches_wire_bytes() {
         let mut scratch = ScratchEncoder::new();
-        for m in sample_messages() {
-            assert_eq!(scratch.message(&m), m.wire_bytes().as_slice());
+        for f in sample_frames() {
+            assert_eq!(scratch.encode(&f), f.wire_bytes().as_slice());
         }
-        let ev = LinkEvent::Rejected(LinkLabel(7), RejectReason::InvalidWeight);
-        let mut owned = Vec::new();
-        encode_link_event(&ev, &mut owned);
-        assert_eq!(
-            scratch.frame(|b| encode_link_event(&ev, b)),
-            owned.as_slice()
-        );
     }
 
     #[test]

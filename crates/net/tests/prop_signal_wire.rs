@@ -1,15 +1,14 @@
 //! Fuzz the routing-signalling wire frames (INSTALL / TEARDOWN and
-//! their acks): exact round-trips over the full entry space, total
-//! decoding on arbitrary bytes, plane separation from the QNP data
-//! plane.
+//! their acks) through the one frame decoder: exact round-trips over
+//! the full entry space, total decoding on arbitrary bytes, and every
+//! signalling frame decoding to the signalling variant.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 use qn_link::LinkLabel;
 use qn_net::ids::CircuitId;
 use qn_net::routing_table::{DownstreamHop, RoutingEntry, UpstreamHop};
-use qn_net::wire::DecodeError;
-use qn_routing::wire::SignalMessage;
+use qn_net::wire::{DecodeError, Frame, SignalMessage};
 use qn_sim::{NodeId, SimDuration};
 
 fn arb_entry() -> BoxedStrategy<RoutingEntry> {
@@ -69,10 +68,10 @@ proptest! {
     /// by field, and re-encodes to the same bytes.
     #[test]
     fn signal_round_trip(msg in arb_signal()) {
-        let bytes = msg.wire_bytes();
-        let back = SignalMessage::decode(&bytes);
-        prop_assert!(back.is_ok(), "decode failed: {:?}", back);
-        let back = back.unwrap();
+        let bytes = Frame::Signal(msg).wire_bytes();
+        let back = Frame::decode(&bytes);
+        prop_assert!(matches!(back, Ok(Frame::Signal(_))), "decoded as {:?}", back);
+        let Ok(Frame::Signal(back)) = back else { unreachable!() };
         // Floats compare by bit pattern, so NaN payloads count.
         // Re-encoding alone would miss a field that both sides narrow
         // the same way.
@@ -95,32 +94,29 @@ proptest! {
             ) => prop_assert_eq!(a, b),
             _ => prop_assert!(false, "{:?} decoded as {:?}", msg, back),
         }
-        prop_assert_eq!(back.wire_bytes(), bytes);
+        prop_assert_eq!(Frame::Signal(back).wire_bytes(), bytes);
     }
 
     /// Total decoding on arbitrary bytes; whatever decodes re-encodes
     /// identically (canonical representation).
     #[test]
     fn signal_decode_total(bytes in vec(any::<u8>(), 0..96)) {
-        match SignalMessage::decode(&bytes) {
-            Ok(m) => prop_assert_eq!(m.wire_bytes(), bytes),
+        match Frame::decode(&bytes) {
+            Ok(f) => prop_assert_eq!(f.wire_bytes(), bytes),
             Err(e) => { let _ = format!("{e}"); }
         }
     }
 
-    /// Strict prefixes fail with `Truncated`; a signalling frame is a
-    /// foreign kind for the data-plane decoder and vice versa.
+    /// Strict prefixes fail with `Truncated`; a signalling frame decodes
+    /// to the signalling variant and to no other plane's.
     #[test]
     fn signal_framing(msg in arb_signal(), cut in any::<u16>()) {
-        let bytes = msg.wire_bytes();
+        let bytes = Frame::Signal(msg).wire_bytes();
         let len = (cut as usize) % bytes.len();
         prop_assert!(matches!(
-            SignalMessage::decode(&bytes[..len]),
+            Frame::decode(&bytes[..len]),
             Err(DecodeError::Truncated { .. })
         ));
-        prop_assert!(matches!(
-            qn_net::Message::decode(&bytes),
-            Err(DecodeError::UnknownKind(_))
-        ));
+        prop_assert!(matches!(Frame::decode(&bytes), Ok(Frame::Signal(_))));
     }
 }

@@ -1,15 +1,16 @@
-//! Codec fuzz suites: the wire format must round-trip every message
-//! exactly, and decoding must be *total* — arbitrary, truncated or
-//! bit-flipped byte strings produce typed errors, never panics. Failing
-//! inputs shrink to minimal byte vectors / messages.
+//! Codec fuzz suites for the one frame decoder: the wire format must
+//! round-trip every QNP message and PAIR_READY exactly, each into its
+//! own [`Frame`] variant, and decoding must be *total* — arbitrary,
+//! truncated or bit-flipped byte strings produce typed errors, never
+//! panics. Failing inputs shrink to minimal byte vectors / messages.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use qn_link::{EntanglementId, LinkEvent, LinkLabel, LinkPair, RejectReason};
+use qn_link::{EntanglementId, LinkLabel, LinkPair};
 use qn_net::ids::{CircuitId, Epoch, RequestId};
 use qn_net::messages::{Complete, Expire, Forward, Message, Track, TrackAck};
 use qn_net::request::RequestType;
-use qn_net::wire::{decode_link_event, encode_link_event, DecodeError, WIRE_VERSION};
+use qn_net::wire::{DecodeError, Frame, WIRE_VERSION};
 use qn_quantum::bell::BellState;
 use qn_quantum::gates::Pauli;
 use qn_sim::NodeId;
@@ -154,36 +155,29 @@ fn arb_message() -> BoxedStrategy<Message> {
     .boxed()
 }
 
-fn arb_link_event() -> BoxedStrategy<LinkEvent> {
-    prop_oneof![
-        (
-            arb_corr(),
-            any::<u32>(),
-            arb_bell(),
-            (arb_f64_bits(), arb_f64_bits()),
-            any::<u64>(),
+fn arb_pair_ready() -> BoxedStrategy<LinkPair> {
+    (
+        arb_corr(),
+        any::<u32>(),
+        arb_bell(),
+        (arb_f64_bits(), arb_f64_bits()),
+        any::<u64>(),
+    )
+        .prop_map(
+            |(id, label, announced, (alpha, goodness), attempts)| LinkPair {
+                id,
+                label: LinkLabel(label),
+                announced,
+                alpha,
+                goodness,
+                attempts,
+            },
         )
-            .prop_map(|(id, label, announced, (alpha, goodness), attempts)| {
-                LinkEvent::PairReady(LinkPair {
-                    id,
-                    label: LinkLabel(label),
-                    announced,
-                    alpha,
-                    goodness,
-                    attempts,
-                })
-            }),
-        (
-            any::<u32>(),
-            prop_oneof![
-                Just(RejectReason::FidelityUnattainable),
-                Just(RejectReason::DuplicateLabel),
-                Just(RejectReason::InvalidWeight)
-            ]
-        )
-            .prop_map(|(l, r)| LinkEvent::Rejected(LinkLabel(l), r)),
-    ]
-    .boxed()
+        .boxed()
+}
+
+fn qnp_bytes(msg: Message) -> Vec<u8> {
+    Frame::Qnp(msg).wire_bytes()
 }
 
 proptest! {
@@ -194,11 +188,11 @@ proptest! {
     /// representation is the identity that matters on the wire).
     #[test]
     fn message_encode_decode_round_trip(msg in arb_message()) {
-        let bytes = msg.wire_bytes();
-        let back = Message::decode(&bytes);
-        prop_assert!(back.is_ok(), "decode failed: {:?}", back);
-        let back = back.unwrap();
-        prop_assert_eq!(back.wire_bytes(), bytes);
+        let bytes = qnp_bytes(msg);
+        let back = Frame::decode(&bytes);
+        prop_assert!(matches!(back, Ok(Frame::Qnp(_))), "decoded as {:?}", back);
+        let Ok(Frame::Qnp(back)) = back else { unreachable!() };
+        prop_assert_eq!(qnp_bytes(back), bytes);
         // For non-NaN payloads structural equality must hold too.
         let nan_rate = match &msg {
             Message::Forward(f) => f.rate.is_nan(),
@@ -211,30 +205,29 @@ proptest! {
     }
 
     /// Decoding is total on arbitrary byte strings: typed error or valid
-    /// message, never a panic. A panicking input shrinks to a minimal
+    /// frame, never a panic. A panicking input shrinks to a minimal
     /// byte vector.
     #[test]
     fn decode_never_panics_on_arbitrary_bytes(bytes in vec(any::<u8>(), 0..128)) {
-        match Message::decode(&bytes) {
-            Ok(msg) => {
+        match Frame::decode(&bytes) {
+            Ok(frame) => {
                 // Whatever decoded must re-encode to the same bytes
                 // (the codec is a bijection on its valid range).
-                prop_assert_eq!(msg.wire_bytes(), bytes);
+                prop_assert_eq!(frame.wire_bytes(), bytes);
             }
             Err(e) => {
                 // Errors are typed and displayable.
                 let _ = format!("{e}");
             }
         }
-        let _ = decode_link_event(&bytes);
     }
 
     /// Every strict prefix of a valid frame fails with `Truncated`.
     #[test]
     fn truncated_frames_error(msg in arb_message(), cut in any::<u16>()) {
-        let bytes = msg.wire_bytes();
+        let bytes = qnp_bytes(msg);
         let len = (cut as usize) % bytes.len();
-        let err = Message::decode(&bytes[..len]).unwrap_err();
+        let err = Frame::decode(&bytes[..len]).unwrap_err();
         prop_assert!(
             matches!(err, DecodeError::Truncated { .. }),
             "prefix {} of {} gave {:?}", len, bytes.len(), err
@@ -246,11 +239,11 @@ proptest! {
     /// consistently.
     #[test]
     fn bit_flips_are_absorbed(msg in arb_message(), flip in any::<u32>()) {
-        let mut bytes = msg.wire_bytes();
+        let mut bytes = qnp_bytes(msg);
         let bit = (flip as usize) % (bytes.len() * 8);
         bytes[bit / 8] ^= 1 << (bit % 8);
-        match Message::decode(&bytes) {
-            Ok(m) => prop_assert_eq!(m.wire_bytes(), bytes),
+        match Frame::decode(&bytes) {
+            Ok(f) => prop_assert_eq!(f.wire_bytes(), bytes),
             Err(e) => {
                 if bit / 8 == 0 {
                     // Version byte flipped: the error must say so.
@@ -260,51 +253,35 @@ proptest! {
         }
     }
 
-    /// Link-layer notification frames round-trip exactly and share the
-    /// kind-byte registry (a link frame never decodes as a QNP message).
+    /// PAIR_READY frames round-trip exactly and decode to their own
+    /// variant (a link frame never decodes as a QNP message).
     #[test]
-    fn link_event_round_trip_and_plane_separation(ev in arb_link_event()) {
-        let mut bytes = Vec::new();
-        encode_link_event(&ev, &mut bytes);
-        let back = decode_link_event(&bytes);
-        prop_assert!(back.is_ok(), "decode failed: {:?}", back);
-        let back = back.unwrap();
+    fn link_event_round_trip_and_plane_separation(pair in arb_pair_ready()) {
+        let bytes = Frame::PairReady(pair).wire_bytes();
+        let back = Frame::decode(&bytes);
+        prop_assert!(matches!(back, Ok(Frame::PairReady(_))), "decoded as {:?}", back);
+        let Ok(Frame::PairReady(back)) = back else { unreachable!() };
         // The decoded value is the encoded one, field by field (floats
         // by bit pattern, so NaN payloads count). Re-encoding alone
         // would miss a field that both sides narrow the same way.
-        match (&ev, &back) {
-            (LinkEvent::PairReady(a), LinkEvent::PairReady(b)) => {
-                prop_assert_eq!(a.id, b.id);
-                prop_assert_eq!(a.label, b.label);
-                prop_assert_eq!(a.announced, b.announced);
-                prop_assert_eq!(a.alpha.to_bits(), b.alpha.to_bits());
-                prop_assert_eq!(a.goodness.to_bits(), b.goodness.to_bits());
-                prop_assert_eq!(a.attempts, b.attempts);
-            }
-            (LinkEvent::Rejected(la, ra), LinkEvent::Rejected(lb, rb)) => {
-                prop_assert_eq!(la, lb);
-                prop_assert_eq!(ra, rb);
-            }
-            _ => prop_assert!(false, "{:?} decoded as {:?}", ev, back),
-        }
-        let mut again = Vec::new();
-        encode_link_event(&back, &mut again);
-        prop_assert_eq!(again, bytes.clone());
-        prop_assert!(matches!(
-            Message::decode(&bytes),
-            Err(DecodeError::UnknownKind(_))
-        ));
+        prop_assert_eq!(pair.id, back.id);
+        prop_assert_eq!(pair.label, back.label);
+        prop_assert_eq!(pair.announced, back.announced);
+        prop_assert_eq!(pair.alpha.to_bits(), back.alpha.to_bits());
+        prop_assert_eq!(pair.goodness.to_bits(), back.goodness.to_bits());
+        prop_assert_eq!(pair.attempts, back.attempts);
+        prop_assert_eq!(Frame::PairReady(back).wire_bytes(), bytes);
     }
 
     /// Appending any extra bytes to a valid frame is rejected as
     /// trailing garbage.
     #[test]
     fn trailing_bytes_rejected(msg in arb_message(), extra in vec(any::<u8>(), 1..16)) {
-        let mut bytes = msg.wire_bytes();
+        let mut bytes = qnp_bytes(msg);
         let n = extra.len();
         bytes.extend_from_slice(&extra);
         prop_assert_eq!(
-            Message::decode(&bytes),
+            Frame::decode(&bytes),
             Err(DecodeError::TrailingBytes { extra: n })
         );
     }

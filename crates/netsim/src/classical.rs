@@ -119,7 +119,9 @@ pub struct ClassicalStats {
     pub reordered: u64,
     /// Frames with a bit flipped.
     pub corrupted: u64,
-    /// Delivered frames the receiver could not decode (dropped there;
+    /// Delivered frames the receiver could not decode whose observed
+    /// kind byte names no other plane: data-plane kinds, unassigned
+    /// kinds and frames too short to carry one (dropped there;
     /// incremented by the runtime, not by [`ClassicalPlane`]).
     pub decode_failures: u64,
     /// [`ClassicalStats::decode_failures`] broken down by the *observed*
@@ -129,16 +131,16 @@ pub struct ClassicalStats {
     /// frames whose kind byte itself was corrupted (or missing). Sums to
     /// the total.
     pub decode_failures_by_kind: [u64; 6],
-    /// Link-plane (PAIR_READY/REJECTED) frames the receiver could not
-    /// decode (runtime-incremented, `signalling_on_wire` only).
+    /// Undecodable frames whose observed kind byte is a link-plane kind:
+    /// PAIR_READY (`qn_net::wire::KIND_LINK_PAIR_READY`) or one of the
+    /// retired `0x11` and `0x12` (runtime-incremented; only corruption
+    /// produces one).
     pub link_decode_failures: u64,
     /// [`ClassicalStats::link_decode_failures`] by observed kind: index 0
-    /// is PAIR_READY (`qn_net::wire::KIND_LINK_PAIR_READY`), index 1
-    /// REJECTED (`KIND_LINK_REJECTED`); index 2 collects anything else,
-    /// the retired kind `0x11` included. Sums to the total.
-    pub link_decode_failures_by_kind: [u64; 3],
-    /// Routing-plane (INSTALL/TEARDOWN and acks) frames the receiver
-    /// could not decode (runtime-incremented, `signalling_on_wire` only).
+    /// is PAIR_READY, index 1 a retired kind. Sums to the total.
+    pub link_decode_failures_by_kind: [u64; 2],
+    /// Undecodable frames whose observed kind byte is a routing-plane
+    /// kind, INSTALL/TEARDOWN and their acks (runtime-incremented).
     pub signal_decode_failures: u64,
     /// TRACKs re-sent by the origin end-node's retransmit timer.
     pub track_retransmits: u64,
@@ -176,29 +178,32 @@ impl ClassicalStats {
         }
     }
 
-    /// Count one undecodable data-plane frame, bucketed by its observed
-    /// kind byte (`None` when the frame was too short to carry one).
+    /// Count one undecodable frame against the plane its observed kind
+    /// byte names, bucketed by that byte (`None` when the frame was too
+    /// short to carry one).
     pub fn count_decode_failure(&mut self, kind: Option<u8>) {
-        self.decode_failures += 1;
-        let i = match kind {
-            Some(k) if (qn_net::wire::KIND_FORWARD..=qn_net::wire::KIND_TRACK_ACK).contains(&k) => {
-                (k - qn_net::wire::KIND_FORWARD) as usize
+        use qn_net::wire::{
+            KIND_FORWARD, KIND_LINK_PAIR_READY, KIND_SIGNAL_INSTALL, KIND_SIGNAL_TEARDOWN_ACK,
+            KIND_TRACK_ACK,
+        };
+        match kind {
+            // PAIR_READY and the retired 0x11 and 0x12.
+            Some(k @ KIND_LINK_PAIR_READY..=0x12) => {
+                self.link_decode_failures += 1;
+                self.link_decode_failures_by_kind[usize::from(k != KIND_LINK_PAIR_READY)] += 1;
             }
-            _ => 5,
-        };
-        self.decode_failures_by_kind[i] += 1;
-    }
-
-    /// Count one undecodable link-plane frame, bucketed by its observed
-    /// kind byte.
-    pub fn count_link_decode_failure(&mut self, kind: Option<u8>) {
-        self.link_decode_failures += 1;
-        let i = match kind {
-            Some(qn_net::wire::KIND_LINK_PAIR_READY) => 0,
-            Some(qn_net::wire::KIND_LINK_REJECTED) => 1,
-            _ => 2,
-        };
-        self.link_decode_failures_by_kind[i] += 1;
+            Some(KIND_SIGNAL_INSTALL..=KIND_SIGNAL_TEARDOWN_ACK) => {
+                self.signal_decode_failures += 1;
+            }
+            _ => {
+                self.decode_failures += 1;
+                let i = match kind {
+                    Some(k @ KIND_FORWARD..=KIND_TRACK_ACK) => (k - KIND_FORWARD) as usize,
+                    _ => 5,
+                };
+                self.decode_failures_by_kind[i] += 1;
+            }
+        }
     }
 }
 

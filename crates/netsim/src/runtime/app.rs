@@ -86,8 +86,7 @@ impl NetworkModel {
             // requests the tail can deliver before the head's physical
             // correction lands — transiently "inconsistent" by design.
             DeliveryKind::Qubit { pair, state } | DeliveryKind::EarlyTracking { pair, state } => {
-                let pid = self.qubit_owner.get(node, *pair);
-                match pid {
+                match self.qubit_owner.get(node, *pair).map(|end| end.pair) {
                     Some(pid) => {
                         let frames = self.pairs.get(pid).map(|p| (p.announced, p.true_frame));
                         let frame = frames.map_or(*state, |(announced, _)| announced);

@@ -2,14 +2,15 @@
 //! PAIR_READY delivery to the QNP — [`Ev::GenDone`] and
 //! [`Ev::MoveDone`] (perfbench span `link.gen_done`).
 
-use super::{Ev, Inflight, NetworkModel, RETRANSMIT_BASE};
+use super::{Ev, HeldEnd, Inflight, NetworkModel, RETRANSMIT_BASE};
 use qn_hardware::device::QubitId;
 use qn_hardware::pairs::PairId;
-use qn_link::LinkEvent;
+use qn_link::{LinkLabel, LinkPair};
 use qn_net::events::{NetInput, PairInfo};
 use qn_net::ids::CircuitId;
 use qn_net::routing_table::LinkSide;
-use qn_sim::{Context, LinkId, NodeId, SimDuration, TraceKind};
+use qn_net::wire::Frame;
+use qn_sim::{Context, LinkId, NodeId, TraceKind};
 
 impl NetworkModel {
     /// Re-examine every link attached to `node` (a qubit freed or a
@@ -55,6 +56,30 @@ impl NetworkModel {
         });
     }
 
+    /// Stop `label`'s request on `link`: a generation in flight for it
+    /// is dropped with its reserved qubits, and the link moves on to
+    /// its next request.
+    pub(super) fn stop_link_request(
+        &mut self,
+        ctx: &mut Context<'_, Ev>,
+        link: LinkId,
+        label: LinkLabel,
+    ) {
+        let l = &mut self.links[link.0 as usize];
+        let was_generating = l.proto.generating() == Some(label);
+        l.proto.stop(label);
+        if was_generating {
+            if let Some(inflight) = l.inflight.take() {
+                ctx.cancel(inflight.event);
+                let (na, qa) = inflight.qubit_a;
+                let (nb, qb) = inflight.qubit_b;
+                self.nodes[na.0 as usize].device.free(qa);
+                self.nodes[nb.0 as usize].device.free(qb);
+            }
+        }
+        self.poll_link(ctx, link);
+    }
+
     /// A link generation heralded success: create the physical pair,
     /// charge nuclear dephasing, notify the network layers.
     pub(super) fn gen_done(&mut self, ctx: &mut Context<'_, Ev>, link: LinkId) {
@@ -79,8 +104,12 @@ impl NetworkModel {
             [(na, qa, t1a, t2a), (nb, qb, t1b, t2b)],
         );
         let correlator = pair.id;
-        self.qubit_owner.insert(na, correlator, pid);
-        self.qubit_owner.insert(nb, correlator, pid);
+        let end = HeldEnd {
+            pair: pid,
+            link_delivered: false,
+        };
+        self.qubit_owner.insert(na, correlator, end);
+        self.qubit_owner.insert(nb, correlator, end);
         self.trace.record(
             ctx.now(),
             TraceKind::LinkPair,
@@ -105,8 +134,8 @@ impl NetworkModel {
                 // Every other pair end the node holds; each application
                 // touches one pair only, so the row's order is harmless.
                 for &(_, victim) in self.qubit_owner.row(node) {
-                    if victim != pid {
-                        self.pairs.apply_dephasing(victim, node, lambda_total);
+                    if victim.pair != pid {
+                        self.pairs.apply_dephasing(victim.pair, node, lambda_total);
                     }
                 }
             }
@@ -164,9 +193,7 @@ impl NetworkModel {
                 // The announcement crosses the classical plane (latency,
                 // batching, faults) and is decoded at the receiver.
                 let peer = if node == na { nb } else { na };
-                self.transmit(ctx, peer, node, side.opposite(), |b| {
-                    qn_net::wire::encode_link_event(&LinkEvent::PairReady(pair), b)
-                });
+                self.transmit(ctx, peer, node, side.opposite(), Frame::PairReady(pair));
             } else {
                 self.deliver_link_pair(ctx, node, pid, circuit, side, pair_info);
             }
@@ -193,13 +220,9 @@ impl NetworkModel {
             self.nodes[node.0 as usize].device.free(storage);
             return;
         }
-        let params = *self.nodes[node.0 as usize].device.params();
-        let (t1, t2) = self.nodes[node.0 as usize].device.coherence_times(storage);
-        // Transfer noise: two E-C gates plus carbon initialisation.
-        let f_move = params.gates.two_qubit.fidelity
-            * params.gates.two_qubit.fidelity
-            * params.gates.carbon_init.map(|g| g.fidelity).unwrap_or(1.0);
-        let p_move = qn_quantum::channels::depolarizing_param_for_fidelity(f_move, 2);
+        let n = &self.nodes[node.0 as usize];
+        let (t1, t2) = n.device.coherence_times(storage);
+        let p_move = n.gates.move_noise;
         let electron = self
             .pairs
             .retarget_end(pid, node, storage, t1, t2, p_move, ctx.now());
@@ -237,12 +260,10 @@ impl NetworkModel {
         // before the shared electron frees up; the network layer learns
         // of the pair once it is safely stored.
         if self.cfg.near_term.is_some() && self.is_intermediate_on(circuit, node) {
-            if let Some(storage) = self.nodes[node.0 as usize].device.alloc_storage() {
-                let params = self.nodes[node.0 as usize].device.params();
-                let move_time = 2.0 * params.gates.two_qubit.duration
-                    + params.gates.carbon_init.map(|g| g.duration).unwrap_or(0.0);
+            let n = &mut self.nodes[node.0 as usize];
+            if let Some(storage) = n.device.alloc_storage() {
                 ctx.schedule_in(
-                    SimDuration::from_secs_f64(move_time),
+                    n.gates.move_time,
                     Ev::MoveDone {
                         node,
                         pair: pid,
@@ -270,17 +291,20 @@ impl NetworkModel {
     /// A PAIR_READY frame reached `node` over the wire: resolve it
     /// against the runtime's current state (the pair may be long gone)
     /// and hand it to the local QNP exactly once.
-    fn pair_ready_at(&mut self, ctx: &mut Context<'_, Ev>, node: NodeId, pair: qn_link::LinkPair) {
+    pub(super) fn pair_ready_at(
+        &mut self,
+        ctx: &mut Context<'_, Ev>,
+        node: NodeId,
+        pair: LinkPair,
+    ) {
         let correlator = pair.id;
-        // A duplication fault can deliver the same announcement twice; a
-        // second LinkPair would occupy a second request slot downstream.
-        if self.link_delivered.get(node, correlator).is_some() {
-            return;
-        }
         // The physical qubit may already have been reclaimed (timeout,
-        // teardown) by the time the announcement lands: stale, drop.
-        let Some(pid) = self.qubit_owner.get(node, correlator) else {
-            return;
+        // teardown) by the time the announcement lands: stale, drop. A
+        // duplication fault can deliver the same announcement twice; a
+        // second LinkPair would occupy a second request slot downstream.
+        let pid = match self.qubit_owner.get(node, correlator) {
+            Some(end) if !end.link_delivered => end.pair,
+            _ => return,
         };
         let Some(link) = self.hop(pair.id.node_a, pair.id.node_b) else {
             return;
@@ -301,40 +325,10 @@ impl NetworkModel {
             pair: correlator,
             announced: pair.announced,
         };
-        self.link_delivered.insert(node, correlator, ());
+        self.qubit_owner
+            .get_mut(node, correlator)
+            .expect("checked above")
+            .link_delivered = true;
         self.deliver_link_pair(ctx, node, pid, circuit, side, pair_info);
-    }
-
-    /// Demuxed handler for link-layer frames (kinds `0x10..=0x12`)
-    /// arriving over the wire: PAIR_READY and REJECTED decode, and the
-    /// retired `0x11` counts as undecodable.
-    pub(super) fn handle_link_frame(
-        &mut self,
-        ctx: &mut Context<'_, Ev>,
-        to: NodeId,
-        frame: &[u8],
-    ) {
-        match qn_net::wire::decode_link_event(frame) {
-            Ok(LinkEvent::PairReady(pair)) => self.pair_ready_at(ctx, to, pair),
-            Ok(LinkEvent::Rejected(label, reason)) => {
-                self.trace.record(
-                    ctx.now(),
-                    TraceKind::Info,
-                    format_args!("{to}"),
-                    format_args!("link request {label} rejected: {reason}"),
-                );
-            }
-            Err(err) => {
-                self.plane
-                    .stats
-                    .count_link_decode_failure(frame.get(1).copied());
-                self.trace.record(
-                    ctx.now(),
-                    TraceKind::Info,
-                    format_args!("{to}"),
-                    format_args!("undecodable link frame dropped: {err}"),
-                );
-            }
-        }
     }
 }

@@ -56,7 +56,7 @@ use qn_routing::signalling::InstalledCircuit;
 use qn_routing::topology::Topology;
 use qn_sim::{Context, EventId, LinkId, Model, NodeId, SimDuration, SimRng, SimTime, Trace};
 use signalling::{SignalRt, TrackRetry};
-use tables::NodeTable;
+use tables::{HeldEnd, NodeTable};
 
 /// When the runtime advances decoherence across the whole pair store.
 ///
@@ -127,8 +127,8 @@ pub struct RuntimeConfig {
     pub checkpoint: CheckpointPolicy,
     /// Record a human-readable trace.
     pub trace: bool,
-    /// Carry link-layer (PAIR_READY/REJECTED) and routing
-    /// signalling (INSTALL/TEARDOWN) frames over the classical plane —
+    /// Carry link-layer (PAIR_READY) and routing signalling
+    /// (INSTALL/TEARDOWN) frames over the classical plane —
     /// with real latency, batching and fault injection — instead of
     /// handing the in-memory values to the nodes at once. Enables the
     /// hop-by-hop INSTALL/TEARDOWN ack chain and end-to-end TRACK
@@ -173,7 +173,7 @@ impl Default for RuntimeConfig {
 pub enum Ev {
     /// A group of encoded classical frames, sent over one hop toward the
     /// same tick, arrives at a node. The receiver drains the group in
-    /// send order and decodes each frame with its plane's owned decoder;
+    /// send order and decodes each frame with the one frame decoder;
     /// frames that fail to decode are counted and dropped — the bytes,
     /// not the structs, are the interface.
     BatchDeliver {
@@ -362,11 +362,19 @@ struct NodeGates {
     swap_time: SimDuration,
     /// How long one readout takes.
     readout_time: SimDuration,
+    /// The two-qubit depolarising parameter of a move to carbon storage
+    /// (near-term mode): two E-C gates plus carbon initialisation.
+    move_noise: f64,
+    /// How long that move takes.
+    move_time: SimDuration,
 }
 
 impl NodeGates {
     fn new(params: &HardwareParams, rep: StateRep) -> Self {
         let gates = &params.gates;
+        let f_move = gates.two_qubit.fidelity
+            * gates.two_qubit.fidelity
+            * gates.carbon_init.map(|g| g.fidelity).unwrap_or(1.0);
         NodeGates {
             swap_noise: SwapNoise::from_params(params, rep),
             swap_time: SimDuration::from_secs_f64(
@@ -375,6 +383,11 @@ impl NodeGates {
                     + 2.0 * gates.readout.duration,
             ),
             readout_time: SimDuration::from_secs_f64(gates.readout.duration),
+            move_noise: qn_quantum::channels::depolarizing_param_for_fidelity(f_move, 2),
+            move_time: SimDuration::from_secs_f64(
+                2.0 * gates.two_qubit.duration
+                    + gates.carbon_init.map(|g| g.duration).unwrap_or(0.0),
+            ),
         }
     }
 }
@@ -472,10 +485,11 @@ pub struct NetworkModel {
     /// The one index from a held pair end to its physical pair: each
     /// node's row maps the correlator the QNP names the end by to the
     /// pair now holding that qubit (a swap elsewhere re-points it to the
-    /// joined pair). A pair's live ends are the [`PairStore`] ends whose
-    /// node's row still maps a correlator to it; the pair is discarded
-    /// once none does.
-    qubit_owner: NodeTable<PairId>,
+    /// joined pair), with the flag that absorbs a duplicated PAIR_READY.
+    /// A pair's live ends are the [`PairStore`] ends whose node's row
+    /// still maps a correlator to it; the pair is discarded once none
+    /// does.
+    qubit_owner: NodeTable<HeldEnd>,
     /// Per-link label table: one short row per link, scanned linearly
     /// (a link carries a handful of circuit labels).
     label_map: Vec<Vec<(LinkLabel, LabelInfo)>>,
@@ -489,10 +503,6 @@ pub struct NetworkModel {
     /// Unacknowledged TRACKs at their origin end-nodes
     /// (`signalling_on_wire` only).
     track_retransmits: NodeTable<TrackRetry>,
-    /// PAIR_READY frames already delivered to a node's QNP: a
-    /// duplication fault must not hand the protocol the same pair twice
-    /// (`signalling_on_wire` only).
-    link_delivered: NodeTable<()>,
     /// Wire-borne signalling chains, indexed like `circuits`
     /// (`signalling_on_wire` only; slots stay populated after teardown
     /// so late duplicates still draw re-acks).
@@ -606,7 +616,6 @@ impl NetworkModel {
             cutoff_events: NodeTable::new(n_nodes),
             track_expiry_events: NodeTable::new(n_nodes),
             track_retransmits: NodeTable::new(n_nodes),
-            link_delivered: NodeTable::new(n_nodes),
             signal_state: Vec::new(),
             app: AppHarness::default(),
             trace: if cfg.trace {
@@ -777,11 +786,10 @@ impl NetworkModel {
             + signal_pending
     }
 
-    /// Leak introspection: correlator state the runtime retains — live
-    /// pair ends plus PAIR_READY dedup records. Zero after a settled
-    /// run.
+    /// Leak introspection: correlator state the runtime retains — the
+    /// live pair ends. Zero after a settled run.
     pub fn retained_correlators(&self) -> usize {
-        self.qubit_owner.len() + self.link_delivered.len()
+        self.qubit_owner.len()
     }
 }
 

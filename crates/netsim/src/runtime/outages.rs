@@ -6,6 +6,7 @@ use super::{Ev, NetworkModel};
 use crate::faults::ComponentEvent;
 use qn_net::events::NetInput;
 use qn_net::ids::{CircuitId, Correlator};
+use qn_net::routing_table::LinkSide;
 use qn_net::QnpNode;
 use qn_sim::{Context, LinkId, NodeId, TraceKind};
 
@@ -117,7 +118,6 @@ impl NetworkModel {
         for (_, retry) in self.track_retransmits.drain_row(node) {
             ctx.cancel(retry.event);
         }
-        self.link_delivered.drain_row(node);
         // Attached links can no longer generate.
         self.refresh_links_of(ctx, node);
     }
@@ -240,13 +240,29 @@ impl NetworkModel {
     /// on the path drops the circuit through the normal teardown rule
     /// (end-nodes report
     /// [`AppEvent::CircuitDown`](qn_net::events::AppEvent::CircuitDown)
-    /// to their applications); wire-signalling retransmit timers for the
-    /// circuit are disarmed — there is no peer left to ack them.
+    /// to their applications), and the dead node's link request on its
+    /// downstream hop stops as its own rule would have stopped it;
+    /// wire-signalling retransmit timers for the circuit are disarmed —
+    /// there is no peer left to ack them.
     fn teardown_by_fault(&mut self, ctx: &mut Context<'_, Ev>, circuit: CircuitId, dead: NodeId) {
         let Some(rt) = self.circuit_rt(circuit) else {
             return;
         };
         let path = rt.path.clone();
+        // The dead node's state went with it, so no teardown rule runs
+        // there; a request it submitted would otherwise outlive the
+        // circuit and herald pairs for its label after the restart.
+        if let Some(down) = rt.neighbour(dead, LinkSide::Downstream) {
+            let link = self.link_between(dead, down);
+            let own = self.label_map[link.0 as usize]
+                .iter()
+                .find(|(_, info)| info.circuit == circuit)
+                .map(|(label, _)| *label)
+                .filter(|label| self.links[link.0 as usize].proto.has_request(*label));
+            if let Some(label) = own {
+                self.stop_link_request(ctx, link, label);
+            }
+        }
         if let Some(st) = self
             .signal_state
             .get_mut(circuit.0 as usize)

@@ -4,7 +4,7 @@
 
 use super::signalling::TrackRetry;
 use super::{Ev, NetworkModel};
-use qn_link::{LinkEvent, LinkRequest};
+use qn_link::LinkRequest;
 use qn_net::events::{AppEvent, NetInput, NetOutput};
 use qn_net::ids::CircuitId;
 use qn_sim::{Context, NodeId, TraceKind};
@@ -59,26 +59,15 @@ impl NetworkModel {
                         min_fidelity,
                         weight,
                     });
+                    // The QNP has no input for a refused request: the
+                    // refusal is traced where it was submitted.
                     if let Err(reason) = admitted {
-                        if self.cfg.signalling_on_wire {
-                            // The admission verdict comes back from the
-                            // link over the classical plane.
-                            let (la, lb) = self.links[link.0 as usize].proto.nodes();
-                            let peer = if la == node { lb } else { la };
-                            self.transmit(ctx, peer, node, side.opposite(), |b| {
-                                qn_net::wire::encode_link_event(
-                                    &LinkEvent::Rejected(label, reason),
-                                    b,
-                                )
-                            });
-                        } else {
-                            self.trace.record(
-                                ctx.now(),
-                                TraceKind::Info,
-                                format_args!("{node}"),
-                                format_args!("link request {label} rejected: {reason}"),
-                            );
-                        }
+                        self.trace.record(
+                            ctx.now(),
+                            TraceKind::Info,
+                            format_args!("{node}"),
+                            format_args!("link request {label} rejected: {reason}"),
+                        );
                     }
                     self.poll_link(ctx, link);
                 }
@@ -92,19 +81,7 @@ impl NetworkModel {
                 }
                 NetOutput::LinkStop { side, label } => {
                     let link = self.side_link(circuit, node, side);
-                    let l = &mut self.links[link.0 as usize];
-                    let was_generating = l.proto.generating() == Some(label);
-                    l.proto.stop(label);
-                    if was_generating {
-                        if let Some(inflight) = l.inflight.take() {
-                            ctx.cancel(inflight.event);
-                            let (na, qa) = inflight.qubit_a;
-                            let (nb, qb) = inflight.qubit_b;
-                            self.nodes[na.0 as usize].device.free(qa);
-                            self.nodes[nb.0 as usize].device.free(qb);
-                        }
-                    }
-                    self.poll_link(ctx, link);
+                    self.stop_link_request(ctx, link, label);
                 }
                 NetOutput::StartSwap { up, down } => {
                     debug_assert!(self.qubit_owner.get(node, up).is_some());
@@ -167,8 +144,8 @@ impl NetworkModel {
                     );
                 }
                 NetOutput::ApplyCorrection { pair, pauli } => {
-                    if let Some(pid) = self.qubit_owner.get(node, pair) {
-                        self.pairs.apply_pauli(pid, node, pauli, ctx.now());
+                    if let Some(end) = self.qubit_owner.get(node, pair) {
+                        self.pairs.apply_pauli(end.pair, node, pauli, ctx.now());
                         self.trace.record(
                             ctx.now(),
                             TraceKind::Quantum,

@@ -22,7 +22,7 @@ impl NetworkModel {
     ) {
         // Resolve the correlators to the pairs *currently* holding the
         // local qubits (a neighbour's swap may have re-pointed them).
-        let (Some(up_pid), Some(down_pid)) = (
+        let (Some(up_end), Some(down_end)) = (
             self.qubit_owner.get(node, up),
             self.qubit_owner.get(node, down),
         ) else {
@@ -31,6 +31,7 @@ impl NetworkModel {
         };
         let noise = &self.nodes[node.0 as usize].gates.swap_noise;
         let rng = &mut self.rng_nodes[node.0 as usize];
+        let (up_pid, down_pid) = (up_end.pair, down_end.pair);
         let res = self
             .pairs
             .swap(up_pid, down_pid, node, ctx.now(), noise, rng);
@@ -49,11 +50,11 @@ impl NetworkModel {
         {
             self.qubit_owner.remove(node, consumed);
             // The swap consumed the link pair at this node: its
-            // (wire-mode) reclamation timer and dedup entry are done.
+            // (wire-mode) reclamation timer is done.
             self.cancel_track_expiry(ctx, node, consumed);
-            self.link_delivered.remove(node, consumed);
-            if let Some(c) = self.qubit_owner.key_of(end_node, old_pid) {
-                self.qubit_owner.insert(end_node, c, res.new_pair);
+            if let Some(c) = self.qubit_owner.key_of(end_node, |end| end.pair == old_pid) {
+                let end = self.qubit_owner.get_mut(end_node, c).expect("found above");
+                end.pair = res.new_pair;
                 held = true;
             }
         }
@@ -88,25 +89,24 @@ impl NetworkModel {
         correlator: Correlator,
         basis: Pauli,
     ) {
-        let Some(pid) = self.qubit_owner.get(node, correlator) else {
+        let Some(pid) = self.qubit_owner.get(node, correlator).map(|end| end.pair) else {
             return;
         };
-        let readout = self.nodes[node.0 as usize].device.params().gates.readout;
+        let readout = self.nodes[node.0 as usize].gates.swap_noise.readout();
         let rng = &mut self.rng_nodes[node.0 as usize];
         let result = self
             .pairs
-            .measure_end(pid, node, basis, &readout, ctx.now(), rng);
+            .measure_end(pid, node, basis, readout, ctx.now(), rng);
         self.trace.record(
             ctx.now(),
             TraceKind::Quantum,
             format_args!("{node}"),
             format_args!("measure {correlator} in {basis:?} -> {}", result.reported),
         );
+        // The track-expiry timer stays armed: a measured pair still
+        // awaits its TRACK, and the timeout is what reclaims the request
+        // slot if that TRACK never arrives.
         self.qubit_owner.remove(node, correlator);
-        // The dedup entry is done; the track-expiry timer stays armed —
-        // a measured pair still awaits its TRACK, and the timeout is
-        // what reclaims the request slot if that TRACK never arrives.
-        self.link_delivered.remove(node, correlator);
         // The measured qubit's slot frees immediately; the pair state
         // stays in the store until both ends are done (correlations!).
         self.drop_end(pid, node);
@@ -134,11 +134,13 @@ impl NetworkModel {
         reinitialise: bool,
     ) {
         // The pair is resolved at this node whatever happens below: its
-        // track-expiry timer (if armed) must never fire late, and the
-        // wire-delivery dedup entry is done.
+        // track-expiry timer (if armed) must never fire late.
         self.cancel_track_expiry(ctx, node, correlator);
-        self.link_delivered.remove(node, correlator);
-        let Some(pid) = self.qubit_owner.remove(node, correlator) else {
+        let Some(pid) = self
+            .qubit_owner
+            .remove(node, correlator)
+            .map(|end| end.pair)
+        else {
             return;
         };
         if self.drop_end(pid, node) && reinitialise {
@@ -162,10 +164,13 @@ impl NetworkModel {
                 .device
                 .free(pair.ends()[idx].qubit);
         }
-        let held = pair
-            .ends()
-            .iter()
-            .any(|e| e.node != node && self.qubit_owner.key_of(e.node, pid).is_some());
+        let held = pair.ends().iter().any(|e| {
+            e.node != node
+                && self
+                    .qubit_owner
+                    .key_of(e.node, |end| end.pair == pid)
+                    .is_some()
+        });
         if !held {
             self.pairs.discard(pid);
         }

@@ -9,6 +9,7 @@ use qn_net::events::NetInput;
 use qn_net::ids::{CircuitId, Correlator};
 use qn_net::messages::{Message, Track};
 use qn_net::routing_table::LinkSide;
+use qn_net::wire::{Frame, SignalMessage as Sm};
 use qn_sim::{Context, EventId, NodeId, SimDuration, TraceKind};
 
 /// Retransmission state for one unacknowledged TRACK at its origin
@@ -52,6 +53,20 @@ pub(super) struct SignalRt {
     /// `pending[i]` guards the unacked frame from `path[i]` to
     /// `path[i + 1]`.
     pub(super) pending: Vec<Option<SignalRetry>>,
+}
+
+impl SignalRt {
+    /// The frame `path[hop]` sends to `path[hop + 1]`: its INSTALL, or
+    /// the TEARDOWN once tearing.
+    fn hop_frame(&self, circuit: CircuitId, hop: usize) -> Frame {
+        Frame::Signal(if self.tearing {
+            Sm::Teardown { circuit }
+        } else {
+            Sm::Install {
+                entry: self.entries[hop + 1],
+            }
+        })
+    }
 }
 
 /// Deterministic, draw-free exponential backoff: `base << attempt`,
@@ -331,15 +346,8 @@ impl NetworkModel {
         else {
             return;
         };
-        let (from, to) = (st.path[hop], st.path[hop + 1]);
-        let msg = if st.tearing {
-            qn_routing::wire::SignalMessage::Teardown { circuit }
-        } else {
-            qn_routing::wire::SignalMessage::Install {
-                entry: st.entries[hop + 1],
-            }
-        };
-        self.transmit(ctx, from, to, LinkSide::Downstream, |b| msg.encode_to(b));
+        let (from, to, frame) = (st.path[hop], st.path[hop + 1], st.hop_frame(circuit, hop));
+        self.transmit(ctx, from, to, LinkSide::Downstream, frame);
         let event = ctx.schedule_in(RETRANSMIT_BASE, Ev::SignalRetransmit { circuit, hop });
         if let Some(st) = self
             .signal_state
@@ -364,7 +372,7 @@ impl NetworkModel {
         circuit: CircuitId,
         hop: usize,
     ) {
-        let (msg, from, to, attempt) = {
+        let (frame, from, to, attempt) = {
             let Some(st) = self
                 .signal_state
                 .get_mut(circuit.0 as usize)
@@ -379,14 +387,12 @@ impl NetworkModel {
                 self.plane.stats.retransmits_abandoned += 1;
                 return;
             }
-            let msg = if st.tearing {
-                qn_routing::wire::SignalMessage::Teardown { circuit }
-            } else {
-                qn_routing::wire::SignalMessage::Install {
-                    entry: st.entries[hop + 1],
-                }
-            };
-            (msg, st.path[hop], st.path[hop + 1], retry.attempt + 1)
+            (
+                st.hop_frame(circuit, hop),
+                st.path[hop],
+                st.path[hop + 1],
+                retry.attempt + 1,
+            )
         };
         self.plane.stats.signal_retransmits += 1;
         let event = ctx.schedule_in(
@@ -400,31 +406,12 @@ impl NetworkModel {
         {
             st.pending[hop] = Some(SignalRetry { attempt, event });
         }
-        self.transmit(ctx, from, to, LinkSide::Downstream, |b| msg.encode_to(b));
+        self.transmit(ctx, from, to, LinkSide::Downstream, frame);
     }
 
-    /// Demuxed handler for routing-signalling frames (kinds
-    /// `0x20..=0x23`) arriving over the wire.
-    pub(super) fn handle_signal_frame(
-        &mut self,
-        ctx: &mut Context<'_, Ev>,
-        to: NodeId,
-        frame: &[u8],
-    ) {
-        let msg = match qn_routing::wire::SignalMessage::decode(frame) {
-            Ok(msg) => msg,
-            Err(err) => {
-                self.plane.stats.signal_decode_failures += 1;
-                self.trace.record(
-                    ctx.now(),
-                    TraceKind::Info,
-                    format_args!("{to}"),
-                    format_args!("undecodable signalling frame dropped: {err}"),
-                );
-                return;
-            }
-        };
-        use qn_routing::wire::SignalMessage as Sm;
+    /// A routing-signalling frame (kinds `0x20..=0x23`) reached `to`
+    /// over the wire.
+    pub(super) fn signal_received(&mut self, ctx: &mut Context<'_, Ev>, to: NodeId, msg: Sm) {
         let circuit = match msg {
             Sm::Install { entry } => entry.circuit,
             Sm::Teardown { circuit } | Sm::InstallAck { circuit } | Sm::TeardownAck { circuit } => {
@@ -465,8 +452,8 @@ impl NetworkModel {
                 // Always ack — re-acks recover lost acks; a node caught
                 // by teardown acks too (the sender must stop either way).
                 self.plane.stats.signal_acks += 1;
-                let msg = Sm::InstallAck { circuit };
-                self.transmit(ctx, to, prev, LinkSide::Upstream, |b| msg.encode_to(b));
+                let ack = Frame::Signal(Sm::InstallAck { circuit });
+                self.transmit(ctx, to, prev, LinkSide::Upstream, ack);
             }
             Sm::Teardown { .. } => {
                 if i == 0 {
@@ -490,8 +477,8 @@ impl NetworkModel {
                     }
                 }
                 self.plane.stats.signal_acks += 1;
-                let msg = Sm::TeardownAck { circuit };
-                self.transmit(ctx, to, prev, LinkSide::Upstream, |b| msg.encode_to(b));
+                let ack = Frame::Signal(Sm::TeardownAck { circuit });
+                self.transmit(ctx, to, prev, LinkSide::Upstream, ack);
             }
             Sm::InstallAck { .. } => {
                 let st = self.signal_state[circuit.0 as usize]

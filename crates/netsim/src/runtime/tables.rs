@@ -1,8 +1,18 @@
 //! The runtime's dense lookup tables: one short correlator row per
 //! node. They own no event.
 
+use qn_hardware::pairs::PairId;
 use qn_net::ids::Correlator;
 use qn_sim::NodeId;
+
+/// One pair end a node holds: the physical pair now holding the qubit,
+/// and whether the end's PAIR_READY has reached the node's QNP (wire
+/// mode only; a duplicated announcement finds it set and is dropped).
+#[derive(Clone, Copy)]
+pub(super) struct HeldEnd {
+    pub(super) pair: PairId,
+    pub(super) link_delivered: bool,
+}
 
 /// Dense per-node correlator table: the runtime's `(NodeId, Correlator)
 /// -> T` maps, stored as one short row per node. A node's row holds one
@@ -36,6 +46,13 @@ impl<T: Copy> NodeTable<T> {
             .map(|(_, v)| *v)
     }
 
+    pub(super) fn get_mut(&mut self, node: NodeId, c: Correlator) -> Option<&mut T> {
+        self.rows[node.0 as usize]
+            .iter_mut()
+            .find(|(k, _)| *k == c)
+            .map(|(_, v)| v)
+    }
+
     /// Every entry of `node`'s row, in row order.
     pub(super) fn row(&self, node: NodeId) -> &[(Correlator, T)] {
         &self.rows[node.0 as usize]
@@ -57,14 +74,13 @@ impl<T: Copy> NodeTable<T> {
     pub(super) fn len(&self) -> usize {
         self.rows.iter().map(Vec::len).sum()
     }
-}
 
-impl<T: Copy + PartialEq> NodeTable<T> {
-    /// The correlator under which `node`'s row holds `value`, if any.
-    pub(super) fn key_of(&self, node: NodeId, value: T) -> Option<Correlator> {
+    /// The correlator of the first entry of `node`'s row whose value
+    /// `matches`, if any.
+    pub(super) fn key_of(&self, node: NodeId, matches: impl Fn(&T) -> bool) -> Option<Correlator> {
         self.rows[node.0 as usize]
             .iter()
-            .find(|(_, v)| *v == value)
+            .find(|(_, v)| matches(v))
             .map(|(k, _)| *k)
     }
 }
@@ -85,7 +101,7 @@ mod tests {
     fn key_of_finds_the_entry_holding_a_value() {
         let mut t: NodeTable<u32> = NodeTable::new(2);
         t.insert(NodeId(1), corr(4), 7);
-        assert_eq!(t.key_of(NodeId(1), 7), Some(corr(4)));
+        assert_eq!(t.key_of(NodeId(1), |v| *v == 7), Some(corr(4)));
         assert_eq!(t.row(NodeId(1)), &[(corr(4), 7)][..]);
     }
 
@@ -93,10 +109,10 @@ mod tests {
     fn key_of_misses_a_value_held_elsewhere_or_gone() {
         let mut t: NodeTable<u32> = NodeTable::new(2);
         t.insert(NodeId(0), corr(4), 7);
-        assert_eq!(t.key_of(NodeId(1), 7), None);
-        assert_eq!(t.key_of(NodeId(0), 8), None);
+        assert_eq!(t.key_of(NodeId(1), |v| *v == 7), None);
+        assert_eq!(t.key_of(NodeId(0), |v| *v == 8), None);
         t.remove(NodeId(0), corr(4));
-        assert_eq!(t.key_of(NodeId(0), 7), None);
+        assert_eq!(t.key_of(NodeId(0), |v| *v == 7), None);
         assert!(t.row(NodeId(0)).is_empty());
     }
 
@@ -105,12 +121,12 @@ mod tests {
         let mut t: NodeTable<u32> = NodeTable::new(1);
         t.insert(NodeId(0), corr(1), 10);
         t.insert(NodeId(0), corr(2), 20);
-        assert_eq!(t.key_of(NodeId(0), 10), Some(corr(1)));
-        assert_eq!(t.key_of(NodeId(0), 20), Some(corr(2)));
+        assert_eq!(t.key_of(NodeId(0), |v| *v == 10), Some(corr(1)));
+        assert_eq!(t.key_of(NodeId(0), |v| *v == 20), Some(corr(2)));
         // Re-pointing one end leaves the other pair's end in place.
         t.insert(NodeId(0), corr(1), 30);
-        assert_eq!(t.key_of(NodeId(0), 10), None);
-        assert_eq!(t.key_of(NodeId(0), 30), Some(corr(1)));
+        assert_eq!(t.key_of(NodeId(0), |v| *v == 10), None);
+        assert_eq!(t.key_of(NodeId(0), |v| *v == 30), Some(corr(1)));
         assert_eq!(t.row(NodeId(0)), &[(corr(1), 30), (corr(2), 20)][..]);
     }
 }

@@ -1,7 +1,8 @@
 //! Transport: every frame a node sends crosses the classical plane
 //! here, and [`Ev::BatchDeliver`] (perfbench span `plane.deliver`)
-//! drains an arriving group, demuxes each frame by kind byte, decodes
-//! it and answers a TRACK with its end-to-end ack.
+//! drains an arriving group, decodes each frame with the one frame
+//! decoder, hands it to its plane's handler and answers a TRACK with
+//! its end-to-end ack.
 
 use super::{Ev, NetworkModel};
 use crate::classical::BatchId;
@@ -9,6 +10,7 @@ use qn_net::events::NetInput;
 use qn_net::ids::CircuitId;
 use qn_net::messages::{Message, TrackAck};
 use qn_net::routing_table::LinkSide;
+use qn_net::wire::Frame;
 use qn_sim::{Context, LinkId, NodeId, TraceKind};
 
 impl NetworkModel {
@@ -26,7 +28,7 @@ impl NetworkModel {
         let to = rt
             .neighbour(from, toward)
             .expect("a neighbour on that side");
-        if self.transmit(ctx, from, to, toward, |b| msg.encode_to(b)) {
+        if self.transmit(ctx, from, to, toward, Frame::Qnp(msg)) {
             self.trace.record(
                 ctx.now(),
                 TraceKind::Message,
@@ -50,8 +52,8 @@ impl NetworkModel {
     /// values. Encoding goes through the shared scratch buffer, and the
     /// plane groups same-tick frames, so only newly opened groups cost
     /// an event. The lane (`toward`, the side of `from` that `to` is on)
-    /// only selects the group a frame coalesces into; receivers demux
-    /// link-layer and signalling frames by kind byte, not direction.
+    /// only selects the group a frame coalesces into; receivers tell
+    /// the planes apart by the decoded frame, not by direction.
     ///
     /// Returns `false` when the hop (or one of its endpoints) is down:
     /// the frame dies on the dead wire. A plan-free run never does that.
@@ -61,7 +63,7 @@ impl NetworkModel {
         from: NodeId,
         to: NodeId,
         toward: LinkSide,
-        encode: impl FnOnce(&mut Vec<u8>),
+        frame: Frame,
     ) -> bool {
         let link = self.link_between(from, to);
         if !self.hop_alive(link, from, to) {
@@ -70,7 +72,7 @@ impl NetworkModel {
             return false;
         }
         let latency = self.links[link.0 as usize].latency;
-        let frame = self.scratch.frame(encode);
+        let frame = self.scratch.encode(&frame);
         let opened = self
             .plane
             .transmit(from, to, toward, ctx.now(), latency, frame);
@@ -96,8 +98,8 @@ impl NetworkModel {
             && self.nodes[to.0 as usize].up
     }
 
-    /// A group of frames arrives: drain it, demux each frame by kind
-    /// byte and decode it at the receiver.
+    /// A group of frames arrives: drain it and decode each frame at the
+    /// receiver.
     pub(super) fn batch_deliver(
         &mut self,
         ctx: &mut Context<'_, Ev>,
@@ -120,66 +122,17 @@ impl NetworkModel {
             self.plane.recycle(batch);
             return;
         }
-        let wire = self.cfg.signalling_on_wire;
         for frame in batch.frames() {
-            // One lane carries three planes; the kind byte
-            // demuxes. Link-layer and signalling kinds only ever
-            // appear with `signalling_on_wire` (their handlers
-            // are total regardless).
-            match frame.get(1).copied() {
-                Some(k)
-                    if (qn_net::wire::KIND_LINK_PAIR_READY..=qn_net::wire::KIND_LINK_REJECTED)
-                        .contains(&k) =>
-                {
-                    self.handle_link_frame(ctx, to, frame);
-                    continue;
-                }
-                Some(k)
-                    if (qn_net::wire::KIND_SIGNAL_INSTALL
-                        ..=qn_net::wire::KIND_SIGNAL_TEARDOWN_ACK)
-                        .contains(&k) =>
-                {
-                    self.handle_signal_frame(ctx, to, frame);
-                    continue;
-                }
-                _ => {}
-            }
-            // Decode at the receiver: a frame corrupted in flight
-            // may fail here (counted, dropped — the message is
-            // simply lost) or decode into a different valid
-            // message the protocol rules must absorb.
-            match Message::decode(frame) {
-                Ok(msg) => {
-                    let circuit = msg.circuit();
-                    self.qnp_input(ctx, to, NetInput::Message { from, msg });
-                    // End-to-end TRACK acknowledgement: an
-                    // end-node receiving a TRACK (first copy or
-                    // duplicate — re-acks recover lost acks)
-                    // answers back the way it came, towards its
-                    // origin. Guarded structurally, not just by
-                    // role: a corrupted circuit id can name a
-                    // circuit this node is not an end of (or not
-                    // on at all), and the ack can only go where
-                    // the named circuit actually has a hop.
-                    if let Message::Track(t) = msg {
-                        let can_ack = wire
-                            && self.circuit_rt(circuit).is_some_and(|rt| {
-                                match rt.path.iter().position(|n| *n == to) {
-                                    Some(0) => from == LinkSide::Downstream && rt.path.len() > 1,
-                                    Some(i) => i + 1 == rt.path.len() && from == LinkSide::Upstream,
-                                    None => false,
-                                }
-                            });
-                        if can_ack {
-                            let ack = Message::TrackAck(TrackAck {
-                                circuit,
-                                origin: t.origin,
-                            });
-                            self.plane.stats.track_acks += 1;
-                            self.send_message(ctx, to, circuit, from, ack);
-                        }
-                    }
-                }
+            // Decode at the receiver: a frame corrupted in flight may
+            // fail here (counted against the plane its kind byte names,
+            // and dropped — the message is simply lost) or decode into
+            // a different valid frame the handlers must absorb.
+            // PAIR_READY and signalling frames only ever travel with
+            // `signalling_on_wire` (their handlers are total regardless).
+            match Frame::decode(frame) {
+                Ok(Frame::Qnp(msg)) => self.message_received(ctx, to, from, msg),
+                Ok(Frame::PairReady(pair)) => self.pair_ready_at(ctx, to, pair),
+                Ok(Frame::Signal(msg)) => self.signal_received(ctx, to, msg),
                 Err(err) => {
                     self.plane.stats.count_decode_failure(frame.get(1).copied());
                     self.trace.record(
@@ -192,5 +145,43 @@ impl NetworkModel {
             }
         }
         self.plane.recycle(batch);
+    }
+
+    /// A QNP message reached `to` from its `from` side: hand it to the
+    /// node's QNP and, in wire mode, answer a TRACK with its ack.
+    fn message_received(
+        &mut self,
+        ctx: &mut Context<'_, Ev>,
+        to: NodeId,
+        from: LinkSide,
+        msg: Message,
+    ) {
+        let circuit = msg.circuit();
+        self.qnp_input(ctx, to, NetInput::Message { from, msg });
+        // End-to-end TRACK acknowledgement: an end-node receiving a
+        // TRACK (first copy or duplicate — re-acks recover lost acks)
+        // answers back the way it came, towards its origin. Guarded
+        // structurally, not just by role: a corrupted circuit id can
+        // name a circuit this node is not an end of (or not on at all),
+        // and the ack can only go where the named circuit actually has
+        // a hop.
+        if let Message::Track(t) = msg {
+            let can_ack = self.cfg.signalling_on_wire
+                && self.circuit_rt(circuit).is_some_and(|rt| {
+                    match rt.path.iter().position(|n| *n == to) {
+                        Some(0) => from == LinkSide::Downstream && rt.path.len() > 1,
+                        Some(i) => i + 1 == rt.path.len() && from == LinkSide::Upstream,
+                        None => false,
+                    }
+                });
+            if can_ack {
+                let ack = Message::TrackAck(TrackAck {
+                    circuit,
+                    origin: t.origin,
+                });
+                self.plane.stats.track_acks += 1;
+                self.send_message(ctx, to, circuit, from, ack);
+            }
+        }
     }
 }

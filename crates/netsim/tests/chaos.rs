@@ -207,6 +207,41 @@ fn repeater_crash_reports_circuit_down_and_serves_after_restart() {
 }
 
 #[test]
+fn a_crashed_nodes_link_request_dies_with_its_circuit() {
+    // Repeater 1 of a 4-chain crashes at 1 s under a long-running
+    // request and restarts at 2 s; nothing is installed afterwards. Its
+    // own request on link n1–n2 has no teardown rule left to stop it,
+    // so unless the fault teardown stops it, the link heralds pairs for
+    // the dead circuit's label for the rest of the run. With it
+    // stopped, the run settles and an idle window processes no event.
+    for wired in [false, true] {
+        let topology = chain(4, HardwareParams::simulation(), FibreParams::lab_2m());
+        let plan = FaultPlan::new().node_outage(NodeId(1), at_ms(1_000), SimDuration::from_secs(1));
+        let mut b = NetworkBuilder::new(topology).seed(7).fault_plan(plan);
+        if wired {
+            b = b
+                .signalling_on_wire()
+                .track_timeout(SimDuration::from_secs(2));
+        }
+        let mut sim = b.build();
+        let (head, tail) = (NodeId(0), NodeId(3));
+        let vc = sim
+            .open_circuit(head, tail, 0.8, CutoffPolicy::short())
+            .unwrap();
+        sim.submit_at(SimTime::ZERO, vc, keep(1, head, tail, 0.8, 1_000_000));
+        sim.run_until(at_ms(10_000));
+        let settled = sim.events_processed();
+        sim.run_until(at_ms(20_000));
+        assert_eq!(
+            sim.events_processed(),
+            settled,
+            "wired: {wired}: events after the dead circuit settled"
+        );
+        assert_zero_leak(&mut sim, "crashed node's link request");
+    }
+}
+
+#[test]
 fn stochastic_fault_schedule_is_deterministic_and_leak_free() {
     // MTBF/MTTR churn on the middle link: failures drawn from the
     // dedicated "component-faults" substream, so the run stays a pure

@@ -336,6 +336,55 @@ fn near_term_chain_delivers_f05_pairs() {
 }
 
 #[test]
+fn refused_link_request_is_traced_where_it_was_submitted() {
+    // A plan whose link fidelity no link can produce: the head's link
+    // request is refused at admission. The QNP has no input for a
+    // refusal, so it is one trace row at the submitting node, the same
+    // with signalling on the wire or off, and it costs no frame: beyond
+    // a run that submits nothing, the plane carries the FORWARD only.
+    let run = |wired: bool, submit: bool| {
+        let topology = chain(2, HardwareParams::simulation(), FibreParams::lab_2m());
+        let mut b = NetworkBuilder::new(topology).seed(5).with_trace();
+        if wired {
+            b = b.signalling_on_wire();
+        }
+        let mut sim = b.build();
+        let vc = sim.install_plan(qn_routing::CircuitPlan {
+            path: vec![NodeId(0), NodeId(1)],
+            e2e_fidelity: 0.999_999,
+            link_fidelity: 0.999_999,
+            alpha: 0.1,
+            cutoff: SimDuration::from_millis(100),
+            max_lpr: 5.0,
+            max_eer: 1.0,
+        });
+        if submit {
+            sim.submit_at(SimTime::ZERO, vc, keep(1, NodeId(0), NodeId(1), 0.9, 1));
+        }
+        sim.run_until(SimTime::ZERO + SimDuration::from_secs(1));
+        sim
+    };
+    let refusals = |sim: &NetSim| -> Vec<(SimTime, String, String)> {
+        sim.trace()
+            .rows()
+            .iter()
+            .filter(|r| r.text.contains("rejected"))
+            .map(|r| (r.time, r.source.clone(), r.text.clone()))
+            .collect()
+    };
+    let rows = refusals(&run(false, true));
+    assert_eq!(rows.len(), 1, "{rows:?}");
+    assert_eq!((rows[0].0, rows[0].1.as_str()), (SimTime::ZERO, "n0"));
+    assert!(rows[0].2.contains("unattainable"), "{rows:?}");
+    assert_eq!(refusals(&run(true, true)), rows);
+    for wired in [false, true] {
+        let with = run(wired, true).classical_stats().sent;
+        let without = run(wired, false).classical_stats().sent;
+        assert_eq!(with, without + 1, "wired: {wired}");
+    }
+}
+
+#[test]
 fn no_leaked_pairs_after_completion() {
     let (mut sim, d) = lab_dumbbell(51);
     let vc = sim

@@ -143,7 +143,7 @@ fn faults_off_reproduces_the_fault_free_trajectory_bit_identically() {
     assert_eq!(s1.dropped + s1.duplicated + s1.reordered + s1.corrupted, 0);
     assert_eq!(s1.decode_failures, 0);
     assert_eq!(s1.decode_failures_by_kind, [0; 6]);
-    assert_eq!(s1.link_decode_failures_by_kind, [0; 3]);
+    assert_eq!(s1.link_decode_failures_by_kind, [0; 2]);
     // Batching observability: every delivered frame rode in exactly one
     // batch, and the counters are internally consistent.
     assert!(s1.batches > 0, "no batches opened");

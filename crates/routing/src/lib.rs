@@ -13,9 +13,10 @@
 //! * [`signalling`] — source-routed circuit installation: MPLS-style
 //!   link-label allocation and the per-node routing entries of §4.1;
 //! * [`topology`] — the network graph, including the paper's Fig 7
-//!   dumbbell and linear-chain presets;
-//! * [`wire`] — the byte-level encoding of the install/teardown
-//!   signalling messages (shared registry with [`qn_net::wire`]).
+//!   dumbbell and linear-chain presets.
+//!
+//! The install/teardown messages' byte-level encoding is
+//! [`qn_net::wire::SignalMessage`], in the one frame registry.
 
 #![warn(missing_docs)]
 
@@ -23,7 +24,6 @@ pub mod budget;
 pub mod controller;
 pub mod signalling;
 pub mod topology;
-pub mod wire;
 
 pub use budget::CutoffPolicy;
 pub use controller::{CircuitPlan, Controller, PlanError};
@@ -31,4 +31,3 @@ pub use signalling::{InstalledCircuit, Signaller};
 pub use topology::{
     chain, dumbbell, grid, ring, wide_dumbbell, Dumbbell, LinkSpec, Topology, WideDumbbell,
 };
-pub use wire::SignalMessage;
