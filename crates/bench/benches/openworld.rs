@@ -13,8 +13,10 @@
 //!   machine-dependent and therefore never diffed.
 //!
 //! Run: `cargo bench --bench openworld`
-//! (knobs: `QNP_RUNS` seeds per case, default 3; `QNP_ARRIVALS`
-//! arrival budget per run, default 24; `QNP_THREADS` sweep workers;
+//! (knobs: `QNP_RUNS` seeds per case, default 3; `QNP_MAX_ARRIVALS`
+//! cap on the circuits admitted per run, default 24, above which the
+//! 60 s horizon binds first at 0.4 circuits/s; `QNP_THREADS` sweep
+//! workers;
 //! `QNP_WIRE=1` carries the signalling on the classical wire, diffed
 //! against `baselines/wire/openworld.json` instead).
 
@@ -27,9 +29,9 @@ use qn_sim::SimDuration;
 fn main() {
     let wall_start = std::time::Instant::now();
     let n_runs = runs(3);
-    let budget = env_u64("QNP_ARRIVALS", 24) as usize;
+    let max_arrivals = env_u64("QNP_MAX_ARRIVALS", 24) as usize;
     let seeds = seed_block(3000, n_runs);
-    println!("# Open-world workloads (runs={n_runs}, arrival budget={budget})");
+    println!("# Open-world workloads (runs={n_runs}, max arrivals={max_arrivals})");
 
     let poisson = OwArrivals::Poisson { rate_hz: 0.4 };
     let diurnal = OwArrivals::Diurnal {
@@ -56,14 +58,14 @@ fn main() {
 
     let mut baseline = Baseline::new("openworld")
         .config_num("runs", n_runs as f64)
-        .config_num("arrival_budget", budget as f64);
+        .config_num("arrival_budget", max_arrivals as f64);
 
     println!(
         "# case                 circuits   req_done   pairs   events     ev/sim_s   req/sim_s   ev/wall_s"
     );
     let mut total_events = 0u64;
     for (label, topology, arrivals) in cases {
-        let cfg = OpenWorldConfig::smoke(topology, arrivals, budget);
+        let cfg = OpenWorldConfig::smoke(topology, arrivals, max_arrivals);
         let case_start = std::time::Instant::now();
         let points = run_sweep(&seeds, |seed| openworld_scenario(seed, &cfg));
         let case_wall = case_start.elapsed().as_secs_f64();

@@ -413,13 +413,6 @@ impl Baseline {
         self
     }
 
-    /// Record a string config knob.
-    pub fn config_str(mut self, key: &str, value: &str) -> Self {
-        self.config
-            .push((key.to_string(), Json::Str(value.to_string())));
-        self
-    }
-
     /// Attach a numeric metadata entry (recorded, never diffed).
     pub fn meta_num(mut self, key: &str, value: f64) -> Self {
         self.meta.push((key.into(), Json::Num(value)));
@@ -780,9 +773,8 @@ mod tests {
 
     #[test]
     fn baseline_round_trips() {
-        let mut b = Baseline::new("fig_test")
-            .config_num("runs", 3.0)
-            .config_str("case", "empty");
+        let mut b = Baseline::new("fig_test").config_num("runs", 3.0);
+        b.config.push(("case".into(), Json::Str("empty".into())));
         b.point("x=1", &[("throughput", 4.25), ("latency_s", 0.5)]);
         b.point("x=2", &[("throughput", f64::NAN), ("latency_s", 0.75)]);
         let parsed = Baseline::parse(&b.to_json().to_pretty_string()).unwrap();

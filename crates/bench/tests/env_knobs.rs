@@ -1,5 +1,5 @@
 //! The qn_bench env knobs (`QNP_RUNS`, `QNP_PAIRS`, `QNP_WIRE`,
-//! `QNP_ARRIVALS`, `QNP_REQUESTS`) fail fast on garbage instead of
+//! `QNP_MAX_ARRIVALS`, `QNP_REQUESTS`) fail fast on garbage instead of
 //! silently running the default sweep. One test, because the
 //! environment is process-global.
 
@@ -12,7 +12,7 @@ fn env_knobs_fail_fast_on_garbage() {
         "QNP_RUNS",
         "QNP_PAIRS",
         "QNP_WIRE",
-        "QNP_ARRIVALS",
+        "QNP_MAX_ARRIVALS",
         "QNP_REQUESTS",
     ];
     for knob in knobs {
@@ -22,7 +22,7 @@ fn env_knobs_fail_fast_on_garbage() {
     assert_eq!(runs(3), 3);
     assert_eq!(pairs(40), 40);
     assert!(!wire_on());
-    assert_eq!(env_u64("QNP_ARRIVALS", 24), 24);
+    assert_eq!(env_u64("QNP_MAX_ARRIVALS", 24), 24);
     assert_eq!(env_u64("QNP_REQUESTS", 8), 8);
 
     // Unsigned integers are honoured, zero included.

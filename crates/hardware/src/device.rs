@@ -16,7 +16,7 @@
 //!   qubits.
 
 use crate::params::HardwareParams;
-use qn_sim::{LinkId, NodeId};
+use qn_sim::LinkId;
 use std::fmt;
 use std::ops::Range;
 
@@ -58,7 +58,6 @@ enum CommSlots {
 /// The qubit inventory of one node.
 #[derive(Clone, Debug)]
 pub struct QDevice {
-    node: NodeId,
     slots: Vec<Slot>,
     comm: CommSlots,
     params: HardwareParams,
@@ -67,12 +66,7 @@ pub struct QDevice {
 impl QDevice {
     /// Main-simulation inventory: `per_link` communication qubits dedicated
     /// to each attached link (the paper uses two).
-    pub fn per_link(
-        node: NodeId,
-        links: &[LinkId],
-        per_link: usize,
-        params: HardwareParams,
-    ) -> Self {
+    pub fn per_link(links: &[LinkId], per_link: usize, params: HardwareParams) -> Self {
         let slots = vec![
             Slot {
                 kind: QubitKind::Electron,
@@ -86,7 +80,6 @@ impl QDevice {
             .map(|(i, link)| (*link, i * per_link..(i + 1) * per_link))
             .collect();
         QDevice {
-            node,
             slots,
             comm: CommSlots::PerLink(runs),
             params,
@@ -95,7 +88,7 @@ impl QDevice {
 
     /// Near-term inventory: one shared electron plus `carbons` storage
     /// qubits.
-    pub fn near_term(node: NodeId, carbons: usize, params: HardwareParams) -> Self {
+    pub fn near_term(carbons: usize, params: HardwareParams) -> Self {
         let mut slots = vec![Slot {
             kind: QubitKind::Electron,
             free: true,
@@ -107,16 +100,10 @@ impl QDevice {
             });
         }
         QDevice {
-            node,
             slots,
             comm: CommSlots::Shared,
             params,
         }
-    }
-
-    /// The node this device belongs to.
-    pub fn node(&self) -> NodeId {
-        self.node
     }
 
     /// The hardware parameter set of this device.
@@ -209,7 +196,7 @@ mod tests {
     #[test]
     fn per_link_slots_are_dedicated() {
         let links = [LinkId(0), LinkId(1)];
-        let mut dev = QDevice::per_link(NodeId(0), &links, 2, HardwareParams::simulation());
+        let mut dev = QDevice::per_link(&links, 2, HardwareParams::simulation());
         assert_eq!(dev.capacity(), 4);
         assert_eq!(dev.free_comm(LinkId(0)), 2);
         let q0 = dev.alloc_comm(LinkId(0)).unwrap();
@@ -226,7 +213,7 @@ mod tests {
     #[test]
     fn per_link_alloc_takes_the_first_free_slot_of_its_run() {
         let links = [LinkId(4), LinkId(1), LinkId(7)];
-        let mut dev = QDevice::per_link(NodeId(0), &links, 2, HardwareParams::simulation());
+        let mut dev = QDevice::per_link(&links, 2, HardwareParams::simulation());
         assert_eq!(dev.alloc_comm(LinkId(1)), Some(QubitId(2)));
         assert_eq!(dev.alloc_comm(LinkId(1)), Some(QubitId(3)));
         assert_eq!(dev.alloc_comm(LinkId(7)), Some(QubitId(4)));
@@ -240,7 +227,7 @@ mod tests {
 
     #[test]
     fn near_term_shares_one_electron() {
-        let mut dev = QDevice::near_term(NodeId(1), 2, HardwareParams::near_term());
+        let mut dev = QDevice::near_term(2, HardwareParams::near_term());
         assert_eq!(dev.capacity(), 3);
         let e = dev.alloc_comm(LinkId(0)).unwrap();
         assert_eq!(dev.kind(e), QubitKind::Electron);
@@ -255,7 +242,7 @@ mod tests {
 
     #[test]
     fn coherence_times_differ_by_kind() {
-        let dev = QDevice::near_term(NodeId(0), 1, HardwareParams::near_term());
+        let dev = QDevice::near_term(1, HardwareParams::near_term());
         let (t1_e, t2_e) = dev.coherence_times(QubitId(0));
         let (t1_c, t2_c) = dev.coherence_times(QubitId(1));
         assert_eq!(t2_e, 1.46);
@@ -265,7 +252,7 @@ mod tests {
 
     #[test]
     fn storage_alloc_fails_without_carbons() {
-        let mut dev = QDevice::per_link(NodeId(0), &[LinkId(0)], 2, HardwareParams::simulation());
+        let mut dev = QDevice::per_link(&[LinkId(0)], 2, HardwareParams::simulation());
         assert!(dev.alloc_storage().is_none());
         assert_eq!(dev.free_storage(), 0);
     }

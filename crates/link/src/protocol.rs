@@ -140,8 +140,10 @@ impl LinkProtocol {
     }
 
     /// Stop a request (COMPLETE from the network layer). Any in-flight
-    /// generation for it is logically abandoned — the runtime must cancel
-    /// the pending completion event and report the elapsed time via
+    /// generation for it is abandoned: the runtime cancels the pending
+    /// completion event and frees its qubits. The label has left the
+    /// scheduler, whose charges ignore unknown labels, so there is no
+    /// elapsed time to report through
     /// [`LinkProtocol::on_generation_aborted`].
     pub fn stop(&mut self, label: LinkLabel) -> bool {
         let existed = self.requests.remove(&label).is_some();

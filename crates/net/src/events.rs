@@ -282,7 +282,8 @@ pub enum NetOutput {
         pair: Correlator,
         /// Which link it belongs to.
         side: LinkSide,
-        /// Fire after this long.
+        /// Fire after this long: always finite, since a circuit without
+        /// a cutoff arms no timer.
         after: SimDuration,
     },
     /// Disarm the pair's cutoff timer (it is about to be consumed).

@@ -235,15 +235,14 @@ pub(crate) struct MidState {
     /// the consumed pairs, indexed the same way.
     pub swapping: Option<[PendingPair; 2]>,
     /// Requests currently active on the circuit (from FORWARD/COMPLETE).
-    pub active_requests: u64,
-    /// Request ids currently counted in `active_requests` — lets a
-    /// faulty plane's duplicated FORWARD/COMPLETE be absorbed without
-    /// corrupting the count (the link would otherwise generate forever).
-    pub counted_requests: FxHashSet<RequestId>,
+    /// The downstream link request is live exactly while the set is
+    /// non-empty. Keyed by id, so a faulty plane's duplicated
+    /// FORWARD/COMPLETE is absorbed instead of leaving the link
+    /// generating forever.
+    pub active_requests: FxHashSet<RequestId>,
     /// Recently retired request ids: a FORWARD duplicate arriving after
     /// its COMPLETE must not resurrect the request.
     pub retired_requests: BoundedMap<RequestId, ()>,
-    pub link_submitted: bool,
 }
 
 impl MidState {
@@ -254,10 +253,8 @@ impl MidState {
                 MidSide::new(duplicate_tracks),
             ],
             swapping: None,
-            active_requests: 0,
-            counted_requests: FxHashSet::default(),
+            active_requests: FxHashSet::default(),
             retired_requests: BoundedMap::new(1024),
-            link_submitted: false,
         }
     }
 }
@@ -390,11 +387,6 @@ impl QnpNode {
             circuits: Circuits::default(),
             stats: NodeStats::default(),
         }
-    }
-
-    /// This node's identity.
-    pub fn node(&self) -> qn_sim::NodeId {
-        self.node
     }
 
     /// The node's role on a circuit, if installed.
@@ -570,16 +562,6 @@ impl QnpNode {
         match self.circuits.get(circuit).map(|c| &c.state) {
             Some(CircuitState::Mid(m)) => Some(m),
             _ => None,
-        }
-    }
-
-    /// Test/diagnostic access: delivered count of a request at this end.
-    pub fn delivered(&self, circuit: CircuitId, request: RequestId) -> u64 {
-        match self.circuits.get(circuit).map(|c| &c.state) {
-            Some(CircuitState::Endpoint(ep)) => {
-                ep.requests.get(&request).map(|r| r.delivered).unwrap_or(0)
-            }
-            _ => 0,
         }
     }
 }

@@ -91,7 +91,7 @@ pub(crate) fn teardown(circuit: CircuitId, c: Circuit, out: &mut Vec<NetOutput>)
                 out.push(NetOutput::CancelCutoff { pair: p.pair });
                 out.push(NetOutput::DiscardPair { pair: p.pair });
             }
-            if mid.link_submitted {
+            if !mid.active_requests.is_empty() {
                 if let Some(down) = &c.entry.downstream {
                     out.push(NetOutput::LinkStop {
                         side: LinkSide::Downstream,

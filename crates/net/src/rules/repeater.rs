@@ -215,8 +215,8 @@ pub(crate) fn link_orphaned(
 ///
 /// Duplicated FORWARDs (a faulty plane) are relayed — downstream nodes
 /// absorb their own copies — but must not be counted twice locally, or
-/// `active_requests` never returns to zero and the link generates
-/// forever after the circuit drains.
+/// `active_requests` never empties and the link generates forever after
+/// the circuit drains.
 pub(crate) fn on_forward(
     c: &mut Circuit,
     f: Forward,
@@ -225,19 +225,19 @@ pub(crate) fn on_forward(
 ) {
     let entry = c.entry;
     let m = mid(c);
-    if m.counted_requests.contains(&f.request) || m.retired_requests.contains_key(&f.request) {
+    if m.active_requests.contains(&f.request) || m.retired_requests.contains_key(&f.request) {
         stats.duplicate_forwards += 1;
         out.push(NetOutput::Send(LinkSide::Downstream, Message::Forward(f)));
         return;
     }
-    m.active_requests += 1;
-    m.counted_requests.insert(f.request);
+    let link_live = !m.active_requests.is_empty();
+    m.active_requests.insert(f.request);
     let down = entry
         .downstream
         .as_ref()
         .expect("intermediate has downstream");
     let weight = link_weight(down.max_lpr, entry.max_eer, f.rate);
-    if m.link_submitted {
+    if link_live {
         out.push(NetOutput::LinkSetWeight {
             side: LinkSide::Downstream,
             label: down.label,
@@ -250,7 +250,6 @@ pub(crate) fn on_forward(
             min_fidelity: down.min_fidelity,
             weight,
         });
-        m.link_submitted = true;
     }
     out.push(NetOutput::Send(LinkSide::Downstream, Message::Forward(f)));
 }
@@ -265,7 +264,7 @@ pub(crate) fn on_complete(
 ) {
     let entry = c.entry;
     let m = mid(c);
-    if !m.counted_requests.remove(&msg.request) {
+    if !m.active_requests.remove(&msg.request) {
         // Duplicated COMPLETE (or its FORWARD was dropped upstream):
         // nothing to retire locally, but downstream still needs it.
         stats.duplicate_completes += 1;
@@ -276,19 +275,15 @@ pub(crate) fn on_complete(
         return;
     }
     m.retired_requests.insert(msg.request, ());
-    m.active_requests = m.active_requests.saturating_sub(1);
     let down = entry
         .downstream
         .as_ref()
         .expect("intermediate has downstream");
-    if m.active_requests == 0 {
-        if m.link_submitted {
-            out.push(NetOutput::LinkStop {
-                side: LinkSide::Downstream,
-                label: down.label,
-            });
-            m.link_submitted = false;
-        }
+    if m.active_requests.is_empty() {
+        out.push(NetOutput::LinkStop {
+            side: LinkSide::Downstream,
+            label: down.label,
+        });
     } else {
         out.push(NetOutput::LinkSetWeight {
             side: LinkSide::Downstream,

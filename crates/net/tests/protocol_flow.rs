@@ -9,7 +9,7 @@
 
 use qn_net::events::{AppEvent, Delivery, DeliveryKind, NetInput, NetOutput, PairInfo};
 use qn_net::ids::{Address, CircuitId, Correlator, RequestId};
-use qn_net::messages::{Expire, Message, Track};
+use qn_net::messages::{Complete, Expire, Forward, Message, Track};
 use qn_net::node::SWAP_RECORDS;
 use qn_net::request::{Demand, RequestType, UserRequest};
 use qn_net::routing_table::{DownstreamHop, LinkSide, RoutingEntry, UpstreamHop};
@@ -1204,4 +1204,95 @@ fn tracks_for_a_discarded_pair_bounce_expires_on_either_side() {
         }
     }
     assert_eq!(node.stats.total(), 0, "bounces are not anomalies");
+}
+
+/// A repeater keeps one set of active requests and drives its
+/// downstream link request from it: the first FORWARD submits, a later
+/// request's FORWARD re-weights, a repeated FORWARD is relayed and
+/// counted but submits nothing, the COMPLETE that empties the set stops
+/// the link once, a COMPLETE for a request the set does not hold is
+/// relayed with no stop, and a FORWARD after its COMPLETE is absorbed.
+#[test]
+fn repeater_drives_its_downstream_link_from_one_request_set() {
+    let mut node = repeater(false);
+    let label = qn_link::LinkLabel(1);
+    let forward = |request, rate| Forward {
+        circuit: VC,
+        request: RequestId(request),
+        head_identifier: 10,
+        tail_identifier: 20,
+        request_type: RequestType::Keep,
+        number_of_pairs: Some(4),
+        final_state: None,
+        rate,
+    };
+    let complete = |request, rate| Complete {
+        circuit: VC,
+        request: RequestId(request),
+        head_identifier: 10,
+        tail_identifier: 20,
+        rate,
+    };
+    let mut from_upstream = |msg| message_from(&mut node, LinkSide::Upstream, msg);
+    // The downstream hop's max_lpr is 50 and the circuit's max_eer 10,
+    // so a request rate r weighs 5 r.
+    let (f1, f2) = (forward(1, 2.0), forward(2, 5.0));
+    let outs = from_upstream(Message::Forward(f1));
+    assert!(
+        matches!(&outs[..], [
+            NetOutput::LinkSubmit { side: LinkSide::Downstream, label: l, weight, .. },
+            NetOutput::Send(LinkSide::Downstream, Message::Forward(f)),
+        ] if *l == label && *weight == 10.0 && *f == f1),
+        "first FORWARD: {outs:?}"
+    );
+    let outs = from_upstream(Message::Forward(f1));
+    assert!(
+        matches!(&outs[..], [NetOutput::Send(LinkSide::Downstream, Message::Forward(f))] if *f == f1),
+        "repeated FORWARD: {outs:?}"
+    );
+    let outs = from_upstream(Message::Forward(f2));
+    assert!(
+        matches!(&outs[..], [
+            NetOutput::LinkSetWeight { side: LinkSide::Downstream, label: l, weight },
+            NetOutput::Send(LinkSide::Downstream, Message::Forward(f)),
+        ] if *l == label && *weight == 25.0 && *f == f2),
+        "second request's FORWARD: {outs:?}"
+    );
+    let (c1, c2) = (complete(1, 3.0), complete(2, 0.0));
+    let outs = from_upstream(Message::Complete(c1));
+    assert!(
+        matches!(&outs[..], [
+            NetOutput::LinkSetWeight { side: LinkSide::Downstream, label: l, weight },
+            NetOutput::Send(LinkSide::Downstream, Message::Complete(c)),
+        ] if *l == label && *weight == 15.0 && *c == c1),
+        "COMPLETE leaving a request: {outs:?}"
+    );
+    let outs = from_upstream(Message::Complete(c2));
+    assert!(
+        matches!(&outs[..], [
+            NetOutput::LinkStop { side: LinkSide::Downstream, label: l },
+            NetOutput::Send(LinkSide::Downstream, Message::Complete(c)),
+        ] if *l == label && *c == c2),
+        "COMPLETE emptying the set: {outs:?}"
+    );
+    for c in [c2, complete(9, 0.0)] {
+        let outs = from_upstream(Message::Complete(c));
+        assert!(
+            matches!(&outs[..], [NetOutput::Send(LinkSide::Downstream, Message::Complete(relayed))] if *relayed == c),
+            "COMPLETE for a request not in the set: {outs:?}"
+        );
+    }
+    let outs = from_upstream(Message::Forward(f1));
+    assert!(
+        matches!(&outs[..], [NetOutput::Send(LinkSide::Downstream, Message::Forward(f))] if *f == f1),
+        "FORWARD after its COMPLETE: {outs:?}"
+    );
+    assert_eq!(node.stats.duplicate_forwards, 2);
+    assert_eq!(node.stats.duplicate_completes, 2);
+    let mut outs = Vec::new();
+    node.handle(NetInput::TeardownCircuit { circuit: VC }, &mut outs);
+    assert!(
+        !outs.iter().any(|o| matches!(o, NetOutput::LinkStop { .. })),
+        "the link was already stopped: {outs:?}"
+    );
 }

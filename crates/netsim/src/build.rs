@@ -46,18 +46,9 @@ impl NetworkBuilder {
     /// Inject classical-plane faults: seeded drop / duplication /
     /// reordering / byte corruption of the encoded signalling frames.
     /// Default is [`ClassicalFaults::OFF`] — the reliable in-order
-    /// plane, bit-identical to a run without this call.
-    ///
-    /// # Panics
-    ///
-    /// If the config fails [`ClassicalFaults::validate`] (a probability
-    /// outside `[0, 1]`, or duplicate/reorder faults without a
-    /// `reorder_window`): failing at build beats a run that silently
-    /// degenerates.
+    /// plane, bit-identical to a run without this call. An invalid
+    /// config makes [`NetworkBuilder::build`] panic.
     pub fn classical_faults(mut self, faults: ClassicalFaults) -> Self {
-        if let Err(e) = faults.validate() {
-            panic!("invalid ClassicalFaults: {e}");
-        }
         self.cfg.faults = faults;
         self
     }
@@ -112,27 +103,28 @@ impl NetworkBuilder {
         self
     }
 
-    /// Inject component faults: a seeded schedule of link outages and
-    /// node crashes/restarts (deterministic events plus MTBF/MTTR
-    /// stochastic specs, see [`FaultPlan`]). The default empty plan
-    /// schedules no events and draws no randomness — bit-identical to a
-    /// run without this call.
-    ///
-    /// # Panics
-    ///
-    /// If the plan fails [`FaultPlan::validate`] against this builder's
-    /// topology (an unknown link or node, a repair without a preceding
-    /// failure, an event beyond the horizon, a stochastic spec without
-    /// positive moments or a horizon).
+    /// Inject component faults: a seeded schedule of link and node
+    /// outages (scripted windows plus MTBF/MTTR schedules, see
+    /// [`FaultPlan`]). The default empty plan schedules no events and
+    /// draws no randomness — bit-identical to a run without this call.
+    /// An invalid plan makes [`NetworkBuilder::build`] panic.
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
-        if let Err(e) = plan.validate(&self.topology) {
-            panic!("invalid FaultPlan: {e}");
-        }
         self.cfg.fault_plan = plan;
         self
     }
 
     /// Build the simulation.
+    ///
+    /// # Panics
+    ///
+    /// Before any event is scheduled, if the classical faults fail
+    /// [`ClassicalFaults::validate`] (a probability outside `[0, 1]`, or
+    /// duplicate/reorder faults without a `reorder_window`) or the fault
+    /// plan fails [`FaultPlan::validate`] against the topology (an
+    /// unknown link or node, overlapping outages of one component, an
+    /// outage ending past the horizon, a stochastic schedule without
+    /// positive moments or a horizon): failing at build beats a run that
+    /// silently degenerates.
     pub fn build(self) -> NetSim {
         let topology = self.topology.clone();
         let checkpoint = self.cfg.checkpoint;

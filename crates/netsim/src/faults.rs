@@ -4,28 +4,29 @@
 //! *messages* (drop / duplicate / reorder / corrupt), a [`FaultPlan`]
 //! takes whole *components* out of service: a link stops generating
 //! entanglement and eats every classical frame on its hop, a node loses
-//! its volatile protocol state. Plans combine two ingredients:
+//! its volatile protocol state. A plan is a list of outages, each a
+//! component that goes down and comes back:
 //!
-//! * **deterministic events** — `LinkDown`/`LinkUp` for a link and
-//!   `NodeCrash`/`NodeRestart` for a node, each at an explicit instant
-//!   ([`FaultPlan::link_down_at`] and friends, or the
-//!   [`FaultPlan::link_outage`] / [`FaultPlan::node_outage`] pairs);
-//! * **stochastic schedules** — per-component MTBF/MTTR
-//!   ([`FaultPlan::link_mtbf`], [`FaultPlan::node_mtbf`]): exponential
-//!   up-times and repair-times expanded into a concrete event list at
-//!   build time from the dedicated `"component-faults"` RNG substream,
-//!   one independent substream per declared component. The expansion
-//!   happens *before* the simulation starts, so a faulted run stays a
-//!   pure function of `(seed, plan)` and the main simulation streams
-//!   never observe an extra draw.
+//! * **scripted outages** — a link or a node down at an explicit instant
+//!   for an explicit duration ([`FaultPlan::link_outage`],
+//!   [`FaultPlan::node_outage`]);
+//! * **stochastic schedules** — per-link MTBF/MTTR
+//!   ([`FaultPlan::link_mtbf`]): exponential up-times and repair-times
+//!   expanded into a concrete event list at build time from the
+//!   dedicated `"component-faults"` RNG substream, one independent
+//!   substream per declared schedule. The expansion happens *before* the
+//!   simulation starts, so a faulted run stays a pure function of
+//!   `(seed, plan)` and the main simulation streams never observe an
+//!   extra draw.
 //!
-//! An **empty plan is bit-invisible**: [`FaultPlan::is_empty`] gates all
-//! runtime scheduling, so a build without faults performs zero extra
-//! event-queue operations and zero RNG draws. Validation is fail-fast at
-//! build ([`FaultPlan::validate`], mirroring
-//! [`crate::classical::ClassicalFaults::validate`]): unknown components,
-//! a `LinkUp` with no preceding `LinkDown` (or restart without crash),
-//! and events scheduled past the declared horizon are all rejected
+//! Every outage expands to a down event and its up event, so a repair
+//! without a failure cannot be written. An **empty plan is
+//! bit-invisible**: [`FaultPlan::is_empty`] gates all runtime
+//! scheduling, so a build without faults performs zero extra
+//! event-queue operations and zero RNG draws. [`FaultPlan::validate`]
+//! rejects unknown components, scripted outages of one component that
+//! overlap or touch, outages ending past the declared horizon and
+//! malformed stochastic schedules; the network model runs it at build,
 //! before any event is queued.
 
 use qn_routing::topology::Topology;
@@ -68,11 +69,50 @@ pub enum ComponentEvent {
     },
 }
 
-/// The component a stochastic schedule applies to.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+/// A component a fault plan takes out of service.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 enum Component {
     Link { a: NodeId, b: NodeId },
     Node(NodeId),
+}
+
+impl Component {
+    /// The event taking the component down and the one bringing it back.
+    fn events(self) -> (ComponentEvent, ComponentEvent) {
+        match self {
+            Component::Link { a, b } => (
+                ComponentEvent::LinkDown { a, b },
+                ComponentEvent::LinkUp { a, b },
+            ),
+            Component::Node(node) => (
+                ComponentEvent::NodeCrash { node },
+                ComponentEvent::NodeRestart { node },
+            ),
+        }
+    }
+
+    /// The same component with a link's endpoints in ascending order, so
+    /// `a`–`b` and `b`–`a` compare equal.
+    fn canonical(self) -> Self {
+        match self {
+            Component::Link { a, b } if b < a => Component::Link { a: b, b: a },
+            other => other,
+        }
+    }
+}
+
+/// A scripted outage: `component` is down from `start` for `duration`.
+#[derive(Clone, Copy, Debug)]
+struct Outage {
+    component: Component,
+    start: SimTime,
+    duration: SimDuration,
+}
+
+impl Outage {
+    fn end(&self) -> SimTime {
+        self.start + self.duration
+    }
 }
 
 /// Stochastic fault model for one component: mean time between failures
@@ -87,13 +127,13 @@ struct FailureModel {
 /// the grammar; configure with [`crate::build::NetworkBuilder::fault_plan`].
 #[derive(Clone, Debug, Default)]
 pub struct FaultPlan {
-    /// Explicit events in insertion order (time, event).
-    events: Vec<(SimTime, ComponentEvent)>,
-    /// Stochastic per-component schedules in insertion order.
+    /// Scripted outages in declaration order.
+    outages: Vec<Outage>,
+    /// Per-link stochastic schedules in declaration order.
     stochastic: Vec<(Component, FailureModel)>,
-    /// Horizon bounding the plan: no deterministic event may lie beyond
-    /// it and stochastic expansion stops drawing failures at it.
-    /// Required whenever stochastic schedules are declared.
+    /// Horizon bounding the plan: every scripted outage must end by it
+    /// and stochastic expansion stops drawing failures at it. Required
+    /// whenever stochastic schedules are declared.
     horizon: Option<SimTime>,
 }
 
@@ -103,71 +143,47 @@ impl FaultPlan {
         Self::default()
     }
 
-    /// Declare the plan's horizon: deterministic events beyond it fail
-    /// validation, and stochastic failures are only drawn before it
-    /// (each drawn failure still gets its repair, which may land past
+    /// Declare the plan's horizon: a scripted outage ending after it
+    /// fails validation, and stochastic failures are only drawn before
+    /// it (each drawn failure still gets its repair, which may land past
     /// the horizon so every outage recovers).
     pub fn horizon(mut self, at: SimTime) -> Self {
         self.horizon = Some(at);
         self
     }
 
-    /// Take the `a`–`b` link down at `at`.
-    pub fn link_down_at(mut self, a: NodeId, b: NodeId, at: SimTime) -> Self {
-        self.events.push((at, ComponentEvent::LinkDown { a, b }));
-        self
-    }
-
-    /// Bring the `a`–`b` link back up at `at`.
-    pub fn link_up_at(mut self, a: NodeId, b: NodeId, at: SimTime) -> Self {
-        self.events.push((at, ComponentEvent::LinkUp { a, b }));
-        self
-    }
-
-    /// Crash `node` at `at`.
-    pub fn node_crash_at(mut self, node: NodeId, at: SimTime) -> Self {
-        self.events.push((at, ComponentEvent::NodeCrash { node }));
-        self
-    }
-
-    /// Restart `node` at `at`.
-    pub fn node_restart_at(mut self, node: NodeId, at: SimTime) -> Self {
-        self.events.push((at, ComponentEvent::NodeRestart { node }));
-        self
-    }
-
-    /// Convenience: a link outage of `duration` starting at `down_at`.
+    /// Take the `a`–`b` link down at `down_at` for `duration`.
     pub fn link_outage(
-        self,
+        mut self,
         a: NodeId,
         b: NodeId,
         down_at: SimTime,
         duration: SimDuration,
     ) -> Self {
-        self.link_down_at(a, b, down_at)
-            .link_up_at(a, b, down_at + duration)
+        self.outages.push(Outage {
+            component: Component::Link { a, b },
+            start: down_at,
+            duration,
+        });
+        self
     }
 
-    /// Convenience: a node outage of `duration` starting at `crash_at`.
-    pub fn node_outage(self, node: NodeId, crash_at: SimTime, duration: SimDuration) -> Self {
-        self.node_crash_at(node, crash_at)
-            .node_restart_at(node, crash_at + duration)
+    /// Crash `node` at `crash_at` and restart it `duration` later.
+    pub fn node_outage(mut self, node: NodeId, crash_at: SimTime, duration: SimDuration) -> Self {
+        self.outages.push(Outage {
+            component: Component::Node(node),
+            start: crash_at,
+            duration,
+        });
+        self
     }
 
     /// Stochastic outages for the `a`–`b` link: exponential up-times
     /// with mean `mtbf`, exponential repairs with mean `mttr`, drawn
-    /// from this component's own `"component-faults"` substream.
+    /// from this schedule's own `"component-faults"` substream.
     pub fn link_mtbf(mut self, a: NodeId, b: NodeId, mtbf: SimDuration, mttr: SimDuration) -> Self {
         self.stochastic
             .push((Component::Link { a, b }, FailureModel { mtbf, mttr }));
-        self
-    }
-
-    /// Stochastic crash/restart cycles for `node` (see
-    /// [`FaultPlan::link_mtbf`]).
-    pub fn node_mtbf(mut self, node: NodeId, mtbf: SimDuration, mttr: SimDuration) -> Self {
-        self.stochastic
-            .push((Component::Node(node), FailureModel { mtbf, mttr }));
         self
     }
 
@@ -175,95 +191,55 @@ impl FaultPlan {
     /// this once at build: an empty plan adds zero events and zero RNG
     /// draws, keeping the run bit-identical to one without a plan.
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty() && self.stochastic.is_empty()
+        self.outages.is_empty() && self.stochastic.is_empty()
     }
 
     /// Fail-fast validation against the topology the plan will run on.
-    /// Rejects events on unknown links or nodes, a `LinkUp` with no
-    /// preceding `LinkDown` (and restart/crash likewise, or doubled
-    /// downs/crashes), deterministic events past the declared horizon,
-    /// stochastic schedules without a horizon, and non-positive
-    /// MTBF/MTTR.
+    /// Rejects unknown links or nodes, two scripted outages of one
+    /// component that overlap or touch, a scripted outage ending past
+    /// the declared horizon, stochastic schedules without a horizon, and
+    /// non-positive or infinite MTBF/MTTR.
     pub fn validate(&self, topology: &Topology) -> Result<(), String> {
         let nodes = topology.nodes();
-        let check_node = |n: NodeId| -> Result<(), String> {
-            if nodes.binary_search(&n).is_err() {
-                return Err(format!("fault plan references unknown node {n}"));
-            }
-            Ok(())
-        };
-        let check_link = |a: NodeId, b: NodeId| -> Result<(), String> {
-            if topology.link_between(a, b).is_none() {
-                return Err(format!("fault plan references unknown link {a}–{b}"));
-            }
-            Ok(())
-        };
-        for (at, ev) in &self.events {
-            match ev {
-                ComponentEvent::LinkDown { a, b } | ComponentEvent::LinkUp { a, b } => {
-                    check_link(*a, *b)?
+        let components = self.outages.iter().map(|o| o.component);
+        for component in components.chain(self.stochastic.iter().map(|(c, _)| *c)) {
+            match component {
+                Component::Link { a, b } if topology.link_between(a, b).is_none() => {
+                    return Err(format!("fault plan references unknown link {a}–{b}"));
                 }
-                ComponentEvent::NodeCrash { node } | ComponentEvent::NodeRestart { node } => {
-                    check_node(*node)?
+                Component::Node(n) if nodes.binary_search(&n).is_err() => {
+                    return Err(format!("fault plan references unknown node {n}"));
                 }
-            }
-            if let Some(h) = self.horizon {
-                if *at > h {
-                    return Err(format!(
-                        "fault event {ev:?} at {at} lies beyond the plan horizon {h}"
-                    ));
-                }
+                _ => {}
             }
         }
-        // Per-component alternation: a stable sort by time keeps
-        // insertion order for ties, matching the execution order.
-        let mut ordered: Vec<&(SimTime, ComponentEvent)> = self.events.iter().collect();
-        ordered.sort_by_key(|(at, _)| *at);
-        let mut down_links: Vec<(NodeId, NodeId)> = Vec::new();
-        let mut crashed: Vec<NodeId> = Vec::new();
-        for (at, ev) in ordered {
-            match ev {
-                ComponentEvent::LinkDown { a, b } => {
-                    let key = link_key(*a, *b);
-                    if down_links.contains(&key) {
-                        return Err(format!(
-                            "link {a}–{b} taken down twice (at {at}) without a LinkUp in between"
-                        ));
-                    }
-                    down_links.push(key);
-                }
-                ComponentEvent::LinkUp { a, b } => {
-                    let key = link_key(*a, *b);
-                    let Some(i) = down_links.iter().position(|k| *k == key) else {
-                        return Err(format!(
-                            "LinkUp for {a}–{b} (at {at}) without a preceding LinkDown"
-                        ));
-                    };
-                    down_links.remove(i);
-                }
-                ComponentEvent::NodeCrash { node } => {
-                    if crashed.contains(node) {
-                        return Err(format!(
-                            "node {node} crashed twice (at {at}) without a restart in between"
-                        ));
-                    }
-                    crashed.push(*node);
-                }
-                ComponentEvent::NodeRestart { node } => {
-                    let Some(i) = crashed.iter().position(|n| n == node) else {
-                        return Err(format!(
-                            "NodeRestart for {node} (at {at}) without a preceding NodeCrash"
-                        ));
-                    };
-                    crashed.remove(i);
-                }
+        if let Some(h) = self.horizon {
+            if let Some(o) = self.outages.iter().find(|o| o.end() > h) {
+                return Err(format!(
+                    "outage of {:?} ending at {} lies beyond the plan horizon {h}",
+                    o.component,
+                    o.end()
+                ));
+            }
+        }
+        let mut ordered: Vec<(Component, &Outage)> = self
+            .outages
+            .iter()
+            .map(|o| (o.component.canonical(), o))
+            .collect();
+        ordered.sort_by_key(|(component, o)| (*component, o.start));
+        for pair in ordered.windows(2) {
+            let ((c1, earlier), (c2, later)) = (pair[0], pair[1]);
+            if c1 == c2 && later.start <= earlier.end() {
+                return Err(format!(
+                    "outages of {:?} overlap: one ends at {}, the next starts at {}",
+                    earlier.component,
+                    earlier.end(),
+                    later.start
+                ));
             }
         }
         for (comp, model) in &self.stochastic {
-            match comp {
-                Component::Link { a, b } => check_link(*a, *b)?,
-                Component::Node(n) => check_node(*n)?,
-            }
             if model.mtbf == SimDuration::ZERO || model.mtbf.is_infinite() {
                 return Err(format!(
                     "stochastic schedule for {comp:?} needs a positive finite MTBF"
@@ -284,27 +260,26 @@ impl FaultPlan {
     }
 
     /// Expand the plan into the concrete, time-ordered schedule for
-    /// `seed`. Deterministic events are kept as declared; each
-    /// stochastic component draws its failure/repair cycle from
-    /// `SimRng::substream_indexed(seed, "component-faults", i)` (one
-    /// independent substream per declared schedule) until the horizon.
-    /// Every drawn failure is paired with its repair even when the
-    /// repair lands past the horizon, so stochastic outages always
-    /// recover. Ties are broken by declaration order (deterministic
-    /// events first), so the schedule is a pure function of
-    /// `(seed, plan)`.
+    /// `seed`. Each scripted outage gives its down event and its up
+    /// event; each stochastic schedule draws its failure/repair cycle
+    /// from `SimRng::substream_indexed(seed, "component-faults", i)`
+    /// (one independent substream per declared schedule) until the
+    /// horizon. Every drawn failure is paired with its repair even when
+    /// the repair lands past the horizon, so stochastic outages always
+    /// recover. Ties are broken by declaration order (scripted outages
+    /// first), so the schedule is a pure function of `(seed, plan)`.
     pub fn expand(&self, seed: u64) -> Vec<(SimTime, ComponentEvent)> {
-        let mut schedule: Vec<(SimTime, usize, ComponentEvent)> = self
-            .events
-            .iter()
-            .enumerate()
-            .map(|(i, (at, ev))| (*at, i, *ev))
-            .collect();
-        let mut order = self.events.len();
+        let mut schedule = Vec::new();
+        for o in &self.outages {
+            let (down, up) = o.component.events();
+            schedule.push((o.start, down));
+            schedule.push((o.end(), up));
+        }
         for (i, (comp, model)) in self.stochastic.iter().enumerate() {
             let horizon = self
                 .horizon
                 .expect("validated: stochastic schedules need a horizon");
+            let (down, up) = comp.events();
             let mut rng = SimRng::substream_indexed(seed, "component-faults", i as u64);
             let fail_rate = 1.0 / model.mtbf.as_secs_f64();
             let repair_rate = 1.0 / model.mttr.as_secs_f64();
@@ -314,34 +289,14 @@ impl FaultPlan {
                 if t >= horizon {
                     break;
                 }
-                let (down, up) = match comp {
-                    Component::Link { a, b } => (
-                        ComponentEvent::LinkDown { a: *a, b: *b },
-                        ComponentEvent::LinkUp { a: *a, b: *b },
-                    ),
-                    Component::Node(n) => (
-                        ComponentEvent::NodeCrash { node: *n },
-                        ComponentEvent::NodeRestart { node: *n },
-                    ),
-                };
-                schedule.push((t, order, down));
-                order += 1;
+                schedule.push((t, down));
                 t += SimDuration::from_secs_f64(rng.exponential(repair_rate));
-                schedule.push((t, order, up));
-                order += 1;
+                schedule.push((t, up));
             }
         }
-        schedule.sort_by_key(|(at, order, _)| (*at, *order));
-        schedule.into_iter().map(|(at, _, ev)| (at, ev)).collect()
-    }
-}
-
-/// Canonical (min, max) key for an undirected link.
-fn link_key(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
-    if a.0 <= b.0 {
-        (a, b)
-    } else {
-        (b, a)
+        // Stable: events at one instant keep their declaration order.
+        schedule.sort_by_key(|(at, _)| *at);
+        schedule
     }
 }
 
@@ -359,6 +314,10 @@ mod tests {
         SimTime::ZERO + SimDuration::from_secs(s)
     }
 
+    fn dur(s: u64) -> SimDuration {
+        SimDuration::from_secs(s)
+    }
+
     #[test]
     fn empty_plan_is_empty_and_valid() {
         let plan = FaultPlan::new();
@@ -370,8 +329,8 @@ mod tests {
     #[test]
     fn outage_pairs_expand_in_time_order() {
         let plan = FaultPlan::new()
-            .node_outage(NodeId(2), secs(8), SimDuration::from_secs(2))
-            .link_outage(NodeId(1), NodeId(2), secs(3), SimDuration::from_secs(4));
+            .node_outage(NodeId(2), secs(8), dur(2))
+            .link_outage(NodeId(1), NodeId(2), secs(3), dur(4));
         assert!(!plan.is_empty());
         assert!(plan.validate(&topo()).is_ok());
         let sched = plan.expand(1);
@@ -398,85 +357,146 @@ mod tests {
         );
     }
 
+    /// One mixed plan at one seed, event by event: two link outages
+    /// declared out of time order, a node outage starting the instant
+    /// an earlier-declared outage ends (the tie keeps declaration
+    /// order), and two MTBF schedules drawn from their own substreams.
+    #[test]
+    fn mixed_plan_expands_to_its_pinned_schedule() {
+        let (n0, n1, n2, n3) = (NodeId(0), NodeId(1), NodeId(2), NodeId(3));
+        let plan = FaultPlan::new()
+            .horizon(secs(60))
+            .link_outage(n1, n2, secs(20), dur(3))
+            .link_outage(n0, n1, secs(5), dur(2))
+            .node_outage(n2, secs(7), dur(1))
+            .link_mtbf(n0, n1, dur(20), dur(2))
+            .link_mtbf(n2, n3, dur(15), dur(1));
+        assert!(plan.validate(&topo()).is_ok());
+        let down = |a, b| ComponentEvent::LinkDown {
+            a: NodeId(a),
+            b: NodeId(b),
+        };
+        let up = |a, b| ComponentEvent::LinkUp {
+            a: NodeId(a),
+            b: NodeId(b),
+        };
+        let expected = vec![
+            (3_840_780_066_579, down(0, 1)),
+            (5_000_000_000_000, down(0, 1)),
+            (5_050_801_921_478, up(0, 1)),
+            (7_000_000_000_000, up(0, 1)),
+            (7_000_000_000_000, ComponentEvent::NodeCrash { node: n2 }),
+            (8_000_000_000_000, ComponentEvent::NodeRestart { node: n2 }),
+            (15_276_144_683_913, down(2, 3)),
+            (15_369_528_791_035, up(2, 3)),
+            (20_000_000_000_000, down(1, 2)),
+            (23_000_000_000_000, up(1, 2)),
+            (26_097_887_521_085, down(0, 1)),
+            (30_065_674_411_571, up(0, 1)),
+            (37_332_639_006_246, down(2, 3)),
+            (38_575_327_214_748, up(2, 3)),
+            (44_219_586_674_464, down(2, 3)),
+            (45_108_388_409_844, up(2, 3)),
+            (45_252_001_151_199, down(2, 3)),
+            (46_246_071_566_918, up(2, 3)),
+            (51_646_672_910_981, down(0, 1)),
+            (52_740_473_115_623, up(0, 1)),
+            (54_287_487_482_018, down(2, 3)),
+            (56_495_973_178_692, up(2, 3)),
+        ];
+        let got: Vec<(u64, ComponentEvent)> = plan
+            .expand(7)
+            .into_iter()
+            .map(|(at, ev)| (at.as_ps(), ev))
+            .collect();
+        assert_eq!(got, expected);
+    }
+
     #[test]
     fn unknown_link_rejected() {
-        let plan = FaultPlan::new().link_down_at(NodeId(0), NodeId(3), secs(1));
-        let err = plan.validate(&topo()).unwrap_err();
-        assert!(err.contains("unknown link"), "{err}");
+        for plan in [
+            FaultPlan::new().link_outage(NodeId(0), NodeId(3), secs(1), dur(1)),
+            FaultPlan::new()
+                .horizon(secs(60))
+                .link_mtbf(NodeId(0), NodeId(3), dur(5), dur(1)),
+        ] {
+            let err = plan.validate(&topo()).unwrap_err();
+            assert!(err.contains("unknown link"), "{err}");
+        }
     }
 
     #[test]
     fn unknown_node_rejected() {
-        let plan = FaultPlan::new().node_crash_at(NodeId(9), secs(1));
+        let plan = FaultPlan::new().node_outage(NodeId(9), secs(1), dur(1));
         let err = plan.validate(&topo()).unwrap_err();
         assert!(err.contains("unknown node"), "{err}");
     }
 
+    /// Two outages of one component that overlap or touch are rejected,
+    /// in either declaration order and whichever way a link's endpoints
+    /// are named; disjoint outages and a zero-length one pass.
     #[test]
-    fn link_up_before_down_rejected() {
+    fn doubled_down_rejected() {
+        let (n0, n1) = (NodeId(0), NodeId(1));
+        let cases = [
+            ((1, 3), (2, 3)),
+            ((1, 3), (4, 1)),
+            ((5, 1), (2, 3)),
+            ((1, 10), (3, 1)),
+        ];
+        for (first, second) in cases {
+            let plan = FaultPlan::new()
+                .link_outage(n0, n1, secs(first.0), dur(first.1))
+                .link_outage(n1, n0, secs(second.0), dur(second.1));
+            let err = plan.validate(&topo()).unwrap_err();
+            assert!(err.contains("overlap"), "{first:?} {second:?}: {err}");
+            let plan = FaultPlan::new()
+                .node_outage(n1, secs(first.0), dur(first.1))
+                .node_outage(n1, secs(second.0), dur(second.1));
+            let err = plan.validate(&topo()).unwrap_err();
+            assert!(err.contains("overlap"), "{first:?} {second:?}: {err}");
+        }
         let plan = FaultPlan::new()
-            .link_up_at(NodeId(0), NodeId(1), secs(1))
-            .link_down_at(NodeId(0), NodeId(1), secs(2));
-        let err = plan.validate(&topo()).unwrap_err();
-        assert!(err.contains("without a preceding LinkDown"), "{err}");
-        // Endpoint order must not matter for the pairing.
-        let plan = FaultPlan::new()
-            .link_down_at(NodeId(0), NodeId(1), secs(1))
-            .link_up_at(NodeId(1), NodeId(0), secs(2));
+            .link_outage(n0, n1, secs(5), dur(1))
+            .link_outage(n1, n0, secs(1), dur(3))
+            .link_outage(n1, NodeId(2), secs(2), dur(5))
+            .node_outage(n1, secs(1), SimDuration::ZERO)
+            .node_outage(n1, secs(2), dur(1));
         assert!(plan.validate(&topo()).is_ok());
     }
 
     #[test]
-    fn restart_before_crash_rejected() {
-        let plan = FaultPlan::new().node_restart_at(NodeId(1), secs(1));
-        let err = plan.validate(&topo()).unwrap_err();
-        assert!(err.contains("without a preceding NodeCrash"), "{err}");
-    }
-
-    #[test]
-    fn doubled_down_rejected() {
-        let plan = FaultPlan::new()
-            .link_down_at(NodeId(0), NodeId(1), secs(1))
-            .link_down_at(NodeId(1), NodeId(0), secs(2));
-        let err = plan.validate(&topo()).unwrap_err();
-        assert!(err.contains("taken down twice"), "{err}");
-        let plan = FaultPlan::new()
-            .node_crash_at(NodeId(1), secs(1))
-            .node_crash_at(NodeId(1), secs(2));
-        let err = plan.validate(&topo()).unwrap_err();
-        assert!(err.contains("crashed twice"), "{err}");
-    }
-
-    #[test]
     fn event_after_horizon_rejected() {
-        let plan = FaultPlan::new()
-            .horizon(secs(10))
-            .link_down_at(NodeId(0), NodeId(1), secs(11));
+        let plan =
+            FaultPlan::new()
+                .horizon(secs(10))
+                .link_outage(NodeId(0), NodeId(1), secs(8), dur(3));
         let err = plan.validate(&topo()).unwrap_err();
         assert!(err.contains("beyond the plan horizon"), "{err}");
+        let plan =
+            FaultPlan::new()
+                .horizon(secs(10))
+                .link_outage(NodeId(0), NodeId(1), secs(8), dur(2));
+        assert!(plan.validate(&topo()).is_ok(), "an outage may end at it");
     }
 
     #[test]
     fn stochastic_needs_horizon_and_positive_moments() {
-        let plan = FaultPlan::new().link_mtbf(
-            NodeId(0),
-            NodeId(1),
-            SimDuration::from_secs(5),
-            SimDuration::from_secs(1),
-        );
+        let plan = FaultPlan::new().link_mtbf(NodeId(0), NodeId(1), dur(5), dur(1));
         let err = plan.validate(&topo()).unwrap_err();
         assert!(err.contains("horizon"), "{err}");
         let plan = FaultPlan::new().horizon(secs(60)).link_mtbf(
             NodeId(0),
             NodeId(1),
             SimDuration::ZERO,
-            SimDuration::from_secs(1),
+            dur(1),
         );
         let err = plan.validate(&topo()).unwrap_err();
         assert!(err.contains("MTBF"), "{err}");
-        let plan = FaultPlan::new().horizon(secs(60)).node_mtbf(
-            NodeId(1),
-            SimDuration::from_secs(5),
+        let plan = FaultPlan::new().horizon(secs(60)).link_mtbf(
+            NodeId(2),
+            NodeId(3),
+            dur(5),
             SimDuration::MAX,
         );
         let err = plan.validate(&topo()).unwrap_err();
@@ -487,57 +507,49 @@ mod tests {
     fn stochastic_expansion_is_seed_deterministic_and_alternating() {
         let plan = FaultPlan::new()
             .horizon(secs(120))
-            .link_mtbf(
-                NodeId(1),
-                NodeId(2),
-                SimDuration::from_secs(10),
-                SimDuration::from_secs(2),
-            )
-            .node_mtbf(
-                NodeId(2),
-                SimDuration::from_secs(15),
-                SimDuration::from_secs(3),
-            );
+            .link_mtbf(NodeId(1), NodeId(2), dur(10), dur(2))
+            .link_mtbf(NodeId(2), NodeId(3), dur(15), dur(3));
         assert!(plan.validate(&topo()).is_ok());
-        let a = plan.expand(42);
-        let b = plan.expand(42);
-        assert_eq!(a, b, "expansion must be a pure function of the seed");
+        let sched = plan.expand(42);
+        assert_eq!(
+            sched,
+            plan.expand(42),
+            "expansion must be a pure function of the seed"
+        );
         assert_ne!(
-            a,
+            sched,
             plan.expand(43),
             "different seeds draw different schedules"
         );
-        assert!(
-            !a.is_empty(),
-            "a 120 s horizon at 10/15 s MTBF must draw failures"
-        );
-        // Every failure is followed by its recovery, per component.
-        let mut link_down = false;
-        let mut node_down = false;
-        for (at, ev) in &a {
-            assert!(*at > SimTime::ZERO);
-            match ev {
-                ComponentEvent::LinkDown { .. } => {
-                    assert!(!link_down, "no doubled downs");
-                    link_down = true;
-                }
-                ComponentEvent::LinkUp { .. } => {
-                    assert!(link_down, "up only after down");
-                    link_down = false;
-                }
-                ComponentEvent::NodeCrash { .. } => {
-                    assert!(!node_down);
-                    node_down = true;
-                }
-                ComponentEvent::NodeRestart { .. } => {
-                    assert!(node_down);
-                    node_down = false;
+        // Every failure is followed by its recovery, per link.
+        let mut down = Vec::new();
+        for link in [(NodeId(1), NodeId(2)), (NodeId(2), NodeId(3))] {
+            let mut is_down = false;
+            let mut failures = 0;
+            for (at, ev) in &sched {
+                assert!(*at > SimTime::ZERO);
+                match *ev {
+                    ComponentEvent::LinkDown { a, b } if (a, b) == link => {
+                        assert!(!is_down, "no doubled downs on {link:?}");
+                        is_down = true;
+                        failures += 1;
+                    }
+                    ComponentEvent::LinkUp { a, b } if (a, b) == link => {
+                        assert!(is_down, "up only after down on {link:?}");
+                        is_down = false;
+                    }
+                    _ => {}
                 }
             }
+            assert!(
+                failures > 0,
+                "a 120 s horizon at 10/15 s MTBF must draw failures on {link:?}"
+            );
+            down.push(is_down);
         }
-        assert!(!link_down && !node_down, "every outage recovers");
+        assert_eq!(down, [false, false], "every outage recovers");
         // Times are non-decreasing.
-        for w in a.windows(2) {
+        for w in sched.windows(2) {
             assert!(w[0].0 <= w[1].0);
         }
     }

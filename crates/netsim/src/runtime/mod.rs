@@ -135,8 +135,8 @@ pub struct RuntimeConfig {
     /// acknowledgement + retransmission. Default off: every recorded
     /// baseline was produced without it and stays bit-identical.
     pub signalling_on_wire: bool,
-    /// Component-level fault plan: scheduled and stochastic link
-    /// outages and node crashes (see [`crate::faults::FaultPlan`]).
+    /// Component-level fault plan: scripted link and node outages and
+    /// stochastic link outages (see [`crate::faults::FaultPlan`]).
     /// The empty default plan schedules no events and draws no
     /// randomness — bit-identical to the pre-fault runtime.
     pub fault_plan: FaultPlan,
@@ -536,13 +536,18 @@ pub struct NetworkModel {
 
 impl NetworkModel {
     /// Build the model over a topology with the given seed and config.
+    ///
+    /// # Panics
+    ///
+    /// If `cfg.faults` or `cfg.fault_plan` fails validation; the
+    /// message names the error.
     pub fn new(topology: Topology, seed: u64, cfg: RuntimeConfig) -> Self {
-        cfg.faults
-            .validate()
-            .expect("classical fault probabilities");
-        cfg.fault_plan
-            .validate(&topology)
-            .expect("component fault plan");
+        if let Err(e) = cfg.faults.validate() {
+            panic!("invalid ClassicalFaults: {e}");
+        }
+        if let Err(e) = cfg.fault_plan.validate(&topology) {
+            panic!("invalid FaultPlan: {e}");
+        }
         let node_ids = topology.nodes();
         let n_nodes = node_ids.len();
         assert_eq!(
@@ -567,8 +572,8 @@ impl NetworkModel {
             // (the paper's evaluations use identical hardware everywhere).
             let params = *topology.link(links[0]).physics.params();
             let device = match cfg.near_term {
-                Some(carbons) => QDevice::near_term(*id, carbons, params),
-                None => QDevice::per_link(*id, &links, COMM_PER_LINK, params),
+                Some(carbons) => QDevice::near_term(carbons, params),
+                None => QDevice::per_link(&links, COMM_PER_LINK, params),
             };
             // Nodes with the same hardware share their gate constants.
             let gates = match nodes.last() {
@@ -674,25 +679,23 @@ impl NetworkModel {
                 },
             ));
         }
+        // The signaller builds the entries in path order. The cutoff
+        // override is applied before the split, so on the wire the bytes
+        // are the entries the nodes install.
+        debug_assert!(installed
+            .entries
+            .iter()
+            .map(|(node, _)| node)
+            .eq(&installed.path));
+        let disable_cutoff = self.cfg.disable_cutoff;
+        let entries = installed.entries.iter().map(|&(node, mut entry)| {
+            if disable_cutoff {
+                entry.cutoff = SimDuration::MAX;
+            }
+            (node, entry)
+        });
         if self.cfg.signalling_on_wire {
-            // Path-aligned entries with the cutoff override applied, so
-            // the bytes on the wire are the entries the nodes install.
-            let entries: Vec<_> = installed
-                .path
-                .iter()
-                .map(|node| {
-                    let (_, entry) = installed
-                        .entries
-                        .iter()
-                        .find(|(n, _)| n == node)
-                        .expect("every path node has a routing entry");
-                    let mut entry = *entry;
-                    if self.cfg.disable_cutoff {
-                        entry.cutoff = SimDuration::MAX;
-                    }
-                    entry
-                })
-                .collect();
+            let entries: Vec<_> = entries.map(|(_, entry)| entry).collect();
             let n = installed.path.len();
             if self.signal_state.len() <= idx {
                 self.signal_state.resize_with(idx + 1, || None);
@@ -707,11 +710,7 @@ impl NetworkModel {
             });
             return true;
         }
-        for (node, entry) in &installed.entries {
-            let mut entry = *entry;
-            if self.cfg.disable_cutoff {
-                entry.cutoff = SimDuration::MAX;
-            }
+        for (node, entry) in entries {
             self.nodes[node.0 as usize]
                 .qnp
                 .handle(NetInput::InstallCircuit { entry }, &mut self.outs);

@@ -103,9 +103,10 @@ impl NetworkModel {
                     );
                 }
                 NetOutput::SetCutoff { pair, side, after } => {
-                    if after.is_infinite() {
-                        continue;
-                    }
+                    debug_assert!(
+                        !after.is_infinite(),
+                        "the LINK rule arms finite cutoffs only"
+                    );
                     let ev = ctx.schedule_in(
                         after,
                         Ev::Cutoff {

@@ -11,7 +11,7 @@
 use qn_hardware::params::{FibreParams, HardwareParams};
 use qn_net::{Address, AppEvent, CircuitId, Demand, RequestId, RequestType, UserRequest};
 use qn_netsim::build::{NetSim, NetworkBuilder};
-use qn_netsim::FaultPlan;
+use qn_netsim::{ClassicalFaults, FaultPlan};
 use qn_routing::{chain, CutoffPolicy};
 use qn_sim::{NodeId, SimDuration, SimTime};
 
@@ -274,4 +274,46 @@ fn stochastic_fault_schedule_is_deterministic_and_leak_free() {
         "request starved under churn"
     );
     assert_zero_leak(&mut sim, "stochastic churn");
+}
+
+/// The builder's setters only store their argument; `build` validates
+/// both fault configs once, before any event is scheduled, and its panic
+/// names the error.
+#[test]
+fn invalid_fault_configs_panic_at_build() {
+    let builder = || {
+        NetworkBuilder::new(chain(
+            4,
+            HardwareParams::simulation(),
+            FibreParams::lab_2m(),
+        ))
+    };
+    let cases = [
+        (
+            builder().classical_faults(ClassicalFaults {
+                drop: 1.5,
+                ..ClassicalFaults::OFF
+            }),
+            "invalid ClassicalFaults: fault probabilities must be within [0, 1]",
+        ),
+        (
+            builder().fault_plan(FaultPlan::new().link_outage(
+                NodeId(0),
+                NodeId(3),
+                at_ms(10),
+                SimDuration::from_millis(5),
+            )),
+            "invalid FaultPlan: fault plan references unknown link n0–n3",
+        ),
+    ];
+    for (builder, expected) in cases {
+        let Err(panic) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| builder.build()))
+        else {
+            panic!("{expected}: built");
+        };
+        let message = panic
+            .downcast_ref::<String>()
+            .expect("a formatted panic message");
+        assert_eq!(message, expected);
+    }
 }

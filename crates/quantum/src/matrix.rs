@@ -130,15 +130,6 @@ impl CMatrix {
         }
     }
 
-    /// A column vector from a slice.
-    pub fn col_vector(v: &[C64]) -> Self {
-        CMatrix {
-            rows: v.len(),
-            cols: 1,
-            data: v.to_vec(),
-        }
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -502,8 +493,8 @@ mod tests {
 
     #[test]
     fn kron_of_vectors() {
-        let v0 = CMatrix::col_vector(&[C64::ONE, C64::ZERO]);
-        let v1 = CMatrix::col_vector(&[C64::ZERO, C64::ONE]);
+        let v0 = CMatrix::from_reals(2, 1, &[1.0, 0.0]);
+        let v1 = CMatrix::from_reals(2, 1, &[0.0, 1.0]);
         let v01 = v0.kron(&v1);
         assert_eq!(v01.rows(), 4);
         assert_eq!(v01[(1, 0)], C64::ONE);

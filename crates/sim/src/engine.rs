@@ -4,7 +4,8 @@
 //! The engine is intentionally minimal — everything domain-specific (nodes,
 //! channels, hardware) lives in the model. The model receives a
 //! [`Context`] on every dispatch through which it schedules or cancels
-//! future events, inspects the clock, and requests a stop.
+//! future events and inspects the clock. A run ends when the queue
+//! drains or its horizon is reached.
 
 use crate::queue::{EventId, EventQueue};
 use crate::time::{SimDuration, SimTime};
@@ -23,7 +24,6 @@ pub trait Model {
 pub struct Context<'a, E> {
     queue: &'a mut EventQueue<E>,
     now: SimTime,
-    stop: &'a mut bool,
 }
 
 impl<'a, E> Context<'a, E> {
@@ -48,24 +48,16 @@ impl<'a, E> Context<'a, E> {
     pub fn cancel(&mut self, id: EventId) -> bool {
         self.queue.cancel(id)
     }
-
-    /// Request the engine to stop after the current event completes.
-    pub fn stop(&mut self) {
-        *self.stop = true;
-    }
 }
 
-/// Outcome of [`Simulation::run_until`].
+/// Why [`Simulation::run_until`] returned: a run ends when its queue
+/// drains or at its horizon, and nothing else ends it.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum RunOutcome {
     /// The queue drained before the horizon.
     QueueEmpty,
     /// The horizon was reached; pending events beyond it remain queued.
     HorizonReached,
-    /// The model requested a stop.
-    Stopped,
-    /// The event budget was exhausted (see [`Simulation::set_event_limit`]).
-    EventLimit,
 }
 
 /// A discrete-event simulation over a model `M`.
@@ -74,7 +66,6 @@ pub struct Simulation<M: Model> {
     queue: EventQueue<M::Event>,
     now: SimTime,
     processed: u64,
-    event_limit: u64,
 }
 
 impl<M: Model> Simulation<M> {
@@ -85,7 +76,6 @@ impl<M: Model> Simulation<M> {
             queue: EventQueue::new(),
             now: SimTime::ZERO,
             processed: 0,
-            event_limit: u64::MAX,
         }
     }
 
@@ -124,35 +114,8 @@ impl<M: Model> Simulation<M> {
         self.queue.len()
     }
 
-    /// Cap the total number of dispatched events; `run*` returns
-    /// [`RunOutcome::EventLimit`] once exceeded. A safety valve against
-    /// accidental event storms in scenarios and tests.
-    pub fn set_event_limit(&mut self, limit: u64) {
-        self.event_limit = limit;
-    }
-
-    /// Dispatch the single earliest event.
-    ///
-    /// Returns `None` when an event was dispatched and the run may
-    /// continue; otherwise the terminal [`RunOutcome`]: the event
-    /// budget was already exhausted ([`RunOutcome::EventLimit`], no
-    /// event dispatched), the queue was empty
-    /// ([`RunOutcome::QueueEmpty`]), or the dispatched event's handler
-    /// requested a stop ([`RunOutcome::Stopped`]) — the same
-    /// stop/budget contract as [`Simulation::run_until`], which a
-    /// plain `bool` used to silently drop.
-    pub fn step(&mut self) -> Option<RunOutcome> {
-        if self.processed >= self.event_limit {
-            return Some(RunOutcome::EventLimit);
-        }
-        let Some((time, event)) = self.queue.pop() else {
-            return Some(RunOutcome::QueueEmpty);
-        };
-        self.dispatch(time, event)
-    }
-
-    /// Run until the queue drains, the model stops, or `horizon` is reached.
-    /// Events scheduled exactly at the horizon are dispatched.
+    /// Run until the queue drains or `horizon` is reached. Events
+    /// scheduled exactly at the horizon are dispatched.
     ///
     /// On [`RunOutcome::HorizonReached`] the clock moves forward to the
     /// horizon, so later scheduling is relative to it, and the caller may
@@ -161,9 +124,6 @@ impl<M: Model> Simulation<M> {
     /// backwards.
     pub fn run_until(&mut self, horizon: SimTime) -> RunOutcome {
         loop {
-            if self.processed >= self.event_limit {
-                return RunOutcome::EventLimit;
-            }
             let Some((time, event)) = self.queue.pop_until(horizon) else {
                 if self.queue.is_empty() {
                     return RunOutcome::QueueEmpty;
@@ -172,33 +132,18 @@ impl<M: Model> Simulation<M> {
                 self.now = self.now.max(horizon);
                 return RunOutcome::HorizonReached;
             };
-            if let Some(outcome) = self.dispatch(time, event) {
-                return outcome;
-            }
+            debug_assert!(time >= self.now, "event queue violated time order");
+            self.now = time;
+            self.processed += 1;
+            let mut ctx = Context {
+                queue: &mut self.queue,
+                now: time,
+            };
+            self.model.handle(time, event, &mut ctx);
         }
     }
 
-    /// Hand one popped event to the model. Returns
-    /// [`RunOutcome::Stopped`] if its handler requested a stop.
-    fn dispatch(&mut self, time: SimTime, event: M::Event) -> Option<RunOutcome> {
-        debug_assert!(time >= self.now, "event queue violated time order");
-        self.now = time;
-        self.processed += 1;
-        let mut stop = false;
-        let mut ctx = Context {
-            queue: &mut self.queue,
-            now: time,
-            stop: &mut stop,
-        };
-        self.model.handle(time, event, &mut ctx);
-        if stop {
-            Some(RunOutcome::Stopped)
-        } else {
-            None
-        }
-    }
-
-    /// Run until the queue drains or the model stops.
+    /// Run until the queue drains.
     pub fn run(&mut self) -> RunOutcome {
         self.run_until(SimTime::MAX)
     }
@@ -218,21 +163,15 @@ mod tests {
 
     enum Ev {
         Tick,
-        StopNow,
     }
 
     impl Model for Countdown {
         type Event = Ev;
-        fn handle(&mut self, now: SimTime, event: Ev, ctx: &mut Context<'_, Ev>) {
-            match event {
-                Ev::Tick => {
-                    self.fired_at.push(now);
-                    if self.remaining > 0 {
-                        self.remaining -= 1;
-                        ctx.schedule_in(SimDuration::from_micros(10), Ev::Tick);
-                    }
-                }
-                Ev::StopNow => ctx.stop(),
+        fn handle(&mut self, now: SimTime, _tick: Ev, ctx: &mut Context<'_, Ev>) {
+            self.fired_at.push(now);
+            if self.remaining > 0 {
+                self.remaining -= 1;
+                ctx.schedule_in(SimDuration::from_micros(10), Ev::Tick);
             }
         }
     }
@@ -309,73 +248,5 @@ mod tests {
         sim.schedule_at(at, Ev::Tick);
         assert_eq!(sim.run_until(at), RunOutcome::QueueEmpty);
         assert_eq!(sim.model().fired_at, vec![at]);
-    }
-
-    #[test]
-    fn model_can_stop_the_run() {
-        let mut sim = Simulation::new(Countdown {
-            remaining: 0,
-            fired_at: vec![],
-        });
-        sim.schedule_at(SimTime::from_ps(5), Ev::StopNow);
-        sim.schedule_at(SimTime::from_ps(10), Ev::Tick);
-        assert_eq!(sim.run(), RunOutcome::Stopped);
-        assert!(sim.model().fired_at.is_empty());
-        assert_eq!(sim.pending(), 1);
-    }
-
-    #[test]
-    fn event_limit_guards_against_storms() {
-        let mut sim = Simulation::new(Countdown {
-            remaining: u32::MAX,
-            fired_at: vec![],
-        });
-        sim.set_event_limit(50);
-        sim.schedule_at(SimTime::ZERO, Ev::Tick);
-        assert_eq!(sim.run(), RunOutcome::EventLimit);
-        assert_eq!(sim.processed(), 50);
-    }
-
-    #[test]
-    fn step_dispatches_one_event() {
-        let mut sim = Simulation::new(Countdown {
-            remaining: 1,
-            fired_at: vec![],
-        });
-        sim.schedule_at(SimTime::ZERO, Ev::Tick);
-        assert_eq!(sim.step(), None);
-        assert_eq!(sim.model().fired_at.len(), 1);
-        assert_eq!(sim.step(), None);
-        assert_eq!(sim.step(), Some(RunOutcome::QueueEmpty));
-    }
-
-    #[test]
-    fn step_honours_model_stop_requests() {
-        let mut sim = Simulation::new(Countdown {
-            remaining: 0,
-            fired_at: vec![],
-        });
-        sim.schedule_at(SimTime::from_ps(5), Ev::StopNow);
-        sim.schedule_at(SimTime::from_ps(10), Ev::Tick);
-        // The stop request used to be built and then discarded; now the
-        // single-step driver sees it too.
-        assert_eq!(sim.step(), Some(RunOutcome::Stopped));
-        assert_eq!(sim.pending(), 1, "stop leaves later events queued");
-    }
-
-    #[test]
-    fn step_honours_the_event_limit() {
-        let mut sim = Simulation::new(Countdown {
-            remaining: u32::MAX,
-            fired_at: vec![],
-        });
-        sim.set_event_limit(2);
-        sim.schedule_at(SimTime::ZERO, Ev::Tick);
-        assert_eq!(sim.step(), None);
-        assert_eq!(sim.step(), None);
-        // The budget is checked before dispatch, exactly as in
-        // `run_until`: the third step dispatches nothing.
-        assert_eq!(sim.step(), Some(RunOutcome::EventLimit));
-        assert_eq!(sim.processed(), 2);
     }
 }

@@ -7,7 +7,8 @@
 //!    ordering, named RNG substreams. Same seed ⇒ same run, bit for bit.
 //! 2. **Simplicity** — single-threaded, no async runtime, no trait-object
 //!    event dispatch; the model is a plain state machine handling a typed
-//!    event enum (the smoltcp philosophy applied to simulation).
+//!    event enum (the smoltcp philosophy applied to simulation), and a
+//!    run ends when its queue drains or at its horizon.
 //! 3. **Testability** — every piece is usable standalone; protocol cores in
 //!    the higher crates never depend on this crate's engine, only on its
 //!    time types.

@@ -93,16 +93,6 @@ impl Samples {
             .collect()
     }
 
-    /// Fraction of samples ≤ `x`.
-    pub fn fraction_below(&mut self, x: f64) -> f64 {
-        if self.values.is_empty() {
-            return 0.0;
-        }
-        self.ensure_sorted();
-        let idx = self.values.partition_point(|v| *v <= x);
-        idx as f64 / self.values.len() as f64
-    }
-
     /// Borrow the raw values (unsorted order not guaranteed).
     pub fn values(&self) -> &[f64] {
         &self.values
@@ -142,14 +132,5 @@ mod tests {
             assert!(w[0].0 <= w[1].0);
             assert!(w[0].1 < w[1].1);
         }
-    }
-
-    #[test]
-    fn fraction_below() {
-        let mut s = Samples::new();
-        s.extend([1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(s.fraction_below(0.5), 0.0);
-        assert_eq!(s.fraction_below(2.0), 0.5);
-        assert_eq!(s.fraction_below(10.0), 1.0);
     }
 }

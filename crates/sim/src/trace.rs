@@ -107,11 +107,6 @@ impl Trace {
         &self.rows
     }
 
-    /// Rows of a given kind.
-    pub fn rows_of(&self, kind: TraceKind) -> impl Iterator<Item = &TraceRow> {
-        self.rows.iter().filter(move |r| r.kind == kind)
-    }
-
     /// Render the trace as an aligned text table.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -191,7 +186,6 @@ mod tests {
         );
         assert_eq!(t.rows().len(), 2);
         assert_eq!(t.rows()[0].text, "FORWARD");
-        assert_eq!(t.rows_of(TraceKind::Quantum).count(), 1);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! `(time, seq)`.
 //!
 //! Handlers schedule events at random delays (zero included, and times
-//! in the past that clamp to the clock), cancel earlier ones and
-//! sometimes stop the run. Between runs the test schedules from outside,
+//! in the past that clamp to the clock) and cancel earlier ones. Between
+//! runs the test schedules from outside,
 //! so events land between a horizon and the next pending event, and
 //! some horizons lie behind the clock.
 
@@ -31,7 +31,6 @@ struct Reaction {
     schedule: Vec<Sched>,
     /// Cancel the `i % issued`-th event ever issued.
     cancel: Option<usize>,
-    stop: bool,
 }
 
 /// One `run_until`, then the events the caller schedules before the
@@ -53,13 +52,8 @@ fn reaction() -> impl Strategy<Value = Reaction> {
     (
         vec(sched(), 0..3),
         prop_oneof![Just(None), (0usize..64).prop_map(Some)],
-        prop_oneof![Just(false), Just(false), Just(false), Just(true)],
     )
-        .prop_map(|(schedule, cancel, stop)| Reaction {
-            schedule,
-            cancel,
-            stop,
-        })
+        .prop_map(|(schedule, cancel)| Reaction { schedule, cancel })
 }
 
 fn step() -> impl Strategy<Value = Step> {
@@ -115,9 +109,6 @@ impl Model for Scripted {
         if let Some(i) = reaction.cancel {
             let id = self.ids[i % self.ids.len()];
             self.cancels.push(ctx.cancel(id));
-        }
-        if reaction.stop {
-            ctx.stop();
         }
     }
 }
@@ -196,9 +187,6 @@ impl Reference {
                 let cancelled = self.cancel(i);
                 self.cancels.push(cancelled);
             }
-            if reaction.stop {
-                return RunOutcome::Stopped;
-            }
         }
     }
 }
@@ -248,13 +236,7 @@ proptest! {
                 reference.schedule(s);
             }
         }
-        loop {
-            let got = sim.run();
-            prop_assert_eq!(got, reference.run_until(u64::MAX));
-            if got != RunOutcome::Stopped {
-                break;
-            }
-        }
+        prop_assert_eq!(sim.run(), reference.run_until(u64::MAX));
         prop_assert_eq!(&sim.model().log, &reference.log);
         prop_assert_eq!(&sim.model().cancels, &reference.cancels);
         prop_assert_eq!(sim.pending(), 0);
