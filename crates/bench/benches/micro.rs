@@ -1,8 +1,8 @@
 //! Criterion micro-benchmarks of the core data structures: the event
 //! queue, the n-qubit density matrix's dense products (an ideal Bell
 //! measurement, the distillation register's gate noise), the memory
-//! decay of a dense pair, the heralded-state construction, the link
-//! scheduler, the Bell tracking algebra, the two pair-state
+//! decay of a dense pair, the heralded-state construction, the link's
+//! time-share schedule, the Bell tracking algebra, the two pair-state
 //! representations side by side (`*_bell` vs `*_dm`), the pair slab,
 //! the classical plane's wire codec (`message_parse`,
 //! `encode_scratch_vs_alloc/scratch`), and circuit planning
@@ -19,7 +19,7 @@ use qn_hardware::heralding::LinkPhysics;
 use qn_hardware::pairs::{PairStore, SwapNoise};
 use qn_hardware::params::{FibreParams, HardwareParams};
 use qn_hardware::StateRep;
-use qn_link::{LinkLabel, TimeShareScheduler};
+use qn_link::{LinkLabel, LinkProtocol, LinkRequest};
 use qn_net::wire::{Frame, ScratchEncoder};
 use qn_net::{
     CircuitId, Complete, Correlator, Epoch, Expire, Forward, Message, RequestId, RequestType, Track,
@@ -245,22 +245,31 @@ fn bench_planning(c: &mut Criterion) {
     });
 }
 
+/// The link's time-share schedule: `LinkProtocol::next_action` and a
+/// charge, 100 times over four weighted requests.
 fn bench_link_scheduler(c: &mut Criterion) {
+    let physics = LinkPhysics::new(HardwareParams::simulation(), FibreParams::lab_2m());
     c.bench_function("time_share_scheduler_4_labels", |b| {
         b.iter_batched(
             || {
-                let mut s = TimeShareScheduler::new();
+                let mut p =
+                    LinkProtocol::new((NodeId(0), NodeId(1)), physics.clone(), StateRep::Bell);
                 for i in 0..4 {
-                    s.add(LinkLabel(i), 1.0 + i as f64);
+                    p.submit(LinkRequest {
+                        label: LinkLabel(i),
+                        min_fidelity: 0.8,
+                        weight: 1.0 + i as f64,
+                    })
+                    .expect("F = 0.8 is attainable");
                 }
-                s
+                p
             },
-            |mut s| {
+            |mut p| {
                 for _ in 0..100 {
-                    let l = s.next().unwrap();
-                    s.charge(l, SimDuration::from_micros(10));
+                    let spec = p.next_action().unwrap();
+                    p.on_generation_aborted(spec.label, SimDuration::from_micros(10));
                 }
-                s
+                p
             },
             BatchSize::SmallInput,
         );

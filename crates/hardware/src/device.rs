@@ -187,6 +187,11 @@ impl QDevice {
     pub fn capacity(&self) -> usize {
         self.slots.len()
     }
+
+    /// Number of slots currently allocated.
+    pub fn reserved(&self) -> usize {
+        self.slots.iter().filter(|s| !s.free).count()
+    }
 }
 
 #[cfg(test)]

@@ -15,16 +15,21 @@
 //!    ([`LinkRequest`]); each request is one continuous stream of pairs
 //!    until the network layer stops it.
 //!
-//! The protocol core ([`LinkProtocol`]) is sans-IO and deterministic; the
-//! simulation runtime in `qn-netsim` drives it against the hardware model
-//! and the event queue.
+//! Modules:
+//!
+//! * [`protocol`] — the per-link state machine ([`LinkProtocol`]): the
+//!   active requests, their admissions and their weighted time-share
+//!   schedule. It is sans-IO and deterministic; the simulation runtime
+//!   in `qn-netsim` owns the heralding process and the hop's health,
+//!   and drives the protocol against the hardware model and the event
+//!   queue.
+//! * [`service`] — the service interface's types: requests, labels,
+//!   pair identifiers and delivered pairs.
 
 #![warn(missing_docs)]
 
 pub mod protocol;
-pub mod scheduler;
 pub mod service;
 
 pub use protocol::{GenerateSpec, LinkProtocol};
-pub use scheduler::TimeShareScheduler;
 pub use service::{EntanglementId, LinkLabel, LinkPair, LinkRequest, RejectReason};

@@ -290,6 +290,12 @@ impl NetSim {
         self.sim.model().retained_correlators()
     }
 
+    /// Device qubits held by a pair end or by an attempt or move in
+    /// flight, over all nodes. Zero after a settled run.
+    pub fn reserved_qubits(&self) -> usize {
+        self.sim.model().reserved_qubits()
+    }
+
     /// Events processed so far.
     pub fn events_processed(&self) -> u64 {
         self.sim.processed()

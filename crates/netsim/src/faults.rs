@@ -20,14 +20,17 @@
 //!   extra draw.
 //!
 //! Every outage expands to a down event and its up event, so a repair
-//! without a failure cannot be written. An **empty plan is
-//! bit-invisible**: [`FaultPlan::is_empty`] gates all runtime
-//! scheduling, so a build without faults performs zero extra
-//! event-queue operations and zero RNG draws. [`FaultPlan::validate`]
-//! rejects unknown components, scripted outages of one component that
-//! overlap or touch, outages ending past the declared horizon and
-//! malformed stochastic schedules; the network model runs it at build,
-//! before any event is queued.
+//! without a failure cannot be written. Two outages of one component
+//! that overlap or touch, scripted, drawn or one of each, are one
+//! outage from the earlier start to the later end:
+//! [`FaultPlan::expand`] merges them, so each component's expanded
+//! events alternate down, up. An **empty plan is bit-invisible**:
+//! [`FaultPlan::is_empty`] gates all runtime scheduling, so a build
+//! without faults performs zero extra event-queue operations and zero
+//! RNG draws. [`FaultPlan::validate`] rejects unknown components,
+//! outages ending past the declared horizon and malformed stochastic
+//! schedules; the network model runs it at build, before any event is
+//! queued.
 
 use qn_routing::topology::Topology;
 use qn_sim::{NodeId, SimDuration, SimRng, SimTime};
@@ -101,18 +104,12 @@ impl Component {
     }
 }
 
-/// A scripted outage: `component` is down from `start` for `duration`.
+/// An outage: `component` is down from `start` until `end`.
 #[derive(Clone, Copy, Debug)]
 struct Outage {
     component: Component,
     start: SimTime,
-    duration: SimDuration,
-}
-
-impl Outage {
-    fn end(&self) -> SimTime {
-        self.start + self.duration
-    }
+    end: SimTime,
 }
 
 /// Stochastic fault model for one component: mean time between failures
@@ -163,7 +160,7 @@ impl FaultPlan {
         self.outages.push(Outage {
             component: Component::Link { a, b },
             start: down_at,
-            duration,
+            end: down_at + duration,
         });
         self
     }
@@ -173,7 +170,7 @@ impl FaultPlan {
         self.outages.push(Outage {
             component: Component::Node(node),
             start: crash_at,
-            duration,
+            end: crash_at + duration,
         });
         self
     }
@@ -195,9 +192,8 @@ impl FaultPlan {
     }
 
     /// Fail-fast validation against the topology the plan will run on.
-    /// Rejects unknown links or nodes, two scripted outages of one
-    /// component that overlap or touch, a scripted outage ending past
-    /// the declared horizon, stochastic schedules without a horizon, and
+    /// Rejects unknown links or nodes, a scripted outage ending past the
+    /// declared horizon, stochastic schedules without a horizon, and
     /// non-positive or infinite MTBF/MTTR.
     pub fn validate(&self, topology: &Topology) -> Result<(), String> {
         let nodes = topology.nodes();
@@ -214,28 +210,10 @@ impl FaultPlan {
             }
         }
         if let Some(h) = self.horizon {
-            if let Some(o) = self.outages.iter().find(|o| o.end() > h) {
+            if let Some(o) = self.outages.iter().find(|o| o.end > h) {
                 return Err(format!(
                     "outage of {:?} ending at {} lies beyond the plan horizon {h}",
-                    o.component,
-                    o.end()
-                ));
-            }
-        }
-        let mut ordered: Vec<(Component, &Outage)> = self
-            .outages
-            .iter()
-            .map(|o| (o.component.canonical(), o))
-            .collect();
-        ordered.sort_by_key(|(component, o)| (*component, o.start));
-        for pair in ordered.windows(2) {
-            let ((c1, earlier), (c2, later)) = (pair[0], pair[1]);
-            if c1 == c2 && later.start <= earlier.end() {
-                return Err(format!(
-                    "outages of {:?} overlap: one ends at {}, the next starts at {}",
-                    earlier.component,
-                    earlier.end(),
-                    later.start
+                    o.component, o.end
                 ));
             }
         }
@@ -266,20 +244,18 @@ impl FaultPlan {
     /// (one independent substream per declared schedule) until the
     /// horizon. Every drawn failure is paired with its repair even when
     /// the repair lands past the horizon, so stochastic outages always
-    /// recover. Ties are broken by declaration order (scripted outages
-    /// first), so the schedule is a pure function of `(seed, plan)`.
+    /// recover. Outages of one component (a link named either way) that
+    /// overlap or touch merge into one, from the earlier start to the
+    /// later end, which sits where its first-declared member did, under
+    /// that member's naming. Ties are broken by declaration order
+    /// (scripted outages first, then each schedule's draws), so the
+    /// schedule is a pure function of `(seed, plan)`.
     pub fn expand(&self, seed: u64) -> Vec<(SimTime, ComponentEvent)> {
-        let mut schedule = Vec::new();
-        for o in &self.outages {
-            let (down, up) = o.component.events();
-            schedule.push((o.start, down));
-            schedule.push((o.end(), up));
-        }
+        let mut outages = self.outages.clone();
         for (i, (comp, model)) in self.stochastic.iter().enumerate() {
             let horizon = self
                 .horizon
                 .expect("validated: stochastic schedules need a horizon");
-            let (down, up) = comp.events();
             let mut rng = SimRng::substream_indexed(seed, "component-faults", i as u64);
             let fail_rate = 1.0 / model.mtbf.as_secs_f64();
             let repair_rate = 1.0 / model.mttr.as_secs_f64();
@@ -289,10 +265,42 @@ impl FaultPlan {
                 if t >= horizon {
                     break;
                 }
-                schedule.push((t, down));
+                let start = t;
                 t += SimDuration::from_secs_f64(rng.exponential(repair_rate));
-                schedule.push((t, up));
+                outages.push(Outage {
+                    component: *comp,
+                    start,
+                    end: t,
+                });
             }
+        }
+        // Sweep each component's outages in start order, keeping with
+        // each union the declaration index of its first member.
+        let mut order: Vec<usize> = (0..outages.len()).collect();
+        order.sort_by_key(|&i| (outages[i].component.canonical(), outages[i].start));
+        let mut merged: Vec<(usize, Outage)> = Vec::with_capacity(outages.len());
+        for i in order {
+            let o = outages[i];
+            match merged.last_mut() {
+                Some((first, union))
+                    if union.component.canonical() == o.component.canonical()
+                        && o.start <= union.end =>
+                {
+                    union.end = union.end.max(o.end);
+                    if i < *first {
+                        *first = i;
+                        union.component = o.component;
+                    }
+                }
+                _ => merged.push((i, o)),
+            }
+        }
+        merged.sort_by_key(|(first, _)| *first);
+        let mut schedule = Vec::with_capacity(2 * merged.len());
+        for (_, o) in merged {
+            let (down, up) = o.component.events();
+            schedule.push((o.start, down));
+            schedule.push((o.end, up));
         }
         // Stable: events at one instant keep their declaration order.
         schedule.sort_by_key(|(at, _)| *at);
@@ -361,6 +369,8 @@ mod tests {
     /// declared out of time order, a node outage starting the instant
     /// an earlier-declared outage ends (the tie keeps declaration
     /// order), and two MTBF schedules drawn from their own substreams.
+    /// Link 0–1's first draw (3.84 s to 5.05 s) overlaps its scripted
+    /// 5–7 s outage: the two are one outage from 3.84 s to 7 s.
     #[test]
     fn mixed_plan_expands_to_its_pinned_schedule() {
         let (n0, n1, n2, n3) = (NodeId(0), NodeId(1), NodeId(2), NodeId(3));
@@ -382,8 +392,6 @@ mod tests {
         };
         let expected = vec![
             (3_840_780_066_579, down(0, 1)),
-            (5_000_000_000_000, down(0, 1)),
-            (5_050_801_921_478, up(0, 1)),
             (7_000_000_000_000, up(0, 1)),
             (7_000_000_000_000, ComponentEvent::NodeCrash { node: n2 }),
             (8_000_000_000_000, ComponentEvent::NodeRestart { node: n2 }),
@@ -432,37 +440,105 @@ mod tests {
         assert!(err.contains("unknown node"), "{err}");
     }
 
-    /// Two outages of one component that overlap or touch are rejected,
-    /// in either declaration order and whichever way a link's endpoints
-    /// are named; disjoint outages and a zero-length one pass.
+    /// Two outages of one component that overlap or touch expand to one
+    /// down/up pair at the union's ends, in either declaration order and
+    /// whichever way a link's endpoints are named (the union keeps the
+    /// first-declared naming). Disjoint and zero-length outages expand
+    /// as declared.
     #[test]
-    fn doubled_down_rejected() {
-        let (n0, n1) = (NodeId(0), NodeId(1));
+    fn overlapping_outages_merge() {
+        let (n0, n1, n2) = (NodeId(0), NodeId(1), NodeId(2));
+        let down = |a, b| ComponentEvent::LinkDown { a, b };
+        let up = |a, b| ComponentEvent::LinkUp { a, b };
+        let crash = ComponentEvent::NodeCrash { node: n1 };
+        let restart = ComponentEvent::NodeRestart { node: n1 };
         let cases = [
-            ((1, 3), (2, 3)),
-            ((1, 3), (4, 1)),
-            ((5, 1), (2, 3)),
-            ((1, 10), (3, 1)),
+            ((1, 3), (2, 3), (1, 5)),
+            ((1, 3), (4, 1), (1, 5)),
+            ((5, 1), (2, 3), (2, 6)),
+            ((1, 10), (3, 1), (1, 11)),
         ];
-        for (first, second) in cases {
+        for (first, second, (start, end)) in cases {
             let plan = FaultPlan::new()
                 .link_outage(n0, n1, secs(first.0), dur(first.1))
                 .link_outage(n1, n0, secs(second.0), dur(second.1));
-            let err = plan.validate(&topo()).unwrap_err();
-            assert!(err.contains("overlap"), "{first:?} {second:?}: {err}");
+            assert!(plan.validate(&topo()).is_ok());
+            assert_eq!(
+                plan.expand(1),
+                [(secs(start), down(n0, n1)), (secs(end), up(n0, n1))],
+                "{first:?} {second:?}"
+            );
             let plan = FaultPlan::new()
                 .node_outage(n1, secs(first.0), dur(first.1))
                 .node_outage(n1, secs(second.0), dur(second.1));
-            let err = plan.validate(&topo()).unwrap_err();
-            assert!(err.contains("overlap"), "{first:?} {second:?}: {err}");
+            assert_eq!(
+                plan.expand(1),
+                [(secs(start), crash), (secs(end), restart)],
+                "{first:?} {second:?}"
+            );
         }
         let plan = FaultPlan::new()
             .link_outage(n0, n1, secs(5), dur(1))
             .link_outage(n1, n0, secs(1), dur(3))
-            .link_outage(n1, NodeId(2), secs(2), dur(5))
+            .link_outage(n1, n2, secs(2), dur(5))
             .node_outage(n1, secs(1), SimDuration::ZERO)
             .node_outage(n1, secs(2), dur(1));
         assert!(plan.validate(&topo()).is_ok());
+        assert_eq!(
+            plan.expand(1),
+            [
+                (secs(1), down(n1, n0)),
+                (secs(1), crash),
+                (secs(1), restart),
+                (secs(2), down(n1, n2)),
+                (secs(2), crash),
+                (secs(3), restart),
+                (secs(4), up(n1, n0)),
+                (secs(5), down(n0, n1)),
+                (secs(6), up(n0, n1)),
+                (secs(7), up(n1, n2)),
+            ]
+        );
+    }
+
+    /// Two MTBF schedules of one link, declared a–b and b–a, draw
+    /// overlapping outages; expanded, the link still goes strictly
+    /// down, up, down, up, and ends up.
+    #[test]
+    fn overlapping_schedules_of_one_link_alternate() {
+        let (n1, n2, n3) = (NodeId(1), NodeId(2), NodeId(3));
+        let (mtbf, mttr) = (dur(10), dur(5));
+        let plan = FaultPlan::new()
+            .horizon(secs(120))
+            .link_mtbf(n1, n2, mtbf, mttr)
+            .link_mtbf(n2, n1, mtbf, mttr);
+        assert!(plan.validate(&topo()).is_ok());
+        let sched = plan.expand(5);
+        // The same draws on two links, unmerged.
+        let apart = FaultPlan::new()
+            .horizon(secs(120))
+            .link_mtbf(n1, n2, mtbf, mttr)
+            .link_mtbf(n2, n3, mtbf, mttr)
+            .expand(5);
+        assert!(
+            sched.len() < apart.len(),
+            "the two schedules' draws must overlap at this seed"
+        );
+        let mut is_down = false;
+        for (at, ev) in &sched {
+            match ev {
+                ComponentEvent::LinkDown { .. } => {
+                    assert!(!is_down, "a second down at {at} before an up");
+                    is_down = true;
+                }
+                ComponentEvent::LinkUp { .. } => {
+                    assert!(is_down, "an up at {at} without a down");
+                    is_down = false;
+                }
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        assert!(!is_down, "every outage recovers");
     }
 
     #[test]

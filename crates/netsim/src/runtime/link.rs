@@ -22,13 +22,14 @@ impl NetworkModel {
         }
     }
 
-    /// Start the next generation on a link if the protocol has work and
-    /// both endpoint devices can reserve a communication qubit.
+    /// Start the next generation on a link that is idle and alive (the
+    /// link and both its ends up) if the protocol has work and both
+    /// endpoint devices can reserve a communication qubit.
     pub(super) fn poll_link(&mut self, ctx: &mut Context<'_, Ev>, link: LinkId) {
-        let l = &mut self.links[link.0 as usize];
-        if l.inflight.is_some() {
+        if self.links[link.0 as usize].inflight.is_some() || !self.hop_alive(link) {
             return;
         }
+        let l = &self.links[link.0 as usize];
         let Some(spec) = l.proto.next_action() else {
             return;
         };
@@ -42,7 +43,6 @@ impl NetworkModel {
             return;
         };
         let l = &mut self.links[link.0 as usize];
-        l.proto.on_generation_started(spec.label);
         let attempts = self.rng_links[link.0 as usize].sample_geometric(spec.attempts);
         let duration = l.proto.physics().cycle_time().saturating_mul(attempts);
         let event = ctx.schedule_in(duration, Ev::GenDone { link });
@@ -51,8 +51,8 @@ impl NetworkModel {
             attempts,
             started: ctx.now(),
             event,
-            qubit_a: (na, qa),
-            qubit_b: (nb, qb),
+            qubit_a: qa,
+            qubit_b: qb,
         });
     }
 
@@ -66,18 +66,28 @@ impl NetworkModel {
         label: LinkLabel,
     ) {
         let l = &mut self.links[link.0 as usize];
-        let was_generating = l.proto.generating() == Some(label);
         l.proto.stop(label);
-        if was_generating {
-            if let Some(inflight) = l.inflight.take() {
-                ctx.cancel(inflight.event);
-                let (na, qa) = inflight.qubit_a;
-                let (nb, qb) = inflight.qubit_b;
-                self.nodes[na.0 as usize].device.free(qa);
-                self.nodes[nb.0 as usize].device.free(qb);
-            }
+        if l.inflight.as_ref().is_some_and(|f| f.label == label) {
+            self.drop_inflight(ctx, link);
         }
         self.poll_link(ctx, link);
+    }
+
+    /// Drop the heralding attempt in flight on `link`, if any: its
+    /// [`Ev::GenDone`] is cancelled, its elapsed time is charged to its
+    /// label (a stopped label has nothing left to charge), and both
+    /// reserved communication qubits return to their devices.
+    pub(super) fn drop_inflight(&mut self, ctx: &mut Context<'_, Ev>, link: LinkId) {
+        let l = &mut self.links[link.0 as usize];
+        let Some(inflight) = l.inflight.take() else {
+            return;
+        };
+        ctx.cancel(inflight.event);
+        let elapsed = ctx.now().since(inflight.started);
+        l.proto.on_generation_aborted(inflight.label, elapsed);
+        let (na, nb) = (l.a, l.b);
+        self.nodes[na.0 as usize].device.free(inflight.qubit_a);
+        self.nodes[nb.0 as usize].device.free(inflight.qubit_b);
     }
 
     /// A link generation heralded success: create the physical pair,
@@ -90,11 +100,11 @@ impl NetworkModel {
             .proto
             .physics()
             .sample_announced(&mut self.rng_links[link.0 as usize]);
-        let (pair, state) = l
-            .proto
-            .on_generation_complete(announced, inflight.attempts, elapsed);
-        let (na, qa) = inflight.qubit_a;
-        let (nb, qb) = inflight.qubit_b;
+        let (pair, state) =
+            l.proto
+                .on_generation_complete(inflight.label, announced, inflight.attempts, elapsed);
+        let (na, nb) = (l.a, l.b);
+        let (qa, qb) = (inflight.qubit_a, inflight.qubit_b);
         let (t1a, t2a) = self.nodes[na.0 as usize].device.coherence_times(qa);
         let (t1b, t2b) = self.nodes[nb.0 as usize].device.coherence_times(qb);
         let pid = self.pairs.create_pair(

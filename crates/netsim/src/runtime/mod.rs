@@ -401,13 +401,16 @@ struct NodeRt {
     up: bool,
 }
 
+/// A heralding attempt in flight on a link: at most one per link, as a
+/// link runs one midpoint interference process at a time.
 struct Inflight {
     label: LinkLabel,
     attempts: u64,
     started: SimTime,
     event: EventId,
-    qubit_a: (NodeId, QubitId),
-    qubit_b: (NodeId, QubitId),
+    /// The communication qubits reserved at the link's `a` and `b` ends.
+    qubit_a: QubitId,
+    qubit_b: QubitId,
 }
 
 struct LinkRt {
@@ -420,9 +423,9 @@ struct LinkRt {
     latency: SimDuration,
     inflight: Option<Inflight>,
     /// False while the link itself is administratively/physically down
-    /// (a [`ComponentEvent::LinkDown`]). Distinct from the protocol's
-    /// paused flag, which also covers endpoint crashes: the link is
-    /// only active when it is up *and* both endpoints are up.
+    /// (a [`ComponentEvent::LinkDown`]). The hop generates and carries
+    /// frames only while the link *and* both endpoints are up
+    /// ([`NetworkModel::hop_alive`]).
     up: bool,
 }
 
@@ -741,6 +744,14 @@ impl NetworkModel {
         self.hop(a, b).expect("circuit hops follow links")
     }
 
+    /// Whether a hop can generate and carry traffic right now: the link
+    /// is up and so are both of its endpoints. Always true without a
+    /// fault plan.
+    fn hop_alive(&self, link: LinkId) -> bool {
+        let l = &self.links[link.0 as usize];
+        l.up && self.nodes[l.a.0 as usize].up && self.nodes[l.b.0 as usize].up
+    }
+
     /// The link on `side` of `node` for `circuit`.
     fn side_link(&self, circuit: CircuitId, node: NodeId, side: LinkSide) -> LinkId {
         let rt = self.circuit_rt(circuit).expect("circuit installed");
@@ -789,6 +800,13 @@ impl NetworkModel {
     /// live pair ends. Zero after a settled run.
     pub fn retained_correlators(&self) -> usize {
         self.qubit_owner.len()
+    }
+
+    /// Leak introspection: device qubits held by a pair end or by a
+    /// heralding attempt or move in flight, summed over every node. Zero
+    /// after a settled run.
+    pub fn reserved_qubits(&self) -> usize {
+        self.nodes.iter().map(|n| n.device.reserved()).sum()
     }
 }
 

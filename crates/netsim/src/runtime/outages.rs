@@ -29,9 +29,7 @@ impl NetworkModel {
         let link = self
             .hop(a, b)
             .expect("validated fault plan names an existing link");
-        if !self.links[link.0 as usize].up {
-            return;
-        }
+        debug_assert!(self.links[link.0 as usize].up, "expanded outages alternate");
         self.links[link.0 as usize].up = false;
         self.trace.record(
             ctx.now(),
@@ -49,9 +47,10 @@ impl NetworkModel {
         let link = self
             .hop(a, b)
             .expect("validated fault plan names an existing link");
-        if self.links[link.0 as usize].up {
-            return;
-        }
+        debug_assert!(
+            !self.links[link.0 as usize].up,
+            "expanded outages alternate"
+        );
         self.links[link.0 as usize].up = true;
         self.trace.record(
             ctx.now(),
@@ -71,9 +70,7 @@ impl NetworkModel {
     /// model the experimenter's observability, not device memory.
     fn node_crash(&mut self, ctx: &mut Context<'_, Ev>, node: NodeId) {
         let idx = node.0 as usize;
-        if !self.nodes[idx].up {
-            return;
-        }
+        debug_assert!(self.nodes[idx].up, "expanded outages alternate");
         self.nodes[idx].up = false;
         self.trace.record(
             ctx.now(),
@@ -127,9 +124,7 @@ impl NetworkModel {
     /// healthy resumes generation immediately.
     fn node_restart(&mut self, ctx: &mut Context<'_, Ev>, node: NodeId) {
         let idx = node.0 as usize;
-        if self.nodes[idx].up {
-            return;
-        }
+        debug_assert!(!self.nodes[idx].up, "expanded outages alternate");
         self.nodes[idx].up = true;
         self.trace.record(
             ctx.now(),
@@ -148,35 +143,16 @@ impl NetworkModel {
         }
     }
 
-    /// Reconcile a link's generation activity with the up/down state of
-    /// the link and its endpoints: pause (aborting any heralding attempt
-    /// in flight) when any of the three is down; resume and re-poll when
-    /// all are healthy again.
+    /// Reconcile a link's generation with the up/down state of the link
+    /// and its endpoints: a dead hop drops the heralding attempt in
+    /// flight, a live one polls for its next generation. Requests stay
+    /// admitted either way, so those held through an outage resume when
+    /// it ends.
     fn refresh_link_activity(&mut self, ctx: &mut Context<'_, Ev>, link: LinkId) {
-        let l = &self.links[link.0 as usize];
-        let alive = l.up && self.nodes[l.a.0 as usize].up && self.nodes[l.b.0 as usize].up;
-        if alive {
-            self.links[link.0 as usize].proto.resume();
+        if self.hop_alive(link) {
             self.poll_link(ctx, link);
         } else {
-            self.links[link.0 as usize].proto.pause();
-            self.abort_link_inflight(ctx, link);
-        }
-    }
-
-    /// Cancel a heralding attempt in flight on the link: the generation
-    /// event is descheduled, the protocol is charged the elapsed time,
-    /// and the reserved communication qubits return to their devices.
-    fn abort_link_inflight(&mut self, ctx: &mut Context<'_, Ev>, link: LinkId) {
-        let l = &mut self.links[link.0 as usize];
-        if let Some(inflight) = l.inflight.take() {
-            ctx.cancel(inflight.event);
-            let elapsed = ctx.now().since(inflight.started);
-            l.proto.on_generation_aborted(inflight.label, elapsed);
-            let (na, qa) = inflight.qubit_a;
-            let (nb, qb) = inflight.qubit_b;
-            self.nodes[na.0 as usize].device.free(qa);
-            self.nodes[nb.0 as usize].device.free(qb);
+            self.drop_inflight(ctx, link);
         }
     }
 

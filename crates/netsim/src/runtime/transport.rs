@@ -66,7 +66,7 @@ impl NetworkModel {
         frame: Frame,
     ) -> bool {
         let link = self.link_between(from, to);
-        if !self.hop_alive(link, from, to) {
+        if !self.hop_alive(link) {
             self.plane.stats.sent += 1;
             self.plane.stats.dropped += 1;
             return false;
@@ -88,14 +88,6 @@ impl NetworkModel {
             );
         }
         true
-    }
-
-    /// Whether a hop can carry traffic right now: the link is up and so
-    /// are both of its endpoints. Always true without a fault plan.
-    fn hop_alive(&self, link: LinkId, from: NodeId, to: NodeId) -> bool {
-        self.links[link.0 as usize].up
-            && self.nodes[from.0 as usize].up
-            && self.nodes[to.0 as usize].up
     }
 
     /// A group of frames arrives: drain it and decode each frame at the

@@ -48,7 +48,8 @@ fn at_ms(ms: u64) -> SimTime {
 
 /// Settle, then assert the run left nothing behind: no live pairs, no
 /// armed timers (cutoffs / track expiries / retransmits / signal
-/// retries), no retained correlator state (pair ends + dedup records).
+/// retries), no retained correlator state (pair ends + dedup records)
+/// and no reserved device qubit (a link still generating holds two).
 fn assert_zero_leak(sim: &mut NetSim, what: &str) {
     sim.run_until(sim.now() + SimDuration::from_secs(10));
     assert_eq!(sim.live_pairs(), 0, "{what}: pairs leaked");
@@ -58,6 +59,7 @@ fn assert_zero_leak(sim: &mut NetSim, what: &str) {
         0,
         "{what}: correlator state leaked"
     );
+    assert_eq!(sim.reserved_qubits(), 0, "{what}: qubits still reserved");
 }
 
 /// A wired 4-chain run with an optional fault plan: one bounded Keep
@@ -147,6 +149,41 @@ fn mid_run_middle_link_outage_completes_exactly_once() {
     // Different seeds sample different trajectories around the outage.
     assert_ne!(trajectory(&sim), trajectory(&run(4208)));
     assert_zero_leak(&mut sim, "link outage");
+}
+
+#[test]
+fn a_link_request_submitted_on_a_dark_hop_waits_for_the_repair() {
+    // Link n2–n3 is dark from the start for 200 ms, so n2 submits its
+    // downstream link request on receiving the FORWARD while the hop is
+    // down. The request is admitted and held, not refused: the network
+    // layer submits it once and has no retry path. Once the link comes
+    // back it generates, and the bounded request completes with exactly
+    // n confirmed pairs per end.
+    let plan = FaultPlan::new().link_outage(
+        NodeId(2),
+        NodeId(3),
+        SimTime::ZERO,
+        SimDuration::from_millis(200),
+    );
+    let mut sim = wired_chaos_run(4500, Some(plan), 4, 60);
+    let app = sim.app();
+    assert!(
+        app.completed.contains_key(&(CircuitId(1), RequestId(1))),
+        "the held link request never resumed"
+    );
+    for node in [NodeId(0), NodeId(3)] {
+        assert_eq!(
+            app.confirmed_deliveries(CircuitId(1), node, SimTime::ZERO, SimTime::MAX),
+            4,
+            "{node}: over- or under-delivery after the repair"
+        );
+    }
+    let first = trajectory(&sim).first().unwrap().0;
+    assert!(
+        first > at_ms(200).as_ps(),
+        "first delivery at {first} ps, before the link was repaired"
+    );
+    assert_zero_leak(&mut sim, "link request held through an outage");
 }
 
 #[test]

@@ -5,11 +5,14 @@
 //! the documentation, independently and naively: admission control
 //! (duplicate labels, invalid weights, unattainable fidelities),
 //! weighted time-share scheduling (next slot = smallest
-//! `time_used/weight`, ties to the lowest label), one generation in
-//! flight at a time, link-wide strictly-increasing sequence numbers,
-//! and requests that stream pairs until stopped. Unlike the plain
-//! property tests this predicts the *exact* schedule, not just
-//! invariants — the model is strictly stronger.
+//! `time_used/weight`, ties to the lowest label, a new request starting
+//! at the incumbents' minimum, a reweight keeping its position),
+//! link-wide strictly-increasing sequence numbers, and requests that
+//! stream pairs until stopped. Unlike the plain property tests this
+//! predicts the *exact* schedule, not just invariants — the model is
+//! strictly stronger, and it is the one exact check of the schedule's
+//! rules. Whether a generation is in flight is the runtime's to track,
+//! not the protocol's, so the model has no such state.
 //!
 //! [`LinkFault`] lets meta-tests inject protocol bugs at the system
 //! adapter boundary and assert the harness catches them with a minimal
@@ -39,10 +42,10 @@ pub enum LinkOp {
     Stop { label: u8 },
     /// Renegotiate a request's scheduling weight.
     SetWeight { label: u8, weight_tenths: u8 },
-    /// Ask for the next action; if any, start and complete a generation
-    /// that consumed `elapsed_us` of link time.
+    /// Ask for the next action; if any, complete its generation after
+    /// `elapsed_us` of link time.
     Drive { elapsed_us: u16 },
-    /// Ask for the next action; if any, start and abort it after
+    /// Ask for the next action; if any, abort its generation after
     /// `elapsed_us` of link time.
     Abort { elapsed_us: u16 },
 }
@@ -105,8 +108,7 @@ pub struct LinkModel {
 
 impl LinkModel {
     /// The label scheduled next: smallest normalised usage, lowest
-    /// label on ties. The driver completes or aborts every generation
-    /// within a single op, so the model is never mid-generation here.
+    /// label on ties.
     fn next_label(&self) -> Option<u32> {
         self.requests
             .iter()
@@ -302,13 +304,10 @@ impl ModelSpec for LinkSpec {
                                 spec.alpha, req.alpha
                             ));
                         }
-                        system.proto.on_generation_started(spec.label);
-                        if system.proto.next_action().is_some() {
-                            return Err("drive: a second action while generating".to_string());
-                        }
                         let elapsed = SimDuration::from_micros(u64::from(elapsed_us));
                         let attempts = u64::from(elapsed_us); // passthrough value
                         let (pair, _) = system.proto.on_generation_complete(
+                            spec.label,
                             BellState::PSI_PLUS,
                             attempts,
                             elapsed,
@@ -348,14 +347,10 @@ impl ModelSpec for LinkSpec {
                 match (expected, got) {
                     (None, None) => Ok(()),
                     (Some(label), Some(spec)) if spec.label == LinkLabel(label) => {
-                        system.proto.on_generation_started(spec.label);
                         let elapsed = SimDuration::from_micros(u64::from(elapsed_us));
                         system.abort(spec.label, elapsed);
                         let req = model.requests.get_mut(&label).expect("model scheduled it");
                         req.time_used += elapsed.as_secs_f64();
-                        if system.proto.generating().is_some() {
-                            return Err("abort: still generating afterwards".to_string());
-                        }
                         Ok(())
                     }
                     (expected, got) => Err(format!(
@@ -378,13 +373,6 @@ impl ModelSpec for LinkSpec {
             if !system.proto.has_request(LinkLabel(*label)) {
                 return Err(format!("system lost request lbl{label}"));
             }
-        }
-        // Every Drive/Abort op completes or aborts its generation
-        // before returning, so between ops nothing may be in flight.
-        if let Some(label) = system.proto.generating() {
-            return Err(format!(
-                "generating {label} between ops; the model expects none in flight"
-            ));
         }
         Ok(())
     }
