@@ -6,9 +6,9 @@
 //! topologies).
 
 use qn_hardware::params::{FibreParams, HardwareParams};
-use qn_net::{Address, AppEvent, Demand, RequestId, RequestType, UserRequest};
+use qn_net::{Address, AppEvent, Demand, NodeStats, RequestId, RequestType, UserRequest};
 use qn_netsim::build::{NetSim, NetworkBuilder};
-use qn_netsim::ClassicalFaults;
+use qn_netsim::{ClassicalFaults, ClassicalStats};
 use qn_routing::{chain, dumbbell, wide_dumbbell, CutoffPolicy};
 use qn_sim::{NodeId, SimDuration, SimTime};
 
@@ -525,4 +525,90 @@ fn wire_signalling_survives_heavy_drops_exactly_once() {
     // Drain: timeouts reclaim every orphaned pair.
     sim.run_until(sim.now() + SimDuration::from_secs(10));
     assert_eq!(sim.live_pairs(), 0, "pairs leaked under wire drops");
+}
+
+/// Deliveries and FNV-1a digest of the faulty wired chain below.
+const FAULTY_WIRE_DELIVERIES: usize = 38;
+const FAULTY_WIRE_DIGEST: u64 = 0x9479_ee6b_7721_20c8;
+
+/// 64-bit FNV-1a.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(*b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The wired chain with every fault class at 5% (drop, duplicate,
+/// reorder within 200 µs, corrupt), pinned by each delivery's time in
+/// ps, node, sequence and oracle-fidelity bits (0 when absent, all
+/// little-endian), the event count and every plane and QNP counter. The
+/// default plane and the drop-only wire never flip a bit, duplicate or
+/// reorder a frame, so this is the one pin on those fault draws and on
+/// what each flipped frame decodes to.
+#[test]
+fn faulty_wired_chain_trajectory_is_pinned() {
+    let faults = ClassicalFaults {
+        drop: 0.05,
+        duplicate: 0.05,
+        reorder: 0.05,
+        reorder_window: SimDuration::from_micros(200),
+        corrupt: 0.05,
+    };
+    let sim = wired_chain_run(1, Some(faults), 20);
+    let deliveries = &sim.app().deliveries;
+    let bytes: Vec<u8> = deliveries
+        .iter()
+        .flat_map(|d| {
+            let fidelity = d.oracle_fidelity.map_or(0, f64::to_bits);
+            [
+                d.time.as_ps().to_le_bytes().as_slice(),
+                &d.node.0.to_le_bytes(),
+                &d.sequence.to_le_bytes(),
+                &fidelity.to_le_bytes(),
+            ]
+            .concat()
+        })
+        .collect();
+    let digest = fnv1a(&bytes);
+    assert_eq!(deliveries.len(), FAULTY_WIRE_DELIVERIES);
+    assert_eq!(digest, FAULTY_WIRE_DIGEST, "{digest:#018x}");
+    assert_eq!(sim.events_processed(), 123_911);
+    assert_eq!(
+        sim.classical_stats(),
+        ClassicalStats {
+            sent: 50_158,
+            delivered: 50_089,
+            dropped: 2_489,
+            duplicated: 2_420,
+            reordered: 2_325,
+            corrupted: 2_468,
+            decode_failures: 64,
+            decode_failures_by_kind: [2, 0, 15, 9, 0, 38],
+            link_decode_failures: 98,
+            link_decode_failures_by_kind: [85, 13],
+            signal_decode_failures: 2,
+            track_retransmits: 2_435,
+            track_acks: 434,
+            signal_retransmits: 1,
+            signal_acks: 3,
+            request_retransmits: 8,
+            retransmits_abandoned: 273,
+            wire_bytes: 2_317_412,
+            batches: 49_381,
+            bytes_coalesced: 18_446,
+        }
+    );
+    assert_eq!(
+        sim.node_stats(),
+        NodeStats {
+            duplicate_forwards: 23,
+            duplicate_completes: 0,
+            misrouted: 0,
+            stale_tracks: 42,
+            stale_expires: 2_025,
+            expired_in_transit: 58,
+            unknown_circuit: 128,
+            duplicate_tracks_relayed: 1_866,
+        }
+    );
 }
