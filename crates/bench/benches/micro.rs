@@ -4,8 +4,9 @@
 //! decay of a dense pair, the heralded-state construction, the link's
 //! time-share schedule, the Bell tracking algebra, the two pair-state
 //! representations side by side (`*_bell` vs `*_dm`), the pair slab,
-//! the classical plane's wire codec (`message_parse`,
-//! `encode_scratch_vs_alloc/scratch`), and circuit planning
+//! the wire decoder a corrupted frame goes through (`message_parse`),
+//! the classical plane's per-frame path (`plane_track_per_frame`), and
+//! circuit planning
 //! (`link_alpha_for_fidelity`, `controller_plan_grid_miss` and
 //! `controller_plan_grid_hit`).
 //!
@@ -20,10 +21,12 @@ use qn_hardware::pairs::{PairStore, SwapNoise};
 use qn_hardware::params::{FibreParams, HardwareParams};
 use qn_hardware::StateRep;
 use qn_link::{LinkLabel, LinkProtocol, LinkRequest};
-use qn_net::wire::{Frame, ScratchEncoder};
+use qn_net::wire::Frame;
 use qn_net::{
-    CircuitId, Complete, Correlator, Epoch, Expire, Forward, Message, RequestId, RequestType, Track,
+    CircuitId, Complete, Correlator, Epoch, Expire, Forward, LinkSide, Message, RequestId,
+    RequestType, Track,
 };
+use qn_netsim::{ClassicalFaults, ClassicalPlane};
 use qn_quantum::bell::BellState;
 use qn_quantum::gates::Pauli;
 use qn_quantum::measure::bell_measure_ideal;
@@ -322,13 +325,13 @@ fn message_mix() -> Vec<Message> {
     msgs
 }
 
-/// The wire codec under the delivery-path access pattern: the one
-/// frame decoder the runtime's drain runs on every frame, and the
-/// encode into the plane's reused scratch buffer (under the labels
-/// their earlier timings were recorded with).
+/// The wire decoder, which the classical plane runs on every frame a
+/// corruption fault flips.
 fn bench_message_codec(c: &mut Criterion) {
-    let msgs: Vec<Frame> = message_mix().into_iter().map(Frame::Qnp).collect();
-    let frames: Vec<Vec<u8>> = msgs.iter().map(Frame::wire_bytes).collect();
+    let frames: Vec<Vec<u8>> = message_mix()
+        .into_iter()
+        .map(|m| Frame::Qnp(m).wire_bytes())
+        .collect();
 
     c.bench_function("message_parse", |b| {
         // Full decode plus the per-variant fields a dispatcher would
@@ -347,15 +350,33 @@ fn bench_message_codec(c: &mut Criterion) {
             acc
         });
     });
+}
 
-    c.bench_function("encode_scratch_vs_alloc/scratch", |b| {
-        let mut scratch = ScratchEncoder::new();
+/// The classical plane's per-frame path on a fault-free plane: one
+/// TRACK sent with `transmit`, its group drained with `take_batch` and
+/// handed back with `recycle`, as the runtime sends and delivers it.
+fn bench_plane(c: &mut Criterion) {
+    let track = Frame::Qnp(message_mix()[0]);
+    c.bench_function("plane_track_per_frame", |b| {
+        let mut plane = ClassicalPlane::new(1, ClassicalFaults::OFF);
+        let (from, to) = (NodeId(0), NodeId(1));
+        let latency = SimDuration::from_micros(5);
+        let mut now = SimTime::ZERO;
         b.iter(|| {
-            let mut bytes = 0usize;
-            for m in &msgs {
-                bytes += scratch.encode(m).len();
-            }
-            bytes
+            now += SimDuration::from_ps(1);
+            let [opened, _] = plane.transmit(
+                from,
+                to,
+                LinkSide::Upstream,
+                now,
+                latency,
+                black_box(&track),
+            );
+            let group = opened.expect("a lone frame opens its group");
+            let arrivals = plane.take_batch(group.id).expect("the group is open");
+            let delivered = arrivals.len();
+            plane.recycle(arrivals);
+            delivered
         });
     });
 }
@@ -460,6 +481,7 @@ criterion_group!(
     bench_planning,
     bench_link_scheduler,
     bench_message_codec,
+    bench_plane,
     bench_slab_store,
     bench_bell_algebra
 );

@@ -57,4 +57,4 @@ pub use node::{NodeStats, QnpNode};
 pub use policing::{AdmitDecision, Policer};
 pub use request::{Demand, RequestType, UserRequest};
 pub use routing_table::{DownstreamHop, LinkSide, Role, RoutingEntry, UpstreamHop};
-pub use wire::{DecodeError, Frame, ScratchEncoder, SignalMessage, WIRE_VERSION};
+pub use wire::{DecodeError, Frame, SignalMessage, WIRE_VERSION};

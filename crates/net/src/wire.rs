@@ -2,9 +2,9 @@
 //! codec for every message that crosses a classical channel.
 //!
 //! The paper specifies the protocol in terms of its messages (Appendix
-//! C.2); this module pins their byte-level representation so the
-//! simulated classical plane can transport *bytes* (and corrupt, drop,
-//! duplicate or reorder them) instead of passing Rust values by magic.
+//! C.2); this module pins their byte-level representation. The
+//! simulated classical plane carries frames as values: the codec fixes
+//! each frame's size and what a flipped bit does to it.
 //!
 //! ## Frame layout
 //!
@@ -27,9 +27,9 @@
 //! | `0x20..=0x23` | routing signalling ([`Frame::Signal`]) | INSTALL, TEARDOWN, INSTALL_ACK, TEARDOWN_ACK |
 //!
 //! [`Frame::decode`] is the one parser of a received frame and
-//! [`Frame::encode_to`] its inverse. Frames are `Copy`, so decoding
-//! allocates nothing. The encode side reuses a [`ScratchEncoder`]
-//! instead of allocating a fresh `Vec` per frame.
+//! [`Frame::encode_to`] its inverse; [`Frame::encoded_len`] is the
+//! length of the bytes it appends. Frames are `Copy`, so decoding
+//! allocates nothing.
 //!
 //! ## Guarantees
 //!
@@ -648,6 +648,38 @@ impl Frame {
         }
     }
 
+    /// The length of this frame's bytes: what [`Frame::encode_to`]
+    /// appends, counted without encoding.
+    pub fn encoded_len(&self) -> usize {
+        // Ids, counts, `f64` bit patterns and picosecond ticks take 8
+        // bytes; node ids, link labels and identifiers 4; a Bell state,
+        // a Pauli and an option's tag 1.
+        const EID: usize = 4 + 4 + 8;
+        // circuit, request, head and tail identifiers
+        const REQUEST: usize = 8 + 8 + 4 + 4;
+        fn opt<T>(v: &Option<T>, len: usize) -> usize {
+            1 + v.as_ref().map_or(0, |_| len)
+        }
+        2 + match self {
+            Frame::Qnp(Message::Forward(m)) => {
+                let basis = usize::from(matches!(m.request_type, RequestType::Measure(_)));
+                REQUEST + 1 + basis + opt(&m.number_of_pairs, 8) + opt(&m.final_state, 1) + 8
+            }
+            Frame::Qnp(Message::Complete(_)) => REQUEST + 8,
+            Frame::Qnp(Message::Track(m)) => REQUEST + 2 * EID + 1 + opt(&m.epoch, 8),
+            Frame::Qnp(Message::Expire(_) | Message::TrackAck(_)) => 8 + EID,
+            Frame::PairReady(_) => EID + 4 + 1 + 8 + 8 + 8,
+            Frame::Signal(SignalMessage::Install { entry }) => {
+                8 + opt(&entry.upstream, 4 + 4) + opt(&entry.downstream, 4 + 4 + 8 + 8) + 8 + 8
+            }
+            Frame::Signal(
+                SignalMessage::Teardown { .. }
+                | SignalMessage::InstallAck { .. }
+                | SignalMessage::TeardownAck { .. },
+            ) => 8,
+        }
+    }
+
     /// This frame's bytes.
     pub fn wire_bytes(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(64);
@@ -682,39 +714,6 @@ impl Frame {
         };
         r.finish()?;
         Ok(frame)
-    }
-}
-
-// ---------------------------------------------------------------------
-// Scratch encoding
-// ---------------------------------------------------------------------
-
-/// A reusable encode buffer: steady-state senders encode every outgoing
-/// frame into the same backing allocation instead of a fresh `Vec` per
-/// message. The borrowed frame is valid until the next encode.
-pub struct ScratchEncoder {
-    buf: Vec<u8>,
-}
-
-impl ScratchEncoder {
-    /// An empty scratch with a small upfront capacity.
-    pub fn new() -> Self {
-        ScratchEncoder {
-            buf: Vec::with_capacity(128),
-        }
-    }
-
-    /// Encode one frame into the scratch and borrow its bytes.
-    pub fn encode(&mut self, frame: &Frame) -> &[u8] {
-        self.buf.clear();
-        frame.encode_to(&mut self.buf);
-        &self.buf
-    }
-}
-
-impl Default for ScratchEncoder {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -940,10 +939,34 @@ mod tests {
     }
 
     #[test]
-    fn scratch_encoder_matches_wire_bytes() {
-        let mut scratch = ScratchEncoder::new();
-        for f in sample_frames() {
-            assert_eq!(scratch.encode(&f), f.wire_bytes().as_slice());
+    fn encoded_len_matches_wire_bytes() {
+        // Every optional field absent, then present.
+        let mut frames = sample_frames();
+        frames.push(Frame::Qnp(Message::Forward(Forward {
+            circuit: CircuitId(3),
+            request: RequestId(9),
+            head_identifier: 1,
+            tail_identifier: 2,
+            request_type: RequestType::Keep,
+            number_of_pairs: None,
+            final_state: None,
+            rate: 12.5,
+        })));
+        if let Frame::Qnp(Message::Track(t)) = frames[2] {
+            frames.push(Frame::Qnp(Message::Track(Track {
+                epoch: Some(Epoch(4)),
+                ..t
+            })));
+        }
+        frames.push(Frame::Signal(SignalMessage::Install {
+            entry: RoutingEntry {
+                upstream: None,
+                downstream: None,
+                ..entry()
+            },
+        }));
+        for f in frames {
+            assert_eq!(f.encoded_len(), f.wire_bytes().len(), "length of {f:?}");
         }
     }
 

@@ -69,6 +69,7 @@ proptest! {
     #[test]
     fn signal_round_trip(msg in arb_signal()) {
         let bytes = Frame::Signal(msg).wire_bytes();
+        prop_assert_eq!(Frame::Signal(msg).encoded_len(), bytes.len());
         let back = Frame::decode(&bytes);
         prop_assert!(matches!(back, Ok(Frame::Signal(_))), "decoded as {:?}", back);
         let Ok(Frame::Signal(back)) = back else { unreachable!() };

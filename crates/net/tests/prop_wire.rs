@@ -189,6 +189,7 @@ proptest! {
     #[test]
     fn message_encode_decode_round_trip(msg in arb_message()) {
         let bytes = qnp_bytes(msg);
+        prop_assert_eq!(Frame::Qnp(msg).encoded_len(), bytes.len());
         let back = Frame::decode(&bytes);
         prop_assert!(matches!(back, Ok(Frame::Qnp(_))), "decoded as {:?}", back);
         let Ok(Frame::Qnp(back)) = back else { unreachable!() };
@@ -258,6 +259,7 @@ proptest! {
     #[test]
     fn link_event_round_trip_and_plane_separation(pair in arb_pair_ready()) {
         let bytes = Frame::PairReady(pair).wire_bytes();
+        prop_assert_eq!(Frame::PairReady(pair).encoded_len(), bytes.len());
         let back = Frame::decode(&bytes);
         prop_assert!(matches!(back, Ok(Frame::PairReady(_))), "decoded as {:?}", back);
         let Ok(Frame::PairReady(back)) = back else { unreachable!() };

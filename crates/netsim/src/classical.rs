@@ -14,16 +14,20 @@
 //! * **in-order delivery per direction of each hop** follows from that
 //!   constant latency: a later send can never arrive earlier, exactly
 //!   what a reliable byte stream gives;
-//! * [`ClassicalPlane`]: every message travels as *encoded bytes*
-//!   (`qn_net::wire`) and can be dropped, duplicated, reordered or
-//!   bit-corrupted with seeded, per-run-deterministic probabilities.
-//!   With faults off ([`ClassicalFaults::OFF`], the default) the plane
-//!   is a bit-identical pass-through of the reliable contract: no RNG
-//!   draws, no extra latency, byte-equal payloads.
+//! * [`ClassicalPlane`]: every message travels as a [`Frame`] value
+//!   and can be dropped, duplicated, reordered or bit-corrupted with
+//!   seeded, per-run-deterministic probabilities. The codec
+//!   (`qn_net::wire`) fixes each frame's size and what a flipped bit
+//!   does to it: only a corrupted frame is encoded, its bit flipped and
+//!   its bytes decoded again on the spot, into another valid frame or
+//!   an [`Undecodable`] entry. With faults off
+//!   ([`ClassicalFaults::OFF`], the default) the plane is a
+//!   bit-identical pass-through of the reliable contract: no RNG draws,
+//!   no extra latency, each frame delivered as sent.
 //!
 //! The plane **groups** frames: frames crossing the same directed hop
-//! in the same lane toward the same delivery tick share one [`Batch`],
-//! a private list of frames. Each [`transmit`] call reports at most the
+//! in the same lane toward the same delivery tick share one group, a
+//! private list of [`Arrival`]s. Each [`transmit`] call reports at most the
 //! *newly opened* groups ([`BatchOpen`]); the runtime schedules exactly
 //! one delivery event per group and drains it with [`take_batch`].
 //! Within a group, frames keep their send order, and every frame's
@@ -37,6 +41,7 @@
 //! [`take_batch`]: ClassicalPlane::take_batch
 
 use qn_net::routing_table::LinkSide;
+use qn_net::wire::{DecodeError, Frame};
 use qn_sim::{NodeId, SimDuration, SimRng, SimTime};
 
 /// Fault-injection knobs for the classical plane. All probabilities are
@@ -46,7 +51,7 @@ use qn_sim::{NodeId, SimDuration, SimRng, SimTime};
 pub struct ClassicalFaults {
     /// Probability a message is silently lost.
     pub drop: f64,
-    /// Probability a second, byte-identical copy is delivered (after an
+    /// Probability a second, identical copy is delivered (after an
     /// extra `U[0, reorder_window)` of latency).
     pub duplicate: f64,
     /// Probability a message gains an extra `U[0, reorder_window)` of
@@ -119,17 +124,16 @@ pub struct ClassicalStats {
     pub reordered: u64,
     /// Frames with a bit flipped.
     pub corrupted: u64,
-    /// Delivered frames the receiver could not decode whose observed
-    /// kind byte names no other plane: data-plane kinds, unassigned
-    /// kinds and frames too short to carry one (dropped there;
-    /// incremented by the runtime, not by [`ClassicalPlane`]).
+    /// Delivered frames whose corrupted bytes do not decode and whose
+    /// observed kind byte names no other plane: data-plane and
+    /// unassigned kinds (dropped at the receiver; incremented by the
+    /// runtime, not by [`ClassicalPlane`]).
     pub decode_failures: u64,
     /// [`ClassicalStats::decode_failures`] broken down by the *observed*
     /// kind byte of the undecodable frame: indices 0..=4 are the data
     /// kinds FORWARD, COMPLETE, TRACK, EXPIRE, TRACK_ACK
     /// (`qn_net::wire::KIND_FORWARD..=KIND_TRACK_ACK`); index 5 collects
-    /// frames whose kind byte itself was corrupted (or missing). Sums to
-    /// the total.
+    /// frames whose kind byte itself was corrupted. Sums to the total.
     pub decode_failures_by_kind: [u64; 6],
     /// Undecodable frames whose observed kind byte is a link-plane kind:
     /// PAIR_READY (`qn_net::wire::KIND_LINK_PAIR_READY`) or one of the
@@ -159,7 +163,7 @@ pub struct ClassicalStats {
     /// Retransmission timers abandoned after exhausting their retry
     /// budget (the chain is left to the track-timeout / a later replan).
     pub retransmits_abandoned: u64,
-    /// Total encoded payload bytes submitted.
+    /// Total encoded bytes submitted ([`Frame::encoded_len`] per frame).
     pub wire_bytes: u64,
     /// Frame groups opened (= delivery events scheduled).
     pub batches: u64,
@@ -179,26 +183,25 @@ impl ClassicalStats {
     }
 
     /// Count one undecodable frame against the plane its observed kind
-    /// byte names, bucketed by that byte (`None` when the frame was too
-    /// short to carry one).
-    pub fn count_decode_failure(&mut self, kind: Option<u8>) {
+    /// byte names, bucketed by that byte.
+    pub fn count_decode_failure(&mut self, kind: u8) {
         use qn_net::wire::{
             KIND_FORWARD, KIND_LINK_PAIR_READY, KIND_SIGNAL_INSTALL, KIND_SIGNAL_TEARDOWN_ACK,
             KIND_TRACK_ACK,
         };
         match kind {
             // PAIR_READY and the retired 0x11 and 0x12.
-            Some(k @ KIND_LINK_PAIR_READY..=0x12) => {
+            KIND_LINK_PAIR_READY..=0x12 => {
                 self.link_decode_failures += 1;
-                self.link_decode_failures_by_kind[usize::from(k != KIND_LINK_PAIR_READY)] += 1;
+                self.link_decode_failures_by_kind[usize::from(kind != KIND_LINK_PAIR_READY)] += 1;
             }
-            Some(KIND_SIGNAL_INSTALL..=KIND_SIGNAL_TEARDOWN_ACK) => {
+            KIND_SIGNAL_INSTALL..=KIND_SIGNAL_TEARDOWN_ACK => {
                 self.signal_decode_failures += 1;
             }
             _ => {
                 self.decode_failures += 1;
                 let i = match kind {
-                    Some(k @ KIND_FORWARD..=KIND_TRACK_ACK) => (k - KIND_FORWARD) as usize,
+                    KIND_FORWARD..=KIND_TRACK_ACK => (kind - KIND_FORWARD) as usize,
                     _ => 5,
                 };
                 self.decode_failures_by_kind[i] += 1;
@@ -222,42 +225,30 @@ pub struct BatchOpen {
     pub at: SimTime,
 }
 
-/// The frames of one group, in send order. Only the plane writes the
-/// buffer (`len: u32 | frame` entries back to back), so walking it
-/// cannot fail.
-#[derive(Default)]
-pub struct Batch {
-    buf: Vec<u8>,
+/// A corrupted frame whose flipped bytes do not decode: the decoder's
+/// error and the kind byte those bytes carry.
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub struct Undecodable {
+    /// The observed kind byte (a frame is never shorter than its
+    /// two-byte header, and a flipped bit keeps its length).
+    pub kind: u8,
+    /// Why the bytes do not decode.
+    pub error: DecodeError,
 }
 
-impl Batch {
-    /// The frames in send order.
-    pub fn frames(&self) -> impl Iterator<Item = &[u8]> + '_ {
-        let mut rest = self.buf.as_slice();
-        std::iter::from_fn(move || {
-            let (len, tail) = rest.split_first_chunk::<4>()?;
-            let (frame, tail) = tail.split_at(u32::from_le_bytes(*len) as usize);
-            rest = tail;
-            Some(frame)
-        })
-    }
-
-    fn push(&mut self, frame: &[u8]) {
-        let len = u32::try_from(frame.len()).expect("an encoded frame is shorter than 4 GiB");
-        self.buf.extend_from_slice(&len.to_le_bytes());
-        self.buf.extend_from_slice(frame);
-    }
-}
+/// One entry of a group: the frame as sent or, for a corrupted frame,
+/// what its flipped bytes decode to.
+pub type Arrival = Result<Frame, Undecodable>;
 
 struct OpenBatch {
     id: u64,
     key: (NodeId, NodeId, LinkSide, SimTime),
-    batch: Batch,
+    arrivals: Vec<Arrival>,
 }
 
 /// The classical plane: the reliable in-order transport plus optional
-/// seeded fault injection, operating on encoded frames and grouping
-/// them per (hop, lane, tick).
+/// seeded fault injection, carrying frames and grouping them per (hop,
+/// lane, tick).
 ///
 /// Fault sampling uses its **own** RNG substream, and the faults-off
 /// path makes *zero* fault draws, keeping default runs bit-identical to
@@ -274,9 +265,8 @@ pub struct ClassicalPlane {
     open: Vec<OpenBatch>,
     next_batch: u64,
     /// Drained groups waiting for reuse of their buffers.
-    pool: Vec<Batch>,
-    /// Copy-on-corrupt buffer (the caller's frame may live in a shared
-    /// encode scratch and must not be mutated in place).
+    pool: Vec<Vec<Arrival>>,
+    /// The bytes of the frame being corrupted.
     fault_scratch: Vec<u8>,
 }
 
@@ -295,8 +285,8 @@ impl ClassicalPlane {
         }
     }
 
-    /// Transmit one encoded frame `from → to` at `now` over a hop whose
-    /// latency is `latency`. Fault draws come from the plane's one
+    /// Transmit one frame `from → to` at `now` over a hop whose latency
+    /// is `latency`. Fault draws come from the plane's one
     /// `classical-faults` substream, whichever hop the frame crosses.
     ///
     /// `lane` discriminates independent sub-streams of the same directed
@@ -315,15 +305,20 @@ impl ClassicalPlane {
         lane: LinkSide,
         now: SimTime,
         latency: SimDuration,
-        frame: &[u8],
+        frame: &Frame,
     ) -> [Option<BatchOpen>; 2] {
+        debug_assert_round_trip(frame);
+        let len = frame.encoded_len() as u64;
         self.stats.sent += 1;
-        self.stats.wire_bytes += frame.len() as u64;
+        self.stats.wire_bytes += len;
         let faults = self.faults;
         if !faults.enabled() {
             // Pass-through: no draws, the frame arrives one latency on.
             self.stats.delivered += 1;
-            return [self.append(from, to, lane, now + latency, frame), None];
+            return [
+                self.append(from, to, lane, now + latency, Ok(*frame), len),
+                None,
+            ];
         }
 
         // Fault draws in a fixed order (drop, corrupt, reorder,
@@ -332,18 +327,10 @@ impl ClassicalPlane {
             self.stats.dropped += 1;
             return [None, None];
         }
-        // Only a corrupted frame needs a private copy of its bytes.
-        let mut corrupted = None;
-        if faults.corrupt > 0.0 && self.rng_faults.bernoulli(faults.corrupt) && !frame.is_empty() {
-            let mut work = std::mem::take(&mut self.fault_scratch);
-            work.clear();
-            work.extend_from_slice(frame);
-            let bit = self.rng_faults.below(work.len() as u64 * 8);
-            work[(bit / 8) as usize] ^= 1 << (bit % 8);
-            self.stats.corrupted += 1;
-            corrupted = Some(work);
+        let mut arrival = Ok(*frame);
+        if faults.corrupt > 0.0 && self.rng_faults.bernoulli(faults.corrupt) {
+            arrival = self.corrupt(frame);
         }
-        let bytes = corrupted.as_deref().unwrap_or(frame);
         let mut primary_at = now + latency;
         if faults.reorder > 0.0 && self.rng_faults.bernoulli(faults.reorder) {
             // A datagram that escaped the stream: it gains extra latency
@@ -351,56 +338,74 @@ impl ClassicalPlane {
             self.stats.reordered += 1;
             primary_at += self.extra_delay(faults.reorder_window);
         }
-        let first = self.append(from, to, lane, primary_at, bytes);
+        let first = self.append(from, to, lane, primary_at, arrival, len);
         self.stats.delivered += 1;
         let mut second = None;
         if faults.duplicate > 0.0 && self.rng_faults.bernoulli(faults.duplicate) {
             self.stats.duplicated += 1;
             let dup_at = primary_at + self.extra_delay(faults.reorder_window);
-            second = self.append(from, to, lane, dup_at, bytes);
+            second = self.append(from, to, lane, dup_at, arrival, len);
             self.stats.delivered += 1;
-        }
-        if let Some(work) = corrupted {
-            self.fault_scratch = work;
         }
         [first, second]
     }
 
-    /// Remove an open group and hand its frames to the receiver. The id
-    /// is single-use: later frames toward the same `(hop, lane, tick)`
-    /// open a fresh group, so a drained group can never grow.
-    pub fn take_batch(&mut self, id: BatchId) -> Option<Batch> {
+    /// Flip one uniformly drawn bit of `frame`'s bytes and decode them:
+    /// the decoder is a pure function of the bytes, so this is what the
+    /// receiver would read.
+    fn corrupt(&mut self, frame: &Frame) -> Arrival {
+        let bytes = &mut self.fault_scratch;
+        bytes.clear();
+        frame.encode_to(bytes);
+        let bit = self.rng_faults.below(bytes.len() as u64 * 8);
+        bytes[(bit / 8) as usize] ^= 1 << (bit % 8);
+        self.stats.corrupted += 1;
+        Frame::decode(bytes).map_err(|error| Undecodable {
+            kind: bytes[1],
+            error,
+        })
+    }
+
+    /// Remove an open group and hand its arrivals, in send order, to the
+    /// receiver. The id is single-use: later frames toward the same
+    /// `(hop, lane, tick)` open a fresh group, so a drained group can
+    /// never grow.
+    pub fn take_batch(&mut self, id: BatchId) -> Option<Vec<Arrival>> {
         let i = self.open.iter().position(|b| b.id == id.0)?;
-        Some(self.open.swap_remove(i).batch)
+        Some(self.open.swap_remove(i).arrivals)
     }
 
     /// Return a drained group for reuse of its buffer by later groups.
-    pub fn recycle(&mut self, mut batch: Batch) {
+    pub fn recycle(&mut self, mut arrivals: Vec<Arrival>) {
         if self.pool.len() < 32 {
-            batch.buf.clear();
-            self.pool.push(batch);
+            arrivals.clear();
+            self.pool.push(arrivals);
         }
     }
 
+    /// Add `arrival`, whose frame encodes to `len` bytes, to its group.
     fn append(
         &mut self,
         from: NodeId,
         to: NodeId,
         lane: LinkSide,
         at: SimTime,
-        frame: &[u8],
+        arrival: Arrival,
+        len: u64,
     ) -> Option<BatchOpen> {
         let key = (from, to, lane, at);
         if let Some(open) = self.open.iter_mut().find(|b| b.key == key) {
-            open.batch.push(frame);
-            self.stats.bytes_coalesced += frame.len() as u64;
+            open.arrivals.push(arrival);
+            self.stats.bytes_coalesced += len;
             None
         } else {
             let id = self.next_batch;
             self.next_batch += 1;
-            let mut batch = self.pool.pop().unwrap_or_default();
-            batch.push(frame);
-            self.open.push(OpenBatch { id, key, batch });
+            // Groups rarely hold more than one frame, so a fresh buffer
+            // is sized for one.
+            let mut arrivals = self.pool.pop().unwrap_or_else(|| Vec::with_capacity(1));
+            arrivals.push(arrival);
+            self.open.push(OpenBatch { id, key, arrivals });
             self.stats.batches += 1;
             Some(BatchOpen {
                 id: BatchId(id),
@@ -419,15 +424,37 @@ impl ClassicalPlane {
     }
 }
 
+/// In debug builds, check that `frame` survives the codec: its bytes
+/// decode to a frame with the same bytes, and there are
+/// [`Frame::encoded_len`] of them. Bytes, not values, are compared, so
+/// a NaN field cannot fail the check.
+fn debug_assert_round_trip(frame: &Frame) {
+    if cfg!(debug_assertions) {
+        let bytes = frame.wire_bytes();
+        assert_eq!(bytes.len(), frame.encoded_len(), "length of {frame:?}");
+        let back = Frame::decode(&bytes).expect("a sent frame decodes");
+        assert_eq!(back.wire_bytes(), bytes, "round trip of {frame:?}");
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qn_net::wire::SignalMessage;
+    use qn_net::CircuitId;
 
     /// The hop latency every test frame crosses.
     const LATENCY: SimDuration = SimDuration::from_micros(5);
 
+    /// A ten-byte frame naming circuit `c`.
+    fn teardown(c: u64) -> Frame {
+        Frame::Signal(SignalMessage::Teardown {
+            circuit: CircuitId(c),
+        })
+    }
+
     /// Send `frame` over hop `0 → 1`, lane `Upstream`.
-    fn send(plane: &mut ClassicalPlane, now: SimTime, frame: &[u8]) -> [Option<BatchOpen>; 2] {
+    fn send(plane: &mut ClassicalPlane, now: SimTime, frame: &Frame) -> [Option<BatchOpen>; 2] {
         plane.transmit(
             NodeId(0),
             NodeId(1),
@@ -438,39 +465,36 @@ mod tests {
         )
     }
 
-    fn frames(batch: &Batch) -> Vec<Vec<u8>> {
-        batch.frames().map(<[u8]>::to_vec).collect()
-    }
-
     /// Drain every group opened by one transmit call, returning each as
-    /// `(delivery time, frames)`.
+    /// `(delivery time, arrivals)`.
     fn drain(
         plane: &mut ClassicalPlane,
         opened: [Option<BatchOpen>; 2],
-    ) -> Vec<(SimTime, Vec<Vec<u8>>)> {
+    ) -> Vec<(SimTime, Vec<Arrival>)> {
         let mut out = Vec::new();
         for b in opened.into_iter().flatten() {
-            let batch = plane.take_batch(b.id).expect("opened group");
-            out.push((b.at, frames(&batch)));
-            plane.recycle(batch);
+            let arrivals = plane.take_batch(b.id).expect("opened group");
+            out.push((b.at, arrivals.clone()));
+            plane.recycle(arrivals);
         }
         out
     }
 
     #[test]
     fn faults_off_is_a_pass_through() {
-        // With faults off every frame arrives byte-identical, exactly one
+        // With faults off every frame arrives as sent, exactly one
         // latency after it was sent, each in a group of its own.
         let mut plane = ClassicalPlane::new(123, ClassicalFaults::OFF);
         for i in 0..200u64 {
             let now = SimTime::from_ps(i * 1000);
-            let opened = send(&mut plane, now, &[i as u8]);
+            let opened = send(&mut plane, now, &teardown(i));
             let got = drain(&mut plane, opened);
-            assert_eq!(got, vec![(now + LATENCY, vec![vec![i as u8]])]);
+            assert_eq!(got, vec![(now + LATENCY, vec![Ok(teardown(i))])]);
         }
         assert_eq!(plane.stats.sent, 200);
         assert_eq!(plane.stats.delivered, 200);
         assert_eq!(plane.stats.batches, 200);
+        assert_eq!(plane.stats.wire_bytes, 200 * 10);
         assert_eq!(plane.stats.bytes_coalesced, 0);
         assert_eq!(plane.stats.dropped + plane.stats.corrupted, 0);
     }
@@ -481,39 +505,34 @@ mod tests {
         let now = SimTime::ZERO;
         let (a, b) = (NodeId(0), NodeId(1));
         let mut plane = ClassicalPlane::new(1, ClassicalFaults::OFF);
-        let open = send(&mut plane, now, b"one")[0].expect("first send opens");
-        for f in [b"two".as_slice(), b"three"] {
+        let open = send(&mut plane, now, &teardown(1))[0].expect("first send opens");
+        for c in [2, 3] {
             assert_eq!(
-                send(&mut plane, now, f),
+                send(&mut plane, now, &teardown(c)),
                 [None, None],
                 "same (hop, lane, tick) must coalesce"
             );
         }
         // A different lane or hop opens its own group.
-        assert!(plane.transmit(a, b, LinkSide::Downstream, now, LATENCY, b"x")[0].is_some());
-        assert!(plane.transmit(b, a, LinkSide::Upstream, now, LATENCY, b"y")[0].is_some());
-        let batch = plane.take_batch(open.id).unwrap();
+        let x = teardown(8);
+        assert!(plane.transmit(a, b, LinkSide::Downstream, now, LATENCY, &x)[0].is_some());
+        assert!(plane.transmit(b, a, LinkSide::Upstream, now, LATENCY, &x)[0].is_some());
+        let arrivals = plane.take_batch(open.id).unwrap();
         assert_eq!(
-            frames(&batch),
-            vec![b"one".to_vec(), b"two".to_vec(), b"three".to_vec()],
+            arrivals,
+            vec![Ok(teardown(1)), Ok(teardown(2)), Ok(teardown(3))],
             "send order is delivery order"
         );
-        plane.recycle(batch);
+        plane.recycle(arrivals);
         assert_eq!(plane.stats.batches, 3);
-        // "two" and "three" rode along.
-        assert_eq!(plane.stats.bytes_coalesced, 8);
+        // The second and third frames rode along.
+        assert_eq!(plane.stats.bytes_coalesced, 2 * 10);
         // A drained id is single-use; the tick re-opens afterwards, and
         // a recycled buffer starts empty.
         assert!(plane.take_batch(open.id).is_none());
-        let reopened = send(&mut plane, now, b"z")[0].expect("tick re-opens");
-        let batch = plane.take_batch(reopened.id).unwrap();
-        assert_eq!(frames(&batch), vec![b"z".to_vec()]);
-        // Empty frames are legal entries too.
-        let opened = send(&mut plane, now, b"");
-        assert_eq!(
-            drain(&mut plane, opened),
-            vec![(opened[0].unwrap().at, vec![vec![]])]
-        );
+        let reopened = send(&mut plane, now, &teardown(9))[0].expect("tick re-opens");
+        let arrivals = plane.take_batch(reopened.id).unwrap();
+        assert_eq!(arrivals, vec![Ok(teardown(9))]);
     }
 
     #[test]
@@ -523,12 +542,12 @@ mod tests {
             ..ClassicalFaults::OFF
         };
         let mut plane = ClassicalPlane::new(3, faults);
-        let opened = send(&mut plane, SimTime::ZERO, b"dup");
+        let opened = send(&mut plane, SimTime::ZERO, &teardown(4));
         // Zero reorder window: the copy lands on the same tick, hence in
         // the same group.
         assert!(opened[0].is_some() && opened[1].is_none());
         let got = drain(&mut plane, opened);
-        assert_eq!(got[0].1, vec![b"dup".to_vec(), b"dup".to_vec()]);
+        assert_eq!(got[0].1, vec![Ok(teardown(4)), Ok(teardown(4))]);
         assert_eq!(plane.stats.duplicated, 1);
         assert_eq!(plane.stats.delivered, 2);
         assert_eq!(plane.stats.frames_per_batch(), 2.0);
@@ -548,8 +567,7 @@ mod tests {
             let mut log = Vec::new();
             for i in 0..300u64 {
                 let now = SimTime::from_ps(i * 777);
-                let frame = [i as u8, (i >> 8) as u8, 0xAB];
-                let opened = send(&mut plane, now, &frame);
+                let opened = send(&mut plane, now, &teardown(i << 8 | 0xAB));
                 log.push(drain(&mut plane, opened));
             }
             (log, plane.stats)
@@ -570,22 +588,36 @@ mod tests {
             ..ClassicalFaults::OFF
         };
         let mut plane = ClassicalPlane::new(7, faults);
-        let original = vec![0u8; 16];
-        for _ in 0..50 {
-            let opened = send(&mut plane, SimTime::ZERO, &original);
+        let sent = teardown(0x0123_4567_89AB_CDEF);
+        let bytes = sent.wire_bytes();
+        // What the receiver reads after each single-bit flip.
+        let flips: Vec<Arrival> = (0..bytes.len() * 8)
+            .map(|bit| {
+                let mut flipped = bytes.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                Frame::decode(&flipped).map_err(|error| Undecodable {
+                    kind: flipped[1],
+                    error,
+                })
+            })
+            .collect();
+        let (mut decoded, mut undecodable) = (0, 0);
+        for _ in 0..100 {
+            let opened = send(&mut plane, SimTime::ZERO, &sent);
             let got = drain(&mut plane, opened);
             assert_eq!(got.len(), 1);
-            assert_eq!(got[0].1.len(), 1);
-            let flipped: u32 = got[0].1[0]
-                .iter()
-                .zip(&original)
-                .map(|(a, b)| (a ^ b).count_ones())
-                .sum();
-            assert_eq!(flipped, 1);
-            // Corruption copies into a scratch; the caller's frame (a
-            // shared encode buffer in the runtime) is untouched.
-            assert!(original.iter().all(|&byte| byte == 0));
+            let [arrival] = got[0].1[..] else {
+                panic!("one entry per corrupted frame: {got:?}")
+            };
+            assert_ne!(arrival, Ok(sent), "a flipped bit changes the frame");
+            assert!(flips.contains(&arrival), "{arrival:?} is no one-bit flip");
+            match arrival {
+                Ok(_) => decoded += 1,
+                Err(_) => undecodable += 1,
+            }
         }
+        assert_eq!(plane.stats.corrupted, 100);
+        assert!(decoded > 0 && undecodable > 0, "{decoded} / {undecodable}");
     }
 
     #[test]

@@ -201,7 +201,7 @@ impl NetworkModel {
                     },
                 );
                 // The announcement crosses the classical plane (latency,
-                // batching, faults) and is decoded at the receiver.
+                // batching, faults) to the receiver.
                 let peer = if node == na { nb } else { na };
                 self.transmit(ctx, peer, node, side.opposite(), Frame::PairReady(pair));
             } else {

@@ -171,11 +171,10 @@ impl Default for RuntimeConfig {
 
 /// The event alphabet of the network model.
 pub enum Ev {
-    /// A group of encoded classical frames, sent over one hop toward the
-    /// same tick, arrives at a node. The receiver drains the group in
-    /// send order and decodes each frame with the one frame decoder;
-    /// frames that fail to decode are counted and dropped — the bytes,
-    /// not the structs, are the interface.
+    /// A group of classical frames, sent over one hop toward the same
+    /// tick, arrives at a node. The receiver drains the group in send
+    /// order; a frame whose corrupted bytes did not decode is counted
+    /// and dropped.
     BatchDeliver {
         /// Receiving node.
         to: NodeId,
@@ -517,9 +516,6 @@ pub struct NetworkModel {
     rng_links: Vec<SimRng>,
     rng_nodes: Vec<SimRng>,
     plane: ClassicalPlane,
-    /// Shared encode buffer: every outgoing frame (data plane and
-    /// signalling) is encoded here instead of a fresh `Vec`.
-    scratch: qn_net::wire::ScratchEncoder,
     /// Reused QNP output buffer (see [`Self::qnp_input`]).
     outs: Vec<NetOutput>,
     /// Diagnostics: confirmed deliveries whose claimed Bell state
@@ -634,7 +630,6 @@ impl NetworkModel {
             rng_links,
             rng_nodes,
             plane: ClassicalPlane::new(seed, cfg.faults),
-            scratch: qn_net::wire::ScratchEncoder::new(),
             outs: Vec::new(),
             cfg,
             state_mismatches: 0,
@@ -683,8 +678,8 @@ impl NetworkModel {
             ));
         }
         // The signaller builds the entries in path order. The cutoff
-        // override is applied before the split, so on the wire the bytes
-        // are the entries the nodes install.
+        // override is applied before the split, so on the wire the frames
+        // carry the entries the nodes install.
         debug_assert!(installed
             .entries
             .iter()

@@ -1,11 +1,11 @@
 //! Transport: every frame a node sends crosses the classical plane
 //! here, and [`Ev::BatchDeliver`] (perfbench span `plane.deliver`)
-//! drains an arriving group, decodes each frame with the one frame
-//! decoder, hands it to its plane's handler and answers a TRACK with
-//! its end-to-end ack.
+//! drains an arriving group, hands each frame to its plane's handler,
+//! counts each frame a corruption left undecodable and answers a TRACK
+//! with its end-to-end ack.
 
 use super::{Ev, NetworkModel};
-use crate::classical::BatchId;
+use crate::classical::{BatchId, Undecodable};
 use qn_net::events::NetInput;
 use qn_net::ids::CircuitId;
 use qn_net::messages::{Message, TrackAck};
@@ -47,13 +47,11 @@ impl NetworkModel {
 
     /// Transmit one frame between two adjacent nodes over the classical
     /// plane and schedule the delivery of every group it opens. The
-    /// frame crosses the hop as encoded bytes: the plane transports
-    /// (and may drop/duplicate/reorder/corrupt) frames, never Rust
-    /// values. Encoding goes through the shared scratch buffer, and the
-    /// plane groups same-tick frames, so only newly opened groups cost
-    /// an event. The lane (`toward`, the side of `from` that `to` is on)
-    /// only selects the group a frame coalesces into; receivers tell
-    /// the planes apart by the decoded frame, not by direction.
+    /// plane carries (and may drop/duplicate/reorder/corrupt) the frame
+    /// as a value, and groups same-tick frames, so only newly opened
+    /// groups cost an event. The lane (`toward`, the side of `from`
+    /// that `to` is on) only selects the group a frame coalesces into;
+    /// receivers tell the planes apart by the frame, not by direction.
     ///
     /// Returns `false` when the hop (or one of its endpoints) is down:
     /// the frame dies on the dead wire. A plan-free run never does that.
@@ -72,10 +70,9 @@ impl NetworkModel {
             return false;
         }
         let latency = self.links[link.0 as usize].latency;
-        let frame = self.scratch.encode(&frame);
         let opened = self
             .plane
-            .transmit(from, to, toward, ctx.now(), latency, frame);
+            .transmit(from, to, toward, ctx.now(), latency, &frame);
         for b in opened.into_iter().flatten() {
             ctx.schedule_at(
                 b.at,
@@ -90,7 +87,7 @@ impl NetworkModel {
         true
     }
 
-    /// A group of frames arrives: drain it and decode each frame at the
+    /// A group of frames arrives: drain it and hand each frame to the
     /// receiver.
     pub(super) fn batch_deliver(
         &mut self,
@@ -100,7 +97,7 @@ impl NetworkModel {
         batch: BatchId,
         link: LinkId,
     ) {
-        let batch = self
+        let arrivals = self
             .plane
             .take_batch(batch)
             .expect("BatchDeliver drains each open group exactly once");
@@ -108,35 +105,35 @@ impl NetworkModel {
         // while the group was in flight: every frame in it dies
         // on the wire. Plan-free runs never take this branch.
         if !self.links[link.0 as usize].up || !self.nodes[to.0 as usize].up {
-            let lost = batch.frames().count() as u64;
+            let lost = arrivals.len() as u64;
             self.plane.stats.delivered -= lost;
             self.plane.stats.dropped += lost;
-            self.plane.recycle(batch);
+            self.plane.recycle(arrivals);
             return;
         }
-        for frame in batch.frames() {
-            // Decode at the receiver: a frame corrupted in flight may
-            // fail here (counted against the plane its kind byte names,
-            // and dropped — the message is simply lost) or decode into
-            // a different valid frame the handlers must absorb.
-            // PAIR_READY and signalling frames only ever travel with
-            // `signalling_on_wire` (their handlers are total regardless).
-            match Frame::decode(frame) {
+        for &arrival in &arrivals {
+            // A frame corrupted in flight may not decode (counted against
+            // the plane its kind byte names, and dropped — the message is
+            // simply lost) or may have become a different valid frame
+            // the handlers must absorb. PAIR_READY and signalling frames
+            // only ever travel with `signalling_on_wire` (their handlers
+            // are total regardless).
+            match arrival {
                 Ok(Frame::Qnp(msg)) => self.message_received(ctx, to, from, msg),
                 Ok(Frame::PairReady(pair)) => self.pair_ready_at(ctx, to, pair),
                 Ok(Frame::Signal(msg)) => self.signal_received(ctx, to, msg),
-                Err(err) => {
-                    self.plane.stats.count_decode_failure(frame.get(1).copied());
+                Err(Undecodable { kind, error }) => {
+                    self.plane.stats.count_decode_failure(kind);
                     self.trace.record(
                         ctx.now(),
                         TraceKind::Info,
                         format_args!("{to}"),
-                        format_args!("undecodable frame dropped: {err}"),
+                        format_args!("undecodable frame dropped: {error}"),
                     );
                 }
             }
         }
-        self.plane.recycle(batch);
+        self.plane.recycle(arrivals);
     }
 
     /// A QNP message reached `to` from its `from` side: hand it to the
