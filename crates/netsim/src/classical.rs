@@ -167,7 +167,7 @@ pub struct ClassicalStats {
     pub wire_bytes: u64,
     /// Frame groups opened (= delivery events scheduled).
     pub batches: u64,
-    /// Payload bytes that rode along in an already-open group — traffic
+    /// Encoded bytes that rode along in an already-open group — traffic
     /// that did not cost its own delivery event.
     pub bytes_coalesced: u64,
 }
